@@ -5,7 +5,7 @@
 //!           [--cache-bytes B] [--shards N] [--timeout-ms MS]
 //!           [--max-steps N] [--eps E] [--delta D] [--idle-secs S]
 //!           [--write-timeout-ms MS] [--max-body-bytes B]
-//!           [--preload FILE.cqa] [--no-plan] [--threaded]
+//!           [--preload FILE.cqa] [--threaded]
 //!           [--data-dir DIR] [--snapshot-every N]
 //! ```
 //!
@@ -39,7 +39,7 @@ fn usage() -> ! {
         "usage: cqa-serve [--addr HOST:PORT] [--workers N] [--max-sessions N] \
          [--cache-bytes B] [--shards N] [--timeout-ms MS] [--max-steps N] \
          [--eps E] [--delta D] [--idle-secs S] [--write-timeout-ms MS] \
-         [--max-body-bytes B] [--preload FILE.cqa] [--no-plan] [--threaded] \
+         [--max-body-bytes B] [--preload FILE.cqa] [--threaded] \
          [--data-dir DIR] [--snapshot-every N]"
     );
     std::process::exit(2);
@@ -103,8 +103,6 @@ fn main() -> ExitCode {
             "--snapshot-every" => {
                 cfg.snapshot_every = parse("--snapshot-every", value("--snapshot-every")) as u64
             }
-            // Parity oracle: fall back to the fixed QE dispatch pipeline.
-            "--no-plan" => cfg.plan = false,
             // Parity oracle: the thread-per-connection front end.
             "--threaded" => threaded = true,
             "--help" | "-h" => usage(),

@@ -15,7 +15,7 @@ fn main() {
         match cqa_bench::run_one(id) {
             Some(tbl) => print!("{tbl}"),
             None => {
-                eprintln!("unknown experiment `{id}` (valid: e1..e12, e15..e21)");
+                eprintln!("unknown experiment `{id}` (valid: e1..e12)");
                 std::process::exit(1);
             }
         }

@@ -1,4 +1,4 @@
-//! The E1–E12 + E15–E18 experiment suite (see DESIGN.md §4 and EXPERIMENTS.md).
+//! The E1–E12 experiment suite (see DESIGN.md §4 and EXPERIMENTS.md).
 //!
 //! Each function prints a self-contained table and returns it as a string
 //! so the integration tests can assert on the numbers.
@@ -699,1438 +699,6 @@ pub fn e12(out: &mut String) {
     assert_eq!(vol, rat(1, 2));
 }
 
-/// E15 — engine prepared-query cache: cold vs warm `EXEC` latency.
-///
-/// A cold `EXEC` of a prepared FO+POLY volume query pays quantifier
-/// elimination + kernel compilation; every warm `EXEC` of the same
-/// canonical formula skips both via the shared cache and only reruns the
-/// (deterministic) Monte Carlo integration. The measured ratio is the
-/// engine's reason to exist; the assertion pins it at ≥ 10×.
-pub fn e15(out: &mut String) {
-    use cqa_engine::{Engine, EngineConfig};
-    use std::time::{Duration, Instant};
-    writeln!(
-        out,
-        "E15: cqa-engine prepared-query cache — cold vs warm EXEC"
-    )
-    .unwrap();
-    let engine = Engine::new(EngineConfig {
-        timeout: Some(Duration::from_secs(60)),
-        ..EngineConfig::default()
-    });
-    let query = "exists y. exists z. (x*x + y*y + z*z <= 1 & y >= x*x - 1/2 & z <= y)";
-    writeln!(out, "  query: VOL_I of {query}").unwrap();
-    let mut session = engine.open_session();
-    let r = engine.prepare(&mut session, "lens", query);
-    assert!(r.is_ok(), "{r:?}");
-
-    let t0 = Instant::now();
-    let cold = engine.exec(&mut session, "lens", Some(0.1), Some(0.05));
-    let cold_us = t0.elapsed().as_micros() as f64;
-    assert!(cold.is_ok(), "{cold:?}");
-    assert!(cold.header.contains("cache=miss"), "{cold:?}");
-
-    // Warm EXECs from a *different* session: the cache is shared across
-    // connections, so the second client never pays QE either.
-    let mut other = engine.open_session();
-    let r = engine.prepare(&mut other, "lens", query);
-    assert!(r.is_ok(), "{r:?}");
-    const WARM_RUNS: usize = 5;
-    let mut warm_us = f64::INFINITY;
-    let mut warm_header = String::new();
-    for _ in 0..WARM_RUNS {
-        let t0 = Instant::now();
-        let warm = engine.exec(&mut other, "lens", Some(0.1), Some(0.05));
-        warm_us = warm_us.min(t0.elapsed().as_micros() as f64);
-        assert!(warm.header.contains("cache=hit"), "{warm:?}");
-        warm_header = warm.header;
-    }
-    let answer = |h: &str| {
-        h.split("value=")
-            .nth(1)
-            .and_then(|s| s.split_whitespace().next())
-            .unwrap_or("?")
-            .to_string()
-    };
-    assert_eq!(
-        answer(&cold.header),
-        answer(&warm_header),
-        "cache must not change answers"
-    );
-    let snap = engine.cache.snapshot();
-    let speedup = cold_us / warm_us.max(1.0);
-    // Wall-clock numbers go to stderr so that `report`'s stdout stays
-    // byte-identical across runs (the determinism gate `cmp`s two captures);
-    // the recorded snapshot lives in BENCH_engine.json.
-    eprintln!(
-        "E15 timings: cold {cold_us:.1} µs, warm {warm_us:.1} µs (min of {WARM_RUNS}), \
-         speedup {speedup:.1}x"
-    );
-    writeln!(
-        out,
-        "  cold EXEC (QE + compile + MC)  -> [{}] cache=miss",
-        answer(&cold.header)
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  warm EXEC (cache hit, MC only) -> [{}] cache=hit, bit-identical (min of {WARM_RUNS})",
-        answer(&warm_header)
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  speedup >= 10x asserted (timings on stderr; snapshot in BENCH_engine.json)   \
-         cache: hits={} misses={} hit_rate={:.2}\n",
-        snap.hits,
-        snap.misses,
-        snap.hit_rate()
-    )
-    .unwrap();
-    assert!(
-        speedup >= 10.0,
-        "warm-cache EXEC must be >= 10x faster than cold, got {speedup:.1}x"
-    );
-}
-
-/// E16 — hash-consed formula IR: FM node dedup on the DNF blow-up
-/// workload, and structural-hash cache keys vs. the old string render.
-///
-/// Part 1 quantifies why the QE layer runs on an interning arena: the DNF
-/// expansion of `∃y. ⋀ᵢ (y < xᵢ ∨ xᵢ < y)` has `2^m` clauses built from
-/// only `2m` distinct literals, so hash-consing stores the blow-up as a
-/// small dag (the Giusti–Heintz straight-line representation argument).
-/// Part 2 measures the warm-path cost the engine pays per `EXEC` to key
-/// its prepared-query cache: the 128-bit canonical hash must beat the old
-/// `canonical_key_for_params` string render by ≥ 2× (asserted).
-pub fn e16(out: &mut String) {
-    use cqa_logic::budget::EvalBudget;
-    use cqa_logic::Arena;
-    use std::time::Instant;
-    writeln!(
-        out,
-        "E16: hash-consed formula IR — FM dedup ratio and cache-key cost"
-    )
-    .unwrap();
-
-    // Part 1: the FM blow-up workload, eliminated through a shared arena.
-    const M: usize = 8;
-    let mut vars = VarMap::new();
-    let mut src = String::from("exists y. ");
-    for i in 0..M {
-        if i > 0 {
-            src.push_str(" & ");
-        }
-        src.push_str(&format!("(y < x{i} | x{i} < y)"));
-    }
-    let f = parse_formula_with(&src, &mut vars).unwrap();
-    let mut arena = Arena::new();
-    let qf = cqa_qe::fourier_motzkin_with_arena(&f, &EvalBudget::unlimited(), &mut arena).unwrap();
-    assert!(qf.is_quantifier_free());
-    let st = arena.stats();
-    let dedup = st.dedup_ratio();
-    writeln!(
-        out,
-        "  FM on phi_{M} = Ey. AND_i (y < x_i | x_i < y): 2^{M} = {} DNF clauses, {} distinct literals",
-        1usize << M,
-        2 * M
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    arena after elimination: nodes={} terms={} intern_calls={} dedup_ratio={dedup:.2}",
-        st.nodes, st.terms, st.intern_calls
-    )
-    .unwrap();
-    assert!(
-        dedup > 1.0,
-        "hash-consing must find sharing on the blow-up workload, got {dedup:.3}"
-    );
-
-    // Part 2: per-request cache-key cost on a wide conjunction (the shape
-    // a relation-expanded prepared query has after simplification).
-    let mut kvars = VarMap::new();
-    let mut ksrc = String::new();
-    for i in 0..24i64 {
-        if i > 0 {
-            ksrc.push_str(" & ");
-        }
-        ksrc.push_str(&format!(
-            "({}*a + {}*b + {}*c <= {i})",
-            i + 1,
-            2 * i + 1,
-            3 * i + 2
-        ));
-    }
-    let kf = parse_formula_with(&ksrc, &mut kvars).unwrap();
-    let params: Vec<Var> = kf.free_vars().into_iter().collect();
-    let mut karena = Arena::new();
-    let kid = karena.intern(&kf);
-    const REPS: usize = 1_000;
-    const ROUNDS: usize = 3;
-    let mut str_sink = 0usize;
-    let mut hash_sink = 0u128;
-    // Min over interleaved rounds: transient machine load hits both sides.
-    let (mut string_us, mut hash_us) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..ROUNDS {
-        let t0 = Instant::now();
-        for _ in 0..REPS {
-            str_sink ^= kf.canonical_key_for_params(&params).len();
-        }
-        string_us = string_us.min(t0.elapsed().as_micros() as f64);
-        let t0 = Instant::now();
-        for _ in 0..REPS {
-            hash_sink ^= karena.canonical_hash_for_params(kid, &params);
-        }
-        hash_us = hash_us.min(t0.elapsed().as_micros() as f64);
-    }
-    let speedup = string_us / hash_us.max(1.0);
-    // Wall-clock numbers go to stderr so that `report`'s stdout stays
-    // byte-identical across runs (the determinism gate `cmp`s two
-    // captures); the recorded snapshot lives in BENCH_ir.json.
-    eprintln!(
-        "E16 timings: string key {string_us:.1} µs, hash key {hash_us:.1} µs \
-         (min of {ROUNDS} rounds x {REPS} reps), speedup {speedup:.1}x \
-         (sinks {str_sink} {hash_sink:032x})"
-    );
-    writeln!(
-        out,
-        "  cache-key cost, {REPS} keys of a 24-atom / 3-param conjunction:"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    structural hash vs string render: speedup >= 2x asserted \
-         (timings on stderr; snapshot in BENCH_ir.json)\n"
-    )
-    .unwrap();
-    assert!(
-        speedup >= 2.0,
-        "structural-hash key must be >= 2x cheaper than the string render, got {speedup:.2}x"
-    );
-}
-
-/// E17 — the vectorized batch kernel: batched vs scalar per-sample cost
-/// on the E13 kernel workloads plus a high-fallback adversarial workload,
-/// with bit-identical hit counts asserted lane for lane.
-///
-/// The batch kernel sweeps each atom's coefficients across a whole
-/// 512-lane sample chunk in flat `f64` columns, then re-runs only the
-/// lanes whose certified error columns admitted a sign flip through the
-/// exact rational path — so its output is bit-identical to the per-point
-/// `eval_f64` loop by construction, and the only question is speed. The
-/// adversarial workload pins every sample to the decision boundary
-/// (`y = 1 − x` against `x + y ≤ 1`, exact in `f64`), forcing a 100%
-/// exact-fallback rate: the worst case the lane masks must survive.
-///
-/// Timings go to stderr (stdout stays byte-identical across runs); the
-/// measured snapshot is written to BENCH_batch.json. The ≥ 2× floor on
-/// the two E13 workloads is asserted here and runs in CI.
-pub fn e17(out: &mut String) {
-    use cqa_approx::mc::{mc_average_over_threads, mc_volume_in_unit_box_threads};
-    use cqa_logic::{Batch, BatchScratch, CompiledMatrix, LaneStats, SlotMap, BATCH_LANES};
-    use cqa_poly::MPoly;
-    use std::time::Instant;
-
-    writeln!(
-        out,
-        "E17: vectorized batch kernel — SoA chunk sweep vs per-point eval"
-    )
-    .unwrap();
-
-    const M: usize = 4096;
-    const ROUNDS: usize = 5;
-
-    // Workload matrices: `cols[d][i]` is coordinate `d` of sample `i`,
-    // every coordinate a dyadic `f64` so slot columns are exact.
-    let mut vars = VarMap::new();
-    let (lin, lin_vs) = workloads::linear16_workload(&mut vars);
-    let mut vars = VarMap::new();
-    let (pol, pol_vs) = workloads::poly3_workload(&mut vars);
-    let mut vars = VarMap::new();
-    let adv = parse_formula_with("x + y <= 1", &mut vars).unwrap();
-    let adv_vs = vec![vars.get("x").unwrap(), vars.get("y").unwrap()];
-
-    let random_cols = |dim: usize, seed: u64| -> Vec<Vec<f64>> {
-        let mut w = Witness::new(seed);
-        let mut cols = vec![vec![0.0f64; M]; dim];
-        let mut pt = vec![0.0f64; dim];
-        for i in 0..M {
-            w.uniform_unit_point_f64(&mut pt);
-            for (col, &v) in cols.iter_mut().zip(pt.iter()) {
-                col[i] = v;
-            }
-        }
-        cols
-    };
-    // Every adversarial sample sits exactly on the boundary: `y = 1 − x`
-    // is exact for dyadic `x ∈ [0, 1]`, so `x + y − 1` evaluates to an
-    // exact `f64` zero that no nonzero certified error bound can sign.
-    let adv_cols = {
-        let mut cols = random_cols(2, 17);
-        let (xs, ys) = cols.split_at_mut(1);
-        for (y, &x) in ys[0].iter_mut().zip(xs[0].iter()) {
-            *y = 1.0 - x;
-        }
-        cols
-    };
-
-    struct Measured {
-        hits: usize,
-        stats: LaneStats,
-        scalar_ns: f64,
-        batch_ns: f64,
-    }
-
-    let run = |f: &cqa_logic::Formula, vs: &[Var], cols: &[Vec<f64>]| -> Measured {
-        let slots = SlotMap::from_vars(vs);
-        let kernel = CompiledMatrix::compile(f, &slots).expect("QF workload compiles");
-        let dim = vs.len();
-
-        let scalar_pass = || -> usize {
-            let mut hits = 0usize;
-            let mut floats = vec![0.0f64; dim];
-            let errs = vec![0.0f64; dim];
-            for i in 0..M {
-                for (d, col) in cols.iter().enumerate() {
-                    floats[d] = col[i];
-                }
-                let fs = &floats;
-                if kernel.eval_f64(fs, &errs, &|s| Rat::from_f64(fs[s]).expect("finite")) {
-                    hits += 1;
-                }
-            }
-            hits
-        };
-        let batch_pass = |stats: &mut LaneStats| -> usize {
-            let mut batch = Batch::new(dim);
-            let mut scratch = BatchScratch::new();
-            let mut hits = 0usize;
-            let mut done = 0usize;
-            while done < M {
-                let len = (M - done).min(BATCH_LANES);
-                batch.set_len(len);
-                for (d, col) in cols.iter().enumerate() {
-                    batch.col_mut(d).copy_from_slice(&col[done..done + len]);
-                }
-                let b = &batch;
-                let r = kernel.eval_batch(
-                    b,
-                    &|lane, slot| Rat::from_f64(b.value(slot, lane)).expect("finite"),
-                    &mut scratch,
-                );
-                hits += r.mask.count();
-                stats.add(&r);
-                done += len;
-            }
-            hits
-        };
-
-        let mut stats = LaneStats::default();
-        let hits = scalar_pass();
-        let batch_hits = batch_pass(&mut stats);
-        assert_eq!(
-            hits, batch_hits,
-            "batched and per-point kernels must agree bit for bit"
-        );
-
-        // Min over interleaved rounds: transient load hits both sides.
-        let (mut scalar_ns, mut batch_ns) = (f64::INFINITY, f64::INFINITY);
-        let mut sink = 0usize;
-        for _ in 0..ROUNDS {
-            let t0 = Instant::now();
-            sink ^= scalar_pass();
-            scalar_ns = scalar_ns.min(t0.elapsed().as_nanos() as f64 / M as f64);
-            let t0 = Instant::now();
-            sink ^= batch_pass(&mut LaneStats::default());
-            batch_ns = batch_ns.min(t0.elapsed().as_nanos() as f64 / M as f64);
-        }
-        let _ = std::hint::black_box(sink);
-        Measured {
-            hits,
-            stats,
-            scalar_ns,
-            batch_ns,
-        }
-    };
-
-    let cases = [
-        ("linear16", &lin, &lin_vs, &random_cols(2, 13), true),
-        ("poly3", &pol, &pol_vs, &random_cols(2, 13), true),
-        ("adversarial", &adv, &adv_vs, &adv_cols, false),
-    ];
-    let mut snapshot = String::new();
-    for (name, f, vs, cols, floor) in cases {
-        let m = run(f, vs, cols);
-        let speedup = m.scalar_ns / m.batch_ns.max(1.0);
-        writeln!(
-            out,
-            "  {name:<12} m={M}: hits={} (bit-identical scalar vs batch), \
-             fast_lanes={} exact_lanes={} fallback_rate={:.4}",
-            m.hits,
-            m.stats.fast,
-            m.stats.exact,
-            m.stats.fallback_rate()
-        )
-        .unwrap();
-        eprintln!(
-            "E17 {name}: scalar {:.1} ns/sample, batch {:.1} ns/sample \
-             (min of {ROUNDS} rounds), speedup {speedup:.2}x",
-            m.scalar_ns, m.batch_ns
-        );
-        if floor {
-            assert!(
-                speedup >= 2.0,
-                "batched kernel must be >= 2x faster than per-point eval on {name}, \
-                 got {speedup:.2}x"
-            );
-        }
-        write!(
-            snapshot,
-            "{}    \"{name}\": {{\n      \"description\": \"{}\",\n      \
-             \"samples\": {M},\n      \"scalar_ns_per_sample\": {:.1},\n      \
-             \"batch_ns_per_sample\": {:.1},\n      \"speedup\": {speedup:.2},\n      \
-             \"fast_lanes\": {},\n      \"exact_lanes\": {},\n      \
-             \"fallback_rate\": {:.4}\n    }}",
-            if snapshot.is_empty() { "" } else { ",\n" },
-            match name {
-                "linear16" =>
-                    "16 linear half-plane atoms (inscribed 16-gon), degree-1 dot-product path",
-                "poly3" =>
-                    "annulus with cubic wobble, polynomial atoms of degree <= 3, term-sweep path",
-                _ => "every sample pinned to the x + y = 1 boundary: 100% exact-fallback lanes",
-            },
-            m.scalar_ns,
-            m.batch_ns,
-            m.stats.fast,
-            m.stats.exact,
-            m.stats.fallback_rate()
-        )
-        .unwrap();
-    }
-
-    // Output identity across thread counts: the batched sampler draws
-    // lane-major from per-chunk witness substreams, so volume and SUM
-    // estimates are bit-identical for every worker count.
-    let db = Database::new();
-    let mut vols = Vec::new();
-    let mut sums = Vec::new();
-    let p = {
-        // Integrand x + y over the region (exercises the SUM path).
-        let x = lin_vs[0];
-        let y = lin_vs[1];
-        &MPoly::var(x) + &MPoly::var(y)
-    };
-    for threads in [1usize, 2, 4] {
-        let mut w = Witness::new(42);
-        vols.push(
-            mc_volume_in_unit_box_threads(&db, &lin, &lin_vs, 2048, &mut w, threads).unwrap(),
-        );
-        let mut w = Witness::new(42);
-        sums.push(
-            mc_average_over_threads(&db, &lin, &lin_vs, &p, 2048, &mut w, threads)
-                .unwrap()
-                .expect("16-gon has hits"),
-        );
-    }
-    assert!(
-        vols.windows(2).all(|w| w[0] == w[1]),
-        "volume estimate must be bit-identical for every thread count"
-    );
-    assert!(
-        sums.windows(2).all(|w| w[0] == w[1]),
-        "SUM estimate must be bit-identical for every thread count"
-    );
-    writeln!(
-        out,
-        "  thread identity (threads 1/2/4): VOL_I(16-gon) = {}, AVG(x+y) = {}",
-        vols[0], sums[0]
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  speedup >= 2x asserted on linear16 and poly3 (target 4x; timings on stderr; \
-         snapshot in BENCH_batch.json)\n"
-    )
-    .unwrap();
-
-    // The measured snapshot, in the shape of BENCH_mc_volume.json.
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"bench\": \"batched SoA kernel vs per-point compiled eval \
-         (E17, {M} samples per workload)\",\n  \"date\": \"{}\",\n  \
-         \"machine\": {{ \"cpus\": {cpus}, \"mode\": \"report e17, release, min of {ROUNDS} \
-         interleaved rounds\" }},\n  \"workloads\": {{\n{snapshot}\n  }},\n  \"notes\": [\n    \
-         \"Hit counts are asserted bit-identical between the batched and per-point kernels on \
-         every workload, including the all-boundary adversarial one.\",\n    \
-         \"Volume and SUM estimates are asserted bit-identical for threads 1, 2 and 4: lanes \
-         fill in draw order from per-chunk witness substreams.\",\n    \
-         \"fallback_rate = exact_lanes / (fast_lanes + exact_lanes); the adversarial workload \
-         pins it at 1.0 by construction.\"\n  ]\n}}\n",
-        today_utc()
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("E17: could not write {path}: {e}");
-    }
-}
-
-/// E18 — interval abstract interpretation in the engine: static verdicts
-/// skip QE, bounds certificates shrink the sampling box.
-///
-/// Three EXEC workloads against two engines (absint on / off):
-///
-/// * **statically empty** — a quantified linear query whose free-variable
-///   constraints contradict; the on-engine answers `value=0` without ever
-///   running Fourier–Motzkin (≥ 10× floor asserted);
-/// * **box-shrinkable** — a small disk conjoined with affine range atoms;
-///   the derived box certificate lets Monte Carlo discard most lanes
-///   before kernel evaluation (≥ 50% skip floor asserted);
-/// * **unknown** — a plain quarter disk with no derivable box; absint must
-///   stay out of the way (zero skipped lanes asserted).
-///
-/// Every answer is asserted bit-identical between the two engines (modulo
-/// the `steps=` budget counter). Timings go to stderr; the measured
-/// snapshot is written to BENCH_absint.json.
-pub fn e18(out: &mut String) {
-    use cqa_engine::{Engine, EngineConfig, EngineStats};
-    use std::time::Instant;
-
-    writeln!(
-        out,
-        "E18: interval abstract interpretation — static verdicts and box certificates"
-    )
-    .unwrap();
-
-    const ROUNDS: usize = 5;
-    // Plan=false on both sides: this experiment isolates the absint pass,
-    // and the QE planner (E19) would otherwise speed up the baseline too.
-    let mk = |absint: bool| {
-        Engine::new(EngineConfig {
-            absint,
-            plan: false,
-            timeout: Some(std::time::Duration::from_secs(60)),
-            ..EngineConfig::default()
-        })
-    };
-    let strip = |h: &str| {
-        h.split_whitespace()
-            .filter(|t| !t.starts_with("steps="))
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    let answer = |h: &str| {
-        h.split("value=")
-            .nth(1)
-            .and_then(|s| s.split_whitespace().next())
-            .unwrap_or("?")
-            .to_string()
-    };
-
-    // Workload A: statically empty. The ∃-body is a pairwise-coupled
-    // 4-variable chain (every yᵢ two-sided against every yⱼ and against x),
-    // so Fourier–Motzkin pays its quadratic per-projection growth four
-    // times over — but `x > 2 & x < 1` is refuted by interval meet alone,
-    // and the linear constraint class makes the ⊥-substitution safe. The
-    // residues of the coupled atoms collapse to constants, keeping the
-    // un-analyzed engine's exact volume step under its DNF cell limit.
-    const EMPTY_K: usize = 4;
-    let empty_q = {
-        let mut q = String::from("(exists");
-        for i in 0..EMPTY_K {
-            q.push_str(&format!(" y{i}"));
-        }
-        q.push_str(". ");
-        let mut atoms = Vec::new();
-        for i in 0..EMPTY_K {
-            atoms.push(format!("x - 1 < y{i}"));
-            atoms.push(format!("y{i} < x + 1"));
-            for j in (i + 1)..EMPTY_K {
-                atoms.push(format!("y{i} - y{j} < 1"));
-                atoms.push(format!("y{j} - y{i} < 1"));
-            }
-        }
-        q.push_str(&atoms.join(" & "));
-        q.push_str(") & x > 2 & x < 1");
-        q
-    };
-    let empty_q = empty_q.as_str();
-    // Workload B: the disk only intersects [2/5, 3/5]², so the box
-    // certificate discards 24/25 of the unit-box sample lanes up front.
-    let boxed_q = "(x - 1/2)*(x - 1/2) + (y - 1/2)*(y - 1/2) <= 1/100 \
-                   & 2/5 <= x & x <= 3/5 & 2/5 <= y & y <= 3/5";
-    // Workload C: no affine atom bounds anything — no certificate, and the
-    // prefilter must not fire at all.
-    let disk_q = "x*x + y*y <= 1";
-
-    // --- A: cold-EXEC latency, fresh engines each round so neither side
-    // ever sees a cache hit. The on-engine must be >= 10x faster.
-    let (mut on_us, mut off_us) = (f64::INFINITY, f64::INFINITY);
-    let mut empty_on_header = String::new();
-    let mut empty_off_header = String::new();
-    let mut unsat_skips = 0;
-    for _ in 0..ROUNDS {
-        let on = mk(true);
-        let mut s = on.open_session();
-        assert!(on.prepare(&mut s, "empty", empty_q).is_ok());
-        let t0 = Instant::now();
-        let r = on.exec(&mut s, "empty", None, None);
-        on_us = on_us.min(t0.elapsed().as_nanos() as f64 / 1e3);
-        assert!(r.is_ok(), "{r:?}");
-        empty_on_header = r.header;
-        unsat_skips = EngineStats::get(&on.stats.absint_unsat_skips);
-
-        let off = mk(false);
-        let mut s = off.open_session();
-        assert!(off.prepare(&mut s, "empty", empty_q).is_ok());
-        let t0 = Instant::now();
-        let r = off.exec(&mut s, "empty", None, None);
-        off_us = off_us.min(t0.elapsed().as_nanos() as f64 / 1e3);
-        assert!(r.is_ok(), "{r:?}");
-        empty_off_header = r.header;
-    }
-    assert_eq!(strip(&empty_on_header), strip(&empty_off_header));
-    assert_eq!(answer(&empty_on_header), "0", "{empty_on_header}");
-    assert!(unsat_skips >= 1, "static Unsat verdict never fired");
-    let empty_speedup = off_us / on_us.max(1.0);
-    assert!(
-        empty_speedup >= 10.0,
-        "statically-empty EXEC must be >= 10x faster with absint, \
-         got {empty_speedup:.1}x ({on_us:.1} vs {off_us:.1} us)"
-    );
-    eprintln!(
-        "E18 empty: absint {on_us:.1} us, QE {off_us:.1} us \
-         (cold EXEC, min of {ROUNDS} rounds), speedup {empty_speedup:.1}x"
-    );
-    writeln!(
-        out,
-        "  statically empty (4 quantifiers, 20 pairwise-coupled linear atoms): value={} on \
-         both engines, \
-         unsat verdict skips QE (>= 10x floor asserted; timings on stderr)",
-        answer(&empty_on_header)
-    )
-    .unwrap();
-
-    // --- B and C: skip fractions and answer identity on the MC path.
-    let mc_case = |name: &str, query: &str| -> (String, String, u64, u64, f64) {
-        let on = mk(true);
-        let mut s = on.open_session();
-        assert!(on.prepare(&mut s, name, query).is_ok());
-        let t0 = Instant::now();
-        let r_on = on.exec(&mut s, name, Some(0.02), None);
-        let on_us = t0.elapsed().as_nanos() as f64 / 1e3;
-        assert!(r_on.is_ok(), "{r_on:?}");
-        let skipped = EngineStats::get(&on.stats.absint_box_skipped_lanes);
-        let evaluated = EngineStats::get(&on.stats.batch_fast_lanes)
-            + EngineStats::get(&on.stats.batch_exact_lanes);
-
-        let off = mk(false);
-        let mut s = off.open_session();
-        assert!(off.prepare(&mut s, name, query).is_ok());
-        let t0 = Instant::now();
-        let r_off = off.exec(&mut s, name, Some(0.02), None);
-        let off_us = t0.elapsed().as_nanos() as f64 / 1e3;
-        assert!(r_off.is_ok(), "{r_off:?}");
-        assert_eq!(
-            EngineStats::get(&off.stats.absint_box_skipped_lanes),
-            0,
-            "disabled engine must not prefilter"
-        );
-        assert_eq!(strip(&r_on.header), strip(&r_off.header));
-        eprintln!("E18 {name}: absint {on_us:.1} us, plain {off_us:.1} us (single cold EXEC)");
-        (answer(&r_on.header), r_on.header, skipped, evaluated, on_us)
-    };
-
-    let (boxed_val, _, boxed_skipped, boxed_eval, _) = mc_case("boxed", boxed_q);
-    let boxed_frac = boxed_skipped as f64 / (boxed_skipped + boxed_eval).max(1) as f64;
-    assert!(
-        boxed_frac >= 0.5,
-        "box certificate must discard >= 50% of lanes, got {boxed_frac:.3}"
-    );
-    writeln!(
-        out,
-        "  box-shrinkable (disk in [2/5,3/5]^2): value={boxed_val}, \
-         {boxed_skipped} of {} lanes skipped by the certificate ({:.1}%), \
-         answer bit-identical to the unfiltered engine",
-        boxed_skipped + boxed_eval,
-        100.0 * boxed_frac
-    )
-    .unwrap();
-
-    let (disk_val, _, disk_skipped, disk_eval, _) = mc_case("disk", disk_q);
-    assert_eq!(disk_skipped, 0, "no certificate, so no lane may be skipped");
-    writeln!(
-        out,
-        "  unknown (quarter disk, no affine bounds): value={disk_val}, \
-         0 of {disk_eval} lanes skipped — absint stays out of the way"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  all answers bit-identical with absint on/off (modulo the steps= counter); \
-         snapshot in BENCH_absint.json\n"
-    )
-    .unwrap();
-
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"bench\": \"interval abstract interpretation in the engine \
-         (E18: static verdicts skip QE, box certificates shrink the MC box)\",\n  \
-         \"date\": \"{}\",\n  \
-         \"machine\": {{ \"cpus\": {cpus}, \"mode\": \"report e18, release, cold EXEC, \
-         min of {ROUNDS} rounds for the empty workload\" }},\n  \"workloads\": {{\n    \
-         \"statically_empty\": {{\n      \"description\": \"4 quantifiers over 20 \
-         pairwise-coupled linear atoms under a free-variable range contradiction; absint \
-         answers value=0 without QE\",\n      \
-         \"absint_us\": {on_us:.1},\n      \"qe_us\": {off_us:.1},\n      \
-         \"speedup\": {empty_speedup:.1},\n      \"value\": \"{}\"\n    }},\n    \
-         \"box_shrinkable\": {{\n      \"description\": \"disk of radius 1/10 at (1/2, 1/2) \
-         conjoined with its bounding box [2/5, 3/5]^2\",\n      \
-         \"lanes_skipped\": {boxed_skipped},\n      \"lanes_total\": {},\n      \
-         \"skip_fraction\": {boxed_frac:.4},\n      \"value\": \"{boxed_val}\"\n    }},\n    \
-         \"unknown\": {{\n      \"description\": \"quarter disk x^2 + y^2 <= 1: no affine \
-         bounds, no certificate, zero skipped lanes\",\n      \
-         \"lanes_skipped\": {disk_skipped},\n      \"lanes_total\": {disk_eval},\n      \
-         \"value\": \"{disk_val}\"\n    }}\n  }},\n  \"notes\": [\n    \
-         \"Answers are asserted bit-identical between the absint-enabled and disabled \
-         engines on every workload (only the steps= budget counter may differ).\",\n    \
-         \"The static skip only fires when the substitution cannot change the constraint \
-         class of the cached plan: non-polynomial queries and quantifier-free polynomial \
-         queries qualify; quantified polynomial queries still pay QE.\",\n    \
-         \"The box prefilter drops lanes after the RNG draw, so the sample stream and all \
-         surviving hit decisions are unchanged.\"\n  ]\n}}\n",
-        today_utc(),
-        answer(&empty_on_header),
-        boxed_skipped + boxed_eval,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_absint.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("E18: could not write {path}: {e}");
-    }
-}
-
-/// E19: the cost-based QE planner and cross-query subplan sharing.
-///
-/// Eight prepared queries share one expensive quantified linear core — a
-/// chain-coupled 2-variable ∃-block — and differ only in a
-/// quantifier-free band on the free variable. The planned engine routes
-/// the conjunctive core to Fourier–Motzkin, eliminates it once to a plain
-/// conjunction and serves the other seven from the shared subplan cache;
-/// the `--no-plan` engine (the fixed dispatch pipeline) pays the full
-/// Loos–Weispfenning elimination per query, and LW's virtual-substitution
-/// output is a multi-arm disjunction whose exact volume costs a `2^m`
-/// inclusion–exclusion sweep on every EXEC. Both engines stay on the
-/// exact path and their volumes are the same rational, so answers are
-/// bit-identical. Asserted: every answer `value=1/10` and bit-identical
-/// between the two engines (modulo `steps=`), `>= 7` subplan cache hits,
-/// and a `>= 2x` total cold-EXEC speedup. Timings go to stderr; the
-/// measured snapshot is written to BENCH_plan.json.
-pub fn e19(out: &mut String) {
-    use cqa_engine::{Engine, EngineConfig, EngineStats};
-    use std::time::Instant;
-
-    writeln!(
-        out,
-        "E19: cost-based QE planning — method choice and cross-query subplan sharing"
-    )
-    .unwrap();
-
-    const ROUNDS: usize = 5;
-    const QUERIES: usize = 8;
-    const CORE_K: usize = 2;
-
-    // The shared core: every yᵢ two-sided against x, neighbours chained
-    // within distance 1, plus one-sided range pins so the block does not
-    // eliminate to a constant (no static verdict can discharge it).
-    // Satisfiable on an interval of x that contains all eight bands.
-    let core = {
-        let mut q = String::from("(exists");
-        for i in 0..CORE_K {
-            q.push_str(&format!(" y{i}"));
-        }
-        q.push_str(". ");
-        let mut atoms = Vec::new();
-        for i in 0..CORE_K {
-            atoms.push(format!("x - 1 < y{i}"));
-            atoms.push(format!("y{i} < x + 1"));
-            if i + 1 < CORE_K {
-                atoms.push(format!("y{i} - y{} < 1", i + 1));
-                atoms.push(format!("y{} - y{i} < 1", i + 1));
-            }
-        }
-        atoms.push("y0 > 0".into());
-        atoms.push(format!("y{} < 1", CORE_K - 1));
-        q.push_str(&atoms.join(" & "));
-        q.push(')');
-        q
-    };
-    // Bands [i/20, (i+2)/20] ⊂ [0, 1/2]: structurally overlapping queries
-    // whose only difference is quantifier-free.
-    let queries: Vec<String> = (0..QUERIES)
-        .map(|i| format!("{core} & {i}/20 <= x & x <= {}/20", i + 2))
-        .collect();
-
-    let mk = |plan: bool| {
-        Engine::new(EngineConfig {
-            plan,
-            timeout: Some(std::time::Duration::from_secs(60)),
-            ..EngineConfig::default()
-        })
-    };
-    let strip = |h: &str| {
-        h.split_whitespace()
-            .filter(|t| !t.starts_with("steps="))
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-
-    // Cold EXEC over the whole workload, fresh engines each round so no
-    // round ever sees a whole-query cache hit; min-of-rounds totals.
-    let (mut plan_us, mut fixed_us) = (f64::INFINITY, f64::INFINITY);
-    let mut planned_headers: Vec<String> = Vec::new();
-    let mut fixed_headers: Vec<String> = Vec::new();
-    let mut prepare_header = String::new();
-    let (mut subplan_hits, mut subplan_misses) = (0u64, 0u64);
-    let (mut plan_fm, mut plan_lw) = (0u64, 0u64);
-    for _ in 0..ROUNDS {
-        let on = mk(true);
-        let mut s = on.open_session();
-        for (i, q) in queries.iter().enumerate() {
-            let r = on.prepare(&mut s, &format!("q{i}"), q);
-            assert!(r.is_ok(), "{r:?}");
-            prepare_header = r.header;
-        }
-        let t0 = Instant::now();
-        let headers: Vec<String> = (0..QUERIES)
-            .map(|i| {
-                let r = on.exec(&mut s, &format!("q{i}"), None, None);
-                assert!(r.is_ok(), "{r:?}");
-                r.header
-            })
-            .collect();
-        plan_us = plan_us.min(t0.elapsed().as_nanos() as f64 / 1e3);
-        planned_headers = headers;
-        let snap = on.cache.snapshot();
-        (subplan_hits, subplan_misses) = (snap.subplan_hits, snap.subplan_misses);
-        plan_fm = EngineStats::get(&on.stats.plan_fm);
-        plan_lw = EngineStats::get(&on.stats.plan_lw);
-
-        let off = mk(false);
-        let mut s = off.open_session();
-        for (i, q) in queries.iter().enumerate() {
-            let r = off.prepare(&mut s, &format!("q{i}"), q);
-            assert!(r.is_ok(), "{r:?}");
-        }
-        let t0 = Instant::now();
-        let headers: Vec<String> = (0..QUERIES)
-            .map(|i| {
-                let r = off.exec(&mut s, &format!("q{i}"), None, None);
-                assert!(r.is_ok(), "{r:?}");
-                r.header
-            })
-            .collect();
-        fixed_us = fixed_us.min(t0.elapsed().as_nanos() as f64 / 1e3);
-        fixed_headers = headers;
-    }
-
-    for (p, f) in planned_headers.iter().zip(&fixed_headers) {
-        assert_eq!(strip(p), strip(f), "planner on/off answers must agree");
-        assert!(
-            p.contains("status=exact value=1/10"),
-            "each band has measure 1/10: {p}"
-        );
-    }
-    assert!(
-        prepare_header.contains(" plan="),
-        "PREPARE must report the committed plan: {prepare_header}"
-    );
-    assert!(
-        subplan_hits >= (QUERIES - 1) as u64,
-        "seven of eight cores must be served from the subplan cache, \
-         got hits={subplan_hits} misses={subplan_misses}"
-    );
-    let speedup = fixed_us / plan_us.max(1.0);
-    assert!(
-        speedup >= 2.0,
-        "planned+shared workload must be >= 2x faster than the fixed \
-         pipeline, got {speedup:.2}x ({plan_us:.1} vs {fixed_us:.1} us)"
-    );
-    eprintln!(
-        "E19: planned {plan_us:.1} us, fixed {fixed_us:.1} us for {QUERIES} cold EXECs \
-         (min of {ROUNDS} rounds), speedup {speedup:.1}x, \
-         subplan hits {subplan_hits}/{}",
-        subplan_hits + subplan_misses
-    );
-    writeln!(
-        out,
-        "  {QUERIES} prepared queries sharing a {CORE_K}-quantifier chain-coupled core: \
-         every answer value=1/10 (exact) and bit-identical planner on/off"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  subplan cache: {subplan_hits} hits / {subplan_misses} miss — the core is \
-         eliminated once (planner routed fm={plan_fm} lw={plan_lw})"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  >= 2x total cold-EXEC speedup over --no-plan asserted \
-         (timings on stderr); snapshot in BENCH_plan.json\n"
-    )
-    .unwrap();
-
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"bench\": \"cost-based QE planning with cross-query subplan sharing \
-         (E19: {QUERIES} overlapping prepared queries, one shared quantified core)\",\n  \
-         \"date\": \"{}\",\n  \
-         \"machine\": {{ \"cpus\": {cpus}, \"mode\": \"report e19, release, cold EXEC over \
-         the full workload, min of {ROUNDS} rounds\" }},\n  \"workload\": {{\n    \
-         \"description\": \"{CORE_K}-variable chain-coupled existential core shared by \
-         {QUERIES} queries differing only in a quantifier-free band on x, answered on the \
-         exact-volume path\",\n    \
-         \"queries\": {QUERIES},\n    \"value\": \"1/10\"\n  }},\n  \"results\": {{\n    \
-         \"planned_us\": {plan_us:.1},\n    \"fixed_us\": {fixed_us:.1},\n    \
-         \"speedup\": {speedup:.2},\n    \"subplan_hits\": {subplan_hits},\n    \
-         \"subplan_misses\": {subplan_misses},\n    \
-         \"plan_fm\": {plan_fm},\n    \"plan_lw\": {plan_lw}\n  }},\n  \"notes\": [\n    \
-         \"Answers are asserted bit-identical between the planned and --no-plan engines \
-         (only the steps= budget counter may differ).\",\n    \
-         \"Subplan entries live in the shared prepared-query cache under the canonical \
-         128-bit hash of the quantified block, in a namespace disjoint from whole-query \
-         entries.\",\n    \
-         \"Polynomial queries never share subplans: the plan degenerates to the fixed \
-         whole-formula Hoermander run to keep the output's constraint class stable.\"\n  \
-         ]\n}}\n",
-        today_utc(),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_plan.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("E19: could not write {path}: {e}");
-    }
-}
-
-/// E20 — durable storage: crash recovery plus cache warm-start.
-///
-/// Runs the E15 lens workload against an engine with `--data-dir`-style
-/// durable storage: a cold boot pays full QE for the first EXEC, then the
-/// process "crashes" (the engine is dropped with no SHUTDOWN and no flush).
-/// A recovered boot replays snapshot+WAL and loads the persisted warm
-/// cache, so its first EXEC is a cache hit — time-to-first-answer must be
-/// >= 5x faster than the cold boot, with a bit-identical value.
-pub fn e20(out: &mut String) {
-    use cqa_engine::{Engine, EngineConfig, EngineStats};
-    use std::time::{Duration, Instant};
-    writeln!(
-        out,
-        "E20: durable storage — crash recovery and warm-started time-to-first-answer"
-    )
-    .unwrap();
-    let dir = std::env::temp_dir().join(format!("cqa-e20-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = || EngineConfig {
-        data_dir: Some(dir.clone()),
-        timeout: Some(Duration::from_secs(60)),
-        ..EngineConfig::default()
-    };
-    let program = "rel Ball(x, y, z) := x*x + y*y + z*z <= 1";
-    let query = "exists y. exists z. (Ball(x, y, z) & y >= x*x - 1/2 & z <= y)";
-    writeln!(
-        out,
-        "  workload: VOL_I of the E15 lens query over a durable rel"
-    )
-    .unwrap();
-    let answer = |h: &str| {
-        h.split("value=")
-            .nth(1)
-            .and_then(|s| s.split_whitespace().next())
-            .unwrap_or("?")
-            .to_string()
-    };
-
-    // Cold boot: empty data dir, full QE on the first EXEC.
-    let t0 = Instant::now();
-    let engine = Engine::with_storage(cfg()).expect("fresh data dir opens");
-    let mut session = engine.open_session();
-    assert!(engine.persist(&mut session, "main").is_ok());
-    assert!(engine.load(&mut session, program).is_ok());
-    assert!(engine.prepare(&mut session, "lens", query).is_ok());
-    let cold = engine.exec(&mut session, "lens", Some(0.1), Some(0.05));
-    let cold_us = t0.elapsed().as_micros() as f64;
-    assert!(cold.is_ok(), "{cold:?}");
-    assert!(cold.header.contains("cache=miss"), "{cold:?}");
-    let (wal_records, warm_flushes) = {
-        let st = engine.storage.as_ref().unwrap().stats();
-        (
-            EngineStats::get(&st.wal_records),
-            EngineStats::get(&st.warm_flushes),
-        )
-    };
-    // The crash: drop with no SHUTDOWN and no flush. Durability must
-    // already be on disk (WAL fsync per commit, warm flush per cold miss).
-    drop(engine);
-
-    // Recovered boots: replay + warm-start, first EXEC is a hit.
-    const RUNS: usize = 3;
-    let mut warm_us = f64::INFINITY;
-    let mut warm_header = String::new();
-    let mut replayed = 0;
-    let mut warm_loaded = 0;
-    for _ in 0..RUNS {
-        let t0 = Instant::now();
-        let engine = Engine::with_storage(cfg()).expect("recovery succeeds");
-        let mut session = engine.open_session();
-        assert!(engine.persist(&mut session, "main").is_ok());
-        assert!(engine.prepare(&mut session, "lens", query).is_ok());
-        let warm = engine.exec(&mut session, "lens", Some(0.1), Some(0.05));
-        warm_us = warm_us.min(t0.elapsed().as_micros() as f64);
-        assert!(
-            warm.header.contains("cache=hit"),
-            "recovered boot must warm-start the cache: {warm:?}"
-        );
-        let st = engine.storage.as_ref().unwrap().stats();
-        replayed = EngineStats::get(&st.replayed_records);
-        warm_loaded = EngineStats::get(&st.warm_loaded);
-        warm_header = warm.header;
-    }
-    assert_eq!(
-        answer(&cold.header),
-        answer(&warm_header),
-        "recovery must not change answers"
-    );
-    assert!(replayed >= 1, "recovered boot replays the WAL");
-    assert!(warm_loaded >= 1, "recovered boot loads the warm cache");
-    let speedup = cold_us / warm_us.max(1.0);
-    // Wall-clock numbers go to stderr so that `report`'s stdout stays
-    // byte-identical across runs; the recorded snapshot is BENCH_wal.json.
-    eprintln!(
-        "E20 timings: cold boot-to-answer {cold_us:.1} µs, recovered {warm_us:.1} µs \
-         (min of {RUNS}), speedup {speedup:.1}x, wal_records {wal_records}, \
-         replayed {replayed}, warm_loaded {warm_loaded}"
-    );
-    writeln!(
-        out,
-        "  cold boot  (empty dir, QE on first EXEC)      -> [{}] cache=miss",
-        answer(&cold.header)
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  recovered  (WAL replay + warm-start, no flush) -> [{}] cache=hit, \
-         bit-identical (min of {RUNS})",
-        answer(&warm_header)
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  {wal_records} WAL records fsynced, {replayed} replayed after the simulated \
-         kill; {warm_loaded} warm cache entries loaded"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  >= 5x faster time-to-first-answer on the recovered boot asserted \
-         (timings on stderr); snapshot in BENCH_wal.json\n"
-    )
-    .unwrap();
-    assert!(
-        speedup >= 5.0,
-        "recovered boot must answer >= 5x faster than cold, got {speedup:.1}x"
-    );
-
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"bench\": \"durable storage: crash recovery + cache warm-start \
-         (E20: kill the engine after a cold EXEC, reboot, answer from the warm cache)\",\n  \
-         \"date\": \"{}\",\n  \
-         \"machine\": {{ \"cpus\": {cpus}, \"mode\": \"report e20, release, \
-         boot-to-first-answer, min of {RUNS} recovered boots\" }},\n  \"workload\": {{\n    \
-         \"description\": \"E15 lens volume over a durable relation: PERSIST + LOAD + \
-         PREPARE + EXEC, then drop with no shutdown and recover\",\n    \
-         \"value\": \"{}\"\n  }},\n  \"results\": {{\n    \
-         \"cold_us\": {cold_us:.1},\n    \"recovered_us\": {warm_us:.1},\n    \
-         \"speedup\": {speedup:.2},\n    \"wal_records\": {wal_records},\n    \
-         \"replayed_records\": {replayed},\n    \"warm_flushes\": {warm_flushes},\n    \
-         \"warm_loaded\": {warm_loaded}\n  }},\n  \"notes\": [\n    \
-         \"Every committed LOAD is fsynced to the WAL before the session mutates, and \
-         the warm cache is flushed on every cold-miss insert, so a SIGKILL at any point \
-         loses at most the in-flight command.\",\n    \
-         \"The recovered answer is asserted bit-identical to the pre-crash answer \
-         (only the steps= and cache= header tokens may differ).\"\n  ]\n}}\n",
-        today_utc(),
-        answer(&cold.header),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wal.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("E20: could not write {path}: {e}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// E21: the serving layer. Pins the two bit-identity guarantees of the
-/// reactor refactor (shard counts {1, 2, 8} and pipelined-vs-serial
-/// dispatch produce identical answers), then measures warm-`EXEC`
-/// throughput of the pipelined reactor front end against the
-/// thread-per-connection baseline at equal worker count and asserts the
-/// ≥ 2× floor. The measured snapshot is written to BENCH_serve.json.
-pub fn e21(out: &mut String) {
-    use cqa_engine::{
-        parse_command, read_response, spawn_server, spawn_server_threaded, Engine, EngineConfig,
-    };
-    use std::io::{BufReader, BufWriter, Write};
-    use std::net::{SocketAddr, TcpStream};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    writeln!(
-        out,
-        "E21: serving layer — pipelined reactor vs thread-per-connection baseline"
-    )
-    .unwrap();
-
-    /// Workers on both servers; also the baseline client count (the
-    /// thread-per-connection server admits exactly `workers` sessions).
-    const WORKERS: usize = 4;
-    const POOL: &[(&str, &str)] = &[
-        ("half", "0 <= x & x <= 1/2"),
-        ("quarter", "0 <= x & x <= 1/4"),
-        ("band", "0 <= x & 0 <= y & x + y <= 1"),
-        ("disk", "x*x + y*y <= 1"),
-    ];
-
-    fn strip(header: &str) -> String {
-        header
-            .split_whitespace()
-            .filter(|t| !t.starts_with("steps=") && !t.starts_with("cache="))
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-
-    /// Connects, retrying while the greeting is `ERR busy` (slots free up
-    /// asynchronously after a peer closes).
-    fn connect_retry(addr: SocketAddr) -> (BufReader<TcpStream>, BufWriter<TcpStream>) {
-        loop {
-            let s = TcpStream::connect(addr).expect("connect");
-            let mut r = BufReader::new(s.try_clone().expect("clone"));
-            match read_response(&mut r) {
-                Ok(Some(g)) if g.header.starts_with("OK") => {
-                    return (r, BufWriter::new(s));
-                }
-                _ => std::thread::sleep(std::time::Duration::from_millis(2)),
-            }
-        }
-    }
-
-    fn send(
-        r: &mut BufReader<TcpStream>,
-        w: &mut BufWriter<TcpStream>,
-        line: &str,
-    ) -> cqa_engine::Response {
-        writeln!(w, "{line}").unwrap();
-        w.flush().unwrap();
-        read_response(r).unwrap().expect("response")
-    }
-
-    fn p99(lats: &mut [u64]) -> u64 {
-        lats.sort_unstable();
-        lats[(lats.len() * 99 / 100).min(lats.len() - 1)]
-    }
-
-    // -- Bit-identity pin 1: cache shard counts change contention only. --
-    let transcript_for = |shards: usize| -> Vec<String> {
-        let e = Engine::new(EngineConfig {
-            cache_shards: shards,
-            ..EngineConfig::default()
-        });
-        let mut s = e.open_session();
-        let mut t = Vec::new();
-        for _ in 0..2 {
-            for (name, src) in POOL {
-                let r = e.prepare(&mut s, name, src);
-                assert!(r.is_ok(), "{r:?}");
-                t.push(strip(&e.exec(&mut s, name, None, None).header));
-            }
-        }
-        t
-    };
-    let reference = transcript_for(1);
-    for shards in [2usize, 8] {
-        assert_eq!(
-            transcript_for(shards),
-            reference,
-            "answers diverged at cache_shards={shards}"
-        );
-    }
-    writeln!(
-        out,
-        "  bit-identity: shard counts {{1, 2, 8}} -> identical answer transcripts"
-    )
-    .unwrap();
-
-    // -- Bit-identity pin 2: pipelining changes scheduling, not answers. --
-    let lines: Vec<String> = POOL
-        .iter()
-        .flat_map(|(name, src)| [format!("PREPARE {name} {src}"), format!("EXEC {name}")])
-        .collect();
-    let serial: Vec<String> = {
-        let e = Engine::new(EngineConfig::default());
-        let mut s = e.open_session();
-        lines
-            .iter()
-            .map(|l| strip(&e.dispatch(&mut s, parse_command(l).expect(l)).header))
-            .collect()
-    };
-    {
-        let engine = Arc::new(Engine::new(EngineConfig {
-            workers: WORKERS,
-            ..EngineConfig::default()
-        }));
-        let handle = spawn_server(engine).expect("spawn reactor");
-        let (mut r, mut w) = connect_retry(handle.addr());
-        for (k, line) in lines.iter().enumerate() {
-            writeln!(w, "@{k} {line}").unwrap();
-        }
-        w.flush().unwrap();
-        for (k, want) in serial.iter().enumerate() {
-            let resp = read_response(&mut r).unwrap().expect("response");
-            let tag = format!("@{k} ");
-            assert!(resp.header.starts_with(&tag), "out of order: {resp:?}");
-            assert_eq!(
-                &strip(&resp.header[tag.len()..]),
-                want,
-                "pipelined answer {k} diverged from serial dispatch"
-            );
-        }
-        assert!(send(&mut r, &mut w, "SHUTDOWN").is_ok());
-        handle.join().expect("join");
-    }
-    writeln!(
-        out,
-        "  bit-identity: pipelined wire responses in request order == serial dispatch"
-    )
-    .unwrap();
-
-    // -- Baseline: thread-per-connection, one warm EXEC per round trip.
-    // The probe query is statically decided (absint verdict: empty), so
-    // per-op compute is a few µs and the measurement isolates serving
-    // overhead — the thing this refactor changes — rather than QE or
-    // integration cost. --
-    const BASE_OPS: usize = 400;
-    let run_baseline = || {
-        let engine = Arc::new(Engine::new(EngineConfig {
-            workers: WORKERS,
-            ..EngineConfig::default()
-        }));
-        let handle = spawn_server_threaded(engine).expect("spawn baseline");
-        let addr = handle.addr();
-        {
-            // Warm the shared prepared-query cache before measuring.
-            let (mut r, mut w) = connect_retry(addr);
-            assert!(send(&mut r, &mut w, "PREPARE probe x <= 0 & x >= 1").is_ok());
-            assert!(send(&mut r, &mut w, "EXEC probe").is_ok());
-            assert!(send(&mut r, &mut w, "CLOSE").is_ok());
-        }
-        let t0 = Instant::now();
-        let joins: Vec<_> = (0..WORKERS)
-            .map(|_| {
-                std::thread::spawn(move || {
-                    let (mut r, mut w) = connect_retry(addr);
-                    assert!(send(&mut r, &mut w, "PREPARE probe x <= 0 & x >= 1").is_ok());
-                    let mut lats = Vec::with_capacity(BASE_OPS);
-                    for _ in 0..BASE_OPS {
-                        let t = Instant::now();
-                        let resp = send(&mut r, &mut w, "EXEC probe");
-                        assert!(resp.header.contains("value=0"), "{resp:?}");
-                        lats.push(t.elapsed().as_micros() as u64);
-                    }
-                    assert!(send(&mut r, &mut w, "CLOSE").is_ok());
-                    lats
-                })
-            })
-            .collect();
-        let lats: Vec<u64> = joins
-            .into_iter()
-            .flat_map(|j| j.join().expect("baseline client"))
-            .collect();
-        let wall = t0.elapsed();
-        let (mut r, mut w) = connect_retry(addr);
-        assert!(send(&mut r, &mut w, "SHUTDOWN").is_ok());
-        handle.join().expect("join baseline");
-        (wall, lats)
-    };
-    // Best of two runs per side: on a loaded (or single-CPU) machine one
-    // run can eat a scheduling hiccup; the floor should compare steady
-    // states, not noise.
-    let (base_wall, mut base_lats) = {
-        let (w1, l1) = run_baseline();
-        let (w2, l2) = run_baseline();
-        if w1 <= w2 {
-            (w1, l1)
-        } else {
-            (w2, l2)
-        }
-    };
-    let base_ops = WORKERS * BASE_OPS;
-    let base_rate = base_ops as f64 / base_wall.as_secs_f64();
-
-    // -- Reactor: 8x the clients, BATCH amortizing the round trip. --
-    const CLIENTS: usize = 32;
-    const BATCHES: usize = 4;
-    const SPECS: usize = 128;
-    let run_reactor = || {
-        let engine = Arc::new(Engine::new(EngineConfig {
-            workers: WORKERS,
-            max_sessions: CLIENTS + 8,
-            ..EngineConfig::default()
-        }));
-        let handle = spawn_server(engine).expect("spawn reactor");
-        let addr = handle.addr();
-        {
-            let (mut r, mut w) = connect_retry(addr);
-            assert!(send(&mut r, &mut w, "PREPARE probe x <= 0 & x >= 1").is_ok());
-            assert!(send(&mut r, &mut w, "EXEC probe").is_ok());
-            assert!(send(&mut r, &mut w, "CLOSE").is_ok());
-        }
-        let body: Arc<String> = Arc::new("probe\n".repeat(SPECS));
-        let t0 = Instant::now();
-        let joins: Vec<_> = (0..CLIENTS)
-            .map(|_| {
-                let body = Arc::clone(&body);
-                std::thread::spawn(move || {
-                    let (mut r, mut w) = connect_retry(addr);
-                    assert!(send(&mut r, &mut w, "PREPARE probe x <= 0 & x >= 1").is_ok());
-                    let mut lats = Vec::with_capacity(BATCHES);
-                    for _ in 0..BATCHES {
-                        let t = Instant::now();
-                        write!(w, "BATCH\n{body}.\n").unwrap();
-                        w.flush().unwrap();
-                        let resp = read_response(&mut r).unwrap().expect("batch response");
-                        assert!(
-                            resp.header
-                                .starts_with(&format!("OK BATCH n={SPECS} errors=0")),
-                            "{resp:?}"
-                        );
-                        lats.push(t.elapsed().as_micros() as u64);
-                    }
-                    assert!(send(&mut r, &mut w, "CLOSE").is_ok());
-                    lats
-                })
-            })
-            .collect();
-        let lats: Vec<u64> = joins
-            .into_iter()
-            .flat_map(|j| j.join().expect("reactor client"))
-            .collect();
-        let wall = t0.elapsed();
-        let (mut r, mut w) = connect_retry(addr);
-        assert!(send(&mut r, &mut w, "SHUTDOWN").is_ok());
-        handle.join().expect("join reactor");
-        (wall, lats)
-    };
-    let (reactor_wall, mut batch_lats) = {
-        let (w1, l1) = run_reactor();
-        let (w2, l2) = run_reactor();
-        if w1 <= w2 {
-            (w1, l1)
-        } else {
-            (w2, l2)
-        }
-    };
-    let reactor_ops = CLIENTS * BATCHES * SPECS;
-    let reactor_rate = reactor_ops as f64 / reactor_wall.as_secs_f64();
-    let speedup = reactor_rate / base_rate;
-    let base_p99 = p99(&mut base_lats);
-    let batch_p99 = p99(&mut batch_lats);
-    let per_exec_p99 = batch_p99 as f64 / SPECS as f64;
-
-    // Wall-clock numbers go to stderr so that `report`'s stdout stays
-    // byte-identical across runs; the recorded snapshot is
-    // BENCH_serve.json.
-    eprintln!(
-        "E21 timings: threaded {base_ops} warm EXECs in {:.1} ms ({base_rate:.0}/s, \
-         p99 {base_p99} µs/EXEC, {WORKERS} clients), reactor {reactor_ops} warm EXECs \
-         in {:.1} ms ({reactor_rate:.0}/s, p99 {batch_p99} µs/BATCH of {SPECS} = \
-         {per_exec_p99:.1} µs/EXEC, {CLIENTS} clients), speedup {speedup:.1}x at \
-         {WORKERS} workers",
-        base_wall.as_secs_f64() * 1e3,
-        reactor_wall.as_secs_f64() * 1e3,
-    );
-    writeln!(
-        out,
-        "  baseline: {WORKERS} thread-per-connection clients ({WORKERS} workers), one \
-         warm EXEC per round trip"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  reactor:  {CLIENTS} pipelined clients ({WORKERS} workers), BATCH of {SPECS} \
-         warm EXECs per round trip"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  >= 2x warm-EXEC throughput at equal worker count asserted (timings on \
-         stderr; snapshot in BENCH_serve.json)\n"
-    )
-    .unwrap();
-    assert!(
-        speedup >= 2.0,
-        "reactor must serve >= 2x the baseline throughput, got {speedup:.2}x"
-    );
-
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"bench\": \"serving layer: pipelined reactor vs thread-per-connection \
-         (E21: warm EXEC throughput at equal worker count)\",\n  \
-         \"date\": \"{}\",\n  \
-         \"machine\": {{ \"cpus\": {cpus}, \"mode\": \"report e21, release, loopback \
-         TCP, {WORKERS} workers\" }},\n  \"workload\": {{\n    \
-         \"description\": \"warm EXECs of a prepared, statically-decided query \
-         (per-op compute is a few microseconds, isolating serving overhead); baseline \
-         sends one EXEC per round trip from {WORKERS} clients, reactor sends BATCH \
-         bodies of {SPECS} EXECs from {CLIENTS} pipelined clients\",\n    \
-         \"baseline_ops\": {base_ops},\n    \"reactor_ops\": {reactor_ops}\n  }},\n  \
-         \"results\": {{\n    \
-         \"threaded_ops_per_s\": {base_rate:.0},\n    \
-         \"reactor_ops_per_s\": {reactor_rate:.0},\n    \
-         \"speedup\": {speedup:.2},\n    \
-         \"threaded_p99_us_per_exec\": {base_p99},\n    \
-         \"reactor_p99_us_per_batch\": {batch_p99},\n    \
-         \"reactor_p99_us_per_exec_amortized\": {per_exec_p99:.1}\n  }},\n  \
-         \"notes\": [\n    \
-         \"Answers are asserted bit-identical across cache shard counts 1, 2, and 8, \
-         and between pipelined wire execution and serial in-process dispatch (only \
-         steps= and cache= header tokens may differ).\",\n    \
-         \"The >= 2x throughput floor over the thread-per-connection baseline at equal \
-         worker count is asserted in-process; the run aborts if it regresses.\"\n  ]\n}}\n",
-        today_utc(),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("E21: could not write {path}: {e}");
-    }
-}
-
-/// Today's UTC date as `YYYY-MM-DD` (civil-from-days, Hinnant's algorithm;
-/// no external time crates).
-fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let z = secs as i64 / 86_400 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 fn collect_atoms(f: &cqa_logic::Formula) -> Vec<cqa_logic::Atom> {
     let mut out = Vec::new();
     f.visit(&mut |g| {
@@ -2141,62 +709,37 @@ fn collect_atoms(f: &cqa_logic::Formula) -> Vec<cqa_logic::Atom> {
     out
 }
 
+type Experiment = fn(&mut String);
+
+/// Every experiment of the suite, by id.
+const EXPERIMENTS: [(&str, Experiment); 12] = [
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e10", e10),
+    ("e11", e11),
+    ("e12", e12),
+];
+
 /// Runs every experiment, returning the combined report.
 pub fn run_all() -> String {
     let mut out = String::new();
-    type Experiment = fn(&mut String);
-    let fns: [(&str, Experiment); 19] = [
-        ("e1", e1),
-        ("e2", e2),
-        ("e3", e3),
-        ("e4", e4),
-        ("e5", e5),
-        ("e6", e6),
-        ("e7", e7),
-        ("e8", e8),
-        ("e9", e9),
-        ("e10", e10),
-        ("e11", e11),
-        ("e12", e12),
-        ("e15", e15),
-        ("e16", e16),
-        ("e17", e17),
-        ("e18", e18),
-        ("e19", e19),
-        ("e20", e20),
-        ("e21", e21),
-    ];
-    for (name, f) in fns {
-        let _ = name;
+    for (_, f) in EXPERIMENTS {
         f(&mut out);
     }
     out
 }
 
-/// Runs one experiment by id (`"e1"` … `"e12"`, `"e15"` … `"e21"`); `None` for unknown ids.
+/// Runs one experiment by id (`"e1"` … `"e12"`); `None` for unknown ids.
 pub fn run_one(id: &str) -> Option<String> {
+    let (_, f) = EXPERIMENTS.iter().find(|(name, _)| *name == id)?;
     let mut out = String::new();
-    match id {
-        "e1" => e1(&mut out),
-        "e2" => e2(&mut out),
-        "e3" => e3(&mut out),
-        "e4" => e4(&mut out),
-        "e5" => e5(&mut out),
-        "e6" => e6(&mut out),
-        "e7" => e7(&mut out),
-        "e8" => e8(&mut out),
-        "e9" => e9(&mut out),
-        "e10" => e10(&mut out),
-        "e11" => e11(&mut out),
-        "e12" => e12(&mut out),
-        "e15" => e15(&mut out),
-        "e16" => e16(&mut out),
-        "e17" => e17(&mut out),
-        "e18" => e18(&mut out),
-        "e19" => e19(&mut out),
-        "e20" => e20(&mut out),
-        "e21" => e21(&mut out),
-        _ => return None,
-    }
+    f(&mut out);
     Some(out)
 }

@@ -80,37 +80,6 @@ pub fn random_unary_relation(n: usize, seed: u64) -> Vec<Rat> {
     out
 }
 
-/// The E13/E17 linear kernel workload: a 16-gon inscribed in the unit
-/// box — 16 linear half-plane atoms per sample point, all on the
-/// degree-1 dot-product fast path of the batched kernel.
-pub fn linear16_workload(vars: &mut VarMap) -> (Formula, Vec<Var>) {
-    let x = vars.intern("x");
-    let y = vars.intern("y");
-    // Rational approximations of (cos θ, sin θ) on a 16-direction fan:
-    // c·(x−1/2) + s·(y−1/2) ≤ 2/5 for each direction (c, s).
-    let dirs: [(i64, i64, i64); 4] = [(1, 0, 1), (12, 5, 13), (4, 3, 5), (3, 4, 5)];
-    let mut parts = Vec::new();
-    for &(p, q, h) in &dirs {
-        for (c, s) in [(p, q), (-p, q), (p, -q), (-p, -q)] {
-            parts.push(format!("{c}*(5*x - 2) + {s}*(5*y - 2) <= {}", 2 * h));
-        }
-    }
-    let src = parts.join(" & ");
-    (parse_formula_with(&src, vars).unwrap(), vec![x, y])
-}
-
-/// The E13/E17 polynomial kernel workload: an annulus with a cubic
-/// wobble — polynomial atoms of degree up to 3, exercising the
-/// term-sweep (non-linear) path of the batched kernel.
-pub fn poly3_workload(vars: &mut VarMap) -> (Formula, Vec<Var>) {
-    let x = vars.intern("x");
-    let y = vars.intern("y");
-    let src = "(2*x - 1)*(2*x - 1) + (2*y - 1)*(2*y - 1) <= 1 \
-               & 4*((2*x - 1)*(2*x - 1) + (2*y - 1)*(2*y - 1)) >= 1 \
-               & 8*(2*x - 1)*(2*x - 1)*(2*y - 1) <= 1";
-    (parse_formula_with(src, vars).unwrap(), vec![x, y])
-}
-
 /// A random quantified linear formula with `vars` free variables, `q`
 /// quantified ones, and `atoms` random atoms (for the QE benches).
 pub fn random_linear_query(

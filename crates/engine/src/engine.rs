@@ -65,21 +65,6 @@ pub struct EngineConfig {
     /// --preload`). Must be analyzer-clean — the server validates it at
     /// startup before accepting connections.
     pub preload: Option<String>,
-    /// Whether the interval abstract-interpretation pass runs on request
-    /// formulas: statically decided queries skip QE, and Monte Carlo
-    /// lanes provably outside the derived bounding box skip kernel
-    /// evaluation. Verdicts only skip or shrink work — answers are
-    /// bit-identical with the pass off.
-    pub absint: bool,
-    /// Whether the cost-based QE planner runs on cache misses: per query
-    /// it picks the elimination method (FM/LW/Hörmander), the variable
-    /// order and early DNF pruning from the static cost model and absint
-    /// certificates, and memoizes quantifier-block results in the shared
-    /// cache so structurally overlapping queries share elimination work
-    /// (see `cqa_qe::plan`). Off (`--no-plan`) falls back to the fixed
-    /// class dispatcher — the parity oracle; answers are bit-identical
-    /// either way.
-    pub plan: bool,
     /// Data directory for durable storage (WAL + snapshot + cache
     /// warm-start). `None` keeps the engine fully in-memory; `Some` turns
     /// on the `PERSIST` wire surface (construct via
@@ -105,8 +90,6 @@ impl Default for EngineConfig {
             write_timeout: Duration::from_secs(10),
             max_body_bytes: 1 << 20,
             preload: None,
-            absint: true,
-            plan: true,
             data_dir: None,
             snapshot_every: 64,
         }
@@ -342,13 +325,22 @@ impl Engine {
     /// static-analysis gate, and only on a clean report rebuild the
     /// session database. A rejected `LOAD` leaves the session unchanged.
     pub fn load(&self, session: &mut Session, src: &str) -> Response {
-        self.load_inner(session, src, true)
+        match self.load_inner(session, src, true) {
+            Ok((_, resp)) | Err(resp) => resp,
+        }
     }
 
     /// The `LOAD` core. `commit` distinguishes a fresh client `LOAD`
     /// (WAL-committed when the session is durable) from a `PERSIST`
     /// replay of already-logged history (which must not be re-logged).
-    fn load_inner(&self, session: &mut Session, src: &str, commit: bool) -> Response {
+    /// On success, hands back the number of statements the session
+    /// program now holds alongside the acknowledgement.
+    fn load_inner(
+        &self,
+        session: &mut Session,
+        src: &str,
+        commit: bool,
+    ) -> Result<(usize, Response), Response> {
         let mut candidate = session.loaded_src.clone();
         candidate.push_str(src);
         if !candidate.ends_with('\n') {
@@ -358,7 +350,7 @@ impl Engine {
         let (program, analysis) = analyze_source(&candidate, &cfg);
         if analysis.has_errors() {
             self.stats.lint_rejected.fetch_add(1, Ordering::Relaxed);
-            return Response::err(
+            return Err(Response::err(
                 "lint",
                 format!(
                     "{} error(s), {} warning(s); session unchanged",
@@ -366,11 +358,11 @@ impl Engine {
                     analysis.warning_count()
                 ),
             )
-            .with_body(&analysis.render(&candidate, "LOAD"));
+            .with_body(&analysis.render(&candidate, "LOAD")));
         }
         let db = match program.to_database() {
             Ok(db) => db,
-            Err(e) => return Response::err("load", e),
+            Err(e) => return Err(Response::err("load", e)),
         };
         let mut rels = 0usize;
         let mut queries = 0usize;
@@ -394,20 +386,24 @@ impl Engine {
             if let (Some(name), Some(storage)) = (&session.durable, &self.storage) {
                 let chunk = &candidate[session.loaded_src.len()..];
                 if let Err(e) = storage.append_load(name, chunk) {
-                    return Response::err(
+                    return Err(Response::err(
                         "storage",
                         format!("commit failed, session unchanged: {e}"),
-                    );
+                    ));
                 }
             }
         }
         session.db = db;
         session.db_gen += 1;
         session.loaded_src = candidate;
-        Response::ok(format!(
-            "LOAD statements={} rels={rels} queries={queries} sums={sums} warnings={}",
-            program.statements.len(),
-            analysis.warning_count()
+        let statements = program.statements.len();
+        Ok((
+            statements,
+            Response::ok(format!(
+                "LOAD statements={statements} rels={rels} queries={queries} sums={sums} \
+                 warnings={}",
+                analysis.warning_count()
+            )),
         ))
     }
 
@@ -453,27 +449,23 @@ impl Engine {
         // through the planner. Purely informational — EXEC re-plans on the
         // session's own interning — but it lets clients see method/sharing
         // decisions at PREPARE time.
-        let plan_tag = if self.cfg.plan {
-            match session.db.expand(&f) {
-                Ok(expanded) => {
-                    let inputs = analysis
-                        .reports
-                        .last()
-                        .and_then(|r| {
-                            r.cost
-                                .as_ref()
-                                .map(|c| cqa_analyze::planner_inputs(&r.fragment, c))
-                        })
-                        .unwrap_or_else(|| cqa_qe::plan::PlanInputs::measure(&expanded));
-                    format!(
-                        " plan={}",
-                        cqa_qe::plan::plan(&expanded, &inputs).describe()
-                    )
-                }
-                Err(_) => String::new(),
+        let plan_tag = match session.db.expand(&f) {
+            Ok(expanded) => {
+                let inputs = analysis
+                    .reports
+                    .last()
+                    .and_then(|r| {
+                        r.cost
+                            .as_ref()
+                            .map(|c| cqa_analyze::planner_inputs(&r.fragment, c))
+                    })
+                    .unwrap_or_else(|| cqa_qe::plan::PlanInputs::measure(&expanded));
+                format!(
+                    " plan={}",
+                    cqa_qe::plan::plan(&expanded, &inputs).describe()
+                )
             }
-        } else {
-            " plan=off".to_string()
+            Err(_) => String::new(),
         };
         session.prepared.insert(
             name.to_string(),
@@ -525,18 +517,15 @@ impl Engine {
             // accepted it originally — the Database is a pure function of
             // this source, so the rebuild is bit-identical. No re-commit:
             // this text is already in the snapshot/WAL.
-            let r = self.load_inner(session, &src, false);
-            if !r.is_ok() {
-                return Response::err(
-                    "storage",
-                    format!("recovered source failed to replay: {}", r.header),
-                );
+            match self.load_inner(session, &src, false) {
+                Ok((statements, _)) => statements,
+                Err(r) => {
+                    return Response::err(
+                        "storage",
+                        format!("recovered source failed to replay: {}", r.header),
+                    )
+                }
             }
-            session
-                .loaded_src
-                .lines()
-                .filter(|l| !l.trim().is_empty())
-                .count()
         };
         session.durable = Some(name.to_string());
         Response::ok(format!("PERSIST {name} statements={statements}"))
@@ -711,79 +700,62 @@ impl Engine {
                 // statically decided query needs no elimination at all,
                 // and its certified bounding box (if any) rides along in
                 // the cache entry to prefilter Monte Carlo lanes.
-                let facts = if self.cfg.absint {
-                    Some(cqa_analyze::analyze_id(
-                        &session.arena,
-                        sid,
-                        &mut session.absint,
-                    ))
-                } else {
-                    None
-                };
-                // Bit-identity gate: substituting ⊥/⊤ for the QE output
-                // is only taken where the un-analyzed engine would land
-                // on the same path — non-polynomial queries (FM keeps
-                // them non-polynomial, so both engines integrate exactly
+                let facts = cqa_analyze::analyze_id(&session.arena, sid, &mut session.absint);
+                // Answer-path gate: substituting ⊥/⊤ for the QE output is
+                // only taken where eliminating the query would land on
+                // the same answer path — non-polynomial queries (FM keeps
+                // them non-polynomial, so the result is integrated exactly
                 // and 0/1 is the volume either way) and quantifier-free
-                // ones (elimination is a no-op, so both engines run the
-                // same Monte Carlo sweep and the ⊥/⊤ kernel decides each
-                // lane identically). A quantified polynomial query could
-                // drop class during elimination, so it keeps paying QE.
+                // ones (elimination is a no-op, so the same Monte Carlo
+                // sweep runs and the ⊥/⊤ kernel decides each lane
+                // identically). A quantified polynomial query could drop
+                // class during elimination, so it keeps paying QE. This
+                // keeps every answer equal to what eliminate-then-
+                // integrate gives (`reference_answer` in the tests below).
                 let sid_class = session.arena.meta(sid).class;
                 let skip_safe = sid_class != ConstraintClass::Polynomial
                     || session.arena.meta(sid).quantifier_free;
-                let static_qf =
-                    facts
-                        .as_ref()
-                        .filter(|_| skip_safe)
-                        .and_then(|fx| match fx.verdict {
-                            cqa_analyze::Verdict::Unsat => {
-                                self.stats
-                                    .absint_unsat_skips
-                                    .fetch_add(1, Ordering::Relaxed);
-                                Some(Formula::False)
-                            }
-                            cqa_analyze::Verdict::Valid => {
-                                self.stats
-                                    .absint_valid_skips
-                                    .fetch_add(1, Ordering::Relaxed);
-                                Some(Formula::True)
-                            }
-                            cqa_analyze::Verdict::Unknown => None,
-                        });
+                let static_qf = match facts.verdict {
+                    cqa_analyze::Verdict::Unsat if skip_safe => {
+                        self.stats
+                            .absint_unsat_skips
+                            .fetch_add(1, Ordering::Relaxed);
+                        Some(Formula::False)
+                    }
+                    cqa_analyze::Verdict::Valid if skip_safe => {
+                        self.stats
+                            .absint_valid_skips
+                            .fetch_add(1, Ordering::Relaxed);
+                        Some(Formula::True)
+                    }
+                    _ => None,
+                };
                 let static_skip = static_qf.is_some();
-                let mc_box = facts
-                    .as_ref()
-                    .and_then(|fx| cqa_analyze::absint::unit_box(&fx.env, vars));
+                let mc_box = cqa_analyze::absint::unit_box(&facts.env, vars);
                 let eliminated = match static_qf {
                     Some(qf) => Ok(qf),
-                    None if self.cfg.plan => {
+                    None => {
                         // Planned elimination: method/order/pruning chosen
                         // from the static measurements plus the absint
                         // certificates, with quantifier-block results
                         // memoized in the shared cache's subplan namespace.
+                        // Certified pruning survivors refine the FM clause
+                        // budget; the prune itself is memoized per node, so
+                        // this is cheap on repeats.
+                        let pid = cqa_analyze::prune_id(
+                            &mut session.arena,
+                            sid,
+                            &mut session.absint,
+                            &mut session.simp,
+                        );
                         let meta = session.arena.meta(sid);
-                        let mut inputs = cqa_qe::plan::PlanInputs {
+                        let inputs = cqa_qe::plan::PlanInputs {
                             atoms: meta.atom_count(),
                             quantifiers: meta.quantifiers,
-                            pruned_atoms: None,
-                            box_volume: facts
-                                .as_ref()
-                                .map(|fx| cqa_analyze::absint::box_volume(&fx.env, vars)),
+                            pruned_atoms: Some(session.arena.meta(pid).atom_count()),
+                            box_volume: Some(cqa_analyze::absint::box_volume(&facts.env, vars)),
                             vc_bound: None,
                         };
-                        if facts.is_some() {
-                            // Certified pruning survivors refine the FM
-                            // clause budget; the prune itself is memoized
-                            // per node, so this is cheap on repeats.
-                            let pid = cqa_analyze::prune_id(
-                                &mut session.arena,
-                                sid,
-                                &mut session.absint,
-                                &mut session.simp,
-                            );
-                            inputs.pruned_atoms = Some(session.arena.meta(pid).atom_count());
-                        }
                         let simplified = session.arena.extern_formula(sid);
                         let qeplan = cqa_qe::plan::plan(&simplified, &inputs);
                         match qeplan.method {
@@ -799,13 +771,6 @@ impl Engine {
                             &mut session.arena,
                             &CacheSubplans { cache: &self.cache },
                         )
-                    }
-                    None => {
-                        // Fixed pipeline (`--no-plan`): the parity oracle.
-                        // QE still runs on the boxed tree, so extern the
-                        // simplified node once per miss.
-                        let simplified = session.arena.extern_formula(sid);
-                        cqa_qe::eliminate_with_budget(&simplified, &budget)
                     }
                 };
                 match eliminated {
@@ -829,7 +794,7 @@ impl Engine {
                         let qf = session.arena.extern_formula(qf_id);
                         // A static ⊥/⊤ substitution keeps the original
                         // query's class so the exact-vs-MC decision below
-                        // matches the un-analyzed engine's.
+                        // is the one eliminating the query would reach.
                         let class = if static_skip {
                             sid_class
                         } else {
@@ -1362,110 +1327,121 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
         assert_eq!(EngineStats::get(&e.stats.absint_valid_skips), 2);
     }
 
-    #[test]
-    fn absint_box_prefilter_preserves_estimates() {
-        // The disk only intersects [2/5, 3/5]²: the box prefilter must
-        // skip lanes yet report the same hit count as the unfiltered run.
-        let query = "(x - 1/2)*(x - 1/2) + (y - 1/2)*(y - 1/2) <= 1/100 \
-                     & 2/5 <= x & x <= 3/5 & 2/5 <= y & y <= 3/5";
-        let on = engine();
-        let mut s_on = on.open_session();
-        assert!(on.prepare(&mut s_on, "dot", query).is_ok());
-        let r_on = on.exec(&mut s_on, "dot", Some(0.02), None);
-        assert!(r_on.is_ok(), "{r_on:?}");
-        let skipped = EngineStats::get(&on.stats.absint_box_skipped_lanes);
-        assert!(skipped > 0, "box prefilter never fired");
-
-        let off = Engine::new(EngineConfig {
-            absint: false,
-            ..EngineConfig::default()
-        });
-        let mut s_off = off.open_session();
-        assert!(off.prepare(&mut s_off, "dot", query).is_ok());
-        let r_off = off.exec(&mut s_off, "dot", Some(0.02), None);
-        assert_eq!(
-            EngineStats::get(&off.stats.absint_box_skipped_lanes),
-            0,
-            "disabled engine must not prefilter"
-        );
-        // Answers are bit-identical; only the steps counter may differ.
-        let strip = |h: &str| {
-            h.split_whitespace()
-                .filter(|t| !t.starts_with("steps="))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        assert_eq!(strip(&r_on.header), strip(&r_off.header));
-    }
-
-    #[test]
-    fn absint_on_off_answers_are_bit_identical() {
-        let on = engine();
-        let off = Engine::new(EngineConfig {
-            absint: false,
-            ..EngineConfig::default()
-        });
-        let queries = [
-            "S(x) & x <= 1",
-            "x*x + y*y <= 1",
-            "(exists y. x < y & y < 1) & x > 2", // statically empty
-            "x*x >= 0",                          // statically valid
-            "1/4 <= x & x <= 3/4 & exists y. y < x",
-        ];
-        for (i, q) in queries.iter().enumerate() {
-            let mut s_on = on.open_session();
-            let mut s_off = off.open_session();
-            assert!(on.load(&mut s_on, PROGRAM).is_ok());
-            assert!(off.load(&mut s_off, PROGRAM).is_ok());
-            let name = format!("q{i}");
-            assert!(on.prepare(&mut s_on, &name, q).is_ok(), "{q}");
-            assert!(off.prepare(&mut s_off, &name, q).is_ok(), "{q}");
-            let r_on = on.exec(&mut s_on, &name, Some(0.05), None);
-            let r_off = off.exec(&mut s_off, &name, Some(0.05), None);
-            let strip = |h: &str| {
-                h.split_whitespace()
-                    .filter(|t| !t.starts_with("steps="))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            };
-            assert_eq!(strip(&r_on.header), strip(&r_off.header), "query {q}");
+    /// What the layers below the engine say the `VOL_I` answer to `query`
+    /// is, built only from their public entry points: relation expansion,
+    /// the fixed QE dispatcher, then exact integration for linear output —
+    /// or, for polynomial output, the exact-arithmetic kernel reference
+    /// over the engine's sample stream. No cache, arena, simplifier,
+    /// absint, planner or `f64` kernel is involved.
+    fn reference_answer(db: &Database, query: &str, eps: f64, delta: f64) -> String {
+        let mut db = db.clone();
+        let f = parse_formula_with(query, db.vars_mut()).unwrap();
+        let mut vars: Vec<Var> = f.free_vars().into_iter().collect();
+        vars.sort_by_key(|v| db.vars().name(*v));
+        let expanded = db.expand(&f).unwrap();
+        let qf = cqa_qe::eliminate_with_budget(&expanded, &EvalBudget::unlimited()).unwrap();
+        if qf.class() != ConstraintClass::Polynomial {
+            let v = cqa_geom::volume_in_unit_box(&qf, &vars).unwrap();
+            return format!("status=exact value={v}");
         }
+        let kernel = CompiledMatrix::compile(&qf, &SlotMap::from_vars(&vars)).unwrap();
+        let samples = Engine::sample_count(eps, delta);
+        let mut w = Witness::new(MC_SEED);
+        let mut batch = Batch::new(vars.len());
+        let mut hits = 0i64;
+        let mut done = 0usize;
+        while done < samples {
+            batch.set_len((samples - done).min(BATCH_LANES));
+            w.fill_unit_columns(&mut batch, 0, vars.len());
+            for lane in 0..batch.len() {
+                let point: Vec<Rat> = (0..vars.len())
+                    .map(|d| Rat::from_f64(batch.value(d, lane)).unwrap())
+                    .collect();
+                hits += i64::from(kernel.eval_rats(&point));
+            }
+            done += batch.len();
+        }
+        let estimate = Rat::new(hits.into(), (samples as i64).into());
+        format!(
+            "status=approx value={estimate} eps={eps} delta={delta} samples={samples} \
+             reason=nonlinear"
+        )
+    }
+
+    /// The answer a response header carries — `status`, `value` and, when
+    /// degraded, `eps`, `delta`, `samples`, `reason` — without the tokens
+    /// that depend on how it was served (verb, name, `cache=`, `steps=`).
+    fn answer_of(header: &str) -> String {
+        const KEYS: [&str; 6] = ["status=", "value=", "eps=", "delta=", "samples=", "reason="];
+        header
+            .split_whitespace()
+            .filter(|t| KEYS.iter().any(|k| t.starts_with(k)))
+            .collect::<Vec<_>>()
+            .join(" ")
     }
 
     #[test]
-    fn plan_on_off_answers_are_bit_identical() {
-        let on = engine();
-        let off = Engine::new(EngineConfig {
-            plan: false,
-            ..EngineConfig::default()
-        });
-        let queries = [
-            "S(x) & x <= 1",
-            "x*x + y*y <= 1",                        // polynomial, QF
-            "exists y. y*y < x",                     // polynomial, quantified
-            "(exists y. x < y & y < 1) & x > 2",     // statically empty
-            "1/4 <= x & x <= 3/4 & exists y. y < x", // linear, quantified
-            "(exists u, v. x < u & u < v & v < x + 1/2) & 0 <= x & x <= 1",
-            "forall y. y > x | y <= x",
-            "exists y. (x < y & y < 1/2) | (3/4 < y & y < x)",
+    fn answers_match_the_layer_reference() {
+        // (query, eps, share of sampled lanes the absint box prefilter must
+        // discard as (min, max); `None` where the case does not pin it).
+        let cases = [
+            ("S(x) & x <= 1", 0.05, None),
+            // Polynomial, quantifier-free: nothing bounds the quarter
+            // disk, so the prefilter must stay out of the way.
+            ("x*x + y*y <= 1", 0.05, Some((0.0, 0.0))),
+            // Polynomial, quantified.
+            ("exists y. y*y < x", 0.05, None),
+            // Statically empty.
+            ("(exists y. x < y & y < 1) & x > 2", 0.05, None),
+            // Statically valid polynomial.
+            ("x*x >= 0", 0.05, None),
+            // Linear, quantified.
+            ("1/4 <= x & x <= 3/4 & exists y. y < x", 0.05, None),
+            // Multi-variable ∃-block.
+            (
+                "(exists u, v. x < u & u < v & v < x + 1/2) & 0 <= x & x <= 1",
+                0.05,
+                None,
+            ),
+            ("forall y. y > x | y <= x", 0.05, None),
+            (
+                "exists y. (x < y & y < 1/2) | (3/4 < y & y < x)",
+                0.05,
+                None,
+            ),
+            // The disk only intersects [2/5, 3/5]²: the box certificate
+            // discards 24/25 of the unit-box lanes up front, and the hit
+            // count is still the unfiltered one.
+            (
+                "(x - 1/2)*(x - 1/2) + (y - 1/2)*(y - 1/2) <= 1/100 \
+                 & 2/5 <= x & x <= 3/5 & 2/5 <= y & y <= 3/5",
+                0.02,
+                Some((0.5, 1.0)),
+            ),
         ];
-        for (i, q) in queries.iter().enumerate() {
-            let mut s_on = on.open_session();
-            let mut s_off = off.open_session();
-            assert!(on.load(&mut s_on, PROGRAM).is_ok());
-            assert!(off.load(&mut s_off, PROGRAM).is_ok());
-            let name = format!("q{i}");
-            assert!(on.prepare(&mut s_on, &name, q).is_ok(), "{q}");
-            assert!(off.prepare(&mut s_off, &name, q).is_ok(), "{q}");
-            let r_on = on.exec(&mut s_on, &name, Some(0.05), None);
-            let r_off = off.exec(&mut s_off, &name, Some(0.05), None);
-            let strip = |h: &str| {
-                h.split_whitespace()
-                    .filter(|t| !t.starts_with("steps="))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            };
-            assert_eq!(strip(&r_on.header), strip(&r_off.header), "query {q}");
+        for (query, eps, box_skip) in cases {
+            let e = engine();
+            let mut s = e.open_session();
+            assert!(e.load(&mut s, PROGRAM).is_ok());
+            assert!(e.prepare(&mut s, "q", query).is_ok(), "{query}");
+            let r = e.exec(&mut s, "q", Some(eps), None);
+            assert!(r.is_ok(), "{query}: {r:?}");
+            assert_eq!(
+                answer_of(&r.header),
+                reference_answer(s.db(), query, eps, e.cfg.default_delta),
+                "{query}"
+            );
+            if let Some((min, max)) = box_skip {
+                let skipped = EngineStats::get(&e.stats.absint_box_skipped_lanes);
+                let evaluated = EngineStats::get(&e.stats.batch_fast_lanes)
+                    + EngineStats::get(&e.stats.batch_exact_lanes);
+                let share = skipped as f64 / (skipped + evaluated) as f64;
+                assert!(
+                    (min..=max).contains(&share),
+                    "{query}: {skipped} of {} lanes skipped",
+                    skipped + evaluated
+                );
+            }
         }
     }
 
@@ -1508,18 +1484,6 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
         let body = r.body.join("\n");
         assert!(body.contains("plan fm=1"), "{body}");
         assert!(body.contains("subplan_hits="), "{body}");
-        // plan=off engines never bump planner counters.
-        let off = Engine::new(EngineConfig {
-            plan: false,
-            ..EngineConfig::default()
-        });
-        let mut s_off = off.open_session();
-        let r = off.prepare(&mut s_off, "q", "exists y. x < y & y < 1");
-        assert!(r.header.contains("plan=off"), "{r:?}");
-        off.exec(&mut s_off, "q", None, None);
-        assert_eq!(EngineStats::get(&off.stats.plan_fm), 0);
-        assert_eq!(EngineStats::get(&off.stats.plan_lw), 0);
-        assert_eq!(EngineStats::get(&off.stats.plan_ch), 0);
     }
 
     #[test]
@@ -1549,13 +1513,7 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
         assert_eq!(EngineStats::get(&e.stats.batch_execs), 4);
         // A batched EXEC is bit-identical to the serial command.
         let serial = e.exec(&mut s, "half", None, None);
-        let strip = |h: &str| {
-            h.split_whitespace()
-                .filter(|t| !t.starts_with("steps=") && !t.starts_with("cache="))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        assert_eq!(strip(&serial.header), strip(&r.body[0]));
+        assert_eq!(answer_of(&serial.header), answer_of(&r.body[0]));
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! The pieces:
 //!
 //! * [`Engine`] — the shared state: a concurrent prepared-query cache
-//!   ([`QueryCache`], keyed by [`cqa_logic::Formula::canonical_key`] of
-//!   the relation-expanded, simplified formula) memoizing QE output,
+//!   ([`QueryCache`], keyed by the 128-bit canonical hash
+//!   [`cqa_logic::Arena::canonical_hash_for_params`] reads off the
+//!   interned, relation-expanded, simplified formula) memoizing QE output,
 //!   compiled [`cqa_logic::CompiledMatrix`] kernels, and analyzer
 //!   verdicts, with LRU eviction under a byte budget; plus service
 //!   counters and latency histograms ([`EngineStats`]).

@@ -99,11 +99,14 @@ fn durable_loads_survive_without_any_shutdown() {
         assert!(dispatch(&e, &mut s, "PERSIST main").is_ok());
         assert!(e.load(&mut s, PROGRAM).is_ok());
         assert!(e.load(&mut s, "rel T(z) := 0 <= z & z <= 1/4").is_ok());
+        // A comment line is source text but not a statement.
+        let r = e.load(&mut s, "# a comment line\nrel U(w) := 0 <= w & w <= 1\n");
+        assert!(r.header.contains("statements=3"), "{r:?}");
     }
     let e = durable_engine(&dir);
     let mut s = e.open_session();
     let r = dispatch(&e, &mut s, "PERSIST main");
-    assert!(r.header.contains("statements=2"), "{r:?}");
+    assert!(r.header.contains("statements=3"), "{r:?}");
     // Both relations answer queries.
     let r = dispatch(&e, &mut s, "VOLUME S(x) & T(x)");
     assert!(r.header.contains("value=1/4"), "{r:?}");

@@ -17,14 +17,16 @@
 //! * the boolean structure is flattened into a node arena with contiguous
 //!   child ranges, evaluated with short-circuiting `all`/`any`.
 //!
-//! **Exactness.** Evaluation is dual-path: each atom is first evaluated in
-//! `f64` alongside a conservative absolute-error bound; the sign is trusted
-//! only when the bound excludes zero-crossing. Otherwise the atom falls
-//! back to exact [`Rat`] arithmetic. The result is therefore *bit-identical*
-//! to the exact tree walk — the float path is an exactness filter, not an
-//! approximation. Sample points drawn through `cqa-approx`'s witness
-//! operator are dyadic rationals that convert to `f64` without error, so
-//! the fallback triggers only near true sign boundaries.
+//! **Exactness.** Batched evaluation is dual-path: each atom is first
+//! evaluated in `f64` alongside a conservative absolute-error bound; the
+//! sign is trusted only when the bound excludes zero-crossing. Otherwise
+//! the atom falls back to exact [`Rat`] arithmetic. The result is therefore
+//! *bit-identical* to the exact tree walk — the float path is an exactness
+//! filter, not an approximation. Sample points drawn through `cqa-approx`'s
+//! witness operator are dyadic rationals that convert to `f64` without
+//! error, so the fallback triggers only near true sign boundaries.
+//! Per-point evaluation ([`CompiledMatrix::eval_rats`]) has no float path
+//! at all: it is the exact reference the batched kernel is tested against.
 //!
 //! **Batched evaluation.** The Monte Carlo estimators never ask for one
 //! point: they sweep the same matrix over thousands. [`Batch`] lays a chunk
@@ -37,8 +39,8 @@
 //! certified-sign/undecided bitmasks ([`LaneMask`]), short-circuiting whole
 //! subtrees once every lane is decided; only the lanes whose sign the `f64`
 //! sweep could not certify re-run through the exact [`Rat`] path, so the
-//! batched result is bit-for-bit the same as a per-point
-//! [`CompiledMatrix::eval_f64`] loop.
+//! batched result is bit-for-bit the same as deciding each point with
+//! [`CompiledMatrix::eval_rats`], the exact-arithmetic-only reference.
 
 use crate::ast::{Formula, Rel};
 use crate::ir::{Arena, FormulaId, Node};
@@ -232,7 +234,7 @@ struct CompiledAtom {
     /// Certified relative rounding factor for the batched exact-input
     /// sweep: when coefficients and slot columns are exact, the computed
     /// lane value differs from the true polynomial value by at most
-    /// `gamma · Σ|computed terms|` (see [`CompiledAtom::batch_signs`]).
+    /// `gamma · Σ|computed terms|` (see [`CompiledAtom::batch_masks`]).
     gamma: f64,
     /// Degree-≤1 specialization `(constant, [(slot, coefficient)])`,
     /// present only when every term is affine and every coefficient exact:
@@ -294,35 +296,6 @@ impl CompiledAtom {
         })
     }
 
-    /// The polynomial's sign from the `f64` fast path, or `None` when the
-    /// accumulated error bound admits a sign change (or the computation
-    /// left the finite range).
-    fn sign_fast(&self, floats: &[f64], errs: &[f64]) -> Option<i32> {
-        let mut sum = 0.0f64;
-        let mut serr = 0.0f64;
-        for t in &self.terms {
-            let mut v = t.coeff_f64;
-            let mut e = t.coeff_err;
-            for &(slot, exp) in &t.powers {
-                let xf = floats[slot as usize];
-                let xe = errs[slot as usize];
-                for _ in 0..exp {
-                    (v, e) = mul_err(v, e, xf, xe);
-                }
-            }
-            (sum, serr) = add_err(sum, serr, v, e);
-        }
-        // NaN-safe: any comparison with NaN is false, so a poisoned bound
-        // falls through to the exact path.
-        if sum.abs() > serr {
-            Some(if sum > 0.0 { 1 } else { -1 })
-        } else if sum == 0.0 && serr == 0.0 {
-            Some(0)
-        } else {
-            None
-        }
-    }
-
     /// The polynomial's sign by exact rational evaluation.
     fn sign_exact(&self, exact: &dyn Fn(usize) -> Rat) -> i32 {
         let mut acc = Rat::zero();
@@ -334,13 +307,6 @@ impl CompiledAtom {
             acc += term;
         }
         acc.signum()
-    }
-
-    fn eval(&self, floats: &[f64], errs: &[f64], exact: &dyn Fn(usize) -> Rat) -> bool {
-        let sign = self
-            .sign_fast(floats, errs)
-            .unwrap_or_else(|| self.sign_exact(exact));
-        self.rel.sign_satisfies(sign)
     }
 }
 
@@ -522,50 +488,30 @@ impl CompiledMatrix {
         Ok(n)
     }
 
-    /// Evaluates at a point given per slot as an `f64` value plus an
-    /// absolute error bound (`errs[i] ≥ |true value − floats[i]|`); `exact`
-    /// supplies the true rational slot value on demand, for atoms whose
-    /// sign the float path cannot certify.
-    ///
-    /// With correct bounds the result equals the exact tree walk
-    /// bit-for-bit.
-    pub fn eval_f64(&self, floats: &[f64], errs: &[f64], exact: &dyn Fn(usize) -> Rat) -> bool {
-        debug_assert_eq!(floats.len(), self.n_slots);
-        debug_assert_eq!(errs.len(), self.n_slots);
-        self.eval_node(self.root, floats, errs, exact)
-    }
-
-    /// Evaluates at exact rational slot values (mirrors built internally).
+    /// Evaluates at exact rational slot values, deciding every atom by
+    /// exact rational arithmetic alone. No `f64` code runs here, so this
+    /// is an independent reference for [`CompiledMatrix::eval_batch`].
     pub fn eval_rats(&self, values: &[Rat]) -> bool {
         assert_eq!(values.len(), self.n_slots, "slot value count mismatch");
-        let mut floats = Vec::with_capacity(values.len());
-        let mut errs = Vec::with_capacity(values.len());
-        for r in values {
-            let (v, e) = rat_to_f64_err(r);
-            floats.push(v);
-            errs.push(e);
-        }
-        self.eval_f64(&floats, &errs, &|i| values[i].clone())
+        self.exact_node(self.root, values)
     }
 
-    fn eval_node(
-        &self,
-        node: u32,
-        floats: &[f64],
-        errs: &[f64],
-        exact: &dyn Fn(usize) -> Rat,
-    ) -> bool {
+    fn exact_node(&self, node: u32, values: &[Rat]) -> bool {
         match self.nodes[node as usize] {
             Op::True => true,
             Op::False => false,
-            Op::Atom(i) => self.atoms[i as usize].eval(floats, errs, exact),
-            Op::Not(c) => !self.eval_node(c, floats, errs, exact),
+            Op::Atom(i) => {
+                let a = &self.atoms[i as usize];
+                a.rel
+                    .sign_satisfies(a.sign_exact(&|slot| values[slot].clone()))
+            }
+            Op::Not(c) => !self.exact_node(c, values),
             Op::And { start, end } => self.children[start as usize..end as usize]
                 .iter()
-                .all(|&c| self.eval_node(c, floats, errs, exact)),
+                .all(|&c| self.exact_node(c, values)),
             Op::Or { start, end } => self.children[start as usize..end as usize]
                 .iter()
-                .any(|&c| self.eval_node(c, floats, errs, exact)),
+                .any(|&c| self.exact_node(c, values)),
         }
     }
 }
@@ -874,8 +820,8 @@ impl CompiledAtom {
     /// the exact path). Affine atoms with exact coefficients skip the term
     /// buffer entirely and fuse into one dot product. Otherwise the sweep
     /// carries a full error column through [`mul_err`]/[`add_err`] in
-    /// exactly [`CompiledAtom::sign_fast`]'s operation order, so its
-    /// certifications match the scalar kernel's lane for lane.
+    /// exactly [`CompiledAtom::sign_fast_lane`]'s operation order, so its
+    /// certifications match the scalar try's lane for lane.
     ///
     /// Either way every certified sign is the true sign, so downstream
     /// results are bit-identical to the exact tree walk. The sweep emits
@@ -1031,8 +977,10 @@ impl CompiledAtom {
         (t, f)
     }
 
-    /// Scalar [`CompiledAtom::sign_fast`] reading one lane out of the
-    /// batch columns — for lanes whose subtree the mask sweep
+    /// The polynomial's sign at one lane of the batch columns from guarded
+    /// `f64` arithmetic, or `None` when the accumulated error bound admits
+    /// a sign change (or the computation left the finite range). The
+    /// scalar certified try, for lanes whose subtree the mask sweep
     /// short-circuited past before this atom was ever evaluated.
     fn sign_fast_lane(&self, batch: &Batch, lane: usize) -> Option<i32> {
         let mut sum = 0.0f64;
@@ -1049,6 +997,8 @@ impl CompiledAtom {
             }
             (sum, serr) = add_err(sum, serr, v, e);
         }
+        // NaN-safe: any comparison with NaN is false, so a poisoned bound
+        // falls through to the exact path.
         if sum.abs() > serr {
             Some(if sum > 0.0 { 1 } else { -1 })
         } else if sum == 0.0 && serr == 0.0 {
@@ -1063,16 +1013,16 @@ impl CompiledMatrix {
     /// Evaluates the matrix at every active lane of `batch` in one sweep.
     ///
     /// Atoms are evaluated lazily as whole columns ([`CompiledAtom::
-    /// batch_signs`]); the boolean program then runs on per-node
+    /// batch_masks`]); the boolean program then runs on per-node
     /// `(true-lanes, false-lanes)` [`LaneMask`] pairs in three-valued
     /// logic, short-circuiting an entire subtree (and the atom sweeps
     /// under it) once every lane of a conjunction is false or of a
     /// disjunction true. Lanes still undecided at the root — the atoms'
     /// certified error columns admitted a sign flip — re-run individually,
     /// reusing certified signs and falling back to `exact(lane, slot)`
-    /// rational evaluation, so the returned mask is bit-identical to a
-    /// per-point [`CompiledMatrix::eval_f64`] loop with the same slot
-    /// data.
+    /// rational evaluation, so the returned mask is bit-identical to
+    /// per-point [`CompiledMatrix::eval_rats`] at the same exact slot
+    /// values.
     ///
     /// `scratch` is reusable across calls and kernels; one per worker
     /// thread.
@@ -1239,16 +1189,24 @@ mod tests {
         }
     }
 
+    /// One point through both evaluators: the exact reference and a
+    /// one-lane batch, which must agree.
+    fn eval_both(m: &CompiledMatrix, pt: &[Rat]) -> bool {
+        let (got, _) = batch_points(m, &[pt.to_vec()]);
+        assert_eq!(got[0], m.eval_rats(pt), "batch vs eval_rats at {pt:?}");
+        got[0]
+    }
+
     #[test]
     fn boundary_points_use_exact_fallback() {
         // x + y = 1 exactly on the boundary: the float bound cannot certify
         // a nonzero sign, so the exact path must decide — correctly.
         let (m, _, _) = compile("x + y <= 1", &["x", "y"]);
-        assert!(m.eval_rats(&[rat(1, 3), rat(2, 3)]));
+        assert!(eval_both(&m, &[rat(1, 3), rat(2, 3)]));
         let (strict, _, _) = compile("x + y < 1", &["x", "y"]);
-        assert!(!strict.eval_rats(&[rat(1, 3), rat(2, 3)]));
+        assert!(!eval_both(&strict, &[rat(1, 3), rat(2, 3)]));
         // Non-dyadic values force conversion error > 0 on every slot.
-        assert!(strict.eval_rats(&[rat(1, 3), rat(1, 3)]));
+        assert!(eval_both(&strict, &[rat(1, 3), rat(1, 3)]));
     }
 
     #[test]
@@ -1333,8 +1291,8 @@ mod tests {
         let slots = SlotMap::from_vars(&[x]);
         let m = CompiledMatrix::compile(&f, &slots).unwrap();
         let eps = &ten200.recip() + &rat(10, 1).pow(-300);
-        assert!(m.eval_rats(&[eps]));
-        assert!(!m.eval_rats(&[ten200.recip()]));
+        assert!(eval_both(&m, &[eps]));
+        assert!(!eval_both(&m, &[ten200.recip()]));
     }
 
     /// Evaluates `pts` through one batch, returning per-point booleans and

@@ -1,13 +1,15 @@
-//! Property tests for the batched (structure-of-arrays) kernel: on
-//! random quantifier-free formulas and random batches of dyadic points,
-//! [`CompiledMatrix::eval_batch`] must agree bit-for-bit, lane by lane,
-//! with the per-point [`CompiledMatrix::eval_f64`] / `eval_rats` path —
-//! including at sign-boundary points engineered to defeat the certified
-//! `f64` sweep and force the per-lane exact fallback, and regardless of
-//! how the lanes are split into sub-batches.
+//! Property tests for the compiled evaluation kernel. On random
+//! quantifier-free formulas and random dyadic points, the tree-walking
+//! interpreter [`Formula::eval`] is the reference, and both kernel entry
+//! points must agree with it exactly: [`CompiledMatrix::eval_rats`] (exact
+//! arithmetic per point) and [`CompiledMatrix::eval_batch`] (the certified
+//! `f64` structure-of-arrays sweep), lane by lane — including at
+//! sign-boundary points engineered to defeat the `f64` sweep and force the
+//! per-lane exact fallback, and regardless of how the lanes are split into
+//! sub-batches.
 
 use cqa_arith::{rat, Rat};
-use cqa_logic::{rat_to_f64_err, Atom, Batch, BatchScratch, CompiledMatrix, Formula, Rel, SlotMap};
+use cqa_logic::{Atom, Batch, BatchScratch, CompiledMatrix, Formula, Rel, SlotMap};
 use cqa_poly::{MPoly, Var};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -40,8 +42,8 @@ fn poly_from(terms: &[(i64, [u8; 3])]) -> MPoly {
     p
 }
 
-/// A random affine polynomial — exercises the degree-1 dot-product
-/// specialization of the batch sweep.
+/// A random affine polynomial `c₀ + c₁x + c₂y + c₃z` — exercises the
+/// degree-1 dot-product specialization of the batch sweep.
 fn linear_poly() -> impl Strategy<Value = MPoly> {
     (-255i64..=255, -255i64..=255, -255i64..=255, -255i64..=255).prop_map(|(c0, c1, c2, c3)| {
         poly_from(&[
@@ -81,7 +83,7 @@ fn formula(atom_poly: BoxedStrategy<MPoly>) -> BoxedStrategy<Formula> {
 
 /// A random dyadic point: each coordinate `m / 2ˢ`, `|m| ≤ 255`, `s ≤ 4`.
 /// Dyadics of this size convert to `f64` exactly, so the batch columns
-/// carry zero conversion error and any lane disagreement is a kernel bug.
+/// carry zero conversion error and any disagreement is a kernel bug.
 fn dyadic_point() -> impl Strategy<Value = Vec<Rat>> {
     vec((-255i64..=255, 0u32..=4), 3..=3)
         .prop_map(|cs| cs.into_iter().map(|(m, s)| rat(m, 1i64 << s)).collect())
@@ -98,29 +100,11 @@ fn load_batch(points: &[Vec<Rat>]) -> Batch {
     batch
 }
 
-/// The per-point oracle for one lane: `eval_rats`, cross-checked against
-/// `eval_f64` on the same data the batch sees.
-fn per_point_oracle(kernel: &CompiledMatrix, point: &[Rat]) -> Result<bool, TestCaseError> {
-    let oracle = kernel.eval_rats(point);
-    let mut floats = vec![0.0f64; VARS.len()];
-    let mut errs = vec![0.0f64; VARS.len()];
-    for (i, r) in point.iter().enumerate() {
-        (floats[i], errs[i]) = rat_to_f64_err(r);
-    }
-    let exact = |s: usize| point[s].clone();
-    prop_assert_eq!(
-        kernel.eval_f64(&floats, &errs, &exact),
-        oracle,
-        "eval_f64 vs eval_rats at {:?}",
-        point
-    );
-    Ok(oracle)
-}
-
-/// Checks every lane of `eval_batch` against the per-point path, then
-/// re-checks that splitting the same lanes into sub-batches of `chunk`
-/// lanes decides each lane identically.
-fn check_batch_parity(f: &Formula, points: &[Vec<Rat>], chunk: usize) -> Result<(), TestCaseError> {
+/// Checks `eval_rats` at every point and every lane of `eval_batch`
+/// against the interpreter, then re-checks that splitting the same lanes
+/// into sub-batches of `chunk` lanes decides each lane identically.
+/// Returns how many lanes of the whole-batch call took the exact fallback.
+fn check_parity(f: &Formula, points: &[Vec<Rat>], chunk: usize) -> Result<usize, TestCaseError> {
     let slots = SlotMap::from_vars(&VARS);
     let kernel = CompiledMatrix::compile(f, &slots).expect("QF relation-free formula compiles");
     let mut scratch = BatchScratch::new();
@@ -136,11 +120,19 @@ fn check_batch_parity(f: &Formula, points: &[Vec<Rat>], chunk: usize) -> Result<
 
     let mut oracle = Vec::with_capacity(points.len());
     for (lane, point) in points.iter().enumerate() {
-        let want = per_point_oracle(&kernel, point)?;
+        let want = f
+            .eval(&slots.assignment(point), &[])
+            .expect("total assignment decides");
+        prop_assert_eq!(
+            kernel.eval_rats(point),
+            want,
+            "eval_rats vs interpreter at {:?}",
+            point
+        );
         prop_assert_eq!(
             whole.mask.get(lane),
             want,
-            "lane {} of {:?} disagrees with per-point eval",
+            "lane {} of {:?} disagrees with the interpreter",
             lane,
             point
         );
@@ -164,37 +156,37 @@ fn check_batch_parity(f: &Formula, points: &[Vec<Rat>], chunk: usize) -> Result<
             );
         }
     }
-    Ok(())
+    Ok(whole.exact_lanes)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn linear_batches_match_per_point_eval(
+    fn linear_formulas_agree_with_interpreter(
         f in formula(linear_poly().boxed()),
         points in vec(dyadic_point(), 1..=12),
         chunk in 1usize..=5,
     ) {
-        check_batch_parity(&f, &points, chunk)?;
+        check_parity(&f, &points, chunk)?;
     }
 
     #[test]
-    fn polynomial_batches_match_per_point_eval(
+    fn polynomial_formulas_agree_with_interpreter(
         f in formula(poly().boxed()),
         points in vec(dyadic_point(), 1..=12),
         chunk in 1usize..=5,
     ) {
-        check_batch_parity(&f, &points, chunk)?;
+        check_parity(&f, &points, chunk)?;
     }
 
-    /// Forced-fallback stress: shift a random polynomial by its own value
-    /// at one of the batch points, so `p − p(pt)` is exactly zero in that
+    /// Sign-boundary stress: shift a random polynomial by its own value at
+    /// one of the batch points, so `p − p(pt)` is exactly zero in that
     /// lane. The certified sweep can never certify sign 0 with a nonzero
-    /// error column, so that lane must take the exact fallback — and every
-    /// lane must still agree with the per-point path.
+    /// error bound, so that lane must take the exact fallback — and every
+    /// lane must still agree with the interpreter, for every relation.
     #[test]
-    fn boundary_lanes_fall_back_and_agree(
+    fn boundary_points_agree_via_exact_fallback(
         p in poly(),
         points in vec(dyadic_point(), 1..=8),
         pick in 0usize..64,
@@ -205,28 +197,28 @@ proptest! {
         let pt = &points[pick % points.len()];
         let value = p.eval(&slots.assignment(pt));
         let shifted = &p - &MPoly::constant(value);
-        let f = Formula::Atom(Atom::new(shifted, rel_of(r)));
-
-        let kernel = CompiledMatrix::compile(&f, &slots).expect("atom compiles");
-        let batch = load_batch(&points);
-        let exact = |lane: usize, slot: usize| points[lane][slot].clone();
-        let mut scratch = BatchScratch::new();
-        let res = kernel.eval_batch(&batch, &exact, &mut scratch);
+        let atom = Atom::new(shifted, rel_of(r));
+        let folded = atom.as_const().is_some();
+        let f = Formula::Atom(atom);
+        // The shifted polynomial is zero at `pt`, so only the relations
+        // satisfied by sign 0 hold there.
+        let expect = rel_of(r).sign_satisfies(0);
+        prop_assert_eq!(f.eval(&slots.assignment(pt), &[]), Some(expect));
+        let exact_lanes = check_parity(&f, &points, chunk)?;
         // The zero-valued lane is uncertifiable unless the whole shifted
-        // polynomial canonicalized away (then every lane is trivially
-        // decided by the empty sweep).
-        if kernel.atom_count() > 0 {
+        // polynomial canonicalized away (then the atom folds to a constant
+        // and every lane is trivially decided by the empty sweep).
+        if !folded {
             prop_assert!(
-                res.exact_lanes >= 1,
+                exact_lanes >= 1,
                 "boundary lane should take the exact fallback"
             );
         }
-        check_batch_parity(&f, &points, chunk)?;
     }
 
     /// Inexact broadcast columns (e.g. a parameter like 1/3 whose `f64`
     /// conversion carries error) must route through the guarded sweep and
-    /// still match the per-point path lane for lane.
+    /// still match the interpreter lane for lane.
     #[test]
     fn inexact_columns_take_guarded_sweep_and_agree(
         f in formula(linear_poly().boxed()),
@@ -243,6 +235,6 @@ proptest! {
                 p
             })
             .collect();
-        check_batch_parity(&f, &points, points.len())?;
+        check_parity(&f, &points, points.len())?;
     }
 }

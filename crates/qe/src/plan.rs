@@ -328,10 +328,11 @@ fn var_score(v: Var, matrix: &Formula) -> u64 {
 }
 
 /// Eliminates all quantifiers from `f` per `plan`, memoizing quantifier
-/// blocks through `store`. Equivalent to the fixed pipeline (the `--no-plan`
-/// oracle): for every input both produce logically equivalent
-/// quantifier-free output, and for polynomial inputs the *identical*
-/// output (the plan defers to whole-formula Hörmander there).
+/// blocks through `store`. Equivalent to the fixed dispatcher
+/// ([`crate::eliminate_with_budget`], the parity reference): for every
+/// input both produce logically equivalent quantifier-free output, and for
+/// polynomial inputs the *identical* output (the plan defers to
+/// whole-formula Hörmander there).
 pub fn eliminate_with_plan(
     f: &Formula,
     plan: &QePlan,

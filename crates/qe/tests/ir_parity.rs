@@ -8,8 +8,9 @@
 //! `cqa-logic` (the reverse dependency would be circular).
 
 use cqa_arith::{rat, Rat};
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::ir::Arena;
-use cqa_logic::{Atom, Formula, Rel};
+use cqa_logic::{parse_formula_with, Atom, Formula, Rel, VarMap};
 use cqa_poly::{MPoly, Var};
 use cqa_qe::{simplify, simplify_id, SimplifyMemo};
 use proptest::prelude::*;
@@ -69,6 +70,26 @@ fn grids_agree(a: &Formula, b: &Formula) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+/// The FM blow-up workload through a shared arena: the DNF expansion of
+/// `∃y. ⋀ᵢ (y < xᵢ ∨ xᵢ < y)` has `2^m` clauses built from only `2m`
+/// distinct literals, so hash-consing must store it as a dag — more
+/// intern calls than nodes.
+#[test]
+fn fm_blowup_shares_nodes_in_the_arena() {
+    const M: usize = 8;
+    let literals: Vec<String> = (0..M).map(|i| format!("(y < x{i} | x{i} < y)")).collect();
+    let src = format!("exists y. {}", literals.join(" & "));
+    let f = parse_formula_with(&src, &mut VarMap::new()).unwrap();
+    let mut arena = Arena::new();
+    let qf = cqa_qe::fourier_motzkin_with_arena(&f, &EvalBudget::unlimited(), &mut arena).unwrap();
+    assert!(qf.is_quantifier_free());
+    let stats = arena.stats();
+    assert!(
+        stats.dedup_ratio() > 1.0,
+        "hash-consing must find sharing on the blow-up workload: {stats:?}"
+    );
 }
 
 proptest! {

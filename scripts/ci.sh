@@ -27,11 +27,8 @@ run_capped cargo test -q --offline
 echo "== workspace tests =="
 run_capped cargo test -q --workspace --offline
 
-echo "== kernel/oracle parity =="
-run_capped cargo test -q --offline -p cqa-logic --test compile_props
-
-echo "== batch kernel parity (SoA sweep vs per-point eval) =="
-run_capped cargo test -q --offline -p cqa-logic --test batch_parity
+echo "== kernel parity (eval_rats and the SoA batch sweep vs the tree-walking interpreter) =="
+run_capped cargo test -q --offline -p cqa-logic --test kernel_parity
 
 echo "== thread-count determinism =="
 run_capped cargo test -q --offline -p cqa-approx --test thread_determinism
@@ -51,23 +48,16 @@ run_capped cargo test -q --offline -p cqa-engine --test storage
 echo "== serving layer (pipelining order/parity, shard bit-identity, idle sessions, busy path, body caps) =="
 run_capped cargo test -q --offline -p cqa-engine --test serving
 
-echo "== E16 smoke (FM dedup ratio; >= 2x key-cost floor asserted inside) =="
-run_capped ./target/release/report e16
-
-echo "== E17 smoke (batched kernel; >= 2x floor + bit-identity asserted inside) =="
-run_capped ./target/release/report e17
-
-echo "== E18 smoke (absint; >= 10x statically-empty floor + bit-identity asserted inside) =="
-run_capped ./target/release/report e18
-
-echo "== E19 smoke (QE planner; >= 2x planned+shared floor + bit-identity asserted inside) =="
-run_capped ./target/release/report e19
-
-echo "== E20 smoke (durable storage; >= 5x recovered-boot floor + bit-identity asserted inside) =="
-run_capped ./target/release/report e20
-
-echo "== E21 smoke (serving layer; >= 2x reactor-throughput floor + bit-identity asserted inside) =="
-run_capped ./target/release/report e21
+echo "== cqa-e2e smoke (bench/ builds against the crates' API; every reply checked, failed 0) =="
+# The one performance instrument, capped: its own unit tests, then two
+# seconds of each workload. A non-zero exit means a reply did not match the
+# generator's constructed answer — or that a crate change broke an item
+# bench/ imports.
+run_capped cargo test --release --offline --manifest-path bench/Cargo.toml
+for workload in cold_lin cold_poly warm_rtt warm_batch; do
+  run_capped cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0
+done
 
 echo "== static analysis demos =="
 cargo run -q --offline -p cqa-bench --bin cqa-lint -- \
