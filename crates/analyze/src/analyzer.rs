@@ -1,17 +1,20 @@
 //! The multi-pass driver: parse → scope → fragment/schema → Σ-discipline →
-//! cost, producing one [`Analysis`] per source file.
+//! cost → absint, producing one [`Analysis`] per source file or per chunk
+//! of one ([`AnalyzerState`]).
 
 use crate::absint::{self, AbsintMemo, Verdict};
 use crate::cost::{self, CostParams, CostReport};
 use crate::diag::{self, Code, Diagnostic, Severity};
 use crate::fragment::{self, FragmentReport, Schema};
-use crate::program::{parse_program, Program, Statement};
+use crate::program::{parse_statements, Program, Statement, SumStmt};
 use crate::scope;
 use crate::sigma::{self, GammaStatus};
+use cqa_core::Database;
 use cqa_logic::ir::Arena;
 use cqa_logic::{Formula, Span, SpannedFormula, SpannedNode, VarMap};
 use cqa_poly::Var;
 use cqa_qe::SimplifyMemo;
+use std::collections::HashMap;
 
 /// Analyzer configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -94,35 +97,152 @@ impl Analysis {
     }
 }
 
-/// Analyzes a `.cqa` source file end to end.
-pub fn analyze_source(src: &str, cfg: &AnalyzerConfig) -> (Program, Analysis) {
-    let (program, mut diags) = parse_program(src);
-    let schema = program.schema();
-    let mut analysis = Analysis {
-        diagnostics: Vec::new(),
-        reports: Vec::new(),
-    };
-    analysis.diagnostics.append(&mut diags);
+/// Running totals over the text an [`AnalyzerState`] has accepted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Totals {
+    /// Statements accepted.
+    pub statements: usize,
+    /// `rel` statements among them.
+    pub rels: usize,
+    /// `query` statements among them.
+    pub queries: usize,
+    /// Distinct Σ-term names (a later `sum` of the same name replaces the
+    /// earlier one).
+    pub sums: usize,
+    /// Warnings the accepted text raises, as one pass over all of it would
+    /// count them.
+    pub warnings: usize,
+}
 
-    // One interning arena for the whole program: relation bodies and query
-    // matrices that share subformulas are stored once, and every classify
-    // reads cached per-node metadata instead of re-walking trees. The
-    // absint pass shares the arena (and its per-node memo), and sees
-    // relation atoms through their definitions so bounds flow out of
-    // `rel` statements into the queries that use them.
-    let mut arena = cqa_logic::ir::Arena::new();
-    let mut memo = AbsintMemo::new();
-    let mut simp = SimplifyMemo::new();
-    let db = if cfg.absint {
-        program.to_database().ok()
-    } else {
-        None
-    };
-    for stmt in &program.statements {
+/// An accepted `.cqa` program kept in analysed form, so that more text can
+/// be analysed against it at the cost of that text alone.
+///
+/// The state owns everything later text can depend on: the variable
+/// numbering, the schema, the relation [`Database`] queries expand
+/// through, the Σ-terms and the running [`Totals`] — plus one [`Arena`]
+/// with its absint and simplifier memos, which only ever speed a later
+/// chunk up (their entries are functions of the interned node alone).
+/// [`AnalyzerState::analyze_chunk`] is the one way in; what it returns is
+/// either committed or, by being dropped, rolled back without a trace.
+/// After any sequence of commits the state equals what one
+/// [`analyze_source`] pass over the concatenated accepted chunks builds.
+#[derive(Debug, Default)]
+pub struct AnalyzerState {
+    cfg: AnalyzerConfig,
+    /// Names of the accepted program, in statement order.
+    vars: VarMap,
+    schema: Schema,
+    /// The accepted relations. Its variable map is `vars` plus whatever
+    /// names queries evaluated against it have interned since the last
+    /// commit ([`AnalyzerState::db_vars_mut`]).
+    db: Database,
+    sums: HashMap<String, SumStmt>,
+    totals: Totals,
+    /// CQA009 warnings counted in `totals.warnings` so far. They hold only
+    /// while the schema is empty — one pass over the whole text would not
+    /// raise them once it declares a relation anywhere — so the commit
+    /// that brings the first `rel` takes them out again.
+    adom_warnings: usize,
+    arena: Arena,
+    memo: AbsintMemo,
+    simp: SimplifyMemo,
+}
+
+impl AnalyzerState {
+    /// An empty program under `cfg`.
+    pub fn new(cfg: AnalyzerConfig) -> AnalyzerState {
+        AnalyzerState {
+            cfg,
+            ..AnalyzerState::default()
+        }
+    }
+
+    /// The accepted program's variable names, numbered in statement order.
+    pub fn vars(&self) -> &VarMap {
+        &self.vars
+    }
+
+    /// The accepted relations, for evaluating queries against.
+    pub fn db(&self) -> &Database {
+        &self.db
+    }
+
+    /// The database's variable map, for parsing a query that is about to be
+    /// evaluated against [`AnalyzerState::db`]. Names interned here are the
+    /// database's alone: the program's numbering does not see them, and the
+    /// next commit resets the map to the program's.
+    pub fn db_vars_mut(&mut self) -> &mut VarMap {
+        self.db.vars_mut()
+    }
+
+    /// The accepted Σ-term of that name.
+    pub fn sum(&self, name: &str) -> Option<&SumStmt> {
+        self.sums.get(name)
+    }
+
+    /// Totals over the accepted text.
+    pub fn totals(&self) -> Totals {
+        self.totals
+    }
+
+    /// Analyses one chunk of `.cqa` source — whole lines, as many
+    /// statements as it holds — against the accepted program. References
+    /// from one statement of the chunk to a relation a later one defines
+    /// resolve, as they do inside a file. Spans in the result are relative
+    /// to the start of `src`.
+    pub fn analyze_chunk(&mut self, src: &str) -> PendingChunk<'_> {
+        let vars_len = self.vars.len();
+        let (statements, diagnostics) = parse_statements(src, &mut self.vars);
+        // The chunk's relations enter the schema and the database before
+        // any statement is looked at. One pass over a file has no database
+        // to expand through when a definition is refused (duplicate name,
+        // quantified body); neither has the chunk then, so that the two
+        // keep agreeing — such a chunk cannot be committed anyway.
+        let mut schema_undo: Vec<(String, Option<usize>)> = Vec::new();
+        let mut load_error = None;
+        for stmt in &statements {
+            let Statement::Rel(r) = stmt else { continue };
+            if load_error.is_none() {
+                let params = r.params.iter().map(|b| b.var).collect();
+                if let Err(e) = self
+                    .db
+                    .add_fr_relation(&r.name, params, r.body.to_formula())
+                {
+                    load_error = Some(format!("relation `{}`: {e}", r.name));
+                    for (added, _) in &schema_undo {
+                        self.db.remove_relation(added);
+                    }
+                }
+            }
+            let before = self.schema.insert(r.name.clone(), r.params.len());
+            schema_undo.push((r.name.clone(), before));
+        }
+        let mut analysis = Analysis {
+            diagnostics,
+            reports: Vec::new(),
+        };
+        let expand = self.cfg.absint && load_error.is_none();
+        for stmt in &statements {
+            self.analyze_statement(stmt, expand, &mut analysis);
+        }
+        PendingChunk {
+            state: self,
+            statements,
+            analysis: analysis.finish(),
+            load_error,
+            vars_len,
+            schema_undo,
+            committed: false,
+        }
+    }
+
+    /// Passes 1–5 over one parsed statement.
+    fn analyze_statement(&mut self, stmt: &Statement, expand: bool, analysis: &mut Analysis) {
+        let cfg = self.cfg;
         match stmt {
             Statement::Rel(r) => {
                 let params: Vec<Var> = r.params.iter().map(|b| b.var).collect();
-                scope::check_scopes(&r.body, &params, &program.vars, &mut analysis.diagnostics);
+                scope::check_scopes(&r.body, &params, &self.vars, &mut analysis.diagnostics);
                 let body = r.body.to_formula();
                 if !body.is_quantifier_free() || !body.is_relation_free() {
                     analysis.diagnostics.push(
@@ -141,24 +261,24 @@ pub fn analyze_source(src: &str, cfg: &AnalyzerConfig) -> (Program, Analysis) {
                         ),
                     );
                 }
-                let body_id = arena.intern(&body);
+                let body_id = self.arena.intern(&body);
                 analysis.reports.push(StatementReport {
                     name: r.name.clone(),
                     kind: "rel",
-                    fragment: fragment::classify_id(&arena, body_id),
+                    fragment: fragment::classify_id(&self.arena, body_id),
                     cost: None,
                     gamma: None,
                 });
             }
             Statement::Query(q) => {
                 let params: Vec<Var> = q.params.iter().map(|b| b.var).collect();
-                scope::check_scopes(&q.body, &params, &program.vars, &mut analysis.diagnostics);
-                fragment::check_relations(&q.body, &schema, &mut analysis.diagnostics);
-                fragment::check_active_domain(&q.body, &schema, &mut analysis.diagnostics);
+                scope::check_scopes(&q.body, &params, &self.vars, &mut analysis.diagnostics);
+                fragment::check_relations(&q.body, &self.schema, &mut analysis.diagnostics);
+                fragment::check_active_domain(&q.body, &self.schema, &mut analysis.diagnostics);
                 let body = q.body.to_formula();
-                let body_id = arena.intern(&body);
-                let report = fragment::classify_id(&arena, body_id);
-                let mut cost = cost::estimate(&report, params.len(), &schema, &cfg.cost);
+                let body_id = self.arena.intern(&body);
+                let report = fragment::classify_id(&self.arena, body_id);
+                let mut cost = cost::estimate(&report, params.len(), &self.schema, &cfg.cost);
                 if cfg.check_blowup {
                     cost::check_blowup(&cost, q.name_span, &mut analysis.diagnostics);
                 }
@@ -167,19 +287,19 @@ pub fn analyze_source(src: &str, cfg: &AnalyzerConfig) -> (Program, Analysis) {
                     // verdict runs on the database-expanded body; the
                     // CQA012 walk stays on the spanned original so its
                     // findings anchor to source bytes.
-                    let expanded = db
-                        .as_ref()
-                        .and_then(|d| d.expand(&body).ok())
+                    let expanded = expand
+                        .then(|| self.db.expand(&body).ok())
+                        .flatten()
                         .unwrap_or_else(|| body.clone());
                     cost = absint_query_pass(
-                        &mut arena,
-                        &mut memo,
-                        &mut simp,
+                        &mut self.arena,
+                        &mut self.memo,
+                        &mut self.simp,
                         &q.name,
                         &q.body,
                         &expanded,
                         &params,
-                        &program.vars,
+                        &self.vars,
                         cost,
                         &mut analysis.diagnostics,
                     );
@@ -193,10 +313,10 @@ pub fn analyze_source(src: &str, cfg: &AnalyzerConfig) -> (Program, Analysis) {
                 });
             }
             Statement::Sum(s) => {
-                let status = sigma::check_sum(s, &program.vars, &mut analysis.diagnostics);
+                let status = sigma::check_sum(s, &self.vars, &mut analysis.diagnostics);
                 for part in [&s.filter, &s.end_formula, &s.gamma] {
-                    fragment::check_relations(part, &schema, &mut analysis.diagnostics);
-                    fragment::check_active_domain(part, &schema, &mut analysis.diagnostics);
+                    fragment::check_relations(part, &self.schema, &mut analysis.diagnostics);
+                    fragment::check_active_domain(part, &self.schema, &mut analysis.diagnostics);
                 }
                 // Measure the whole term: filter ∧ END body ∧ γ.
                 let combined = s
@@ -204,9 +324,9 @@ pub fn analyze_source(src: &str, cfg: &AnalyzerConfig) -> (Program, Analysis) {
                     .to_formula()
                     .and(s.end_formula.to_formula())
                     .and(s.gamma.to_formula());
-                let combined_id = arena.intern(&combined);
-                let report = fragment::classify_id(&arena, combined_id);
-                let cost = cost::estimate(&report, s.tuple_vars.len(), &schema, &cfg.cost);
+                let combined_id = self.arena.intern(&combined);
+                let report = fragment::classify_id(&self.arena, combined_id);
+                let cost = cost::estimate(&report, s.tuple_vars.len(), &self.schema, &cfg.cost);
                 if cfg.check_blowup {
                     cost::check_blowup(&cost, s.name_span, &mut analysis.diagnostics);
                 }
@@ -220,7 +340,130 @@ pub fn analyze_source(src: &str, cfg: &AnalyzerConfig) -> (Program, Analysis) {
             }
         }
     }
-    (program, analysis.finish())
+}
+
+/// One analysed chunk, not yet part of the program: the state already
+/// numbers its variables and knows its relations (which is how the chunk
+/// was analysed), and forgets both again when this is dropped.
+/// [`PendingChunk::commit`] makes the chunk part of the program instead.
+#[derive(Debug)]
+pub struct PendingChunk<'a> {
+    state: &'a mut AnalyzerState,
+    statements: Vec<Statement>,
+    analysis: Analysis,
+    load_error: Option<String>,
+    /// What dropping undoes: the program's variable count before the
+    /// chunk, and each schema entry the chunk's relations overwrote
+    /// (`None` = was absent). The same names are in the database unless
+    /// there is a `load_error`.
+    vars_len: usize,
+    schema_undo: Vec<(String, Option<usize>)>,
+    committed: bool,
+}
+
+impl PendingChunk<'_> {
+    /// The chunk's own findings and per-statement reports.
+    pub fn analysis(&self) -> &Analysis {
+        &self.analysis
+    }
+
+    /// The chunk's statements, in source order.
+    pub fn statements(&self) -> &[Statement] {
+        &self.statements
+    }
+
+    /// Why the chunk's relations cannot join the database (a name defined
+    /// twice, a definition the database refuses), if they cannot.
+    pub fn load_error(&self) -> Option<&str> {
+        self.load_error.as_deref()
+    }
+
+    /// The database the chunk was analysed against: the accepted relations
+    /// and the chunk's own.
+    pub fn db(&self) -> &Database {
+        &self.state.db
+    }
+
+    /// Makes the chunk part of the accepted program and returns the new
+    /// totals.
+    ///
+    /// # Panics
+    /// If the chunk has errors or a [`PendingChunk::load_error`]: accepted
+    /// text is error-free, everything above relies on it.
+    pub fn commit(mut self) -> Totals {
+        assert!(
+            !self.analysis.has_errors() && self.load_error.is_none(),
+            "only a clean chunk can be committed"
+        );
+        self.committed = true;
+        let state = &mut *self.state;
+        // The database numbers variables as the program does; names that
+        // queries interned into it since the last commit go.
+        let db_vars = state.db.vars_mut();
+        db_vars.truncate(self.vars_len);
+        for i in self.vars_len..state.vars.len() {
+            db_vars.intern(&state.vars.name(Var(i as u32)));
+        }
+        if state.schema.is_empty() {
+            state.adom_warnings += self
+                .analysis
+                .diagnostics
+                .iter()
+                .filter(|d| d.code == Code::EmptyActiveDomain)
+                .count();
+        } else {
+            state.totals.warnings -= std::mem::take(&mut state.adom_warnings);
+        }
+        state.totals.warnings += self.analysis.warning_count();
+        state.totals.statements += self.statements.len();
+        for stmt in std::mem::take(&mut self.statements) {
+            match stmt {
+                Statement::Rel(_) => state.totals.rels += 1,
+                Statement::Query(_) => state.totals.queries += 1,
+                Statement::Sum(s) => {
+                    state.sums.insert(s.name.clone(), s);
+                }
+            }
+        }
+        state.totals.sums = state.sums.len();
+        state.totals
+    }
+
+    /// The whole-file view of a chunk analysed against an empty state.
+    fn into_program(mut self) -> (Program, Analysis) {
+        self.committed = true;
+        (
+            Program {
+                statements: std::mem::take(&mut self.statements),
+                vars: std::mem::take(&mut self.state.vars),
+            },
+            std::mem::take(&mut self.analysis),
+        )
+    }
+}
+
+impl Drop for PendingChunk<'_> {
+    fn drop(&mut self) {
+        if self.committed {
+            return;
+        }
+        self.state.vars.truncate(self.vars_len);
+        for (name, before) in self.schema_undo.drain(..).rev() {
+            if self.load_error.is_none() {
+                self.state.db.remove_relation(&name);
+            }
+            match before {
+                Some(arity) => self.state.schema.insert(name, arity),
+                None => self.state.schema.remove(&name),
+            };
+        }
+    }
+}
+
+/// Analyzes a `.cqa` source file end to end: the file is the one chunk of
+/// a fresh [`AnalyzerState`].
+pub fn analyze_source(src: &str, cfg: &AnalyzerConfig) -> (Program, Analysis) {
+    AnalyzerState::new(*cfg).analyze_chunk(src).into_program()
 }
 
 /// Pass 5 for one query: CQA011 (statically empty), CQA012 (statically
@@ -428,6 +671,43 @@ sum T(w) := w > 0 | END[y. S(y)] ; x . x = 2*w
         assert!(a.diagnostics.is_empty(), "{}", a.render(src, "t.cqa"));
         assert_eq!(a.reports.len(), 3);
         assert_eq!(a.reports[2].gamma, Some(GammaStatus::Certified));
+    }
+
+    #[test]
+    fn chunks_commit_or_vanish() {
+        let mut state = AnalyzerState::default();
+        // An active-domain quantifier before any relation: CQA009 counts.
+        let a = state.analyze_chunk("query A(v) := 0 <= v & v <= 1 & Eadom w. w = v\n");
+        let codes: Vec<Code> = a.analysis().diagnostics.iter().map(|d| d.code).collect();
+        assert!(codes.contains(&Code::EmptyActiveDomain), "{codes:?}");
+        let with_adom = a.commit().warnings;
+
+        // Dropped: the chunk's names and its relation are gone again.
+        let b = state.analyze_chunk("rel S(fresh) := 0 <= fresh\nquery Bad(x) := S(x, x)\n");
+        assert!(b.analysis().has_errors());
+        assert!(b.db().relation("S").is_some());
+        drop(b);
+        assert!(state.db().relation("S").is_none());
+        assert_eq!(state.vars().get("fresh"), None);
+
+        // A query may use a relation its own chunk defines further down,
+        // and the first relation takes the CQA009 warning out of the count.
+        let c = state.analyze_chunk("query Q(x) := S(x) & x <= 1\nrel S(y) := 0 <= y\n");
+        assert!(!c.analysis().has_errors(), "{:?}", c.analysis().diagnostics);
+        let own = c.analysis().warning_count();
+        let t = c.commit();
+        assert_eq!(t.warnings, with_adom - 1 + own);
+        assert_eq!((t.statements, t.rels, t.queries), (3, 1, 2));
+
+        // A name defined twice is refused by the database, not by a lint.
+        let d = state.analyze_chunk("rel S(z) := z <= 2\n");
+        assert!(!d.analysis().has_errors());
+        assert_eq!(
+            d.load_error(),
+            Some("relation `S`: relation S already defined")
+        );
+        drop(d);
+        assert_eq!(state.totals(), t);
     }
 
     #[test]

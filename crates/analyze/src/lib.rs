@@ -31,7 +31,10 @@
 //!    pruned-atom cost inputs.
 //!
 //! Programs live in `.cqa` files ([`program`]); the `cqa-lint` binary in
-//! `cqa-bench` drives the analyzer from the command line. Every finding is
+//! `cqa-bench` drives the analyzer from the command line over a whole file
+//! ([`analyze_source`]), the engine piece by piece ([`AnalyzerState`]: the
+//! accepted program kept in analysed form, more text analysed against it
+//! and committed or rolled back) — one code path either way. Every finding is
 //! a [`Diagnostic`] with a stable code, a severity, and a byte [`Span`]
 //! rendered rustc-style against the source.
 
@@ -47,7 +50,10 @@ pub mod scope;
 pub mod sigma;
 
 pub use absint::{analyze_id, prune_id, AbsintMemo, Env, Facts, Interval, Verdict};
-pub use analyzer::{analyze_formula, analyze_source, Analysis, AnalyzerConfig, StatementReport};
+pub use analyzer::{
+    analyze_formula, analyze_source, Analysis, AnalyzerConfig, AnalyzerState, PendingChunk,
+    StatementReport, Totals,
+};
 pub use cost::{check_blowup, estimate, planner_inputs, CostParams, CostReport};
 pub use cqa_logic::Span;
 pub use diag::{render_all, Code, Diagnostic, Severity};

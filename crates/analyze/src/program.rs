@@ -22,7 +22,6 @@
 //! malformed statement is skipped while the rest of the file still parses.
 
 use crate::diag::{Code, Diagnostic};
-use crate::fragment::Schema;
 use cqa_agg::{Deterministic, RangeRestricted, SumTerm};
 use cqa_core::Database;
 use cqa_logic::{parse_formula_spanned, BoundVar, Span, SpannedFormula, VarMap};
@@ -145,17 +144,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// The schema declared by the program's `rel` statements.
-    pub fn schema(&self) -> Schema {
-        self.statements
-            .iter()
-            .filter_map(|s| match s {
-                Statement::Rel(r) => Some((r.name.clone(), r.params.len())),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Builds a [`Database`] holding the program's relations, with the same
     /// variable interning as the program (so statement formulas evaluate
     /// directly against it).
@@ -183,6 +171,14 @@ impl Program {
 /// processed.
 pub fn parse_program(src: &str) -> (Program, Vec<Diagnostic>) {
     let mut vars = VarMap::new();
+    let (statements, diags) = parse_statements(src, &mut vars);
+    (Program { statements, vars }, diags)
+}
+
+/// [`parse_program`] against a variable map that may already hold names:
+/// a later piece of a program numbers its variables exactly as it would
+/// inside the whole file. Spans are relative to the start of `src`.
+pub(crate) fn parse_statements(src: &str, vars: &mut VarMap) -> (Vec<Statement>, Vec<Diagnostic>) {
     let mut statements = Vec::new();
     let mut diags = Vec::new();
     let mut offset = 0;
@@ -195,12 +191,12 @@ pub fn parse_program(src: &str) -> (Program, Vec<Diagnostic>) {
             continue;
         }
         let base = line_start + (text.len() - trimmed.len());
-        match parse_statement(trimmed, base, &mut vars) {
+        match parse_statement(trimmed, base, vars) {
             Ok(stmt) => statements.push(stmt),
             Err(d) => diags.push(d),
         }
     }
-    (Program { statements, vars }, diags)
+    (statements, diags)
 }
 
 /// A tiny cursor over one statement line; `base` converts local positions
@@ -470,7 +466,6 @@ sum T(w) := true | END[y. S(y)] ; xout . xout = w
         assert_eq!(&DEMO[sp.start..sp.end], "S(y)");
         let op = sum.out_var.span;
         assert_eq!(&DEMO[op.start..op.end], "xout");
-        assert_eq!(prog.schema(), [("S".to_string(), 1)].into());
     }
 
     #[test]

@@ -154,6 +154,13 @@ impl Relation {
 pub struct Database {
     vars: VarMap,
     relations: BTreeMap<String, Relation>,
+    /// One past the largest variable index any finitely representable
+    /// definition has ever used: [`Database::expand`] renames definitions
+    /// apart starting above it, without re-reading every definition on
+    /// every call. Never lowered (removing a relation keeps it): any
+    /// larger base renames just as well, and the renamed variables do not
+    /// survive into the expansion.
+    fresh_floor: u32,
 }
 
 impl Database {
@@ -215,9 +222,13 @@ impl Database {
         if !formula.is_quantifier_free() || !formula.is_relation_free() {
             return Err(DbError::BadDefinition(name.to_string()));
         }
-        if let Some(extra) = formula.free_vars().iter().find(|v| !params.contains(v)) {
-            let _ = extra;
+        // Quantifier-free, so the free variables are all of them.
+        let vars = formula.free_vars();
+        if vars.iter().any(|v| !params.contains(v)) {
             return Err(DbError::BadDefinition(name.to_string()));
+        }
+        if let Some(max) = vars.iter().map(|v| v.0 + 1).max() {
+            self.fresh_floor = self.fresh_floor.max(max);
         }
         self.relations.insert(
             name.to_string(),
@@ -242,6 +253,11 @@ impl Database {
         self.relations
             .insert(name.to_string(), Relation::Finite(tuples));
         Ok(())
+    }
+
+    /// Removes a relation, returning its definition if it existed.
+    pub fn remove_relation(&mut self, name: &str) -> Option<Relation> {
+        self.relations.remove(name)
     }
 
     /// The active domain: every rational occurring in a finite relation.
@@ -272,19 +288,8 @@ impl Database {
             .map(|v| v.0 + 1)
             .max()
             .unwrap_or(0)
-            .max(self.vars.len() as u32);
-        for rel in self.relations.values() {
-            if let Relation::FinitelyRepresentable { formula, .. } = rel {
-                fresh = fresh.max(
-                    formula
-                        .all_vars()
-                        .iter()
-                        .map(|v| v.0 + 1)
-                        .max()
-                        .unwrap_or(0),
-                );
-            }
-        }
+            .max(self.vars.len() as u32)
+            .max(self.fresh_floor);
         self.expand_rec(q, &mut fresh)
     }
 
@@ -390,6 +395,29 @@ mod tests {
         assert!(t.contains(&[rat(1, 4), rat(1, 4)]));
         assert!(!t.contains(&[rat(1, 1), rat(1, 1)]));
         assert_eq!(t.arity(), 2);
+    }
+
+    #[test]
+    fn expansion_does_not_depend_on_what_else_was_ever_defined() {
+        let mut db = Database::new();
+        db.define("S", &["y"], "0 <= y & y <= 1").unwrap();
+        let x = db.vars_mut().intern("x");
+        let q = Formula::Rel {
+            name: "S".into(),
+            args: vec![MPoly::var(x) + MPoly::var(x)],
+        };
+        let alone = db.expand(&q).unwrap();
+        // A definition over far larger variable indices, added and removed
+        // again, raises the renaming base for good; the expansion is the
+        // same formula all the same.
+        let (a, b) = (Var(40), Var(41));
+        let wide = Formula::le(MPoly::var(a), MPoly::var(b));
+        db.add_fr_relation("W", vec![a, b], wide).unwrap();
+        assert_eq!(db.expand(&q).unwrap(), alone);
+        assert!(db.remove_relation("W").is_some());
+        assert!(db.remove_relation("W").is_none());
+        assert_eq!(db.expand(&q).unwrap(), alone);
+        assert!(db.add_fr_relation("W", vec![a], Formula::True).is_ok());
     }
 
     #[test]

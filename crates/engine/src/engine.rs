@@ -5,7 +5,7 @@ use crate::protocol::{parse_exec_args, Command, Response};
 use crate::stats::EngineStats;
 use crate::storage::{Storage, StorageError};
 use cqa_agg::AggError;
-use cqa_analyze::{analyze_source, AnalyzerConfig, Statement, SumStmt};
+use cqa_analyze::{AnalyzerState, PendingChunk, Statement};
 use cqa_approx::sample::Witness;
 use cqa_arith::Rat;
 use cqa_core::Database;
@@ -13,10 +13,11 @@ use cqa_geom::VolumeError;
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::{
     parse_formula_with, Arena, ArenaStats, Batch, BatchScratch, CompiledMatrix, ConstraintClass,
-    Formula, LaneStats, SlotMap, BATCH_LANES,
+    Formula, LaneStats, SlotMap, VarMap, BATCH_LANES,
 };
 use cqa_poly::Var;
 use cqa_qe::{QeError, SimplifyMemo};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -112,18 +113,16 @@ pub struct Prepared {
     memo: Option<(u64, CacheKey)>,
 }
 
-/// Per-connection state: the session database built from `LOAD`ed
-/// programs, loaded Σ-terms, and named prepared queries. Sessions are
-/// owned by one worker thread at a time; all cross-session sharing goes
-/// through the [`Engine`]'s cache and stats.
+/// Per-connection state: the analysed program the session's `LOAD`s
+/// have built (its relation database and Σ-terms live in there) and named
+/// prepared queries. Sessions are owned by one worker thread at a time;
+/// all cross-session sharing goes through the [`Engine`]'s cache and stats.
 #[derive(Default)]
 pub struct Session {
-    /// Accumulated, analyzer-accepted `.cqa` source.
-    loaded_src: String,
-    /// Database rebuilt from `loaded_src` after each successful `LOAD`.
-    db: Database,
-    /// `sum` statements by name, for `SUM`.
-    sums: HashMap<String, SumStmt>,
+    /// Everything accepted `LOAD`s have brought, in analysed form: a
+    /// `LOAD` or `PREPARE` is analysed against it, not together with the
+    /// text behind it.
+    program: AnalyzerState,
     /// Prepared queries by name.
     prepared: HashMap<String, Prepared>,
     /// The session's hash-consed formula arena: every relation-expanded
@@ -133,9 +132,9 @@ pub struct Session {
     arena: Arena,
     /// `FormulaId`-keyed memo table for [`cqa_qe::simplify_id`].
     simp: SimplifyMemo,
-    /// Bumped on every successful `LOAD` (the only operation that swaps
-    /// `db`); prepared-query memos are valid only for the generation they
-    /// were computed under.
+    /// Bumped on every successful `LOAD` (the only operation that changes
+    /// the database); prepared-query memos are valid only for the
+    /// generation they were computed under.
     db_gen: u64,
     /// `FormulaId`-keyed memo table for the interval abstract
     /// interpretation (verdicts and bounds certificates per node).
@@ -152,7 +151,7 @@ pub struct Session {
 impl Session {
     /// The session database (primarily for tests).
     pub fn db(&self) -> &Database {
-        &self.db
+        self.program.db()
     }
 }
 
@@ -321,9 +320,21 @@ impl Engine {
         session.reported = now;
     }
 
-    /// `LOAD`: append the program text to the session source, run the full
-    /// static-analysis gate, and only on a clean report rebuild the
-    /// session database. A rejected `LOAD` leaves the session unchanged.
+    /// The static-analysis gate behind `LOAD`, `PREPARE` and `PERSIST`:
+    /// analyses `src` against the session's program and counts the
+    /// statements it went through. The caller commits the chunk or drops it.
+    fn gate<'s>(&self, program: &'s mut AnalyzerState, src: &str) -> PendingChunk<'s> {
+        let chunk = program.analyze_chunk(src);
+        self.stats
+            .analyzed_statements
+            .fetch_add(chunk.analysis().reports.len() as u64, Ordering::Relaxed);
+        chunk
+    }
+
+    /// `LOAD`: run the program text through the full static-analysis
+    /// gate against what the session already holds, and only on a clean
+    /// report make it part of the session. A rejected `LOAD` leaves the
+    /// session unchanged.
     pub fn load(&self, session: &mut Session, src: &str) -> Response {
         match self.load_inner(session, src, true) {
             Ok((_, resp)) | Err(resp) => resp,
@@ -341,13 +352,8 @@ impl Engine {
         src: &str,
         commit: bool,
     ) -> Result<(usize, Response), Response> {
-        let mut candidate = session.loaded_src.clone();
-        candidate.push_str(src);
-        if !candidate.ends_with('\n') {
-            candidate.push('\n');
-        }
-        let cfg = AnalyzerConfig::default();
-        let (program, analysis) = analyze_source(&candidate, &cfg);
+        let chunk = self.gate(&mut session.program, src);
+        let analysis = chunk.analysis();
         if analysis.has_errors() {
             self.stats.lint_rejected.fetch_add(1, Ordering::Relaxed);
             return Err(Response::err(
@@ -358,34 +364,24 @@ impl Engine {
                     analysis.warning_count()
                 ),
             )
-            .with_body(&analysis.render(&candidate, "LOAD")));
+            .with_body(&analysis.render(src, "LOAD")));
         }
-        let db = match program.to_database() {
-            Ok(db) => db,
-            Err(e) => return Err(Response::err("load", e)),
-        };
-        let mut rels = 0usize;
-        let mut queries = 0usize;
-        session.sums.clear();
-        for stmt in &program.statements {
-            match stmt {
-                Statement::Rel(_) => rels += 1,
-                Statement::Query(_) => queries += 1,
-                Statement::Sum(s) => {
-                    session.sums.insert(s.name.clone(), s.clone());
-                }
-            }
+        if let Some(e) = chunk.load_error() {
+            return Err(Response::err("load", e));
         }
-        let sums = session.sums.len();
         // Durable sessions commit before they apply: the accepted chunk
-        // (exactly the text appended to the session source, newline
-        // normalization included) is WAL-appended and fsync'd first, and
-        // a failed append leaves the session untouched — the mutation
-        // then exists either everywhere or nowhere.
+        // (newline-terminated, since storage concatenates chunks verbatim
+        // on replay) is WAL-appended and fsync'd first, and a failed
+        // append leaves the session untouched — the mutation then exists
+        // either everywhere or nowhere.
         if commit {
             if let (Some(name), Some(storage)) = (&session.durable, &self.storage) {
-                let chunk = &candidate[session.loaded_src.len()..];
-                if let Err(e) = storage.append_load(name, chunk) {
+                let text = if src.ends_with('\n') {
+                    Cow::Borrowed(src)
+                } else {
+                    Cow::Owned(format!("{src}\n"))
+                };
+                if let Err(e) = storage.append_load(name, &text) {
                     return Err(Response::err(
                         "storage",
                         format!("commit failed, session unchanged: {e}"),
@@ -393,27 +389,25 @@ impl Engine {
                 }
             }
         }
-        session.db = db;
+        let t = chunk.commit();
         session.db_gen += 1;
-        session.loaded_src = candidate;
-        let statements = program.statements.len();
         Ok((
-            statements,
+            t.statements,
             Response::ok(format!(
-                "LOAD statements={statements} rels={rels} queries={queries} sums={sums} \
-                 warnings={}",
-                analysis.warning_count()
+                "LOAD statements={} rels={} queries={} sums={} warnings={}",
+                t.statements, t.rels, t.queries, t.sums, t.warnings
             )),
         ))
     }
 
     /// `PREPARE`: validate the formula through the same analyzer gate as a
     /// `query` statement (scope, schema, fragment), and store it under the
-    /// name. The output columns are the free variables in interning order.
+    /// name. The output columns are the free variables in name order.
     pub fn prepare(&self, session: &mut Session, name: &str, query: &str) -> Response {
-        // Probe-parse against a clone so a rejected PREPARE cannot pollute
-        // the session's variable interning.
-        let mut probe = session.db.vars().clone();
+        // The statement a PREPARE stands for lists its output columns, so
+        // they have to be known before it can be written down: a parse of
+        // the bare formula, in a map of its own, finds them.
+        let mut probe = VarMap::new();
         let f = match parse_formula_with(query, &mut probe) {
             Ok(f) => f,
             Err(e) => return Response::err("parse", e.to_string()),
@@ -423,50 +417,45 @@ impl Engine {
         // interned the variables in different orders.
         let mut params: Vec<String> = f.free_vars().into_iter().map(|v| probe.name(v)).collect();
         params.sort();
-        // Run the full static gate on a synthetic `query` statement
-        // appended to the accepted session source.
-        let mut candidate = session.loaded_src.clone();
-        candidate.push_str(&format!(
-            "query __prep_{name}({}) := {query}\n",
-            params.join(", ")
-        ));
-        let (_, analysis) = analyze_source(&candidate, &AnalyzerConfig::default());
+        // Run the full static gate on that one synthetic `query` statement
+        // against the session's program. The chunk is never committed:
+        // dropping it leaves no name of the query behind.
+        let stmt = format!("query __prep_{name}({}) := {query}\n", params.join(", "));
+        let chunk = self.gate(&mut session.program, &stmt);
+        let analysis = chunk.analysis();
         if analysis.has_errors() {
             self.stats.lint_rejected.fetch_add(1, Ordering::Relaxed);
             return Response::err(
                 "lint",
                 format!("{} error(s); not prepared", analysis.error_count()),
             )
-            .with_body(&analysis.render(&candidate, "PREPARE"));
+            .with_body(&analysis.render(&stmt, "PREPARE"));
         }
-        let fragment = analysis
-            .reports
-            .last()
-            .map(|r| r.fragment.fragment_name())
-            .unwrap_or("FO");
+        let report = analysis.reports.last();
+        let fragment = report.map_or("FO", |r| r.fragment.fragment_name());
         // Report the elimination plan the cold EXEC will follow: the
         // analyzer's cost model (with absint refinements when present) fed
         // through the planner. Purely informational — EXEC re-plans on the
         // session's own interning — but it lets clients see method/sharing
         // decisions at PREPARE time.
-        let plan_tag = match session.db.expand(&f) {
-            Ok(expanded) => {
-                let inputs = analysis
-                    .reports
-                    .last()
-                    .and_then(|r| {
-                        r.cost
-                            .as_ref()
-                            .map(|c| cqa_analyze::planner_inputs(&r.fragment, c))
-                    })
-                    .unwrap_or_else(|| cqa_qe::plan::PlanInputs::measure(&expanded));
-                format!(
-                    " plan={}",
-                    cqa_qe::plan::plan(&expanded, &inputs).describe()
-                )
-            }
-            Err(_) => String::new(),
+        let expanded = match chunk.statements().last() {
+            Some(Statement::Query(q)) => chunk.db().expand(&q.body.to_formula()).ok(),
+            _ => None,
         };
+        let plan_tag = expanded.map_or_else(String::new, |expanded| {
+            let inputs = report
+                .and_then(|r| {
+                    r.cost
+                        .as_ref()
+                        .map(|c| cqa_analyze::planner_inputs(&r.fragment, c))
+                })
+                .unwrap_or_else(|| cqa_qe::plan::PlanInputs::measure(&expanded));
+            format!(
+                " plan={}",
+                cqa_qe::plan::plan(&expanded, &inputs).describe()
+            )
+        });
+        drop(chunk);
         session.prepared.insert(
             name.to_string(),
             Prepared {
@@ -503,7 +492,8 @@ impl Engine {
                 format!("session is already attached to durable database `{attached}`"),
             );
         }
-        if !session.loaded_src.is_empty() {
+        // Every accepted LOAD bumps the generation, an empty one included.
+        if session.db_gen > 0 {
             return Response::err(
                 "storage",
                 "session already has loaded state; PERSIST must come before LOAD",
@@ -514,9 +504,9 @@ impl Engine {
             0
         } else {
             // Replay recovered history through the same LOAD path that
-            // accepted it originally — the Database is a pure function of
-            // this source, so the rebuild is bit-identical. No re-commit:
-            // this text is already in the snapshot/WAL.
+            // accepted it originally, as one chunk — the program is a pure
+            // function of this source, so the rebuild is bit-identical. No
+            // re-commit: this text is already in the snapshot/WAL.
             match self.load_inner(session, &src, false) {
                 Ok((statements, _)) => statements,
                 Err(r) => {
@@ -570,14 +560,14 @@ impl Engine {
             }
         }
         let prep = prep.clone();
-        let f = match parse_formula_with(&prep.src, session.db.vars_mut()) {
+        let f = match parse_formula_with(&prep.src, session.program.db_vars_mut()) {
             Ok(f) => f,
             Err(e) => return Response::err("parse", e.to_string()),
         };
         let vars: Vec<Var> = prep
             .params
             .iter()
-            .map(|p| session.db.vars_mut().intern(p))
+            .map(|p| session.program.db_vars_mut().intern(p))
             .collect();
         let mut memo_key = None;
         let resp = self.answer(
@@ -626,23 +616,23 @@ impl Engine {
     /// `VOLUME`: one-shot `VOL_I` of an ad-hoc formula (still cached — two
     /// sessions asking for the volume of the same region share the QE).
     pub fn volume(&self, session: &mut Session, query: &str) -> Response {
-        let f = match parse_formula_with(query, session.db.vars_mut()) {
+        let f = match parse_formula_with(query, session.program.db_vars_mut()) {
             Ok(f) => f,
             Err(e) => return Response::err("parse", e.to_string()),
         };
         let mut vars: Vec<Var> = f.free_vars().into_iter().collect();
-        vars.sort_by_key(|v| session.db.vars().name(*v));
+        vars.sort_by_key(|v| session.db().vars().name(*v));
         let (eps, delta) = (self.cfg.default_eps, self.cfg.default_delta);
         self.answer(session, &f, &vars, eps, delta, "VOLUME", "-", None)
     }
 
     /// `SUM`: evaluate a loaded Σ-term under the request budget.
     pub fn sum(&self, session: &mut Session, name: &str) -> Response {
-        let Some(stmt) = session.sums.get(name) else {
+        let Some(stmt) = session.program.sum(name) else {
             return Response::err("sum", format!("no loaded sum statement `{name}`"));
         };
         let budget = self.request_budget();
-        match stmt.to_sum_term().eval_with_budget(&session.db, &budget) {
+        match stmt.to_sum_term().eval_with_budget(session.db(), &budget) {
             Ok(v) => Response::ok(format!("SUM {name} value={v} steps={}", budget.steps())),
             Err(AggError::Budget(b)) => {
                 self.stats.over_budget.fetch_add(1, Ordering::Relaxed);
@@ -673,7 +663,7 @@ impl Engine {
             );
         }
         let budget = self.request_budget();
-        let expanded = match session.db.expand(f) {
+        let expanded = match session.db().expand(f) {
             Ok(x) => x,
             Err(e) => return Response::err("exec", e.to_string()),
         };
@@ -1141,6 +1131,10 @@ impl Engine {
             }
         ));
         resp.body.push(format!(
+            "analyze statements={}",
+            EngineStats::get(&s.analyzed_statements),
+        ));
+        resp.body.push(format!(
             "absint unsat_skips={} valid_skips={} box_skipped_lanes={}",
             EngineStats::get(&s.absint_unsat_skips),
             EngineStats::get(&s.absint_valid_skips),
@@ -1247,6 +1241,161 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
         let r = e.sum(&mut s, "EndpointSum");
         assert!(r.header.contains("value=13/4"), "{r:?}");
         assert_eq!(EngineStats::get(&e.stats.lint_rejected), 1);
+    }
+
+    #[test]
+    fn rejected_requests_list_only_their_own_findings() {
+        let e = engine();
+        let mut s = e.open_session();
+        // A session that already holds three CQA008 warnings.
+        let r = e.load(
+            &mut s,
+            "rel S(y) := (0 <= y & y <= 0.5) | (0.75 <= y & y <= 2)\n\
+             query Above(x) := S(x) & x >= 0.5\n\
+             sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w\n\
+             sum DoubledAbove(w) := w >= 0.5 | END[y. S(y)] ; xout . xout = 2*w\n",
+        );
+        assert!(r.header.ends_with("sums=2 warnings=3"), "{r:?}");
+        // Where a reply's findings point: every `--> VERB:line:col` of it.
+        let anchors = |r: &Response| -> Vec<String> {
+            r.body
+                .iter()
+                .filter_map(|l| l.trim().strip_prefix("--> ").map(str::to_string))
+                .collect()
+        };
+
+        let r = e.prepare(&mut s, "bad", "Missing(q) & q > 0");
+        assert_eq!(r.header, "ERR lint 1 error(s); not prepared");
+        // The synthetic statement is line 1 of what was analysed, and its
+        // own two warnings are the only company the error has.
+        assert_eq!(
+            anchors(&r),
+            ["PREPARE:1:7", "PREPARE:1:24", "PREPARE:1:24"],
+            "{r:?}"
+        );
+        let body = r.body.join("\n");
+        assert!(
+            body.contains("error[CQA004]: unknown relation `Missing`"),
+            "{body}"
+        );
+        assert!(
+            body.contains("1 | query __prep_bad(q) := Missing(q) & q > 0"),
+            "{body}"
+        );
+
+        let r = e.load(&mut s, "# a comment\nquery Bad(x) := x = zz + 1\n");
+        assert_eq!(
+            r.header,
+            "ERR lint 1 error(s), 2 warning(s); session unchanged"
+        );
+        // Lines count from the start of the text this request sent.
+        assert_eq!(anchors(&r), ["LOAD:2:7", "LOAD:2:17", "LOAD:2:17"], "{r:?}");
+        assert!(r
+            .body
+            .join("\n")
+            .contains("error[CQA001]: unbound variable `zz`"));
+    }
+
+    #[test]
+    fn the_gate_sees_every_statement_once() {
+        let e = engine();
+        let mut s = e.open_session();
+        for i in 0..2000 {
+            let r = e.load(&mut s, &format!("rel H{i}(x) := x <= {i}/2000\n"));
+            assert!(r.is_ok(), "{r:?}");
+        }
+        assert!(
+            e.load(&mut s, "")
+                .header
+                .contains("statements=2000 rels=2000"),
+            "an empty LOAD analyses nothing"
+        );
+        for i in 0..50 {
+            let r = e.prepare(&mut s, "q", &format!("H{i}(x) & x >= 0"));
+            assert!(r.is_ok(), "{r:?}");
+        }
+        // n + m — re-analysing the session would read n(n+1)/2 + m(n+1).
+        assert_eq!(EngineStats::get(&e.stats.analyzed_statements), 2050);
+        let stats = e.render_stats().body.join("\n");
+        assert!(stats.contains("analyze statements=2050"), "{stats}");
+    }
+
+    #[test]
+    fn requests_that_commit_nothing_leave_no_trace() {
+        // One session sees the noise, the other does not; both engines are
+        // fresh, so `cache=` agrees too.
+        let drive = |noise: bool| {
+            let e = engine();
+            let mut s = e.open_session();
+            let mut seen = Vec::new();
+            let expect = |r: Response, header: &str| {
+                assert!(r.header.starts_with(header), "{r:?}");
+            };
+            // An active-domain quantifier before the first `rel`: its
+            // CQA009 warning leaves the count when S arrives.
+            seen.push(e.load(&mut s, "query A(v) := 0 <= v & v <= 1 & Eadom w. w = v\n"));
+            if noise {
+                // A sound relation rides along with the error: it goes too.
+                expect(
+                    e.load(
+                        &mut s,
+                        "rel Gone(g) := g >= 0\nquery Bad(fresh) := fresh = stray + 1\n",
+                    ),
+                    "ERR lint 1 error(s)",
+                );
+            }
+            seen.push(e.load(&mut s, PROGRAM));
+            if noise {
+                // A Σ-term rides along with the duplicate: it must not stay.
+                expect(
+                    e.load(
+                        &mut s,
+                        "sum T(w) := true | END[y. S(y)] ; xout . xout = w\n\
+                         rel S(other) := other >= 0\n",
+                    ),
+                    "ERR load relation `S`: relation S already defined",
+                );
+                expect(
+                    e.prepare(&mut s, "n1", "exists k. S(k) & m < k & 0 <= m"),
+                    "OK PREPARE n1 params=m",
+                );
+                expect(e.exec(&mut s, "n1", None, None), "OK EXEC n1");
+                expect(
+                    e.prepare(&mut s, "n2", "Missing(j) & j > 0"),
+                    "ERR lint 1 error(s)",
+                );
+                expect(e.prepare(&mut s, "n3", "j >= @"), "ERR parse");
+                expect(e.sum(&mut s, "T"), "ERR sum no loaded sum statement `T`");
+            }
+            seen.push(e.load(
+                &mut s,
+                "query Later(p) := S(p) & p >= 1\nrel B(b) := 0 <= b & b <= 1\n",
+            ));
+            seen.push(e.prepare(&mut s, "band", "exists c. S(c) & B(x) & x < c"));
+            seen.push(e.exec(&mut s, "band", None, None));
+            seen.push(e.sum(&mut s, "EndpointSum"));
+            let vars = s.db().vars();
+            let names: Vec<String> = (0..vars.len()).map(|i| vars.name(Var(i as u32))).collect();
+            let rels: Vec<String> = s.db().relation_names().map(str::to_string).collect();
+            let headers: Vec<String> = seen.into_iter().map(|r| r.header).collect();
+            (headers, names, rels)
+        };
+        let (clean, noisy) = (drive(false), drive(true));
+        assert_eq!(clean, noisy);
+        let headers = clean.0;
+        assert!(
+            headers[0].ends_with("queries=1 sums=0 warnings=3"),
+            "{headers:?}"
+        );
+        assert!(
+            headers[1].ends_with("rels=1 queries=1 sums=1 warnings=3"),
+            "{headers:?}"
+        );
+        assert!(
+            headers[4].contains("status=exact") && headers[4].contains("steps="),
+            "{headers:?}"
+        );
+        assert!(headers[5].contains("value=13/4"), "{headers:?}");
     }
 
     #[test]

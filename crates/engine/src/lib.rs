@@ -18,8 +18,10 @@
 //!   compiled [`cqa_logic::CompiledMatrix`] kernels, and analyzer
 //!   verdicts, with LRU eviction under a byte budget; plus service
 //!   counters and latency histograms ([`EngineStats`]).
-//! * [`Session`] — per-connection state: a [`cqa_core::Database`] built
-//!   from `LOAD`ed `.cqa` programs, plus named prepared queries.
+//! * [`Session`] — per-connection state: the analysed program its `LOAD`s
+//!   built ([`cqa_analyze::AnalyzerState`], which owns the session's
+//!   [`cqa_core::Database`]; a `LOAD` or `PREPARE` is analysed against it
+//!   at the cost of its own text), plus named prepared queries.
 //! * [`Command`]/[`Response`] — a hand-rolled, newline-delimited text
 //!   protocol (`LOAD`, `PREPARE`, `EXEC`, `VOLUME`, `SUM`, `STATS`,
 //!   `CLOSE`, `SHUTDOWN`); std-only, no serialization dependencies.

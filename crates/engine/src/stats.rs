@@ -82,6 +82,11 @@ pub struct EngineStats {
     pub over_budget: AtomicU64,
     /// `LOAD`/`PREPARE` requests rejected by the static-analysis gate.
     pub lint_rejected: AtomicU64,
+    /// Statements the static-analysis gate went through, accepted or not:
+    /// each statement of a `LOAD`, a `PREPARE`'s one, a `PERSIST` replay's.
+    /// The gate sees a statement once, so n single-statement `LOAD`s and m
+    /// `PREPARE`s read n + m whatever the sessions already hold.
+    pub analyzed_statements: AtomicU64,
     /// Connections rejected because the session limit was reached.
     pub rejected_conns: AtomicU64,
     /// Connections currently open (reactor-registered, not yet closed).

@@ -199,8 +199,8 @@ impl Storage {
     }
 
     /// Commits one `LOAD` merge into durable database `name`. `src_chunk`
-    /// must be the exact (newline-terminated) text the engine appends to
-    /// the session source — storage concatenates it verbatim on replay.
+    /// must be the text the session is about to accept, newline-terminated
+    /// — storage concatenates chunks verbatim on replay.
     ///
     /// The record is appended and fsync'd *before* this returns, so the
     /// caller may only mutate in-memory state on `Ok`: an `Err` means the

@@ -48,8 +48,7 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalRecord {
     /// A `LOAD` merged into the durable database `db`: `src` is the raw
-    /// program text the analyzer accepted, exactly as appended to the
-    /// session source.
+    /// program text the analyzer accepted, newline-terminated.
     Load {
         /// Durable database name.
         db: String,

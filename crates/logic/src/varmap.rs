@@ -66,6 +66,14 @@ impl VarMap {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
+
+    /// Forgets every variable interned after the first `len`, so the next
+    /// new name is assigned `Var(len)` again (no-op when `len >= self.len()`).
+    pub fn truncate(&mut self, len: usize) {
+        for name in self.names.drain(len.min(self.names.len())..) {
+            self.index.remove(&name);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -92,6 +100,21 @@ mod tests {
         let f = m.fresh("t");
         assert_ne!(m.name(f), "t2");
         assert!(m.get(&m.name(f)).is_some());
+    }
+
+    #[test]
+    fn truncate_forgets_the_tail() {
+        let mut m = VarMap::new();
+        let x = m.intern("x");
+        m.intern("y");
+        m.intern("z");
+        m.truncate(1);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.get("x"), Some(x));
+        assert_eq!(m.get("y"), None);
+        assert_eq!(m.intern("z"), Var(1));
+        m.truncate(5);
+        assert_eq!(m.len(), 2);
     }
 
     #[test]

@@ -39,6 +39,9 @@ run_capped cargo test -q --offline -p cqa-qe --test ir_parity
 echo "== absint soundness (verdicts vs QE oracle, box containment) =="
 run_capped cargo test -q --offline -p cqa-analyze --test absint_soundness
 
+echo "== incremental analysis parity (chunk-by-chunk AnalyzerState vs one analyze_source pass; rollback leaves no trace) =="
+run_capped cargo test -q --offline -p cqa-analyze --test incremental_parity
+
 echo "== planner parity (planned vs fixed QE, subplan-hit determinism) =="
 run_capped cargo test -q --offline -p cqa-qe --test plan_parity
 
