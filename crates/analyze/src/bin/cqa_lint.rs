@@ -16,10 +16,10 @@
 //! Σ-evaluation: statements that blow past the budget are reported with a
 //! budget diagnostic (and a non-zero exit) instead of hanging the linter.
 
-use cqa_analyze::{AnalyzerConfig, Code, Program, Statement};
-use cqa_bench::lint::lint_file;
+use cqa_analyze::{lint_file, AnalyzerConfig, Code, Program, Statement};
 use cqa_logic::budget::EvalBudget;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -124,6 +124,29 @@ fn dynamic_pass(
     any_tripped
 }
 
+/// Exits 2, naming the flag, what it needs and the value it got.
+fn bad_flag(flag: &str, what: &str, v: &str) -> ! {
+    eprintln!("cqa-lint: {flag} needs {what}, got `{v}`");
+    std::process::exit(2);
+}
+
+const INT: &str = "a non-negative integer";
+
+/// A flag's value as `T`: integer flags refuse negative and fractional
+/// values instead of truncating them; the budgets are `f64` (`inf` allowed).
+fn parse<T: FromStr>(flag: &str, v: String, what: &str) -> T {
+    v.parse().unwrap_or_else(|_| bad_flag(flag, what, &v))
+}
+
+/// `--eps` / `--delta`: refused unless in (0,1), where the sample bound is
+/// defined.
+fn prob(flag: &str, v: String) -> f64 {
+    match v.parse::<f64>() {
+        Ok(p) if p > 0.0 && p < 1.0 => p,
+        _ => bad_flag(flag, "a number in (0,1)", &v),
+    }
+}
+
 fn main() -> ExitCode {
     let mut cfg = AnalyzerConfig::default();
     let mut files: Vec<String> = Vec::new();
@@ -131,20 +154,22 @@ fn main() -> ExitCode {
     let mut max_steps: Option<u64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut flag = |name: &str| -> f64 {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("cqa-lint: {name} needs a numeric argument");
+        let mut value = || {
+            args.next().unwrap_or_else(|| {
+                eprintln!("cqa-lint: {arg} needs an argument");
                 std::process::exit(2);
             })
         };
         match arg.as_str() {
-            "--eps" => cfg.cost.eps = flag("--eps"),
-            "--delta" => cfg.cost.delta = flag("--delta"),
-            "--db-size" => cfg.cost.db_size = flag("--db-size") as usize,
-            "--max-atoms" => cfg.cost.budget.max_atoms = flag("--max-atoms"),
-            "--max-quantifiers" => cfg.cost.budget.max_quantifiers = flag("--max-quantifiers"),
-            "--timeout-ms" => timeout_ms = Some(flag("--timeout-ms") as u64),
-            "--max-steps" => max_steps = Some(flag("--max-steps") as u64),
+            "--eps" => cfg.cost.eps = prob(&arg, value()),
+            "--delta" => cfg.cost.delta = prob(&arg, value()),
+            "--db-size" => cfg.cost.db_size = parse(&arg, value(), INT),
+            "--max-atoms" => cfg.cost.budget.max_atoms = parse(&arg, value(), "a number"),
+            "--max-quantifiers" => {
+                cfg.cost.budget.max_quantifiers = parse(&arg, value(), "a number")
+            }
+            "--timeout-ms" => timeout_ms = Some(parse(&arg, value(), INT)),
+            "--max-steps" => max_steps = Some(parse(&arg, value(), INT)),
             "--explain" => {
                 let code = args.next().unwrap_or_else(|| {
                     eprintln!("cqa-lint: --explain needs a diagnostic code (e.g. CQA011)");

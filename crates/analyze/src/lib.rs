@@ -30,9 +30,9 @@
 //!    for volume/SUM queries (CQA013), plus planner-grade box-volume and
 //!    pruned-atom cost inputs.
 //!
-//! Programs live in `.cqa` files ([`program`]); the `cqa-lint` binary in
-//! `cqa-bench` drives the analyzer from the command line over a whole file
-//! ([`analyze_source`]), the engine piece by piece ([`AnalyzerState`]: the
+//! Programs live in `.cqa` files ([`program`]). This crate's `cqa-lint`
+//! binary and `cqa-serve --preload` analyse a whole file ([`lint_file`] over
+//! [`analyze_source`]), the engine piece by piece ([`AnalyzerState`]: the
 //! accepted program kept in analysed form, more text analysed against it
 //! and committed or rolled back) — one code path either way. Every finding is
 //! a [`Diagnostic`] with a stable code, a severity, and a byte [`Span`]
@@ -45,6 +45,7 @@ pub mod analyzer;
 pub mod cost;
 pub mod diag;
 pub mod fragment;
+pub mod lint;
 pub mod program;
 pub mod scope;
 pub mod sigma;
@@ -60,6 +61,7 @@ pub use diag::{render_all, Code, Diagnostic, Severity};
 pub use fragment::{
     check_active_domain, check_relations, check_relations_plain, classify, FragmentReport, Schema,
 };
+pub use lint::{lint_file, LintedFile};
 pub use program::{parse_program, Program, QueryStmt, RelStmt, Statement, SumStmt};
 pub use scope::check_scopes;
 pub use sigma::{check_sum, span_of_var, GammaStatus};

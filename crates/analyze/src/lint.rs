@@ -5,7 +5,7 @@
 //! helpers, so a program rejected by one is rejected by the other with the
 //! same rustc-style output.
 
-use cqa_analyze::{analyze_source, Analysis, AnalyzerConfig, GammaStatus, Program};
+use crate::{analyze_source, Analysis, AnalyzerConfig, GammaStatus, Program};
 
 /// A `.cqa` file read from disk and run through the full static-analysis
 /// pipeline (scope, fragment/schema, Σ-discipline, cost/VC estimation).

@@ -396,24 +396,37 @@ mod tests {
         assert_eq!(variable_independent_volume(&g, &vs), None);
     }
 
+    /// The H-polyhedron of a conjunction of linear atoms.
+    fn polytope(src: &str, names: &[&str]) -> HPolyhedron {
+        let (f, vs) = parse(src, names);
+        let Formula::And(parts) = f else {
+            unreachable!()
+        };
+        let atoms: Vec<_> = parts
+            .into_iter()
+            .map(|p| match p {
+                Formula::Atom(a) => a,
+                _ => unreachable!(),
+            })
+            .collect();
+        HPolyhedron::from_atoms(&atoms, &vs).unwrap()
+    }
+
+    /// The standard 4-simplex, volume 1/24.
+    fn simplex4() -> HPolyhedron {
+        polytope(
+            "x0 >= 0 & x1 >= 0 & x2 >= 0 & x3 >= 0 & x0 + x1 + x2 + x3 <= 1",
+            &["x0", "x1", "x2", "x3"],
+        )
+    }
+
     #[test]
     fn rejection_estimates_triangle() {
-        let mut vars = VarMap::new();
-        let f = parse_formula_with("x >= 0 & y >= 0 & x + y <= 1", &mut vars).unwrap();
-        let vs = vec![vars.get("x").unwrap(), vars.get("y").unwrap()];
-        let atoms = match f {
-            Formula::And(parts) => parts
-                .into_iter()
-                .map(|p| match p {
-                    Formula::Atom(a) => a,
-                    _ => unreachable!(),
-                })
-                .collect::<Vec<_>>(),
-            _ => unreachable!(),
-        };
-        let p = HPolyhedron::from_atoms(&atoms, &vs).unwrap();
+        let p = polytope("x >= 0 & y >= 0 & x + y <= 1", &["x", "y"]);
         let v = rejection_volume(&p, &[0.0, 0.0], &[1.0, 1.0], 20_000, 3);
         assert!((v - 0.5).abs() < 0.02, "{v}");
+        let v = rejection_volume(&simplex4(), &[0.0; 4], &[1.0; 4], 10_000, 1);
+        assert!((v - 1.0 / 24.0).abs() < 0.01, "{v}");
     }
 
     #[test]
@@ -421,5 +434,7 @@ mod tests {
         let p = HPolyhedron::unit_box(2);
         let v = hit_and_run_volume(&p, &[0.5, 0.5], 6000, 7);
         assert!(v > 0.6 && v < 1.6, "{v}");
+        let v = hit_and_run_volume(&simplex4(), &[0.125; 4], 10_000, 1);
+        assert!(v > 1.0 / 48.0 && v < 1.0 / 12.0, "{v}");
     }
 }

@@ -10,7 +10,8 @@
 //! formulas are hopeless inputs for quantifier elimination.
 //!
 //! This module instantiates that construction as an explicit cost model so
-//! the blow-up is a number the benches can print, not an anecdote:
+//! the blow-up is a number `report` (E1) and `cqa-lint` (CQA008) can print,
+//! not an anecdote:
 //!
 //! * sample size `M = max((4/ε)log₂(2/δ), (8d/ε)log₂(13/ε))`;
 //! * sample variables `M·m`, all quantified;

@@ -450,15 +450,21 @@ mod tests {
         let y2 = db.vars_mut().intern("y2");
         let phi =
             parse_formula_with("a < y1 & y1 < 1 & 0 <= y2 & y2 <= y1", db.vars_mut()).unwrap();
-        let mut w = Witness::new(23);
-        let est = UniformVolumeEstimator::new(&db, &phi, &[a], &[y1, y2], 0.05, 0.1, 2.0, &mut w)
-            .unwrap();
-        // Uniform accuracy over many parameter values from one sample.
-        for k in 0..10 {
-            let av = Rat::new(k.into(), 10i64.into());
-            let truth = (1.0 - av.to_f64().powi(2)) / 2.0;
-            let got = est.estimate(&[av]).unwrap().to_f64();
-            assert!((got - truth).abs() < 0.05, "a = {k}/10: {got} vs {truth}");
+        for eps in [0.05, 0.2] {
+            let mut w = Witness::new(23);
+            let est =
+                UniformVolumeEstimator::new(&db, &phi, &[a], &[y1, y2], eps, 0.1, 2.0, &mut w)
+                    .unwrap();
+            // Uniform accuracy over many parameter values from one sample.
+            for k in 0..10 {
+                let av = Rat::new(k.into(), 10i64.into());
+                let truth = (1.0 - av.to_f64().powi(2)) / 2.0;
+                let got = est.estimate(&[av]).unwrap().to_f64();
+                assert!(
+                    (got - truth).abs() < eps,
+                    "ε = {eps}, a = {k}/10: {got} vs {truth}"
+                );
+            }
         }
     }
 

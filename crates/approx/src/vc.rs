@@ -203,6 +203,8 @@ mod tests {
         let b = db.vars_mut().intern("b");
         let y = db.vars_mut().intern("y");
         let phi = parse_formula_with("a <= y & y <= b", db.vars_mut()).unwrap();
+        let one = vec![vec![rat(0, 1)]];
+        assert!(shatters(&db, &phi, &[a, b], &[y], &one).unwrap());
         let two = vec![vec![rat(0, 1)], vec![rat(1, 1)]];
         assert!(shatters(&db, &phi, &[a, b], &[y], &two).unwrap());
         let three = vec![vec![rat(0, 1)], vec![rat(1, 1)], vec![rat(2, 1)]];

@@ -1,6 +1,6 @@
-//! Shared workload generators for the experiments and benches.
+//! Seeded workload generators for the experiments.
 
-use cqa_arith::{rat, Rat};
+use cqa_arith::rat;
 use cqa_geom::{convex_hull, Point2};
 use cqa_logic::{parse_formula_with, Formula, VarMap};
 use cqa_poly::Var;
@@ -65,23 +65,8 @@ pub fn random_box_union(k: usize, seed: u64, vars: &mut VarMap) -> (Formula, Vec
     (parse_formula_with(&src, vars).unwrap(), vec![x, y])
 }
 
-/// A random finite unary relation `U ⊆ (0,1)` of size `n` (distinct dyadic
-/// rationals), as in the Section-3 worked example.
-pub fn random_unary_relation(n: usize, seed: u64) -> Vec<Rat> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out: Vec<Rat> = Vec::with_capacity(n);
-    while out.len() < n {
-        let v = rat(rng.random_range(1..1024), 1024);
-        if !out.contains(&v) {
-            out.push(v);
-        }
-    }
-    out.sort();
-    out
-}
-
 /// A random quantified linear formula with `vars` free variables, `q`
-/// quantified ones, and `atoms` random atoms (for the QE benches).
+/// quantified ones, and `atoms` random atoms.
 pub fn random_linear_query(
     free: usize,
     quantified: usize,

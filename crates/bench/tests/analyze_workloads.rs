@@ -1,11 +1,16 @@
-//! The analyzer wired in front of the bench workloads: every generated
+//! The analyzer wired in front of the experiment workloads: every generated
 //! workload formula must lint clean (zero errors) — the acceptance gate
 //! that the analyzer's under-approximations never reject well-formed
-//! queries the benches rely on.
+//! queries the experiments rely on. The workloads are also evaluated (the
+//! shapes the retired timing benches ran are among them), so each call
+//! those benches made still succeeds on their inputs.
 
+use cqa_agg::volume_by_sweep_2d;
 use cqa_analyze::{analyze_formula, AnalyzerConfig, Schema};
+use cqa_approx::baselines::variable_independent_volume;
 use cqa_approx::km::KmBudget;
 use cqa_bench::workloads::{random_box_union, random_linear_query, random_simplex_formula};
+use cqa_geom::volume;
 use cqa_logic::VarMap;
 
 fn permissive() -> AnalyzerConfig {
@@ -31,17 +36,29 @@ fn simplex_workloads_lint_clean() {
                 "dim {dim} seed {seed}: {:?}",
                 a.diagnostics
             );
+            assert!(volume(&f, &vs).unwrap().is_positive());
         }
     }
 }
 
 #[test]
 fn box_union_workloads_lint_clean() {
-    for seed in 0..20 {
-        let mut vars = VarMap::new();
-        let (f, vs) = random_box_union(4, seed, &mut vars);
-        let a = analyze_formula(&f, &vs, &Schema::new(), &vars, &permissive());
-        assert!(!a.has_errors(), "seed {seed}: {:?}", a.diagnostics);
+    for cells in 1..=4 {
+        for seed in 0..20 {
+            let mut vars = VarMap::new();
+            let (f, vs) = random_box_union(cells, seed, &mut vars);
+            let a = analyze_formula(&f, &vs, &Schema::new(), &vars, &permissive());
+            assert!(
+                !a.has_errors(),
+                "{cells} cells, seed {seed}: {:?}",
+                a.diagnostics
+            );
+            // Exact volume three ways: Lasserre, the Theorem-3 sweep and the
+            // variable-independence baseline.
+            let exact = volume(&f, &vs).unwrap();
+            assert_eq!(volume_by_sweep_2d(&f, vs[0], vs[1]).unwrap(), exact);
+            assert_eq!(variable_independent_volume(&f, &vs), Some(exact));
+        }
     }
 }
 
@@ -55,6 +72,14 @@ fn linear_query_workloads_lint_clean_and_classify_linear() {
         assert!(!a.has_errors(), "seed {seed}: {:?}", a.diagnostics);
         assert_eq!(a.reports[0].fragment.fragment_name(), "FO+LIN");
         assert_eq!(a.reports[0].fragment.quantifiers, 2);
+    }
+    // (quantifiers, atoms, seed): both linear eliminations run to a
+    // quantifier-free result.
+    for (quant, atoms, seed) in [(2, 4, 4), (2, 8, 8), (1, 5, 100), (2, 5, 101), (3, 5, 102)] {
+        let mut vars = VarMap::new();
+        let q = random_linear_query(2, quant, atoms, seed, &mut vars);
+        assert!(cqa_qe::fourier_motzkin(&q).unwrap().is_quantifier_free());
+        assert!(cqa_qe::loos_weispfenning(&q).unwrap().is_quantifier_free());
     }
 }
 

@@ -26,11 +26,11 @@
 //! attach with `PERSIST <name>`. `--snapshot-every N` sets the
 //! compaction cadence (default 64 WAL records).
 
-use cqa_analyze::AnalyzerConfig;
-use cqa_bench::lint::lint_file;
+use cqa_analyze::{lint_file, AnalyzerConfig};
 use cqa_engine::{serve, serve_threaded, Engine, EngineConfig};
 use std::net::TcpListener;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,6 +45,28 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Exits 2, naming the flag, what it needs and the value it got.
+fn bad_flag(flag: &str, what: &str, v: &str) -> ! {
+    eprintln!("cqa-serve: {flag} needs {what}, got `{v}`");
+    std::process::exit(2);
+}
+
+/// An integer flag's value: negative, fractional and non-numeric values are
+/// refused, not truncated.
+fn int<T: FromStr>(flag: &str, v: String) -> T {
+    v.parse()
+        .unwrap_or_else(|_| bad_flag(flag, "a non-negative integer", &v))
+}
+
+/// `--eps` / `--delta`: refused at startup unless in (0,1), the range every
+/// `EXEC` and `VOLUME` would otherwise reject them against.
+fn prob(flag: &str, v: String) -> f64 {
+    match v.parse::<f64>() {
+        Ok(p) if p > 0.0 && p < 1.0 => p,
+        _ => bad_flag(flag, "a number in (0,1)", &v),
+    }
+}
+
 fn main() -> ExitCode {
     let mut addr = "127.0.0.1:0".to_string();
     let mut cfg = EngineConfig::default();
@@ -52,57 +74,28 @@ fn main() -> ExitCode {
     let mut threaded = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| -> String {
+        let mut value = || {
             args.next().unwrap_or_else(|| {
-                eprintln!("cqa-serve: {name} needs an argument");
-                std::process::exit(2);
-            })
-        };
-        let parse = |name: &str, v: String| -> f64 {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("cqa-serve: {name} needs a numeric argument, got `{v}`");
+                eprintln!("cqa-serve: {arg} needs an argument");
                 std::process::exit(2);
             })
         };
         match arg.as_str() {
-            "--addr" => addr = value("--addr"),
-            "--workers" => cfg.workers = parse("--workers", value("--workers")) as usize,
-            "--max-sessions" => {
-                cfg.max_sessions = parse("--max-sessions", value("--max-sessions")) as usize
-            }
-            "--cache-bytes" => {
-                cfg.cache_bytes = parse("--cache-bytes", value("--cache-bytes")) as usize
-            }
-            "--shards" => cfg.cache_shards = parse("--shards", value("--shards")) as usize,
-            "--timeout-ms" => {
-                cfg.timeout = Some(Duration::from_millis(parse(
-                    "--timeout-ms",
-                    value("--timeout-ms"),
-                ) as u64))
-            }
-            "--max-steps" => {
-                cfg.max_steps = Some(parse("--max-steps", value("--max-steps")) as u64)
-            }
-            "--eps" => cfg.default_eps = parse("--eps", value("--eps")),
-            "--delta" => cfg.default_delta = parse("--delta", value("--delta")),
-            "--idle-secs" => {
-                cfg.idle_timeout =
-                    Duration::from_secs(parse("--idle-secs", value("--idle-secs")) as u64)
-            }
-            "--write-timeout-ms" => {
-                cfg.write_timeout = Duration::from_millis(parse(
-                    "--write-timeout-ms",
-                    value("--write-timeout-ms"),
-                ) as u64)
-            }
-            "--max-body-bytes" => {
-                cfg.max_body_bytes = parse("--max-body-bytes", value("--max-body-bytes")) as usize
-            }
-            "--preload" => preload_path = Some(value("--preload")),
-            "--data-dir" => cfg.data_dir = Some(value("--data-dir").into()),
-            "--snapshot-every" => {
-                cfg.snapshot_every = parse("--snapshot-every", value("--snapshot-every")) as u64
-            }
+            "--addr" => addr = value(),
+            "--workers" => cfg.workers = int(&arg, value()),
+            "--max-sessions" => cfg.max_sessions = int(&arg, value()),
+            "--cache-bytes" => cfg.cache_bytes = int(&arg, value()),
+            "--shards" => cfg.cache_shards = int(&arg, value()),
+            "--timeout-ms" => cfg.timeout = Some(Duration::from_millis(int(&arg, value()))),
+            "--max-steps" => cfg.max_steps = Some(int(&arg, value())),
+            "--eps" => cfg.default_eps = prob(&arg, value()),
+            "--delta" => cfg.default_delta = prob(&arg, value()),
+            "--idle-secs" => cfg.idle_timeout = Duration::from_secs(int(&arg, value())),
+            "--write-timeout-ms" => cfg.write_timeout = Duration::from_millis(int(&arg, value())),
+            "--max-body-bytes" => cfg.max_body_bytes = int(&arg, value()),
+            "--preload" => preload_path = Some(value()),
+            "--data-dir" => cfg.data_dir = Some(value().into()),
+            "--snapshot-every" => cfg.snapshot_every = int(&arg, value()),
             // Parity oracle: the thread-per-connection front end.
             "--threaded" => threaded = true,
             "--help" | "-h" => usage(),

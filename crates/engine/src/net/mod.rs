@@ -67,7 +67,8 @@ pub fn serve(engine: Arc<Engine>, listener: TcpListener) -> io::Result<()> {
 }
 
 /// Binds an ephemeral localhost port and runs [`serve`] on a background
-/// thread. Used by tests, the CI smoke test, and `cqa-serve --ephemeral`.
+/// thread. Used by in-process tests and `cqa-e2e`; the `cqa-serve` binary
+/// binds its own `--addr` and calls [`serve`].
 pub fn spawn_server(engine: Arc<Engine>) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
     let addr = listener.local_addr()?;

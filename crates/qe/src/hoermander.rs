@@ -532,6 +532,7 @@ mod tests {
     #[test]
     fn univariate_sentences() {
         assert!(decide("exists x. x*x = 2"));
+        assert!(decide("exists x. x*x - 2 = 0"));
         assert!(!decide("exists x. x*x = -1"));
         assert!(decide("forall x. x*x >= 0"));
         assert!(decide("exists x. x*x*x = -8"));
@@ -549,6 +550,8 @@ mod tests {
         assert!(!decide(
             "exists x. x*x*x - 6*x*x + 11*x - 6 = 0 & 3.5 < x & x < 4"
         ));
+        // x³ − 3x + 1 has two positive roots (≈ 0.35 and ≈ 1.53).
+        assert!(decide("exists x. x*x*x - 3*x + 1 = 0 & x > 0"));
     }
 
     #[test]

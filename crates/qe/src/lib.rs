@@ -18,8 +18,8 @@
 //!   [`is_valid`], [`equivalent`], and [`simplify`].
 //!
 //! All algorithms are exact (rational arithmetic); costs are the honest
-//! worst-case costs the paper discusses in Section 3 — the `cqa-bench`
-//! crate quantifies them.
+//! worst-case costs the paper discusses in Section 3 — `report`'s E9 checks
+//! the engines agree, and `cqa-e2e` (`bench/`) measures what they cost.
 
 #![forbid(unsafe_code)]
 

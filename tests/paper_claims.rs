@@ -5,6 +5,7 @@
 //! binary; here we run their fast counterparts plus every exactly-checkable
 //! claim.
 
+use constraint_agg::agg::polygon_area_sum_term;
 use constraint_agg::approx::km::paper_example_cost;
 use constraint_agg::approx::sample::sample_size;
 use constraint_agg::approx::separating::{
@@ -13,7 +14,7 @@ use constraint_agg::approx::separating::{
 use constraint_agg::approx::trivial::trivial_volume_approximation;
 use constraint_agg::approx::vc::{bit_test_database, bit_test_shatters};
 use constraint_agg::core::Database;
-use constraint_agg::geom::{volume, volume_in_unit_box};
+use constraint_agg::geom::{polygon_area, volume, volume_in_unit_box};
 use constraint_agg::logic::{parse_formula_with, VarMap};
 use constraint_agg::poly::Var;
 use constraint_agg::prelude::*;
@@ -137,5 +138,10 @@ fn experiment_tables_fast_subset() {
     for id in ["e2", "e4", "e6", "e7", "e8", "e12"] {
         let table = cqa_bench::run_one(id).expect("known experiment");
         assert!(!table.is_empty(), "{id} produced no output");
+    }
+    // E6's identity also on the larger hulls (8–64 sample points).
+    for n in [8usize, 16, 32, 64] {
+        let poly = cqa_bench::workloads::random_convex_polygon(n, n as u64);
+        assert_eq!(polygon_area_sum_term(&poly), polygon_area(&poly), "{n}");
     }
 }
