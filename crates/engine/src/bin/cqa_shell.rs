@@ -31,6 +31,9 @@ fn print_response(resp: &cqa_engine::Response) {
 
 fn run(addr: &str) -> Result<(), String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
+    // The client half of the server's TCP_NODELAY: nothing we write waits
+    // for the server's delayed ACK.
+    stream.set_nodelay(true).map_err(|e| e.to_string())?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
     let mut writer = BufWriter::new(stream);
     let greeting = read_response(&mut reader)

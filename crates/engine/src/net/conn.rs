@@ -92,16 +92,15 @@ pub(crate) struct Conn {
 }
 
 /// Serializes a response (tag prefixed onto the header line when present)
-/// and appends it to the connection's output buffer. Actual socket writes
-/// happen in [`Conn::flush_io`].
+/// straight onto the end of the connection's output buffer. Actual socket
+/// writes happen in [`Conn::flush_io`].
 pub(crate) fn push_response(conn: &Conn, tag: Option<&str>, resp: &crate::protocol::Response) {
-    let mut bytes = Vec::with_capacity(64);
-    if let Some(t) = tag {
-        let _ = write!(bytes, "@{t} ");
-    }
-    let _ = resp.write_to(&mut bytes);
     let mut io = conn.lock_io();
-    io.out.extend_from_slice(&bytes);
+    // Writes into a `Vec` cannot fail.
+    if let Some(t) = tag {
+        let _ = write!(io.out, "@{t} ");
+    }
+    let _ = resp.write_to(&mut io.out);
 }
 
 impl Conn {

@@ -20,6 +20,10 @@
 //! pass made no progress. `SHUTDOWN` raises a flag; the reactor drains
 //! buffered responses (bounded), closes every socket, drops the worker
 //! channel, and joins every thread — a clean shutdown leaks nothing.
+//!
+//! Both front ends pass every accepted socket through [`set_socket_options`]
+//! before it serves a byte: `TCP_NODELAY` is what lets a pipelined burst
+//! come back as fast as it is executed (DESIGN.md §15, "Socket options").
 
 mod conn;
 mod reactor;
@@ -28,11 +32,20 @@ mod worker;
 
 use crate::engine::Engine;
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
 pub use threaded::serve_threaded;
+
+/// The options every connection the engine accepts gets, whichever front
+/// end accepted it. `TCP_NODELAY`: with Nagle's algorithm on, a reply
+/// written while an earlier reply is still unacknowledged is held until
+/// the client's delayed ACK fires — at least 40 ms on Linux — so without
+/// it every pipelined burst of two or more frames pays that timer once.
+fn set_socket_options(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
+}
 
 /// A handle to a server spawned with [`spawn_server`] or
 /// [`spawn_server_threaded`]: its bound address and the serving thread to

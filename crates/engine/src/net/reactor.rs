@@ -248,7 +248,9 @@ pub(crate) fn run(engine: Arc<Engine>, listener: TcpListener) -> io::Result<()> 
             match listener.accept() {
                 Ok((stream, _)) => {
                     progressed = true;
-                    if stream.set_nonblocking(true).is_err() {
+                    if stream.set_nonblocking(true).is_err()
+                        || super::set_socket_options(&stream).is_err()
+                    {
                         continue;
                     }
                     if conns.len() >= max_sessions {

@@ -77,6 +77,9 @@ pub fn serve_threaded(engine: Arc<Engine>, listener: TcpListener) -> io::Result<
             break;
         }
         let Ok(stream) = stream else { continue };
+        if super::set_socket_options(&stream).is_err() {
+            continue;
+        }
         // Strict admission: claim a worker slot before queueing; if none is
         // free, tell the client now instead of letting it wait in line.
         if active.fetch_add(1, Ordering::Acquire) >= workers {

@@ -3,9 +3,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bounds (µs) of the latency buckets; one overflow bucket follows.
-/// Roughly logarithmic: 100 µs … 3 s.
-pub const LATENCY_BUCKETS_US: [u64; 10] = [
-    100, 300, 1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000,
+/// Roughly logarithmic: 10 µs … 3 s, so a warm `EXEC` (≈ 20 µs) and an
+/// incremental `LOAD` (≈ 14 µs) land in a bucket of their own.
+pub const LATENCY_BUCKETS_US: [u64; 12] = [
+    10, 30, 100, 300, 1_000, 3_000, 10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000,
 ];
 
 /// A fixed-bucket latency histogram (no allocation after construction,
@@ -156,12 +157,16 @@ mod tests {
     #[test]
     fn histogram_buckets_and_mean() {
         let h = Histogram::default();
+        h.record(5);
+        h.record(20);
         h.record(50);
         h.record(150);
         h.record(5_000_000);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.mean_us(), (50 + 150 + 5_000_000) / 3);
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.mean_us(), (5 + 20 + 50 + 150 + 5_000_000) / 5);
         let s = h.render();
+        assert!(s.contains("<=10us:1"), "{s}");
+        assert!(s.contains("<=30us:1"), "{s}");
         assert!(s.contains("<=100us:1"), "{s}");
         assert!(s.contains("<=300us:1"), "{s}");
         assert!(s.contains(">3000000us:1"), "{s}");

@@ -1,13 +1,14 @@
 //! End-to-end tests for the event-driven serving layer: pipelining
 //! order/parity, shard-count bit-identity, idle-session scalability, the
-//! non-blocking busy path, body caps over the wire, and warm-file
-//! shard-independence.
+//! non-blocking busy path, pipelined-burst latency on both front ends,
+//! body caps over the wire, and warm-file shard-independence.
 
 use cqa_engine::{parse_command, read_response, Engine, EngineConfig, Response};
 use proptest::prelude::*;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Query pool shared by the pipelining and sharding tests: exact answers
 /// and (ε, δ)-degraded Monte Carlo ones (the MC path is seeded, so even
@@ -263,6 +264,47 @@ fn unread_busy_rejections_do_not_stall_the_server() {
     }
     next.expect("slot never freed after CLOSE").shutdown();
     handle.join().unwrap();
+}
+
+/// Regression for Nagle's algorithm meeting the client's delayed ACK:
+/// without `TCP_NODELAY` a burst of frames written at once gets its first
+/// reply at once and every later one only after the client ACKs the first
+/// (≥ 40 ms on Linux), on both front ends, whatever the burst size. With it
+/// a burst takes what its frames cost.
+#[test]
+fn pipelined_bursts_do_not_wait_for_a_delayed_ack() {
+    type Spawn = fn(Arc<Engine>) -> std::io::Result<cqa_engine::ServerHandle>;
+    let front_ends: [(&str, Spawn); 2] = [
+        ("reactor", cqa_engine::spawn_server),
+        ("threaded", cqa_engine::spawn_server_threaded),
+    ];
+    for (front_end, spawn) in front_ends {
+        let engine = Arc::new(Engine::new(EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        }));
+        let handle = spawn(engine).unwrap();
+        let mut c = Client::connect(handle.addr());
+        for size in [2, 16] {
+            let burst = "VOLUME 0 <= x & x <= 1/2\n".repeat(size);
+            let mut fastest = Duration::MAX;
+            for _ in 0..5 {
+                let start = Instant::now();
+                c.w.get_mut().write_all(burst.as_bytes()).unwrap();
+                for _ in 0..size {
+                    let resp = c.read();
+                    assert!(resp.header.contains("value=1/2"), "{front_end}: {resp:?}");
+                }
+                fastest = fastest.min(start.elapsed());
+            }
+            assert!(
+                fastest < Duration::from_millis(15),
+                "{front_end}: the fastest of five bursts of {size} frames took {fastest:?}"
+            );
+        }
+        c.shutdown();
+        handle.join().unwrap();
+    }
 }
 
 /// The body cap over the wire: a body one byte over the limit answers a

@@ -48,7 +48,7 @@ run_capped cargo test -q --offline -p cqa-qe --test plan_parity
 echo "== storage durability (kill-and-replay, torn tail, crash-point sweep) =="
 run_capped cargo test -q --offline -p cqa-engine --test storage
 
-echo "== serving layer (pipelining order/parity, shard bit-identity, idle sessions, busy path, body caps) =="
+echo "== serving layer (pipelining order/parity, pipelined bursts on both front ends, shard bit-identity, idle sessions, busy path, body caps) =="
 run_capped cargo test -q --offline -p cqa-engine --test serving
 
 echo "== cqa-e2e smoke (bench/ builds against the crates' API; every reply checked, failed 0) =="
