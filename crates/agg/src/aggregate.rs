@@ -56,7 +56,7 @@ pub fn aggregate_with_budget(
     budget: &EvalBudget,
 ) -> Result<Rat, AggError> {
     let expanded = db.expand(q).map_err(|e| AggError::Db(e.to_string()))?;
-    let qf = cqa_qe::eliminate_with_budget(&expanded, budget)?;
+    let qf = cqa_qe::eliminate(&expanded, budget)?;
     let tuples = enumerate_finite_with_budget(&qf, free, budget)?;
     let slots = SlotMap::from_vars(free);
     let values: Vec<Rat> = tuples

@@ -58,7 +58,7 @@ pub fn group_aggregate_with_budget(
         })
         .collect::<Result<_, _>>()?;
     let expanded = db.expand(q).map_err(|e| AggError::Db(e.to_string()))?;
-    let qf = cqa_qe::eliminate_with_budget(&expanded, budget)?;
+    let qf = cqa_qe::eliminate(&expanded, budget)?;
     let tuples = enumerate_finite_with_budget(&qf, free, budget).map_err(|e| match e {
         SafetyError::Infinite => AggError::Db("grouping over an infinite set".into()),
         e => AggError::from(e),

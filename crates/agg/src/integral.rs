@@ -24,6 +24,7 @@ use crate::lang::AggError;
 use crate::volume::volume_by_sweep_2d;
 use cqa_arith::Rat;
 use cqa_core::decompose_1d;
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::Formula;
 use cqa_poly::{MPoly, RealAlg, UPoly, Var};
 
@@ -112,7 +113,8 @@ fn rational_of(a: &RealAlg) -> Result<Rat, AggError> {
 /// Breakpoint candidates of the sweep: support endpoints, vertical lines,
 /// and pairwise line intersections (same analysis as the volume sweep).
 fn sweep_breakpoints(f: &Formula, x: Var, y: Var) -> Result<Vec<Rat>, AggError> {
-    let proj = cqa_qe::fourier_motzkin(&Formula::exists(vec![y], f.clone()))?;
+    let shadow = Formula::exists(vec![y], f.clone());
+    let proj = cqa_qe::fourier_motzkin(&shadow, &EvalBudget::unlimited())?;
     let support = decompose_1d(&proj, x).ok_or(AggError::NotOneDimensional)?;
     let mut breaks: Vec<Rat> = Vec::new();
     let mut push = |r: Rat| {

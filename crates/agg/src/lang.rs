@@ -105,7 +105,7 @@ pub fn end_points_with_budget(
     budget: &EvalBudget,
 ) -> Result<Vec<RealAlg>, AggError> {
     let expanded = db.expand(phi)?;
-    let qf = cqa_qe::eliminate_with_budget(&expanded, budget)?;
+    let qf = cqa_qe::eliminate(&expanded, budget)?;
     let ivs = decompose_1d(&qf, y).ok_or(AggError::NotOneDimensional)?;
     let mut out: Vec<RealAlg> = Vec::new();
     for iv in ivs {
@@ -184,7 +184,7 @@ impl RangeRestricted {
             for (v, x) in self.tuple_vars.iter().zip(&tuple) {
                 f = f.subst_rat(*v, x);
             }
-            let qf = cqa_qe::eliminate_with_budget(&f, budget)?;
+            let qf = cqa_qe::eliminate(&f, budget)?;
             // The substituted filter is ground and relation-free, so it
             // must evaluate to a definite truth value; a residue is a bug
             // upstream, reported as an error — not silently counted as a
@@ -244,7 +244,7 @@ impl Deterministic {
         for (v, x) in self.in_vars.iter().zip(args) {
             f = f.subst_rat(*v, x);
         }
-        let qf = cqa_qe::eliminate_with_budget(&f, budget)?;
+        let qf = cqa_qe::eliminate(&f, budget)?;
         let ivs = decompose_1d(&qf, self.out_var).ok_or(AggError::NotOneDimensional)?;
         match ivs.len() {
             0 => Ok(None),
@@ -290,7 +290,7 @@ pub fn is_deterministic_with_budget(
         cqa_poly::MPoly::var(x),
         cqa_poly::MPoly::var(xp),
     ));
-    Ok(cqa_qe::is_valid_with_budget(&claim, budget)?)
+    Ok(cqa_qe::is_valid(&claim, budget)?)
 }
 
 /// The summation term `Σ_{ρ(w⃗)} γ`: the sum of the bag `γ(ρ(D))`.

@@ -14,8 +14,8 @@
 //!   the finitely many breakpoints, the summation — is expressible in
 //!   FO+POLY+SUM; this function is its computational content.
 //!
-//! The two methods cross-validate each other in the tests and are compared
-//! in the `semilinear_volume` bench (E2).
+//! The two methods cross-validate each other in the tests and in `report`'s
+//! E2.
 
 use crate::lang::AggError;
 use cqa_approx::sample::Witness;
@@ -62,7 +62,7 @@ pub fn semilinear_volume_formula(db: &Database, relation: &str) -> Result<Formul
         args: args.iter().map(|&v| cqa_poly::MPoly::var(v)).collect(),
     };
     let expanded = db.expand(&q)?;
-    Ok(cqa_qe::eliminate(&expanded)?)
+    Ok(cqa_qe::eliminate(&expanded, &EvalBudget::unlimited())?)
 }
 
 /// Exact volume of a semi-linear relation (Theorem 3).
@@ -80,7 +80,7 @@ pub fn semilinear_volume(db: &Database, relation: &str) -> Result<Rat, AggError>
         args: args.iter().map(|&v| cqa_poly::MPoly::var(v)).collect(),
     };
     let expanded = db.expand(&q)?;
-    let qf = cqa_qe::eliminate(&expanded)?;
+    let qf = cqa_qe::eliminate(&expanded, &EvalBudget::unlimited())?;
     Ok(volume(&qf, &args)?)
 }
 
@@ -92,7 +92,8 @@ pub fn volume_by_sweep_2d(f: &Formula, x: Var, y: Var) -> Result<Rat, AggError> 
         return Err(AggError::Db("sweep needs a quantifier-free formula".into()));
     }
     // Support of g: the projection onto x.
-    let proj = cqa_qe::fourier_motzkin(&Formula::exists(vec![y], f.clone()))?;
+    let shadow = Formula::exists(vec![y], f.clone());
+    let proj = cqa_qe::fourier_motzkin(&shadow, &EvalBudget::unlimited())?;
     let support = decompose_1d(&proj, x).ok_or(AggError::NotOneDimensional)?;
     if support.is_empty() {
         return Ok(Rat::zero());
@@ -255,7 +256,7 @@ pub fn volume_with_fallback(
     }
     let exact = || -> Result<Rat, AggError> {
         let expanded = db.expand(f)?;
-        let qf = cqa_qe::eliminate_with_budget(&expanded, budget)?;
+        let qf = cqa_qe::eliminate(&expanded, budget)?;
         Ok(cqa_geom::volume_with_budget(&qf, vars, budget)?)
     };
     match exact() {

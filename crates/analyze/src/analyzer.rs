@@ -120,8 +120,10 @@ pub struct Totals {
 /// The state owns everything later text can depend on: the variable
 /// numbering, the schema, the relation [`Database`] queries expand
 /// through, the Σ-terms and the running [`Totals`] — plus one [`Arena`]
-/// with its absint and simplifier memos, which only ever speed a later
-/// chunk up (their entries are functions of the interned node alone).
+/// with its simplifier and absint memos, which only ever speed later work
+/// up (their entries are functions of the interned node alone). Callers
+/// that evaluate queries against the program work in the same arena
+/// ([`AnalyzerState::ir_mut`]), so a session holds one of each.
 /// [`AnalyzerState::analyze_chunk`] is the one way in; what it returns is
 /// either committed or, by being dropped, rolled back without a trace.
 /// After any sequence of commits the state equals what one
@@ -183,6 +185,14 @@ impl AnalyzerState {
     /// Totals over the accepted text.
     pub fn totals(&self) -> Totals {
         self.totals
+    }
+
+    /// The formula arena with its simplifier and absint memos, lent to
+    /// whoever evaluates queries against [`AnalyzerState::db`]. Nodes and
+    /// memo entries stay when a chunk is dropped; they are functions of the
+    /// interned node alone, so they are never wrong, only unused.
+    pub fn ir_mut(&mut self) -> (&mut Arena, &mut SimplifyMemo, &mut AbsintMemo) {
+        (&mut self.arena, &mut self.simp, &mut self.memo)
     }
 
     /// Analyses one chunk of `.cqa` source — whole lines, as many

@@ -84,7 +84,7 @@ fn dynamic_pass(
     // diagnostic; other evaluation failures are reported as plain errors.
     let eliminate = |body: cqa_logic::Formula, budget: &EvalBudget| {
         let expanded = db.expand(&body).map_err(|e| (false, e.to_string()))?;
-        cqa_qe::eliminate_with_budget(&expanded, budget)
+        cqa_qe::eliminate(&expanded, budget)
             .map(|_| "eliminates".to_string())
             .map_err(|e| (matches!(e, cqa_qe::QeError::Budget(_)), e.to_string()))
     };

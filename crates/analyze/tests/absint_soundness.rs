@@ -13,6 +13,7 @@
 
 use cqa_analyze::absint::{self, env_interval, AbsintMemo, Interval, Verdict};
 use cqa_arith::{rat, Rat};
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::ir::Arena;
 use cqa_logic::{parse_formula_with, Atom, Formula, Rel, VarMap};
 use cqa_poly::{MPoly, Var};
@@ -82,13 +83,13 @@ proptest! {
         match facts_of(&f).verdict {
             Verdict::Unsat => {
                 prop_assert!(
-                    !cqa_qe::is_satisfiable(&f).expect("oracle"),
+                    !cqa_qe::is_satisfiable(&f, &EvalBudget::unlimited()).expect("oracle"),
                     "absint said Unsat but QE found {:?} satisfiable", f
                 );
             }
             Verdict::Valid => {
                 prop_assert!(
-                    cqa_qe::is_valid(&f).expect("oracle"),
+                    cqa_qe::is_valid(&f, &EvalBudget::unlimited()).expect("oracle"),
                     "absint said Valid but QE found {:?} falsifiable", f
                 );
             }

@@ -29,7 +29,7 @@ fn compile_matrix(
     budget: &EvalBudget,
 ) -> Result<(Formula, CompiledMatrix), ApproxError> {
     let expanded = db.expand(phi).map_err(|_| QeError::HasRelations)?;
-    let matrix = cqa_qe::eliminate_with_budget(&expanded, budget)?;
+    let matrix = cqa_qe::eliminate(&expanded, budget)?;
     let kernel =
         CompiledMatrix::compile(&matrix, slots).map_err(|e| QeError::Residual(e.to_string()))?;
     Ok((matrix, kernel))

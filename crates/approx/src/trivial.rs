@@ -9,6 +9,7 @@
 //! can do: no `VOL_I^ε` with `ε < 1/2` is definable.
 
 use cqa_arith::{rat, Rat};
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::{Atom, Formula, Rel};
 use cqa_poly::{MPoly, Var};
 use cqa_qe::QeError;
@@ -23,12 +24,12 @@ pub fn trivial_volume_approximation(f: &Formula, vars: &[Var]) -> Result<Rat, Qe
     let box_open = open_unit_box(vars);
     // Interior of the set within the open box.
     let inside = strict.clone().and(box_open.clone());
-    if !cqa_qe::is_satisfiable(&inside)? {
+    if !cqa_qe::is_satisfiable(&inside, &EvalBudget::unlimited())? {
         return Ok(Rat::zero());
     }
     // Interior of the complement within the open box.
     let outside = strictify(&cqa_logic::nnf(&f.clone().negate())).and(box_open);
-    if !cqa_qe::is_satisfiable(&outside)? {
+    if !cqa_qe::is_satisfiable(&outside, &EvalBudget::unlimited())? {
         return Ok(Rat::one());
     }
     Ok(rat(1, 2))

@@ -9,6 +9,7 @@
 
 use cqa_arith::Rat;
 use cqa_core::Database;
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::Formula;
 use cqa_poly::Var;
 use cqa_qe::QeError;
@@ -40,7 +41,7 @@ pub fn shatters(
             }
         }
         let witness = Formula::exists(params.to_vec(), body);
-        if !cqa_qe::decide_sentence(&witness)? {
+        if !cqa_qe::decide_sentence(&witness, &EvalBudget::unlimited())? {
             return Ok(false);
         }
     }

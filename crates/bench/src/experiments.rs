@@ -20,6 +20,7 @@ use cqa_approx::vc::{bit_test_database, bit_test_shatters, goldberg_jerrum_c, pr
 use cqa_arith::{rat, Rat};
 use cqa_core::Database;
 use cqa_geom::{polygon_area, volume, volume_in_unit_box, HPolyhedron};
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::{parse_formula_with, VarMap};
 use cqa_poly::Var;
 use std::fmt::Write;
@@ -472,8 +473,8 @@ pub fn e9(out: &mut String) {
     for seed in 0..8u64 {
         let mut vars = VarMap::new();
         let q = workloads::random_linear_query(2, 2, 6, seed, &mut vars);
-        let fm = cqa_qe::fourier_motzkin(&q).unwrap();
-        let lw = cqa_qe::loos_weispfenning(&q).unwrap();
+        let fm = cqa_qe::fourier_motzkin(&q, &EvalBudget::unlimited()).unwrap();
+        let lw = cqa_qe::loos_weispfenning(&q, &EvalBudget::unlimited()).unwrap();
         // Agreement checked semantically on a grid.
         let vars_v: Vec<Var> = fm.free_vars().union(&lw.free_vars()).copied().collect();
         let mut agree = true;
@@ -511,7 +512,7 @@ pub fn e9(out: &mut String) {
     ];
     for (src, expect) in sentences {
         let (f, _) = cqa_logic::parse_formula(src).unwrap();
-        let got = cqa_qe::decide_sentence(&f).unwrap();
+        let got = cqa_qe::decide_sentence(&f, &EvalBudget::unlimited()).unwrap();
         writeln!(out, "    {src:<32} -> {got}").unwrap();
         assert_eq!(got, expect);
     }

@@ -11,6 +11,7 @@ use cqa_approx::baselines::variable_independent_volume;
 use cqa_approx::km::KmBudget;
 use cqa_bench::workloads::{random_box_union, random_linear_query, random_simplex_formula};
 use cqa_geom::volume;
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::VarMap;
 
 fn permissive() -> AnalyzerConfig {
@@ -78,8 +79,13 @@ fn linear_query_workloads_lint_clean_and_classify_linear() {
     for (quant, atoms, seed) in [(2, 4, 4), (2, 8, 8), (1, 5, 100), (2, 5, 101), (3, 5, 102)] {
         let mut vars = VarMap::new();
         let q = random_linear_query(2, quant, atoms, seed, &mut vars);
-        assert!(cqa_qe::fourier_motzkin(&q).unwrap().is_quantifier_free());
-        assert!(cqa_qe::loos_weispfenning(&q).unwrap().is_quantifier_free());
+        let unlimited = &EvalBudget::unlimited();
+        assert!(cqa_qe::fourier_motzkin(&q, unlimited)
+            .unwrap()
+            .is_quantifier_free());
+        assert!(cqa_qe::loos_weispfenning(&q, unlimited)
+            .unwrap()
+            .is_quantifier_free());
     }
 }
 

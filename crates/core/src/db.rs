@@ -364,7 +364,7 @@ impl Database {
         budget: &cqa_logic::budget::EvalBudget,
     ) -> Result<Relation, DbError> {
         let expanded = self.expand(q)?;
-        let qf = cqa_qe::eliminate_with_budget(&expanded, budget)?;
+        let qf = cqa_qe::eliminate(&expanded, budget)?;
         Ok(Relation::FinitelyRepresentable {
             params: free.to_vec(),
             formula: cqa_qe::simplify(&qf),

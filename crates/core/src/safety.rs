@@ -111,7 +111,7 @@ pub fn is_finite_set_with_budget(
             .filter(|&(j, _)| j != i)
             .map(|(_, &w)| w)
             .collect();
-        let proj = cqa_qe::eliminate_with_budget(&Formula::exists(others, f.clone()), budget)?;
+        let proj = cqa_qe::eliminate(&Formula::exists(others, f.clone()), budget)?;
         let ivs = decompose_1d(&proj, v).ok_or(SafetyError::Qe(QeError::HasRelations))?;
         if ivs.iter().any(|iv| !iv.is_point()) {
             return Ok(false);
@@ -148,7 +148,7 @@ pub fn enumerate_finite_with_budget(
     }
     let v = vars[0];
     let rest = &vars[1..];
-    let proj = cqa_qe::eliminate_with_budget(&Formula::exists(rest.to_vec(), f.clone()), budget)?;
+    let proj = cqa_qe::eliminate(&Formula::exists(rest.to_vec(), f.clone()), budget)?;
     let ivs = decompose_1d(&proj, v).ok_or(SafetyError::Qe(QeError::HasRelations))?;
     let mut out = Vec::new();
     for iv in ivs {

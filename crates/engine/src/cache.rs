@@ -32,9 +32,8 @@ use std::sync::{Arc, Mutex};
 /// relation-expanded, simplified formula (see
 /// [`cqa_logic::ir::Arena::canonical_hash_for_params`]) plus the output
 /// dimension. The hash is invariant under session variable interning,
-/// α-renaming of bound variables, And/Or child order and atom scaling —
-/// exactly the invariances the old rendered string key had, without the
-/// per-request string render.
+/// α-renaming of bound variables, And/Or child order and atom scaling, and
+/// computed without rendering a string.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Canonical 128-bit structural hash, positional over the name-sorted

@@ -12,11 +12,11 @@ use cqa_core::Database;
 use cqa_geom::VolumeError;
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::{
-    parse_formula_with, Arena, ArenaStats, Batch, BatchScratch, CompiledMatrix, ConstraintClass,
-    Formula, LaneStats, SlotMap, VarMap, BATCH_LANES,
+    parse_formula_with, ArenaStats, Batch, BatchScratch, CompiledMatrix, ConstraintClass, Formula,
+    LaneStats, SlotMap, VarMap, BATCH_LANES,
 };
 use cqa_poly::Var;
-use cqa_qe::{QeError, SimplifyMemo};
+use cqa_qe::QeError;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -121,24 +121,18 @@ pub struct Prepared {
 pub struct Session {
     /// Everything accepted `LOAD`s have brought, in analysed form: a
     /// `LOAD` or `PREPARE` is analysed against it, not together with the
-    /// text behind it.
+    /// text behind it. Its formula arena and memos are the session's only
+    /// ones: the analysis gate interns there, and so does every `EXEC` and
+    /// `VOLUME` — the expanded request formula and its QE output — so
+    /// repeated requests share structure and each memoized rewrite runs
+    /// once per distinct node.
     program: AnalyzerState,
     /// Prepared queries by name.
     prepared: HashMap<String, Prepared>,
-    /// The session's hash-consed formula arena: every relation-expanded
-    /// request formula and every QE output is interned here, so repeated
-    /// requests share structure and the memoized simplifier below does
-    /// each rewrite once per distinct node.
-    arena: Arena,
-    /// `FormulaId`-keyed memo table for [`cqa_qe::simplify_id`].
-    simp: SimplifyMemo,
     /// Bumped on every successful `LOAD` (the only operation that changes
     /// the database); prepared-query memos are valid only for the
     /// generation they were computed under.
     db_gen: u64,
-    /// `FormulaId`-keyed memo table for the interval abstract
-    /// interpretation (verdicts and bounds certificates per node).
-    absint: cqa_analyze::AbsintMemo,
     /// Arena counters as of the last flush into the engine-wide `STATS`
     /// aggregates (sessions report monotone deltas after each command).
     reported: ArenaStats,
@@ -303,10 +297,11 @@ impl Engine {
     }
 
     /// Adds the session arena's counter growth since the last flush to the
-    /// engine-wide IR aggregates. Arena counters are monotone, so the
+    /// engine-wide IR aggregates — what the analysis gate interned as well
+    /// as what the answer path did. Arena counters are monotone, so the
     /// deltas are non-negative and the aggregates never double-count.
     fn flush_arena_stats(&self, session: &mut Session) {
-        let now = session.arena.stats();
+        let now = session.program.ir_mut().0.stats();
         let last = session.reported;
         self.stats
             .ir_nodes
@@ -671,13 +666,14 @@ impl Engine {
         // requests of this session, and the warm path never renders a
         // string — the cache key is the 128-bit canonical hash read off
         // the interned node.
-        let fid = session.arena.intern(&expanded);
-        let sid = cqa_qe::simplify_id(&mut session.arena, fid, &mut session.simp);
+        let (arena, simp, absint) = session.program.ir_mut();
+        let fid = arena.intern(&expanded);
+        let sid = cqa_qe::simplify_id(arena, fid, simp);
         // Positional over the name-sorted params: two sessions that
         // interned the same query's variables in different orders still
         // share one cache slot.
         let key = CacheKey {
-            hash: session.arena.canonical_hash_for_params(sid, vars),
+            hash: arena.canonical_hash_for_params(sid, vars),
             dim: vars.len() as u32,
         };
         if let Some(slot) = memo_key {
@@ -690,7 +686,7 @@ impl Engine {
                 // statically decided query needs no elimination at all,
                 // and its certified bounding box (if any) rides along in
                 // the cache entry to prefilter Monte Carlo lanes.
-                let facts = cqa_analyze::analyze_id(&session.arena, sid, &mut session.absint);
+                let facts = cqa_analyze::analyze_id(arena, sid, absint);
                 // Answer-path gate: substituting ⊥/⊤ for the QE output is
                 // only taken where eliminating the query would land on
                 // the same answer path — non-polynomial queries (FM keeps
@@ -702,9 +698,9 @@ impl Engine {
                 // class during elimination, so it keeps paying QE. This
                 // keeps every answer equal to what eliminate-then-
                 // integrate gives (`reference_answer` in the tests below).
-                let sid_class = session.arena.meta(sid).class;
-                let skip_safe = sid_class != ConstraintClass::Polynomial
-                    || session.arena.meta(sid).quantifier_free;
+                let sid_class = arena.meta(sid).class;
+                let skip_safe =
+                    sid_class != ConstraintClass::Polynomial || arena.meta(sid).quantifier_free;
                 let static_qf = match facts.verdict {
                     cqa_analyze::Verdict::Unsat if skip_safe => {
                         self.stats
@@ -732,21 +728,16 @@ impl Engine {
                         // Certified pruning survivors refine the FM clause
                         // budget; the prune itself is memoized per node, so
                         // this is cheap on repeats.
-                        let pid = cqa_analyze::prune_id(
-                            &mut session.arena,
-                            sid,
-                            &mut session.absint,
-                            &mut session.simp,
-                        );
-                        let meta = session.arena.meta(sid);
+                        let pid = cqa_analyze::prune_id(arena, sid, absint, simp);
+                        let meta = arena.meta(sid);
                         let inputs = cqa_qe::plan::PlanInputs {
                             atoms: meta.atom_count(),
                             quantifiers: meta.quantifiers,
-                            pruned_atoms: Some(session.arena.meta(pid).atom_count()),
+                            pruned_atoms: Some(arena.meta(pid).atom_count()),
                             box_volume: Some(cqa_analyze::absint::box_volume(&facts.env, vars)),
                             vc_bound: None,
                         };
-                        let simplified = session.arena.extern_formula(sid);
+                        let simplified = arena.extern_formula(sid);
                         let qeplan = cqa_qe::plan::plan(&simplified, &inputs);
                         match qeplan.method {
                             cqa_qe::plan::Method::FourierMotzkin => &self.stats.plan_fm,
@@ -758,18 +749,17 @@ impl Engine {
                             &simplified,
                             &qeplan,
                             &budget,
-                            &mut session.arena,
+                            arena,
                             &CacheSubplans { cache: &self.cache },
                         )
                     }
                 };
                 match eliminated {
                     Ok(qf) => {
-                        let qf_id = session.arena.intern(&qf);
-                        let qf_id =
-                            cqa_qe::simplify_id(&mut session.arena, qf_id, &mut session.simp);
+                        let qf_id = arena.intern(&qf);
+                        let qf_id = cqa_qe::simplify_id(arena, qf_id, simp);
                         let kernel = match CompiledMatrix::compile_arena(
-                            &session.arena,
+                            arena,
                             qf_id,
                             &SlotMap::from_vars(vars),
                         ) {
@@ -781,14 +771,14 @@ impl Engine {
                                 )
                             }
                         };
-                        let qf = session.arena.extern_formula(qf_id);
+                        let qf = arena.extern_formula(qf_id);
                         // A static ⊥/⊤ substitution keeps the original
                         // query's class so the exact-vs-MC decision below
                         // is the one eliminating the query would reach.
                         let class = if static_skip {
                             sid_class
                         } else {
-                            session.arena.meta(qf_id).class
+                            arena.meta(qf_id).class
                         };
                         let fragment = match class {
                             ConstraintClass::Polynomial => "FO+POLY",
@@ -835,7 +825,7 @@ impl Engine {
             // integrate or sample, so decide membership point by point
             // (each ground instance is vastly cheaper than parametric QE).
             None => {
-                let simplified = session.arena.extern_formula(sid);
+                let simplified = arena.extern_formula(sid);
                 let answer = self.mc_pointwise(&simplified, vars, eps, delta, &budget);
                 self.render_answer(answer, verb, name, cache_tag, &budget)
             }
@@ -1046,7 +1036,7 @@ impl Engine {
             for (v, c) in vars.iter().zip(&point) {
                 ground = ground.subst_rat(*v, c);
             }
-            match cqa_qe::decide_sentence_with_budget(&ground, budget) {
+            match cqa_qe::decide_sentence(&ground, budget) {
                 Ok(true) => hits += 1,
                 Ok(false) => {}
                 Err(QeError::Budget(b)) => {
@@ -1488,7 +1478,7 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
         let mut vars: Vec<Var> = f.free_vars().into_iter().collect();
         vars.sort_by_key(|v| db.vars().name(*v));
         let expanded = db.expand(&f).unwrap();
-        let qf = cqa_qe::eliminate_with_budget(&expanded, &EvalBudget::unlimited()).unwrap();
+        let qf = cqa_qe::eliminate(&expanded, &EvalBudget::unlimited()).unwrap();
         if qf.class() != ConstraintClass::Polynomial {
             let v = cqa_geom::volume_in_unit_box(&qf, &vars).unwrap();
             return format!("status=exact value={v}");
@@ -1698,5 +1688,23 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
         // was flushed into the engine-wide aggregates.
         assert!(EngineStats::get(&e.stats.ir_nodes) > 0);
         assert!(EngineStats::get(&e.stats.ir_intern_calls) >= EngineStats::get(&e.stats.ir_nodes));
+    }
+
+    #[test]
+    fn stats_ir_counters_see_the_analysis_gate() {
+        // The gate interns into the session's one arena, so a session that
+        // only LOADs and PREPAREs already reports IR nodes.
+        let e = engine();
+        let mut s = e.open_session();
+        let nodes = || EngineStats::get(&e.stats.ir_nodes);
+        let program = Some(PROGRAM.to_string());
+        assert!(e.dispatch(&mut s, Command::Load { program }).is_ok());
+        let after_load = nodes();
+        assert!(after_load > 0);
+        let (name, query) = ("q".to_string(), "S(x) & x <= 1".to_string());
+        assert!(e.dispatch(&mut s, Command::Prepare { name, query }).is_ok());
+        assert!(nodes() > after_load, "{after_load} → {}", nodes());
+        let stats = e.render_stats().body.join("\n");
+        assert!(stats.contains(&format!("ir nodes={} ", nodes())), "{stats}");
     }
 }

@@ -1,6 +1,6 @@
 //! The thread-per-connection front end: the pre-reactor serving model,
-//! kept as the parity oracle and the benchmark baseline (experiment E21
-//! measures the reactor's throughput against it at equal worker count).
+//! kept as the reactor's parity oracle (`cqa-serve --threaded`) until a
+//! measurement settles which of the two front ends stays.
 //!
 //! One listener thread accepts connections and hands them to
 //! `cfg.workers` worker threads over an `mpsc` channel; a session costs a

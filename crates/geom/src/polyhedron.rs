@@ -2,6 +2,7 @@
 
 use crate::linalg::{solve, Mat};
 use cqa_arith::Rat;
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::{Atom, Formula, Rel};
 use cqa_poly::Var;
 
@@ -173,11 +174,13 @@ impl HPolyhedron {
     /// for a coordinate unbounded in that direction. Returns `None`
     /// overall if the polyhedron is empty.
     ///
-    /// Computed by Fourier–Motzkin projection onto each axis.
+    /// Computed by Fourier–Motzkin projection onto each axis, under no
+    /// budget — also when a budgeted exact volume calls it (DESIGN.md §7).
     pub fn coordinate_bounds(&self, vars: &[Var]) -> Option<Vec<(Option<Rat>, Option<Rat>)>> {
         assert_eq!(vars.len(), self.dim);
         let f = self.to_formula(vars);
-        if !cqa_qe::is_satisfiable(&f).ok()? {
+        let unlimited = EvalBudget::unlimited();
+        if !cqa_qe::is_satisfiable(&f, &unlimited).ok()? {
             return None;
         }
         let mut out = Vec::with_capacity(self.dim);
@@ -188,7 +191,8 @@ impl HPolyhedron {
                 .filter(|&(j, _)| j != i)
                 .map(|(_, &w)| w)
                 .collect();
-            let proj = cqa_qe::fourier_motzkin(&Formula::exists(others, f.clone())).ok()?;
+            let proj =
+                cqa_qe::fourier_motzkin(&Formula::exists(others, f.clone()), &unlimited).ok()?;
             out.push(interval_of_1d(&proj, v));
         }
         Some(out)

@@ -220,7 +220,7 @@ fn convex_volume(p: &HPolyhedron, vars: &[Var], budget: &EvalBudget) -> Result<R
         }
         open = open.and(Formula::Atom(Atom::new(poly, Rel::Lt)));
     }
-    match cqa_qe::is_satisfiable_with_budget(&open, budget) {
+    match cqa_qe::is_satisfiable(&open, budget) {
         Ok(false) => return Ok(Rat::zero()),
         Ok(true) => {}
         Err(cqa_qe::QeError::Budget(b)) => return Err(VolumeError::Budget(b)),

@@ -96,7 +96,7 @@ impl Default for EvalBudget {
 }
 
 impl EvalBudget {
-    /// A budget that never trips (the default for all legacy entry points).
+    /// A budget that never trips: what a caller with no limit passes.
     pub fn unlimited() -> EvalBudget {
         EvalBudget {
             deadline: None,

@@ -17,11 +17,12 @@
 //!   (simplifier, analyzer, compiler) instead of re-walking the tree.
 //! * **128-bit structural hash** — a deterministic FNV-1a-128 digest of the
 //!   node's exact structure, cheap to combine bottom-up.
-//! * **Canonical hash** — [`Arena::canonical_hash_for_params`] mirrors the
-//!   invariances of [`Formula::canonical_key_for_params`] (commutativity,
-//!   bound-variable de-Bruijn numbering, positive atom scaling, positional
-//!   parameters) without rendering a string, so the engine's warm EXEC path
-//!   computes a cache key with zero allocation.
+//! * **Canonical hash** — [`Arena::canonical_hash_for_params`] is the one
+//!   cache key: invariant under commutativity of `∧`/`∨`, bound-variable
+//!   renaming (de-Bruijn numbering), positive atom scaling and the order
+//!   sessions interned their parameters in (positional parameters), and
+//!   computed without rendering a string, so the engine's warm EXEC path
+//!   keys a request with zero allocation.
 //!
 //! The bridge to the boxed world is lossless: `extern_formula(intern(f))`
 //! reconstructs `f` exactly (no normalization happens on intern), and
@@ -475,16 +476,20 @@ impl Arena {
         }
     }
 
-    /// A key for memoizing per-formula artifacts, mirroring the invariances
-    /// of [`Formula::canonical_key_for_params`] — commutativity of `∧`/`∨`
-    /// (child digests are sorted), de-Bruijn numbering of bound variables,
-    /// positive scaling of atoms, positional parameters — as a 128-bit
-    /// digest instead of a rendered string. No allocation proportional to
-    /// formula size; the walk is O(dag) per call.
+    /// A key for memoizing per-formula artifacts, invariant under
+    /// commutativity of `∧`/`∨` (child digests are sorted), de-Bruijn
+    /// numbering of bound variables (the innermost binder wins under
+    /// shadowing), positive scaling of atoms (divided by the coefficient of
+    /// the canonically largest monomial, the relation flipped when it is
+    /// negative) and parameter order: variables in `params` are numbered by
+    /// position, every other free variable keeps its index, because free
+    /// variables are the query's identity. A 128-bit digest instead of a
+    /// rendered string; no allocation proportional to formula size, the
+    /// walk is O(dag) per call.
     ///
     /// Equal digests imply logically equivalent formulas up to the
-    /// negligible 2⁻¹²⁸ collision probability of the digest; the *string*
-    /// key and this digest are separate key namespaces (see DESIGN.md §9).
+    /// negligible 2⁻¹²⁸ collision probability of the digest (DESIGN.md §9).
+    /// Deliberately incomplete: `x < 1 ∧ x < 2` and `x < 1` key differently.
     pub fn canonical_hash_for_params(&self, id: FormulaId, params: &[Var]) -> u128 {
         self.canon_hash(id, &mut Vec::new(), params)
     }
@@ -509,9 +514,9 @@ impl Arena {
             Node::True => h.write_u8(TAG_TRUE),
             Node::False => h.write_u8(TAG_FALSE),
             Node::Atom { poly, rel } => {
-                // Scale-normalize exactly like the string key: divide by the
-                // coefficient of the canonically largest monomial, flipping
-                // the relation when it is negative. The terms are sorted
+                // Scale-normalize: divide by the coefficient of the
+                // canonically largest monomial, flipping the relation when
+                // it is negative. The terms are sorted
                 // ascending, so the lead is the last coefficient.
                 let ts = self.canon_terms(*poly, bound, params);
                 let lead = ts.last().map(|(_, c)| *c);
@@ -943,52 +948,50 @@ mod tests {
     }
 
     #[test]
-    fn canonical_hash_mirrors_string_key_invariances() {
+    fn canonical_hash_invariances() {
         let mut arena = Arena::new();
         let mut vars = VarMap::new();
-        let hash = |src: &str, arena: &mut Arena, vars: &mut VarMap| {
-            let f = parse_formula_with(src, vars).unwrap();
-            let id = arena.intern(&f);
+        let mut hash = |src: &str| {
+            let id = arena.intern(&parse_formula_with(src, &mut vars).unwrap());
             arena.canonical_hash_for_params(id, &[])
         };
-        // Commutativity.
-        assert_eq!(
-            hash("x < 1 & y < 2", &mut arena, &mut vars),
-            hash("y < 2 & x < 1", &mut arena, &mut vars)
-        );
-        assert_ne!(
-            hash("x < 1 & y < 2", &mut arena, &mut vars),
-            hash("x < 1 | y < 2", &mut arena, &mut vars)
-        );
-        // Scaling.
-        assert_eq!(
-            hash("2*x < 2", &mut arena, &mut vars),
-            hash("x < 1", &mut arena, &mut vars)
-        );
-        assert_eq!(
-            hash("-x > -1", &mut arena, &mut vars),
-            hash("x < 1", &mut arena, &mut vars)
-        );
-        assert_ne!(
-            hash("x < 1", &mut arena, &mut vars),
-            hash("x < 2", &mut arena, &mut vars)
-        );
-        // Alpha-renaming of bound variables.
-        assert_eq!(
-            hash("exists y. x < y", &mut arena, &mut vars),
-            hash("exists z. x < z", &mut arena, &mut vars)
-        );
-        // Bound and free occurrences must not collide.
-        assert_ne!(
-            hash("exists x. x < 1", &mut arena, &mut vars),
-            hash("x < 1", &mut arena, &mut vars)
-        );
+        let same = [
+            // Commutativity.
+            ("x < 1 & y < 2", "y < 2 & x < 1"),
+            // Positive scaling.
+            ("2*x < 2", "x < 1"),
+            ("-x > -1", "x < 1"),
+            // α-renaming of bound variables, one binder or several.
+            ("exists y. x < y", "exists z. x < z"),
+            ("exists y. exists z. y < z", "exists u. exists v. u < v"),
+            ("exists y, z. y < z + x", "exists u, v. u < v + x"),
+            // Shadowing: the innermost binder wins on both sides.
+            ("exists y. exists y. y > 0", "exists a. exists b. b > 0"),
+        ];
+        for (a, b) in same {
+            assert_eq!(hash(a), hash(b), "{a} vs {b}");
+        }
+        let apart = [
+            ("x < 1 & y < 2", "x < 1 | y < 2"),
+            ("x < 1", "x < 2"),
+            // Bound and free occurrences must not collide.
+            ("exists x. x < 1", "x < 1"),
+            // Free variables are the query's identity.
+            ("x < 0 & x < 1", "x < 0 & y < 1"),
+            // The constants key apart from each other and from atoms.
+            ("true", "false"),
+            ("true", "x < 1"),
+            ("false", "x < 1"),
+        ];
+        for (a, b) in apart {
+            assert_ne!(hash(a), hash(b), "{a} vs {b}");
+        }
     }
 
     #[test]
     fn canonical_hash_is_session_independent_under_params() {
-        // Mirror canon.rs's param_positions test: two sessions intern x/y
-        // in opposite orders; name-sorted params make the digests agree.
+        // Two sessions intern x/y in opposite orders; name-sorted params
+        // make the digests agree.
         let mut a = VarMap::new();
         let fa = parse_formula_with("y <= x*x", &mut a).unwrap();
         let mut b = VarMap::new();

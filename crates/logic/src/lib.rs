@@ -26,7 +26,6 @@
 
 mod ast;
 pub mod budget;
-mod canon;
 mod compile;
 pub mod ir;
 mod norm;

@@ -4,8 +4,9 @@
 //! solved for the variable into lower/upper bounds (and equalities /
 //! disequalities), equalities are substituted, disequalities split, and the
 //! surviving bounds cross-combined. Exponential in general — this is the
-//! honest cost the paper's Section 3 discussion alludes to, and what the
-//! `qe_linear` bench measures — but exact and straightforward to audit.
+//! honest cost the paper's Section 3 discussion alludes to, and what
+//! `qe.eliminate_lin.us_per_op` in `cqa-e2e` measures — but exact and
+//! straightforward to audit.
 
 use crate::simplify::{rels_contradict, simplify};
 use crate::QeError;
@@ -20,31 +21,13 @@ use std::collections::HashSet;
 /// Fourier–Motzkin. Returns an equivalent quantifier-free formula.
 ///
 /// Errors with [`QeError::NonLinear`] if some atom is not affine in an
-/// eliminated variable.
-pub fn fourier_motzkin(f: &Formula) -> Result<Formula, QeError> {
-    fourier_motzkin_with_budget(f, &EvalBudget::unlimited())
-}
-
-/// [`fourier_motzkin`] under a cooperative [`EvalBudget`]: checks the budget
-/// per eliminated clause and per bound combination, and gates each
-/// elimination round on the intermediate formula's atom count. Aborts with
-/// [`QeError::Budget`] when exhausted; otherwise the result is bit-identical
-/// to the unbudgeted run.
-pub fn fourier_motzkin_with_budget(f: &Formula, budget: &EvalBudget) -> Result<Formula, QeError> {
-    fourier_motzkin_with_arena(f, budget, &mut Arena::new())
-}
-
-/// [`fourier_motzkin_with_budget`] against a caller-supplied interning
-/// [`Arena`]. Every DNF clause and every eliminated disjunct is hash-consed
-/// through the arena, so the duplicate subformulas the clause cross-product
-/// produces are detected by id and eliminated **once**; the caller can read
-/// [`Arena::stats`] afterwards to see the dedup ratio (experiment E16 does).
-pub fn fourier_motzkin_with_arena(
-    f: &Formula,
-    budget: &EvalBudget,
-    arena: &mut Arena,
-) -> Result<Formula, QeError> {
+/// eliminated variable. Checks the cooperative [`EvalBudget`] per
+/// eliminated clause and per bound combination, and gates each elimination
+/// round on the intermediate formula's atom count; aborts with
+/// [`QeError::Budget`] when it is exhausted.
+pub fn fourier_motzkin(f: &Formula, budget: &EvalBudget) -> Result<Formula, QeError> {
     crate::check_input(f)?;
+    let arena = &mut Arena::new();
     let (blocks, mut matrix) = prenex(f);
     for block in blocks.into_iter().rev() {
         for &v in block.vars.iter().rev() {
@@ -87,14 +70,17 @@ pub fn fm_eliminate_exists(
     let clauses = dnf(&simplify(f));
     // The DNF cross-product repeats literals within a clause and whole
     // clauses across the expansion; intern everything and dedup by id —
-    // integer comparisons instead of O(size) structural equality.
+    // integer comparisons instead of O(size) structural equality. Literals
+    // are ordered by structural hash, not by id: ids number nodes in the
+    // order the arena first saw them, and the output must not depend on
+    // what else the caller's arena holds.
     let mut seen_clauses: HashSet<Vec<FormulaId>> = HashSet::new();
     let mut seen_out: HashSet<FormulaId> = HashSet::new();
     let mut out = Formula::False;
     for clause in clauses {
         budget.check()?;
         let mut ids: Vec<FormulaId> = clause.iter().map(|l| arena.intern(l)).collect();
-        ids.sort_unstable();
+        ids.sort_unstable_by_key(|&l| (arena.structural_hash(l), l));
         ids.dedup();
         if !seen_clauses.insert(ids.clone()) {
             continue;
@@ -379,7 +365,7 @@ mod tests {
         let mut vars = cqa_logic::VarMap::new();
         let q = cqa_logic::parse_formula_with(query, &mut vars).unwrap();
         let e = cqa_logic::parse_formula_with(expected, &mut vars).unwrap();
-        let g = fourier_motzkin(&q).unwrap();
+        let g = fourier_motzkin(&q, &EvalBudget::unlimited()).unwrap();
         agree(&g, &e);
     }
 
@@ -456,11 +442,15 @@ mod tests {
     #[test]
     fn alternating_quantifiers() {
         assert_eq!(
-            fourier_motzkin(&f("forall x. exists y. y = x + 1 & y > x")).unwrap(),
+            fourier_motzkin(
+                &f("forall x. exists y. y = x + 1 & y > x"),
+                &EvalBudget::unlimited()
+            )
+            .unwrap(),
             Formula::True
         );
         assert_eq!(
-            fourier_motzkin(&f("exists y. forall x. y > x")).unwrap(),
+            fourier_motzkin(&f("exists y. forall x. y > x"), &EvalBudget::unlimited()).unwrap(),
             Formula::False
         );
     }
@@ -480,7 +470,7 @@ mod tests {
     #[test]
     fn rejects_nonlinear() {
         assert!(matches!(
-            fourier_motzkin(&f("exists y. y*y < x")),
+            fourier_motzkin(&f("exists y. y*y < x"), &EvalBudget::unlimited()),
             Err(QeError::NonLinear(_))
         ));
     }

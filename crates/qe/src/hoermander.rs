@@ -27,7 +27,8 @@
 //!
 //! Complexity is non-elementary in the worst case; the paper (Section 3)
 //! leans on exactly this cost when arguing that QE-based approximate volume
-//! operators are impractical, and the `qe_poly` bench measures it.
+//! operators are impractical, and `qe.hoermander.us_per_op` in `cqa-e2e`
+//! measures it.
 
 use crate::simplify::simplify;
 use crate::QeError;
@@ -485,16 +486,11 @@ pub(crate) fn eliminate_exists_ch(
 
 /// Eliminates all quantifiers from an FO+POLY formula via Cohen–Hörmander,
 /// returning an equivalent quantifier-free formula over the free variables.
-pub fn hoermander(f: &Formula) -> Result<Formula, QeError> {
-    hoermander_with_budget(f, &EvalBudget::unlimited())
-}
-
-/// [`hoermander`] under a cooperative [`EvalBudget`]: the budget is checked
-/// at every `casesplit` node (the doubly-exponential blow-up point) and each
-/// elimination round is gated on the intermediate formula's atom count.
-/// Aborts with [`QeError::Budget`] when exhausted; otherwise the result is
-/// bit-identical to the unbudgeted run.
-pub fn hoermander_with_budget(f: &Formula, budget: &EvalBudget) -> Result<Formula, QeError> {
+/// The cooperative [`EvalBudget`] is checked at every `casesplit` node (the
+/// doubly-exponential blow-up point) and each elimination round is gated on
+/// the intermediate formula's atom count; aborts with [`QeError::Budget`]
+/// when it is exhausted.
+pub fn hoermander(f: &Formula, budget: &EvalBudget) -> Result<Formula, QeError> {
     crate::check_input(f)?;
     let (blocks, mut matrix) = prenex(f);
     for block in blocks.into_iter().rev() {
@@ -522,7 +518,7 @@ mod tests {
     }
 
     fn decide(src: &str) -> bool {
-        match hoermander(&f(src)).unwrap() {
+        match hoermander(&f(src), &EvalBudget::unlimited()).unwrap() {
             Formula::True => true,
             Formula::False => false,
             other => panic!("not ground: {other:?}"),
@@ -566,7 +562,7 @@ mod tests {
     #[test]
     fn discriminant_emerges() {
         // ∃x. x² + b·x + 1 = 0 over parameter b ⇔ b² - 4 ≥ 0.
-        let g = hoermander(&f("exists x. x*x + b*x + 1 = 0")).unwrap();
+        let g = hoermander(&f("exists x. x*x + b*x + 1 = 0"), &EvalBudget::unlimited()).unwrap();
         assert!(!g.free_vars().is_empty());
         for (bval, expect) in [
             (-3i64, true),
@@ -584,7 +580,7 @@ mod tests {
     #[test]
     fn parametric_linear_inside_poly_engine() {
         // ∃x. a·x = 1 ⇔ a ≠ 0.
-        let g = hoermander(&f("exists x. a*x = 1")).unwrap();
+        let g = hoermander(&f("exists x. a*x = 1"), &EvalBudget::unlimited()).unwrap();
         for (a, expect) in [(0i64, false), (2, true), (-3, true)] {
             assert_eq!(g.eval(&|_| Rat::from(a), &[]), Some(expect), "a = {a}");
         }
@@ -618,8 +614,9 @@ mod tests {
         let absurdity = Formula::Atom(cqa_logic::Atom::new(zero, cqa_logic::Rel::Lt));
         let t = Formula::exists(vec![x], tautology.and(body.clone()));
         let f_ = Formula::exists(vec![x], absurdity.and(body));
-        assert_eq!(hoermander(&t).unwrap(), Formula::True);
-        assert_eq!(hoermander(&f_).unwrap(), Formula::False);
+        let unlimited = &EvalBudget::unlimited();
+        assert_eq!(hoermander(&t, unlimited).unwrap(), Formula::True);
+        assert_eq!(hoermander(&f_, unlimited).unwrap(), Formula::False);
     }
 
     #[test]

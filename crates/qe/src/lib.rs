@@ -29,15 +29,9 @@ mod lw;
 pub mod plan;
 mod simplify;
 
-pub use fm::{
-    clause_obviously_empty, fm_eliminate_exists, fourier_motzkin, fourier_motzkin_with_arena,
-    fourier_motzkin_with_budget, sample_between,
-};
-pub use hoermander::{hoermander, hoermander_with_budget};
-pub use lw::{
-    eliminate_exists_lw, loos_weispfenning, loos_weispfenning_with_arena,
-    loos_weispfenning_with_budget,
-};
+pub use fm::{clause_obviously_empty, fm_eliminate_exists, fourier_motzkin, sample_between};
+pub use hoermander::hoermander;
+pub use lw::{eliminate_exists_lw, loos_weispfenning};
 pub use simplify::{simplify, simplify_id, SimplifyMemo};
 
 use cqa_logic::budget::{BudgetExceeded, EvalBudget};
@@ -110,36 +104,24 @@ fn check_input(f: &Formula) -> Result<(), QeError> {
 /// Eliminates all quantifiers, choosing the method by constraint class:
 /// Loos–Weispfenning for dense-order and linear formulas, Cohen–Hörmander
 /// for polynomial ones. Returns an equivalent quantifier-free formula.
-pub fn eliminate(f: &Formula) -> Result<Formula, QeError> {
-    eliminate_with_budget(f, &EvalBudget::unlimited())
-}
-
-/// [`eliminate`] under a cooperative [`EvalBudget`]: the chosen method
-/// checks the budget in its hot loops and aborts with [`QeError::Budget`]
-/// when it is exhausted. When the budget is not hit, the result is
-/// bit-identical to [`eliminate`].
-pub fn eliminate_with_budget(f: &Formula, budget: &EvalBudget) -> Result<Formula, QeError> {
-    check_input(f)?;
+///
+/// The chosen method checks the cooperative [`EvalBudget`] in its hot loops
+/// and aborts with [`QeError::Budget`] when it is exhausted; when the budget
+/// is not hit, the result is the one [`EvalBudget::unlimited`] gives.
+pub fn eliminate(f: &Formula, budget: &EvalBudget) -> Result<Formula, QeError> {
     match f.class() {
-        ConstraintClass::DenseOrder | ConstraintClass::Linear => {
-            loos_weispfenning_with_budget(f, budget)
-        }
-        ConstraintClass::Polynomial => hoermander_with_budget(f, budget),
+        ConstraintClass::DenseOrder | ConstraintClass::Linear => loos_weispfenning(f, budget),
+        ConstraintClass::Polynomial => hoermander(f, budget),
     }
 }
 
 /// Decides a sentence (no free variables). Returns its truth value, or
 /// [`QeError::NotASentence`] if the formula has free variables.
-pub fn decide_sentence(f: &Formula) -> Result<bool, QeError> {
-    decide_sentence_with_budget(f, &EvalBudget::unlimited())
-}
-
-/// [`decide_sentence`] under a cooperative [`EvalBudget`].
-pub fn decide_sentence_with_budget(f: &Formula, budget: &EvalBudget) -> Result<bool, QeError> {
+pub fn decide_sentence(f: &Formula, budget: &EvalBudget) -> Result<bool, QeError> {
     if !f.free_vars().is_empty() {
         return Err(QeError::NotASentence);
     }
-    let qf = eliminate_with_budget(f, budget)?;
+    let qf = eliminate(f, budget)?;
     match simplify(&qf) {
         Formula::True => Ok(true),
         Formula::False => Ok(false),
@@ -171,34 +153,24 @@ fn fold_ground(qf: &Formula) -> Option<bool> {
 }
 
 /// Is the formula satisfiable over ℝ (free variables read existentially)?
-pub fn is_satisfiable(f: &Formula) -> Result<bool, QeError> {
-    is_satisfiable_with_budget(f, &EvalBudget::unlimited())
-}
-
-/// [`is_satisfiable`] under a cooperative [`EvalBudget`].
-pub fn is_satisfiable_with_budget(f: &Formula, budget: &EvalBudget) -> Result<bool, QeError> {
+pub fn is_satisfiable(f: &Formula, budget: &EvalBudget) -> Result<bool, QeError> {
     let vars: Vec<_> = f.free_vars().into_iter().collect();
-    decide_sentence_with_budget(&Formula::exists(vars, f.clone()), budget)
+    decide_sentence(&Formula::exists(vars, f.clone()), budget)
 }
 
 /// Is the formula valid over ℝ (free variables read universally)?
-pub fn is_valid(f: &Formula) -> Result<bool, QeError> {
-    is_valid_with_budget(f, &EvalBudget::unlimited())
-}
-
-/// [`is_valid`] under a cooperative [`EvalBudget`].
-pub fn is_valid_with_budget(f: &Formula, budget: &EvalBudget) -> Result<bool, QeError> {
+pub fn is_valid(f: &Formula, budget: &EvalBudget) -> Result<bool, QeError> {
     let vars: Vec<_> = f.free_vars().into_iter().collect();
-    decide_sentence_with_budget(&Formula::forall(vars, f.clone()), budget)
+    decide_sentence(&Formula::forall(vars, f.clone()), budget)
 }
 
 /// Are two formulas equivalent over ℝ (free variables read universally)?
-pub fn equivalent(f: &Formula, g: &Formula) -> Result<bool, QeError> {
+pub fn equivalent(f: &Formula, g: &Formula, budget: &EvalBudget) -> Result<bool, QeError> {
     let iff = f
         .clone()
         .implies(g.clone())
         .and(g.clone().implies(f.clone()));
-    is_valid(&iff)
+    is_valid(&iff, budget)
 }
 
 #[cfg(test)]
@@ -210,33 +182,37 @@ mod tests {
         parse_formula(src).unwrap().0
     }
 
+    fn decide(src: &str) -> bool {
+        decide_sentence(&f(src), &EvalBudget::unlimited()).unwrap()
+    }
+
     #[test]
     fn dispatcher_picks_methods() {
         // Linear: ∃y. x < y ∧ y < 1  ⇔  x < 1 (shared VarMap for identity).
         let mut vars = cqa_logic::VarMap::new();
         let q = cqa_logic::parse_formula_with("exists y. x < y & y < 1", &mut vars).unwrap();
         let e = cqa_logic::parse_formula_with("x < 1", &mut vars).unwrap();
-        let g = eliminate(&q).unwrap();
-        assert!(equivalent(&g, &e).unwrap());
+        let g = eliminate(&q, &EvalBudget::unlimited()).unwrap();
+        assert!(equivalent(&g, &e, &EvalBudget::unlimited()).unwrap());
         // Polynomial: ∃x. x² = 2 is true
-        assert!(decide_sentence(&f("exists x. x*x = 2")).unwrap());
+        assert!(decide("exists x. x*x = 2"));
     }
 
     #[test]
     fn sentence_decisions() {
-        assert!(decide_sentence(&f("forall x. x*x >= 0")).unwrap());
-        assert!(!decide_sentence(&f("exists x. x*x < 0")).unwrap());
-        assert!(decide_sentence(&f("exists x. 2*x = 1")).unwrap());
-        assert!(decide_sentence(&f("forall x. exists y. y > x")).unwrap());
-        assert!(!decide_sentence(&f("exists y. forall x. y > x")).unwrap());
+        assert!(decide("forall x. x*x >= 0"));
+        assert!(!decide("exists x. x*x < 0"));
+        assert!(decide("exists x. 2*x = 1"));
+        assert!(decide("forall x. exists y. y > x"));
+        assert!(!decide("exists y. forall x. y > x"));
     }
 
     #[test]
     fn satisfiability_and_validity() {
-        assert!(is_satisfiable(&f("x > 0 & x < 1")).unwrap());
-        assert!(!is_satisfiable(&f("x > 1 & x < 0")).unwrap());
-        assert!(is_valid(&f("x <= x")).unwrap());
-        assert!(!is_valid(&f("x < 1")).unwrap());
+        assert!(is_satisfiable(&f("x > 0 & x < 1"), &EvalBudget::unlimited()).unwrap());
+        assert!(!is_satisfiable(&f("x > 1 & x < 0"), &EvalBudget::unlimited()).unwrap());
+        assert!(is_valid(&f("x <= x"), &EvalBudget::unlimited()).unwrap());
+        assert!(!is_valid(&f("x < 1"), &EvalBudget::unlimited()).unwrap());
     }
 
     #[test]
@@ -244,10 +220,10 @@ mod tests {
         // (3/2)²-style sentences: Hörmander + simplify normally fold these,
         // but the decision must hold even when a constant nonlinear residue
         // survives simplification — exact Rat evaluation, not an error.
-        assert!(!decide_sentence(&f("exists x. x = 3/2 & x*x < 9/4")).unwrap());
-        assert!(decide_sentence(&f("exists x. x = 3/2 & x*x <= 9/4")).unwrap());
-        assert!(decide_sentence(&f("exists x. x = 3/2 & x*x*x > 27/8 - 1/1000")).unwrap());
-        assert!(!decide_sentence(&f("forall x. x*x != 9/4 | x = 3/2")).unwrap());
+        assert!(!decide("exists x. x = 3/2 & x*x < 9/4"));
+        assert!(decide("exists x. x = 3/2 & x*x <= 9/4"));
+        assert!(decide("exists x. x = 3/2 & x*x*x > 27/8 - 1/1000"));
+        assert!(!decide("forall x. x*x != 9/4 | x = 3/2"));
     }
 
     #[test]
@@ -270,11 +246,17 @@ mod tests {
 
     #[test]
     fn relations_are_rejected() {
-        assert_eq!(eliminate(&f("exists x. U(x)")), Err(QeError::HasRelations));
+        assert_eq!(
+            eliminate(&f("exists x. U(x)"), &EvalBudget::unlimited()),
+            Err(QeError::HasRelations)
+        );
     }
 
     #[test]
     fn adom_rejected() {
-        assert_eq!(eliminate(&f("Eadom x. x < 1")), Err(QeError::ActiveDomain));
+        assert_eq!(
+            eliminate(&f("Eadom x. x < 1"), &EvalBudget::unlimited()),
+            Err(QeError::ActiveDomain)
+        );
     }
 }

@@ -8,8 +8,8 @@
 //! linear formulas over the remaining variables.
 //!
 //! We use the (slightly redundant but simple and evidently complete) test
-//! set `{-∞} ∪ {t, t+ε : t a bound term of an atom involving x}`; the bench
-//! suite compares its cost against Fourier–Motzkin.
+//! set `{-∞} ∪ {t, t+ε : t a bound term of an atom involving x}`; `report`'s
+//! E9 cross-checks it against Fourier–Motzkin.
 
 use crate::simplify::simplify;
 use crate::QeError;
@@ -20,28 +20,13 @@ use cqa_poly::{MPoly, Var};
 use std::collections::HashSet;
 
 /// Eliminates all quantifiers from a linear (FO+LIN) formula via
-/// Loos–Weispfenning virtual substitution.
-pub fn loos_weispfenning(f: &Formula) -> Result<Formula, QeError> {
-    loos_weispfenning_with_budget(f, &EvalBudget::unlimited())
-}
-
-/// [`loos_weispfenning`] under a cooperative [`EvalBudget`]: checks the
-/// budget per virtual test point and gates each elimination round on the
-/// intermediate formula's atom count. Aborts with [`QeError::Budget`] when
-/// exhausted; otherwise the result is bit-identical to the unbudgeted run.
-pub fn loos_weispfenning_with_budget(f: &Formula, budget: &EvalBudget) -> Result<Formula, QeError> {
-    loos_weispfenning_with_arena(f, budget, &mut Arena::new())
-}
-
-/// [`loos_weispfenning_with_budget`] against a caller-supplied interning
-/// [`Arena`]: the disjuncts produced per virtual test point are hash-consed
-/// and duplicates dropped by id before they pile up in the output.
-pub fn loos_weispfenning_with_arena(
-    f: &Formula,
-    budget: &EvalBudget,
-    arena: &mut Arena,
-) -> Result<Formula, QeError> {
+/// Loos–Weispfenning virtual substitution. Checks the cooperative
+/// [`EvalBudget`] per virtual test point and gates each elimination round
+/// on the intermediate formula's atom count; aborts with
+/// [`QeError::Budget`] when it is exhausted.
+pub fn loos_weispfenning(f: &Formula, budget: &EvalBudget) -> Result<Formula, QeError> {
     crate::check_input(f)?;
+    let arena = &mut Arena::new();
     let (blocks, mut matrix) = prenex(f);
     for block in blocks.into_iter().rev() {
         for &v in block.vars.iter().rev() {
@@ -244,7 +229,7 @@ mod tests {
         let mut vars = cqa_logic::VarMap::new();
         let q = cqa_logic::parse_formula_with(query, &mut vars).unwrap();
         let e = cqa_logic::parse_formula_with(expected, &mut vars).unwrap();
-        let g = loos_weispfenning(&q).unwrap();
+        let g = loos_weispfenning(&q, &EvalBudget::unlimited()).unwrap();
         agree(&g, &e);
     }
 
@@ -300,11 +285,11 @@ mod tests {
     #[test]
     fn universal_and_alternation() {
         assert_eq!(
-            loos_weispfenning(&f("forall x. exists y. y > x")).unwrap(),
+            loos_weispfenning(&f("forall x. exists y. y > x"), &EvalBudget::unlimited()).unwrap(),
             Formula::True
         );
         assert_eq!(
-            loos_weispfenning(&f("exists y. forall x. y > x")).unwrap(),
+            loos_weispfenning(&f("exists y. forall x. y > x"), &EvalBudget::unlimited()).unwrap(),
             Formula::False
         );
     }
@@ -324,8 +309,8 @@ mod tests {
         ];
         for src in cases {
             let q = f(src);
-            let lw = loos_weispfenning(&q).unwrap();
-            let fm = fourier_motzkin(&q).unwrap();
+            let lw = loos_weispfenning(&q, &EvalBudget::unlimited()).unwrap();
+            let fm = fourier_motzkin(&q, &EvalBudget::unlimited()).unwrap();
             agree(&lw, &fm);
         }
     }
@@ -338,7 +323,7 @@ mod tests {
     #[test]
     fn rejects_nonlinear() {
         assert!(matches!(
-            loos_weispfenning(&f("exists y. y*y < x")),
+            loos_weispfenning(&f("exists y. y*y < x"), &EvalBudget::unlimited()),
             Err(QeError::NonLinear(_))
         ));
     }

@@ -55,7 +55,7 @@
 //! whole-formula Hörmander run there — no sub-splitting, no sharing.
 
 use crate::simplify::simplify;
-use crate::{fm, hoermander_with_budget, lw, QeError};
+use crate::{fm, hoermander, lw, QeError};
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::ir::Arena;
 use cqa_logic::{ConstraintClass, Formula, Rel};
@@ -329,7 +329,7 @@ fn var_score(v: Var, matrix: &Formula) -> u64 {
 
 /// Eliminates all quantifiers from `f` per `plan`, memoizing quantifier
 /// blocks through `store`. Equivalent to the fixed dispatcher
-/// ([`crate::eliminate_with_budget`], the parity reference): for every
+/// ([`crate::eliminate`], the parity reference): for every
 /// input both produce logically equivalent quantifier-free output, and for
 /// polynomial inputs the *identical* output (the plan defers to
 /// whole-formula Hörmander there).
@@ -342,7 +342,7 @@ pub fn eliminate_with_plan(
 ) -> Result<Formula, QeError> {
     crate::check_input(f)?;
     match plan.method {
-        Method::Hoermander => hoermander_with_budget(f, budget),
+        Method::Hoermander => hoermander(f, budget),
         _ => {
             let out = eliminate_rec(f, plan, budget, arena, store)?;
             Ok(simplify(&out))
@@ -564,7 +564,7 @@ mod tests {
             &NoSharing,
         )
         .unwrap();
-        let fixed = crate::eliminate(&f).unwrap();
+        let fixed = crate::eliminate(&f, &EvalBudget::unlimited()).unwrap();
         assert_eq!(planned, fixed, "polynomial path must be the fixed pipeline");
     }
 
@@ -608,7 +608,7 @@ mod tests {
             // order over the same source.
             let mut vm = cqa_logic::VarMap::new();
             let f = parse_formula_with(src, &mut vm).unwrap();
-            let fixed = crate::eliminate(&f).unwrap();
+            let fixed = crate::eliminate(&f, &EvalBudget::unlimited()).unwrap();
             let got = planned(src, &mut cqa_logic::VarMap::new(), &NoSharing);
             agree(&got, &fixed);
         }
@@ -632,8 +632,9 @@ mod tests {
         // Both agree with the fixed pipeline.
         let f1 = parse_formula_with(&q1, &mut vm).unwrap();
         let f2 = parse_formula_with(&q2, &mut vm).unwrap();
-        agree(&r1, &crate::eliminate(&f1).unwrap());
-        agree(&r2, &crate::eliminate(&f2).unwrap());
+        let unlimited = &EvalBudget::unlimited();
+        agree(&r1, &crate::eliminate(&f1, unlimited).unwrap());
+        agree(&r2, &crate::eliminate(&f2, unlimited).unwrap());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use cqa_arith::Rat;
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::{Atom, Formula, Rel};
 use cqa_poly::{MPoly, Var};
-use cqa_qe::{eliminate, eliminate_with_budget, QeError};
+use cqa_qe::{eliminate, QeError};
 use proptest::prelude::*;
 
 /// A random atom `Σ cᵢ·mᵢ REL 0` over the variables `x0, x1, x2`, with the
@@ -67,7 +67,7 @@ proptest! {
         max_steps in 0u64..50,
     ) {
         let budget = EvalBudget::unlimited().with_max_steps(max_steps);
-        match eliminate_with_budget(&f, &budget) {
+        match eliminate(&f, &budget) {
             Ok(_) | Err(QeError::Budget(_)) => {}
             Err(e) => prop_assert!(
                 !matches!(e, QeError::Budget(_)),
@@ -81,9 +81,9 @@ proptest! {
     /// advanced (the checks are wired in, not dead code).
     #[test]
     fn unhit_budget_is_invisible(f in formula_strategy()) {
-        let unbudgeted = eliminate(&f);
+        let unbudgeted = eliminate(&f, &EvalBudget::unlimited());
         let budget = EvalBudget::unlimited().with_max_steps(u64::MAX / 2);
-        let budgeted = eliminate_with_budget(&f, &budget);
+        let budgeted = eliminate(&f, &budget);
         prop_assert_eq!(unbudgeted, budgeted);
     }
 
@@ -92,7 +92,7 @@ proptest! {
     #[test]
     fn atom_budget_trips_cleanly(f in formula_strategy()) {
         let budget = EvalBudget::unlimited().with_max_atoms(1);
-        match eliminate_with_budget(&f, &budget) {
+        match eliminate(&f, &budget) {
             Ok(_) | Err(QeError::Budget(_)) => {}
             Err(_) => {} // other typed errors are fine; panics are not
         }

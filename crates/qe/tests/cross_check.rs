@@ -5,6 +5,7 @@
 //! checked semantically on a rational sample grid.
 
 use cqa_arith::Rat;
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::Formula;
 use cqa_poly::{MPoly, Var};
 use cqa_qe::{fourier_motzkin, hoermander, loos_weispfenning};
@@ -77,16 +78,16 @@ proptest! {
     #[test]
     fn fm_equals_lw_on_exists(body in qf_strategy()) {
         let q = Formula::exists(vec![Var(2)], body);
-        let fm = fourier_motzkin(&q).unwrap();
-        let lw = loos_weispfenning(&q).unwrap();
+        let fm = fourier_motzkin(&q, &EvalBudget::unlimited()).unwrap();
+        let lw = loos_weispfenning(&q, &EvalBudget::unlimited()).unwrap();
         agree_on_grid(&fm, &lw)?;
     }
 
     #[test]
     fn fm_equals_lw_on_forall(body in qf_strategy()) {
         let q = Formula::forall(vec![Var(2)], body);
-        let fm = fourier_motzkin(&q).unwrap();
-        let lw = loos_weispfenning(&q).unwrap();
+        let fm = fourier_motzkin(&q, &EvalBudget::unlimited()).unwrap();
+        let lw = loos_weispfenning(&q, &EvalBudget::unlimited()).unwrap();
         agree_on_grid(&fm, &lw)?;
     }
 
@@ -97,7 +98,7 @@ proptest! {
         // truth value only at atom bounds, which lie on the half-integer
         // grid for these coefficient ranges... so use a finer grid).
         let q = Formula::exists(vec![Var(2)], body.clone());
-        let fm = fourier_motzkin(&q).unwrap();
+        let fm = fourier_motzkin(&q, &EvalBudget::unlimited()).unwrap();
         let _vars = [Var(0), Var(1)];
         let outer: Vec<Rat> = (-2..=2).map(|n| Rat::from(n as i64)).collect();
         // Dense witness grid for the eliminated variable.
@@ -134,8 +135,8 @@ proptest! {
             vec![Var(0), Var(1)],
             Formula::exists(vec![Var(2)], body),
         );
-        let fm = fourier_motzkin(&sentence).unwrap();
-        let ch = hoermander(&sentence).unwrap();
+        let fm = fourier_motzkin(&sentence, &EvalBudget::unlimited()).unwrap();
+        let ch = hoermander(&sentence, &EvalBudget::unlimited()).unwrap();
         prop_assert_eq!(fm, ch);
     }
 }

@@ -2,6 +2,7 @@
 //! cross-validation on random univariate polynomial sentences.
 
 use cqa_arith::Rat;
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::{Atom, Formula, Rel};
 use cqa_poly::{MPoly, UPoly, Var};
 use cqa_qe::hoermander;
@@ -36,7 +37,7 @@ proptest! {
             vec![x],
             Formula::Atom(Atom::new(poly_of(&coeffs, x), rel)),
         );
-        let ch = match hoermander(&sentence).unwrap() {
+        let ch = match hoermander(&sentence, &EvalBudget::unlimited()).unwrap() {
             Formula::True => true,
             Formula::False => false,
             other => panic!("not ground: {other:?}"),
@@ -77,11 +78,11 @@ proptest! {
             vec![x],
             Formula::Atom(Atom::new(&p * &p, Rel::Ge)),
         );
-        prop_assert_eq!(hoermander(&square_nonneg).unwrap(), Formula::True);
+        prop_assert_eq!(hoermander(&square_nonneg, &EvalBudget::unlimited()).unwrap(), Formula::True);
 
         let strictly_pos =
             Formula::forall(vec![x], Formula::Atom(Atom::new(p, Rel::Gt)));
-        let ch = hoermander(&strictly_pos).unwrap() == Formula::True;
+        let ch = hoermander(&strictly_pos, &EvalBudget::unlimited()).unwrap() == Formula::True;
         let up = UPoly::from_ints(&coeffs);
         let brute = if up.is_zero() {
             false
@@ -102,7 +103,7 @@ proptest! {
         let y = Var(1);
         let body = Formula::Atom(Atom::new(poly_of(&coeffs, x), Rel::Lt));
         let q = Formula::exists(vec![y], body.clone());
-        let out = hoermander(&q).unwrap();
+        let out = hoermander(&q, &EvalBudget::unlimited()).unwrap();
         // Semantically equal on samples.
         for v in -4..=4i64 {
             let asg = |w: Var| {

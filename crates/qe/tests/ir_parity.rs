@@ -1,7 +1,8 @@
 //! Property tests for the hash-consed IR: interning is lossless and
-//! idempotent, and everything downstream — evaluation, the memoized
+//! idempotent, everything downstream — evaluation, the memoized
 //! simplifier, the canonical cache key — agrees between the boxed tree
-//! and the arena representation.
+//! and the arena representation, and neither the key nor Fourier–Motzkin's
+//! output depends on what else an arena holds.
 //!
 //! These live in `cqa-qe` (not `cqa-logic`) because the simplifier parity
 //! half needs [`cqa_qe::simplify_id`], and `cqa-qe` already depends on
@@ -10,9 +11,9 @@
 use cqa_arith::{rat, Rat};
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::ir::Arena;
-use cqa_logic::{parse_formula_with, Atom, Formula, Rel, VarMap};
+use cqa_logic::{dnf, parse_formula_with, Atom, Formula, Rel, VarMap};
 use cqa_poly::{MPoly, Var};
-use cqa_qe::{simplify, simplify_id, SimplifyMemo};
+use cqa_qe::{fm_eliminate_exists, simplify, simplify_id, SimplifyMemo};
 use proptest::prelude::*;
 
 /// Quantifier-free formulas over `x0`, `x1` with small affine and
@@ -73,23 +74,44 @@ fn grids_agree(a: &Formula, b: &Formula) -> Result<(), TestCaseError> {
 }
 
 /// The FM blow-up workload through a shared arena: the DNF expansion of
-/// `∃y. ⋀ᵢ (y < xᵢ ∨ xᵢ < y)` has `2^m` clauses built from only `2m`
-/// distinct literals, so hash-consing must store it as a dag — more
-/// intern calls than nodes.
+/// `⋀ᵢ (y < xᵢ ∨ xᵢ < y)` has `2^m` clauses built from only `2m` distinct
+/// literals, so hash-consing must store it as a dag — more intern calls
+/// than nodes.
 #[test]
 fn fm_blowup_shares_nodes_in_the_arena() {
     const M: usize = 8;
     let literals: Vec<String> = (0..M).map(|i| format!("(y < x{i} | x{i} < y)")).collect();
-    let src = format!("exists y. {}", literals.join(" & "));
-    let f = parse_formula_with(&src, &mut VarMap::new()).unwrap();
+    let mut vars = VarMap::new();
+    let matrix = parse_formula_with(&literals.join(" & "), &mut vars).unwrap();
+    let y = vars.get("y").unwrap();
     let mut arena = Arena::new();
-    let qf = cqa_qe::fourier_motzkin_with_arena(&f, &EvalBudget::unlimited(), &mut arena).unwrap();
-    assert!(qf.is_quantifier_free());
+    let qf = fm_eliminate_exists(y, &matrix, &EvalBudget::unlimited(), &mut arena, false).unwrap();
+    assert!(qf.is_quantifier_free() && !qf.free_vars().contains(&y));
     let stats = arena.stats();
     assert!(
         stats.dedup_ratio() > 1.0,
         "hash-consing must find sharing on the blow-up workload: {stats:?}"
     );
+}
+
+/// Fourier–Motzkin's output is a function of its input alone: eliminating
+/// in a fresh arena and in one that already holds the clause literals,
+/// interned in reverse order, gives the same formula, children in the same
+/// order.
+#[test]
+fn fm_output_does_not_depend_on_arena_history() {
+    let mut vars = VarMap::new();
+    let src = "(x0 < y | x1 < y) & (y < x2 | 2*y < x3) & x4 < y";
+    let matrix = parse_formula_with(src, &mut vars).unwrap();
+    let y = vars.get("y").unwrap();
+    let budget = EvalBudget::unlimited();
+    let fresh = fm_eliminate_exists(y, &matrix, &budget, &mut Arena::new(), false).unwrap();
+    let mut used = Arena::new();
+    for literal in dnf(&simplify(&matrix)).concat().iter().rev() {
+        used.intern(literal);
+    }
+    let again = fm_eliminate_exists(y, &matrix, &budget, &mut used, false).unwrap();
+    assert_eq!(fresh, again);
 }
 
 proptest! {
@@ -151,21 +173,15 @@ proptest! {
         prop_assert_eq!(once, twice);
     }
 
-    /// The canonical string key is preserved by the round-trip, and the
-    /// canonical 128-bit hash is a function of that key: two formulas
-    /// with equal keys always get equal hashes (the cache-key contract),
-    /// session-independently across distinct arenas.
+    /// The canonical hash is a function of the formula, not of the arena:
+    /// an arena grown in another order (g first) and a fresh arena fed the
+    /// round-tripped tree agree on it, though their ids differ.
     #[test]
-    fn canonical_key_and_hash_agree(f in qf_formula(), g in qf_formula()) {
+    fn canonical_hash_is_arena_independent(f in qf_formula(), g in qf_formula()) {
         let params = [Var(0), Var(1)];
         let mut arena = Arena::new();
         let fid = arena.intern(&f);
-        prop_assert_eq!(
-            arena.extern_formula(fid).canonical_key_for_params(&params),
-            f.canonical_key_for_params(&params)
-        );
-        // A second, independently grown arena (g first) must agree on f's
-        // hash: ids differ, hashes don't.
+        let gid = arena.intern(&g);
         let mut other = Arena::new();
         let gid_other = other.intern(&g);
         let fid_other = other.intern(&f);
@@ -173,18 +189,15 @@ proptest! {
             arena.canonical_hash_for_params(fid, &params),
             other.canonical_hash_for_params(fid_other, &params)
         );
-        // Key equality implies hash equality (hash is computed from the
-        // same canonical form the string renders).
-        let gid = arena.intern(&g);
-        if f.canonical_key_for_params(&params) == g.canonical_key_for_params(&params) {
-            prop_assert_eq!(
-                arena.canonical_hash_for_params(fid, &params),
-                arena.canonical_hash_for_params(gid, &params)
-            );
-        }
         prop_assert_eq!(
             arena.canonical_hash_for_params(gid, &params),
             other.canonical_hash_for_params(gid_other, &params)
+        );
+        let mut fresh = Arena::new();
+        let round_trip = fresh.intern(&arena.extern_formula(fid));
+        prop_assert_eq!(
+            fresh.canonical_hash_for_params(round_trip, &params),
+            arena.canonical_hash_for_params(fid, &params)
         );
     }
 }

@@ -124,7 +124,7 @@ proptest! {
     /// with the fixed pipeline everywhere on the grid.
     #[test]
     fn planned_agrees_with_fixed_pipeline(f in quantified()) {
-        let fixed = cqa_qe::eliminate(&f).unwrap();
+        let fixed = cqa_qe::eliminate(&f, &EvalBudget::unlimited()).unwrap();
         let got = run_planned(&f, &NoSharing);
         prop_assert!(got.is_quantifier_free());
         grids_agree(&got, &fixed)?;

@@ -18,7 +18,7 @@ use constraint_agg::core::Database;
 use constraint_agg::logic::budget::{BudgetResource, EvalBudget};
 use constraint_agg::logic::{parse_formula_with, Atom, Formula, Rel};
 use constraint_agg::poly::{MPoly, Var};
-use constraint_agg::qe::{eliminate_with_budget, QeError};
+use constraint_agg::qe::{eliminate, QeError};
 use std::time::{Duration, Instant};
 
 /// Four existential quantifiers over degree-2/3 polynomial atoms: the
@@ -43,7 +43,7 @@ fn explosive_qe_returns_budget_error_within_deadline() {
     let deadline = Duration::from_millis(50);
     let budget = EvalBudget::unlimited().with_deadline(deadline);
     let start = Instant::now();
-    let r = eliminate_with_budget(&f, &budget);
+    let r = eliminate(&f, &budget);
     let elapsed = start.elapsed();
     match r {
         Err(QeError::Budget(b)) => {
@@ -66,7 +66,7 @@ fn explosive_max_steps_trips_as_steps_resource() {
     let mut db = Database::new();
     let (f, _) = explosive(&mut db);
     let budget = EvalBudget::unlimited().with_max_steps(100);
-    match eliminate_with_budget(&f, &budget) {
+    match eliminate(&f, &budget) {
         Err(QeError::Budget(b)) => assert_eq!(b.resource, BudgetResource::Steps),
         other => panic!("expected a step-budget trip, got {other:?}"),
     }

@@ -5,6 +5,7 @@ use constraint_agg::agg::{aggregate, semilinear_volume, Aggregate, SumTerm};
 use constraint_agg::agg::{Deterministic, RangeRestricted};
 use constraint_agg::core::{enumerate_finite, Database, Relation};
 use constraint_agg::geom::{volume, volume_in_unit_box};
+use constraint_agg::logic::budget::EvalBudget;
 use constraint_agg::logic::{parse_formula_with, Formula};
 use constraint_agg::poly::MPoly;
 use constraint_agg::prelude::*;
@@ -106,7 +107,7 @@ fn finite_enumeration_through_database() {
     let x = db.vars_mut().get("x").unwrap();
     let q = parse_formula_with("Q(x)", db.vars_mut()).unwrap();
     let expanded = db.expand(&q).unwrap();
-    let qf = constraint_agg::qe::eliminate(&expanded).unwrap();
+    let qf = constraint_agg::qe::eliminate(&expanded, &EvalBudget::unlimited()).unwrap();
     let tuples = enumerate_finite(&qf, &[x]).unwrap();
     assert_eq!(tuples, vec![vec![rat(1, 1)], vec![rat(2, 1)]]);
 }
