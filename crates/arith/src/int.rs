@@ -1,26 +1,50 @@
 //! Signed arbitrary-precision integers.
 //!
-//! Representation: a sign in `{-1, 0, +1}` plus a little-endian vector of
-//! base-2³² limbs with no trailing zero limbs. The zero value is
-//! `sign == 0, mag == []`, and that representation is unique, so derived
-//! structural equality would be correct; we nevertheless implement `Eq` via
-//! `Ord` for clarity.
+//! Representation: every value that fits an `i64` is stored inline
+//! (`Small`); only the values outside that range are a sign in `{-1, +1}`
+//! plus a little-endian vector of base-2³² limbs with no trailing zero limbs
+//! (`Big`). A value has exactly one representation however it was computed,
+//! so derived structural equality is numeric equality. Arithmetic on two
+//! `Small`s runs in registers — checked `i64`, redone in `i128` on overflow —
+//! and every limb-path result that fits an `i64` is demoted again, so the
+//! limb path runs only while an operand is really outside `i64`.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Deref, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
 use std::str::FromStr;
 
 const BASE_BITS: u32 = 32;
 
 /// A signed arbitrary-precision integer.
-#[derive(Clone, Debug, Default)]
-pub struct Int {
-    /// `-1`, `0` or `+1`. Zero iff `mag` is empty.
-    sign: i8,
-    /// Little-endian base-2³² magnitude, normalized (no trailing zeros).
-    mag: Vec<u32>,
+#[derive(Clone, PartialEq, Eq)]
+pub struct Int(Repr);
+
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    /// Every value in `i64` range, and only those.
+    Small(i64),
+    /// A value outside `i64` range: `sign` is `±1`, `mag` the normalized
+    /// little-endian base-2³² magnitude (at least two limbs).
+    Big { sign: i8, mag: Vec<u32> },
+}
+
+/// A magnitude as limbs: borrowed from a `Big`, spelled out in place for a
+/// `Small`. The limb path's view of either arm, without allocating.
+enum Limbs<'a> {
+    Inline([u32; 2], usize),
+    Heap(&'a [u32]),
+}
+
+impl Deref for Limbs<'_> {
+    type Target = [u32];
+    fn deref(&self) -> &[u32] {
+        match self {
+            Limbs::Inline(limbs, n) => &limbs[..*n],
+            Limbs::Heap(mag) => mag,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -245,6 +269,79 @@ fn mag_div_rem(a: &[u32], b: &[u32]) -> (Vec<u32>, Vec<u32>) {
     }
 }
 
+fn mag_bits(mag: &[u32]) -> u64 {
+    match mag.last() {
+        None => 0,
+        Some(&top) => (mag.len() as u64) * u64::from(BASE_BITS) - u64::from(top.leading_zeros()),
+    }
+}
+
+fn mag_to_f64(mag: &[u32]) -> f64 {
+    mag.iter()
+        .rev()
+        .fold(0.0, |acc, &w| acc * 4294967296.0 + f64::from(w))
+}
+
+/// Decimal text of a sign and magnitude, by repeated short division by 10⁹.
+fn fmt_limbs(sign: i8, mag: &[u32]) -> String {
+    if mag.is_empty() {
+        return "0".to_string();
+    }
+    let mut mag = mag.to_vec();
+    let mut chunks: Vec<u32> = Vec::new();
+    while !mag.is_empty() {
+        let (q, r) = mag_div_limb(&mag, 1_000_000_000);
+        chunks.push(r);
+        mag = q;
+    }
+    let mut s = String::new();
+    if sign < 0 {
+        s.push('-');
+    }
+    s.push_str(&chunks.last().unwrap().to_string());
+    for c in chunks.iter().rev().skip(1) {
+        s.push_str(&format!("{c:09}"));
+    }
+    s
+}
+
+/// Binary gcd on machine words (Stein's algorithm).
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    while b != 0 {
+        // min/max rather than a swap branch: the comparison is a coin flip.
+        b >>= b.trailing_zeros();
+        let (lo, hi) = (a.min(b), a.max(b));
+        a = lo;
+        b = hi - lo;
+    }
+    a << shift
+}
+
+/// The register path of `+`, `-` and `*`: `checked` in `i64`, `wide` in
+/// `i128` when that overflows (no product or sum of two `i64`s overflows an
+/// `i128`), `limbs` when either operand is `Big`.
+#[inline]
+fn binop(
+    a: &Int,
+    b: &Int,
+    checked: fn(i64, i64) -> Option<i64>,
+    wide: fn(i128, i128) -> i128,
+    limbs: fn(&Int, &Int) -> Int,
+) -> Int {
+    match (&a.0, &b.0) {
+        (Repr::Small(x), Repr::Small(y)) => match checked(*x, *y) {
+            Some(v) => Int(Repr::Small(v)),
+            None => Int::from_i128(wide(i128::from(*x), i128::from(*y))),
+        },
+        _ => limbs(a, b),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Int
 // ---------------------------------------------------------------------------
@@ -252,100 +349,186 @@ fn mag_div_rem(a: &[u32], b: &[u32]) -> (Vec<u32>, Vec<u32>) {
 impl Int {
     /// The integer zero.
     pub fn zero() -> Int {
-        Int {
-            sign: 0,
-            mag: Vec::new(),
-        }
+        Int(Repr::Small(0))
     }
 
     /// The integer one.
     pub fn one() -> Int {
-        Int {
-            sign: 1,
-            mag: vec![1],
+        Int(Repr::Small(1))
+    }
+
+    /// The one representation of `sign · mag`: `Small` whenever it fits.
+    fn from_sign_mag(sign: i8, mut mag: Vec<u32>) -> Int {
+        mag_trim(&mut mag);
+        if mag.len() <= 2 {
+            let m = mag
+                .iter()
+                .rev()
+                .fold(0u64, |acc, &w| (acc << BASE_BITS) | u64::from(w));
+            if let Ok(v) = i64::try_from(i128::from(sign) * i128::from(m)) {
+                return Int(Repr::Small(v));
+            }
+        }
+        Int(Repr::Big { sign, mag })
+    }
+
+    fn from_i128(v: i128) -> Int {
+        match i64::try_from(v) {
+            Ok(v) => Int(Repr::Small(v)),
+            Err(_) => {
+                let m = v.unsigned_abs();
+                let mag = (0..4).map(|i| (m >> (BASE_BITS * i)) as u32).collect();
+                Int::from_sign_mag(v.signum() as i8, mag)
+            }
         }
     }
 
-    fn from_sign_mag(sign: i8, mut mag: Vec<u32>) -> Int {
-        mag_trim(&mut mag);
-        if mag.is_empty() {
-            Int::zero()
-        } else {
-            Int { sign, mag }
+    /// Sign and magnitude limbs, whichever arm holds the value.
+    fn parts(&self) -> (i8, Limbs<'_>) {
+        match &self.0 {
+            Repr::Small(v) => {
+                let m = v.unsigned_abs();
+                let n = (64 - m.leading_zeros()).div_ceil(BASE_BITS) as usize;
+                let limbs = [m as u32, (m >> BASE_BITS) as u32];
+                (v.signum() as i8, Limbs::Inline(limbs, n))
+            }
+            Repr::Big { sign, mag } => (*sign, Limbs::Heap(mag)),
         }
+    }
+
+    // The limb path: right for any operands, taken when one of them is
+    // `Big`; the unit tests hold the register path to it.
+
+    fn add_limbs(&self, other: &Int) -> Int {
+        let ((sa, ma), (sb, mb)) = (self.parts(), other.parts());
+        if sa == 0 {
+            return other.clone();
+        }
+        if sb == 0 {
+            return self.clone();
+        }
+        if sa == sb {
+            Int::from_sign_mag(sa, mag_add(&ma, &mb))
+        } else {
+            match mag_cmp(&ma, &mb) {
+                Ordering::Equal => Int::zero(),
+                Ordering::Greater => Int::from_sign_mag(sa, mag_sub(&ma, &mb)),
+                Ordering::Less => Int::from_sign_mag(sb, mag_sub(&mb, &ma)),
+            }
+        }
+    }
+
+    fn mul_limbs(&self, other: &Int) -> Int {
+        let ((sa, ma), (sb, mb)) = (self.parts(), other.parts());
+        Int::from_sign_mag(sa * sb, mag_mul(&ma, &mb))
+    }
+
+    fn div_rem_limbs(&self, other: &Int) -> (Int, Int) {
+        let ((sa, ma), (sb, mb)) = (self.parts(), other.parts());
+        let (qm, rm) = mag_div_rem(&ma, &mb);
+        (Int::from_sign_mag(sa * sb, qm), Int::from_sign_mag(sa, rm))
+    }
+
+    fn cmp_limbs(&self, other: &Int) -> Ordering {
+        let ((sa, ma), (sb, mb)) = (self.parts(), other.parts());
+        sa.cmp(&sb).then_with(|| {
+            let m = mag_cmp(&ma, &mb);
+            if sa < 0 {
+                m.reverse()
+            } else {
+                m
+            }
+        })
+    }
+
+    fn shl_limbs(&self, bits: u32) -> Int {
+        let (sign, mag) = self.parts();
+        let mut out = vec![0u32; (bits / BASE_BITS) as usize];
+        out.extend(mag_shl_small(&mag, bits % BASE_BITS));
+        Int::from_sign_mag(sign, out)
     }
 
     /// `true` iff this integer is zero.
     pub fn is_zero(&self) -> bool {
-        self.sign == 0
+        matches!(self.0, Repr::Small(0))
     }
 
     /// `true` iff this integer is one.
     pub fn is_one(&self) -> bool {
-        self.sign == 1 && self.mag == [1]
+        matches!(self.0, Repr::Small(1))
     }
 
     /// `true` iff strictly negative.
     pub fn is_negative(&self) -> bool {
-        self.sign < 0
+        self.signum() < 0
     }
 
     /// `true` iff strictly positive.
     pub fn is_positive(&self) -> bool {
-        self.sign > 0
+        self.signum() > 0
     }
 
     /// The sign as `-1`, `0` or `1`.
     pub fn signum(&self) -> i32 {
-        i32::from(self.sign)
+        match &self.0 {
+            Repr::Small(v) => v.signum() as i32,
+            Repr::Big { sign, .. } => i32::from(*sign),
+        }
     }
 
     /// Absolute value.
     pub fn abs(&self) -> Int {
-        Int {
-            sign: self.sign.abs(),
-            mag: self.mag.clone(),
+        if self.is_negative() {
+            -self
+        } else {
+            self.clone()
         }
     }
 
     /// Number of bits in the magnitude (0 for zero).
     pub fn bits(&self) -> u64 {
-        match self.mag.last() {
-            None => 0,
-            Some(&top) => {
-                (self.mag.len() as u64) * u64::from(BASE_BITS) - u64::from(top.leading_zeros())
-            }
+        match self.0 {
+            Repr::Small(v) => u64::from(64 - v.unsigned_abs().leading_zeros()),
+            Repr::Big { .. } => mag_bits(&self.parts().1),
         }
     }
 
     /// `true` iff the integer is even.
     pub fn is_even(&self) -> bool {
-        self.mag.first().is_none_or(|w| w % 2 == 0)
+        self.parts().1.first().is_none_or(|w| w % 2 == 0)
     }
 
     /// Truncated division with remainder: `self = q*other + r`, `|r| < |other|`,
     /// `r` has the sign of `self` (like Rust's `/` and `%` on primitives).
     pub fn div_rem(&self, other: &Int) -> (Int, Int) {
         assert!(!other.is_zero(), "Int division by zero");
-        if self.is_zero() {
-            return (Int::zero(), Int::zero());
+        match (&self.0, &other.0) {
+            (Repr::Small(a), Repr::Small(b)) => match a.checked_div(*b) {
+                // |q·b| ≤ |a|, so the remainder cannot overflow.
+                Some(q) => (Int(Repr::Small(q)), Int(Repr::Small(a - q * b))),
+                // i64::MIN / -1, the one quotient that leaves the range.
+                None => (Int::from_i128(-i128::from(*a)), Int::zero()),
+            },
+            _ => self.div_rem_limbs(other),
         }
-        let (qm, rm) = mag_div_rem(&self.mag, &other.mag);
-        let q = Int::from_sign_mag(self.sign * other.sign, qm);
-        let r = Int::from_sign_mag(self.sign, rm);
-        (q, r)
     }
 
     /// Greatest common divisor (always non-negative).
     pub fn gcd(&self, other: &Int) -> Int {
         let mut a = self.abs();
         let mut b = other.abs();
-        while !b.is_zero() {
+        loop {
+            // Euclid on limbs until both operands fit, then Stein in registers.
+            if let (Repr::Small(x), Repr::Small(y)) = (&a.0, &b.0) {
+                return Int::from(gcd_u64(x.unsigned_abs(), y.unsigned_abs()));
+            }
+            if b.is_zero() {
+                return a;
+            }
             let r = a.div_rem(&b).1;
             a = b;
             b = r;
         }
-        a
     }
 
     /// Least common multiple (non-negative). `lcm(0, x) == 0`.
@@ -375,61 +558,41 @@ impl Int {
 
     /// Multiply by a power of two (left shift).
     pub fn shl(&self, bits: u32) -> Int {
-        if self.is_zero() {
-            return Int::zero();
+        match self.0 {
+            Repr::Small(0) => Int::zero(),
+            Repr::Small(v) if self.bits() + u64::from(bits) < 64 => Int(Repr::Small(v << bits)),
+            _ => self.shl_limbs(bits),
         }
-        let limb_shift = (bits / BASE_BITS) as usize;
-        let small = bits % BASE_BITS;
-        let mut mag = vec![0u32; limb_shift];
-        mag.extend(mag_shl_small(&self.mag, small));
-        Int::from_sign_mag(self.sign, mag)
     }
 
     /// Approximate conversion to `f64` (may overflow to ±inf).
     pub fn to_f64(&self) -> f64 {
-        let mut acc = 0.0f64;
-        for &w in self.mag.iter().rev() {
-            acc = acc * 4294967296.0 + f64::from(w);
-        }
-        if self.sign < 0 {
-            -acc
-        } else {
-            acc
+        match self.0 {
+            // One correctly rounded conversion, as the limb loop's last
+            // step is for a two-limb magnitude.
+            Repr::Small(v) => v as f64,
+            Repr::Big { sign, ref mag } => f64::from(sign) * mag_to_f64(mag),
         }
     }
 
     /// Exact conversion to `i64` if the value fits.
     pub fn to_i64(&self) -> Option<i64> {
-        match self.mag.len() {
-            0 => Some(0),
-            1 => Some(i64::from(self.sign) * i64::from(self.mag[0])),
-            2 => {
-                let v = (u64::from(self.mag[1]) << BASE_BITS) | u64::from(self.mag[0]);
-                if self.sign > 0 && v <= i64::MAX as u64 {
-                    Some(v as i64)
-                } else if self.sign < 0 && v <= (i64::MAX as u64) + 1 {
-                    Some(-(v as i128) as i64)
-                } else {
-                    None
-                }
-            }
-            _ => None,
+        match self.0 {
+            Repr::Small(v) => Some(v),
+            Repr::Big { .. } => None,
         }
+    }
+}
+
+impl Default for Int {
+    fn default() -> Int {
+        Int::zero()
     }
 }
 
 impl From<i64> for Int {
     fn from(v: i64) -> Int {
-        if v == 0 {
-            return Int::zero();
-        }
-        let sign: i8 = if v < 0 { -1 } else { 1 };
-        let mag64 = v.unsigned_abs();
-        let mut mag = vec![mag64 as u32];
-        if mag64 >> BASE_BITS != 0 {
-            mag.push((mag64 >> BASE_BITS) as u32);
-        }
-        Int::from_sign_mag(sign, mag)
+        Int(Repr::Small(v))
     }
 }
 
@@ -441,14 +604,7 @@ impl From<i32> for Int {
 
 impl From<u64> for Int {
     fn from(v: u64) -> Int {
-        if v == 0 {
-            return Int::zero();
-        }
-        let mut mag = vec![v as u32];
-        if v >> BASE_BITS != 0 {
-            mag.push((v >> BASE_BITS) as u32);
-        }
-        Int::from_sign_mag(1, mag)
+        Int::from_i128(i128::from(v))
     }
 }
 
@@ -458,17 +614,26 @@ impl From<usize> for Int {
     }
 }
 
-impl PartialEq for Int {
-    fn eq(&self, other: &Int) -> bool {
-        self.sign == other.sign && self.mag == other.mag
+/// The sign-and-limbs form, whichever arm holds the value.
+impl fmt::Debug for Int {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (sign, mag) = self.parts();
+        f.debug_struct("Int")
+            .field("sign", &sign)
+            .field("mag", &&*mag)
+            .finish()
     }
 }
-impl Eq for Int {}
 
+/// Both arms feed the byte stream of the sign-and-limbs layout — the sign
+/// as an `i8`, then the length-prefixed `u32` limbs — so a value hashes the
+/// same however it is stored and whichever build stored it: the query
+/// cache and the warm-cache file are keyed by digests of these bytes.
 impl Hash for Int {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.sign.hash(state);
-        self.mag.hash(state);
+        let (sign, mag) = self.parts();
+        sign.hash(state);
+        (*mag).hash(state);
     }
 }
 
@@ -480,15 +645,9 @@ impl PartialOrd for Int {
 
 impl Ord for Int {
     fn cmp(&self, other: &Int) -> Ordering {
-        match self.sign.cmp(&other.sign) {
-            Ordering::Equal => {}
-            ord => return ord,
-        }
-        let m = mag_cmp(&self.mag, &other.mag);
-        if self.sign < 0 {
-            m.reverse()
-        } else {
-            m
+        match (&self.0, &other.0) {
+            (Repr::Small(a), Repr::Small(b)) => a.cmp(b),
+            _ => self.cmp_limbs(other),
         }
     }
 }
@@ -496,54 +655,43 @@ impl Ord for Int {
 impl Neg for Int {
     type Output = Int;
     fn neg(self) -> Int {
-        Int {
-            sign: -self.sign,
-            mag: self.mag,
+        match self.0 {
+            Repr::Small(v) => Int::from_i128(-i128::from(v)),
+            Repr::Big { sign, mag } => Int::from_sign_mag(-sign, mag),
         }
     }
 }
 impl Neg for &Int {
     type Output = Int;
     fn neg(self) -> Int {
-        Int {
-            sign: -self.sign,
-            mag: self.mag.clone(),
-        }
+        -self.clone()
     }
 }
 
 impl Add for &Int {
     type Output = Int;
     fn add(self, other: &Int) -> Int {
-        if self.is_zero() {
-            return other.clone();
-        }
-        if other.is_zero() {
-            return self.clone();
-        }
-        if self.sign == other.sign {
-            Int::from_sign_mag(self.sign, mag_add(&self.mag, &other.mag))
-        } else {
-            match mag_cmp(&self.mag, &other.mag) {
-                Ordering::Equal => Int::zero(),
-                Ordering::Greater => Int::from_sign_mag(self.sign, mag_sub(&self.mag, &other.mag)),
-                Ordering::Less => Int::from_sign_mag(other.sign, mag_sub(&other.mag, &self.mag)),
-            }
-        }
+        binop(self, other, i64::checked_add, |x, y| x + y, Int::add_limbs)
     }
 }
 
 impl Sub for &Int {
     type Output = Int;
     fn sub(self, other: &Int) -> Int {
-        self + &(-other)
+        binop(
+            self,
+            other,
+            i64::checked_sub,
+            |x, y| x - y,
+            |a, b| a.add_limbs(&-b),
+        )
     }
 }
 
 impl Mul for &Int {
     type Output = Int;
     fn mul(self, other: &Int) -> Int {
-        Int::from_sign_mag(self.sign * other.sign, mag_mul(&self.mag, &other.mag))
+        binop(self, other, i64::checked_mul, |x, y| x * y, Int::mul_limbs)
     }
 }
 
@@ -607,26 +755,10 @@ impl MulAssign<&Int> for Int {
 
 impl fmt::Display for Int {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return f.write_str("0");
+        match self.0 {
+            Repr::Small(v) => write!(f, "{v}"),
+            Repr::Big { sign, ref mag } => f.write_str(&fmt_limbs(sign, mag)),
         }
-        // Repeated short division by 10^9.
-        let mut mag = self.mag.clone();
-        let mut chunks: Vec<u32> = Vec::new();
-        while !mag.is_empty() {
-            let (q, r) = mag_div_limb(&mag, 1_000_000_000);
-            chunks.push(r);
-            mag = q;
-        }
-        let mut s = String::new();
-        if self.sign < 0 {
-            s.push('-');
-        }
-        s.push_str(&chunks.last().unwrap().to_string());
-        for c in chunks.iter().rev().skip(1) {
-            s.push_str(&format!("{c:09}"));
-        }
-        f.write_str(&s)
     }
 }
 
@@ -803,5 +935,193 @@ mod tests {
         assert_eq!(i(255).bits(), 8);
         assert_eq!(i(256).bits(), 9);
         assert_eq!(Int::one().shl(100).bits(), 101);
+    }
+
+    // ---- register path vs limb path ----
+
+    use std::collections::hash_map::DefaultHasher;
+
+    /// `±m`, built by the limb constructor rather than by arithmetic.
+    fn from_u128(negative: bool, m: u128) -> Int {
+        let mag = (0..4).map(|k| (m >> (32 * k)) as u32).collect();
+        Int::from_sign_mag(if negative { -1 } else { 1 }, mag)
+    }
+
+    /// ±(2³¹, 2³²−1, 2³², 2⁶³−1, 2⁶³, 2⁶⁴, 2¹²⁷), each also shifted by ±1,
+    /// ±2 and two random offsets, plus 0, ±1 and random values of every
+    /// width up to three limbs.
+    fn boundary_operands() -> Vec<Int> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut out = vec![Int::zero(), Int::one(), -Int::one()];
+        let bases = [
+            1u128 << 31,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 63) - 1,
+            1 << 63,
+            1 << 64,
+            1 << 127,
+        ];
+        for base in bases {
+            let random = [next() % (1 << 20), next() % (1 << 40)];
+            for d in [-2i128, -1, 0, 1, 2, random[0] as i128, -(random[1] as i128)] {
+                let m = base.wrapping_add_signed(d);
+                out.push(from_u128(false, m));
+                out.push(from_u128(true, m));
+            }
+        }
+        for width in [8, 31, 32, 33, 62, 63, 64, 65, 96] {
+            let m = (u128::from(next()) << 64 | u128::from(next())) >> (128 - width);
+            out.push(from_u128(next() % 2 == 0, m));
+        }
+        out
+    }
+
+    fn hash_of(x: &Int) -> u64 {
+        let mut h = DefaultHasher::new();
+        x.hash(&mut h);
+        h.finish()
+    }
+
+    /// The hash of the sign-and-limbs layout as a struct holding a
+    /// `Vec<u32>` would feed it.
+    fn limb_layout_hash(x: &Int) -> u64 {
+        let (sign, mag) = x.parts();
+        let mut h = DefaultHasher::new();
+        sign.hash(&mut h);
+        mag.to_vec().hash(&mut h);
+        h.finish()
+    }
+
+    /// Equal values, equal representation (`Eq` is structural), and the
+    /// layout's hash bytes.
+    fn assert_same(got: &Int, want: &Int, what: &str) {
+        assert_eq!(got, want, "{what}");
+        assert_eq!(hash_of(got), limb_layout_hash(want), "{what}: hash");
+    }
+
+    fn neg_limbs(a: &Int) -> Int {
+        let (sign, mag) = a.parts();
+        Int::from_sign_mag(-sign, mag.to_vec())
+    }
+
+    fn abs_limbs(a: &Int) -> Int {
+        let (sign, mag) = a.parts();
+        Int::from_sign_mag(sign.abs(), mag.to_vec())
+    }
+
+    fn gcd_limbs(a: &Int, b: &Int) -> Int {
+        let (mut a, mut b) = (abs_limbs(a), abs_limbs(b));
+        while !b.is_zero() {
+            let r = a.div_rem_limbs(&b).1;
+            a = b;
+            b = r;
+        }
+        a
+    }
+
+    #[test]
+    fn register_path_matches_limb_path_on_binary_ops() {
+        let ops = boundary_operands();
+        for a in &ops {
+            for b in &ops {
+                let what = format!("{a} op {b}");
+                assert_same(&(a + b), &a.add_limbs(b), &what);
+                assert_same(&(a - b), &a.add_limbs(&neg_limbs(b)), &what);
+                assert_same(&(a * b), &a.mul_limbs(b), &what);
+                assert_eq!(a.cmp(b), a.cmp_limbs(b), "{what}");
+                if !b.is_zero() {
+                    let (q, r) = a.div_rem(b);
+                    let (qr, rr) = a.div_rem_limbs(b);
+                    assert_same(&q, &qr, &what);
+                    assert_same(&r, &rr, &what);
+                }
+                let g = gcd_limbs(a, b);
+                assert_same(&a.gcd(b), &g, &what);
+                let l = if a.is_zero() || b.is_zero() {
+                    Int::zero()
+                } else {
+                    abs_limbs(a).div_rem_limbs(&g).0.mul_limbs(&abs_limbs(b))
+                };
+                assert_same(&a.lcm(b), &l, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn register_path_matches_limb_path_on_unary_ops() {
+        for a in boundary_operands() {
+            let what = a.to_string();
+            let (sign, mag) = a.parts();
+            assert_same(&-&a, &neg_limbs(&a), &what);
+            assert_same(&-a.clone(), &neg_limbs(&a), &what);
+            assert_same(&a.abs(), &abs_limbs(&a), &what);
+            assert_eq!(a.bits(), mag_bits(&mag), "{what}");
+            let m = mag_to_f64(&mag);
+            let f = if sign < 0 { -m } else { m };
+            assert_eq!(a.to_f64().to_bits(), f.to_bits(), "{what}");
+            let wide = (mag.len() <= 4)
+                .then(|| {
+                    mag.iter()
+                        .rev()
+                        .fold(0u128, |acc, &w| acc << 32 | u128::from(w))
+                })
+                .and_then(|m| i128::try_from(m).ok())
+                .map(|m| if sign < 0 { -m } else { m });
+            assert_eq!(
+                a.to_i64(),
+                wide.and_then(|v| i64::try_from(v).ok()),
+                "{what}"
+            );
+            assert_eq!(a.to_string(), fmt_limbs(sign, &mag), "{what}");
+            assert_same(&what.parse::<Int>().unwrap(), &a, &what);
+            for k in [0, 1, 5, 31, 32, 33, 62, 63, 64, 100] {
+                assert_same(&a.shl(k), &a.shl_limbs(k), &format!("{what} << {k}"));
+            }
+            let mut p = Int::one();
+            for e in 0..5 {
+                assert_same(&a.pow(e), &p, &format!("{what} ^ {e}"));
+                p = p.mul_limbs(&a);
+            }
+        }
+    }
+
+    #[test]
+    fn register_path_edge_cases() {
+        let min = i(i64::MIN);
+        let two63 = from_u128(false, 1 << 63);
+        assert_eq!(min.div_rem(&i(-1)), (two63.clone(), Int::zero()));
+        assert_eq!(&min / &i(1), min);
+        assert_eq!(-&min, two63);
+        assert_eq!(min.abs(), two63);
+        assert_eq!(min.gcd(&Int::zero()), two63);
+        assert_eq!(Int::zero().gcd(&min), two63);
+        assert_eq!(min.gcd(&min), two63);
+        assert!(matches!((-two63.clone()).0, Repr::Small(i64::MIN)));
+        assert_eq!(Int::from(u64::MAX), from_u128(false, u128::from(u64::MAX)));
+        assert_eq!(std::mem::size_of::<Int>(), 32);
+    }
+
+    #[test]
+    fn results_that_fit_are_demoted() {
+        // (a·b)/b leaves the range and comes back: the quotient must be the
+        // inline value itself, hashing as `a` does.
+        for b in [i(i64::MAX), i(i64::MIN), i(3).shl(61)] {
+            for a in [i(3), i(-7), i(i64::MAX), i(i64::MIN), i(1).shl(62)] {
+                let p = &a * &b;
+                assert!(matches!(p.0, Repr::Big { .. }), "{a} * {b}");
+                let back = &p / &b;
+                assert!(matches!(back.0, Repr::Small(_)), "{a} * {b} / {b}");
+                assert_eq!(back, a);
+                assert_eq!(hash_of(&back), hash_of(&a));
+                assert_eq!((&p + &a) - &p, a);
+            }
+        }
     }
 }

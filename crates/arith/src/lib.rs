@@ -6,8 +6,9 @@
 //! volume algorithm all break under floating-point rounding. This crate
 //! provides:
 //!
-//! * [`Int`] — a signed arbitrary-precision integer (magnitude = base-2³²
-//!   limbs, little-endian).
+//! * [`Int`] — a signed arbitrary-precision integer: an inline `i64` for
+//!   every value in that range (arithmetic in registers, widened to `i128`
+//!   on overflow), little-endian base-2³² limbs only beyond it.
 //! * [`Rat`] — an always-normalized rational number (reduced fraction with
 //!   positive denominator).
 //!

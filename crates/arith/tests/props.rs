@@ -4,11 +4,21 @@ use cqa_arith::{Int, Rat};
 use proptest::prelude::*;
 
 fn int_strategy() -> impl Strategy<Value = Int> {
-    // Mix of small and multi-limb values built from up to 4 random i64 factors.
+    // Mix of small and multi-limb values built from up to 4 random i64 factors,
+    // and values within a few units of ±2^k at the limb and i64 boundaries,
+    // where the inline representation hands over to the limb one.
     prop_oneof![
         prop::collection::vec(any::<i64>(), 1..4)
             .prop_map(|vs| vs.into_iter().fold(Int::one(), |acc, v| acc * Int::from(v))),
         any::<i64>().prop_map(Int::from),
+        (0usize..5, -3i64..=3, any::<bool>()).prop_map(|(k, d, negative)| {
+            let v = Int::one().shl([31, 32, 63, 64, 127][k]) + Int::from(d);
+            if negative {
+                -v
+            } else {
+                v
+            }
+        }),
     ]
 }
 

@@ -1,7 +1,8 @@
 //! End-to-end tests for the event-driven serving layer: pipelining
 //! order/parity, shard-count bit-identity, idle-session scalability, the
 //! non-blocking busy path, pipelined-burst latency on both front ends,
-//! body caps over the wire, and warm-file shard-independence.
+//! body caps over the wire, the parse caps on oversized terms, and
+//! warm-file shard-independence.
 
 use cqa_engine::{parse_command, read_response, Engine, EngineConfig, Response};
 use proptest::prelude::*;
@@ -358,6 +359,39 @@ fn body_cap_rejects_oversized_loads_but_keeps_the_connection_framed() {
     assert!(resp.header.contains("value=1/2"), "{resp:?}");
     c.shutdown();
     handle.join().unwrap();
+}
+
+/// A few bytes of `^` or `*` once held a worker for minutes: the parser
+/// expanded them before any request budget existed. Each must now be an
+/// `ERR parse` within 50 ms, under a short request timeout that parse time
+/// would otherwise ignore. The requests run on a thread of their own so that
+/// a regression fails this test instead of hanging it.
+#[test]
+fn oversized_terms_answer_err_parse_promptly() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let e = Engine::new(EngineConfig {
+            timeout: Some(Duration::from_millis(200)),
+            ..EngineConfig::default()
+        });
+        let mut s = e.open_session();
+        for line in [
+            "VOLUME x^20000000 > 1/2",
+            "PREPARE q (x+1)^900 > 0",
+            "VOLUME 2^60000 * x > 1",
+        ] {
+            let t = Instant::now();
+            let r = e.dispatch(&mut s, parse_command(line).expect(line));
+            tx.send((line, r, t.elapsed())).unwrap();
+        }
+    });
+    for _ in 0..3 {
+        let (line, r, took) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a capped request is still running after 10 s");
+        assert!(r.header.starts_with("ERR parse"), "{line}: {r:?}");
+        assert!(took < Duration::from_millis(50), "{line}: took {took:?}");
+    }
 }
 
 /// The warm-start file must be shard-count-independent: a cache persisted

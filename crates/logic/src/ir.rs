@@ -1020,6 +1020,41 @@ mod tests {
         );
     }
 
+    /// Golden digests. The query cache and the warm-cache file are keyed by
+    /// these bytes, so a change in how `Rat`/`Int` feed a `Hasher` makes
+    /// every warm entry written by an older build silently miss. The
+    /// constants straddle the single-limb, two-limb, `i64::MIN` and
+    /// three-limb encodings of a coefficient.
+    #[test]
+    fn hash_stream_is_pinned() {
+        for (src, golden) in [
+            ("x <= 1/2", "047ed82d2a8e414129177a6b14811ecb"),
+            ("x <= 4294967296", "d5b31b10b2f6ea54aa74591ac809096b"),
+            (
+                "x >= -9223372036854775808",
+                "2119142a839279335aa7e9879e262b3a",
+            ),
+            (
+                "x <= 18446744073709551616",
+                "a103a49017fa8893b1da9d8e860a8e80",
+            ),
+        ] {
+            let mut vars = VarMap::new();
+            let f = parse_formula_with(src, &mut vars).unwrap();
+            let mut arena = Arena::new();
+            let id = arena.intern(&f);
+            let x = vars.get("x").unwrap();
+            let digest = arena.canonical_hash_for_params(id, &[x]);
+            assert_eq!(format!("{digest:032x}"), golden, "{src}");
+        }
+        let mut h = Fnv128::new();
+        cqa_arith::rat(-7, 3).hash(&mut h);
+        assert_eq!(
+            format!("{:032x}", h.finish128()),
+            "c29f4afc8cd7569152a01bad0f67032a"
+        );
+    }
+
     #[test]
     fn fnv128_is_deterministic_and_spreads() {
         let mut h1 = Fnv128::new();

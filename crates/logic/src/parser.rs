@@ -25,7 +25,10 @@
 //!
 //! Numbers may be integers or decimal literals like `0.5` (parsed exactly
 //! as rationals); `/` divides a term by a non-zero rational constant, so
-//! fractions such as `1/2` work as expected.
+//! fractions such as `1/2` work as expected. Terms are expanded as they are
+//! parsed, so a `*`, `/` or `^` whose polynomial would pass total degree 64,
+//! 4 096 terms, or 4 096 bits in a coefficient's numerator or denominator
+//! is a parse error, found before it is expanded.
 //!
 //! The parser natively builds a [`SpannedFormula`] — a faithful parse tree
 //! with byte spans on every node, the input to `cqa-analyze` — and the
@@ -54,6 +57,59 @@ impl fmt::Display for ParseError {
     }
 }
 impl std::error::Error for ParseError {}
+
+// Caps on the polynomial one `*`, `/` or `^` may build, checked from its
+// operands before it is expanded. Parsing runs before a request has a
+// budget, so without them a 24-byte term such as `x^20000000` holds a worker
+// for minutes; no query this system is built for comes near them.
+
+/// Total degree of a product.
+const MAX_DEGREE: u64 = 64;
+/// Bit length of the numerator and of the denominator of any coefficient.
+const MAX_COEFF_BITS: u64 = 4096;
+/// Terms of a product: `(a+b+…+j)^64` passes the other two with ~10¹⁴.
+const MAX_TERMS: usize = 4096;
+
+fn cap_error(at: usize, what: &str, cap: impl fmt::Display) -> ParseError {
+    ParseError {
+        at,
+        msg: format!("term too large: {what} would exceed {cap}"),
+    }
+}
+
+/// The largest numerator or denominator bit length among `p`'s coefficients.
+fn coeff_bits(p: &MPoly) -> u64 {
+    p.terms()
+        .map(|(_, c)| c.numer().bits().max(c.denom().bits()))
+        .max()
+        .unwrap_or(0)
+}
+
+/// `a * b`, or the cap it would break. Degree and term count are bounded
+/// exactly by the operands'; a coefficient is a sum of at most
+/// `min(terms)` products, so its bit length is bounded by the operands'
+/// summed plus `⌈log₂ min(terms)⌉` — and checked again on the result, since
+/// unlike denominators can sum past that.
+fn capped_mul(a: &MPoly, b: &MPoly, at: usize) -> Result<MPoly, ParseError> {
+    let degree = |p: &MPoly| u64::from(p.total_degree().unwrap_or(0));
+    let (ta, tb) = (a.num_terms(), b.num_terms());
+    let sum_bits = u64::from(usize::BITS - ta.min(tb).saturating_sub(1).leading_zeros());
+    if degree(a) + degree(b) > MAX_DEGREE {
+        return Err(cap_error(at, "total degree", MAX_DEGREE));
+    }
+    if ta.saturating_mul(tb) > MAX_TERMS {
+        return Err(cap_error(at, "terms", MAX_TERMS));
+    }
+    let bits_error = || cap_error(at, "coefficient bits", MAX_COEFF_BITS);
+    if coeff_bits(a) + coeff_bits(b) + sum_bits > MAX_COEFF_BITS {
+        return Err(bits_error());
+    }
+    let p = a * b;
+    if coeff_bits(&p) > MAX_COEFF_BITS {
+        return Err(bits_error());
+    }
+    Ok(p)
+}
 
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
@@ -514,13 +570,15 @@ impl<'a> Parser<'a> {
     fn product(&mut self) -> Result<MPoly, ParseError> {
         let mut t = self.power()?;
         loop {
+            let at = self.at();
             if self.eat_sym("*") {
-                t = t * self.power()?;
+                let rhs = self.power()?;
+                t = capped_mul(&t, &rhs, at)?;
             } else if self.eat_sym("/") {
                 let at = self.at();
                 let rhs = self.power()?;
                 match rhs.as_constant() {
-                    Some(c) if !c.is_zero() => t = t.scale(&c.recip()),
+                    Some(c) if !c.is_zero() => t = capped_mul(&t, &MPoly::constant(c.recip()), at)?,
                     _ => {
                         return Err(ParseError {
                             at,
@@ -537,23 +595,33 @@ impl<'a> Parser<'a> {
 
     fn power(&mut self) -> Result<MPoly, ParseError> {
         let base = self.primary()?;
-        if self.eat_sym("^") {
-            match self.bump() {
-                Some(Tok::Num(n)) if n.is_integer() && !n.is_negative() => {
-                    let e = n
-                        .numer()
-                        .to_i64()
-                        .filter(|&e| e <= u32::MAX as i64)
-                        .ok_or_else(|| ParseError {
-                            at: self.at(),
-                            msg: "exponent too large".into(),
-                        })?;
-                    Ok(base.pow(e as u32))
+        if !self.eat_sym("^") {
+            return Ok(base);
+        }
+        let at = self.at();
+        match self.bump() {
+            Some(Tok::Num(n)) if n.is_integer() && !n.is_negative() => {
+                // Every base but 0 and ±1 breaks a cap before its exponent
+                // reaches MAX_COEFF_BITS, so this bound refuses nothing the
+                // caps would let through except powers of those three.
+                let e = n
+                    .numer()
+                    .to_i64()
+                    .filter(|&e| e <= MAX_COEFF_BITS as i64)
+                    .ok_or_else(|| ParseError {
+                        at: self.at(),
+                        msg: "exponent too large".into(),
+                    })?;
+                if e as u64 * u64::from(base.total_degree().unwrap_or(0)) > MAX_DEGREE {
+                    return Err(cap_error(at, "total degree", MAX_DEGREE));
                 }
-                _ => self.err("expected a natural-number exponent"),
+                let mut acc = if e == 0 { MPoly::one() } else { base.clone() };
+                for _ in 1..e {
+                    acc = capped_mul(&acc, &base, at)?;
+                }
+                Ok(acc)
             }
-        } else {
-            Ok(base)
+            _ => self.err("expected a natural-number exponent"),
         }
     }
 
@@ -765,6 +833,39 @@ mod tests {
         assert!(parse_formula("exists . x < 1").is_err());
         assert!(parse_formula("x < 1 garbage garbage").is_err());
         assert!(parse_formula("x ^ y").is_err()); // non-constant exponent
+    }
+
+    #[test]
+    fn oversized_terms_are_refused_before_expansion() {
+        for ok in [
+            "x^64 > 0",
+            "(x+1)^64 > 0",
+            "x^32 * x^32 > 1",
+            "2^4000 * x > 1",
+        ] {
+            assert!(parse_formula(ok).is_ok(), "{ok}");
+        }
+        for (src, what) in [
+            ("x^65 > 0", "total degree"),
+            ("x^32 * x^33 > 1", "total degree"),
+            ("(x+1)^900 > 0", "total degree"),
+            ("x^20000000 > 1/2", "exponent too large"),
+            ("(2^3000)^2 * x > 1", "coefficient bits"),
+            ("2^3000 * 2^3000 * x > 1", "coefficient bits"),
+            ("x / 2^3000 / 2^3000 > 1", "coefficient bits"),
+            ("(a+b+c+d+e+f+g+h+i+j)^64 > 0", "terms"),
+        ] {
+            let e = parse_formula(src).expect_err(src);
+            assert!(e.msg.contains(what), "{src}: {e}");
+        }
+        // Multiplying through the cap check changes no accepted polynomial.
+        let (f, _) = parse_formula("(x - 1/2)^3 * (2*y + 3)^2 / 7 < 1").unwrap();
+        let (g, _) = parse_formula(
+            "(4*x^3*y^2 - 6*x^2*y^2 + 3*x*y^2 - y^2/2 + 12*x^3*y - 18*x^2*y + 9*x*y \
+             - 3*y/2 + 9*x^3 - 27*x^2/2 + 27*x/4 - 9/8) / 7 < 1",
+        )
+        .unwrap();
+        assert_eq!(f, g);
     }
 
     #[test]

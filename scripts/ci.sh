@@ -27,6 +27,10 @@ run_capped cargo test -q --offline
 echo "== workspace tests =="
 run_capped cargo test -q --workspace --offline
 
+echo "== exact arithmetic (inline vs limb differential, pinned hash stream) =="
+run_capped cargo test -q --offline -p cqa-arith
+run_capped cargo test -q --offline -p cqa-logic --lib hash_stream_is_pinned
+
 echo "== kernel parity (eval_rats and the SoA batch sweep vs the tree-walking interpreter) =="
 run_capped cargo test -q --offline -p cqa-logic --test kernel_parity
 
@@ -48,7 +52,7 @@ run_capped cargo test -q --offline -p cqa-qe --test plan_parity
 echo "== storage durability (kill-and-replay, torn tail, crash-point sweep) =="
 run_capped cargo test -q --offline -p cqa-engine --test storage
 
-echo "== serving layer (pipelining order/parity, pipelined bursts on both front ends, shard bit-identity, idle sessions, busy path, body caps) =="
+echo "== serving layer (pipelining order/parity, pipelined bursts on both front ends, shard bit-identity, idle sessions, busy path, body caps, parse caps: degree 64 / 4096 terms / 4096-bit coefficients) =="
 run_capped cargo test -q --offline -p cqa-engine --test serving
 
 echo "== cqa-e2e smoke (bench/ builds against the crates' API; every reply checked, failed 0) =="
