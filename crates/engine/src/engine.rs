@@ -889,7 +889,8 @@ impl Engine {
                 self.stats.degraded.fetch_add(1, Ordering::Relaxed);
                 Response::ok(format!(
                     "{verb} {name} status=approx value={estimate} eps={eps} delta={delta} \
-                     samples={samples} reason={reason} cache={cache_tag}"
+                     samples={samples} reason={reason} cache={cache_tag} steps={}",
+                    budget.steps()
                 ))
             }
             Err(resp) => resp,
@@ -1435,6 +1436,31 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
             .parse()
             .unwrap();
         assert_eq!(lanes, samples);
+    }
+
+    #[test]
+    fn degraded_answers_report_their_steps() {
+        // A quantified polynomial query pays for Hörmander, then samples:
+        // its approx header says how many budget steps that took, as an
+        // exact header does; served from the cache, it took none.
+        let e = engine();
+        let mut s = e.open_session();
+        let q = "exists v. x*x + v*v <= 1/2 & v >= x*x - 1/4";
+        assert!(e.prepare(&mut s, "lens", q).is_ok());
+        let steps = |r: &Response| -> Option<u64> {
+            let n = r
+                .header
+                .split_whitespace()
+                .find_map(|t| t.strip_prefix("steps="));
+            n.map(|n| n.parse().unwrap())
+        };
+        let cold = e.exec(&mut s, "lens", None, None);
+        assert!(cold.header.contains("status=approx"), "{cold:?}");
+        assert!(cold.header.contains("cache=miss"), "{cold:?}");
+        assert!(steps(&cold).is_some_and(|n| n > 0), "{cold:?}");
+        let warm = e.exec(&mut s, "lens", None, None);
+        assert!(warm.header.contains("cache=hit"), "{warm:?}");
+        assert_eq!(steps(&warm), Some(0), "{warm:?}");
     }
 
     #[test]

@@ -25,6 +25,36 @@
 //! just a decision procedure — the closure property of FO+POLY made
 //! executable.
 //!
+//! **Each family's matrices are derived once.** Under every undecided
+//! parameter sign the recursion asks for the sign matrix of the same
+//! polynomial families again (a lens query asks for 10 families 553 times).
+//! So within one `∃`-elimination the first request for a family derives its
+//! matrices under *no* sign assumptions and stores them in a memo as a
+//! decision tree over the parameter signs the derivation had to decide
+//! (`Split(poly, [zero, pos, neg])` on the head of `poly`, `Rows`,
+//! `Inconsistent`). A derivation first decides the head of every divisor
+//! (`p'` and the rest of the family), so that remainders can be
+//! sign-corrected; a build, knowing nothing, splits on them with an
+//! `Inconsistent` zero branch. A real caller always knows those heads are
+//! non-zero, so replay never emits a guard for them, and no beheaded
+//! zero-branch derivation enters the tree. Every request, the first
+//! included, then *replays* the tree under the caller's context: a known
+//! sign follows one child, an unknown one emits the same three guarded
+//! branches a direct derivation would, leaves feed the caller's
+//! continuation. So the output is the formula the direct derivation
+//! builds, streamed the same way. `casesplit`, `delconst` and the matrix
+//! derivation are generic over what they build ([`Output`]): the output
+//! formula or a memo tree, by one code path.
+//!
+//! A cap and a lifetime keep the memo from costing more than it saves. A
+//! build is abandoned once its rows plus split nodes pass [`BUILD_CAP`]
+//! (checked at every split, not only at leaves); from then on that family
+//! is derived directly under each caller's context. And the memo belongs
+//! to one elimination and is dropped with it; the polynomials its keys,
+//! trees and work lists hold are shared (`Rc`), not cloned. The cooperative
+//! budget counts one step per `casesplit` entry — in memo builds as in
+//! direct derivations — plus one per replayed tree node.
+//!
 //! Complexity is non-elementary in the worst case; the paper (Section 3)
 //! leans on exactly this cost when arguing that QE-based approximate volume
 //! operators are impractical, and `qe.hoermander.us_per_op` in `cqa-e2e`
@@ -32,14 +62,22 @@
 
 use crate::simplify::simplify;
 use crate::QeError;
-use cqa_logic::budget::EvalBudget;
+use cqa_logic::budget::{BudgetExceeded, EvalBudget};
 use cqa_logic::{nnf, prenex, Atom, Formula, Rel};
 use cqa_poly::{MPoly, Var};
+use std::collections::HashMap;
+use std::rc::Rc;
 
 /// A polynomial in the eliminated variable: coefficients (ascending degree)
 /// are polynomials in the parameters.
 type XPoly = Vec<MPoly>;
 
+/// Nodes (matrix rows plus split nodes) a memo build may create before it is
+/// abandoned and its family derived under each caller's context instead.
+const BUILD_CAP: usize = 1024;
+
+/// Declaration order is the order of a split's branches (`as usize` indexes
+/// a [`Tree::Split`]'s children).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Sign {
     Zero,
@@ -116,40 +154,92 @@ impl Ctx {
 /// produces garbage inferences; such branches contribute `⊥`.
 struct Inconsistent;
 
-type Cont<'a> = dyn FnMut(&[Vec<i8>]) -> Formula + 'a;
+/// Why a derivation stopped before its end.
+enum Halt {
+    /// The caller's budget ran out: the whole elimination stops.
+    Budget(QeError),
+    /// The innermost memo build outgrew [`BUILD_CAP`]: only it stops.
+    Abandon,
+}
 
-/// Case-splits on the sign of `head`, invoking `k` once per feasible sign
-/// with the extended context, and guarding unknown branches with the
-/// corresponding atom.
-fn split3(
-    ctx: &Ctx,
-    head: &MPoly,
-    k: &mut dyn FnMut(&Ctx, Sign) -> Result<Formula, QeError>,
-) -> Result<Formula, QeError> {
-    match ctx.findsign(head) {
-        Some(s) => k(ctx, s),
-        None => {
-            let mut out = Formula::False;
-            for (s, rel) in [
-                (Sign::Zero, Rel::Eq),
-                (Sign::Pos, Rel::Gt),
-                (Sign::Neg, Rel::Lt),
-            ] {
-                let guard = Formula::Atom(Atom::new(head.clone(), rel));
-                let branch = k(&ctx.assert_sign(head, s), s)?;
-                out = out.or(guard.and(branch));
-            }
-            Ok(out)
-        }
+impl From<BudgetExceeded> for Halt {
+    fn from(b: BudgetExceeded) -> Halt {
+        Halt::Budget(b.into())
     }
 }
 
-fn xtrim(p: &[MPoly]) -> XPoly {
-    let mut q = p.to_vec();
-    while q.last().is_some_and(MPoly::is_zero) {
-        q.pop();
+/// What a derivation produces: the output formula itself, streamed, or a
+/// family's memo [`Tree`]. The continuation makes the leaves; this makes
+/// the rest.
+trait Output: Sized {
+    /// A branch whose sign assumptions are contradictory.
+    fn inconsistent() -> Self;
+    /// The zero, positive and negative branches on the undecided head
+    /// coefficient of `poly`.
+    fn split(poly: &Rc<XPoly>, branches: [Self; 3]) -> Self;
+}
+
+impl Output for Formula {
+    fn inconsistent() -> Formula {
+        Formula::False
     }
-    q
+
+    /// Guards each branch with the sign condition it assumed.
+    fn split(poly: &Rc<XPoly>, branches: [Formula; 3]) -> Formula {
+        let head = head(poly);
+        let mut out = Formula::False;
+        for (rel, branch) in [Rel::Eq, Rel::Gt, Rel::Lt].into_iter().zip(branches) {
+            let guard = Formula::Atom(Atom::new(head.clone(), rel));
+            out = out.or(guard.and(branch));
+        }
+        out
+    }
+}
+
+/// A family's sign matrices as a decision tree over the parameter signs
+/// their derivation had to decide, built once under no assumptions.
+enum Tree {
+    /// Children for the head of the polynomial zero, positive, negative.
+    Split(Rc<XPoly>, Box<[Tree; 3]>),
+    Rows(Vec<Vec<i8>>),
+    Inconsistent,
+}
+
+impl Output for Tree {
+    fn inconsistent() -> Tree {
+        Tree::Inconsistent
+    }
+
+    fn split(poly: &Rc<XPoly>, branches: [Tree; 3]) -> Tree {
+        Tree::Split(Rc::clone(poly), Box::new(branches))
+    }
+}
+
+/// Receives each sign matrix (rows alternating interval, point, interval,
+/// …) a derivation reaches and makes that leaf of the output.
+type Cont<'c, O> = dyn FnMut(&mut Elim<'_>, &[Vec<i8>]) -> Result<O, Halt> + 'c;
+
+/// The state of one `∃`-elimination: its budget and its family memo.
+struct Elim<'b> {
+    budget: &'b EvalBudget,
+    /// Each family's tree; `None` once its build passed [`BUILD_CAP`].
+    memo: HashMap<Vec<Rc<XPoly>>, Option<Rc<Tree>>>,
+    /// Nodes created so far by each memo build in progress, innermost last.
+    builds: Vec<usize>,
+}
+
+/// The head (leading) coefficient of a trimmed, non-empty polynomial.
+fn head(p: &[MPoly]) -> &MPoly {
+    p.last().expect("a trimmed polynomial with a head")
+}
+
+fn xtrim(p: &Rc<XPoly>) -> Rc<XPoly> {
+    let n = p.len() - p.iter().rev().take_while(|c| c.is_zero()).count();
+    if n == p.len() {
+        Rc::clone(p)
+    } else {
+        Rc::new(p[..n].to_vec())
+    }
 }
 
 fn xderiv(p: &[MPoly]) -> XPoly {
@@ -168,8 +258,8 @@ fn xneg(p: &[MPoly]) -> XPoly {
 /// `deg r < deg q` (structurally).
 fn pdivide(p: &[MPoly], q: &[MPoly]) -> (u32, XPoly) {
     let dq = q.len() - 1;
-    let lq = q.last().unwrap();
-    let mut r = xtrim(p);
+    let lq = head(q);
+    let mut r = p.to_vec();
     let mut k = 0u32;
     while r.len() > dq {
         let dr = r.len() - 1;
@@ -182,120 +272,200 @@ fn pdivide(p: &[MPoly], q: &[MPoly]) -> (u32, XPoly) {
         }
         debug_assert!(next.last().unwrap().is_zero());
         next.pop();
-        r = xtrim(&next);
+        while next.last().is_some_and(MPoly::is_zero) {
+            next.pop();
+        }
+        r = next;
         k += 1;
     }
     (k, r)
 }
 
-/// The remainder of `p` by `q`, sign-corrected so that at every root of `q`
-/// (in any context consistent with `ctx`), `sign(result) = sign(p)`.
-fn pdivide_pos(ctx: &Ctx, p: &[MPoly], q: &[MPoly]) -> XPoly {
-    let (k, r) = pdivide(p, q);
-    if k % 2 == 0 {
-        return r;
-    }
-    match ctx.findsign(q.last().unwrap()) {
-        Some(Sign::Pos) => r,
-        Some(Sign::Neg) => xneg(&r),
-        other => unreachable!("head sign of divisor must be known, got {other:?}"),
-    }
-}
-
-/// Ensures every polynomial's head coefficient has a known sign in the
-/// context: zero heads are beheaded, constants recorded via `delconst`, and
-/// non-constants accumulated in `dun` for the matrix computation.
-///
-/// This is the doubly-exponential blow-up point of the whole procedure, so
-/// the cooperative budget is checked at every entry.
-fn casesplit(
-    ctx: &Ctx,
-    dun: &[XPoly],
-    todo: &[XPoly],
-    budget: &EvalBudget,
-    cont: &mut Cont<'_>,
-) -> Result<Formula, QeError> {
-    budget.check()?;
-    let Some((p0, rest)) = todo.split_first() else {
-        return matrix_build(ctx, dun, budget, cont);
-    };
-    let p = xtrim(p0);
-    if p.is_empty() {
-        return delconst(ctx, dun, 0, rest, budget, cont);
-    }
-    let head = p.last().unwrap().clone();
-    split3(ctx, &head, &mut |ctx2, s| match s {
-        Sign::Zero => {
-            let mut q = p.clone();
-            q.pop();
-            let mut todo2 = vec![q];
-            todo2.extend_from_slice(rest);
-            casesplit(ctx2, dun, &todo2, budget, cont)
-        }
-        s => {
-            if p.len() == 1 {
-                delconst(ctx2, dun, s.as_i8(), rest, budget, cont)
-            } else {
-                let mut dun2 = dun.to_vec();
-                dun2.push(p.clone());
-                casesplit(ctx2, &dun2, rest, budget, cont)
+impl Elim<'_> {
+    /// Counts `n` new nodes against the innermost build in progress, if any.
+    fn charge(&mut self, n: usize) -> Result<(), Halt> {
+        if let Some(nodes) = self.builds.last_mut() {
+            *nodes += n;
+            if *nodes > BUILD_CAP {
+                return Err(Halt::Abandon);
             }
         }
-    })
-}
-
-/// Records a (sign-known) constant polynomial: its sign column is inserted
-/// into every matrix row at the position the polynomial occupies.
-fn delconst(
-    ctx: &Ctx,
-    dun: &[XPoly],
-    sign: i8,
-    rest: &[XPoly],
-    budget: &EvalBudget,
-    cont: &mut Cont<'_>,
-) -> Result<Formula, QeError> {
-    let idx = dun.len();
-    let mut cont2 = |rows: &[Vec<i8>]| {
-        let rows2: Vec<Vec<i8>> = rows
-            .iter()
-            .map(|r| {
-                let mut r2 = r.clone();
-                r2.insert(idx, sign);
-                r2
-            })
-            .collect();
-        cont(&rows2)
-    };
-    casesplit(ctx, dun, rest, budget, &mut cont2)
-}
-
-/// Computes the sign matrix for non-constant polynomials with sign-known
-/// non-zero heads, and feeds its rows (alternating interval, point,
-/// interval, …) to the continuation.
-fn matrix_build(
-    ctx: &Ctx,
-    pols: &[XPoly],
-    budget: &EvalBudget,
-    cont: &mut Cont<'_>,
-) -> Result<Formula, QeError> {
-    if pols.is_empty() {
-        return Ok(cont(&[vec![]]));
+        Ok(())
     }
-    // Pick a polynomial of maximal degree.
-    let i = (0..pols.len()).max_by_key(|&j| pols[j].len()).unwrap();
-    let p = &pols[i];
-    let p_prime = xderiv(p);
-    let mut qs: Vec<XPoly> = vec![p_prime];
-    for (j, q) in pols.iter().enumerate() {
-        if j != i {
-            qs.push(q.clone());
+
+    /// Case-splits on the sign of `poly`'s head coefficient: one call of
+    /// `k` when the context knows it, otherwise one per sign under the
+    /// extended context, joined by [`Output::split`].
+    fn split3<O: Output>(
+        &mut self,
+        ctx: &Ctx,
+        poly: &Rc<XPoly>,
+        k: &mut dyn FnMut(&mut Self, &Ctx, Sign) -> Result<O, Halt>,
+    ) -> Result<O, Halt> {
+        let head = head(poly);
+        if let Some(s) = ctx.findsign(head) {
+            return k(self, ctx, s);
+        }
+        self.charge(1)?;
+        let zero = k(self, &ctx.assert_sign(head, Sign::Zero), Sign::Zero)?;
+        let pos = k(self, &ctx.assert_sign(head, Sign::Pos), Sign::Pos)?;
+        let neg = k(self, &ctx.assert_sign(head, Sign::Neg), Sign::Neg)?;
+        Ok(O::split(poly, [zero, pos, neg]))
+    }
+
+    /// Ensures every polynomial's head coefficient has a known sign in the
+    /// context: zero heads are beheaded, constants recorded via `delconst`,
+    /// and non-constants accumulated in `dun` for the matrix computation.
+    ///
+    /// This is the doubly-exponential blow-up point of the whole procedure,
+    /// so the cooperative budget is checked at every entry.
+    fn casesplit<O: Output>(
+        &mut self,
+        ctx: &Ctx,
+        dun: &[Rc<XPoly>],
+        todo: &[Rc<XPoly>],
+        cont: &mut Cont<'_, O>,
+    ) -> Result<O, Halt> {
+        self.budget.check()?;
+        let Some((p0, rest)) = todo.split_first() else {
+            return self.matrix(ctx, dun, cont);
+        };
+        let p = xtrim(p0);
+        if p.is_empty() {
+            return self.delconst(ctx, dun, 0, rest, cont);
+        }
+        self.split3(ctx, &p, &mut |el, ctx2, s| match s {
+            Sign::Zero => {
+                let mut todo2 = vec![Rc::new(p[..p.len() - 1].to_vec())];
+                todo2.extend_from_slice(rest);
+                el.casesplit(ctx2, dun, &todo2, cont)
+            }
+            s if p.len() == 1 => el.delconst(ctx2, dun, s.as_i8(), rest, cont),
+            _ => {
+                let mut dun2 = dun.to_vec();
+                dun2.push(Rc::clone(&p));
+                el.casesplit(ctx2, &dun2, rest, cont)
+            }
+        })
+    }
+
+    /// Records a (sign-known) constant polynomial: its sign column is
+    /// inserted into every matrix row at the position the polynomial
+    /// occupies.
+    fn delconst<O: Output>(
+        &mut self,
+        ctx: &Ctx,
+        dun: &[Rc<XPoly>],
+        sign: i8,
+        rest: &[Rc<XPoly>],
+        cont: &mut Cont<'_, O>,
+    ) -> Result<O, Halt> {
+        let idx = dun.len();
+        let mut cont2 = |el: &mut Elim<'_>, rows: &[Vec<i8>]| {
+            let rows2: Vec<Vec<i8>> = rows
+                .iter()
+                .map(|r| {
+                    let mut r2 = r.clone();
+                    r2.insert(idx, sign);
+                    r2
+                })
+                .collect();
+            cont(el, &rows2)
+        };
+        self.casesplit(ctx, dun, rest, &mut cont2)
+    }
+
+    /// Feeds the sign matrix of `pols` (non-constant, heads known and
+    /// non-zero in `ctx`) to the continuation. The family's memo tree is
+    /// built on first use and replayed under `ctx`; a family whose build
+    /// was abandoned is derived under `ctx` directly.
+    fn matrix<O: Output>(
+        &mut self,
+        ctx: &Ctx,
+        pols: &[Rc<XPoly>],
+        cont: &mut Cont<'_, O>,
+    ) -> Result<O, Halt> {
+        if pols.is_empty() {
+            return cont(self, &[vec![]]);
+        }
+        let tree = match self.memo.get(pols) {
+            Some(Some(tree)) => Rc::clone(tree),
+            Some(None) => return self.derive(ctx, pols, cont),
+            None => {
+                self.builds.push(0);
+                let built = self.derive(&Ctx::default(), pols, &mut |el, rows| {
+                    el.charge(rows.len())?;
+                    Ok(Tree::Rows(rows.to_vec()))
+                });
+                self.builds.pop();
+                match built {
+                    Ok(tree) => {
+                        let tree = Rc::new(tree);
+                        self.memo.insert(pols.to_vec(), Some(Rc::clone(&tree)));
+                        tree
+                    }
+                    Err(Halt::Abandon) => {
+                        self.memo.insert(pols.to_vec(), None);
+                        return self.derive(ctx, pols, cont);
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+        };
+        self.replay(ctx, &tree, cont)
+    }
+
+    /// Walks a memo tree under `ctx`: a sign the context knows follows one
+    /// child, an unknown one splits as [`Elim::split3`] does, and leaves
+    /// feed the continuation. Every node visited is one budget step.
+    fn replay<O: Output>(
+        &mut self,
+        ctx: &Ctx,
+        tree: &Tree,
+        cont: &mut Cont<'_, O>,
+    ) -> Result<O, Halt> {
+        self.budget.check()?;
+        match tree {
+            Tree::Inconsistent => Ok(O::inconsistent()),
+            Tree::Rows(rows) => cont(self, rows),
+            Tree::Split(poly, children) => self.split3(ctx, poly, &mut |el, ctx2, s| {
+                el.replay(ctx2, &children[s as usize], cont)
+            }),
         }
     }
-    let rs: Vec<XPoly> = qs.iter().map(|q| pdivide_pos(ctx, p, q)).collect();
-    let l = qs.len();
-    let mut cont2 = |rows: &[Vec<i8>]| -> Formula {
-        match dedmatrix(rows, l) {
-            Err(Inconsistent) => Formula::False,
+
+    /// Derives the sign matrix of `pols` under `ctx`: with `p` of maximal
+    /// degree, from the matrix of `p'`, the other polynomials and the
+    /// remainders of `p` by each of them. Every divisor's head is decided
+    /// first (a caller's context knows them all; a memo build splits on
+    /// them, zero being inconsistent), so each remainder can be
+    /// sign-corrected to agree with `p` at the divisor's roots.
+    fn derive<O: Output>(
+        &mut self,
+        ctx: &Ctx,
+        pols: &[Rc<XPoly>],
+        cont: &mut Cont<'_, O>,
+    ) -> Result<O, Halt> {
+        // Pick a polynomial of maximal degree.
+        let i = (0..pols.len()).max_by_key(|&j| pols[j].len()).unwrap();
+        let p = &pols[i];
+        let mut qs: Vec<Rc<XPoly>> = vec![Rc::new(xderiv(p))];
+        qs.extend(
+            pols.iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, q)| Rc::clone(q)),
+        );
+        let divisions: Vec<(u32, Rc<XPoly>)> = qs
+            .iter()
+            .map(|q| {
+                let (k, r) = pdivide(p, q);
+                (k, Rc::new(r))
+            })
+            .collect();
+        let l = qs.len();
+        let mut cont2 = |el: &mut Elim<'_>, rows: &[Vec<i8>]| match dedmatrix(rows, l) {
+            Err(Inconsistent) => Ok(O::inconsistent()),
             Ok(ded) => {
                 // ded rows: [p, p', pols-minus-p…]; drop p', reinsert p at i.
                 let rows2: Vec<Vec<i8>> = ded
@@ -306,13 +476,37 @@ fn matrix_build(
                         rest
                     })
                     .collect();
-                cont(&rows2)
+                cont(el, &rows2)
             }
-        }
-    };
-    let mut all = qs;
-    all.extend(rs);
-    casesplit(ctx, &[], &all, budget, &mut cont2)
+        };
+        self.decide_heads(ctx, &qs, &mut |el, ctx2| {
+            let mut all = qs.clone();
+            for (q, (k, r)) in qs.iter().zip(&divisions) {
+                // lc(q)^k · p ≡ r at q's roots: flip r when that factor is
+                // negative.
+                let flip = k % 2 == 1 && ctx2.findsign(head(q)) == Some(Sign::Neg);
+                all.push(if flip { Rc::new(xneg(r)) } else { Rc::clone(r) });
+            }
+            el.casesplit(ctx2, &[], &all, &mut cont2)
+        })
+    }
+
+    /// Decides the head sign of each of `qs` in turn, then calls `k`; a
+    /// zero head contradicts `derive`'s precondition and is inconsistent.
+    fn decide_heads<O: Output>(
+        &mut self,
+        ctx: &Ctx,
+        qs: &[Rc<XPoly>],
+        k: &mut dyn FnMut(&mut Self, &Ctx) -> Result<O, Halt>,
+    ) -> Result<O, Halt> {
+        let Some((q, rest)) = qs.split_first() else {
+            return k(self, ctx);
+        };
+        self.split3(ctx, q, &mut |el, ctx2, s| match s {
+            Sign::Zero => Ok(O::inconsistent()),
+            _ => el.decide_heads(ctx2, rest, k),
+        })
+    }
 }
 
 /// Given the sign matrix of `qs ++ rs` (2·l columns, rows alternating
@@ -472,15 +666,27 @@ pub(crate) fn eliminate_exists_ch(
     if polys.is_empty() {
         return Ok(f);
     }
-    let xpolys: Vec<XPoly> = polys.iter().map(|p| p.as_univariate_in(v)).collect();
-    let mut cont = |rows: &[Vec<i8>]| -> Formula {
-        if rows.iter().any(|row| eval_with_signs(&f, &polys, row)) {
+    let xpolys: Vec<Rc<XPoly>> = polys
+        .iter()
+        .map(|p| Rc::new(p.as_univariate_in(v)))
+        .collect();
+    let mut elim = Elim {
+        budget,
+        memo: HashMap::new(),
+        builds: Vec::new(),
+    };
+    let mut cont = |_: &mut Elim<'_>, rows: &[Vec<i8>]| {
+        Ok(if rows.iter().any(|row| eval_with_signs(&f, &polys, row)) {
             Formula::True
         } else {
             Formula::False
-        }
+        })
     };
-    let qf = casesplit(&Ctx::default(), &[], &xpolys, budget, &mut cont)?;
+    let qf = match elim.casesplit(&Ctx::default(), &[], &xpolys, &mut cont) {
+        Ok(qf) => qf,
+        Err(Halt::Budget(e)) => return Err(e),
+        Err(Halt::Abandon) => unreachable!("abandoned outside any memo build"),
+    };
     Ok(simplify(&qf))
 }
 

@@ -1,12 +1,163 @@
 //! Property tests for the Cohen–Hörmander engine: brute-force
-//! cross-validation on random univariate polynomial sentences.
+//! cross-validation on random univariate polynomial sentences, and a pinned
+//! differential corpus of parametric formulas whose outputs must not change.
 
 use cqa_arith::Rat;
 use cqa_logic::budget::EvalBudget;
-use cqa_logic::{Atom, Formula, Rel};
+use cqa_logic::ir::Fnv128;
+use cqa_logic::{parse_formula, Arena, Atom, Formula, Rel};
 use cqa_poly::{MPoly, UPoly, Var};
-use cqa_qe::hoermander;
+use cqa_qe::{hoermander, QeError};
 use proptest::prelude::*;
+use std::hash::Hasher;
+
+/// splitmix64: the corpus must not depend on any RNG crate's stream.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// One atom over `vars` (free `x, a` first, then the bound ones): one to
+/// three monomials of degree ≤ 2 with coefficients in ±1..3, the first
+/// mentioning a bound variable, against a constant in -3..3.
+fn corpus_atom(rng: &mut SplitMix, vars: &[&str]) -> String {
+    let mut src = String::new();
+    for t in 0..1 + rng.below(3) {
+        let first = if t == 0 {
+            vars[2 + rng.below(vars.len() as u64 - 2) as usize]
+        } else {
+            vars[rng.below(vars.len() as u64) as usize]
+        };
+        let mut mono = first.to_string();
+        if rng.below(3) == 0 {
+            mono = format!("{mono}*{}", vars[rng.below(vars.len() as u64) as usize]);
+        }
+        let c = 1 + rng.below(3);
+        let sign = if rng.below(2) == 0 { "+" } else { "-" };
+        let coeff = if c == 1 {
+            String::new()
+        } else {
+            format!("{c}*")
+        };
+        if t == 0 && sign == "+" {
+            src += &format!("{coeff}{mono}");
+        } else {
+            src += &format!(" {sign} {coeff}{mono}");
+        }
+    }
+    let rel = ["<", "<=", ">", ">=", "="][rng.below(5) as usize];
+    let rhs = rng.below(7) as i64 - 3;
+    format!("{src} {rel} {rhs}")
+}
+
+/// One corpus formula: one or two quantifiers (`y`, or `y` then `z`), each
+/// ∃ with probability 3/4, over a body of 1–3 atoms joined by `&`/`|`, with
+/// `x` and `a` free.
+fn corpus_formula(rng: &mut SplitMix) -> String {
+    let vars: &[&str] = if rng.below(3) != 0 {
+        &["x", "a", "y"]
+    } else {
+        &["x", "a", "y", "z"]
+    };
+    let mut body = String::new();
+    for i in 0..[1, 1, 2, 2, 3][rng.below(5) as usize] {
+        if i > 0 {
+            body += if rng.below(2) == 0 { " & " } else { " | " };
+        }
+        body += &format!("({})", corpus_atom(rng, vars));
+    }
+    let mut src = format!("({body})");
+    for v in vars[2..].iter().rev() {
+        let q = if rng.below(5) == 0 {
+            "forall"
+        } else {
+            "exists"
+        };
+        src = format!("{q} {v}. {src}");
+    }
+    src
+}
+
+/// The 15 lens queries of the benchmark's `cold_poly` round.
+fn lens_formulas() -> Vec<String> {
+    (0..15u64)
+        .map(|j| {
+            let (r, c) = (5 + j % 4, 2 + j / 4);
+            format!("exists v. exists w. (x*x + v*v + w*w <= {r}/8 & v >= x*x - {c}/8 & w <= v)")
+        })
+        .collect()
+}
+
+const CORPUS_SEED: u64 = 0x00c0_ffee_1999;
+const CORPUS_SIZE: usize = 1_500;
+const CORPUS_MAX_STEPS: u64 = 200_000;
+
+// The digest was taken from the reference implementation: the direct
+// derivation that recomputes every sign matrix under each case-split
+// branch, without a memo. Steps may differ from it; outputs may not.
+
+/// Corpus indices that trip the 200 000-step cap in the reference
+/// implementation; they may finish now, and are left out of the digest.
+const REFERENCE_TRIPS: &[usize] = &[574, 1058, 1139, 1227, 1286];
+
+/// FNV-128 over (index, structural hash of the output) of every formula the
+/// reference implementation finished, lens formulas last.
+const GOLDEN_DIGEST: u128 = 0xa4ba_92a5_beff_e20f_6401_d575_6682_caf9;
+
+/// Differential pin: every corpus formula the reference implementation
+/// eliminated under the step cap must come out structurally identical.
+#[test]
+fn pinned_corpus_reproduces_every_output() {
+    let mut rng = SplitMix(CORPUS_SEED);
+    let mut sources: Vec<String> = (0..CORPUS_SIZE).map(|_| corpus_formula(&mut rng)).collect();
+    sources.extend(lens_formulas());
+    let mut arena = Arena::new();
+    let mut digest = Fnv128::new();
+    let mut trips = Vec::new();
+    for (i, src) in sources.iter().enumerate() {
+        let f = parse_formula(src)
+            .unwrap_or_else(|e| panic!("#{i} {src}: {e:?}"))
+            .0;
+        let budget = EvalBudget::unlimited().with_max_steps(CORPUS_MAX_STEPS);
+        match hoermander(&f, &budget) {
+            Ok(g) => {
+                if REFERENCE_TRIPS.contains(&i) {
+                    continue;
+                }
+                let id = arena.intern(&g);
+                digest.write_u64(i as u64);
+                digest.write_u128(arena.structural_hash(id));
+            }
+            Err(QeError::Budget(_)) => trips.push(i),
+            Err(e) => panic!("#{i} {src}: {e}"),
+        }
+    }
+    let new_trips: Vec<&usize> = trips
+        .iter()
+        .filter(|i| !REFERENCE_TRIPS.contains(i))
+        .collect();
+    assert!(
+        new_trips.is_empty(),
+        "finished in the reference implementation, trip the cap now: {new_trips:?}"
+    );
+    assert_eq!(
+        digest.finish128(),
+        GOLDEN_DIGEST,
+        "corpus outputs changed (digest {:#x}; trips {trips:?})",
+        digest.finish128()
+    );
+}
 
 fn upoly_strategy() -> impl Strategy<Value = Vec<i64>> {
     prop::collection::vec(-4i64..=4, 1..4)

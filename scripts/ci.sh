@@ -49,6 +49,13 @@ run_capped cargo test -q --offline -p cqa-analyze --test incremental_parity
 echo "== planner parity (planned vs fixed QE, subplan-hit determinism) =="
 run_capped cargo test -q --offline -p cqa-qe --test plan_parity
 
+echo "== Hörmander (pinned corpus, bounded replay and memory) =="
+# The corpus digest pins every output bit for bit; the bounds test trips a
+# step cap and a 50 ms deadline on three non-terminating probes (the
+# deadline margin is only asserted in release builds) and caps peak RSS.
+run_capped cargo test -q --release --offline -p cqa-qe --test hoermander_props pinned_corpus
+run_capped cargo test -q --release --offline -p cqa-qe --test hoermander_bounds
+
 echo "== storage durability (kill-and-replay, torn tail, crash-point sweep) =="
 run_capped cargo test -q --offline -p cqa-engine --test storage
 
@@ -121,8 +128,8 @@ cat "$SHELL_LOG"
 # Exact answer (S ∩ [1/2, 1] has length 1/4), served from QE then the cache.
 grep -q "status=exact value=1/4 cache=miss" "$SHELL_LOG"
 grep -q "status=exact value=1/4 cache=hit" "$SHELL_LOG"
-# Degraded answer must carry its (ε, δ) contract.
-grep -q "status=approx .*eps=0.05 delta=0.05" "$SHELL_LOG"
+# Degraded answer must carry its (ε, δ) contract and its step count.
+grep -q "status=approx .*eps=0.05 delta=0.05 .*cache=miss steps=[0-9]" "$SHELL_LOG"
 # Lint rejection travels over the wire with the real diagnostic.
 grep -q "^ERR lint" "$SHELL_LOG"
 grep -q "error\[CQA004\]: unknown relation" "$SHELL_LOG"
