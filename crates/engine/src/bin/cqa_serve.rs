@@ -59,7 +59,8 @@ fn int<T: FromStr>(flag: &str, v: String) -> T {
 }
 
 /// `--eps` / `--delta`: refused at startup unless in (0,1), the range every
-/// `EXEC` and `VOLUME` would otherwise reject them against.
+/// `EXEC` and `VOLUME` would otherwise reject them against. Together they
+/// must also keep the sample count under the cap (checked after parsing).
 fn prob(flag: &str, v: String) -> f64 {
     match v.parse::<f64>() {
         Ok(p) if p > 0.0 && p < 1.0 => p,
@@ -101,6 +102,13 @@ fn main() -> ExitCode {
             "--help" | "-h" => usage(),
             _ => usage(),
         }
+    }
+
+    // Every `VOLUME` samples at the default (ε, δ), so its Hoeffding count
+    // must fit the cap a request's own ε/δ is held to.
+    if let Err(e) = Engine::sample_count(cfg.default_eps, cfg.default_delta) {
+        eprintln!("cqa-serve: --eps/--delta: {e}");
+        std::process::exit(2);
     }
 
     if let Some(path) = &preload_path {

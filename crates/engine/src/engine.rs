@@ -6,6 +6,7 @@ use crate::stats::EngineStats;
 use crate::storage::{Storage, StorageError};
 use cqa_agg::AggError;
 use cqa_analyze::{AnalyzerState, PendingChunk, Statement};
+use cqa_approx::par;
 use cqa_approx::sample::Witness;
 use cqa_arith::Rat;
 use cqa_core::Database;
@@ -27,6 +28,15 @@ use std::time::{Duration, Instant};
 /// approximate responses are reproducible across requests, sessions and
 /// servers (and bit-identical under any concurrency level).
 pub const MC_SEED: u64 = 0xC0A_5E55;
+
+/// Most samples one degraded answer may draw: an (ε, δ) whose Hoeffding
+/// count passes it is refused with `ERR exec` before any cache lookup. The
+/// warm sweep never consults the request budget, so this is what bounds
+/// it. The slowest kernel in the tests, the lens of
+/// `degraded_answers_report_their_steps`, sweeps ≈ 70 ns a lane (release
+/// build, 2-vCPU x86-64 host): 2²⁴ lanes took 1.2 s of the default 2 s
+/// timeout, 2²³ take ≈ 0.6 s (DESIGN §7).
+pub const MAX_SAMPLES: usize = 1 << 23;
 
 /// Engine configuration (server-wide).
 #[derive(Clone, Debug)]
@@ -191,16 +201,45 @@ impl cqa_qe::plan::SubplanStore for CacheSubplans<'_> {
     }
 }
 
+/// A requested (ε, δ) and the Hoeffding sample count that honours it,
+/// checked by [`Engine::sample_count`].
+#[derive(Clone, Copy, Debug)]
+struct Accuracy {
+    eps: f64,
+    delta: f64,
+    samples: usize,
+}
+
+impl Accuracy {
+    fn new(eps: f64, delta: f64) -> Result<Accuracy, Response> {
+        match Engine::sample_count(eps, delta) {
+            Ok(samples) => Ok(Accuracy {
+                eps,
+                delta,
+                samples,
+            }),
+            Err(msg) => Err(Response::err("exec", msg)),
+        }
+    }
+}
+
 /// How an `EXEC`/`VOLUME` answer was produced.
 enum Answer {
     Exact(Rat),
     Approx {
         estimate: Rat,
-        eps: f64,
-        delta: f64,
-        samples: usize,
+        acc: Accuracy,
         reason: &'static str,
     },
+}
+
+/// An `EXEC` the memoized-key fast path found in the cache: everything its
+/// answer still needs, none of it borrowed from the session, so a `BATCH`
+/// can answer several of them on other threads.
+struct WarmExec {
+    entry: Arc<CacheEntry>,
+    dim: usize,
+    acc: Accuracy,
 }
 
 impl Engine {
@@ -526,34 +565,79 @@ impl Engine {
         eps: Option<f64>,
         delta: Option<f64>,
     ) -> Response {
+        let eps = eps.unwrap_or(self.cfg.default_eps);
+        let delta = delta.unwrap_or(self.cfg.default_delta);
+        match self.exec_fast(session, name, eps, delta) {
+            Ok(warm) => self.eval_warm(&warm, name),
+            Err(missed) => self.exec_full(session, name, eps, delta, missed),
+        }
+    }
+
+    /// The warm fast path of `EXEC`: the canonical key of this prepared
+    /// query is memoized and no LOAD has rebuilt the database since, so
+    /// parse, relation expansion, and simplification would reproduce the
+    /// same key — go straight to the shared cache. A hit is the whole
+    /// answer's input. Anything else needs the full pipeline, which
+    /// re-memoizes: an unknown name, no memo, an out-of-range or over-cap
+    /// ε/δ (which must error through the normal path) — `Err(None)` — or an
+    /// eviction, `Err(Some(key))`: that key has been looked up and missed
+    /// once, and must not be counted twice.
+    fn exec_fast(
+        &self,
+        session: &Session,
+        name: &str,
+        eps: f64,
+        delta: f64,
+    ) -> Result<WarmExec, Option<CacheKey>> {
+        let Some((db_gen, key)) = session.prepared.get(name).and_then(|p| p.memo) else {
+            return Err(None);
+        };
+        let Ok(acc) = Accuracy::new(eps, delta) else {
+            return Err(None);
+        };
+        if db_gen != session.db_gen {
+            return Err(None);
+        }
+        match self.cache.get(key) {
+            Some(entry) => Ok(WarmExec {
+                entry,
+                dim: key.dim as usize,
+                acc,
+            }),
+            None => Err(Some(key)),
+        }
+    }
+
+    /// Answers a warm `EXEC` under a fresh request budget. It reads only
+    /// the cache entry, so its header is the same on whichever thread it
+    /// runs.
+    fn eval_warm(&self, warm: &WarmExec, name: &str) -> Response {
+        let budget = self.request_budget();
+        self.eval_entry(
+            &warm.entry,
+            warm.dim,
+            warm.acc,
+            &budget,
+            "EXEC",
+            name,
+            "hit",
+        )
+    }
+
+    /// The full `EXEC` pipeline: re-parse the prepared source against the
+    /// session, answer it, and memoize its canonical key. `missed` is the
+    /// key the fast path already looked up in vain, if any.
+    fn exec_full(
+        &self,
+        session: &mut Session,
+        name: &str,
+        eps: f64,
+        delta: f64,
+        missed: Option<CacheKey>,
+    ) -> Response {
         let Some(prep) = session.prepared.get(name) else {
             return Response::err("exec", format!("no prepared query `{name}` (use PREPARE)"));
         };
-        let eps = eps.unwrap_or(self.cfg.default_eps);
-        let delta = delta.unwrap_or(self.cfg.default_delta);
-        // Warm fast path: the canonical key of this prepared query is
-        // memoized and no LOAD has rebuilt the database since, so parse,
-        // relation expansion, and simplification would reproduce the same
-        // key — go straight to the shared cache. An eviction (or an
-        // out-of-range ε/δ, which must error through the normal path)
-        // falls through to the full pipeline below, which re-memoizes.
-        if let Some((db_gen, key)) = prep.memo {
-            if db_gen == session.db_gen && eps > 0.0 && eps < 1.0 && delta > 0.0 && delta < 1.0 {
-                if let Some(entry) = self.cache.get(key) {
-                    let budget = self.request_budget();
-                    return self.eval_entry(
-                        &entry,
-                        key.dim as usize,
-                        eps,
-                        delta,
-                        &budget,
-                        "EXEC",
-                        name,
-                        "hit",
-                    );
-                }
-            }
-        }
         let prep = prep.clone();
         let f = match parse_formula_with(&prep.src, session.program.db_vars_mut()) {
             Ok(f) => f,
@@ -573,7 +657,7 @@ impl Engine {
             delta,
             "EXEC",
             name,
-            Some(&mut memo_key),
+            Some((&mut memo_key, missed)),
         );
         if let Some(key) = memo_key {
             let db_gen = session.db_gen;
@@ -584,25 +668,69 @@ impl Engine {
         resp
     }
 
-    /// `BATCH`: run every `name [eps [delta]]` spec line through the
-    /// `EXEC` path in order, one payload line per spec (the inner EXEC's
-    /// header). One round trip amortizes over the whole body; a failing
-    /// spec contributes its `ERR` header and counts in `errors=` without
-    /// aborting the rest — the line-per-spec pairing must stay positional.
+    /// `BATCH`: every `name [eps [delta]]` spec line answered as its own
+    /// `EXEC`, one payload line per spec (the inner EXEC's header). One
+    /// round trip amortizes over the whole body; a failing spec contributes
+    /// its `ERR` header and counts in `errors=` without aborting the rest —
+    /// the line-per-spec pairing must stay positional.
+    ///
+    /// Two phases. First, in spec order on this thread, each spec goes
+    /// through the memoized-key fast path — exactly the cache lookups a
+    /// lone `EXEC` would make, in the same order — and a spec that needs
+    /// the session (a miss, a cold query, a bad spec) runs the full
+    /// pipeline right there. Then the warm specs are answered side by side
+    /// on up to `available_parallelism` threads, this one included. A
+    /// warm answer reads only its cache entry and seeds its own witness
+    /// with [`MC_SEED`], so the body is the serial loop's, byte for byte;
+    /// a panic in any spec resumes on this thread, as a serial one would.
     pub fn batch(&self, session: &mut Session, specs: &str) -> Response {
-        let mut body = Vec::new();
-        let mut errors = 0usize;
-        for line in specs.lines().filter(|l| !l.trim().is_empty()) {
-            let inner = match parse_exec_args("BATCH", line.trim()) {
-                Ok((name, eps, delta)) => self.exec(session, &name, eps, delta),
-                Err(e) => Response::err("proto", e),
-            };
-            if !inner.is_ok() {
-                errors += 1;
-            }
-            self.stats.batch_execs.fetch_add(1, Ordering::Relaxed);
-            body.push(inner.header);
+        enum Spec {
+            Answered(Response),
+            Warm(WarmExec, String),
         }
+        let specs: Vec<Spec> = specs
+            .lines()
+            .filter(|l| !l.trim().is_empty())
+            .map(|line| match parse_exec_args("BATCH", line.trim()) {
+                Ok((name, eps, delta)) => {
+                    let eps = eps.unwrap_or(self.cfg.default_eps);
+                    let delta = delta.unwrap_or(self.cfg.default_delta);
+                    match self.exec_fast(session, &name, eps, delta) {
+                        Ok(warm) => Spec::Warm(warm, name),
+                        Err(missed) => {
+                            Spec::Answered(self.exec_full(session, &name, eps, delta, missed))
+                        }
+                    }
+                }
+                Err(e) => Spec::Answered(Response::err("proto", e)),
+            })
+            .collect();
+        let warm: Vec<(&WarmExec, &str)> = specs
+            .iter()
+            .filter_map(|s| match s {
+                Spec::Warm(w, name) => Some((w, name.as_str())),
+                Spec::Answered(_) => None,
+            })
+            .collect();
+        let mut answers = par::run_items(warm.len(), par::default_threads(), |i| {
+            self.eval_warm(warm[i].0, warm[i].1)
+        })
+        .into_iter();
+        let mut errors = 0usize;
+        let body: Vec<String> = specs
+            .into_iter()
+            .map(|s| {
+                let r = match s {
+                    Spec::Answered(r) => r,
+                    Spec::Warm(..) => answers.next().expect("one answer per warm spec"),
+                };
+                errors += usize::from(!r.is_ok());
+                r.header
+            })
+            .collect();
+        self.stats
+            .batch_execs
+            .fetch_add(body.len() as u64, Ordering::Relaxed);
         let mut resp = Response::ok(format!("BATCH n={} errors={errors}", body.len()));
         resp.body = body;
         resp
@@ -638,7 +766,9 @@ impl Engine {
     }
 
     /// The shared `EXEC`/`VOLUME` evaluation path. See the module docs of
-    /// [`crate`] for the exact→approximate policy.
+    /// [`crate`] for the exact→approximate policy. An `EXEC` passes `memo`:
+    /// the slot its canonical key is written to, and the key its fast path
+    /// already missed on (looked up at most once per request).
     #[allow(clippy::too_many_arguments)]
     fn answer(
         &self,
@@ -649,14 +779,12 @@ impl Engine {
         delta: f64,
         verb: &str,
         name: &str,
-        memo_key: Option<&mut Option<CacheKey>>,
+        memo: Option<(&mut Option<CacheKey>, Option<CacheKey>)>,
     ) -> Response {
-        if !(eps > 0.0 && eps < 1.0 && delta > 0.0 && delta < 1.0) {
-            return Response::err(
-                "exec",
-                format!("eps/delta must lie in (0,1), got {eps}/{delta}"),
-            );
-        }
+        let acc = match Accuracy::new(eps, delta) {
+            Ok(acc) => acc,
+            Err(resp) => return resp,
+        };
         let budget = self.request_budget();
         let expanded = match session.db().expand(f) {
             Ok(x) => x,
@@ -676,10 +804,17 @@ impl Engine {
             hash: arena.canonical_hash_for_params(sid, vars),
             dim: vars.len() as u32,
         };
-        if let Some(slot) = memo_key {
+        let mut missed = None;
+        if let Some((slot, fast_miss)) = memo {
             *slot = Some(key);
+            missed = fast_miss;
         }
-        let (entry, cache_tag) = match self.cache.get(key) {
+        let cached = if missed == Some(key) {
+            None
+        } else {
+            self.cache.get(key)
+        };
+        let (entry, cache_tag) = match cached {
             Some(e) => (Some(e), "hit"),
             None => {
                 // Cold path: consult the absint verdict first — a
@@ -811,22 +946,13 @@ impl Engine {
             }
         };
         match &entry {
-            Some(entry) => self.eval_entry(
-                entry,
-                vars.len(),
-                eps,
-                delta,
-                &budget,
-                verb,
-                name,
-                cache_tag,
-            ),
+            Some(entry) => self.eval_entry(entry, vars.len(), acc, &budget, verb, name, cache_tag),
             // QE itself blew the budget: no quantifier-free form exists to
             // integrate or sample, so decide membership point by point
             // (each ground instance is vastly cheaper than parametric QE).
             None => {
                 let simplified = arena.extern_formula(sid);
-                let answer = self.mc_pointwise(&simplified, vars, eps, delta, &budget);
+                let answer = self.mc_pointwise(&simplified, vars, acc, &budget);
                 self.render_answer(answer, verb, name, cache_tag, &budget)
             }
         }
@@ -842,8 +968,7 @@ impl Engine {
         &self,
         entry: &Arc<CacheEntry>,
         dim: usize,
-        eps: f64,
-        delta: f64,
+        acc: Accuracy,
         budget: &EvalBudget,
         verb: &str,
         name: &str,
@@ -852,13 +977,11 @@ impl Engine {
         let answer = if entry.class == ConstraintClass::Polynomial {
             // Semi-algebraic output: the exact triangulating integrator
             // does not apply; degrade to MC over the cached kernel.
-            self.mc_over_kernel(entry, dim, eps, delta, "nonlinear")
+            self.mc_over_kernel(entry, dim, acc, "nonlinear")
         } else {
             match cqa_geom::volume_in_unit_box_with_budget(&entry.qf, &entry.qf_vars, budget) {
                 Ok(v) => Ok(Answer::Exact(v)),
-                Err(VolumeError::Budget(_)) => {
-                    self.mc_over_kernel(entry, dim, eps, delta, "budget")
-                }
+                Err(VolumeError::Budget(_)) => self.mc_over_kernel(entry, dim, acc, "budget"),
                 Err(e) => return Response::err("volume", e.to_string()),
             }
         };
@@ -881,15 +1004,16 @@ impl Engine {
             )),
             Ok(Answer::Approx {
                 estimate,
-                eps,
-                delta,
-                samples,
+                acc,
                 reason,
             }) => {
                 self.stats.degraded.fetch_add(1, Ordering::Relaxed);
                 Response::ok(format!(
-                    "{verb} {name} status=approx value={estimate} eps={eps} delta={delta} \
-                     samples={samples} reason={reason} cache={cache_tag} steps={}",
+                    "{verb} {name} status=approx value={estimate} eps={} delta={} \
+                     samples={} reason={reason} cache={cache_tag} steps={}",
+                    acc.eps,
+                    acc.delta,
+                    acc.samples,
                     budget.steps()
                 ))
             }
@@ -904,9 +1028,27 @@ impl Engine {
         }
     }
 
-    /// Hoeffding sample size for an additive (ε, δ) guarantee on `VOL_I`.
-    fn sample_count(eps: f64, delta: f64) -> usize {
-        (((2.0 / delta).ln() / (2.0 * eps * eps)).ceil() as usize).max(1) + 1
+    /// Hoeffding sample size for an additive (ε, δ) guarantee on `VOL_I`,
+    /// `⌈ln(2/δ)/2ε²⌉ + 1`; the one place that says which (ε, δ) a request
+    /// may ask for. `Err` names the problem: ε or δ outside (0, 1), or a
+    /// count past [`MAX_SAMPLES`] (ε = 10⁻²⁰⁰ squares to 0 and would
+    /// need infinitely many).
+    pub fn sample_count(eps: f64, delta: f64) -> Result<usize, String> {
+        if !(eps > 0.0 && eps < 1.0 && delta > 0.0 && delta < 1.0) {
+            return Err(format!("eps/delta must lie in (0,1), got {eps}/{delta}"));
+        }
+        let n = ((2.0 / delta).ln() / (2.0 * eps * eps)).ceil().max(1.0) + 1.0;
+        if n > MAX_SAMPLES as f64 {
+            let shown = if n < 1e15 {
+                n.to_string()
+            } else {
+                format!("{n:.3e}")
+            };
+            return Err(format!(
+                "eps/delta {eps}/{delta} need {shown} samples, over the cap of {MAX_SAMPLES}"
+            ));
+        }
+        Ok(n as usize)
     }
 
     /// Deterministic Monte Carlo `VOL_I` over a cached compiled kernel,
@@ -919,11 +1061,10 @@ impl Engine {
         &self,
         entry: &Arc<CacheEntry>,
         dim: usize,
-        eps: f64,
-        delta: f64,
+        acc: Accuracy,
         reason: &'static str,
     ) -> Result<Answer, Response> {
-        let samples = Self::sample_count(eps, delta);
+        let samples = acc.samples;
         let mut w = Witness::new(MC_SEED);
         let mut batch = Batch::new(dim);
         let mut sub = Batch::new(dim);
@@ -1005,9 +1146,7 @@ impl Engine {
             .fetch_add(lanes.exact, Ordering::Relaxed);
         Ok(Answer::Approx {
             estimate: Rat::new((hits as i64).into(), (samples as i64).into()),
-            eps,
-            delta,
-            samples,
+            acc,
             reason: match reason {
                 "budget" => "volume-budget",
                 r => r,
@@ -1024,11 +1163,10 @@ impl Engine {
         &self,
         f: &Formula,
         vars: &[Var],
-        eps: f64,
-        delta: f64,
+        acc: Accuracy,
         budget: &EvalBudget,
     ) -> Result<Answer, Response> {
-        let samples = Self::sample_count(eps, delta);
+        let samples = acc.samples;
         let mut w = Witness::new(MC_SEED);
         let mut hits = 0usize;
         for _ in 0..samples {
@@ -1049,9 +1187,7 @@ impl Engine {
         }
         Ok(Answer::Approx {
             estimate: Rat::new((hits as i64).into(), (samples as i64).into()),
-            eps,
-            delta,
-            samples,
+            acc,
             reason: "qe-budget",
         })
     }
@@ -1510,7 +1646,7 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
             return format!("status=exact value={v}");
         }
         let kernel = CompiledMatrix::compile(&qf, &SlotMap::from_vars(&vars)).unwrap();
-        let samples = Engine::sample_count(eps, delta);
+        let samples = Engine::sample_count(eps, delta).unwrap();
         let mut w = Witness::new(MC_SEED);
         let mut batch = Batch::new(vars.len());
         let mut hits = 0i64;
@@ -1679,6 +1815,199 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
         // A batched EXEC is bit-identical to the serial command.
         let serial = e.exec(&mut s, "half", None, None);
         assert_eq!(answer_of(&serial.header), answer_of(&r.body[0]));
+    }
+
+    #[test]
+    fn batch_fan_out_is_a_pure_reordering_of_work() {
+        // Warm polynomial and linear hits, a box-prefiltered hit, a cold
+        // miss, a name twice, an unknown name, a malformed spec, an
+        // out-of-range ε and a spec over the sample cap.
+        let specs = "disk\nband\nlens 0.02 0.1\ncold\nspot 0.02\ndisk\nhalf 0.2\n\
+                     nosuch\n1bad\nband 2\ndisk 0.00005 0.5\nlens\nhalf\n";
+        let twin = || {
+            let e = engine();
+            let mut s = e.open_session();
+            assert!(e.load(&mut s, PROGRAM).is_ok());
+            for (name, q) in [
+                ("disk", "x*x + y*y <= 1"),
+                ("band", "S(x) & x <= 1"),
+                ("half", "0 <= x & x <= 1/2"),
+                ("lens", "exists v. x*x + v*v <= 1/2 & v >= x*x - 1/4"),
+                (
+                    "spot",
+                    "(x - 1/2)*(x - 1/2) + (y - 1/2)*(y - 1/2) <= 1/100 \
+                     & 2/5 <= x & x <= 3/5 & 2/5 <= y & y <= 3/5",
+                ),
+                ("cold", "0 <= x & x <= 1/3"),
+            ] {
+                assert!(e.prepare(&mut s, name, q).is_ok(), "{name}");
+                if name != "cold" {
+                    assert!(e.exec(&mut s, name, None, None).is_ok(), "{name}");
+                }
+            }
+            (e, s)
+        };
+        let counters = |e: &Engine| {
+            let c = e.cache.snapshot();
+            let s = &e.stats;
+            [
+                c.hits,
+                c.misses,
+                EngineStats::get(&s.degraded),
+                EngineStats::get(&s.batch_fast_lanes),
+                EngineStats::get(&s.batch_exact_lanes),
+                EngineStats::get(&s.absint_box_skipped_lanes),
+            ]
+        };
+        let (batched, mut s1) = twin();
+        let r = batched.dispatch(
+            &mut s1,
+            Command::Batch {
+                specs: Some(specs.into()),
+            },
+        );
+        let (lone, mut s2) = twin();
+        let headers: Vec<String> = specs
+            .lines()
+            .map(|line| match parse_exec_args("BATCH", line) {
+                Ok((name, eps, delta)) => lone.exec(&mut s2, &name, eps, delta).header,
+                Err(e) => Response::err("proto", e).header,
+            })
+            .collect();
+        assert_eq!(r.header, "OK BATCH n=13 errors=4", "{r:?}");
+        assert_eq!(r.body, headers);
+        assert!(r.body[3].contains("cache=miss"), "{r:?}");
+        assert!(r.body[10].contains("over the cap"), "{r:?}");
+        assert_eq!(counters(&batched), counters(&lone));
+        assert_eq!(EngineStats::get(&batched.stats.batch_execs), 13);
+    }
+
+    #[test]
+    fn an_evicted_memo_counts_one_miss() {
+        // One lock domain too small for two entries: each insert evicts
+        // the other query.
+        let e = Engine::new(EngineConfig {
+            cache_bytes: 1,
+            cache_shards: 1,
+            ..EngineConfig::default()
+        });
+        let mut s = e.open_session();
+        assert!(e.prepare(&mut s, "a", "0 <= x & x <= 1/2").is_ok());
+        assert!(e.prepare(&mut s, "b", "0 <= x & x <= 1/4").is_ok());
+        assert!(e.exec(&mut s, "a", None, None).is_ok());
+        assert!(e.exec(&mut s, "b", None, None).is_ok());
+        let before = e.cache.snapshot();
+        assert!(before.evictions >= 1, "{before:?}");
+        let r = e.exec(&mut s, "a", None, None);
+        assert!(r.header.contains("value=1/2 cache=miss"), "{r:?}");
+        let after = e.cache.snapshot();
+        assert_eq!(after.misses, before.misses + 1);
+        assert_eq!(after.hits, before.hits);
+        // So does a BATCH spec: `b` was evicted just now.
+        let r = e.batch(&mut s, "b\n");
+        assert!(r.body[0].contains("value=1/4 cache=miss"), "{r:?}");
+        assert_eq!(e.cache.snapshot().misses, after.misses + 1);
+    }
+
+    #[test]
+    fn sample_counts_past_the_cap_are_refused_before_the_cache() {
+        let e = engine();
+        let mut s = e.open_session();
+        assert!(e.prepare(&mut s, "d", "x*x + y*y < 1/4").is_ok());
+        let disk = |e: &Engine, s: &mut Session, eps: f64, delta: f64| {
+            e.exec(s, "d", Some(eps), Some(delta)).header
+        };
+        // The answer this query had before the cap existed, byte for byte.
+        let golden = "OK EXEC d status=approx value=1716/8831 eps=0.01 delta=0.01 \
+                      samples=26493 reason=nonlinear cache=miss steps=0";
+        assert_eq!(disk(&e, &mut s, 0.01, 0.01), golden);
+        let lookups = |e: &Engine| {
+            let c = e.cache.snapshot();
+            c.hits + c.misses
+        };
+        // 0.00005 used to sweep 277 258 874 lanes for seconds past any
+        // timeout; 1e-200 squares to 0, wrapped the count to 0 and panicked.
+        for (eps, count) in [(0.00005, "277258874"), (1e-200, "inf")] {
+            let before = lookups(&e);
+            let t0 = Instant::now();
+            let r = disk(&e, &mut s, eps, 0.5);
+            assert!(t0.elapsed() < Duration::from_secs(5), "{r}");
+            assert!(r.starts_with("ERR exec eps/delta "), "{r}");
+            assert!(
+                r.ends_with(&format!(
+                    "need {count} samples, over the cap of {MAX_SAMPLES}"
+                )),
+                "{r}"
+            );
+            assert_eq!(lookups(&e), before, "refused before any cache lookup");
+            assert_eq!(disk(&e, &mut s, 0.01, 0.01), golden.replace("miss", "hit"));
+        }
+        // The count on the cap is still answered.
+        assert_eq!(Engine::sample_count(0.000_3, 0.5), Ok(7_701_637));
+        assert!(Engine::sample_count(0.000_2, 0.5).is_err());
+        // VOLUME samples at the configured defaults, held to the same cap.
+        let tiny = Engine::new(EngineConfig {
+            default_eps: 0.000_01,
+            ..EngineConfig::default()
+        });
+        let mut t = tiny.open_session();
+        let r = tiny.volume(&mut t, "x > 1/2");
+        assert!(r.header.contains("over the cap"), "{r:?}");
+    }
+
+    #[test]
+    fn deep_nesting_answers_err_parse_and_the_server_lives_on() {
+        let n = cqa_logic::MAX_NESTING;
+        let at_cap = [
+            format!("{}x > 1/2{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}x{} > 1/2", "(".repeat(n), ")".repeat(n)),
+            format!("{}x > 1/2", "!".repeat(n)),
+            format!("{}x > 1/2", "- ".repeat(n)),
+            (1..=n)
+                .map(|i| format!("exists y{i}. "))
+                .collect::<String>()
+                + "x > 1/2",
+            "x > 1/2 -> ".repeat(n) + "x > 1/2",
+        ];
+        let probes = [
+            format!("{}x > 1/2{}", "(".repeat(1_000), ")".repeat(1_000)),
+            format!("{}x > 1/2", "(".repeat(1_000)),
+            (1..=2_000)
+                .map(|i| format!("exists y{i}. "))
+                .collect::<String>()
+                + "x > 1/2",
+            format!("{}x > 1/2", "!".repeat(2_000)),
+            "x > 1/2 -> ".repeat(2_000) + "x > 1/2",
+        ];
+        // A server worker's stack: the parser used to overflow it.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let e = engine();
+                let mut s = e.open_session();
+                let mut volume = |query: &str| {
+                    let query = query.to_string();
+                    e.dispatch(&mut s, Command::Volume { query })
+                };
+                for q in &at_cap {
+                    let r = volume(q);
+                    assert!(
+                        r.is_ok() || r.header.starts_with("ERR budget"),
+                        "{}: {r:?}",
+                        &q[..20]
+                    );
+                }
+                for q in &probes {
+                    let r = volume(q);
+                    assert!(r.header.starts_with("ERR parse"), "{}: {r:?}", &q[..20]);
+                    assert!(r.header.contains("nesting deeper than 128"), "{r:?}");
+                    let next = volume("x > 1/2");
+                    assert_eq!(answer_of(&next.header), "status=exact value=1/2");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

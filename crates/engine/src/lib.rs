@@ -58,7 +58,7 @@ mod stats;
 pub mod storage;
 
 pub use cache::{CacheEntry, CacheKey, CacheSnapshot, QueryCache, WarmSlot, DEFAULT_CACHE_SHARDS};
-pub use engine::{Engine, EngineConfig, Session, MC_SEED};
+pub use engine::{Engine, EngineConfig, Session, MAX_SAMPLES, MC_SEED};
 pub use net::{serve, serve_threaded, spawn_server, spawn_server_threaded, ServerHandle};
 pub use protocol::{parse_command, read_response, split_tag, Command, CommandKind, Response};
 pub use stats::{EngineStats, Histogram, LATENCY_BUCKETS_US};

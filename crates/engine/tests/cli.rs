@@ -50,6 +50,9 @@ fn bad_numeric_flags_exit_2_naming_the_flag() {
         "--workers 2.9",
         "--timeout-ms -1",
         "--max-body-bytes -5",
+        // In range, but past the sample cap with the other default.
+        "--eps 0.0001",
+        "--delta 1e-300 --eps 0.0005",
     ] {
         let (code, stdout, stderr) = start(case);
         assert_eq!((code, stdout.as_str()), (Some(2), ""), "{case}: {stderr}");

@@ -28,7 +28,10 @@
 //! fractions such as `1/2` work as expected. Terms are expanded as they are
 //! parsed, so a `*`, `/` or `^` whose polynomial would pass total degree 64,
 //! 4 096 terms, or 4 096 bits in a coefficient's numerator or denominator
-//! is a parse error, found before it is expanded.
+//! is a parse error, found before it is expanded. So is nesting deeper
+//! than [`MAX_NESTING`] levels (parentheses, `!`, quantifiers, `->` links,
+//! unary minus): the descent recurses once per level, and 1 000
+//! parentheses used to overflow a server worker's 2 MiB stack.
 //!
 //! The parser natively builds a [`SpannedFormula`] — a faithful parse tree
 //! with byte spans on every node, the input to `cqa-analyze` — and the
@@ -69,6 +72,14 @@ const MAX_DEGREE: u64 = 64;
 const MAX_COEFF_BITS: u64 = 4096;
 /// Terms of a product: `(a+b+…+j)^64` passes the other two with ~10¹⁴.
 const MAX_TERMS: usize = 4096;
+
+/// Nesting depth: parentheses (formula or term), `!`, quantifiers, `->`
+/// links and unary minus, each one level. Every recursive production
+/// checks it on entry, so no input drives the descent deeper. A
+/// parenthesis costs ≈ 9 KiB of stack in an unoptimised build, so 256
+/// levels overflow a 2 MiB thread there (192 do not); 128 leaves the
+/// layers below the parser half of that stack.
+pub const MAX_NESTING: usize = 128;
 
 fn cap_error(at: usize, what: &str, cap: impl fmt::Display) -> ParseError {
     ParseError {
@@ -219,6 +230,8 @@ struct Parser<'a> {
     pos: usize,
     vars: &'a mut VarMap,
     src_len: usize,
+    /// Nested productions currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -288,6 +301,21 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// Runs one nested production one level deeper, refusing before it
+    /// recurses once [`MAX_NESTING`] levels are open.
+    fn nested<T>(
+        &mut self,
+        production: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let r = production(self);
+        self.depth -= 1;
+        r
+    }
+
     // ---- formulas ----
 
     fn formula(&mut self) -> Result<SpannedFormula, ParseError> {
@@ -310,7 +338,7 @@ impl<'a> Parser<'a> {
         let start = self.at();
         let f = self.or_f()?;
         if self.eat_sym("->") {
-            let g = self.implies()?;
+            let g = self.nested(Self::implies)?;
             let span = self.span_from(start);
             Ok(f.implies(g, span))
         } else {
@@ -353,7 +381,7 @@ impl<'a> Parser<'a> {
     fn unary(&mut self) -> Result<SpannedFormula, ParseError> {
         let start = self.at();
         if self.eat_sym("!") {
-            let mut f = self.unary()?.negate();
+            let mut f = self.nested(Self::unary)?.negate();
             f.span = self.span_from(start);
             return Ok(f);
         }
@@ -419,7 +447,7 @@ impl<'a> Parser<'a> {
         }
         self.expect_sym(".")?;
         // Quantifier scope extends as far right as possible.
-        let body = Box::new(self.formula()?);
+        let body = Box::new(self.nested(Self::formula)?);
         let span = self.span_from(start);
         if adom {
             if vars.len() != 1 {
@@ -482,7 +510,7 @@ impl<'a> Parser<'a> {
         if matches!(self.peek(), Some(Tok::Sym("("))) {
             let save = self.pos;
             self.pos += 1;
-            if let Ok(mut f) = self.formula() {
+            if let Ok(mut f) = self.nested(Self::formula) {
                 if self.eat_sym(")") {
                     // If a comparison follows, this was actually a term group.
                     if !self.peeking_comparison() {
@@ -627,13 +655,13 @@ impl<'a> Parser<'a> {
 
     fn primary(&mut self) -> Result<MPoly, ParseError> {
         if self.eat_sym("-") {
-            return Ok(-self.primary()?);
+            return Ok(-self.nested(Self::primary)?);
         }
         match self.bump() {
             Some(Tok::Num(n)) => Ok(MPoly::constant(n)),
             Some(Tok::Ident(name)) => Ok(MPoly::var(self.vars.intern(&name))),
             Some(Tok::Sym("(")) => {
-                let t = self.term()?;
+                let t = self.nested(Self::term)?;
                 self.expect_sym(")")?;
                 Ok(t)
             }
@@ -667,6 +695,7 @@ pub fn parse_formula_spanned(src: &str, vars: &mut VarMap) -> Result<SpannedForm
         pos: 0,
         vars,
         src_len: src.len(),
+        depth: 0,
     };
     let f = p.formula()?;
     if p.pos != p.toks.len() {
@@ -683,6 +712,7 @@ pub fn parse_term_with(src: &str, vars: &mut VarMap) -> Result<MPoly, ParseError
         pos: 0,
         vars,
         src_len: src.len(),
+        depth: 0,
     };
     let t = p.term()?;
     if p.pos != p.toks.len() {
@@ -866,6 +896,64 @@ mod tests {
         )
         .unwrap();
         assert_eq!(f, g);
+    }
+
+    /// The nesting shapes the depth cap covers, `n` levels deep; each
+    /// reads `x > 1/2` (or its negation) when `n` is even.
+    fn nested_shapes(n: usize) -> Vec<(&'static str, String)> {
+        vec![
+            (
+                "parentheses",
+                format!("{}x > 1/2{}", "(".repeat(n), ")".repeat(n)),
+            ),
+            (
+                "term parentheses",
+                format!("{}x{} > 1/2", "(".repeat(n), ")".repeat(n)),
+            ),
+            ("negations", format!("{}x > 1/2", "!".repeat(n))),
+            ("minus signs", format!("{}x > 1/2", "- ".repeat(n))),
+            (
+                "quantifiers",
+                (1..=n)
+                    .map(|i| format!("exists y{i}. "))
+                    .collect::<String>()
+                    + "x > 1/2",
+            ),
+            ("implications", "x > 1/2 -> ".repeat(n) + "x > 1/2"),
+        ]
+    }
+
+    /// Runs `f` on a thread with the 2 MiB stack a server worker gets.
+    fn on_worker_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_is() {
+        on_worker_stack(|| {
+            for (shape, src) in nested_shapes(MAX_NESTING) {
+                assert!(parse_formula(&src).is_ok(), "{shape} at the cap");
+            }
+            let deeper = nested_shapes(MAX_NESTING + 1)
+                .into_iter()
+                .chain(nested_shapes(2_000))
+                .chain([("unclosed", format!("{}x > 1/2", "(".repeat(1_000)))]);
+            for (shape, src) in deeper {
+                let e = parse_formula(&src).expect_err(shape);
+                assert!(
+                    e.msg.contains("nesting deeper than 128 levels"),
+                    "{shape}: {e}"
+                );
+            }
+        });
+        // Depth is nesting, not length: a long flat formula is not refused.
+        let flat = vec!["x > 1/2"; 5_000].join(" & ");
+        assert!(parse_formula(&flat).is_ok());
     }
 
     #[test]

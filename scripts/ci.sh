@@ -88,10 +88,12 @@ if timeout --signal=KILL 30 \
   exit 1
 fi
 
-echo "== server smoke test (cqa-serve / cqa-shell over TCP) =="
+echo "== server smoke test (cqa-serve / cqa-shell over TCP; 16-spec BATCH vs lone EXECs, sample-cap and nesting-cap probes) =="
 # Ephemeral port; the whole round-trip runs under the hang-detector cap.
 # Asserts an exact answer, an (ε,δ)-tagged degraded answer, a CQA-diagnostic
-# rejection over the wire, and a clean SHUTDOWN (both exit codes 0).
+# rejection over the wire, a BATCH body equal to the same specs sent as
+# lone EXECs, a tiny ε and 1 000 parentheses refused with the server still
+# answering, and a clean SHUTDOWN (both exit codes 0).
 SERVE_LOG="$(mktemp)"
 SHELL_LOG="$(mktemp)"
 DATA_DIR="$(mktemp -d)"
@@ -110,7 +112,27 @@ if [ -z "$ADDR" ]; then
   kill "$SERVE_PID" 2>/dev/null || true
   exit 1
 fi
-run_capped ./target/release/cqa-shell "$ADDR" > "$SHELL_LOG" <<'EOF'
+# Sixteen specs over warm linear and polynomial queries: a BATCH answers
+# them side by side, and its body must be the lone EXECs' headers.
+SPECS="above
+d 0.01 0.01
+ring 0.01 0.01
+d
+ring
+above 0.2 0.1
+d 0.02 0.02
+ring 0.03
+d 0.01 0.01
+above
+ring 0.01 0.05
+d 0.05 0.01
+ring
+d 0.04
+above 0.1
+d 0.01 0.01"
+DEEP="$(printf '%.0s(' $(seq 1 1000))x > 1/2$(printf '%.0s)' $(seq 1 1000))"
+{
+  cat <<'EOF'
 PREPARE above S(x) & x >= 0.5
 EXEC above
 EXEC above
@@ -122,8 +144,21 @@ BATCH
 above
 above 0.2 0.1
 .
-SHUTDOWN
+PREPARE d x*x + y*y < 1/4
+PREPARE ring x*x + y*y >= 1/4 & x*x + y*y <= 1
+EXEC d
+EXEC ring
+@cap1 EXEC d 0.00005 0.5
+@cap2 EXEC d 0.01 0.01
 EOF
+  printf '@deep1 VOLUME %s\n@deep2 VOLUME x > 1/2\n' "$DEEP"
+  i=0
+  while read -r spec; do
+    i=$((i + 1))
+    echo "@b$i EXEC $spec"
+  done <<< "$SPECS"
+  printf 'BATCH\n%s\n.\nSHUTDOWN\n' "$SPECS"
+} | run_capped ./target/release/cqa-shell "$ADDR" > "$SHELL_LOG"
 cat "$SHELL_LOG"
 # Exact answer (S ∩ [1/2, 1] has length 1/4), served from QE then the cache.
 grep -q "status=exact value=1/4 cache=miss" "$SHELL_LOG"
@@ -139,6 +174,19 @@ grep -q "hits=1" "$SHELL_LOG"
 # a dot-terminated BATCH body answers one inner EXEC header per spec.
 grep -q "^@t7 OK EXEC above" "$SHELL_LOG"
 grep -q "^OK BATCH n=2 errors=0" "$SHELL_LOG"
+# A sample count past the cap and nesting past the parser's cap are refused
+# at once, and the same server answers the next request correctly.
+grep -q "^@cap1 ERR exec eps/delta 0.00005/0.5 need 277258874 samples, over the cap of 8388608$" "$SHELL_LOG"
+grep -q "^@cap2 OK EXEC d status=approx value=1716/8831 eps=0.01 delta=0.01 samples=26493 " "$SHELL_LOG"
+grep -q "^@deep1 ERR parse .*nesting deeper than 128 levels$" "$SHELL_LOG"
+grep -q "^@deep2 OK VOLUME - status=exact value=1/2 " "$SHELL_LOG"
+# The BATCH fan-out is a pure reordering of work: its body, line for line,
+# is what the same sixteen specs answered one EXEC at a time.
+sed -n 's/^@b[0-9]* //p' "$SHELL_LOG" > "$SHELL_LOG.lone"
+sed -n '/^OK BATCH n=16 errors=0$/,+16p' "$SHELL_LOG" | tail -n +2 > "$SHELL_LOG.batch"
+[ "$(wc -l < "$SHELL_LOG.lone")" -eq 16 ]
+diff "$SHELL_LOG.lone" "$SHELL_LOG.batch"
+rm -f "$SHELL_LOG.lone" "$SHELL_LOG.batch"
 # Clean shutdown: the server process exits 0 (workers joined, no leak).
 run_capped tail --pid="$SERVE_PID" -f /dev/null
 wait "$SERVE_PID"
