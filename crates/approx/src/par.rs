@@ -179,7 +179,16 @@ where
         run_worker()
     } else {
         std::thread::scope(|s| {
-            let handles: Vec<_> = (1..workers).map(|_| s.spawn(run_worker)).collect();
+            // Helpers answer `BATCH` specs too, so they get a request
+            // thread's stack whatever `RUST_MIN_STACK` says.
+            let handles: Vec<_> = (1..workers)
+                .map(|_| {
+                    std::thread::Builder::new()
+                        .stack_size(cqa_logic::REQUEST_STACK_BYTES)
+                        .spawn_scoped(s, run_worker)
+                        .expect("failed to spawn a fork-join helper")
+                })
+                .collect();
             let mut all = run_worker();
             for h in handles {
                 match h.join() {

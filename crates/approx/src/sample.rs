@@ -1,6 +1,7 @@
 //! Sample-size bounds and the witness operator `W`.
 
 use cqa_arith::Rat;
+use cqa_logic::BATCH_LANES;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -127,7 +128,8 @@ impl Witness {
     /// [`Self::uniform_unit_point_f64`] loop would make, so batched and
     /// per-point estimators see identical samples. Counts one witness
     /// application per lane. Coordinates are exactly representable
-    /// dyadics, so the filled columns are exact.
+    /// dyadics, so the filled columns are exact. The `dim` columns are
+    /// borrowed once per batch, not once per draw.
     pub fn fill_unit_columns(
         &mut self,
         batch: &mut cqa_logic::Batch,
@@ -136,9 +138,10 @@ impl Witness {
     ) {
         let len = batch.len();
         self.calls += len;
+        let cols = batch.cols_mut(first_slot, dim);
         for lane in 0..len {
-            for d in 0..dim {
-                batch.col_mut(first_slot + d)[lane] = self.rng.random::<f64>();
+            for col in cols.chunks_exact_mut(BATCH_LANES) {
+                col[lane] = self.rng.random::<f64>();
             }
         }
     }

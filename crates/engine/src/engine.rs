@@ -1068,7 +1068,8 @@ impl Engine {
         let mut w = Witness::new(MC_SEED);
         let mut batch = Batch::new(dim);
         let mut sub = Batch::new(dim);
-        let mut keep: Vec<usize> = Vec::new();
+        let mut inside = [false; BATCH_LANES];
+        let mut keep = [0usize; BATCH_LANES];
         let mut skipped = 0u64;
         let mut scratch = BatchScratch::new();
         let mut hits = 0usize;
@@ -1082,23 +1083,30 @@ impl Engine {
             // can skip evaluation entirely. The draws above are untouched
             // (same RNG stream) and skipped lanes contribute exactly the
             // zero hits they would have, so the estimate is bit-identical
-            // to the unfiltered run.
+            // to the unfiltered run. Both passes are branch-free: the box
+            // test folds column by column into per-lane flags, and the
+            // compaction writes every lane into the cursor's slot but
+            // advances the cursor only past inside lanes.
             let result = match entry.mc_box.as_deref() {
                 Some(bx) => {
-                    keep.clear();
-                    for lane in 0..batch.len() {
-                        let inside = (0..dim).all(|d| {
-                            let v = batch.value(d, lane);
-                            v >= bx[d].0 && v <= bx[d].1
-                        });
-                        if inside {
-                            keep.push(lane);
+                    let len = batch.len();
+                    let inside = &mut inside[..len];
+                    inside.fill(true);
+                    for (d, &(lo, hi)) in bx.iter().enumerate() {
+                        for (f, &v) in inside.iter_mut().zip(batch.col(d)) {
+                            *f &= (v >= lo) & (v <= hi);
                         }
                     }
-                    skipped += (batch.len() - keep.len()) as u64;
+                    let mut kept = 0;
+                    for (lane, &f) in inside.iter().enumerate() {
+                        keep[kept] = lane;
+                        kept += f as usize;
+                    }
+                    let keep = &keep[..kept];
+                    skipped += (len - kept) as u64;
                     if keep.is_empty() {
                         None
-                    } else if keep.len() == batch.len() {
+                    } else if kept == len {
                         let b = &batch;
                         let exact = |lane: usize, slot: usize| {
                             Rat::from_f64(b.value(slot, lane)).expect("finite sample coordinate")
@@ -1107,9 +1115,9 @@ impl Engine {
                     } else {
                         sub.set_len(keep.len());
                         for d in 0..dim {
-                            let col = sub.col_mut(d);
-                            for (j, &lane) in keep.iter().enumerate() {
-                                col[j] = batch.value(d, lane);
+                            let xs = batch.col(d);
+                            for (c, &lane) in sub.col_mut(d).iter_mut().zip(keep) {
+                                *c = xs[lane];
                             }
                         }
                         let b = &sub;

@@ -44,7 +44,9 @@ pub fn serve_threaded(engine: Arc<Engine>, listener: TcpListener) -> io::Result<
         let engine = Arc::clone(&engine);
         let shutdown = Arc::clone(&shutdown);
         let active = Arc::clone(&active);
-        pool.push(thread::spawn(move || loop {
+        // A request thread's stack, whatever `RUST_MIN_STACK` says.
+        let spawn = thread::Builder::new().stack_size(cqa_logic::REQUEST_STACK_BYTES);
+        pool.push(spawn.spawn(move || loop {
             let stream = {
                 let guard = rx.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
                 guard.recv()
@@ -70,7 +72,7 @@ pub fn serve_threaded(engine: Arc<Engine>, listener: TcpListener) -> io::Result<
                 }
             }
             active.fetch_sub(1, Ordering::Release);
-        }));
+        })?);
     }
     for stream in listener.incoming() {
         if shutdown.load(Ordering::Acquire) {

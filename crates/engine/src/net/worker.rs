@@ -19,21 +19,25 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 
-/// Spawns one worker thread off the shared channel. The worker exits when
+/// Spawns one worker thread off the shared channel, with the request
+/// stack size ([`cqa_logic::REQUEST_STACK_BYTES`]). The worker exits when
 /// the reactor drops the sender.
 pub(crate) fn spawn(
     engine: Arc<Engine>,
     rx: Arc<Mutex<mpsc::Receiver<Arc<Conn>>>>,
     shutdown: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
-    thread::spawn(move || loop {
-        let conn = {
-            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.recv()
-        };
-        let Ok(conn) = conn else { break };
-        drain(&engine, &conn, &shutdown);
-    })
+    thread::Builder::new()
+        .stack_size(cqa_logic::REQUEST_STACK_BYTES)
+        .spawn(move || loop {
+            let conn = {
+                let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
+                guard.recv()
+            };
+            let Ok(conn) = conn else { break };
+            drain(&engine, &conn, &shutdown);
+        })
+        .expect("failed to spawn a worker thread")
 }
 
 /// Drains one connection's frame queue, releasing ownership when empty.

@@ -1,0 +1,139 @@
+//! Literal goldens for the warm Monte Carlo path: the sample stream every
+//! sampled answer is drawn from, and the answers and lane counters of one
+//! `EXEC` per warm region shape whose constants are not dyadic. The values
+//! were recorded from the guarded per-lane sweep; any change to how the
+//! sweep is certified, how the columns are filled or how the box prefilter
+//! compacts lanes must leave every one of them as it is.
+
+use cqa_approx::sample::Witness;
+use cqa_arith::rat;
+use cqa_engine::{Engine, EngineConfig, EngineStats, MC_SEED};
+use cqa_logic::{Batch, BATCH_LANES};
+
+/// FNV-1a over the little-endian bytes of each value's bits.
+fn fnv(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The first 4 096 coordinates `Witness::new(MC_SEED)` puts into a batch
+/// of `dim` point columns after one parameter slot, read back twice: column
+/// by column within each batch (where the fill put them) and lane by lane
+/// (the order they were drawn in). Before the first fill the point columns
+/// hold `1/3`, so they are inexact until the fill makes them exact again.
+fn draws(dim: usize) -> (Vec<f64>, Vec<f64>) {
+    const DRAWS: usize = 4_096;
+    let mut w = Witness::new(MC_SEED);
+    let mut batch = Batch::new(dim + 1);
+    batch.set_len(BATCH_LANES);
+    for slot in 1..=dim {
+        batch.set_col_rats(slot, &vec![rat(1, 3); BATCH_LANES]);
+    }
+    let (mut by_column, mut by_lane) = (Vec::new(), Vec::new());
+    while by_lane.len() < DRAWS {
+        w.fill_unit_columns(&mut batch, 1, dim);
+        for slot in 1..=dim {
+            by_column.extend((0..batch.len()).map(|lane| batch.value(slot, lane)));
+        }
+        for lane in 0..batch.len() {
+            by_lane.extend((1..=dim).map(|slot| batch.value(slot, lane)));
+        }
+    }
+    by_column.truncate(DRAWS);
+    by_lane.truncate(DRAWS);
+    (by_column, by_lane)
+}
+
+#[test]
+fn the_sample_stream_is_pinned() {
+    let want: [u64; 5] = [
+        0x9f5f_7ae4_549b_4ca4,
+        0xf710_3f6f_42ae_3a40,
+        0x1bc5_5cee_741c_1cf8,
+        0x3cda_80ad_34d1_7088,
+        0xfbe7_9f28_8033_8b66,
+    ];
+    let got: Vec<u64> = (1..=5).map(|dim| fnv(draws(dim).0)).collect();
+    assert_eq!(got, want, "{got:#018x?}");
+    // Draws are lane-major: every dimension reads the same stream.
+    let stream = draws(1).1;
+    for dim in 2..=5 {
+        assert!(draws(dim).1 == stream, "dim {dim}");
+    }
+}
+
+#[test]
+fn warm_answers_with_non_dyadic_constants_are_pinned() {
+    let dist2 = "(x - 7/16)*(x - 7/16) + (y - 9/16)*(y - 9/16)";
+    let regions = [
+        ("disk", format!("{dist2} <= 1/36")),
+        ("annulus", format!("{dist2} <= 1/49 & {dist2} >= 1/196")),
+        (
+            "boxed",
+            format!("{dist2} <= 1/100 & 5/16 <= x & x <= 9/16 & 7/16 <= y & y <= 11/16"),
+        ),
+        (
+            "half",
+            format!("{dist2} + (z - 8/16)*(z - 8/16) <= 1/36 & z <= 8/16"),
+        ),
+        ("fifth", format!("{dist2} <= 1/25")),
+    ];
+    // (header, [fast, exact, box-skipped] lanes of that EXEC)
+    let want: [(&str, [u64; 3]); 5] = [
+        (
+            "OK EXEC disk status=approx value=774/8831 eps=0.01 delta=0.01 samples=26493 \
+             reason=nonlinear cache=miss steps=0",
+            [26_493, 0, 0],
+        ),
+        (
+            "OK EXEC annulus status=approx value=428/8831 eps=0.01 delta=0.01 samples=26493 \
+             reason=nonlinear cache=miss steps=0",
+            [26_493, 0, 0],
+        ),
+        (
+            "OK EXEC boxed status=approx value=838/26493 eps=0.01 delta=0.01 samples=26493 \
+             reason=nonlinear cache=miss steps=0",
+            [1684, 0, 24_809],
+        ),
+        (
+            "OK EXEC half status=approx value=84/8831 eps=0.01 delta=0.01 samples=26493 \
+             reason=nonlinear cache=miss steps=0",
+            [13_237, 0, 13_256],
+        ),
+        (
+            "OK EXEC fifth status=approx value=3311/26493 eps=0.01 delta=0.01 samples=26493 \
+             reason=nonlinear cache=miss steps=0",
+            [26_493, 0, 0],
+        ),
+    ];
+    let e = Engine::new(EngineConfig::default());
+    let mut s = e.open_session();
+    let counters = |e: &Engine| {
+        let st = &e.stats;
+        [
+            EngineStats::get(&st.batch_fast_lanes),
+            EngineStats::get(&st.batch_exact_lanes),
+            EngineStats::get(&st.absint_box_skipped_lanes),
+        ]
+    };
+    let mut got = Vec::new();
+    for (name, src) in &regions {
+        assert!(e.prepare(&mut s, name, src).is_ok(), "{name}");
+        let before = counters(&e);
+        let header = e.exec(&mut s, name, Some(0.01), Some(0.01)).header;
+        let after = counters(&e);
+        got.push((header, [0, 1, 2].map(|i| after[i] - before[i])));
+    }
+    for ((header, lanes), (want_header, want_lanes)) in got.iter().zip(want) {
+        assert_eq!(
+            (header.as_str(), *lanes),
+            (want_header, want_lanes),
+            "{got:#?}"
+        );
+    }
+}

@@ -182,13 +182,16 @@ fn add_err(a: f64, ea: f64, b: f64, eb: f64) -> (f64, f64) {
 }
 
 /// `(a ± ea) · (b ± eb)`: `|xy − ab| ≤ |a|eb + |b|ea + ea·eb` plus the
-/// rounding of the product itself.
+/// rounding of the product itself. Below the normal range rounding is
+/// absolute, not relative (`2⁻¹⁰⁰⁰ · 2⁻¹⁰⁰⁰` is `0.0`, and so would be its
+/// relative bound), so the bound carries `MIN_POSITIVE` on top: it is
+/// never zero, and a computed zero is never certified.
 #[inline]
 fn mul_err(a: f64, ea: f64, b: f64, eb: f64) -> (f64, f64) {
     let v = a * b;
     (
         v,
-        (a.abs() * eb + b.abs() * ea + ea * eb + v.abs() * UNIT) * PAD,
+        (a.abs() * eb + b.abs() * ea + ea * eb + v.abs() * UNIT) * PAD + f64::MIN_POSITIVE,
     )
 }
 
@@ -229,16 +232,14 @@ struct Term {
 struct CompiledAtom {
     rel: Rel,
     terms: Vec<Term>,
-    /// Every coefficient converts to `f64` without error.
-    coeffs_exact: bool,
     /// Certified relative rounding factor for the batched exact-input
-    /// sweep: when coefficients and slot columns are exact, the computed
-    /// lane value differs from the true polynomial value by at most
-    /// `gamma · Σ|computed terms|` (see [`CompiledAtom::batch_masks`]).
+    /// sweep: when the slot columns are exact, the computed lane value
+    /// differs from the value of the `f64` coefficients' polynomial by at
+    /// most `gamma · Σ|computed terms|` (see [`CompiledAtom::batch_masks`]).
     gamma: f64,
     /// Degree-≤1 specialization `(constant, [(slot, coefficient)])`,
-    /// present only when every term is affine and every coefficient exact:
-    /// the batched sweep becomes one dot product per lane.
+    /// present when every term is affine: the batched sweep becomes one
+    /// dot product per lane.
     linear: Option<(f64, Vec<(u32, f64)>)>,
 }
 
@@ -260,7 +261,6 @@ impl CompiledAtom {
                 powers,
             });
         }
-        let coeffs_exact = terms.iter().all(|t| t.coeff_err == 0.0);
         // One multiplication per exponent unit plus one addition per term,
         // each contributing ≤ UNIT relative rounding (UNIT is itself ≥ 2×
         // the true unit roundoff); +2 and PAD absorb the second-order
@@ -274,7 +274,7 @@ impl CompiledAtom {
         let affine = terms
             .iter()
             .all(|t| t.powers.iter().map(|&(_, e)| e).sum::<u32>() <= 1);
-        let linear = if coeffs_exact && affine {
+        let linear = if affine {
             let mut c0 = 0.0f64;
             let mut lin = Vec::new();
             for t in &terms {
@@ -290,7 +290,6 @@ impl CompiledAtom {
         Ok(CompiledAtom {
             rel,
             terms,
-            coeffs_exact,
             gamma,
             linear,
         })
@@ -643,11 +642,22 @@ impl Batch {
     /// The value column of `slot` for direct filling, marking the slot
     /// exact (error zero) — the contract for dyadic witness samples.
     pub fn col_mut(&mut self, slot: usize) -> &mut [f64] {
-        if !self.exact[slot] {
-            self.err_range_mut(slot).fill(0.0);
-            self.exact[slot] = true;
+        let len = self.len;
+        &mut self.cols_mut(slot, 1)[..len]
+    }
+
+    /// The value columns of slots `first .. first + n` for direct filling,
+    /// back to back: slot `first + d`'s column starts at `d ·`
+    /// [`BATCH_LANES`], and only its first [`Batch::len`] lanes are read.
+    /// Marks every one exact, as [`Batch::col_mut`] does for one slot.
+    pub fn cols_mut(&mut self, first: usize, n: usize) -> &mut [f64] {
+        for slot in first..first + n {
+            if !self.exact[slot] {
+                self.err_range_mut(slot).fill(0.0);
+                self.exact[slot] = true;
+            }
         }
-        &mut self.values[slot * BATCH_LANES..][..self.len]
+        &mut self.values[first * BATCH_LANES..(first + n) * BATCH_LANES]
     }
 
     /// Broadcasts one value (e.g. a query parameter) into every lane of
@@ -685,7 +695,8 @@ impl Batch {
         self.errs[slot * BATCH_LANES + lane]
     }
 
-    fn col(&self, slot: usize) -> &[f64] {
+    /// The value column of `slot`: its first [`Batch::len`] lanes.
+    pub fn col(&self, slot: usize) -> &[f64] {
         &self.values[slot * BATCH_LANES..][..self.len]
     }
 
@@ -803,24 +814,65 @@ impl LaneStats {
     }
 }
 
+/// The certified `(true-lanes, false-lanes)` masks of lane values `vals`
+/// under per-lane error bounds `err(lane)`: a lane is decided when
+/// `|v| > err`, by the relation's verdict on the sign of `v`. NaN-safe: a
+/// poisoned value or bound fails the comparison and the lane stays
+/// undecided. A bound is never zero, so neither is a decided value.
+/// Branchless: the sign of `v` is data-dependent noise to the branch
+/// predictor, so the mask bits are built with arithmetic, not jumps.
+#[inline(always)]
+fn sign_masks(
+    vals: &[f64],
+    err: impl Fn(usize) -> f64,
+    sat_pos: bool,
+    sat_neg: bool,
+) -> (LaneMask, LaneMask) {
+    let (mut t, mut f) = (LaneMask::empty(), LaneMask::empty());
+    let (sp, sn) = (sat_pos as u64, sat_neg as u64);
+    for (w, chunk) in vals.chunks(64).enumerate() {
+        let (mut tw, mut fw) = (0u64, 0u64);
+        for (b, &v) in chunk.iter().enumerate() {
+            let dec = (v.abs() > err(w * 64 + b)) as u64;
+            let neg = (v < 0.0) as u64;
+            let sat = neg * sn + (1 - neg) * sp;
+            tw |= (dec & sat) << b;
+            fw |= (dec & (1 - sat)) << b;
+        }
+        t.words[w] = tw;
+        f.words[w] = fw;
+    }
+    (t, f)
+}
+
 impl CompiledAtom {
     /// Sweeps this atom across all active lanes of `batch`, returning the
     /// certified `(true-lanes, false-lanes)` masks for its relation.
     ///
-    /// Two regimes. When every coefficient and every referenced slot
+    /// Two regimes, chosen by the inputs alone. When every referenced slot
     /// column is exact, the value column is accumulated with flat
     /// multiply/add lane loops and certified against a *uniform* per-chunk
     /// error bound built from the per-slot column maxima in `col_max`:
-    /// `e = (Σ_t |c_t|·Π max|col|^exp) · PAD2 · gamma + MIN_POSITIVE`.
-    /// The bound dominates every lane's Σ|computed term| (PAD2 absorbs the
-    /// rounding in forming it), it is one scalar per atom instead of a
-    /// second accumulated column, and the `MIN_POSITIVE` covers absolute
-    /// rounding slop in the subnormal range, where relative bounds fail
-    /// (so an exactly-zero value is never certified here; those lanes take
-    /// the exact path). Affine atoms with exact coefficients skip the term
-    /// buffer entirely and fuse into one dot product. Otherwise the sweep
-    /// carries a full error column through [`mul_err`]/[`add_err`] in
-    /// exactly [`CompiledAtom::sign_fast_lane`]'s operation order, so its
+    ///
+    /// ```text
+    /// e = (Σ_t |ĉ_t|·Π max|col|^exp) · PAD2 · gamma
+    ///   + (Σ_t err_t·Π max|col|^exp) · PAD2 + MIN_POSITIVE
+    /// ```
+    ///
+    /// where `ĉ_t` is the `f64` coefficient and `err_t` its conversion
+    /// error ([`CompiledAtom::coeff_slack`]). The first sum dominates every
+    /// lane's Σ|computed term| (PAD2 absorbs the rounding in forming it),
+    /// so it bounds the rounding of the sweep against the `f64`
+    /// coefficients' polynomial; the second bounds how far the exact
+    /// coefficients' polynomial lies from that one. Both are one scalar
+    /// per atom instead of a second accumulated column, and the
+    /// `MIN_POSITIVE` covers absolute rounding slop in the subnormal range,
+    /// where relative bounds fail (so an exactly-zero value is never
+    /// certified here; those lanes take the exact path). Affine atoms skip
+    /// the term buffer entirely and fuse into one dot product. Otherwise —
+    /// some input column carries per-lane error — the sweep carries a full
+    /// error column through [`mul_err`]/[`add_err`] in exactly
+    /// [`CompiledAtom::sign_fast_lane`]'s operation order, so its
     /// certifications match the scalar try's lane for lane.
     ///
     /// Either way every certified sign is the true sign, so downstream
@@ -837,16 +889,13 @@ impl CompiledAtom {
         debug_assert_eq!(len, batch.len());
         // `true`-mask membership per certified sign of the polynomial.
         let sat_neg = self.rel.sign_satisfies(-1);
-        let sat_zero = self.rel.sign_satisfies(0);
         let sat_pos = self.rel.sign_satisfies(1);
-        let mut t = LaneMask::empty();
-        let mut f = LaneMask::empty();
         let exact_inputs = self
             .terms
             .iter()
             .all(|t| t.powers.iter().all(|&(s, _)| batch.exact[s as usize]));
         let accv = &mut bufs.accv[..len];
-        if self.coeffs_exact && exact_inputs {
+        if exact_inputs {
             let mut sum_abs;
             if let Some((c0, lin)) = &self.linear {
                 let c0 = *c0;
@@ -902,26 +951,12 @@ impl CompiledAtom {
                     sum_abs += tmax;
                 }
             }
-            // NaN/∞-safe: a poisoned value or bound fails the comparison
-            // below and the lane stays undecided. `e > 0` always, so an
-            // exactly-zero lane is never certified here.
-            let e = sum_abs * PAD2 * self.gamma + f64::MIN_POSITIVE;
-            // Branchless classification: the sign of `v` is data-dependent
-            // noise to the branch predictor, so build the mask bits with
-            // arithmetic instead of jumps.
-            let (sp, sn) = (sat_pos as u64, sat_neg as u64);
-            for (w, chunk) in accv.chunks(64).enumerate() {
-                let (mut tw, mut fw) = (0u64, 0u64);
-                for (b, &v) in chunk.iter().enumerate() {
-                    let dec = (v.abs() > e) as u64;
-                    let neg = (v < 0.0) as u64;
-                    let sat = neg * sn + (1 - neg) * sp;
-                    tw |= (dec & sat) << b;
-                    fw |= (dec & (1 - sat)) << b;
-                }
-                t.words[w] = tw;
-                f.words[w] = fw;
-            }
+            // An ∞ coefficient error over an all-zero column makes `e`
+            // NaN (`∞·0`), which certifies no lane (see [`sign_masks`]).
+            // `e > 0` always, so an exactly-zero lane is never certified.
+            let e =
+                sum_abs * PAD2 * self.gamma + self.coeff_slack(col_max) * PAD2 + f64::MIN_POSITIVE;
+            sign_masks(accv, |_| e, sat_pos, sat_neg)
         } else {
             let acce = &mut bufs.acce[..len];
             accv.fill(0.0);
@@ -950,31 +985,27 @@ impl CompiledAtom {
                     (*a, *ae) = add_err(*a, *ae, v, e);
                 }
             }
-            for (w, (cv, ce)) in accv.chunks(64).zip(acce.chunks(64)).enumerate() {
-                let (mut tw, mut fw) = (0u64, 0u64);
-                for (b, (&v, &e)) in cv.iter().zip(ce).enumerate() {
-                    let sat = if v.abs() > e {
-                        if v > 0.0 {
-                            sat_pos
-                        } else {
-                            sat_neg
-                        }
-                    } else if v == 0.0 && e == 0.0 {
-                        sat_zero
-                    } else {
-                        continue;
-                    };
-                    if sat {
-                        tw |= 1 << b;
-                    } else {
-                        fw |= 1 << b;
-                    }
-                }
-                t.words[w] = tw;
-                f.words[w] = fw;
-            }
+            sign_masks(accv, |lane| acce[lane], sat_pos, sat_neg)
         }
-        (t, f)
+    }
+
+    /// `Σ_t err_t · Π max|col|^exp` over the terms whose coefficient does
+    /// not convert to `f64` exactly: a bound, over every lane of an
+    /// exact-input batch, on how far the exact coefficients move the value
+    /// from the `f64` coefficients' one. `gamma`'s slack covers an ordinary
+    /// coefficient's ≤ 2⁻⁵³ relative error, but not one that underflows to
+    /// `0.0` (`3⁻⁷⁰⁰·x` at `x = 2¹⁰⁰⁰` is ≈ 2⁻¹¹⁰, while its `f64` term is
+    /// 0); this term does. Zero for exact coefficients.
+    fn coeff_slack(&self, col_max: &[f64]) -> f64 {
+        let mut slack = 0.0f64;
+        for t in self.terms.iter().filter(|t| t.coeff_err != 0.0) {
+            let mut m = t.coeff_err;
+            for &(slot, exp) in &t.powers {
+                m *= col_max[slot as usize].powi(exp as i32);
+            }
+            slack += m;
+        }
+        slack
     }
 
     /// The polynomial's sign at one lane of the batch columns from guarded
@@ -1001,8 +1032,6 @@ impl CompiledAtom {
         // falls through to the exact path.
         if sum.abs() > serr {
             Some(if sum > 0.0 { 1 } else { -1 })
-        } else if sum == 0.0 && serr == 0.0 {
-            Some(0)
         } else {
             None
         }
@@ -1410,6 +1439,98 @@ mod tests {
                 assert_eq!(r.mask.get(lane), m.eval_rats(pt), "at {pt:?}");
             }
         }
+    }
+
+    /// A one-atom kernel over slots `x, y` from an explicit polynomial.
+    fn atom_kernel(poly: MPoly, rel: Rel) -> CompiledMatrix {
+        let f = Formula::Atom(crate::Atom::new(poly, rel));
+        CompiledMatrix::compile(&f, &SlotMap::from_vars(&[Var(0), Var(1)])).unwrap()
+    }
+
+    #[test]
+    fn underflowing_coefficient_is_carried_by_the_uniform_bound() {
+        // 3⁻⁷⁰⁰ converts to 0.0, so the f64 sweep computes only y. At
+        // x = 2¹⁰⁰⁰ the true first term is ≈ 2⁻¹¹⁰, far above |y| = 2⁻¹³³:
+        // the atom holds. Without the coefficient term the uniform bound
+        // is ≈ 2⁻¹⁸³ and would certify that lane false.
+        let c = rat(3, 1).pow(-700);
+        assert_eq!(rat_to_f64_err(&c).0, 0.0);
+        let m = atom_kernel(MPoly::var(Var(0)).scale(&c) + MPoly::var(Var(1)), Rel::Gt);
+        let pts = vec![
+            vec![rat(2, 1).pow(1000), -rat(2, 1).pow(-133)],
+            vec![rat(1, 2), rat(2, 1).pow(-140)],
+            vec![rat(0, 1), -rat(2, 1).pow(-140)],
+        ];
+        let (got, r) = batch_points(&m, &pts);
+        assert_eq!(got, vec![true, true, false]);
+        // The term widens the bound to ≈ 2⁻²² (3⁻⁷⁰⁰'s error bound is
+        // MIN_POSITIVE = 2⁻¹⁰²², times the 2¹⁰⁰⁰ column max), so no lane
+        // of this batch is certified.
+        assert_eq!((r.fast_lanes, r.exact_lanes), (0, 3));
+        // With ordinary columns the same atom stays on the fast path.
+        let pts = vec![vec![rat(1, 2), rat(1, 4)], vec![rat(1, 4), -rat(1, 8)]];
+        let (got, r) = batch_points(&m, &pts);
+        assert_eq!(got, vec![true, false]);
+        assert_eq!((r.fast_lanes, r.exact_lanes), (2, 0));
+    }
+
+    #[test]
+    fn infinite_coefficient_error_over_a_zero_column_goes_exact() {
+        // 3⁷⁰⁰ is past f64::MAX: its image is 0.0 with an ∞ error bound.
+        // Over an all-zero x column the bound's term is ∞·0 = NaN, which
+        // certifies nothing, so every lane is decided exactly.
+        let c = rat(3, 1).pow(700);
+        assert_eq!(rat_to_f64_err(&c), (0.0, f64::INFINITY));
+        let m = atom_kernel(MPoly::var(Var(0)).scale(&c) + MPoly::var(Var(1)), Rel::Ge);
+        let pts = vec![
+            vec![rat(0, 1), rat(1, 4)],
+            vec![rat(0, 1), -rat(1, 4)],
+            vec![rat(0, 1), rat(0, 1)],
+        ];
+        let (got, r) = batch_points(&m, &pts);
+        assert_eq!(got, vec![true, false, true]);
+        assert_eq!((r.fast_lanes, r.exact_lanes), (0, 3));
+        // A nonzero x column makes the bound ∞: still nothing certified.
+        let pts = vec![vec![rat(1, 2), -rat(1, 4)], vec![-rat(1, 2), rat(1, 4)]];
+        let (got, r) = batch_points(&m, &pts);
+        assert_eq!(got, vec![true, false]);
+        assert_eq!(r.exact_lanes, 2);
+    }
+
+    #[test]
+    fn subnormal_rounding_certifies_no_sign() {
+        // At x = 2⁻⁶⁰⁰ and y = z = w = 2⁻⁴⁷⁷ the three terms are 13/8,
+        // −19/8 and 5/8 of 2⁻¹⁰⁷⁴, which round to 2, −2 and 1 of it: the
+        // f64 sum is +2⁻¹⁰⁷⁴ while the true one is −2⁻¹⁰⁷⁷. Every relative
+        // bound underflows to 0 here, so only an absolute one is sound.
+        let (m, _, _) = compile("13*x*y - 19*x*z + 5*x*w > 0", &["x", "y", "z", "w"]);
+        let tiny = rat(2, 1).pow(-477);
+        let lane = vec![rat(2, 1).pow(-600), tiny.clone(), tiny.clone(), tiny];
+        // Alone, the lane's columns are exact (the uniform bound); beside
+        // a lane with x = 1/3, column x is not (the guarded sweep).
+        let inexact = vec![rat(1, 3), rat(1, 2), rat(1, 2), rat(1, 2)];
+        for pts in [vec![lane.clone()], vec![lane, inexact]] {
+            let (got, r) = batch_points(&m, &pts);
+            assert!(!got[0], "the true sum is negative");
+            assert_eq!(got, pts.iter().map(|p| m.eval_rats(p)).collect::<Vec<_>>());
+            assert!(r.exact_lanes >= 1, "lane 0 must go exact");
+        }
+    }
+
+    #[test]
+    fn non_dyadic_coefficients_over_exact_columns_stay_fast() {
+        // 1/25 is inexact in f64, but the columns are exact: the uniform
+        // regime certifies every lane off the circle.
+        let (m, _, _) = compile(
+            "(x - 1/2)*(x - 1/2) + (y - 1/2)*(y - 1/2) <= 1/25",
+            &["x", "y"],
+        );
+        let pts: Vec<Vec<Rat>> = (0..16).map(|i| vec![rat(i, 16), rat(15 - i, 32)]).collect();
+        let (got, r) = batch_points(&m, &pts);
+        for (pt, got) in pts.iter().zip(got) {
+            assert_eq!(got, m.eval_rats(pt), "at {pt:?}");
+        }
+        assert_eq!(r.exact_lanes, 0);
     }
 
     #[test]

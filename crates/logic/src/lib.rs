@@ -43,7 +43,7 @@ pub use ir::{Arena, ArenaStats, FormulaId, TermId};
 pub use norm::{dnf, from_dnf, nnf, prenex, PrenexBlock};
 pub use parser::{
     parse_formula, parse_formula_spanned, parse_formula_with, parse_term_with, ParseError,
-    MAX_NESTING,
+    MAX_NESTING, REQUEST_STACK_BYTES,
 };
 pub use print::display_formula;
 pub use span::{BoundVar, Span, SpannedFormula, SpannedNode};

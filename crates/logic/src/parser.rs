@@ -81,6 +81,17 @@ const MAX_TERMS: usize = 4096;
 /// layers below the parser half of that stack.
 pub const MAX_NESTING: usize = 128;
 
+/// Stack one nesting level costs a request in an unoptimised build (a
+/// parenthesis, measured from the wire down through the parser).
+const STACK_PER_LEVEL: usize = 9_120;
+
+/// The stack size of every thread that answers a request: [`MAX_NESTING`]
+/// levels at their unoptimised cost, doubled, plus 1 MiB for the layers
+/// below the parser (≈ 3.2 MiB, more than the 2 MiB default). The engine's
+/// workers and `cqa-approx`'s fork–join helpers set it explicitly, so
+/// `RUST_MIN_STACK` cannot shrink a thread below what the cap promises.
+pub const REQUEST_STACK_BYTES: usize = 2 * MAX_NESTING * STACK_PER_LEVEL + (1 << 20);
+
 fn cap_error(at: usize, what: &str, cap: impl fmt::Display) -> ParseError {
     ParseError {
         at,

@@ -6,7 +6,11 @@
 //! `f64` structure-of-arrays sweep), lane by lane — including at
 //! sign-boundary points engineered to defeat the `f64` sweep and force the
 //! per-lane exact fallback, and regardless of how the lanes are split into
-//! sub-batches.
+//! sub-batches. A second family draws coefficients whose `f64` image is
+//! inexact (`m/d` for odd `d`), underflows to zero (`3⁻⁷⁰⁰`) or overflows
+//! (`3⁷⁰⁰`), at points as large as `2¹⁰⁰⁰` and as small as `2⁻¹⁰⁰⁰`: the
+//! regime where the uniform error bound must carry the coefficients'
+//! conversion error.
 
 use cqa_arith::{rat, Rat};
 use cqa_logic::{Atom, Batch, BatchScratch, CompiledMatrix, Formula, Rel, SlotMap};
@@ -28,10 +32,10 @@ fn rel_of(i: u8) -> Rel {
 }
 
 /// A polynomial from `(coefficient, exponents-per-variable)` terms.
-fn poly_from(terms: &[(i64, [u8; 3])]) -> MPoly {
+fn poly_from(terms: &[(Rat, [u8; 3])]) -> MPoly {
     let mut p = MPoly::zero();
     for (c, es) in terms {
-        let mut t = MPoly::constant(rat(*c, 1));
+        let mut t = MPoly::constant(c.clone());
         for (v, &e) in VARS.iter().zip(es) {
             if e > 0 {
                 t = &t * &MPoly::var(*v).pow(e as u32);
@@ -42,15 +46,69 @@ fn poly_from(terms: &[(i64, [u8; 3])]) -> MPoly {
     p
 }
 
+/// A coefficient of one of four kinds, equally likely: `m/d` with
+/// `d ∈ {3, 5, 7, 25, 49}` (inexact in `f64`), `m·3⁻⁷⁰⁰` (its `f64` image
+/// is `0.0`), `m·3⁷⁰⁰` (past `f64::MAX`, so its error bound is `∞`), or an
+/// integer `m`.
+fn extreme_coeff() -> impl Strategy<Value = Rat> {
+    (-255i64..=255, 0usize..5, 0u8..4).prop_map(|(m, d, kind)| match kind {
+        0 => rat(m, [3, 5, 7, 25, 49][d]),
+        1 => &rat(m, 1) * &rat(3, 1).pow(-700),
+        2 => &rat(m, 1) * &rat(3, 1).pow(700),
+        _ => rat(m, 1),
+    })
+}
+
+/// A random affine polynomial with [`extreme_coeff`] coefficients.
+fn extreme_linear_poly() -> impl Strategy<Value = MPoly> {
+    vec(extreme_coeff(), 4..=4).prop_map(|cs| {
+        poly_from(&[
+            (cs[0].clone(), [0, 0, 0]),
+            (cs[1].clone(), [1, 0, 0]),
+            (cs[2].clone(), [0, 1, 0]),
+            (cs[3].clone(), [0, 0, 1]),
+        ])
+    })
+}
+
+/// A random polynomial with [`extreme_coeff`] coefficients: up to 4
+/// terms, per-variable degree ≤ 2.
+fn extreme_poly() -> impl Strategy<Value = MPoly> {
+    vec((extreme_coeff(), (0u8..=2, 0u8..=2, 0u8..=2)), 1..=4).prop_map(|ts| {
+        poly_from(
+            &ts.iter()
+                .map(|(c, (a, b, d))| (c.clone(), [*a, *b, *d]))
+                .collect::<Vec<_>>(),
+        )
+    })
+}
+
+/// A random point whose coordinates are, equally likely, `±2¹⁰⁰⁰`,
+/// `±2⁻¹⁰⁰⁰`, zero, or a small dyadic as in [`dyadic_point`]. Every one
+/// converts to `f64` exactly, so the columns stay exact and the uniform
+/// bound is the regime under test.
+fn extreme_point() -> impl Strategy<Value = Vec<Rat>> {
+    let coord = (-255i64..=255, 0u32..=4, 0u8..4).prop_map(|(m, s, kind)| {
+        let sign = rat(if m < 0 { -1 } else { 1 }, 1);
+        match kind {
+            0 => &sign * &rat(2, 1).pow(1000),
+            1 => &sign * &rat(2, 1).pow(-1000),
+            2 => rat(0, 1),
+            _ => rat(m, 1i64 << s),
+        }
+    });
+    vec(coord, 3..=3)
+}
+
 /// A random affine polynomial `c₀ + c₁x + c₂y + c₃z` — exercises the
 /// degree-1 dot-product specialization of the batch sweep.
 fn linear_poly() -> impl Strategy<Value = MPoly> {
     (-255i64..=255, -255i64..=255, -255i64..=255, -255i64..=255).prop_map(|(c0, c1, c2, c3)| {
         poly_from(&[
-            (c0, [0, 0, 0]),
-            (c1, [1, 0, 0]),
-            (c2, [0, 1, 0]),
-            (c3, [0, 0, 1]),
+            (rat(c0, 1), [0, 0, 0]),
+            (rat(c1, 1), [1, 0, 0]),
+            (rat(c2, 1), [0, 1, 0]),
+            (rat(c3, 1), [0, 0, 1]),
         ])
     })
 }
@@ -60,7 +118,7 @@ fn poly() -> impl Strategy<Value = MPoly> {
     vec((-255i64..=255, (0u8..=2, 0u8..=2, 0u8..=2)), 1..=4).prop_map(|ts| {
         poly_from(
             &ts.iter()
-                .map(|&(c, (a, b, d))| (c, [a, b, d]))
+                .map(|&(c, (a, b, d))| (rat(c, 1), [a, b, d]))
                 .collect::<Vec<_>>(),
         )
     })
@@ -195,9 +253,7 @@ proptest! {
     ) {
         let slots = SlotMap::from_vars(&VARS);
         let pt = &points[pick % points.len()];
-        let value = p.eval(&slots.assignment(pt));
-        let shifted = &p - &MPoly::constant(value);
-        let atom = Atom::new(shifted, rel_of(r));
+        let atom = Atom::new(zero_at(&p, pt), rel_of(r));
         let folded = atom.as_const().is_some();
         let f = Formula::Atom(atom);
         // The shifted polynomial is zero at `pt`, so only the relations
@@ -228,6 +284,79 @@ proptest! {
         // Replace slot 0 with `num/3` everywhere: a non-dyadic rational,
         // so its column carries a nonzero conversion-error bound.
         let third = rat(num, 3);
+        let points: Vec<Vec<Rat>> = points
+            .into_iter()
+            .map(|mut p| {
+                p[0] = third.clone();
+                p
+            })
+            .collect();
+        check_parity(&f, &points, points.len())?;
+    }
+}
+
+/// Shifts `p` by its own value at `pt`, so the result is exactly zero there.
+fn zero_at(p: &MPoly, pt: &[Rat]) -> MPoly {
+    let value = p.eval(&SlotMap::from_vars(&VARS).assignment(pt));
+    p - &MPoly::constant(value)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Affine atoms with inexact, underflowing and overflowing
+    /// coefficients take the dot-product form of the uniform bound.
+    #[test]
+    fn extreme_linear_coefficients_agree_with_interpreter(
+        f in formula(extreme_linear_poly().boxed()),
+        points in vec(extreme_point(), 1..=12),
+        chunk in 1usize..=5,
+    ) {
+        check_parity(&f, &points, chunk)?;
+    }
+
+    #[test]
+    fn extreme_polynomial_coefficients_agree_with_interpreter(
+        f in formula(extreme_poly().boxed()),
+        points in vec(extreme_point(), 1..=12),
+        chunk in 1usize..=5,
+    ) {
+        check_parity(&f, &points, chunk)?;
+    }
+}
+
+proptest! {
+    // Exact arithmetic on 3⁷⁰⁰-sized shifts at 2¹⁰⁰⁰-sized points is slow
+    // in an unoptimised build; a quarter of the cases keeps this under 15 s.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Sign-boundary lanes under extreme coefficients: the polynomial is
+    /// shifted to vanish at one lane (the shift is a huge or non-dyadic
+    /// constant as often as not), and every lane must still agree.
+    #[test]
+    fn extreme_boundary_points_agree_via_exact_fallback(
+        p in extreme_poly(),
+        points in vec(extreme_point(), 1..=8),
+        pick in 0usize..64,
+        r in 0u8..6,
+        chunk in 1usize..=5,
+    ) {
+        let atom = Atom::new(zero_at(&p, &points[pick % points.len()]), rel_of(r));
+        check_parity(&Formula::Atom(atom), &points, chunk)?;
+    }
+
+    /// Inexact columns under extreme coefficients and magnitudes: slot 0
+    /// holds `num/3` times `2¹⁰⁰⁰`, `2⁻¹⁰⁰⁰` or 1 in every lane, so the
+    /// atoms that read it take the guarded per-lane sweep, whose error
+    /// bounds must survive products that underflow.
+    #[test]
+    fn extreme_inexact_columns_take_guarded_sweep_and_agree(
+        f in formula(extreme_poly().boxed()),
+        points in vec(extreme_point(), 1..=8),
+        num in -20i64..=20,
+        scale in -1i32..=1,
+    ) {
+        let third = &rat(num, 3) * &rat(2, 1).pow(1000 * scale);
         let points: Vec<Vec<Rat>> = points
             .into_iter()
             .map(|mut p| {

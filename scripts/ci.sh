@@ -31,8 +31,9 @@ echo "== exact arithmetic (inline vs limb differential, pinned hash stream) =="
 run_capped cargo test -q --offline -p cqa-arith
 run_capped cargo test -q --offline -p cqa-logic --lib hash_stream_is_pinned
 
-echo "== kernel parity (eval_rats and the SoA batch sweep vs the tree-walking interpreter) =="
+echo "== kernel parity (eval_rats and the SoA batch sweep vs the tree-walking interpreter; non-dyadic, 3^-700 and 3^700 coefficients at 2^±1000 points, inexact columns, sign-boundary lanes; pinned underflow and infinite-error cases) =="
 run_capped cargo test -q --offline -p cqa-logic --test kernel_parity
+run_capped cargo test -q --offline -p cqa-logic --lib compile::tests
 
 echo "== thread-count determinism =="
 run_capped cargo test -q --offline -p cqa-approx --test thread_determinism
@@ -88,17 +89,20 @@ if timeout --signal=KILL 30 \
   exit 1
 fi
 
-echo "== server smoke test (cqa-serve / cqa-shell over TCP; 16-spec BATCH vs lone EXECs, sample-cap and nesting-cap probes) =="
+echo "== server smoke test (cqa-serve / cqa-shell over TCP under RUST_MIN_STACK=65536; 16-spec BATCH vs lone EXECs, sample-cap and nesting-cap probes, 127 parentheses answered) =="
 # Ephemeral port; the whole round-trip runs under the hang-detector cap.
 # Asserts an exact answer, an (ε,δ)-tagged degraded answer, a CQA-diagnostic
 # rejection over the wire, a BATCH body equal to the same specs sent as
 # lone EXECs, a tiny ε and 1 000 parentheses refused with the server still
-# answering, and a clean SHUTDOWN (both exit codes 0).
+# answering, and a clean SHUTDOWN (both exit codes 0). The server runs with
+# a 64 KiB default thread stack: a query 127 parentheses deep, inside the
+# nesting cap, must still be answered, because every thread that answers a
+# request sets its own stack size.
 SERVE_LOG="$(mktemp)"
 SHELL_LOG="$(mktemp)"
 DATA_DIR="$(mktemp -d)"
 trap 'rm -f "$SERVE_LOG" "$SHELL_LOG"; rm -rf "$DATA_DIR"' EXIT
-./target/release/cqa-serve --workers 2 --timeout-ms 2000 \
+RUST_MIN_STACK=65536 ./target/release/cqa-serve --workers 2 --timeout-ms 2000 \
   --preload examples/lint/endpoints.cqa > "$SERVE_LOG" &
 SERVE_PID=$!
 ADDR=""
@@ -131,6 +135,7 @@ d 0.04
 above 0.1
 d 0.01 0.01"
 DEEP="$(printf '%.0s(' $(seq 1 1000))x > 1/2$(printf '%.0s)' $(seq 1 1000))"
+CAPPED="$(printf '%.0s(' $(seq 1 127))x > 1/2$(printf '%.0s)' $(seq 1 127))"
 {
   cat <<'EOF'
 PREPARE above S(x) & x >= 0.5
@@ -151,6 +156,7 @@ EXEC ring
 @cap1 EXEC d 0.00005 0.5
 @cap2 EXEC d 0.01 0.01
 EOF
+  printf '@deep0 VOLUME %s\n' "$CAPPED"
   printf '@deep1 VOLUME %s\n@deep2 VOLUME x > 1/2\n' "$DEEP"
   i=0
   while read -r spec; do
@@ -178,6 +184,7 @@ grep -q "^OK BATCH n=2 errors=0" "$SHELL_LOG"
 # at once, and the same server answers the next request correctly.
 grep -q "^@cap1 ERR exec eps/delta 0.00005/0.5 need 277258874 samples, over the cap of 8388608$" "$SHELL_LOG"
 grep -q "^@cap2 OK EXEC d status=approx value=1716/8831 eps=0.01 delta=0.01 samples=26493 " "$SHELL_LOG"
+grep -q "^@deep0 OK VOLUME - status=exact value=1/2 " "$SHELL_LOG"
 grep -q "^@deep1 ERR parse .*nesting deeper than 128 levels$" "$SHELL_LOG"
 grep -q "^@deep2 OK VOLUME - status=exact value=1/2 " "$SHELL_LOG"
 # The BATCH fan-out is a pure reordering of work: its body, line for line,
