@@ -233,6 +233,15 @@ enum Answer {
     },
 }
 
+/// A Monte Carlo answer: `hits` of `acc.samples` lanes fell inside.
+fn mc_answer(hits: usize, acc: Accuracy, reason: &'static str) -> Answer {
+    Answer::Approx {
+        estimate: Rat::new((hits as i64).into(), (acc.samples as i64).into()),
+        acc,
+        reason,
+    }
+}
+
 /// An `EXEC` the memoized-key fast path found in the cache: everything its
 /// answer still needs, none of it borrowed from the session, so a `BATCH`
 /// can answer several of them on other threads.
@@ -624,6 +633,23 @@ impl Engine {
         )
     }
 
+    /// Answers warm polynomial `EXEC`s of one dimension and sample count
+    /// from one shared sample stream, in order: each header is the one
+    /// [`Self::eval_warm`] renders for that spec alone.
+    fn eval_warm_sampled(&self, specs: &[(&WarmExec, &str)]) -> Vec<Response> {
+        let entries: Vec<&CacheEntry> = specs.iter().map(|(w, _)| &*w.entry).collect();
+        let (dim, samples) = (specs[0].0.dim, specs[0].0.acc.samples);
+        let hits = self.mc_over_kernels(&entries, dim, samples);
+        specs
+            .iter()
+            .zip(hits)
+            .map(|(&(w, name), hits)| {
+                let answer = mc_answer(hits, w.acc, "nonlinear");
+                self.render_answer(Ok(answer), "EXEC", name, "hit", &self.request_budget())
+            })
+            .collect()
+    }
+
     /// The full `EXEC` pipeline: re-parse the prepared source against the
     /// session, answer it, and memoize its canonical key. `missed` is the
     /// key the fast path already looked up in vain, if any.
@@ -679,10 +705,20 @@ impl Engine {
     /// lone `EXEC` would make, in the same order — and a spec that needs
     /// the session (a miss, a cold query, a bad spec) runs the full
     /// pipeline right there. Then the warm specs are answered side by side
-    /// on up to `available_parallelism` threads, this one included. A
-    /// warm answer reads only its cache entry and seeds its own witness
-    /// with [`MC_SEED`], so the body is the serial loop's, byte for byte;
-    /// a panic in any spec resumes on this thread, as a serial one would.
+    /// on up to `available_parallelism` threads, this one included.
+    ///
+    /// Every sampled answer reads the stream `Witness::new(MC_SEED)` draws
+    /// for its dimension, and Theorem 4's sample is uniform over every
+    /// parameter vector, so one stream serves every kernel of a dimension
+    /// and sample count at once. Phase 2 therefore groups the warm
+    /// polynomial specs by `(dim, samples)` and splits each group into at
+    /// most as many parts as there are threads; a part draws its stream
+    /// once and sweeps each of its kernels over every batch of it
+    /// (`mc_over_kernels`). A kernel's hits depend only on the
+    /// stream, not on which kernels share it, so the body is the serial
+    /// loop's, byte for byte, however the specs are grouped. A warm linear
+    /// spec (exact volume) is a unit of its own. A panic in any spec
+    /// resumes on this thread, as a serial one would.
     pub fn batch(&self, session: &mut Session, specs: &str) -> Response {
         enum Spec {
             Answered(Response),
@@ -712,10 +748,47 @@ impl Engine {
                 Spec::Answered(_) => None,
             })
             .collect();
-        let mut answers = par::run_items(warm.len(), par::default_threads(), |i| {
-            self.eval_warm(warm[i].0, warm[i].1)
-        })
-        .into_iter();
+        let threads = par::default_threads();
+        // Units of work, each a list of indices into `warm`: first every
+        // linear spec alone (exact volume), then the sampled groups' parts.
+        let mut units: Vec<Vec<usize>> = Vec::new();
+        let mut groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
+        for (i, (w, _)) in warm.iter().enumerate() {
+            if w.entry.class != ConstraintClass::Polynomial {
+                units.push(vec![i]);
+                continue;
+            }
+            let key = (w.dim, w.acc.samples);
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, members)) => members.push(i),
+                None => groups.push((key, vec![i])),
+            }
+        }
+        let exact_units = units.len();
+        for (_, members) in groups {
+            let parts = threads.min(members.len());
+            let mut rest = members.as_slice();
+            for p in 0..parts {
+                let (part, tail) = rest.split_at(rest.len() / (parts - p));
+                units.push(part.to_vec());
+                rest = tail;
+            }
+        }
+        let answered = par::run_items(units.len(), threads, |u| {
+            let specs: Vec<(&WarmExec, &str)> = units[u].iter().map(|&i| warm[i]).collect();
+            if u < exact_units {
+                vec![self.eval_warm(specs[0].0, specs[0].1)]
+            } else {
+                self.eval_warm_sampled(&specs)
+            }
+        });
+        let mut by_spec: Vec<(usize, Response)> = units
+            .iter()
+            .zip(answered)
+            .flat_map(|(unit, responses)| unit.iter().copied().zip(responses))
+            .collect();
+        by_spec.sort_by_key(|&(i, _)| i);
+        let mut answers = by_spec.into_iter().map(|(_, r)| r);
         let mut errors = 0usize;
         let body: Vec<String> = specs
             .into_iter()
@@ -974,14 +1047,18 @@ impl Engine {
         name: &str,
         cache_tag: &str,
     ) -> Response {
+        let sampled = |reason| {
+            let hits = self.mc_over_kernels(&[entry], dim, acc.samples)[0];
+            Ok(mc_answer(hits, acc, reason))
+        };
         let answer = if entry.class == ConstraintClass::Polynomial {
             // Semi-algebraic output: the exact triangulating integrator
             // does not apply; degrade to MC over the cached kernel.
-            self.mc_over_kernel(entry, dim, acc, "nonlinear")
+            sampled("nonlinear")
         } else {
             match cqa_geom::volume_in_unit_box_with_budget(&entry.qf, &entry.qf_vars, budget) {
                 Ok(v) => Ok(Answer::Exact(v)),
-                Err(VolumeError::Budget(_)) => self.mc_over_kernel(entry, dim, acc, "budget"),
+                Err(VolumeError::Budget(_)) => sampled("volume-budget"),
                 Err(e) => return Response::err("volume", e.to_string()),
             }
         };
@@ -1051,20 +1128,17 @@ impl Engine {
         Ok(n as usize)
     }
 
-    /// Deterministic Monte Carlo `VOL_I` over a cached compiled kernel,
-    /// swept batch-wise: samples fill one structure-of-arrays [`Batch`] at
-    /// a time (draws in the same order as the per-point loop this
-    /// replaces, so estimates are unchanged) and the kernel decides all
-    /// lanes per sweep. Fast/exact lane counts feed the service counters
-    /// behind `STATS`.
-    fn mc_over_kernel(
-        &self,
-        entry: &Arc<CacheEntry>,
-        dim: usize,
-        acc: Accuracy,
-        reason: &'static str,
-    ) -> Result<Answer, Response> {
-        let samples = acc.samples;
+    /// Deterministic Monte Carlo `VOL_I` hit counts of every entry's cached
+    /// kernel over one sample stream, `samples` points of `dim`
+    /// coordinates from `Witness::new(MC_SEED)`. The stream fills one
+    /// structure-of-arrays [`Batch`] at a time (draws in the per-point
+    /// loop's order, so estimates are unchanged) and each kernel decides
+    /// every lane of it before the next fill, so the stream is drawn once
+    /// however many kernels read it. An entry's count depends only on the
+    /// stream and its kernel: sweeping it alone or beside others gives
+    /// the same number. Fast/exact/box-skipped lane counts and the stream
+    /// feed the service counters behind `STATS`.
+    fn mc_over_kernels(&self, entries: &[&CacheEntry], dim: usize, samples: usize) -> Vec<usize> {
         let mut w = Witness::new(MC_SEED);
         let mut batch = Batch::new(dim);
         let mut sub = Batch::new(dim);
@@ -1072,94 +1146,78 @@ impl Engine {
         let mut keep = [0usize; BATCH_LANES];
         let mut skipped = 0u64;
         let mut scratch = BatchScratch::new();
-        let mut hits = 0usize;
+        let mut hits = vec![0usize; entries.len()];
         let mut lanes = LaneStats::default();
         let mut done = 0usize;
         while done < samples {
             batch.set_len((samples - done).min(BATCH_LANES));
             w.fill_unit_columns(&mut batch, 0, dim);
-            // The absint bounding box certifies that every satisfying
-            // point lies inside it, so lanes outside are kernel-false and
-            // can skip evaluation entirely. The draws above are untouched
-            // (same RNG stream) and skipped lanes contribute exactly the
-            // zero hits they would have, so the estimate is bit-identical
-            // to the unfiltered run. Both passes are branch-free: the box
-            // test folds column by column into per-lane flags, and the
-            // compaction writes every lane into the cursor's slot but
-            // advances the cursor only past inside lanes.
-            let result = match entry.mc_box.as_deref() {
-                Some(bx) => {
-                    let len = batch.len();
-                    let inside = &mut inside[..len];
-                    inside.fill(true);
-                    for (d, &(lo, hi)) in bx.iter().enumerate() {
-                        for (f, &v) in inside.iter_mut().zip(batch.col(d)) {
-                            *f &= (v >= lo) & (v <= hi);
-                        }
-                    }
-                    let mut kept = 0;
-                    for (lane, &f) in inside.iter().enumerate() {
-                        keep[kept] = lane;
-                        kept += f as usize;
-                    }
-                    let keep = &keep[..kept];
-                    skipped += (len - kept) as u64;
-                    if keep.is_empty() {
-                        None
-                    } else if kept == len {
-                        let b = &batch;
-                        let exact = |lane: usize, slot: usize| {
-                            Rat::from_f64(b.value(slot, lane)).expect("finite sample coordinate")
-                        };
-                        Some(entry.kernel.eval_batch(b, &exact, &mut scratch))
-                    } else {
-                        sub.set_len(keep.len());
-                        for d in 0..dim {
-                            let xs = batch.col(d);
-                            for (c, &lane) in sub.col_mut(d).iter_mut().zip(keep) {
-                                *c = xs[lane];
+            for (entry, hits) in entries.iter().zip(&mut hits) {
+                // The absint bounding box certifies that every satisfying
+                // point lies inside it, so lanes outside are kernel-false
+                // and can skip evaluation entirely. The draws are
+                // untouched (same RNG stream) and skipped lanes contribute
+                // exactly the zero hits they would have, so the estimate
+                // is bit-identical to the unfiltered run. Both passes are
+                // branch-free: the box test folds column by column into
+                // per-lane flags, and the compaction writes every lane
+                // into the cursor's slot but advances the cursor only
+                // past inside lanes.
+                let b = match entry.mc_box.as_deref() {
+                    Some(bx) => {
+                        let len = batch.len();
+                        let inside = &mut inside[..len];
+                        inside.fill(true);
+                        for (d, &(lo, hi)) in bx.iter().enumerate() {
+                            for (f, &v) in inside.iter_mut().zip(batch.col(d)) {
+                                *f &= (v >= lo) & (v <= hi);
                             }
                         }
-                        let b = &sub;
-                        let exact = |lane: usize, slot: usize| {
-                            Rat::from_f64(b.value(slot, lane)).expect("finite sample coordinate")
-                        };
-                        Some(entry.kernel.eval_batch(b, &exact, &mut scratch))
+                        let mut kept = 0;
+                        for (lane, &f) in inside.iter().enumerate() {
+                            keep[kept] = lane;
+                            kept += f as usize;
+                        }
+                        let keep = &keep[..kept];
+                        skipped += (len - kept) as u64;
+                        if keep.is_empty() {
+                            continue;
+                        } else if kept == len {
+                            &batch
+                        } else {
+                            sub.set_len(keep.len());
+                            for d in 0..dim {
+                                let xs = batch.col(d);
+                                for (c, &lane) in sub.col_mut(d).iter_mut().zip(keep) {
+                                    *c = xs[lane];
+                                }
+                            }
+                            &sub
+                        }
                     }
-                }
-                None => {
-                    let b = &batch;
-                    let exact = |lane: usize, slot: usize| {
-                        Rat::from_f64(b.value(slot, lane)).expect("finite sample coordinate")
-                    };
-                    Some(entry.kernel.eval_batch(b, &exact, &mut scratch))
-                }
-            };
-            if let Some(r) = result {
-                hits += r.mask.count();
+                    None => &batch,
+                };
+                let exact = |lane: usize, slot: usize| {
+                    Rat::from_f64(b.value(slot, lane)).expect("finite sample coordinate")
+                };
+                let r = entry.kernel.eval_batch(b, &exact, &mut scratch);
+                *hits += r.mask.count();
                 lanes.add(&r);
             }
             done += batch.len();
         }
+        let s = &self.stats;
         if skipped > 0 {
-            self.stats
-                .absint_box_skipped_lanes
+            s.absint_box_skipped_lanes
                 .fetch_add(skipped, Ordering::Relaxed);
         }
-        self.stats
-            .batch_fast_lanes
-            .fetch_add(lanes.fast, Ordering::Relaxed);
-        self.stats
-            .batch_exact_lanes
+        s.batch_fast_lanes.fetch_add(lanes.fast, Ordering::Relaxed);
+        s.batch_exact_lanes
             .fetch_add(lanes.exact, Ordering::Relaxed);
-        Ok(Answer::Approx {
-            estimate: Rat::new((hits as i64).into(), (samples as i64).into()),
-            acc,
-            reason: match reason {
-                "budget" => "volume-budget",
-                r => r,
-            },
-        })
+        s.mc_streams.fetch_add(1, Ordering::Relaxed);
+        s.mc_sampled_lanes
+            .fetch_add(samples as u64, Ordering::Relaxed);
+        hits
     }
 
     /// Last-resort degraded path when parametric QE itself exceeded the
@@ -1264,6 +1322,11 @@ impl Engine {
             } else {
                 exact as f64 / (fast + exact) as f64
             }
+        ));
+        resp.body.push(format!(
+            "mc streams={} sampled_lanes={}",
+            EngineStats::get(&s.mc_streams),
+            EngineStats::get(&s.mc_sampled_lanes),
         ));
         resp.body.push(format!(
             "analyze statements={}",

@@ -121,6 +121,13 @@ pub struct EngineStats {
     /// points are landing near sign boundaries and the kernel is quietly
     /// doing big-rational work.
     pub batch_exact_lanes: AtomicU64,
+    /// Monte Carlo sample streams drawn: one per sampled `EXEC` or
+    /// `VOLUME`, one per shared-stream unit of a `BATCH` however many
+    /// specs that unit answers.
+    pub mc_streams: AtomicU64,
+    /// Sample lanes drawn across those streams: a lane counts once however
+    /// many kernels sweep it.
+    pub mc_sampled_lanes: AtomicU64,
     /// Cache misses answered without quantifier elimination because the
     /// interval analysis proved the query statically unsatisfiable.
     pub absint_unsat_skips: AtomicU64,

@@ -1,8 +1,9 @@
 //! End-to-end tests for the event-driven serving layer: pipelining
 //! order/parity, shard-count bit-identity, idle-session scalability, the
 //! non-blocking busy path, pipelined-burst latency on both front ends,
-//! body caps over the wire, the parse caps on oversized terms, and
-//! warm-file shard-independence.
+//! body caps over the wire, the parse caps on oversized terms,
+//! warm-file shard-independence, and a shared-stream `BATCH` that answers
+//! what lone `EXEC`s do.
 
 use cqa_engine::{parse_command, read_response, Engine, EngineConfig, Response};
 use proptest::prelude::*;
@@ -182,6 +183,120 @@ fn shard_count_never_changes_answers_or_total_accounting() {
             transcript, reference,
             "transcript diverged at cache_shards={shards}"
         );
+    }
+}
+
+/// Warm queries for the shared-stream `BATCH` test: polynomial regions of
+/// dimensions 1, 2 and 3 (the boxed disk's box prefilters its lanes), an
+/// exact linear region, and one query no request warms.
+const SHARED: &[(&str, &str)] = &[
+    ("seg", "x*x <= 1/3"),
+    ("disk", "(x - 1/2)*(x - 1/2) + (y - 1/2)*(y - 1/2) <= 1/25"),
+    ("ring", "x*x + y*y <= 1/2 & x*x + y*y >= 1/9"),
+    (
+        "spot",
+        "(x - 1/2)*(x - 1/2) + (y - 1/2)*(y - 1/2) <= 1/100 \
+         & 2/5 <= x & x <= 3/5 & 2/5 <= y & y <= 3/5",
+    ),
+    ("ball", "x*x + y*y + z*z <= 1/4 & z <= 1/3"),
+    ("band", "0 <= x & 0 <= y & x + y <= 1"),
+    ("cold", "y*y <= x & x <= 1/2"),
+];
+
+/// One `STATS` line by its first word.
+fn stats_line(c: &mut Client, prefix: &str) -> String {
+    let stats = c.send("STATS");
+    stats
+        .body
+        .into_iter()
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("STATS has no `{prefix}` line"))
+}
+
+/// `streams=` and `sampled_lanes=` of the `mc` line.
+fn mc_counters(c: &mut Client) -> [u64; 2] {
+    let line = stats_line(c, "mc ");
+    ["streams=", "sampled_lanes="].map(|k| {
+        line.split_whitespace()
+            .find_map(|t| t.strip_prefix(k))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {k} in `{line}`"))
+    })
+}
+
+/// A `BATCH` shares one sample stream among the kernels of each dimension
+/// and sample count. Its body must still be, byte for byte, what the
+/// same specs answer as lone `EXEC`s on a twin engine — across dimensions
+/// 1–3, two ε, an exact linear spec, a box-prefiltered one, duplicates, an
+/// unknown name and a cold spec — and both engines must count the same
+/// kernel and absint lanes. A 16-spec `BATCH` at one ε then draws at most
+/// one stream per part: (groups × threads).
+#[test]
+fn a_shared_stream_batch_answers_what_lone_execs_do() {
+    let mixed = "disk 0.02 0.02\nseg 0.02 0.02\nball 0.02 0.02\nband\nspot 0.02 0.02\n\
+                 ring 0.05 0.05\ndisk 0.05 0.05\nnosuch\ncold 0.02 0.02\ndisk 0.02 0.02\n\
+                 seg 0.05 0.05\nspot 0.05 0.05\nring 0.02 0.02\nball 0.05 0.05\n";
+    let same: String = [
+        "disk", "ring", "spot", "seg", "ball", "disk", "ring", "spot",
+    ]
+    .iter()
+    .cycle()
+    .take(16)
+    .map(|name| format!("{name} 0.03 0.03\n"))
+    .collect();
+    let boot = || {
+        let engine = Arc::new(Engine::new(EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        }));
+        let handle = cqa_engine::spawn_server(engine).unwrap();
+        let mut c = Client::connect(handle.addr());
+        for (name, src) in SHARED {
+            assert!(c.send(&format!("PREPARE {name} {src}")).is_ok(), "{name}");
+            if *name != "cold" {
+                assert!(c.send(&format!("EXEC {name}")).is_ok(), "{name}");
+            }
+        }
+        (handle, c)
+    };
+    let (batched_server, mut batched) = boot();
+    let (lone_server, mut lone) = boot();
+    for specs in [mixed, same.as_str()] {
+        let before = mc_counters(&mut batched);
+        let resp = batched.send(&format!("BATCH\n{specs}."));
+        let after = mc_counters(&mut batched);
+        let headers: Vec<String> = specs
+            .lines()
+            .map(|spec| lone.send(&format!("EXEC {spec}")).header)
+            .collect();
+        assert!(resp.is_ok(), "{resp:?}");
+        assert_eq!(resp.body, headers);
+        for prefix in ["kernel ", "absint "] {
+            assert_eq!(
+                stats_line(&mut batched, prefix),
+                stats_line(&mut lone, prefix)
+            );
+        }
+        let [streams, lanes] = [0, 1].map(|i| after[i] - before[i]);
+        if specs == same {
+            // Three (dim, samples) groups: dimensions 1, 2 and 3.
+            let threads = cqa_approx::par::default_threads() as u64;
+            assert!(streams <= 3 * threads, "{streams} streams");
+            let samples: u64 = headers[0]
+                .split_whitespace()
+                .find_map(|t| t.strip_prefix("samples="))
+                .and_then(|v| v.parse().ok())
+                .expect("an approximate answer");
+            assert_eq!(lanes, streams * samples);
+        } else {
+            assert!(resp.body[7].starts_with("ERR "), "{resp:?}");
+            assert!(resp.body[8].contains("cache=miss"), "{resp:?}");
+            assert!(resp.body[3].contains("status=exact"), "{resp:?}");
+        }
+    }
+    for (c, server) in [(batched, batched_server), (lone, lone_server)] {
+        c.shutdown();
+        server.join().unwrap();
     }
 }
 

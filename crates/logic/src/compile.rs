@@ -33,14 +33,14 @@
 //! of up to [`BATCH_LANES`] points out as structure-of-arrays columns (one
 //! contiguous `f64` column per slot), and [`CompiledMatrix::eval_batch`]
 //! evaluates every atom across the whole chunk with flat coefficient
-//! sweeps — auto-vectorizable inner loops over contiguous lanes, a
-//! dot-product specialization for degree-1 atoms, and a certified per-atom
-//! error column. The boolean program then runs on per-chunk
-//! certified-sign/undecided bitmasks ([`LaneMask`]), short-circuiting whole
-//! subtrees once every lane is decided; only the lanes whose sign the `f64`
-//! sweep could not certify re-run through the exact [`Rat`] path, so the
-//! batched result is bit-for-bit the same as deciding each point with
-//! [`CompiledMatrix::eval_rats`], the exact-arithmetic-only reference.
+//! sweeps — auto-vectorizable inner loops over contiguous lanes, one fused
+//! pass per term, and a certified per-atom error bound. The boolean program
+//! then runs on per-chunk certified-sign/undecided bitmasks ([`LaneMask`]),
+//! short-circuiting whole subtrees once every lane is decided; only the
+//! lanes whose sign the `f64` sweep could not certify re-run through the
+//! exact [`Rat`] path, so the batched result is bit-for-bit the same as
+//! deciding each point with [`CompiledMatrix::eval_rats`], the
+//! exact-arithmetic-only reference.
 
 use crate::ast::{Formula, Rel};
 use crate::ir::{Arena, FormulaId, Node};
@@ -225,6 +225,9 @@ struct Term {
     coeff_err: f64,
     /// Sorted by slot; exponents ≥ 1.
     powers: Vec<(u32, u32)>,
+    /// `powers` flattened to one slot per unit of degree (`x²y` is
+    /// `[x, x, y]`): the multiplication order of every sweep.
+    factors: Vec<u32>,
 }
 
 /// A sign-condition atom with slot-resolved polynomial.
@@ -237,10 +240,6 @@ struct CompiledAtom {
     /// differs from the value of the `f64` coefficients' polynomial by at
     /// most `gamma · Σ|computed terms|` (see [`CompiledAtom::batch_masks`]).
     gamma: f64,
-    /// Degree-≤1 specialization `(constant, [(slot, coefficient)])`,
-    /// present when every term is affine: the batched sweep becomes one
-    /// dot product per lane.
-    linear: Option<(f64, Vec<(u32, f64)>)>,
 }
 
 impl CompiledAtom {
@@ -254,45 +253,25 @@ impl CompiledAtom {
             }
             powers.sort_unstable();
             let (coeff_f64, coeff_err) = rat_to_f64_err(coeff);
+            let factors = powers
+                .iter()
+                .flat_map(|&(slot, e)| std::iter::repeat_n(slot, e as usize))
+                .collect();
             terms.push(Term {
                 coeff: coeff.clone(),
                 coeff_f64,
                 coeff_err,
                 powers,
+                factors,
             });
         }
         // One multiplication per exponent unit plus one addition per term,
         // each contributing ≤ UNIT relative rounding (UNIT is itself ≥ 2×
         // the true unit roundoff); +2 and PAD absorb the second-order
         // cross terms and the rounding of the bound computation.
-        let kmax = terms
-            .iter()
-            .map(|t| t.powers.iter().map(|&(_, e)| e as usize).sum::<usize>())
-            .max()
-            .unwrap_or(0);
+        let kmax = terms.iter().map(|t| t.factors.len()).max().unwrap_or(0);
         let gamma = (kmax + terms.len() + 2) as f64 * UNIT * PAD;
-        let affine = terms
-            .iter()
-            .all(|t| t.powers.iter().map(|&(_, e)| e).sum::<u32>() <= 1);
-        let linear = if affine {
-            let mut c0 = 0.0f64;
-            let mut lin = Vec::new();
-            for t in &terms {
-                match t.powers.first() {
-                    None => c0 += t.coeff_f64,
-                    Some(&(slot, _)) => lin.push((slot, t.coeff_f64)),
-                }
-            }
-            Some((c0, lin))
-        } else {
-            None
-        };
-        Ok(CompiledAtom {
-            rel,
-            terms,
-            gamma,
-            linear,
-        })
+        Ok(CompiledAtom { rel, terms, gamma })
     }
 
     /// The polynomial's sign by exact rational evaluation.
@@ -337,29 +316,24 @@ pub struct CompiledMatrix {
 }
 
 impl CompiledMatrix {
-    /// Lowers `f` with variables resolved through `slots`.
+    /// Lowers `f` with variables resolved through `slots`, by way of a
+    /// scratch [`Arena`]: [`CompiledMatrix::compile_arena`] of `f`
+    /// interned, so a subformula repeated in `f` compiles once.
     ///
     /// Rejects formulas that [`Formula::eval`] could not decide either —
     /// quantifiers of any kind and schema relations — so an unevaluable
     /// matrix surfaces here, at construction, instead of silently biasing
     /// a downstream estimate.
     pub fn compile(f: &Formula, slots: &SlotMap) -> Result<CompiledMatrix, CompileError> {
-        let mut m = CompiledMatrix {
-            atoms: Vec::new(),
-            nodes: Vec::new(),
-            children: Vec::new(),
-            root: 0,
-            n_slots: slots.len(),
-        };
-        m.root = m.lower(f, slots)?;
-        Ok(m)
+        let mut arena = Arena::new();
+        let id = arena.intern(f);
+        CompiledMatrix::compile_arena(&arena, id, slots)
     }
 
     /// Lowers an interned formula dag, memoized per [`FormulaId`]: a
     /// subformula shared `k` times in the denoted tree compiles to **one**
     /// program node (and its atom enters the arena once), so the program is
-    /// O(dag size) where [`CompiledMatrix::compile`] is O(tree size). Same
-    /// rejections and bit-identical evaluation semantics as `compile`.
+    /// O(dag size), not O(tree size).
     pub fn compile_arena(
         arena: &Arena,
         id: FormulaId,
@@ -390,45 +364,6 @@ impl CompiledMatrix {
     fn push(&mut self, op: Op) -> u32 {
         self.nodes.push(op);
         (self.nodes.len() - 1) as u32
-    }
-
-    fn lower(&mut self, f: &Formula, slots: &SlotMap) -> Result<u32, CompileError> {
-        match f {
-            Formula::True => Ok(self.push(Op::True)),
-            Formula::False => Ok(self.push(Op::False)),
-            Formula::Atom(a) => match a.as_const() {
-                Some(true) => Ok(self.push(Op::True)),
-                Some(false) => Ok(self.push(Op::False)),
-                None => {
-                    let atom = CompiledAtom::compile(&a.poly, a.rel, slots)?;
-                    self.atoms.push(atom);
-                    let idx = (self.atoms.len() - 1) as u32;
-                    Ok(self.push(Op::Atom(idx)))
-                }
-            },
-            Formula::Rel { name, .. } => Err(CompileError::Relation(name.clone())),
-            Formula::Not(g) => {
-                let c = self.lower(g, slots)?;
-                Ok(self.push(Op::Not(c)))
-            }
-            Formula::And(fs) | Formula::Or(fs) => {
-                let kids: Vec<u32> = fs
-                    .iter()
-                    .map(|g| self.lower(g, slots))
-                    .collect::<Result<_, _>>()?;
-                let start = self.children.len() as u32;
-                self.children.extend_from_slice(&kids);
-                let end = self.children.len() as u32;
-                Ok(self.push(match f {
-                    Formula::And(_) => Op::And { start, end },
-                    _ => Op::Or { start, end },
-                }))
-            }
-            Formula::Exists(..)
-            | Formula::Forall(..)
-            | Formula::ExistsAdom(..)
-            | Formula::ForallAdom(..) => Err(CompileError::Quantifier),
-        }
     }
 
     fn lower_id(
@@ -691,10 +626,6 @@ impl Batch {
         self.values[slot * BATCH_LANES + lane]
     }
 
-    fn err(&self, slot: usize, lane: usize) -> f64 {
-        self.errs[slot * BATCH_LANES + lane]
-    }
-
     /// The value column of `slot`: its first [`Batch::len`] lanes.
     pub fn col(&self, slot: usize) -> &[f64] {
         &self.values[slot * BATCH_LANES..][..self.len]
@@ -731,9 +662,6 @@ pub struct BatchScratch {
     /// Per slot: `max |value|` over the batch's lanes (exact columns
     /// only) — the shared ingredient of every atom's uniform error bound.
     col_max: Vec<f64>,
-    /// Per atom: its lane masks have been swept for this batch (swept but
-    /// uncertified lanes go straight to exact in the fallback walk).
-    atom_done: Vec<bool>,
     /// Per node: memoized `(true-lanes, false-lanes)` masks.
     node_memo: Vec<Option<(LaneMask, LaneMask)>>,
 }
@@ -752,18 +680,37 @@ impl BatchScratch {
         self.col_max.clear();
         for slot in 0..batch.n_slots() {
             self.col_max.push(if batch.exact[slot] {
-                batch.col(slot).iter().fold(0.0f64, |m, &x| m.max(x.abs()))
+                abs_max(batch.col(slot))
             } else {
                 // Inexact columns route through the guarded sweep, which
                 // carries its own per-lane error column.
                 f64::NAN
             });
         }
-        self.atom_done.clear();
-        self.atom_done.resize(m.atoms.len(), false);
         self.node_memo.clear();
         self.node_memo.resize(m.nodes.len(), None);
     }
+}
+
+/// `max |x|` over `xs` (0 when empty), folded into eight independent
+/// accumulators so the loop vectorizes. The max ignores NaN and is
+/// otherwise order-free, so the value is the sequential
+/// `fold(0.0, f64::max)`'s.
+fn abs_max(xs: &[f64]) -> f64 {
+    // `f64::max`, spelled as the select one `maxpd` computes: both keep
+    // the accumulator when the lane is NaN.
+    let max = |m: f64, x: f64| if x > m { x } else { m };
+    let mut m = [0.0f64; 8];
+    let mut chunks = xs.chunks_exact(8);
+    for c in &mut chunks {
+        for (m, &x) in m.iter_mut().zip(c) {
+            *m = max(*m, x.abs());
+        }
+    }
+    for &x in chunks.remainder() {
+        m[0] = max(m[0], x.abs());
+    }
+    m.into_iter().fold(0.0, max)
 }
 
 /// Outcome of one [`CompiledMatrix::eval_batch`] call.
@@ -801,26 +748,32 @@ impl LaneStats {
         self.fast += o.fast;
         self.exact += o.exact;
     }
-
-    /// Fraction of lanes that fell back to exact arithmetic (0 when no
-    /// lanes were evaluated).
-    pub fn fallback_rate(&self) -> f64 {
-        let total = self.fast + self.exact;
-        if total == 0 {
-            0.0
-        } else {
-            self.exact as f64 / total as f64
-        }
-    }
 }
 
+/// `LANE_BIT[b]` = bit `b` of a 64-lane mask word.
+const LANE_BIT: [u64; 64] = {
+    let mut bits = [0u64; 64];
+    let mut b = 0;
+    while b < 64 {
+        bits[b] = 1 << b;
+        b += 1;
+    }
+    bits
+};
+
 /// The certified `(true-lanes, false-lanes)` masks of lane values `vals`
-/// under per-lane error bounds `err(lane)`: a lane is decided when
-/// `|v| > err`, by the relation's verdict on the sign of `v`. NaN-safe: a
-/// poisoned value or bound fails the comparison and the lane stays
-/// undecided. A bound is never zero, so neither is a decided value.
-/// Branchless: the sign of `v` is data-dependent noise to the branch
-/// predictor, so the mask bits are built with arithmetic, not jumps.
+/// under per-lane error bounds `err(lane)`: a lane is certified positive
+/// when `v > err` and negative when `v < −err`, and decided by the
+/// relation's verdict on that sign. NaN-safe: a poisoned value or bound
+/// fails both comparisons and the lane stays undecided; so does an `∞`
+/// value under an `∞` bound. A bound is never zero, so neither is a
+/// decided value.
+///
+/// Each 64-lane word is built from the two comparisons alone, with no
+/// branch and no per-lane sign logic: a comparison's all-ones-or-zero
+/// mask selects the lane's bit from [`LANE_BIT`] (a load, not a
+/// variable shift, so the pass vectorizes). The relation's verdict then
+/// picks the positive and negative words apart once per word.
 #[inline(always)]
 fn sign_masks(
     vals: &[f64],
@@ -829,20 +782,69 @@ fn sign_masks(
     sat_neg: bool,
 ) -> (LaneMask, LaneMask) {
     let (mut t, mut f) = (LaneMask::empty(), LaneMask::empty());
-    let (sp, sn) = (sat_pos as u64, sat_neg as u64);
+    // All ones where a certified sign satisfies the relation.
+    let (sp, sn) = (
+        0u64.wrapping_sub(sat_pos as u64),
+        0u64.wrapping_sub(sat_neg as u64),
+    );
     for (w, chunk) in vals.chunks(64).enumerate() {
-        let (mut tw, mut fw) = (0u64, 0u64);
-        for (b, &v) in chunk.iter().enumerate() {
-            let dec = (v.abs() > err(w * 64 + b)) as u64;
-            let neg = (v < 0.0) as u64;
-            let sat = neg * sn + (1 - neg) * sp;
-            tw |= (dec & sat) << b;
-            fw |= (dec & (1 - sat)) << b;
+        let (mut pos, mut neg) = (0u64, 0u64);
+        for (b, (&v, &bit)) in chunk.iter().zip(&LANE_BIT).enumerate() {
+            let e = err(w * 64 + b);
+            pos |= bit & 0u64.wrapping_sub((v > e) as u64);
+            neg |= bit & 0u64.wrapping_sub((v < -e) as u64);
         }
-        t.words[w] = tw;
-        f.words[w] = fw;
+        t.words[w] = (pos & sp) | (neg & sn);
+        f.words[w] = (pos & !sp) | (neg & !sn);
     }
     (t, f)
+}
+
+/// One fused lane pass of a term's contribution, `acc ← acc +
+/// ((c·f₁)·f₂)·…`: the factor columns multiplied in `factors` order, the
+/// product added last — on the `FIRST` pass to `init` rather than to the
+/// accumulator, which that pass only writes. The certified lane sets
+/// pinned in `kernel_parity` hold every lane to this operation order.
+/// Terms of degree ≤ 2 take one pass; each further factor one more
+/// multiply pass through `tv`.
+#[inline(always)]
+fn term_pass<const FIRST: bool>(
+    acc: &mut [f64],
+    tv: &mut [f64],
+    init: f64,
+    c: f64,
+    factors: &[u32],
+    batch: &Batch,
+) {
+    let add = |a: &mut f64, v: f64| *a = if FIRST { init } else { *a } + v;
+    match factors {
+        [] => acc.iter_mut().for_each(|a| add(a, c)),
+        [s1] => {
+            for (a, &x) in acc.iter_mut().zip(batch.col(*s1 as usize)) {
+                add(a, c * x);
+            }
+        }
+        [s1, s2] => {
+            let (xs, ys) = (batch.col(*s1 as usize), batch.col(*s2 as usize));
+            for ((a, &x), &y) in acc.iter_mut().zip(xs).zip(ys) {
+                add(a, (c * x) * y);
+            }
+        }
+        [s1, s2, mid @ .., last] => {
+            let (xs, ys) = (batch.col(*s1 as usize), batch.col(*s2 as usize));
+            for ((v, &x), &y) in tv.iter_mut().zip(xs).zip(ys) {
+                *v = (c * x) * y;
+            }
+            for &s in mid {
+                for (v, &x) in tv.iter_mut().zip(batch.col(s as usize)) {
+                    *v *= x;
+                }
+            }
+            for ((a, &v), &x) in acc.iter_mut().zip(tv.iter()).zip(batch.col(*last as usize)) {
+                add(a, v * x);
+            }
+        }
+    }
 }
 
 impl CompiledAtom {
@@ -868,12 +870,14 @@ impl CompiledAtom {
     /// per atom instead of a second accumulated column, and the
     /// `MIN_POSITIVE` covers absolute rounding slop in the subnormal range,
     /// where relative bounds fail (so an exactly-zero value is never
-    /// certified here; those lanes take the exact path). Affine atoms skip
-    /// the term buffer entirely and fuse into one dot product. Otherwise —
-    /// some input column carries per-lane error — the sweep carries a full
-    /// error column through [`mul_err`]/[`add_err`] in exactly
-    /// [`CompiledAtom::sign_fast_lane`]'s operation order, so its
-    /// certifications match the scalar try's lane for lane.
+    /// certified here; those lanes take the exact path). Each term is one
+    /// fused lane pass `acc ← acc + (c·x)·y` (a `term_pass`), plus one
+    /// multiply pass per factor past the second; the constant term sorts
+    /// first and is the first pass's initial value, so an affine atom costs
+    /// one pass per variable. Otherwise — some input column carries
+    /// per-lane error — the sweep carries a full error column through
+    /// [`mul_err`]/[`add_err`], term by term: the coefficient and its
+    /// conversion error, times each factor in turn, added to the sum.
     ///
     /// Either way every certified sign is the true sign, so downstream
     /// results are bit-identical to the exact tree walk. The sweep emits
@@ -896,60 +900,29 @@ impl CompiledAtom {
             .all(|t| t.powers.iter().all(|&(s, _)| batch.exact[s as usize]));
         let accv = &mut bufs.accv[..len];
         if exact_inputs {
-            let mut sum_abs;
-            if let Some((c0, lin)) = &self.linear {
-                let c0 = *c0;
-                sum_abs = c0.abs();
-                for &(slot, c) in lin {
-                    sum_abs += c.abs() * col_max[slot as usize];
+            let mut sum_abs = 0.0f64;
+            // The accumulator's value before the first pass: the constant
+            // term, which sorts first, rides in on the next term's pass.
+            let mut init = 0.0f64;
+            let mut passes = 0;
+            let tv = &mut bufs.tv[..len];
+            for t in &self.terms {
+                let mut tmax = t.coeff_f64.abs();
+                for &(slot, exp) in &t.powers {
+                    tmax *= col_max[slot as usize].powi(exp as i32);
                 }
-                // One fused pass for the common low-arity dot products;
-                // the generic path accumulates column by column.
-                match lin.as_slice() {
-                    [(s1, c1)] => {
-                        let xs = batch.col(*s1 as usize);
-                        for (a, &x) in accv.iter_mut().zip(xs) {
-                            *a = c0 + c1 * x;
-                        }
-                    }
-                    [(s1, c1), (s2, c2)] => {
-                        let xs = batch.col(*s1 as usize);
-                        let ys = batch.col(*s2 as usize);
-                        for ((a, &x), &y) in accv.iter_mut().zip(xs).zip(ys) {
-                            *a = (c0 + c1 * x) + c2 * y;
-                        }
-                    }
-                    _ => {
-                        accv.fill(c0);
-                        for &(slot, c) in lin {
-                            let xs = batch.col(slot as usize);
-                            for (a, &x) in accv.iter_mut().zip(xs) {
-                                *a += c * x;
-                            }
-                        }
-                    }
+                sum_abs += tmax;
+                if passes == 0 && t.factors.is_empty() {
+                    init = 0.0 + t.coeff_f64;
+                } else if passes == 0 {
+                    term_pass::<true>(accv, tv, init, t.coeff_f64, &t.factors, batch);
+                    passes += 1;
+                } else {
+                    term_pass::<false>(accv, tv, init, t.coeff_f64, &t.factors, batch);
                 }
-            } else {
-                accv.fill(0.0);
-                sum_abs = 0.0;
-                let tv = &mut bufs.tv[..len];
-                for t in &self.terms {
-                    tv.fill(t.coeff_f64);
-                    let mut tmax = t.coeff_f64.abs();
-                    for &(slot, exp) in &t.powers {
-                        let xs = batch.col(slot as usize);
-                        for _ in 0..exp {
-                            for (v, &x) in tv.iter_mut().zip(xs) {
-                                *v *= x;
-                            }
-                        }
-                        tmax *= col_max[slot as usize].powi(exp as i32);
-                    }
-                    for (a, &v) in accv.iter_mut().zip(tv.iter()) {
-                        *a += v;
-                    }
-                    sum_abs += tmax;
-                }
+            }
+            if passes == 0 {
+                accv.fill(init);
             }
             // An ∞ coefficient error over an all-zero column makes `e`
             // NaN (`∞·0`), which certifies no lane (see [`sign_masks`]).
@@ -1007,35 +980,6 @@ impl CompiledAtom {
         }
         slack
     }
-
-    /// The polynomial's sign at one lane of the batch columns from guarded
-    /// `f64` arithmetic, or `None` when the accumulated error bound admits
-    /// a sign change (or the computation left the finite range). The
-    /// scalar certified try, for lanes whose subtree the mask sweep
-    /// short-circuited past before this atom was ever evaluated.
-    fn sign_fast_lane(&self, batch: &Batch, lane: usize) -> Option<i32> {
-        let mut sum = 0.0f64;
-        let mut serr = 0.0f64;
-        for t in &self.terms {
-            let mut v = t.coeff_f64;
-            let mut e = t.coeff_err;
-            for &(slot, exp) in &t.powers {
-                let xf = batch.value(slot as usize, lane);
-                let xe = batch.err(slot as usize, lane);
-                for _ in 0..exp {
-                    (v, e) = mul_err(v, e, xf, xe);
-                }
-            }
-            (sum, serr) = add_err(sum, serr, v, e);
-        }
-        // NaN-safe: any comparison with NaN is false, so a poisoned bound
-        // falls through to the exact path.
-        if sum.abs() > serr {
-            Some(if sum > 0.0 { 1 } else { -1 })
-        } else {
-            None
-        }
-    }
 }
 
 impl CompiledMatrix {
@@ -1047,11 +991,12 @@ impl CompiledMatrix {
     /// logic, short-circuiting an entire subtree (and the atom sweeps
     /// under it) once every lane of a conjunction is false or of a
     /// disjunction true. Lanes still undecided at the root — the atoms'
-    /// certified error columns admitted a sign flip — re-run individually,
-    /// reusing certified signs and falling back to `exact(lane, slot)`
-    /// rational evaluation, so the returned mask is bit-identical to
-    /// per-point [`CompiledMatrix::eval_rats`] at the same exact slot
-    /// values.
+    /// error bounds admitted a sign flip — re-run individually, found word
+    /// by word with `trailing_zeros` rather than by testing every lane:
+    /// memoized node masks answer what the sweep certified, and the
+    /// uncertified atoms fall back to `exact(lane, slot)` rational
+    /// evaluation, so the returned mask is bit-identical to per-point
+    /// [`CompiledMatrix::eval_rats`] at the same exact slot values.
     ///
     /// `scratch` is reusable across calls and kernels; one per worker
     /// thread.
@@ -1068,10 +1013,18 @@ impl CompiledMatrix {
         let decided = t.or(f);
         let mut mask = t;
         let mut exact_lanes = 0;
-        for lane in 0..len {
-            if !decided.get(lane) {
+        for (w, (&all, &dec)) in LaneMask::full(len)
+            .words
+            .iter()
+            .zip(&decided.words)
+            .enumerate()
+        {
+            let mut undecided = all & !dec;
+            while undecided != 0 {
+                let lane = w * 64 + undecided.trailing_zeros() as usize;
+                undecided &= undecided - 1;
                 exact_lanes += 1;
-                if self.lane_node(self.root, lane, batch, scratch, exact) {
+                if self.lane_node(self.root, lane, scratch, exact) {
                     mask.set(lane);
                 }
             }
@@ -1095,42 +1048,30 @@ impl CompiledMatrix {
             Op::True => (LaneMask::full(len), LaneMask::empty()),
             Op::False => (LaneMask::empty(), LaneMask::full(len)),
             Op::Atom(i) => {
-                let i = i as usize;
-                let sc = &mut *sc;
-                sc.atom_done[i] = true;
-                self.atoms[i].batch_masks(batch, &mut sc.bufs, &sc.col_max, len)
+                self.atoms[i as usize].batch_masks(batch, &mut sc.bufs, &sc.col_max, len)
             }
             Op::Not(c) => {
                 let (t, f) = self.batch_node(c, batch, sc);
                 (f, t)
             }
-            Op::And { start, end } => {
-                let mut t = LaneMask::full(len);
-                let mut f = LaneMask::empty();
+            op @ (Op::And { start, end } | Op::Or { start, end }) => {
+                // De Morgan: an `Or` is an `And` with every child's true
+                // and false masks swapped, and its own swapped back.
+                let swap = |(t, f), or| if or { (f, t) } else { (t, f) };
+                let or = matches!(op, Op::Or { .. });
+                let (mut all, mut any) = (LaneMask::full(len), LaneMask::empty());
                 for i in start as usize..end as usize {
-                    let (ct, cf) = self.batch_node(self.children[i], batch, sc);
-                    t = t.and(ct);
-                    f = f.or(cf);
-                    if f.count() == len {
-                        // Every lane already false: skip the remaining
-                        // subtrees (and their atom sweeps) entirely.
+                    let (c_all, c_any) = swap(self.batch_node(self.children[i], batch, sc), or);
+                    all = all.and(c_all);
+                    any = any.or(c_any);
+                    if any.count() == len {
+                        // Every lane already false (of an `Or`: true):
+                        // skip the remaining subtrees (and their atom
+                        // sweeps) entirely.
                         break;
                     }
                 }
-                (t, f)
-            }
-            Op::Or { start, end } => {
-                let mut t = LaneMask::empty();
-                let mut f = LaneMask::full(len);
-                for i in start as usize..end as usize {
-                    let (ct, cf) = self.batch_node(self.children[i], batch, sc);
-                    t = t.or(ct);
-                    f = f.and(cf);
-                    if t.count() == len {
-                        break;
-                    }
-                }
-                (t, f)
+                swap((all, any), or)
             }
         };
         sc.node_memo[node as usize] = Some(r);
@@ -1138,14 +1079,19 @@ impl CompiledMatrix {
     }
 
     /// Scalar evaluation of one undecided lane, reusing the batch sweep's
-    /// work: memoized node masks decide shared subtrees instantly and
-    /// certified atom signs are read back directly; only genuinely
-    /// uncertified atoms pay the exact rational evaluation.
+    /// work: memoized node masks decide shared subtrees and certified
+    /// atoms instantly; only uncertified atoms pay the exact rational
+    /// evaluation.
+    ///
+    /// Every node reached here was swept: the root was, and an `And`
+    /// (`Or`) stops sweeping its children only once every lane is false
+    /// (true) — so a lane still undecided at a node was swept in all of
+    /// its children. (An atom that had not been would still be decided
+    /// right, by exact arithmetic.)
     fn lane_node(
         &self,
         node: u32,
         lane: usize,
-        batch: &Batch,
         sc: &BatchScratch,
         exact: &dyn Fn(usize, usize) -> Rat,
     ) -> bool {
@@ -1161,28 +1107,17 @@ impl CompiledMatrix {
             Op::True => true,
             Op::False => false,
             Op::Atom(i) => {
-                let i = i as usize;
-                let a = &self.atoms[i];
-                // A swept atom's certified lanes were answered by the
-                // node-memo masks above, so landing here means this lane
-                // stayed uncertified: only exact arithmetic can decide it.
-                // A never-swept atom (short-circuited past) first gets the
-                // scalar certified try.
-                let sign = if sc.atom_done[i] {
-                    a.sign_exact(&|slot| exact(lane, slot))
-                } else {
-                    a.sign_fast_lane(batch, lane)
-                        .unwrap_or_else(|| a.sign_exact(&|slot| exact(lane, slot)))
-                };
-                a.rel.sign_satisfies(sign)
+                let a = &self.atoms[i as usize];
+                a.rel
+                    .sign_satisfies(a.sign_exact(&|slot| exact(lane, slot)))
             }
-            Op::Not(c) => !self.lane_node(c, lane, batch, sc, exact),
+            Op::Not(c) => !self.lane_node(c, lane, sc, exact),
             Op::And { start, end } => self.children[start as usize..end as usize]
                 .iter()
-                .all(|&c| self.lane_node(c, lane, batch, sc, exact)),
+                .all(|&c| self.lane_node(c, lane, sc, exact)),
             Op::Or { start, end } => self.children[start as usize..end as usize]
                 .iter()
-                .any(|&c| self.lane_node(c, lane, batch, sc, exact)),
+                .any(|&c| self.lane_node(c, lane, sc, exact)),
         }
     }
 }
@@ -1201,21 +1136,6 @@ mod tests {
         let slots = SlotMap::from_vars(&vs);
         let m = CompiledMatrix::compile(&f, &slots).unwrap();
         (m, slots, f)
-    }
-
-    #[test]
-    fn agrees_with_interpreter_on_grid() {
-        let (m, slots, f) = compile(
-            "(x + y <= 1 | x*x + y*y < 1) & !(x = y) | 2*x - 3*y >= 1",
-            &["x", "y"],
-        );
-        for xn in -6..=6 {
-            for yn in -6..=6 {
-                let vals = vec![rat(xn, 4), rat(yn, 4)];
-                let want = f.eval(&slots.assignment(&vals), &[]).unwrap();
-                assert_eq!(m.eval_rats(&vals), want, "at ({xn}/4, {yn}/4)");
-            }
-        }
     }
 
     /// One point through both evaluators: the exact reference and a
@@ -1296,16 +1216,14 @@ mod tests {
         let x = vars.intern("x");
         let f = parse_formula_with("(x < 1 & x > 0) | (x < 1 & x > 0) | x < 1", &mut vars).unwrap();
         let slots = SlotMap::from_vars(&[x]);
-        let tree = CompiledMatrix::compile(&f, &slots).unwrap();
-        let mut arena = Arena::new();
-        let id = arena.intern(&f);
-        let dag = CompiledMatrix::compile_arena(&arena, id, &slots).unwrap();
-        // The repeated conjunction and the repeated atoms compile once.
-        assert!(dag.atom_count() < tree.atom_count());
-        assert!(dag.nodes.len() < tree.nodes.len());
+        let dag = CompiledMatrix::compile(&f, &slots).unwrap();
+        // The repeated conjunction and the repeated atoms compile once:
+        // two atoms of the tree's five, one `And`, one `Or`.
+        assert_eq!((dag.atom_count(), dag.nodes.len()), (2, 4));
         for xn in -4..=4 {
             let vals = vec![rat(xn, 2)];
-            assert_eq!(dag.eval_rats(&vals), tree.eval_rats(&vals), "x = {xn}/2");
+            let want = f.eval(&slots.assignment(&vals), &[]).unwrap();
+            assert_eq!(dag.eval_rats(&vals), want, "x = {xn}/2");
         }
     }
 
@@ -1359,8 +1277,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_eval_rats_on_grid() {
-        let (m, _, _) = compile(
+    fn batch_and_eval_rats_agree_with_interpreter_on_grid() {
+        let (m, slots, f) = compile(
             "(x + y <= 1 | x*x + y*y < 1) & !(x = y) | 2*x - 3*y >= 1",
             &["x", "y"],
         );
@@ -1370,7 +1288,8 @@ mod tests {
         let (got, r) = batch_points(&m, &pts);
         assert_eq!(r.fast_lanes + r.exact_lanes, pts.len());
         for (pt, got) in pts.iter().zip(got) {
-            assert_eq!(got, m.eval_rats(pt), "at {pt:?}");
+            let want = f.eval(&slots.assignment(pt), &[]).unwrap();
+            assert_eq!((got, m.eval_rats(pt)), (want, want), "at {pt:?}");
         }
     }
 

@@ -17,6 +17,7 @@ use cqa_logic::{Atom, Batch, BatchScratch, CompiledMatrix, Formula, Rel, SlotMap
 use cqa_poly::{MPoly, Var};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::TestRng;
 
 const VARS: [Var; 3] = [Var(0), Var(1), Var(2)];
 
@@ -59,28 +60,37 @@ fn extreme_coeff() -> impl Strategy<Value = Rat> {
     })
 }
 
-/// A random affine polynomial with [`extreme_coeff`] coefficients.
-fn extreme_linear_poly() -> impl Strategy<Value = MPoly> {
-    vec(extreme_coeff(), 4..=4).prop_map(|cs| {
-        poly_from(&[
-            (cs[0].clone(), [0, 0, 0]),
-            (cs[1].clone(), [1, 0, 0]),
-            (cs[2].clone(), [0, 1, 0]),
-            (cs[3].clone(), [0, 0, 1]),
-        ])
-    })
+/// An integer coefficient `m`, `|m| ≤ 255`.
+fn int_coeff() -> impl Strategy<Value = Rat> {
+    (-255i64..=255).prop_map(|m| rat(m, 1))
 }
 
-/// A random polynomial with [`extreme_coeff`] coefficients: up to 4
-/// terms, per-variable degree ≤ 2.
-fn extreme_poly() -> impl Strategy<Value = MPoly> {
-    vec((extreme_coeff(), (0u8..=2, 0u8..=2, 0u8..=2)), 1..=4).prop_map(|ts| {
+/// The affine polynomial `c₀ + c₁x + c₂y + c₃z` of four coefficients.
+fn affine(cs: Vec<Rat>) -> MPoly {
+    let units = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]];
+    poly_from(&cs.into_iter().zip(units).collect::<Vec<_>>())
+}
+
+/// A random polynomial with `coeff` coefficients: up to 4 terms,
+/// per-variable degree ≤ 2 (total degree ≤ 6).
+fn poly_with(coeff: impl Strategy<Value = Rat>) -> impl Strategy<Value = MPoly> {
+    vec((coeff, (0u8..=2, 0u8..=2, 0u8..=2)), 1..=4).prop_map(|ts| {
         poly_from(
-            &ts.iter()
-                .map(|(c, (a, b, d))| (c.clone(), [*a, *b, *d]))
+            &ts.into_iter()
+                .map(|(c, (a, b, d))| (c, [a, b, d]))
                 .collect::<Vec<_>>(),
         )
     })
+}
+
+/// A random affine polynomial with [`extreme_coeff`] coefficients.
+fn extreme_linear_poly() -> impl Strategy<Value = MPoly> {
+    vec(extreme_coeff(), 4..=4).prop_map(affine)
+}
+
+/// A random polynomial with [`extreme_coeff`] coefficients.
+fn extreme_poly() -> impl Strategy<Value = MPoly> {
+    poly_with(extreme_coeff())
 }
 
 /// A random point whose coordinates are, equally likely, `±2¹⁰⁰⁰`,
@@ -100,28 +110,15 @@ fn extreme_point() -> impl Strategy<Value = Vec<Rat>> {
     vec(coord, 3..=3)
 }
 
-/// A random affine polynomial `c₀ + c₁x + c₂y + c₃z` — exercises the
-/// degree-1 dot-product specialization of the batch sweep.
+/// A random affine polynomial with integer coefficients — exercises the
+/// degree-1 atoms of the batch sweep.
 fn linear_poly() -> impl Strategy<Value = MPoly> {
-    (-255i64..=255, -255i64..=255, -255i64..=255, -255i64..=255).prop_map(|(c0, c1, c2, c3)| {
-        poly_from(&[
-            (rat(c0, 1), [0, 0, 0]),
-            (rat(c1, 1), [1, 0, 0]),
-            (rat(c2, 1), [0, 1, 0]),
-            (rat(c3, 1), [0, 0, 1]),
-        ])
-    })
+    vec(int_coeff(), 4..=4).prop_map(affine)
 }
 
-/// A random polynomial: up to 4 terms, per-variable degree ≤ 2.
+/// A random polynomial with integer coefficients.
 fn poly() -> impl Strategy<Value = MPoly> {
-    vec((-255i64..=255, (0u8..=2, 0u8..=2, 0u8..=2)), 1..=4).prop_map(|ts| {
-        poly_from(
-            &ts.iter()
-                .map(|&(c, (a, b, d))| (rat(c, 1), [a, b, d]))
-                .collect::<Vec<_>>(),
-        )
-    })
+    poly_with(int_coeff())
 }
 
 /// A random quantifier-free, relation-free formula over `VARS`.
@@ -305,7 +302,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Affine atoms with inexact, underflowing and overflowing
-    /// coefficients take the dot-product form of the uniform bound.
+    /// coefficients under the uniform bound.
     #[test]
     fn extreme_linear_coefficients_agree_with_interpreter(
         f in formula(extreme_linear_poly().boxed()),
@@ -366,4 +363,85 @@ proptest! {
             .collect();
         check_parity(&f, &points, points.len())?;
     }
+}
+
+/// A dyadic coordinate from `rng`, a SplitMix64 stream: a unit draw
+/// `m / 2⁵³` (the Monte Carlo case) or, in a `wild` batch, as often as
+/// not zero, a negative draw or `±2^±600` (whose squares overflow to `∞`
+/// or underflow to `0`).
+fn dyadic(rng: &mut TestRng, wild: bool) -> Rat {
+    let unit = &rat((rng.next_u64() >> 11) as i64, 1) * &rat(2, 1).pow(-53);
+    let sign = rat(1 - 2 * (rng.below(2) as i64), 1);
+    match if wild { rng.below(8) } else { 7 } {
+        0 => rat(0, 1),
+        k @ 1..=2 => &sign * &rat(2, 1).pow(if k == 1 { 600 } else { -600 }),
+        3 => -unit,
+        _ => unit,
+    }
+}
+
+/// The certified lane sets of the exact-input sweep, pinned: each batch's
+/// root mask, the lanes whose decision needed exact arithmetic, and its
+/// fast/exact lane counts, folded into one FNV-1a digest. The corpus is
+/// the four warm region shapes (disk, annulus, boxed disk, half ball) of
+/// radius `1/k` for k ∈ {5, 6, 7}, whose bounds are not dyadic, and 24
+/// formulas over [`poly`]'s polynomials (total degree up to 6), each over
+/// batches of every ragged length around a 64-lane word and the 512-lane
+/// batch. Two batches in three hold unit draws only; the rest are wild,
+/// and their `∞` lanes under `∞` bounds sit exactly on the certification
+/// threshold. A change to which lanes the `f64` sweep certifies — a mask
+/// built from `≥` instead of `>` or `≤` instead of `<`, a dropped tail
+/// lane — moves the digest.
+#[test]
+fn certified_lane_sets_are_pinned() {
+    let mut rng = TestRng::deterministic(0x5eed);
+    let mut names = cqa_logic::VarMap::new();
+    let dist2 = "(x - 7/16)*(x - 7/16) + (y - 9/16)*(y - 9/16)";
+    let mut corpus: Vec<Formula> = [5, 6, 7]
+        .iter()
+        .flat_map(|k| {
+            [
+                format!("{dist2} <= 1/{}", k * k),
+                format!("{dist2} <= 1/{} & {dist2} >= 1/{}", k * k, 4 * k * k),
+                format!(
+                    "{dist2} <= 1/{} & 5/16 <= x & x <= 9/16 & 7/16 <= y & y <= 11/16",
+                    4 * k * k
+                ),
+                format!("{dist2} + (z - 8/16)*(z - 8/16) <= 1/{} & z <= 8/16", k * k),
+            ]
+        })
+        .map(|src| cqa_logic::parse_formula_with(&src, &mut names).expect("shape parses"))
+        .collect();
+    assert_eq!(["x", "y", "z"].map(|n| names.get(n)), VARS.map(Some));
+    let polys = formula(poly().boxed());
+    corpus.extend((0..24).map(|_| polys.generate(&mut rng)));
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut fnv = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut scratch = BatchScratch::new();
+    for (i, f) in corpus.iter().enumerate() {
+        let kernel = CompiledMatrix::compile(f, &SlotMap::from_vars(&VARS)).expect("compiles");
+        for (j, len) in [1, 7, 8, 9, 63, 64, 65, 511, 512].into_iter().enumerate() {
+            let wild = (i + j) % 3 == 2;
+            let points: Vec<Vec<Rat>> = (0..len)
+                .map(|_| (0..3).map(|_| dyadic(&mut rng, wild)).collect())
+                .collect();
+            let called = vec![std::cell::Cell::new(false); len];
+            let exact_at = |lane: usize, slot: usize| {
+                called[lane].set(true);
+                points[lane][slot].clone()
+            };
+            let r = kernel.eval_batch(&load_batch(&points), &exact_at, &mut scratch);
+            for (lane, was_called) in called.iter().enumerate() {
+                fnv(&[u8::from(r.mask.get(lane)) | u8::from(was_called.get()) << 1]);
+            }
+            for n in [r.fast_lanes, r.exact_lanes] {
+                fnv(&(n as u64).to_le_bytes());
+            }
+        }
+    }
+    assert_eq!(h, 0x23e9_e6a4_5620_2a27, "{h:#018x}");
 }

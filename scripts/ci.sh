@@ -31,8 +31,11 @@ echo "== exact arithmetic (inline vs limb differential, pinned hash stream) =="
 run_capped cargo test -q --offline -p cqa-arith
 run_capped cargo test -q --offline -p cqa-logic --lib hash_stream_is_pinned
 
-echo "== kernel parity (eval_rats and the SoA batch sweep vs the tree-walking interpreter; non-dyadic, 3^-700 and 3^700 coefficients at 2^±1000 points, inexact columns, sign-boundary lanes; pinned underflow and infinite-error cases) =="
+echo "== kernel parity (eval_rats and the SoA batch sweep vs the tree-walking interpreter; non-dyadic, 3^-700 and 3^700 coefficients at 2^±1000 points, inexact columns, sign-boundary lanes; pinned underflow and infinite-error cases; pinned certified-lane-set digest, debug and release) =="
+# Release too: the optimiser vectorises the sweep's lane loops, which an
+# unoptimised build runs one lane at a time.
 run_capped cargo test -q --offline -p cqa-logic --test kernel_parity
+run_capped cargo test -q --release --offline -p cqa-logic --test kernel_parity
 run_capped cargo test -q --offline -p cqa-logic --lib compile::tests
 
 echo "== thread-count determinism =="
@@ -60,7 +63,7 @@ run_capped cargo test -q --release --offline -p cqa-qe --test hoermander_bounds
 echo "== storage durability (kill-and-replay, torn tail, crash-point sweep) =="
 run_capped cargo test -q --offline -p cqa-engine --test storage
 
-echo "== serving layer (pipelining order/parity, pipelined bursts on both front ends, shard bit-identity, idle sessions, busy path, body caps, parse caps: degree 64 / 4096 terms / 4096-bit coefficients) =="
+echo "== serving layer (pipelining order/parity, pipelined bursts on both front ends, shard bit-identity, idle sessions, busy path, body caps, parse caps: degree 64 / 4096 terms / 4096-bit coefficients, a shared-stream BATCH equal to lone EXECs with equal lane counters) =="
 run_capped cargo test -q --offline -p cqa-engine --test serving
 
 echo "== cqa-e2e smoke (bench/ builds against the crates' API; every reply checked, failed 0) =="
