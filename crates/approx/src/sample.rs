@@ -146,6 +146,16 @@ impl Witness {
         }
     }
 
+    /// Skips the next `draws` coordinates of the stream, exactly as if
+    /// they had been drawn and discarded, without counting them as witness
+    /// applications: a sweep over lanes `a..b` of a `dim`-coordinate
+    /// stream starts from `Witness::new(seed)` advanced by `a·dim`. Costs
+    /// about as much as 256 draws plus one GF(2) polynomial product per
+    /// set bit of `draws`, whatever the distance.
+    pub fn advance(&mut self, draws: u64) {
+        self.rng.advance(draws);
+    }
+
     /// `W x.φ(x)` over a finite set: picks one element uniformly, `None`
     /// on the empty set.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
@@ -272,6 +282,26 @@ mod tests {
             }
         }
         assert_eq!(a.calls(), b.calls());
+    }
+
+    #[test]
+    fn an_advanced_witness_fills_batch_k_of_the_serial_stream() {
+        for dim in 1..=3 {
+            let mut serial = Witness::new(23);
+            let mut batch = cqa_logic::Batch::new(dim);
+            let mut jumped = cqa_logic::Batch::new(dim);
+            batch.set_len(BATCH_LANES);
+            jumped.set_len(BATCH_LANES);
+            for k in 0..4 {
+                serial.fill_unit_columns(&mut batch, 0, dim);
+                let mut w = Witness::new(23);
+                w.advance((k * dim * BATCH_LANES) as u64);
+                w.fill_unit_columns(&mut jumped, 0, dim);
+                for d in 0..dim {
+                    assert!(batch.col(d) == jumped.col(d), "dim {dim} batch {k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@ use cqa_poly::Var;
 use cqa_qe::QeError;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -231,6 +232,17 @@ enum Answer {
         acc: Accuracy,
         reason: &'static str,
     },
+}
+
+/// Cuts lanes `0..samples` into at most `parts` contiguous ranges of
+/// whole [`BATCH_LANES`]-lane batches, in order, their batch counts
+/// differing by at most one; the last range ends at `samples`, and none
+/// is empty unless `samples` is 0.
+fn lane_parts(samples: usize, parts: usize) -> Vec<Range<usize>> {
+    let batches = samples.div_ceil(BATCH_LANES);
+    let parts = parts.clamp(1, batches.max(1));
+    let edge = |p: usize| (p * batches / parts * BATCH_LANES).min(samples);
+    (0..parts).map(|p| edge(p)..edge(p + 1)).collect()
 }
 
 /// A Monte Carlo answer: `hits` of `acc.samples` lanes fell inside.
@@ -633,23 +645,6 @@ impl Engine {
         )
     }
 
-    /// Answers warm polynomial `EXEC`s of one dimension and sample count
-    /// from one shared sample stream, in order: each header is the one
-    /// [`Self::eval_warm`] renders for that spec alone.
-    fn eval_warm_sampled(&self, specs: &[(&WarmExec, &str)]) -> Vec<Response> {
-        let entries: Vec<&CacheEntry> = specs.iter().map(|(w, _)| &*w.entry).collect();
-        let (dim, samples) = (specs[0].0.dim, specs[0].0.acc.samples);
-        let hits = self.mc_over_kernels(&entries, dim, samples);
-        specs
-            .iter()
-            .zip(hits)
-            .map(|(&(w, name), hits)| {
-                let answer = mc_answer(hits, w.acc, "nonlinear");
-                self.render_answer(Ok(answer), "EXEC", name, "hit", &self.request_budget())
-            })
-            .collect()
-    }
-
     /// The full `EXEC` pipeline: re-parse the prepared source against the
     /// session, answer it, and memoize its canonical key. `missed` is the
     /// key the fast path already looked up in vain, if any.
@@ -710,19 +705,40 @@ impl Engine {
     /// Every sampled answer reads the stream `Witness::new(MC_SEED)` draws
     /// for its dimension, and Theorem 4's sample is uniform over every
     /// parameter vector, so one stream serves every kernel of a dimension
-    /// and sample count at once. Phase 2 therefore groups the warm
-    /// polynomial specs by `(dim, samples)` and splits each group into at
-    /// most as many parts as there are threads; a part draws its stream
-    /// once and sweeps each of its kernels over every batch of it
-    /// (`mc_over_kernels`). A kernel's hits depend only on the
-    /// stream, not on which kernels share it, so the body is the serial
-    /// loop's, byte for byte, however the specs are grouped. A warm linear
-    /// spec (exact volume) is a unit of its own. A panic in any spec
-    /// resumes on this thread, as a serial one would.
+    /// and sample count at once, and a kernel's hit count is a function of
+    /// that stream and the kernel alone. Phase 2 therefore groups the warm
+    /// polynomial specs by `(dim, samples)` and, within a group, by cached
+    /// entry: specs that share an entry share one hit count, and each
+    /// renders its own header from it. Each group's lanes are cut at batch
+    /// boundaries into at most as many ranges as there are threads
+    /// (`lane_parts`); a range sweeps every distinct kernel of its group
+    /// over its own stretch of the stream (`mc_over_kernels`), and
+    /// the hits of a kernel are summed over the ranges. The ranges fall on
+    /// the serial loop's batches, so every lane is decided exactly as there
+    /// and the body is the serial loop's, byte for byte, whatever the
+    /// thread count. A warm linear spec (exact volume) is a unit of its
+    /// own. A panic in any unit resumes on this thread, as a serial one
+    /// would.
     pub fn batch(&self, session: &mut Session, specs: &str) -> Response {
         enum Spec {
             Answered(Response),
             Warm(WarmExec, String),
+        }
+        /// The distinct kernels of one `(dim, samples)` group.
+        struct Group<'a> {
+            dim: usize,
+            samples: usize,
+            kernels: Vec<&'a CacheEntry>,
+        }
+        enum Unit {
+            /// A linear spec's exact volume, by index into `warm`.
+            Exact(usize),
+            /// One lane range of a group.
+            Lanes(usize, Range<usize>),
+        }
+        enum Done {
+            Answer(Response),
+            Hits(usize, Vec<usize>),
         }
         let specs: Vec<Spec> = specs
             .lines()
@@ -748,47 +764,87 @@ impl Engine {
                 Spec::Answered(_) => None,
             })
             .collect();
-        let threads = par::default_threads();
-        // Units of work, each a list of indices into `warm`: first every
-        // linear spec alone (exact volume), then the sampled groups' parts.
-        let mut units: Vec<Vec<usize>> = Vec::new();
-        let mut groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
+        // Per warm spec, where its answer comes from: its own exact unit
+        // (`None`), or kernel `k` of group `g`.
+        let mut groups: Vec<Group> = Vec::new();
+        let mut units: Vec<Unit> = Vec::new();
+        let mut sources: Vec<Option<(usize, usize)>> = Vec::with_capacity(warm.len());
+        let mut shared = 0u64;
         for (i, (w, _)) in warm.iter().enumerate() {
             if w.entry.class != ConstraintClass::Polynomial {
-                units.push(vec![i]);
+                units.push(Unit::Exact(i));
+                sources.push(None);
                 continue;
             }
             let key = (w.dim, w.acc.samples);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((key, vec![i])),
-            }
+            let g = match groups.iter().position(|g| (g.dim, g.samples) == key) {
+                Some(g) => g,
+                None => {
+                    groups.push(Group {
+                        dim: w.dim,
+                        samples: w.acc.samples,
+                        kernels: Vec::new(),
+                    });
+                    groups.len() - 1
+                }
+            };
+            let kernels = &mut groups[g].kernels;
+            let k = match kernels.iter().position(|&e| std::ptr::eq(e, &*w.entry)) {
+                Some(k) => {
+                    shared += 1;
+                    k
+                }
+                None => {
+                    kernels.push(&w.entry);
+                    kernels.len() - 1
+                }
+            };
+            sources.push(Some((g, k)));
         }
-        let exact_units = units.len();
-        for (_, members) in groups {
-            let parts = threads.min(members.len());
-            let mut rest = members.as_slice();
-            for p in 0..parts {
-                let (part, tail) = rest.split_at(rest.len() / (parts - p));
-                units.push(part.to_vec());
-                rest = tail;
-            }
+        let threads = par::default_threads();
+        for (g, group) in groups.iter().enumerate() {
+            units.extend(
+                lane_parts(group.samples, threads)
+                    .into_iter()
+                    .map(|lanes| Unit::Lanes(g, lanes)),
+            );
         }
-        let answered = par::run_items(units.len(), threads, |u| {
-            let specs: Vec<(&WarmExec, &str)> = units[u].iter().map(|&i| warm[i]).collect();
-            if u < exact_units {
-                vec![self.eval_warm(specs[0].0, specs[0].1)]
-            } else {
-                self.eval_warm_sampled(&specs)
+        let done = par::run_items(units.len(), threads, |u| match &units[u] {
+            &Unit::Exact(i) => Done::Answer(self.eval_warm(warm[i].0, warm[i].1)),
+            Unit::Lanes(g, lanes) => {
+                let group = &groups[*g];
+                Done::Hits(
+                    *g,
+                    self.mc_over_kernels(&group.kernels, group.dim, lanes.clone()),
+                )
             }
         });
-        let mut by_spec: Vec<(usize, Response)> = units
+        let mut exact = Vec::new();
+        let mut hits: Vec<Vec<usize>> = groups.iter().map(|g| vec![0; g.kernels.len()]).collect();
+        for d in done {
+            match d {
+                Done::Answer(r) => exact.push(r),
+                Done::Hits(g, part) => {
+                    for (sum, h) in hits[g].iter_mut().zip(part) {
+                        *sum += h;
+                    }
+                }
+            }
+        }
+        self.stats.mc_shared.fetch_add(shared, Ordering::Relaxed);
+        let mut exact = exact.into_iter();
+        let answers: Vec<Response> = warm
             .iter()
-            .zip(answered)
-            .flat_map(|(unit, responses)| unit.iter().copied().zip(responses))
+            .zip(sources)
+            .map(|(&(w, name), source)| match source {
+                None => exact.next().expect("one answer per exact unit"),
+                Some((g, k)) => {
+                    let answer = mc_answer(hits[g][k], w.acc, "nonlinear");
+                    self.render_answer(Ok(answer), "EXEC", name, "hit", &self.request_budget())
+                }
+            })
             .collect();
-        by_spec.sort_by_key(|&(i, _)| i);
-        let mut answers = by_spec.into_iter().map(|(_, r)| r);
+        let mut answers = answers.into_iter();
         let mut errors = 0usize;
         let body: Vec<String> = specs
             .into_iter()
@@ -1048,7 +1104,7 @@ impl Engine {
         cache_tag: &str,
     ) -> Response {
         let sampled = |reason| {
-            let hits = self.mc_over_kernels(&[entry], dim, acc.samples)[0];
+            let hits = self.mc_over_kernels(&[entry], dim, 0..acc.samples)[0];
             Ok(mc_answer(hits, acc, reason))
         };
         let answer = if entry.class == ConstraintClass::Polynomial {
@@ -1129,28 +1185,38 @@ impl Engine {
     }
 
     /// Deterministic Monte Carlo `VOL_I` hit counts of every entry's cached
-    /// kernel over one sample stream, `samples` points of `dim`
-    /// coordinates from `Witness::new(MC_SEED)`. The stream fills one
-    /// structure-of-arrays [`Batch`] at a time (draws in the per-point
-    /// loop's order, so estimates are unchanged) and each kernel decides
-    /// every lane of it before the next fill, so the stream is drawn once
-    /// however many kernels read it. An entry's count depends only on the
-    /// stream and its kernel: sweeping it alone or beside others gives
-    /// the same number. Fast/exact/box-skipped lane counts and the stream
-    /// feed the service counters behind `STATS`.
-    fn mc_over_kernels(&self, entries: &[&CacheEntry], dim: usize, samples: usize) -> Vec<usize> {
+    /// kernel over lanes `lanes` of one sample stream: `samples` points of
+    /// `dim` coordinates from `Witness::new(MC_SEED)` make lanes
+    /// `0..samples`, and `EXEC`/`VOLUME` sweep all of them. `lanes.start`
+    /// must fall on a [`BATCH_LANES`] boundary: the witness jumps straight
+    /// to draw `lanes.start · dim` and fills one structure-of-arrays
+    /// [`Batch`] at a time from there (draws in the per-point loop's
+    /// order), so every batch is the one the whole-stream sweep fills, with
+    /// the same `max |x|` and so the same certified lanes. Each kernel
+    /// decides every lane of a batch before the next fill, so the stream
+    /// is drawn once however many kernels read it. An entry's count
+    /// depends only on the stream and its kernel: sweeping it alone, beside
+    /// others, or range by range gives the same total. Fast/exact/
+    /// box-skipped lane counts and the lanes drawn feed the service
+    /// counters behind `STATS`; the range that starts a stream counts it.
+    fn mc_over_kernels(
+        &self,
+        entries: &[&CacheEntry],
+        dim: usize,
+        lanes: Range<usize>,
+    ) -> Vec<usize> {
+        debug_assert_eq!(lanes.start % BATCH_LANES, 0, "{lanes:?}");
         let mut w = Witness::new(MC_SEED);
+        w.advance((lanes.start * dim) as u64);
         let mut batch = Batch::new(dim);
         let mut sub = Batch::new(dim);
-        let mut inside = [false; BATCH_LANES];
-        let mut keep = [0usize; BATCH_LANES];
         let mut skipped = 0u64;
         let mut scratch = BatchScratch::new();
         let mut hits = vec![0usize; entries.len()];
-        let mut lanes = LaneStats::default();
-        let mut done = 0usize;
-        while done < samples {
-            batch.set_len((samples - done).min(BATCH_LANES));
+        let mut stats = LaneStats::default();
+        let mut done = lanes.start;
+        while done < lanes.end {
+            batch.set_len((lanes.end - done).min(BATCH_LANES));
             w.fill_unit_columns(&mut batch, 0, dim);
             for (entry, hits) in entries.iter().zip(&mut hits) {
                 // The absint bounding box certifies that every satisfying
@@ -1158,40 +1224,20 @@ impl Engine {
                 // and can skip evaluation entirely. The draws are
                 // untouched (same RNG stream) and skipped lanes contribute
                 // exactly the zero hits they would have, so the estimate
-                // is bit-identical to the unfiltered run. Both passes are
-                // branch-free: the box test folds column by column into
-                // per-lane flags, and the compaction writes every lane
-                // into the cursor's slot but advances the cursor only
-                // past inside lanes.
+                // is bit-identical to the unfiltered run. The box test
+                // builds lane-mask words, and the kept lanes are compacted
+                // from the words' set bits.
                 let b = match entry.mc_box.as_deref() {
                     Some(bx) => {
-                        let len = batch.len();
-                        let inside = &mut inside[..len];
-                        inside.fill(true);
-                        for (d, &(lo, hi)) in bx.iter().enumerate() {
-                            for (f, &v) in inside.iter_mut().zip(batch.col(d)) {
-                                *f &= (v >= lo) & (v <= hi);
-                            }
-                        }
-                        let mut kept = 0;
-                        for (lane, &f) in inside.iter().enumerate() {
-                            keep[kept] = lane;
-                            kept += f as usize;
-                        }
-                        let keep = &keep[..kept];
-                        skipped += (len - kept) as u64;
-                        if keep.is_empty() {
+                        let keep = batch.lanes_in_box(bx);
+                        let kept = keep.count();
+                        skipped += (batch.len() - kept) as u64;
+                        if kept == 0 {
                             continue;
-                        } else if kept == len {
+                        } else if kept == batch.len() {
                             &batch
                         } else {
-                            sub.set_len(keep.len());
-                            for d in 0..dim {
-                                let xs = batch.col(d);
-                                for (c, &lane) in sub.col_mut(d).iter_mut().zip(keep) {
-                                    *c = xs[lane];
-                                }
-                            }
+                            batch.compact_into(&keep, &mut sub);
                             &sub
                         }
                     }
@@ -1202,7 +1248,7 @@ impl Engine {
                 };
                 let r = entry.kernel.eval_batch(b, &exact, &mut scratch);
                 *hits += r.mask.count();
-                lanes.add(&r);
+                stats.add(&r);
             }
             done += batch.len();
         }
@@ -1211,12 +1257,13 @@ impl Engine {
             s.absint_box_skipped_lanes
                 .fetch_add(skipped, Ordering::Relaxed);
         }
-        s.batch_fast_lanes.fetch_add(lanes.fast, Ordering::Relaxed);
+        s.batch_fast_lanes.fetch_add(stats.fast, Ordering::Relaxed);
         s.batch_exact_lanes
-            .fetch_add(lanes.exact, Ordering::Relaxed);
-        s.mc_streams.fetch_add(1, Ordering::Relaxed);
+            .fetch_add(stats.exact, Ordering::Relaxed);
+        s.mc_streams
+            .fetch_add(u64::from(lanes.start == 0), Ordering::Relaxed);
         s.mc_sampled_lanes
-            .fetch_add(samples as u64, Ordering::Relaxed);
+            .fetch_add(lanes.len() as u64, Ordering::Relaxed);
         hits
     }
 
@@ -1324,9 +1371,10 @@ impl Engine {
             }
         ));
         resp.body.push(format!(
-            "mc streams={} sampled_lanes={}",
+            "mc streams={} sampled_lanes={} shared={}",
             EngineStats::get(&s.mc_streams),
             EngineStats::get(&s.mc_sampled_lanes),
+            EngineStats::get(&s.mc_shared),
         ));
         resp.body.push(format!(
             "analyze statements={}",
@@ -1945,12 +1993,121 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
                 Err(e) => Response::err("proto", e).header,
             })
             .collect();
+        // The lanes a `BATCH` sweeps are those of each distinct spec once:
+        // the second `disk` shares the first one's sweep.
+        let (once, mut s3) = twin();
+        let mut seen = std::collections::HashSet::new();
+        for line in specs.lines().filter(|l| seen.insert(*l)) {
+            if let Ok((name, eps, delta)) = parse_exec_args("BATCH", line) {
+                once.exec(&mut s3, &name, eps, delta);
+            }
+        }
         assert_eq!(r.header, "OK BATCH n=13 errors=4", "{r:?}");
         assert_eq!(r.body, headers);
         assert!(r.body[3].contains("cache=miss"), "{r:?}");
         assert!(r.body[10].contains("over the cap"), "{r:?}");
-        assert_eq!(counters(&batched), counters(&lone));
+        let [b, l, o] = [&batched, &lone, &once].map(counters);
+        assert_eq!(b[..3], l[..3]);
+        assert_eq!(b[3..], o[3..]);
         assert_eq!(EngineStats::get(&batched.stats.batch_execs), 13);
+        assert_eq!(EngineStats::get(&batched.stats.mc_shared), 1);
+    }
+
+    #[test]
+    fn lane_parts_cut_whole_batches_in_order() {
+        for samples in [
+            1,
+            381,
+            BATCH_LANES,
+            BATCH_LANES + 1,
+            739,
+            26_493,
+            4 * BATCH_LANES,
+        ] {
+            let batches = samples.div_ceil(BATCH_LANES);
+            for parts in [1, 2, 3, 7, 64] {
+                let cut = lane_parts(samples, parts);
+                assert_eq!(cut.len(), parts.min(batches), "{samples} / {parts}");
+                assert_eq!(cut[0].start, 0);
+                assert_eq!(cut.last().unwrap().end, samples);
+                for pair in cut.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start, "{cut:?}");
+                }
+                let sizes: Vec<usize> = cut.iter().map(|r| r.len().div_ceil(BATCH_LANES)).collect();
+                for r in &cut {
+                    assert!(!r.is_empty() && r.start % BATCH_LANES == 0, "{cut:?}");
+                }
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(hi - lo <= 1, "{cut:?}");
+            }
+        }
+        let none = lane_parts(0, 2);
+        assert!(none.len() == 1 && none[0] == (0..0), "{none:?}");
+    }
+
+    #[test]
+    fn answers_do_not_depend_on_the_thread_count() {
+        // The five warm regions of `tests/goldens.rs`: non-dyadic
+        // constants, a box that skips most lanes and one that skips half.
+        let dist2 = "(x - 7/16)*(x - 7/16) + (y - 9/16)*(y - 9/16)";
+        let regions = [
+            ("disk", format!("{dist2} <= 1/36")),
+            ("annulus", format!("{dist2} <= 1/49 & {dist2} >= 1/196")),
+            (
+                "boxed",
+                format!("{dist2} <= 1/100 & 5/16 <= x & x <= 9/16 & 7/16 <= y & y <= 11/16"),
+            ),
+            (
+                "half",
+                format!("{dist2} + (z - 8/16)*(z - 8/16) <= 1/36 & z <= 8/16"),
+            ),
+            ("fifth", format!("{dist2} <= 1/25")),
+        ];
+        let e = engine();
+        let mut s = e.open_session();
+        let mut warm = Vec::new();
+        for (name, src) in &regions {
+            assert!(e.prepare(&mut s, name, src).is_ok(), "{name}");
+            assert!(e.exec(&mut s, name, None, None).is_ok(), "{name}");
+            let Ok(w) = e.exec_fast(&s, name, 0.01, 0.01) else {
+                panic!("{name} is not warm");
+            };
+            warm.push(w);
+        }
+        let counters = |e: &Engine| {
+            let st = &e.stats;
+            [
+                EngineStats::get(&st.batch_fast_lanes),
+                EngineStats::get(&st.batch_exact_lanes),
+                EngineStats::get(&st.absint_box_skipped_lanes),
+                EngineStats::get(&st.mc_streams),
+                EngineStats::get(&st.mc_sampled_lanes),
+            ]
+        };
+        for dim in [2, 3] {
+            let entries: Vec<&CacheEntry> = warm
+                .iter()
+                .filter(|w| w.dim == dim)
+                .map(|w| &*w.entry)
+                .collect();
+            let samples = warm[0].acc.samples;
+            let sweep = |parts: usize| {
+                let before = counters(&e);
+                let mut hits = vec![0; entries.len()];
+                for lanes in lane_parts(samples, parts) {
+                    for (sum, h) in hits.iter_mut().zip(e.mc_over_kernels(&entries, dim, lanes)) {
+                        *sum += h;
+                    }
+                }
+                let after = counters(&e);
+                (hits, [0, 1, 2, 3, 4].map(|i| after[i] - before[i]))
+            };
+            let one = sweep(1);
+            assert_eq!(one.1[3..], [1, samples as u64]);
+            for parts in [2, 3, 7, 64] {
+                assert_eq!(sweep(parts), one, "dim {dim}, {parts} parts");
+            }
+        }
     }
 
     #[test]

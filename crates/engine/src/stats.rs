@@ -122,12 +122,15 @@ pub struct EngineStats {
     /// doing big-rational work.
     pub batch_exact_lanes: AtomicU64,
     /// Monte Carlo sample streams drawn: one per sampled `EXEC` or
-    /// `VOLUME`, one per shared-stream unit of a `BATCH` however many
-    /// specs that unit answers.
+    /// `VOLUME`, one per `(dim, samples)` group of a `BATCH` however many
+    /// specs it answers and however many threads split its lanes.
     pub mc_streams: AtomicU64,
     /// Sample lanes drawn across those streams: a lane counts once however
     /// many kernels sweep it.
     pub mc_sampled_lanes: AtomicU64,
+    /// `BATCH` specs answered from another spec's sweep: a spec whose
+    /// cached entry an earlier spec of its group already sweeps.
+    pub mc_shared: AtomicU64,
     /// Cache misses answered without quantifier elimination because the
     /// interval analysis proved the query statically unsatisfiable.
     pub absint_unsat_skips: AtomicU64,

@@ -213,10 +213,10 @@ fn stats_line(c: &mut Client, prefix: &str) -> String {
         .unwrap_or_else(|| panic!("STATS has no `{prefix}` line"))
 }
 
-/// `streams=` and `sampled_lanes=` of the `mc` line.
-fn mc_counters(c: &mut Client) -> [u64; 2] {
+/// `streams=`, `sampled_lanes=` and `shared=` of the `mc` line.
+fn mc_counters(c: &mut Client) -> [u64; 3] {
     let line = stats_line(c, "mc ");
-    ["streams=", "sampled_lanes="].map(|k| {
+    ["streams=", "sampled_lanes=", "shared="].map(|k| {
         line.split_whitespace()
             .find_map(|t| t.strip_prefix(k))
             .and_then(|v| v.parse().ok())
@@ -225,12 +225,14 @@ fn mc_counters(c: &mut Client) -> [u64; 2] {
 }
 
 /// A `BATCH` shares one sample stream among the kernels of each dimension
-/// and sample count. Its body must still be, byte for byte, what the
-/// same specs answer as lone `EXEC`s on a twin engine — across dimensions
-/// 1–3, two ε, an exact linear spec, a box-prefiltered one, duplicates, an
-/// unknown name and a cold spec — and both engines must count the same
-/// kernel and absint lanes. A 16-spec `BATCH` at one ε then draws at most
-/// one stream per part: (groups × threads).
+/// and sample count, and sweeps each distinct kernel of it once. Its body
+/// must still be, byte for byte, what the same specs answer as lone
+/// `EXEC`s on a twin engine — across dimensions 1–3, two ε, an exact
+/// linear spec, a box-prefiltered one, duplicates, an unknown name and a
+/// cold spec — and it must count the kernel and absint lanes of a third
+/// twin that `EXEC`s each distinct spec once. A 16-spec `BATCH` at one ε
+/// then draws one stream per `(dim, samples)` group, whatever the thread
+/// count, and each of its lanes once.
 #[test]
 fn a_shared_stream_batch_answers_what_lone_execs_do() {
     let mixed = "disk 0.02 0.02\nseg 0.02 0.02\nball 0.02 0.02\nband\nspot 0.02 0.02\n\
@@ -261,6 +263,7 @@ fn a_shared_stream_batch_answers_what_lone_execs_do() {
     };
     let (batched_server, mut batched) = boot();
     let (lone_server, mut lone) = boot();
+    let (once_server, mut once) = boot();
     for specs in [mixed, same.as_str()] {
         let before = mc_counters(&mut batched);
         let resp = batched.send(&format!("BATCH\n{specs}."));
@@ -269,32 +272,44 @@ fn a_shared_stream_batch_answers_what_lone_execs_do() {
             .lines()
             .map(|spec| lone.send(&format!("EXEC {spec}")).header)
             .collect();
+        let mut seen = std::collections::HashSet::new();
+        let distinct: Vec<&str> = specs.lines().filter(|s| seen.insert(*s)).collect();
+        for spec in &distinct {
+            once.send(&format!("EXEC {spec}"));
+        }
         assert!(resp.is_ok(), "{resp:?}");
         assert_eq!(resp.body, headers);
         for prefix in ["kernel ", "absint "] {
             assert_eq!(
                 stats_line(&mut batched, prefix),
-                stats_line(&mut lone, prefix)
+                stats_line(&mut once, prefix)
             );
         }
-        let [streams, lanes] = [0, 1].map(|i| after[i] - before[i]);
+        let [streams, lanes, shared] = [0, 1, 2].map(|i| after[i] - before[i]);
         if specs == same {
-            // Three (dim, samples) groups: dimensions 1, 2 and 3.
-            let threads = cqa_approx::par::default_threads() as u64;
-            assert!(streams <= 3 * threads, "{streams} streams");
+            // Three (dim, samples) groups: dimensions 1, 2 and 3, each
+            // drawn once; five distinct specs answer all sixteen.
+            assert_eq!(streams, 3);
             let samples: u64 = headers[0]
                 .split_whitespace()
                 .find_map(|t| t.strip_prefix("samples="))
                 .and_then(|v| v.parse().ok())
                 .expect("an approximate answer");
-            assert_eq!(lanes, streams * samples);
+            assert_eq!(lanes, 3 * samples);
+            assert_eq!(distinct.len(), 5);
+            assert_eq!(shared, 11);
         } else {
             assert!(resp.body[7].starts_with("ERR "), "{resp:?}");
             assert!(resp.body[8].contains("cache=miss"), "{resp:?}");
             assert!(resp.body[3].contains("status=exact"), "{resp:?}");
+            assert_eq!(shared, 1, "the second `disk 0.02 0.02`");
         }
     }
-    for (c, server) in [(batched, batched_server), (lone, lone_server)] {
+    for (c, server) in [
+        (batched, batched_server),
+        (lone, lone_server),
+        (once, once_server),
+    ] {
         c.shutdown();
         server.join().unwrap();
     }

@@ -631,6 +631,66 @@ impl Batch {
         &self.values[slot * BATCH_LANES..][..self.len]
     }
 
+    /// The lanes at which slot `d`'s value lies in `bx[d] = (lo, hi)`,
+    /// closed at both ends, for every `d < bx.len()`. Each 64-lane word is
+    /// built the way `sign_masks` builds its words: the two comparisons'
+    /// all-ones-or-zero mask selects the lane's bit from a table, so the
+    /// pass has no branch and vectorizes, and slots fold in with one `&`
+    /// per word.
+    pub fn lanes_in_box(&self, bx: &[(f64, f64)]) -> LaneMask {
+        let mut m = LaneMask::full(self.len);
+        for (slot, &(lo, hi)) in bx.iter().enumerate() {
+            for (word, chunk) in m.words.iter_mut().zip(self.col(slot).chunks(64)) {
+                let mut inside = 0u64;
+                for (&v, &bit) in chunk.iter().zip(&LANE_BIT) {
+                    inside |= bit & 0u64.wrapping_sub(((v >= lo) & (v <= hi)) as u64);
+                }
+                *word &= inside;
+            }
+        }
+        m
+    }
+
+    /// Copies the lanes of `keep` into `out`, in lane order and back to
+    /// back: `out` gets `keep.count()` lanes and every slot's value and
+    /// error column. The kept lane indices come from the mask's set bits,
+    /// a word at a time.
+    ///
+    /// # Panics
+    /// Panics if the batches' slot counts differ.
+    pub fn compact_into(&self, keep: &LaneMask, out: &mut Batch) {
+        assert_eq!(self.n_slots, out.n_slots, "batch slot count mismatch");
+        let mut lanes = [0u16; BATCH_LANES];
+        let mut kept = 0;
+        for (w, &word) in keep.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                lanes[kept] = (w * 64) as u16 + bits.trailing_zeros() as u16;
+                kept += 1;
+                bits &= bits - 1;
+            }
+        }
+        let lanes = &lanes[..kept];
+        debug_assert!(lanes.last().is_none_or(|&l| usize::from(l) < self.len));
+        out.len = kept;
+        for slot in 0..self.n_slots {
+            let at = slot * BATCH_LANES;
+            for (o, &lane) in out.values[at..].iter_mut().zip(lanes) {
+                *o = self.values[at + lane as usize];
+            }
+            if self.exact[slot] {
+                if !out.exact[slot] {
+                    out.err_range_mut(slot).fill(0.0);
+                }
+            } else {
+                for (o, &lane) in out.errs[at..].iter_mut().zip(lanes) {
+                    *o = self.errs[at + lane as usize];
+                }
+            }
+            out.exact[slot] = self.exact[slot];
+        }
+    }
+
     fn err_col(&self, slot: usize) -> &[f64] {
         &self.errs[slot * BATCH_LANES..][..self.len]
     }
@@ -1274,6 +1334,46 @@ mod tests {
         assert!(f.get(69) && !f.get(70));
         assert_eq!(f.and(m).count(), 3);
         assert_eq!(f.or(m), f.or(m).or(m));
+    }
+
+    #[test]
+    fn box_lanes_and_compaction_match_a_per_lane_loop() {
+        // Lanes on both closed ends, just outside them, and a short tail.
+        let len = 300;
+        let mut batch = Batch::new(3);
+        batch.set_len(len);
+        for slot in 0..2 {
+            let col = batch.col_mut(slot);
+            for (lane, v) in col.iter_mut().enumerate() {
+                *v = ((lane * (7 + slot) + slot) % 41) as f64 / 40.0;
+            }
+        }
+        let third: Vec<Rat> = (0..len as i64)
+            .map(|l| Rat::new(l.into(), 3.into()))
+            .collect();
+        batch.set_col_rats(2, &third);
+        let bx = [(0.25, 0.75), (0.0, 0.5)];
+        let keep = batch.lanes_in_box(&bx);
+        let want: Vec<usize> = (0..len)
+            .filter(|&l| {
+                bx.iter()
+                    .enumerate()
+                    .all(|(d, &(lo, hi))| (lo..=hi).contains(&batch.value(d, l)))
+            })
+            .collect();
+        assert_eq!((0..len).filter(|&l| keep.get(l)).collect::<Vec<_>>(), want);
+        let mut out = Batch::new(3);
+        out.set_len(BATCH_LANES);
+        out.set_col_rats(0, &vec![Rat::new(1.into(), 3.into()); BATCH_LANES]);
+        batch.compact_into(&keep, &mut out);
+        assert_eq!(out.len(), want.len());
+        for slot in 0..3 {
+            assert_eq!(out.exact[slot], batch.exact[slot], "slot {slot}");
+            for (i, &l) in want.iter().enumerate() {
+                assert_eq!(out.value(slot, i), batch.value(slot, l));
+                assert_eq!(out.err_col(slot)[i], batch.err_col(slot)[l]);
+            }
+        }
     }
 
     #[test]

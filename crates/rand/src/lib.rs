@@ -12,6 +12,9 @@
 //!
 //! The value stream differs from crates-io `rand` 0.9: experiments are
 //! reproducible per seed *within* this shim, not across implementations.
+//! One addition has no counterpart there: `Xoshiro256PlusPlus::advance`,
+//! an exact jump ahead by any number of outputs, which lets a sampler
+//! start partway through a seeded stream.
 
 #![forbid(unsafe_code)]
 
@@ -70,6 +73,126 @@ impl SeedableRng for Xoshiro256PlusPlus {
             splitmix64(&mut sm),
         ];
         Xoshiro256PlusPlus { s }
+    }
+}
+
+/// A polynomial over GF(2) of degree < 256: coefficient `i` is bit `i % 64`
+/// of word `i / 64`.
+type Poly = [u64; 4];
+
+/// The characteristic polynomial `P` of the xoshiro256 state transition,
+/// a linear map on GF(2)²⁵⁶, without its leading `x²⁵⁶` term. Every state
+/// sequence satisfies `P`'s recurrence, so `Tⁿ = (xⁿ mod P)(T)`.
+/// Berlekamp–Massey over one state bit re-derives it (tested below).
+const CHAR_POLY: Poly = [
+    0x9d11_6f2b_b0f0_f001,
+    0x0280_002b_cefd_1a5e,
+    0x04b4_edcf_2625_9f85,
+    0x0003_c03c_3f3e_cb19,
+];
+
+const fn xor(a: Poly, b: Poly) -> Poly {
+    [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]]
+}
+
+/// `a·x mod P`: the shift pushes at most one bit past degree 255, and
+/// `x²⁵⁶ ≡ P − x²⁵⁶`.
+const fn times_x(a: Poly) -> Poly {
+    let shifted = [
+        a[0] << 1,
+        a[1] << 1 | a[0] >> 63,
+        a[2] << 1 | a[1] >> 63,
+        a[3] << 1 | a[2] >> 63,
+    ];
+    if a[3] >> 63 == 1 {
+        xor(shifted, CHAR_POLY)
+    } else {
+        shifted
+    }
+}
+
+/// `a·t mod P` for every 4-bit polynomial `t`.
+const fn nibble_multiples(a: Poly) -> [Poly; 16] {
+    let mut table = [[0u64; 4]; 16];
+    let mut t = 1;
+    while t < 16 {
+        let twice = times_x(table[t >> 1]);
+        table[t] = if t & 1 == 1 { xor(twice, a) } else { twice };
+        t += 1;
+    }
+    table
+}
+
+/// `OVERFLOW[t]` = `t·x²⁵⁶ mod P`: the four bits a shift by `x⁴` pushes
+/// past degree 255, folded back.
+const OVERFLOW: [Poly; 16] = nibble_multiples(CHAR_POLY);
+
+/// `a·x⁴ mod P`.
+const fn times_x4(a: Poly) -> Poly {
+    let top = OVERFLOW[(a[3] >> 60) as usize];
+    [
+        (a[0] << 4) ^ top[0],
+        (a[1] << 4 | a[0] >> 60) ^ top[1],
+        (a[2] << 4 | a[1] >> 60) ^ top[2],
+        (a[3] << 4 | a[2] >> 60) ^ top[3],
+    ]
+}
+
+/// `a·b mod P`, Horner over `b`'s 4-bit windows from the top: the
+/// accumulator is multiplied by `x⁴`, then `a·t mod P` for the window `t`
+/// is added.
+const fn mul_mod(a: Poly, b: Poly) -> Poly {
+    let table = nibble_multiples(a);
+    let mut acc = [0u64; 4];
+    let mut window = 64;
+    while window > 0 {
+        window -= 1;
+        let t = b[window / 16] >> (4 * (window % 16)) & 15;
+        acc = xor(times_x4(acc), table[t as usize]);
+    }
+    acc
+}
+
+/// `POW2[k]` = `x^(2^k) mod P`, by repeated squaring from `x`.
+const POW2: [Poly; 64] = {
+    let mut table = [[0u64; 4]; 64];
+    table[0][0] = 2;
+    let mut k = 1;
+    while k < 64 {
+        table[k] = mul_mod(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+};
+
+impl Xoshiro256PlusPlus {
+    /// Jumps ahead `n` outputs: the state afterwards is the one `n`
+    /// [`Rng::next_u64`] calls would leave, in about as much time as 256
+    /// of them plus one GF(2) polynomial product per set bit of `n`.
+    ///
+    /// The state update is linear over GF(2), so `n` steps are the matrix
+    /// power `Tⁿ`, and `Tⁿ = (xⁿ mod P)(T)` for the characteristic
+    /// polynomial `P` of `T` (Haramoto et al., *Efficient Jump Ahead for
+    /// F₂-Linear Random Number Generators*, 2008). `xⁿ mod P` is the
+    /// product of the table entries `x^(2^k) mod P` for the set bits `k`
+    /// of `n`; applying it XORs together the states of the next 256 steps
+    /// whose coefficient is one.
+    pub fn advance(&mut self, n: u64) {
+        let mut jump = [1, 0, 0, 0];
+        let mut bits = n;
+        while bits != 0 {
+            jump = mul_mod(jump, POW2[bits.trailing_zeros() as usize]);
+            bits &= bits - 1;
+        }
+        let mut s = [0u64; 4];
+        for i in 0..256 {
+            let select = 0u64.wrapping_sub(jump[i / 64] >> (i % 64) & 1);
+            for (acc, &w) in s.iter_mut().zip(&self.s) {
+                *acc ^= w & select;
+            }
+            self.next_u64();
+        }
+        self.s = s;
     }
 }
 
@@ -240,6 +363,98 @@ mod tests {
             let f = rng.random_range(-1.0f64..1.0);
             assert!((-1.0..1.0).contains(&f));
         }
+    }
+
+    #[test]
+    fn jump_ahead_equals_stepping() {
+        let distances = [
+            0u64,
+            1,
+            2,
+            63,
+            64,
+            255,
+            256,
+            257,
+            1_000,
+            26_493 * 2,
+            26_493 * 3,
+            (1 << 23) * 5,
+        ];
+        for seed in [0, 0xC0A6] {
+            for n in distances {
+                let mut jumped = StdRng::seed_from_u64(seed);
+                jumped.advance(n);
+                let mut stepped = StdRng::seed_from_u64(seed);
+                for _ in 0..n {
+                    stepped.next_u64();
+                }
+                assert_eq!(jumped.s, stepped.s, "seed {seed} n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn jumps_compose() {
+        for (a, b) in [(0, 5), (1, 1), (300, 7_000), (1 << 40, (1 << 40) + 3)] {
+            let mut twice = StdRng::seed_from_u64(5);
+            twice.advance(a);
+            twice.advance(b);
+            let mut once = StdRng::seed_from_u64(5);
+            once.advance(a + b);
+            assert_eq!(twice.s, once.s, "{a} + {b}");
+        }
+    }
+
+    /// The shortest linear recurrence over GF(2) that `bits` satisfies, as
+    /// the connection polynomial `C` (`C[0] = 1`, `bits[i] = Σⱼ C[j]·bits[i−j]`).
+    fn berlekamp_massey(bits: &[u8]) -> Vec<u8> {
+        let n = bits.len();
+        let (mut c, mut b) = (vec![0u8; n + 1], vec![0u8; n + 1]);
+        (c[0], b[0]) = (1, 1);
+        let (mut len, mut shift) = (0, 1);
+        for i in 0..n {
+            let d = (1..=len).fold(bits[i], |d, j| d ^ (c[j] & bits[i - j]));
+            if d == 0 {
+                shift += 1;
+                continue;
+            }
+            let prev = c.clone();
+            for j in shift..=n {
+                c[j] ^= b[j - shift];
+            }
+            if 2 * len <= i {
+                len = i + 1 - len;
+                b = prev;
+                shift = 1;
+            } else {
+                shift += 1;
+            }
+        }
+        c.truncate(len + 1);
+        c
+    }
+
+    #[test]
+    fn the_pinned_characteristic_polynomial_is_rederived() {
+        // One state bit over 512 steps: twice the degree pins the minimal
+        // polynomial, which is `P` itself because `P` is primitive.
+        let mut rng = StdRng::seed_from_u64(17);
+        let bits: Vec<u8> = (0..512)
+            .map(|_| {
+                rng.next_u64();
+                (rng.s[0] & 1) as u8
+            })
+            .collect();
+        let c = berlekamp_massey(&bits);
+        assert_eq!(c.len(), 257, "degree");
+        // P(x) = x²⁵⁶ + Σⱼ C[j]·x^(256−j).
+        let mut low = [0u64; 4];
+        for (j, &cj) in c.iter().enumerate().skip(1) {
+            let k = 256 - j;
+            low[k / 64] |= u64::from(cj) << (k % 64);
+        }
+        assert_eq!(low, CHAR_POLY, "{low:#018x?}");
     }
 
     #[test]

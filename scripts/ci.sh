@@ -41,6 +41,11 @@ run_capped cargo test -q --offline -p cqa-logic --lib compile::tests
 echo "== thread-count determinism =="
 run_capped cargo test -q --offline -p cqa-approx --test thread_determinism
 
+echo "== sample-stream jump-ahead (xoshiro256++ advance(n) vs n steps, composition, characteristic polynomial re-derived by Berlekamp–Massey; a jumped witness fills batch k of the serial stream) =="
+# Release: one parity case steps 5·2²³ draws.
+run_capped cargo test -q --release --offline -p rand
+run_capped cargo test -q --release --offline -p cqa-approx --lib sample::tests
+
 echo "== IR parity (boxed tree vs hash-consed arena) =="
 run_capped cargo test -q --offline -p cqa-qe --test ir_parity
 
@@ -63,7 +68,7 @@ run_capped cargo test -q --release --offline -p cqa-qe --test hoermander_bounds
 echo "== storage durability (kill-and-replay, torn tail, crash-point sweep) =="
 run_capped cargo test -q --offline -p cqa-engine --test storage
 
-echo "== serving layer (pipelining order/parity, pipelined bursts on both front ends, shard bit-identity, idle sessions, busy path, body caps, parse caps: degree 64 / 4096 terms / 4096-bit coefficients, a shared-stream BATCH equal to lone EXECs with equal lane counters) =="
+echo "== serving layer (pipelining order/parity, pipelined bursts on both front ends, shard bit-identity, idle sessions, busy path, body caps, parse caps: degree 64 / 4096 terms / 4096-bit coefficients, a shared-stream BATCH equal to lone EXECs, sweeping each distinct kernel once: lane counters of one EXEC per distinct spec, exactly one stream per (dim, samples) group, shared= counting the repeats) =="
 run_capped cargo test -q --offline -p cqa-engine --test serving
 
 echo "== cqa-e2e smoke (bench/ builds against the crates' API; every reply checked, failed 0) =="
