@@ -18,12 +18,13 @@
 //! E2.
 
 use crate::lang::AggError;
-use cqa_approx::sample::Witness;
+use cqa_approx::mc::Sweep;
+use cqa_approx::sample::{hoeffding_sample_size, Witness};
 use cqa_arith::Rat;
 use cqa_core::{decompose_1d, Database};
 use cqa_geom::{volume, VolumeError};
 use cqa_logic::budget::EvalBudget;
-use cqa_logic::Formula;
+use cqa_logic::{CompiledMatrix, Formula, SlotMap};
 use cqa_poly::{RealAlg, Var};
 
 impl From<VolumeError> for AggError {
@@ -231,19 +232,24 @@ impl VolumeOutcome {
 
 /// Graceful exact→approximate degradation (the tentpole contract): compute
 /// the exact volume of `{v⃗ : f(v⃗)}` under the evaluation `budget`; if the
-/// budget trips mid-elimination, fall back to the multithreaded Monte
-/// Carlo estimator of Theorem 4 and return the estimate tagged with its
-/// `(ε, δ)` guarantee instead of failing.
+/// budget trips while integrating the quantifier-free matrix, sample that
+/// matrix with the Monte Carlo sweep of Theorem 4 and return the estimate
+/// tagged with its `(ε, δ)` guarantee instead of failing. A trip inside
+/// quantifier elimination is returned as [`AggError::Budget`]: no
+/// quantifier-free matrix exists to sample.
 ///
-/// The fallback draws `⌈ln(2/δ)/(2ε²)⌉ + 1` points (Hoeffding, single
-/// fixed set — no VC-dimension factor needed) from a deterministic
-/// witness, so a degraded answer is reproducible. It estimates the volume
-/// *within the unit box* `I^k`; for queries whose region extends beyond
-/// `I^k` the exact and approximate answers measure different sets — the
-/// [`VolumeOutcome::Approximate`] tag makes the switch visible to callers.
+/// The fallback draws the capped Hoeffding count
+/// ([`cqa_approx::sample::hoeffding_sample_size`], single fixed set — no
+/// VC-dimension factor needed) from a deterministic witness, so a degraded
+/// answer is reproducible and the same for every thread count. It
+/// estimates the volume *within the unit box* `I^k`; for queries whose
+/// region extends beyond `I^k` the exact and approximate answers measure
+/// different sets — the [`VolumeOutcome::Approximate`] tag makes the switch
+/// visible to callers.
 ///
 /// Errors that are not budget trips (unknown relations, unbounded regions,
-/// `ε ∉ (0, 1)`) are reported as errors, not degraded.
+/// an `ε` outside (0, 1) or past the sample cap) are reported as errors,
+/// not degraded.
 pub fn volume_with_fallback(
     db: &Database,
     f: &Formula,
@@ -251,40 +257,35 @@ pub fn volume_with_fallback(
     budget: &EvalBudget,
     eps: f64,
 ) -> Result<VolumeOutcome, AggError> {
-    if !(eps > 0.0 && eps < 1.0) {
-        return Err(AggError::Db(format!("ε must lie in (0, 1), got {eps}")));
-    }
-    let exact = || -> Result<Rat, AggError> {
-        let expanded = db.expand(f)?;
-        let qf = cqa_qe::eliminate(&expanded, budget)?;
-        Ok(cqa_geom::volume_with_budget(&qf, vars, budget)?)
-    };
-    match exact() {
+    let delta = FALLBACK_DELTA;
+    let samples = hoeffding_sample_size(eps, delta)?;
+    let qf = cqa_qe::eliminate(&db.expand(f)?, budget)?;
+    match cqa_geom::volume_with_budget(&qf, vars, budget) {
         Ok(v) => Ok(VolumeOutcome::Exact(v)),
-        Err(AggError::Budget(_)) => {
-            let delta = FALLBACK_DELTA;
-            let samples = ((2.0 / delta).ln() / (2.0 * eps * eps)).ceil() as usize + 1;
-            let mut w = Witness::new(FALLBACK_SEED);
+        Err(VolumeError::Budget(_)) => {
+            let kernel = CompiledMatrix::compile(&qf, &SlotMap::from_vars(vars))
+                .map_err(|e| AggError::Residual(e.to_string()))?;
+            let sweep = Sweep {
+                kernels: &[(&kernel, None)],
+                params: &[],
+                dim: vars.len(),
+                stream: &Witness::new(FALLBACK_SEED),
+            };
             let threads = cqa_approx::par::default_threads();
-            // The batched kernel sweep; the (discarded) lane stats are
-            // surfaced by callers that keep service counters (cqa-engine).
-            let (estimate, _lanes) = cqa_approx::mc::mc_volume_in_unit_box_stats(
-                db,
-                f,
-                vars,
+            let (counts, _) = sweep.parallel::<(), _>(
                 samples,
-                &mut w,
                 threads,
                 &EvalBudget::unlimited(),
+                |_, _, _, _| {},
             )?;
             Ok(VolumeOutcome::Approximate {
-                estimate,
+                estimate: Rat::new((counts.hits[0] as i64).into(), (samples as i64).into()),
                 eps,
                 delta,
                 samples,
             })
         }
-        Err(e) => Err(e),
+        Err(e) => Err(e.into()),
     }
 }
 

@@ -12,8 +12,11 @@
 //!   scaffolding (rejection sampling from a bounding box, and a multiphase
 //!   hit-and-run annealing estimator) as the comparison point for E11.
 
+use crate::mc::Sweep;
+use crate::sample::Witness;
 use cqa_arith::Rat;
 use cqa_geom::HPolyhedron;
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::{Atom, CompiledMatrix, Formula, Rel, SlotMap};
 use cqa_poly::{MPoly, Var};
 use rand::rngs::StdRng;
@@ -159,55 +162,42 @@ pub fn variable_independent_volume(f: &Formula, vars: &[Var]) -> Option<Rat> {
 }
 
 /// Rejection-sampling volume of a polyhedron from an enclosing box
-/// (the naive Monte Carlo baseline). Membership runs through the compiled
-/// kernel — `f64` sign decision with a certified error bound, exact
-/// rational fallback only on uncertain signs — so the hit count is
-/// identical to testing `p.contains` at the exact rational points.
+/// (the naive Monte Carlo baseline): the box's volume times the fraction
+/// of `samples` points `lo + (hi − lo)·u` inside `p`, for `u` the points of
+/// `Witness::new(seed)`. Membership runs through the one Monte Carlo sweep
+/// ([`Sweep`]) over the rows rewritten in `u`, so every hit is decided
+/// exactly at the rational point.
 pub fn rejection_volume(p: &HPolyhedron, lo: &[f64], hi: &[f64], samples: usize, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
     let d = p.dim();
-    // Lower `∧ᵢ aᵢ·x − bᵢ ≤ 0` over fresh slot variables.
-    let vars: Vec<Var> = (0..d as u32).map(Var).collect();
+    let exact = |x: f64| Rat::from_f64(x).expect("finite box bound");
+    // `a·x − b ≤ 0` at `x = lo + w∘u` is `Σ aᵢwᵢ·uᵢ + (a·lo − b) ≤ 0`.
     let atoms: Vec<Formula> = p
         .rows()
         .iter()
         .map(|(a, b)| {
             let mut poly = MPoly::constant(-b);
-            for (c, &v) in a.iter().zip(&vars) {
-                poly = &poly + &(&MPoly::constant(c.clone()) * &MPoly::var(v));
+            for (i, c) in a.iter().enumerate() {
+                let (l, w) = (exact(lo[i]), exact(hi[i]) - exact(lo[i]));
+                poly = &poly + &MPoly::constant(c * &l);
+                poly = &poly + &(&MPoly::constant(c * &w) * &MPoly::var(Var(i as u32)));
             }
             Formula::Atom(Atom::new(poly, Rel::Le))
         })
         .collect();
-    let slots = SlotMap::from_vars(&vars);
-    let kernel = CompiledMatrix::compile(&Formula::And(atoms), &slots)
+    let vars: Vec<Var> = (0..d as u32).map(Var).collect();
+    let kernel = CompiledMatrix::compile(&Formula::And(atoms), &SlotMap::from_vars(&vars))
         .expect("polyhedron rows always compile");
-    let mut hits = 0usize;
-    let mut box_vol = 1.0;
-    for i in 0..d {
-        box_vol *= hi[i] - lo[i];
-    }
-    // Batched sweep: fill one structure-of-arrays batch per block of
-    // samples (draws stay lane-major — point by point, coordinate by
-    // coordinate — so the sample sequence matches the per-point loop this
-    // replaces) and decide all lanes in one kernel pass.
-    let mut batch = cqa_logic::Batch::new(d);
-    let mut scratch = cqa_logic::BatchScratch::new();
-    let mut done = 0usize;
-    while done < samples {
-        let len = (samples - done).min(cqa_logic::BATCH_LANES);
-        batch.set_len(len);
-        for lane in 0..len {
-            for i in 0..d {
-                batch.col_mut(i)[lane] = rng.random_range(lo[i]..hi[i]);
-            }
-        }
-        let b = &batch;
-        let exact = |lane: usize, slot: usize| Rat::from_f64(b.value(slot, lane)).expect("finite");
-        hits += kernel.eval_batch(b, &exact, &mut scratch).mask.count();
-        done += len;
-    }
-    box_vol * hits as f64 / samples as f64
+    let sweep = Sweep {
+        kernels: &[(&kernel, None)],
+        params: &[],
+        dim: d,
+        stream: &Witness::new(seed),
+    };
+    let counts = sweep
+        .lanes(0..samples, &EvalBudget::unlimited(), |_, _, _| {})
+        .expect("an unlimited budget never trips");
+    let box_vol: f64 = lo.iter().zip(hi).map(|(l, h)| h - l).product();
+    box_vol * counts.hits[0] as f64 / samples as f64
 }
 
 /// A Dyer–Frieze–Kannan-flavoured multiphase estimator for convex

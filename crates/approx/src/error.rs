@@ -1,6 +1,5 @@
 //! Typed errors for the approximation layer.
 
-use crate::par::ChunkPanicked;
 use cqa_logic::budget::BudgetExceeded;
 use cqa_qe::QeError;
 
@@ -14,10 +13,11 @@ pub enum ApproxError {
     /// The evaluation budget was exhausted mid-estimation (see
     /// [`cqa_logic::budget`]).
     Budget(BudgetExceeded),
-    /// A parallel chunk worker panicked; the panic was contained (the
-    /// process and sibling chunks survive) and surfaced here.
+    /// A parallel work item (a lane range of a sweep) panicked; the panic
+    /// was contained (the process and sibling items survive) and surfaced
+    /// here.
     WorkerPanicked {
-        /// Index of the failed chunk (the lowest, if several failed).
+        /// Index of the failed item (the lowest, if several failed).
         chunk: usize,
         /// The panic payload, if it was a string.
         message: String,
@@ -65,14 +65,5 @@ impl From<QeError> for ApproxError {
 impl From<BudgetExceeded> for ApproxError {
     fn from(b: BudgetExceeded) -> ApproxError {
         ApproxError::Budget(b)
-    }
-}
-
-impl From<ChunkPanicked> for ApproxError {
-    fn from(p: ChunkPanicked) -> ApproxError {
-        ApproxError::WorkerPanicked {
-            chunk: p.chunk,
-            message: p.message,
-        }
     }
 }

@@ -7,11 +7,16 @@
 //!   `VCdim ≥ log|D|`, and the effective Goldberg–Jerrum constant of
 //!   Proposition 6.
 //! * [`sample`] — the Blumer–Ehrenfeucht–Haussler–Warmuth sample bound
-//!   `M(ε, δ, d)` and the witness operator `W` (uniform sampling of the
-//!   unit cube with exact dyadic rationals).
+//!   `M(ε, δ, d)`, the capped Hoeffding count for one fixed set, and the
+//!   witness operator `W` (uniform sampling of the unit cube with exact
+//!   dyadic rationals, with exact jump-ahead).
 //! * [`mc`] — Theorem 4: a single shared sample approximates
 //!   `VOL_I(φ(ā, D))` uniformly over all parameter vectors `ā` with
-//!   probability ≥ 1 − δ.
+//!   probability ≥ 1 − δ. Its lane-range sweep is the one Monte Carlo
+//!   sampler of the workspace: the engine's `EXEC`/`VOLUME`/`BATCH`, the
+//!   library estimators and the exact→approximate fallback all call it.
+//! * [`par`] — the deterministic fork–join runner the sweep (and the
+//!   engine's `BATCH`) cuts its work over.
 //! * [`km`] — a cost model for the Karpinski–Macintyre / Koiran
 //!   derandomized approximation formulas, reproducing the Section-3 blow-up
 //!   numbers (≥10⁹ atoms, ≥10¹¹ quantifiers at ε = 1/10).

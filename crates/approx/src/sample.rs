@@ -44,13 +44,44 @@ pub fn try_sample_size(eps: f64, delta: f64, d: f64) -> Result<usize, crate::App
     Ok(a.max(b).ceil() as usize + 1)
 }
 
+/// Most samples one Hoeffding count may ask for: an (ε, δ) whose count
+/// passes it is refused. Sampling is never charged to an evaluation
+/// budget, so this is what bounds it. The slowest kernel in the engine's
+/// tests, the lens of `degraded_answers_report_their_steps`, sweeps
+/// ≈ 70 ns a lane (release build, 2-vCPU x86-64 host): 2²⁴ lanes took
+/// 1.2 s of the server's default 2 s timeout, 2²³ take ≈ 0.6 s (DESIGN §7).
+pub const MAX_SAMPLES: usize = 1 << 23;
+
+/// Hoeffding sample size for an additive (ε, δ) guarantee on the measure
+/// of one fixed set, `⌈ln(2/δ)/2ε²⌉ + 1` — no VC-dimension factor, unlike
+/// [`sample_size`]. [`crate::ApproxError::InvalidParameter`] names the
+/// problem: ε or δ outside (0, 1), or a count past [`MAX_SAMPLES`]
+/// (ε = 10⁻²⁰⁰ squares to 0 and would need infinitely many).
+pub fn hoeffding_sample_size(eps: f64, delta: f64) -> Result<usize, crate::ApproxError> {
+    let invalid = |msg| Err(crate::ApproxError::InvalidParameter(msg));
+    if !(eps > 0.0 && eps < 1.0 && delta > 0.0 && delta < 1.0) {
+        return invalid(format!("eps/delta must lie in (0,1), got {eps}/{delta}"));
+    }
+    let n = ((2.0 / delta).ln() / (2.0 * eps * eps)).ceil().max(1.0) + 1.0;
+    if n > MAX_SAMPLES as f64 {
+        let shown = if n < 1e15 {
+            n.to_string()
+        } else {
+            format!("{n:.3e}")
+        };
+        return invalid(format!(
+            "eps/delta {eps}/{delta} need {shown} samples, over the cap of {MAX_SAMPLES}"
+        ));
+    }
+    Ok(n as usize)
+}
+
 /// The witness (choice) operator `W` of Abiteboul–Vianu, as used in
 /// Theorem 4: a seeded source of random choices. Each call is one
 /// application of `W` in the paper's operation count.
+#[derive(Clone)]
 pub struct Witness {
     rng: StdRng,
-    seed: u64,
-    streams: u64,
     calls: usize,
 }
 
@@ -60,8 +91,6 @@ impl Witness {
     pub fn new(seed: u64) -> Witness {
         Witness {
             rng: StdRng::seed_from_u64(seed),
-            seed,
-            streams: 0,
             calls: 0,
         }
     }
@@ -71,26 +100,17 @@ impl Witness {
         self.calls
     }
 
-    /// Begins an independent family of deterministic substreams, for
-    /// chunked parallel sampling.
-    ///
-    /// The returned splitter derives a child witness per chunk index from
-    /// the base seed and a per-call stream counter alone — never from the
-    /// live RNG state — so the points drawn for chunk `c` are the same for
-    /// any thread count and any chunk completion order, and successive
-    /// forks from the same witness yield unrelated streams.
-    pub fn fork(&mut self) -> WitnessSplitter {
-        self.streams += 1;
-        WitnessSplitter {
-            seed: self.seed,
-            stream: self.streams,
-        }
-    }
-
-    /// Records `n` witness applications performed through a fork on this
-    /// witness's behalf (keeps the Theorem 4 operation count meaningful).
-    pub(crate) fn note_applications(&mut self, n: usize) {
-        self.calls += n;
+    /// Lends the next `points` points of `dim` coordinates: returns this
+    /// witness as it stands, then moves it past their `points · dim` draws,
+    /// counting `points` applications, as if it had drawn them itself. A
+    /// sweep may re-read the lent points from the copy as often as it
+    /// likes (Theorem 4 counts the sample once), and the caller's next
+    /// draw is the one after them.
+    pub fn lend(&mut self, points: usize, dim: usize) -> Witness {
+        let start = self.clone();
+        self.calls += points;
+        self.advance((points * dim) as u64);
+        start
     }
 
     /// `W y⃗.(y⃗ ∈ I^dim)`: a uniform point of the unit cube, as exact
@@ -102,30 +122,12 @@ impl Witness {
             .collect()
     }
 
-    /// [`Self::uniform_unit_point`] without the rational wrapping: fills
-    /// `out` with the same draws as exactly-representable dyadic `f64`s
-    /// (one witness application). The compiled-kernel hot path uses this to
-    /// avoid constructing rationals for points that never need the exact
-    /// fallback.
-    pub fn uniform_unit_point_f64(&mut self, out: &mut [f64]) {
-        self.calls += 1;
-        for c in out.iter_mut() {
-            *c = self.rng.random::<f64>();
-        }
-    }
-
-    /// An entire `m`-point sample from `I^dim` (`m` witness applications —
-    /// the count Theorem 4 bounds).
-    pub fn uniform_sample(&mut self, m: usize, dim: usize) -> Vec<Vec<Rat>> {
-        (0..m).map(|_| self.uniform_unit_point(dim)).collect()
-    }
-
     /// Fills the point-variable columns of `batch` — slots `first_slot ..
     /// first_slot + dim` — with one uniform unit-cube point per active
     /// lane, straight into the structure-of-arrays buffers (no per-point
     /// allocation). Draws are made lane-major (point 0's coordinates in
     /// order, then point 1's, …), the exact sequence a per-point
-    /// [`Self::uniform_unit_point_f64`] loop would make, so batched and
+    /// [`Self::uniform_unit_point`] loop would make, so batched and
     /// per-point estimators see identical samples. Counts one witness
     /// application per lane. Coordinates are exactly representable
     /// dyadics, so the filled columns are exact. The `dim` columns are
@@ -155,41 +157,6 @@ impl Witness {
     pub fn advance(&mut self, draws: u64) {
         self.rng.advance(draws);
     }
-
-    /// `W x.φ(x)` over a finite set: picks one element uniformly, `None`
-    /// on the empty set.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        self.calls += 1;
-        if items.is_empty() {
-            None
-        } else {
-            let i = self.rng.random_range(0..items.len());
-            Some(&items[i])
-        }
-    }
-}
-
-/// A handle deriving per-chunk child witnesses (see [`Witness::fork`]).
-/// `Copy` so worker threads can share it freely.
-#[derive(Clone, Copy, Debug)]
-pub struct WitnessSplitter {
-    seed: u64,
-    stream: u64,
-}
-
-impl WitnessSplitter {
-    /// The deterministic child witness for chunk `chunk`: a pure function
-    /// of `(seed, stream, chunk)`.
-    pub fn chunk(&self, chunk: u64) -> Witness {
-        let mut h = self
-            .seed
-            .wrapping_add(self.stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(chunk.wrapping_mul(0xD1B5_4A32_D192_ED03));
-        // SplitMix64 finalizer: decorrelates nearby (stream, chunk) pairs.
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        Witness::new(h ^ (h >> 31))
-    }
 }
 
 #[cfg(test)]
@@ -213,18 +180,19 @@ mod tests {
 
     #[test]
     fn witness_reproducibility() {
-        let mut w1 = Witness::new(7);
-        let mut w2 = Witness::new(7);
-        assert_eq!(w1.uniform_sample(5, 2), w2.uniform_sample(5, 2));
-        let mut w3 = Witness::new(8);
-        assert_ne!(w1.uniform_sample(5, 2), w3.uniform_sample(5, 2));
+        let (mut w1, mut w2, mut w3) = (Witness::new(7), Witness::new(7), Witness::new(8));
+        for _ in 0..5 {
+            let p = w1.uniform_unit_point(2);
+            assert_eq!(p, w2.uniform_unit_point(2));
+            assert_ne!(p, w3.uniform_unit_point(2));
+        }
     }
 
     #[test]
     fn points_inside_unit_cube() {
         let mut w = Witness::new(42);
-        for p in w.uniform_sample(50, 3) {
-            for c in p {
+        for _ in 0..50 {
+            for c in w.uniform_unit_point(3) {
                 assert!(!c.is_negative() && c <= cqa_arith::Rat::one());
             }
         }
@@ -232,39 +200,15 @@ mod tests {
     }
 
     #[test]
-    fn fork_chunks_are_deterministic_and_separated() {
-        let mut w1 = Witness::new(9);
-        let mut w2 = Witness::new(9);
-        let (s1, s2) = (w1.fork(), w2.fork());
-        // Same seed, same stream, same chunk → same points.
-        assert_eq!(
-            s1.chunk(0).uniform_sample(3, 2),
-            s2.chunk(0).uniform_sample(3, 2)
-        );
-        // Different chunks of one stream differ.
-        assert_ne!(
-            s1.chunk(0).uniform_sample(3, 2),
-            s1.chunk(1).uniform_sample(3, 2)
-        );
-        // A later fork of the same witness yields an unrelated stream.
-        let s1b = w1.fork();
-        assert_ne!(
-            s1.chunk(0).uniform_sample(3, 2),
-            s1b.chunk(0).uniform_sample(3, 2)
-        );
-    }
-
-    #[test]
-    fn f64_points_match_rational_points() {
-        let mut a = Witness::new(4);
-        let mut b = Witness::new(4);
-        let p = a.uniform_unit_point(3);
-        let mut q = [0.0f64; 3];
-        b.uniform_unit_point_f64(&mut q);
-        for (r, v) in p.iter().zip(q) {
-            assert_eq!(r, &Rat::from_f64(v).unwrap());
+    fn a_lent_sample_is_read_from_a_copy_and_skipped_by_the_lender() {
+        let mut lender = Witness::new(9);
+        let mut serial = Witness::new(9);
+        let mut copy = lender.lend(3, 2);
+        for _ in 0..3 {
+            assert_eq!(copy.uniform_unit_point(2), serial.uniform_unit_point(2));
         }
-        assert_eq!(b.calls(), 1);
+        assert_eq!(lender.calls(), serial.calls());
+        assert_eq!(lender.uniform_unit_point(2), serial.uniform_unit_point(2));
     }
 
     #[test]
@@ -274,11 +218,13 @@ mod tests {
         let mut batch = cqa_logic::Batch::new(3);
         batch.set_len(5);
         a.fill_unit_columns(&mut batch, 0, 3);
-        let mut q = [0.0f64; 3];
         for lane in 0..5 {
-            b.uniform_unit_point_f64(&mut q);
-            for (d, &v) in q.iter().enumerate() {
-                assert_eq!(batch.value(d, lane), v, "lane {lane} dim {d}");
+            for (d, c) in b.uniform_unit_point(3).iter().enumerate() {
+                assert_eq!(
+                    Rat::from_f64(batch.value(d, lane)).as_ref(),
+                    Some(c),
+                    "lane {lane}"
+                );
             }
         }
         assert_eq!(a.calls(), b.calls());
@@ -301,16 +247,6 @@ mod tests {
                     assert!(batch.col(d) == jumped.col(d), "dim {dim} batch {k}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn choose_from_finite_sets() {
-        let mut w = Witness::new(1);
-        assert!(w.choose::<i32>(&[]).is_none());
-        let xs = [10, 20, 30];
-        for _ in 0..10 {
-            assert!(xs.contains(w.choose(&xs).unwrap()));
         }
     }
 }

@@ -1,15 +1,14 @@
 //! The seeded-reproducibility contract under threading: every Monte Carlo
 //! entry point returns *bit-identical* results for any worker count,
-//! because points are drawn from per-chunk witness substreams (pure
-//! functions of seed, stream and chunk index) and chunk tallies combine in
-//! chunk order with exact rational arithmetic.
+//! because each worker sweeps a range of whole batches of the one sample
+//! stream, reached by exact jump-ahead, and range tallies combine with
+//! exact rational arithmetic.
 
-use cqa_approx::mc::{
-    mc_average_over_threads, mc_volume_in_unit_box_threads, UniformVolumeEstimator,
-};
+use cqa_approx::mc::{mc_average_over, mc_volume_in_unit_box, UniformVolumeEstimator};
 use cqa_approx::sample::Witness;
 use cqa_arith::{rat, Rat};
 use cqa_core::Database;
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::{parse_formula_with, Formula};
 use cqa_poly::{MPoly, Var};
 
@@ -24,14 +23,14 @@ fn triangle(db: &mut Database) -> (Formula, Vec<Var>) {
 
 #[test]
 fn volume_identical_across_thread_counts() {
-    // m = 1500 spans several 512-point chunks, so > 1 worker really runs.
+    // m = 1500 spans several 512-point batches, so > 1 worker really runs.
     let mut db = Database::new();
     let (f, vs) = triangle(&mut db);
     let runs: Vec<Rat> = THREADS
         .iter()
         .map(|&t| {
             let mut w = Witness::new(2024);
-            mc_volume_in_unit_box_threads(&db, &f, &vs, 1500, &mut w, t).unwrap()
+            mc_volume_in_unit_box(&db, &f, &vs, 1500, &mut w, t, &EvalBudget::unlimited()).unwrap()
         })
         .collect();
     assert_eq!(runs[0], runs[1]);
@@ -49,7 +48,7 @@ fn average_identical_across_thread_counts() {
         .iter()
         .map(|&t| {
             let mut w = Witness::new(77);
-            mc_average_over_threads(&db, &f, &vs, &p, 1500, &mut w, t)
+            mc_average_over(&db, &f, &vs, &p, 1500, &mut w, t, &EvalBudget::unlimited())
                 .unwrap()
                 .unwrap()
         })
@@ -68,16 +67,19 @@ fn shared_sample_estimates_identical_across_thread_counts() {
     let y = db.vars_mut().intern("y");
     let f = parse_formula_with("x >= 0 & x <= a & y >= 0 & y <= 1", db.vars_mut()).unwrap();
     let mut w = Witness::new(5);
-    let est = UniformVolumeEstimator::new(&db, &f, &[a], &[x, y], 0.05, 0.1, 3.0, &mut w).unwrap();
-    assert!(est.sample_len() > 512, "need multiple chunks");
+    let unlimited = EvalBudget::unlimited();
+    let est =
+        UniformVolumeEstimator::new(&db, &f, &[a], &[x, y], 0.05, 0.1, 3.0, &mut w, &unlimited)
+            .unwrap();
+    assert!(est.sample_len() > 512, "need multiple batches");
     for av in [rat(1, 4), rat(1, 2), rat(3, 4)] {
         let base = est
-            .estimate_with_threads(std::slice::from_ref(&av), 1)
+            .estimate(std::slice::from_ref(&av), 1, &unlimited)
             .unwrap();
         for t in [2, 8] {
             assert_eq!(
                 Ok(base.clone()),
-                est.estimate_with_threads(std::slice::from_ref(&av), t),
+                est.estimate(std::slice::from_ref(&av), t, &unlimited),
                 "threads = {t}"
             );
         }

@@ -11,6 +11,7 @@ use cqa_approx::baselines::{
 use cqa_approx::john::john_volume_bounds;
 use cqa_approx::km::paper_example_cost;
 use cqa_approx::mc::{mc_volume_in_unit_box, UniformVolumeEstimator};
+use cqa_approx::par::default_threads;
 use cqa_approx::sample::{sample_size, Witness};
 use cqa_approx::separating::{
     find_separating_sentence, good_instance_volumes, GoodInstance, CANDIDATES,
@@ -48,14 +49,27 @@ pub fn e1(out: &mut String) {
     let db = Database::new();
     let phi = parse_formula_with("a < y1 & y1 < b & 0 <= y2 & y2 <= y1", &mut vars).unwrap();
     let mut w = Witness::new(2024);
-    let est =
-        UniformVolumeEstimator::new(&db, &phi, &[a_v, b_v], &[y1, y2], 0.05, 0.1, 3.0, &mut w)
-            .unwrap();
+    let unlimited = EvalBudget::unlimited();
+    let est = UniformVolumeEstimator::new(
+        &db,
+        &phi,
+        &[a_v, b_v],
+        &[y1, y2],
+        0.05,
+        0.1,
+        3.0,
+        &mut w,
+        &unlimited,
+    )
+    .unwrap();
     let mut max_err = 0.0f64;
     for (a, b) in [(0i64, 4i64), (0, 2), (1, 3), (1, 4), (2, 4)] {
         let (ar, br) = (rat(a, 4), rat(b, 4));
         let exact = (br.to_f64().powi(2) - ar.to_f64().powi(2)) / 2.0;
-        let mc = est.estimate(&[ar.clone(), br.clone()]).unwrap().to_f64();
+        let mc = est
+            .estimate(&[ar.clone(), br.clone()], default_threads(), &unlimited)
+            .unwrap()
+            .to_f64();
         let err = (mc - exact).abs();
         max_err = max_err.max(err);
         writeln!(
@@ -198,14 +212,25 @@ pub fn e3(out: &mut String) {
             let phi =
                 parse_formula_with("a < y1 & y1 < 1 & 0 <= y2 & y2 <= y1", &mut vars).unwrap();
             let mut w = Witness::new(1000 + t);
-            let est =
-                UniformVolumeEstimator::new(&db, &phi, &[a_v], &[y1, y2], eps, delta, 2.0, &mut w)
-                    .unwrap();
+            let unlimited = EvalBudget::unlimited();
+            let est = UniformVolumeEstimator::new(
+                &db,
+                &phi,
+                &[a_v],
+                &[y1, y2],
+                eps,
+                delta,
+                2.0,
+                &mut w,
+                &unlimited,
+            )
+            .unwrap();
             let mut sup = 0.0f64;
             for k in 0..=10 {
                 let av = Rat::new(k.into(), 10i64.into());
                 let truth = (1.0 - av.to_f64().powi(2)) / 2.0;
-                sup = sup.max((est.estimate(&[av]).unwrap().to_f64() - truth).abs());
+                let got = est.estimate(&[av], default_threads(), &unlimited).unwrap();
+                sup = sup.max((got.to_f64() - truth).abs());
             }
             if sup < eps {
                 ok += 1;
@@ -290,7 +315,17 @@ pub fn e5(out: &mut String) {
     .unwrap();
     assert!(exact.is_err());
     let mut w = Witness::new(7);
-    let mc = mc_volume_in_unit_box(&db, &f, &[y, z], 20_000, &mut w).unwrap();
+    let threads = default_threads();
+    let mc = mc_volume_in_unit_box(
+        &db,
+        &f,
+        &[y, z],
+        20_000,
+        &mut w,
+        threads,
+        &EvalBudget::unlimited(),
+    )
+    .unwrap();
     let truth = std::f64::consts::FRAC_PI_4; // arctan(1)
     writeln!(
         out,

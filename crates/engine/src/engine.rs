@@ -6,15 +6,16 @@ use crate::stats::EngineStats;
 use crate::storage::{Storage, StorageError};
 use cqa_agg::AggError;
 use cqa_analyze::{AnalyzerState, PendingChunk, Statement};
+use cqa_approx::mc::{lane_parts, Sweep};
 use cqa_approx::par;
-use cqa_approx::sample::Witness;
+use cqa_approx::sample::{hoeffding_sample_size, Witness};
+use cqa_approx::ApproxError;
 use cqa_arith::Rat;
 use cqa_core::Database;
 use cqa_geom::VolumeError;
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::{
-    parse_formula_with, ArenaStats, Batch, BatchScratch, CompiledMatrix, ConstraintClass, Formula,
-    LaneStats, SlotMap, VarMap, BATCH_LANES,
+    parse_formula_with, ArenaStats, CompiledMatrix, ConstraintClass, Formula, SlotMap, VarMap,
 };
 use cqa_poly::Var;
 use cqa_qe::QeError;
@@ -31,13 +32,8 @@ use std::time::{Duration, Instant};
 pub const MC_SEED: u64 = 0xC0A_5E55;
 
 /// Most samples one degraded answer may draw: an (ε, δ) whose Hoeffding
-/// count passes it is refused with `ERR exec` before any cache lookup. The
-/// warm sweep never consults the request budget, so this is what bounds
-/// it. The slowest kernel in the tests, the lens of
-/// `degraded_answers_report_their_steps`, sweeps ≈ 70 ns a lane (release
-/// build, 2-vCPU x86-64 host): 2²⁴ lanes took 1.2 s of the default 2 s
-/// timeout, 2²³ take ≈ 0.6 s (DESIGN §7).
-pub const MAX_SAMPLES: usize = 1 << 23;
+/// count passes it is refused with `ERR exec` before any cache lookup.
+pub use cqa_approx::sample::MAX_SAMPLES;
 
 /// Engine configuration (server-wide).
 #[derive(Clone, Debug)]
@@ -232,17 +228,6 @@ enum Answer {
         acc: Accuracy,
         reason: &'static str,
     },
-}
-
-/// Cuts lanes `0..samples` into at most `parts` contiguous ranges of
-/// whole [`BATCH_LANES`]-lane batches, in order, their batch counts
-/// differing by at most one; the last range ends at `samples`, and none
-/// is empty unless `samples` is 0.
-fn lane_parts(samples: usize, parts: usize) -> Vec<Range<usize>> {
-    let batches = samples.div_ceil(BATCH_LANES);
-    let parts = parts.clamp(1, batches.max(1));
-    let edge = |p: usize| (p * batches / parts * BATCH_LANES).min(samples);
-    (0..parts).map(|p| edge(p)..edge(p + 1)).collect()
 }
 
 /// A Monte Carlo answer: `hits` of `acc.samples` lanes fell inside.
@@ -1161,110 +1146,58 @@ impl Engine {
         }
     }
 
-    /// Hoeffding sample size for an additive (ε, δ) guarantee on `VOL_I`,
-    /// `⌈ln(2/δ)/2ε²⌉ + 1`; the one place that says which (ε, δ) a request
-    /// may ask for. `Err` names the problem: ε or δ outside (0, 1), or a
-    /// count past [`MAX_SAMPLES`] (ε = 10⁻²⁰⁰ squares to 0 and would
-    /// need infinitely many).
+    /// Hoeffding sample size for an additive (ε, δ) guarantee on `VOL_I`
+    /// ([`hoeffding_sample_size`]); what says which (ε, δ) a request may ask
+    /// for. `Err` is the text of `ERR exec`: ε or δ outside (0, 1), or a
+    /// count past [`MAX_SAMPLES`].
     pub fn sample_count(eps: f64, delta: f64) -> Result<usize, String> {
-        if !(eps > 0.0 && eps < 1.0 && delta > 0.0 && delta < 1.0) {
-            return Err(format!("eps/delta must lie in (0,1), got {eps}/{delta}"));
-        }
-        let n = ((2.0 / delta).ln() / (2.0 * eps * eps)).ceil().max(1.0) + 1.0;
-        if n > MAX_SAMPLES as f64 {
-            let shown = if n < 1e15 {
-                n.to_string()
-            } else {
-                format!("{n:.3e}")
-            };
-            return Err(format!(
-                "eps/delta {eps}/{delta} need {shown} samples, over the cap of {MAX_SAMPLES}"
-            ));
-        }
-        Ok(n as usize)
+        hoeffding_sample_size(eps, delta).map_err(|e| match e {
+            ApproxError::InvalidParameter(msg) => msg,
+            e => e.to_string(),
+        })
     }
 
     /// Deterministic Monte Carlo `VOL_I` hit counts of every entry's cached
-    /// kernel over lanes `lanes` of one sample stream: `samples` points of
-    /// `dim` coordinates from `Witness::new(MC_SEED)` make lanes
-    /// `0..samples`, and `EXEC`/`VOLUME` sweep all of them. `lanes.start`
-    /// must fall on a [`BATCH_LANES`] boundary: the witness jumps straight
-    /// to draw `lanes.start · dim` and fills one structure-of-arrays
-    /// [`Batch`] at a time from there (draws in the per-point loop's
-    /// order), so every batch is the one the whole-stream sweep fills, with
-    /// the same `max |x|` and so the same certified lanes. Each kernel
-    /// decides every lane of a batch before the next fill, so the stream
-    /// is drawn once however many kernels read it. An entry's count
-    /// depends only on the stream and its kernel: sweeping it alone, beside
-    /// others, or range by range gives the same total. Fast/exact/
-    /// box-skipped lane counts and the lanes drawn feed the service
-    /// counters behind `STATS`; the range that starts a stream counts it.
+    /// kernel, behind its absint box, over lanes `lanes` of one sample
+    /// stream: `samples` points of `dim` coordinates from
+    /// `Witness::new(MC_SEED)` make lanes `0..samples`, and `EXEC`/`VOLUME`
+    /// sweep all of them. `lanes.start` must fall on a batch boundary; an
+    /// entry's count is the same whether it is swept alone, beside others,
+    /// or range by range ([`Sweep::lanes`]). Nothing is charged to the
+    /// request budget. Fast/exact/box-skipped lane counts and the lanes
+    /// drawn feed the service counters behind `STATS`; the range that
+    /// starts a stream counts it.
     fn mc_over_kernels(
         &self,
         entries: &[&CacheEntry],
         dim: usize,
         lanes: Range<usize>,
     ) -> Vec<usize> {
-        debug_assert_eq!(lanes.start % BATCH_LANES, 0, "{lanes:?}");
-        let mut w = Witness::new(MC_SEED);
-        w.advance((lanes.start * dim) as u64);
-        let mut batch = Batch::new(dim);
-        let mut sub = Batch::new(dim);
-        let mut skipped = 0u64;
-        let mut scratch = BatchScratch::new();
-        let mut hits = vec![0usize; entries.len()];
-        let mut stats = LaneStats::default();
-        let mut done = lanes.start;
-        while done < lanes.end {
-            batch.set_len((lanes.end - done).min(BATCH_LANES));
-            w.fill_unit_columns(&mut batch, 0, dim);
-            for (entry, hits) in entries.iter().zip(&mut hits) {
-                // The absint bounding box certifies that every satisfying
-                // point lies inside it, so lanes outside are kernel-false
-                // and can skip evaluation entirely. The draws are
-                // untouched (same RNG stream) and skipped lanes contribute
-                // exactly the zero hits they would have, so the estimate
-                // is bit-identical to the unfiltered run. The box test
-                // builds lane-mask words, and the kept lanes are compacted
-                // from the words' set bits.
-                let b = match entry.mc_box.as_deref() {
-                    Some(bx) => {
-                        let keep = batch.lanes_in_box(bx);
-                        let kept = keep.count();
-                        skipped += (batch.len() - kept) as u64;
-                        if kept == 0 {
-                            continue;
-                        } else if kept == batch.len() {
-                            &batch
-                        } else {
-                            batch.compact_into(&keep, &mut sub);
-                            &sub
-                        }
-                    }
-                    None => &batch,
-                };
-                let exact = |lane: usize, slot: usize| {
-                    Rat::from_f64(b.value(slot, lane)).expect("finite sample coordinate")
-                };
-                let r = entry.kernel.eval_batch(b, &exact, &mut scratch);
-                *hits += r.mask.count();
-                stats.add(&r);
-            }
-            done += batch.len();
-        }
+        let kernels: Vec<_> = entries
+            .iter()
+            .map(|e| (&e.kernel, e.mc_box.as_deref()))
+            .collect();
+        let sweep = Sweep {
+            kernels: &kernels,
+            params: &[],
+            dim,
+            stream: &Witness::new(MC_SEED),
+        };
+        let counts = sweep
+            .lanes(lanes.clone(), &EvalBudget::unlimited(), |_, _, _| {})
+            .expect("an unlimited budget never trips");
         let s = &self.stats;
-        if skipped > 0 {
-            s.absint_box_skipped_lanes
-                .fetch_add(skipped, Ordering::Relaxed);
-        }
-        s.batch_fast_lanes.fetch_add(stats.fast, Ordering::Relaxed);
+        s.absint_box_skipped_lanes
+            .fetch_add(counts.box_skipped, Ordering::Relaxed);
+        s.batch_fast_lanes
+            .fetch_add(counts.lanes.fast, Ordering::Relaxed);
         s.batch_exact_lanes
-            .fetch_add(stats.exact, Ordering::Relaxed);
+            .fetch_add(counts.lanes.exact, Ordering::Relaxed);
         s.mc_streams
             .fetch_add(u64::from(lanes.start == 0), Ordering::Relaxed);
         s.mc_sampled_lanes
             .fetch_add(lanes.len() as u64, Ordering::Relaxed);
-        hits
+        counts.hits
     }
 
     /// Last-resort degraded path when parametric QE itself exceeded the
@@ -1767,21 +1700,10 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
         let kernel = CompiledMatrix::compile(&qf, &SlotMap::from_vars(&vars)).unwrap();
         let samples = Engine::sample_count(eps, delta).unwrap();
         let mut w = Witness::new(MC_SEED);
-        let mut batch = Batch::new(vars.len());
-        let mut hits = 0i64;
-        let mut done = 0usize;
-        while done < samples {
-            batch.set_len((samples - done).min(BATCH_LANES));
-            w.fill_unit_columns(&mut batch, 0, vars.len());
-            for lane in 0..batch.len() {
-                let point: Vec<Rat> = (0..vars.len())
-                    .map(|d| Rat::from_f64(batch.value(d, lane)).unwrap())
-                    .collect();
-                hits += i64::from(kernel.eval_rats(&point));
-            }
-            done += batch.len();
-        }
-        let estimate = Rat::new(hits.into(), (samples as i64).into());
+        let hits = (0..samples)
+            .filter(|_| kernel.eval_rats(&w.uniform_unit_point(vars.len())))
+            .count();
+        let estimate = Rat::new((hits as i64).into(), (samples as i64).into());
         format!(
             "status=approx value={estimate} eps={eps} delta={delta} samples={samples} \
              reason=nonlinear"
@@ -2011,38 +1933,6 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
         assert_eq!(b[3..], o[3..]);
         assert_eq!(EngineStats::get(&batched.stats.batch_execs), 13);
         assert_eq!(EngineStats::get(&batched.stats.mc_shared), 1);
-    }
-
-    #[test]
-    fn lane_parts_cut_whole_batches_in_order() {
-        for samples in [
-            1,
-            381,
-            BATCH_LANES,
-            BATCH_LANES + 1,
-            739,
-            26_493,
-            4 * BATCH_LANES,
-        ] {
-            let batches = samples.div_ceil(BATCH_LANES);
-            for parts in [1, 2, 3, 7, 64] {
-                let cut = lane_parts(samples, parts);
-                assert_eq!(cut.len(), parts.min(batches), "{samples} / {parts}");
-                assert_eq!(cut[0].start, 0);
-                assert_eq!(cut.last().unwrap().end, samples);
-                for pair in cut.windows(2) {
-                    assert_eq!(pair[0].end, pair[1].start, "{cut:?}");
-                }
-                let sizes: Vec<usize> = cut.iter().map(|r| r.len().div_ceil(BATCH_LANES)).collect();
-                for r in &cut {
-                    assert!(!r.is_empty() && r.start % BATCH_LANES == 0, "{cut:?}");
-                }
-                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(hi - lo <= 1, "{cut:?}");
-            }
-        }
-        let none = lane_parts(0, 2);
-        assert!(none.len() == 1 && none[0] == (0..0), "{none:?}");
     }
 
     #[test]

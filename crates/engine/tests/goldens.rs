@@ -5,10 +5,13 @@
 //! sweep is certified, how the columns are filled or how the box prefilter
 //! compacts lanes must leave every one of them as it is.
 
+use cqa_approx::mc::mc_volume_in_unit_box;
 use cqa_approx::sample::Witness;
 use cqa_arith::rat;
+use cqa_core::Database;
 use cqa_engine::{Engine, EngineConfig, EngineStats, MC_SEED};
-use cqa_logic::{Batch, BATCH_LANES};
+use cqa_logic::budget::EvalBudget;
+use cqa_logic::{parse_formula_with, Batch, BATCH_LANES};
 
 /// FNV-1a over the little-endian bytes of each value's bits.
 fn fnv(values: impl IntoIterator<Item = f64>) -> u64 {
@@ -135,5 +138,51 @@ fn warm_answers_with_non_dyadic_constants_are_pinned() {
             (want_header, want_lanes),
             "{got:#?}"
         );
+    }
+}
+
+/// There is one Monte Carlo: the library's `mc_volume_in_unit_box` over
+/// `Witness::new(MC_SEED)`, at the sample count an `EXEC` at ε = δ = 0.01
+/// draws, gives each warm region above the `value=` of its `EXEC`, on one
+/// thread and on two.
+#[test]
+fn the_library_estimator_answers_what_the_wire_does() {
+    let dist2 = "(x - 7/16)*(x - 7/16) + (y - 9/16)*(y - 9/16)";
+    let regions = [
+        ("disk", format!("{dist2} <= 1/36")),
+        ("annulus", format!("{dist2} <= 1/49 & {dist2} >= 1/196")),
+        (
+            "boxed",
+            format!("{dist2} <= 1/100 & 5/16 <= x & x <= 9/16 & 7/16 <= y & y <= 11/16"),
+        ),
+        (
+            "half",
+            format!("{dist2} + (z - 8/16)*(z - 8/16) <= 1/36 & z <= 8/16"),
+        ),
+        ("fifth", format!("{dist2} <= 1/25")),
+    ];
+    let (eps, delta) = (0.01, 0.01);
+    let samples = Engine::sample_count(eps, delta).unwrap();
+    let e = Engine::new(EngineConfig::default());
+    let mut s = e.open_session();
+    for (name, src) in &regions {
+        assert!(e.prepare(&mut s, name, src).is_ok(), "{name}");
+        let header = e.exec(&mut s, name, Some(eps), Some(delta)).header;
+        let wire = header
+            .split_whitespace()
+            .find(|t| t.starts_with("value="))
+            .unwrap_or_else(|| panic!("{header}"));
+        // The engine's point columns are the free variables by name.
+        let mut db = Database::new();
+        let f = parse_formula_with(src, db.vars_mut()).unwrap();
+        let mut vars: Vec<_> = f.free_vars().into_iter().collect();
+        vars.sort_by_key(|v| db.vars().name(*v));
+        for threads in [1, 2] {
+            let mut w = Witness::new(MC_SEED);
+            let budget = EvalBudget::unlimited();
+            let v =
+                mc_volume_in_unit_box(&db, &f, &vars, samples, &mut w, threads, &budget).unwrap();
+            assert_eq!(format!("value={v}"), wire, "{name}, threads = {threads}");
+        }
     }
 }

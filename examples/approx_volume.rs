@@ -15,10 +15,12 @@
 
 use constraint_agg::approx::km::paper_example_cost;
 use constraint_agg::approx::mc::UniformVolumeEstimator;
+use constraint_agg::approx::par::default_threads;
 use constraint_agg::approx::sample::{sample_size, Witness};
 use constraint_agg::approx::trivial::trivial_volume_approximation;
 use constraint_agg::core::Database;
 use constraint_agg::geom::volume_in_unit_box;
+use constraint_agg::logic::budget::EvalBudget;
 use constraint_agg::logic::parse_formula_with;
 use constraint_agg::prelude::*;
 
@@ -45,8 +47,10 @@ fn main() {
     let m = sample_size(eps, delta, d);
     println!("\nTheorem 4 estimator: M(ε={eps}, δ={delta}, d={d}) = {m} witness points");
     let mut w = Witness::new(2718);
-    let est = UniformVolumeEstimator::new(&db, &phi, &[r], &[x, y], eps, delta, d, &mut w)
-        .expect("Cohen–Hörmander handles the polynomial atoms");
+    let unlimited = EvalBudget::unlimited();
+    let est =
+        UniformVolumeEstimator::new(&db, &phi, &[r], &[x, y], eps, delta, d, &mut w, &unlimited)
+            .expect("Cohen–Hörmander handles the polynomial atoms");
     println!(
         "  {:>6} {:>10} {:>10} {:>8}",
         "radius", "estimate", "πr²", "error"
@@ -55,7 +59,7 @@ fn main() {
         let radius = rat(k, 10);
         let truth = std::f64::consts::PI * radius.to_f64().powi(2);
         let got = est
-            .estimate(std::slice::from_ref(&radius))
+            .estimate(std::slice::from_ref(&radius), default_threads(), &unlimited)
             .expect("parameter arity matches")
             .to_f64();
         println!(

@@ -38,8 +38,10 @@ run_capped cargo test -q --offline -p cqa-logic --test kernel_parity
 run_capped cargo test -q --release --offline -p cqa-logic --test kernel_parity
 run_capped cargo test -q --offline -p cqa-logic --lib compile::tests
 
-echo "== thread-count determinism =="
+echo "== one Monte Carlo (thread-count determinism of the library sweep; lane ranges; the library estimator over MC_SEED answers what EXEC does) =="
 run_capped cargo test -q --offline -p cqa-approx --test thread_determinism
+run_capped cargo test -q --release --offline -p cqa-approx --lib mc::tests
+run_capped cargo test -q --release --offline -p cqa-engine --test goldens the_library_estimator_answers_what_the_wire_does
 
 echo "== sample-stream jump-ahead (xoshiro256++ advance(n) vs n steps, composition, characteristic polynomial re-derived by Berlekamp–Massey; a jumped witness fills batch k of the serial stream) =="
 # Release: one parity case steps 5·2²³ draws.

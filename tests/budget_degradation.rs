@@ -12,7 +12,7 @@
 //! inclusion–exclusion intersections) is exactly where the fallback earns
 //! its keep: sampling the quantifier-free matrix is cheap.
 
-use constraint_agg::agg::{volume_with_fallback, VolumeOutcome, FALLBACK_DELTA};
+use constraint_agg::agg::{volume_with_fallback, AggError, VolumeOutcome, FALLBACK_DELTA};
 use constraint_agg::arith::{rat, Rat};
 use constraint_agg::core::Database;
 use constraint_agg::logic::budget::{BudgetResource, EvalBudget};
@@ -140,4 +140,41 @@ fn volume_with_fallback_rejects_bad_eps() {
     let f = parse_formula_with("0 <= x & x <= 1", db.vars_mut()).unwrap();
     assert!(volume_with_fallback(&db, &f, &[x], &EvalBudget::unlimited(), 0.0).is_err());
     assert!(volume_with_fallback(&db, &f, &[x], &EvalBudget::unlimited(), 1.5).is_err());
+}
+
+#[test]
+fn volume_with_fallback_returns_a_qe_trip_and_degrades_a_volume_trip() {
+    // QE trips: there is no quantifier-free matrix to sample, so the trip
+    // comes back typed, and promptly.
+    let mut db = Database::new();
+    let (f, vars) = explosive(&mut db);
+    let budget = EvalBudget::unlimited().with_deadline(Duration::from_millis(50));
+    let start = Instant::now();
+    let r = volume_with_fallback(&db, &f, &vars, &budget, 0.1);
+    let elapsed = start.elapsed();
+    assert!(matches!(r, Err(AggError::Budget(_))), "{r:?}");
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "budget trip took {elapsed:?}"
+    );
+    // The exact volume trips: the matrix QE left behind is sampled.
+    let mut db = Database::new();
+    let (f, vars) = overlapping_squares(&mut db);
+    let budget = EvalBudget::unlimited().with_deadline(Duration::from_millis(30));
+    let outcome = volume_with_fallback(&db, &f, &vars, &budget, 0.1).unwrap();
+    assert!(!outcome.is_exact(), "{outcome:?}");
+}
+
+#[test]
+fn volume_with_fallback_refuses_a_sample_count_past_the_cap() {
+    // ε = 10⁻²⁰⁰ squares to 0: its Hoeffding count is infinite, and used to
+    // wrap to 0 samples and panic on a zero denominator.
+    let mut db = Database::new();
+    let (f, vars) = overlapping_squares(&mut db);
+    let budget = EvalBudget::unlimited().with_deadline(Duration::from_millis(30));
+    let r = volume_with_fallback(&db, &f, &vars, &budget, 1e-200);
+    match r {
+        Err(AggError::Db(msg)) => assert!(msg.contains("over the cap"), "{msg}"),
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
 }
