@@ -8,7 +8,7 @@
 
 use crate::lang::AggError;
 use cqa_arith::Rat;
-use cqa_core::{enumerate_finite_with_budget, Database};
+use cqa_core::{enumerate_finite, Database};
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::{Formula, SlotMap};
 use cqa_poly::{MPoly, Var};
@@ -34,20 +34,9 @@ pub enum Aggregate {
 /// Errors with [`AggError::Db`] when the output is infinite (the aggregate
 /// would be unsafe — exactly what the range-restriction syntax of
 /// FO+POLY+SUM rules out statically) and on `AVG`/`MIN`/`MAX` of an empty
-/// output.
+/// output. Runs under the cooperative `budget` and returns
+/// [`AggError::Budget`] when its deadline, step or atom limit trips.
 pub fn aggregate(
-    db: &Database,
-    q: &Formula,
-    free: &[Var],
-    value: &MPoly,
-    agg: Aggregate,
-) -> Result<Rat, AggError> {
-    aggregate_with_budget(db, q, free, value, agg, &EvalBudget::unlimited())
-}
-
-/// [`aggregate`] under a cooperative evaluation budget; returns
-/// [`AggError::Budget`] when the deadline, step or atom limit trips.
-pub fn aggregate_with_budget(
     db: &Database,
     q: &Formula,
     free: &[Var],
@@ -55,32 +44,39 @@ pub fn aggregate_with_budget(
     agg: Aggregate,
     budget: &EvalBudget,
 ) -> Result<Rat, AggError> {
-    let expanded = db.expand(q).map_err(|e| AggError::Db(e.to_string()))?;
-    let qf = cqa_qe::eliminate(&expanded, budget)?;
-    let tuples = enumerate_finite_with_budget(&qf, free, budget)?;
+    let qf = cqa_qe::eliminate(&db.expand(q)?, budget)?;
+    let tuples = enumerate_finite(&qf, free, budget)?;
     let slots = SlotMap::from_vars(free);
     let values: Vec<Rat> = tuples
         .iter()
         .map(|t| value.eval(&slots.assignment(t)))
         .collect();
-    match agg {
-        Aggregate::Count => Ok(Rat::from(values.len() as i64)),
-        Aggregate::Sum => Ok(values.into_iter().fold(Rat::zero(), |a, b| a + b)),
-        Aggregate::Avg => {
-            if values.is_empty() {
-                return Err(AggError::Db("AVG of an empty set".into()));
+    agg.reduce(values)
+}
+
+impl Aggregate {
+    /// Reduces a bag of values; `AVG`/`MIN`/`MAX` of an empty bag is an
+    /// error.
+    pub(crate) fn reduce(self, values: Vec<Rat>) -> Result<Rat, AggError> {
+        let n = Rat::from(values.len() as i64);
+        match self {
+            Aggregate::Count => Ok(n),
+            Aggregate::Sum => Ok(values.into_iter().fold(Rat::zero(), |a, b| a + b)),
+            Aggregate::Avg => {
+                if values.is_empty() {
+                    return Err(AggError::Db("AVG of an empty set".into()));
+                }
+                Ok(values.into_iter().fold(Rat::zero(), |a, b| a + b) / n)
             }
-            let n = Rat::from(values.len() as i64);
-            Ok(values.into_iter().fold(Rat::zero(), |a, b| a + b) / n)
+            Aggregate::Min => values
+                .into_iter()
+                .min()
+                .ok_or_else(|| AggError::Db("MIN of an empty set".into())),
+            Aggregate::Max => values
+                .into_iter()
+                .max()
+                .ok_or_else(|| AggError::Db("MAX of an empty set".into())),
         }
-        Aggregate::Min => values
-            .into_iter()
-            .min()
-            .ok_or_else(|| AggError::Db("MIN of an empty set".into())),
-        Aggregate::Max => values
-            .into_iter()
-            .max()
-            .ok_or_else(|| AggError::Db("MAX of an empty set".into())),
     }
 }
 
@@ -89,6 +85,10 @@ mod tests {
     use super::*;
     use cqa_arith::rat;
     use cqa_logic::parse_formula_with;
+
+    fn unlimited() -> EvalBudget {
+        EvalBudget::unlimited()
+    }
 
     fn setup() -> (Database, Vec<Var>) {
         let mut db = Database::new();
@@ -102,28 +102,17 @@ mod tests {
     fn count_sum_avg() {
         let (mut db, free) = setup();
         let q = parse_formula_with("U(x)", db.vars_mut()).unwrap();
-        let x = free[0];
-        let idty = MPoly::var(x);
-        assert_eq!(
-            aggregate(&db, &q, &free, &idty, Aggregate::Count).unwrap(),
-            rat(3, 1)
-        );
-        assert_eq!(
-            aggregate(&db, &q, &free, &idty, Aggregate::Sum).unwrap(),
-            rat(13, 2)
-        );
-        assert_eq!(
-            aggregate(&db, &q, &free, &idty, Aggregate::Avg).unwrap(),
-            rat(13, 6)
-        );
-        assert_eq!(
-            aggregate(&db, &q, &free, &idty, Aggregate::Min).unwrap(),
-            rat(1, 1)
-        );
-        assert_eq!(
-            aggregate(&db, &q, &free, &idty, Aggregate::Max).unwrap(),
-            rat(7, 2)
-        );
+        let idty = MPoly::var(free[0]);
+        for (agg, want) in [
+            (Aggregate::Count, rat(3, 1)),
+            (Aggregate::Sum, rat(13, 2)),
+            (Aggregate::Avg, rat(13, 6)),
+            (Aggregate::Min, rat(1, 1)),
+            (Aggregate::Max, rat(7, 2)),
+        ] {
+            let got = aggregate(&db, &q, &free, &idty, agg, &unlimited());
+            assert_eq!(got, Ok(want), "{agg:?}");
+        }
     }
 
     #[test]
@@ -134,7 +123,7 @@ mod tests {
         // Σ x² over {2, 7/2} = 4 + 49/4 = 65/4.
         let sq = MPoly::var(x).pow(2);
         assert_eq!(
-            aggregate(&db, &q, &free, &sq, Aggregate::Sum).unwrap(),
+            aggregate(&db, &q, &free, &sq, Aggregate::Sum, &unlimited()).unwrap(),
             rat(65, 4)
         );
     }
@@ -145,7 +134,7 @@ mod tests {
         db.define("S", &["x"], "0 <= x & x <= 1").unwrap();
         let x = db.vars_mut().get("x").unwrap();
         let q = parse_formula_with("S(x)", db.vars_mut()).unwrap();
-        let r = aggregate(&db, &q, &[x], &MPoly::var(x), Aggregate::Sum);
+        let r = aggregate(&db, &q, &[x], &MPoly::var(x), Aggregate::Sum, &unlimited());
         assert!(matches!(r, Err(AggError::Db(_))));
     }
 
@@ -156,15 +145,15 @@ mod tests {
         let x = free[0];
         let idty = MPoly::var(x);
         assert_eq!(
-            aggregate(&db, &q, &free, &idty, Aggregate::Count).unwrap(),
+            aggregate(&db, &q, &free, &idty, Aggregate::Count, &unlimited()).unwrap(),
             rat(0, 1)
         );
         assert_eq!(
-            aggregate(&db, &q, &free, &idty, Aggregate::Sum).unwrap(),
+            aggregate(&db, &q, &free, &idty, Aggregate::Sum, &unlimited()).unwrap(),
             rat(0, 1)
         );
-        assert!(aggregate(&db, &q, &free, &idty, Aggregate::Avg).is_err());
-        assert!(aggregate(&db, &q, &free, &idty, Aggregate::Min).is_err());
+        assert!(aggregate(&db, &q, &free, &idty, Aggregate::Avg, &unlimited()).is_err());
+        assert!(aggregate(&db, &q, &free, &idty, Aggregate::Min, &unlimited()).is_err());
     }
 
     #[test]
@@ -181,7 +170,7 @@ mod tests {
         // Σ (x·y) = 0 + 6.
         let prod = MPoly::var(x) * MPoly::var(y);
         assert_eq!(
-            aggregate(&db, &q, &[x, y], &prod, Aggregate::Sum).unwrap(),
+            aggregate(&db, &q, &[x, y], &prod, Aggregate::Sum, &unlimited()).unwrap(),
             rat(6, 1)
         );
     }
@@ -195,8 +184,26 @@ mod tests {
         let x = db.vars_mut().get("x").unwrap();
         let q = parse_formula_with("R(x)", db.vars_mut()).unwrap();
         assert_eq!(
-            aggregate(&db, &q, &[x], &MPoly::var(x), Aggregate::Sum).unwrap(),
+            aggregate(&db, &q, &[x], &MPoly::var(x), Aggregate::Sum, &unlimited()).unwrap(),
             rat(3, 1) // 1 + 2
         );
+    }
+
+    #[test]
+    fn free_variable_left_out_of_the_output_is_named() {
+        // `y` is free in the query but not an output column: the output
+        // over `[x]` would depend on an assignment nobody supplied.
+        let mut db = Database::new();
+        let [x, y] = ["x", "y"].map(|n| db.vars_mut().intern(n));
+        let q = parse_formula_with("x = y & y = 1", db.vars_mut()).unwrap();
+        let value = MPoly::var(x);
+        let r = aggregate(&db, &q, &[x], &value, Aggregate::Sum, &unlimited());
+        let Err(AggError::Db(msg)) = &r else {
+            panic!("expected the unbound variable, got {r:?}")
+        };
+        assert!(msg.contains(&format!("(index {})", y.0)), "{msg}");
+        // With `y` among the output columns the same query answers.
+        let r = aggregate(&db, &q, &[x, y], &value, Aggregate::Sum, &unlimited());
+        assert_eq!(r, Ok(rat(1, 1)));
     }
 }

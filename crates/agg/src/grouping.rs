@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use crate::aggregate::Aggregate;
 use crate::lang::AggError;
 use cqa_arith::Rat;
-use cqa_core::{enumerate_finite_with_budget, Database, SafetyError};
+use cqa_core::{enumerate_finite, Database, SafetyError};
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::{Formula, SlotMap};
 use cqa_poly::{MPoly, Var};
@@ -25,20 +25,10 @@ use cqa_poly::{MPoly, Var};
 ///
 /// Returns `(key, aggregate)` pairs sorted by key. Empty groups do not
 /// occur (keys come from actual tuples), so `AVG`/`MIN`/`MAX` are total.
+///
+/// Runs under the cooperative `budget`: one step per partitioned tuple,
+/// plus whatever QE and enumeration charge.
 pub fn group_aggregate(
-    db: &Database,
-    q: &Formula,
-    free: &[Var],
-    group_by: &[Var],
-    value: &MPoly,
-    agg: Aggregate,
-) -> Result<Vec<(Vec<Rat>, Rat)>, AggError> {
-    group_aggregate_with_budget(db, q, free, group_by, value, agg, &EvalBudget::unlimited())
-}
-
-/// [`group_aggregate`] under a cooperative evaluation budget: one step per
-/// partitioned tuple, plus whatever QE and enumeration charge.
-pub fn group_aggregate_with_budget(
     db: &Database,
     q: &Formula,
     free: &[Var],
@@ -57,9 +47,8 @@ pub fn group_aggregate_with_budget(
                 .ok_or_else(|| AggError::GroupByNotInOutput(format!("{g:?}")))
         })
         .collect::<Result<_, _>>()?;
-    let expanded = db.expand(q).map_err(|e| AggError::Db(e.to_string()))?;
-    let qf = cqa_qe::eliminate(&expanded, budget)?;
-    let tuples = enumerate_finite_with_budget(&qf, free, budget).map_err(|e| match e {
+    let qf = cqa_qe::eliminate(&db.expand(q)?, budget)?;
+    let tuples = enumerate_finite(&qf, free, budget).map_err(|e| match e {
         SafetyError::Infinite => AggError::Db("grouping over an infinite set".into()),
         e => AggError::from(e),
     })?;
@@ -75,29 +64,11 @@ pub fn group_aggregate_with_budget(
         groups.entry(key).or_default().push(val);
     }
 
+    // Groups are created with their first value, so every reduction is
+    // over a non-empty bag.
     groups
         .into_iter()
-        .map(|(key, vals)| {
-            let n = vals.len();
-            let reduced = match agg {
-                Aggregate::Count => Rat::from(n as i64),
-                Aggregate::Sum => vals.into_iter().fold(Rat::zero(), |a, b| a + b),
-                Aggregate::Avg => {
-                    vals.into_iter().fold(Rat::zero(), |a, b| a + b) / Rat::from(n as i64)
-                }
-                // Groups are created with their first value, so `min`/`max`
-                // of an entry is always defined; the error arm is defensive.
-                Aggregate::Min => vals
-                    .into_iter()
-                    .min()
-                    .ok_or_else(|| AggError::Db("MIN of an empty group".into()))?,
-                Aggregate::Max => vals
-                    .into_iter()
-                    .max()
-                    .ok_or_else(|| AggError::Db("MAX of an empty group".into()))?,
-            };
-            Ok((key, reduced))
-        })
+        .map(|(key, vals)| Ok((key, agg.reduce(vals)?)))
         .collect()
 }
 
@@ -107,9 +78,14 @@ mod tests {
     use cqa_arith::rat;
     use cqa_logic::parse_formula_with;
 
-    fn sales_db() -> Database {
+    fn unlimited() -> EvalBudget {
+        EvalBudget::unlimited()
+    }
+
+    /// `agg` of the amount `a` over the query `src` on the table
+    /// `Sales(r, a)` (region, amount), grouped by the named columns.
+    fn sales(src: &str, by: &[&str], agg: Aggregate) -> Result<Vec<(Vec<Rat>, Rat)>, AggError> {
         let mut db = Database::new();
-        // Sales(region, amount)
         db.add_finite_relation(
             "Sales",
             vec![
@@ -122,16 +98,16 @@ mod tests {
             ],
         )
         .unwrap();
-        db
+        let r = db.vars_mut().intern("r");
+        let a = db.vars_mut().intern("a");
+        let by: Vec<Var> = by.iter().map(|n| db.vars_mut().intern(n)).collect();
+        let q = parse_formula_with(src, db.vars_mut()).unwrap();
+        group_aggregate(&db, &q, &[r, a], &by, &MPoly::var(a), agg, &unlimited())
     }
 
     #[test]
     fn group_sums() {
-        let mut db = sales_db();
-        let r = db.vars_mut().intern("r");
-        let a = db.vars_mut().intern("a");
-        let q = parse_formula_with("Sales(r, a)", db.vars_mut()).unwrap();
-        let out = group_aggregate(&db, &q, &[r, a], &[r], &MPoly::var(a), Aggregate::Sum).unwrap();
+        let out = sales("Sales(r, a)", &["r"], Aggregate::Sum).unwrap();
         assert_eq!(
             out,
             vec![
@@ -144,26 +120,17 @@ mod tests {
 
     #[test]
     fn group_counts_and_avg() {
-        let mut db = sales_db();
-        let r = db.vars_mut().intern("r");
-        let a = db.vars_mut().intern("a");
-        let q = parse_formula_with("Sales(r, a)", db.vars_mut()).unwrap();
-        let counts =
-            group_aggregate(&db, &q, &[r, a], &[r], &MPoly::var(a), Aggregate::Count).unwrap();
+        let counts = sales("Sales(r, a)", &["r"], Aggregate::Count).unwrap();
         assert_eq!(counts[0].1, rat(2, 1));
         assert_eq!(counts[1].1, rat(3, 1));
-        let avgs = group_aggregate(&db, &q, &[r, a], &[r], &MPoly::var(a), Aggregate::Avg).unwrap();
+        let avgs = sales("Sales(r, a)", &["r"], Aggregate::Avg).unwrap();
         assert_eq!(avgs[0].1, rat(15, 1));
         assert_eq!(avgs[1].1, rat(7, 1));
     }
 
     #[test]
     fn grouping_respects_where_clause() {
-        let mut db = sales_db();
-        let r = db.vars_mut().intern("r");
-        let a = db.vars_mut().intern("a");
-        let q = parse_formula_with("Sales(r, a) & a >= 9", db.vars_mut()).unwrap();
-        let out = group_aggregate(&db, &q, &[r, a], &[r], &MPoly::var(a), Aggregate::Max).unwrap();
+        let out = sales("Sales(r, a) & a >= 9", &["r"], Aggregate::Max).unwrap();
         assert_eq!(
             out,
             vec![
@@ -176,12 +143,7 @@ mod tests {
 
     #[test]
     fn group_by_all_columns_is_identity_count() {
-        let mut db = sales_db();
-        let r = db.vars_mut().intern("r");
-        let a = db.vars_mut().intern("a");
-        let q = parse_formula_with("Sales(r, a)", db.vars_mut()).unwrap();
-        let out =
-            group_aggregate(&db, &q, &[r, a], &[r, a], &MPoly::var(a), Aggregate::Count).unwrap();
+        let out = sales("Sales(r, a)", &["r", "a"], Aggregate::Count).unwrap();
         assert_eq!(out.len(), 6);
         assert!(out.iter().all(|(_, c)| *c == rat(1, 1)));
     }
@@ -197,8 +159,16 @@ mod tests {
         let v = db.vars_mut().intern("v");
         // Pairs (k, v) with v > k.
         let q = parse_formula_with("K(k) & V(v) & v > k", db.vars_mut()).unwrap();
-        let out =
-            group_aggregate(&db, &q, &[k, v], &[k], &MPoly::var(v), Aggregate::Count).unwrap();
+        let out = group_aggregate(
+            &db,
+            &q,
+            &[k, v],
+            &[k],
+            &MPoly::var(v),
+            Aggregate::Count,
+            &unlimited(),
+        )
+        .unwrap();
         assert_eq!(
             out,
             vec![(vec![rat(1, 1)], rat(2, 1)), (vec![rat(2, 1)], rat(1, 1))]
@@ -207,13 +177,7 @@ mod tests {
 
     #[test]
     fn group_by_column_outside_output_is_a_typed_error() {
-        let mut db = sales_db();
-        let r = db.vars_mut().intern("r");
-        let a = db.vars_mut().intern("a");
-        let z = db.vars_mut().intern("z");
-        let q = parse_formula_with("Sales(r, a)", db.vars_mut()).unwrap();
-        let err =
-            group_aggregate(&db, &q, &[r, a], &[z], &MPoly::var(a), Aggregate::Sum).unwrap_err();
+        let err = sales("Sales(r, a)", &["z"], Aggregate::Sum).unwrap_err();
         assert!(matches!(err, AggError::GroupByNotInOutput(_)), "{err}");
     }
 
@@ -223,6 +187,15 @@ mod tests {
         db.define("S", &["x"], "0 <= x & x <= 1").unwrap();
         let x = db.vars_mut().get("x").unwrap();
         let q = parse_formula_with("S(x)", db.vars_mut()).unwrap();
-        assert!(group_aggregate(&db, &q, &[x], &[x], &MPoly::var(x), Aggregate::Count).is_err());
+        assert!(group_aggregate(
+            &db,
+            &q,
+            &[x],
+            &[x],
+            &MPoly::var(x),
+            Aggregate::Count,
+            &unlimited()
+        )
+        .is_err());
     }
 }

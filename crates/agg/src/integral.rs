@@ -21,10 +21,9 @@
 //! the polynomial.
 
 use crate::lang::AggError;
-use crate::volume::volume_by_sweep_2d;
+use crate::volume::{sweep_breakpoints, volume_by_sweep_2d};
 use cqa_arith::Rat;
 use cqa_core::decompose_1d;
-use cqa_logic::budget::EvalBudget;
 use cqa_logic::Formula;
 use cqa_poly::{MPoly, RealAlg, UPoly, Var};
 
@@ -43,8 +42,7 @@ pub fn integral_over_2d(f: &Formula, x: Var, y: Var, p: &MPoly) -> Result<Rat, A
     // x-dependence of p gives total degree ≤ deg(p) + 1.
     let degree_bound = (p.total_degree().unwrap_or(0) + 1) as usize;
 
-    // Breakpoints: reuse the arrangement analysis of the volume sweep by
-    // collecting candidate x-values the same way.
+    // Breakpoints: the arrangement analysis of the volume sweep.
     let breaks = sweep_breakpoints(f, x, y)?;
     if breaks.len() < 2 {
         return Ok(Rat::zero());
@@ -83,8 +81,15 @@ pub fn average_over_2d(f: &Formula, x: Var, y: Var, p: &MPoly) -> Result<Rat, Ag
     Ok(integral_over_2d(f, x, y, p)? / vol)
 }
 
-/// The inner integral `∫_{S_{x0}} p(x0, y) dy` (sections must be bounded).
-fn section_integral(f: &Formula, x: Var, y: Var, p: &MPoly, x0: &Rat) -> Result<Rat, AggError> {
+/// The inner integral `∫_{S_{x0}} p(x0, y) dy` (sections must be bounded);
+/// with `p = 1`, the length of the section.
+pub(crate) fn section_integral(
+    f: &Formula,
+    x: Var,
+    y: Var,
+    p: &MPoly,
+    x0: &Rat,
+) -> Result<Rat, AggError> {
     let sec = f.subst_rat(x, x0);
     let ivs = decompose_1d(&sec, y).ok_or(AggError::NotOneDimensional)?;
     let integrand: UPoly = p
@@ -106,69 +111,8 @@ fn section_integral(f: &Formula, x: Var, y: Var, p: &MPoly, x0: &Rat) -> Result<
     Ok(total)
 }
 
-fn rational_of(a: &RealAlg) -> Result<Rat, AggError> {
+pub(crate) fn rational_of(a: &RealAlg) -> Result<Rat, AggError> {
     a.as_rational().cloned().ok_or(AggError::IrrationalEndpoint)
-}
-
-/// Breakpoint candidates of the sweep: support endpoints, vertical lines,
-/// and pairwise line intersections (same analysis as the volume sweep).
-fn sweep_breakpoints(f: &Formula, x: Var, y: Var) -> Result<Vec<Rat>, AggError> {
-    let shadow = Formula::exists(vec![y], f.clone());
-    let proj = cqa_qe::fourier_motzkin(&shadow, &EvalBudget::unlimited())?;
-    let support = decompose_1d(&proj, x).ok_or(AggError::NotOneDimensional)?;
-    let mut breaks: Vec<Rat> = Vec::new();
-    let mut push = |r: Rat| {
-        if !breaks.contains(&r) {
-            breaks.push(r);
-        }
-    };
-    for iv in &support {
-        for e in iv.finite_endpoints() {
-            push(rational_of(&e)?);
-        }
-    }
-    let mut lines: Vec<(Rat, Rat, Rat)> = Vec::new();
-    let mut bad = false;
-    f.visit(&mut |g| {
-        if let Formula::Atom(at) = g {
-            let mut a = Rat::zero();
-            let mut b = Rat::zero();
-            let mut c = Rat::zero();
-            for (m, coeff) in at.poly.terms() {
-                match m {
-                    [] => c = coeff.clone(),
-                    [(v, 1)] if *v == x => a = coeff.clone(),
-                    [(v, 1)] if *v == y => b = coeff.clone(),
-                    _ => bad = true,
-                }
-            }
-            lines.push((a, b, c));
-        }
-    });
-    if bad {
-        return Err(AggError::Db(
-            "integral needs linear atoms over (x, y)".into(),
-        ));
-    }
-    for (i, (a1, b1, c1)) in lines.iter().enumerate() {
-        if b1.is_zero() {
-            if !a1.is_zero() {
-                push(-(c1 / a1));
-            }
-            continue;
-        }
-        for (a2, b2, c2) in &lines[i + 1..] {
-            if b2.is_zero() {
-                continue;
-            }
-            let denom = a1 * b2 - a2 * b1;
-            if !denom.is_zero() {
-                push((b1 * c2 - b2 * c1) / &denom);
-            }
-        }
-    }
-    breaks.sort();
-    Ok(breaks)
 }
 
 /// Exact Lagrange interpolation through `(xs[i], ys[i])`.

@@ -2,7 +2,7 @@
 //! summation.
 
 use cqa_arith::Rat;
-use cqa_core::{decompose_1d, Database, DbError, Endpoint, SafetyError};
+use cqa_core::{decompose_1d, Database, DbError, Endpoint, Interval1D, SafetyError};
 use cqa_logic::budget::{BudgetExceeded, EvalBudget};
 use cqa_logic::Formula;
 use cqa_poly::{RealAlg, Var};
@@ -29,6 +29,14 @@ pub enum AggError {
     NotDeterministic,
     /// A γ formula expected to be total was undefined at some input.
     GammaPartial,
+    /// A γ formula was applied to a number of arguments other than its
+    /// number of input variables.
+    Arity {
+        /// `in_vars.len()`.
+        expected: usize,
+        /// The number of arguments supplied.
+        got: usize,
+    },
     /// A `GROUP BY` column is not among the query's output columns.
     GroupByNotInOutput(String),
     /// An eliminated formula left a residue that could not be evaluated
@@ -49,6 +57,9 @@ impl std::fmt::Display for AggError {
             AggError::IrrationalEndpoint => write!(f, "irrational interval endpoint"),
             AggError::NotDeterministic => write!(f, "γ formula is not deterministic"),
             AggError::GammaPartial => write!(f, "γ formula is undefined at some input"),
+            AggError::Arity { expected, got } => {
+                write!(f, "γ formula takes {expected} arguments, applied to {got}")
+            }
             AggError::GroupByNotInOutput(v) => {
                 write!(f, "GROUP BY column {v} is not among the output columns")
             }
@@ -91,14 +102,9 @@ impl From<SafetyError> for AggError {
 
 /// `END[y, φ(y)]` evaluated against a database: the endpoints of the
 /// maximal intervals composing `{y : φ(y)}` (after substituting relation
-/// definitions and eliminating quantifiers). `φ` must have `y` as its only
-/// free variable.
-pub fn end_points(db: &Database, phi: &Formula, y: Var) -> Result<Vec<RealAlg>, AggError> {
-    end_points_with_budget(db, phi, y, &EvalBudget::unlimited())
-}
-
-/// [`end_points`] under a cooperative evaluation budget.
-pub fn end_points_with_budget(
+/// definitions and eliminating quantifiers, under `budget`). `φ` must have
+/// `y` as its only free variable.
+pub fn end_points(
     db: &Database,
     phi: &Formula,
     y: Var,
@@ -108,13 +114,9 @@ pub fn end_points_with_budget(
     let qf = cqa_qe::eliminate(&expanded, budget)?;
     let ivs = decompose_1d(&qf, y).ok_or(AggError::NotOneDimensional)?;
     let mut out: Vec<RealAlg> = Vec::new();
-    for iv in ivs {
-        for e in [&iv.lo, &iv.hi] {
-            if let Endpoint::Value(a, _) = e {
-                if !out.contains(a) {
-                    out.push(a.clone());
-                }
-            }
+    for a in ivs.iter().flat_map(Interval1D::finite_endpoints) {
+        if !out.contains(&a) {
+            out.push(a);
         }
     }
     out.sort();
@@ -122,8 +124,13 @@ pub fn end_points_with_budget(
 }
 
 /// Rational endpoints of `END[y, φ]`, erroring on irrational ones.
-pub fn end_points_rational(db: &Database, phi: &Formula, y: Var) -> Result<Vec<Rat>, AggError> {
-    end_points(db, phi, y)?
+pub fn end_points_rational(
+    db: &Database,
+    phi: &Formula,
+    y: Var,
+    budget: &EvalBudget,
+) -> Result<Vec<Rat>, AggError> {
+    end_points(db, phi, y, budget)?
         .into_iter()
         .map(|a| match a {
             RealAlg::Rational(r) => Ok(r),
@@ -150,26 +157,12 @@ pub struct RangeRestricted {
 
 impl RangeRestricted {
     /// Enumerates `ρ(D)`: all tuples of endpoints satisfying the filter.
-    /// Requires rational endpoints (semi-linear `φ₂`).
-    pub fn enumerate(&self, db: &Database) -> Result<Vec<Vec<Rat>>, AggError> {
-        self.enumerate_with_budget(db, &EvalBudget::unlimited())
-    }
-
-    /// [`Self::enumerate`] under a cooperative evaluation budget: one step
-    /// is charged per candidate tuple (the odometer over endpoint tuples is
-    /// the combinatorial blow-up here — `|END|^k` filter evaluations).
-    pub fn enumerate_with_budget(
-        &self,
-        db: &Database,
-        budget: &EvalBudget,
-    ) -> Result<Vec<Vec<Rat>>, AggError> {
-        let ends = end_points_with_budget(db, &self.end_formula, self.end_var, budget)?
-            .into_iter()
-            .map(|a| match a {
-                RealAlg::Rational(r) => Ok(r),
-                _ => Err(AggError::IrrationalEndpoint),
-            })
-            .collect::<Result<Vec<Rat>, AggError>>()?;
+    /// Requires rational endpoints (semi-linear `φ₂`). One step of the
+    /// cooperative `budget` is charged per candidate tuple (the odometer
+    /// over endpoint tuples is the combinatorial blow-up here — `|END|^k`
+    /// filter evaluations).
+    pub fn enumerate(&self, db: &Database, budget: &EvalBudget) -> Result<Vec<Vec<Rat>>, AggError> {
+        let ends = end_points_rational(db, &self.end_formula, self.end_var, budget)?;
         let k = self.tuple_vars.len();
         let mut out = Vec::new();
         let mut idx = vec![0usize; k];
@@ -227,18 +220,20 @@ pub struct Deterministic {
 }
 
 impl Deterministic {
-    /// Applies the partial function at `w⃗ = args`; `None` where undefined.
-    pub fn apply(&self, db: &Database, args: &[Rat]) -> Result<Option<Rat>, AggError> {
-        self.apply_with_budget(db, args, &EvalBudget::unlimited())
-    }
-
-    /// [`Self::apply`] under a cooperative evaluation budget.
-    pub fn apply_with_budget(
+    /// Applies the partial function at `w⃗ = args` under `budget`; `None`
+    /// where undefined. `args` must supply one value per input variable.
+    pub fn apply(
         &self,
         db: &Database,
         args: &[Rat],
         budget: &EvalBudget,
     ) -> Result<Option<Rat>, AggError> {
+        if args.len() != self.in_vars.len() {
+            return Err(AggError::Arity {
+                expected: self.in_vars.len(),
+                got: args.len(),
+            });
+        }
         budget.check()?;
         let mut f = db.expand(&self.formula)?;
         for (v, x) in self.in_vars.iter().zip(args) {
@@ -266,17 +261,9 @@ impl Deterministic {
 /// Decides whether `γ(x, w⃗)` is deterministic:
 /// `∀w⃗ ∀x ∀x'. γ(x, w⃗) ∧ γ(x', w⃗) → x = x'` — a sentence the QE engine
 /// decides (the paper notes "it is decidable if a formula is
-/// deterministic").
-pub fn is_deterministic(gamma: &Deterministic) -> Result<bool, AggError> {
-    is_deterministic_with_budget(gamma, &EvalBudget::unlimited())
-}
-
-/// [`is_deterministic`] under a cooperative evaluation budget (the check
-/// is itself a QE problem, and so can blow up).
-pub fn is_deterministic_with_budget(
-    gamma: &Deterministic,
-    budget: &EvalBudget,
-) -> Result<bool, AggError> {
+/// deterministic"). The check is itself a QE problem, and so can blow up;
+/// it runs under `budget`.
+pub fn is_deterministic(gamma: &Deterministic, budget: &EvalBudget) -> Result<bool, AggError> {
     let f = &gamma.formula;
     if !f.is_relation_free() {
         // Relation atoms are database-dependent; conservatively reject.
@@ -313,29 +300,25 @@ impl SumTerm {
     /// the QE-based sentence check entirely; this also admits relational γ
     /// with a pinning conjunct, which the semantic check conservatively
     /// rejects.
-    pub fn eval(&self, db: &Database) -> Result<Rat, AggError> {
-        self.eval_with_budget(db, &EvalBudget::unlimited())
-    }
-
-    /// [`Self::eval`] under a cooperative evaluation budget: the budget is
-    /// threaded through the determinism check, the range enumeration and
-    /// each per-tuple γ application, so a runaway sum returns
-    /// [`AggError::Budget`] instead of hanging. When the budget is not hit
-    /// the result is bit-identical to the unbudgeted one.
+    ///
+    /// The cooperative `budget` is threaded through the determinism check,
+    /// the range enumeration and each per-tuple γ application, so a
+    /// runaway sum returns [`AggError::Budget`] instead of hanging. When the
+    /// budget is not hit the result does not depend on it.
     pub fn eval_with_budget(&self, db: &Database, budget: &EvalBudget) -> Result<Rat, AggError> {
         let certified = cqa_core::is_syntactically_deterministic(
             &self.gamma.formula,
             self.gamma.out_var,
             &self.gamma.in_vars,
         );
-        if !certified && !is_deterministic_with_budget(&self.gamma, budget)? {
+        if !certified && !is_deterministic(&self.gamma, budget)? {
             return Err(AggError::NotDeterministic);
         }
-        let tuples = self.range.enumerate_with_budget(db, budget)?;
+        let tuples = self.range.enumerate(db, budget)?;
         let mut total = Rat::zero();
         for t in tuples {
             budget.check()?;
-            if let Some(v) = self.gamma.apply_with_budget(db, &t, budget)? {
+            if let Some(v) = self.gamma.apply(db, &t, budget)? {
                 total += &v;
             }
         }
@@ -349,35 +332,52 @@ mod tests {
     use cqa_arith::rat;
     use cqa_logic::parse_formula_with;
 
+    fn unlimited() -> EvalBudget {
+        EvalBudget::unlimited()
+    }
+
+    /// The database `S(y) ≡ s` and the term `Σ_ρ γ`, where
+    /// `ρ(w⃗) ≡ (filter | END[y, S(y)])` ranges over the tuple variables
+    /// `ws` and `γ(xout, w⃗)` is the summand.
+    fn sum_over_s(s: &str, filter: &str, ws: &[&str], gamma: &str) -> (Database, SumTerm) {
+        let mut db = Database::new();
+        db.define("S", &["y"], s).unwrap();
+        let y = db.vars_mut().intern("y");
+        let ws: Vec<Var> = ws.iter().map(|w| db.vars_mut().intern(w)).collect();
+        let out_var = db.vars_mut().intern("xout");
+        let mut parse = |src: &str| parse_formula_with(src, db.vars_mut()).unwrap();
+        let term = SumTerm {
+            range: RangeRestricted {
+                filter: parse(filter),
+                tuple_vars: ws.clone(),
+                end_var: y,
+                end_formula: parse("S(y)"),
+            },
+            gamma: Deterministic {
+                out_var,
+                in_vars: ws,
+                formula: parse(gamma),
+            },
+        };
+        (db, term)
+    }
+
     /// The paper's first example (§5): the sum of all endpoints of the
     /// intervals composing φ(D).
     #[test]
     fn sum_of_endpoints_example() {
-        let mut db = Database::new();
-        // S = [0, 1/2] ∪ [3/4, 2].
-        db.define("S", &["y"], "(0 <= y & y <= 0.5) | (0.75 <= y & y <= 2)")
-            .unwrap();
-        let y = db.vars_mut().intern("y");
-        let w = db.vars_mut().intern("w");
-        let x = db.vars_mut().intern("xout");
-        let phi2 = parse_formula_with("S(y)", db.vars_mut()).unwrap();
-
-        // γ(x, w) ≡ x = w; ρ(w) = (w = w | END[y, S(y)]).
-        let term = SumTerm {
-            range: RangeRestricted {
-                filter: Formula::True,
-                tuple_vars: vec![w],
-                end_var: y,
-                end_formula: phi2,
-            },
-            gamma: Deterministic {
-                out_var: x,
-                in_vars: vec![w],
-                formula: parse_formula_with("xout = w", db.vars_mut()).unwrap(),
-            },
-        };
+        // S = [0, 1/2] ∪ [3/4, 2]; γ(x, w) ≡ x = w; ρ(w) = (w = w | END[y, S(y)]).
+        let (db, term) = sum_over_s(
+            "(0 <= y & y <= 0.5) | (0.75 <= y & y <= 2)",
+            "true",
+            &["w"],
+            "xout = w",
+        );
         // 0 + 1/2 + 3/4 + 2 = 13/4.
-        assert_eq!(term.eval(&db).unwrap(), rat(13, 4));
+        assert_eq!(
+            term.eval_with_budget(&db, &unlimited()).unwrap(),
+            rat(13, 4)
+        );
     }
 
     #[test]
@@ -387,7 +387,7 @@ mod tests {
         let y = db.vars_mut().intern("y");
         // φ(y) = S(y) ∧ y ≥ 1/2: endpoints {1/2, 1}.
         let phi = parse_formula_with("S(y) & y >= 0.5", db.vars_mut()).unwrap();
-        let ends = end_points_rational(&db, &phi, y).unwrap();
+        let ends = end_points_rational(&db, &phi, y, &unlimited()).unwrap();
         assert_eq!(ends, vec![rat(1, 2), rat(1, 1)]);
     }
 
@@ -399,7 +399,7 @@ mod tests {
         let x = db.vars_mut().intern("x");
         // END[x, ∃y T(x,y)] = {0, 1}.
         let phi = parse_formula_with("exists y. T(x, y)", db.vars_mut()).unwrap();
-        let ends = end_points_rational(&db, &phi, x).unwrap();
+        let ends = end_points_rational(&db, &phi, x, &unlimited()).unwrap();
         assert_eq!(ends, vec![rat(0, 1), rat(1, 1)]);
     }
 
@@ -410,12 +410,12 @@ mod tests {
         let y = db.vars_mut().intern("y");
         let phi = parse_formula_with("D(y)", db.vars_mut()).unwrap();
         // Exact algebraic endpoints are available...
-        let ends = end_points(&db, &phi, y).unwrap();
+        let ends = end_points(&db, &phi, y, &unlimited()).unwrap();
         assert_eq!(ends.len(), 2);
         assert!((ends[1].to_f64() - std::f64::consts::SQRT_2).abs() < 1e-9);
         // ...but rational summation refuses.
         assert_eq!(
-            end_points_rational(&db, &phi, y),
+            end_points_rational(&db, &phi, y, &unlimited()),
             Err(AggError::IrrationalEndpoint)
         );
     }
@@ -430,36 +430,22 @@ mod tests {
             in_vars: vec![db.vars_mut().intern("w")],
             formula: parse_formula_with("xout = w * w + 1", db.vars_mut()).unwrap(),
         };
-        assert!(is_deterministic(&ok).unwrap());
+        assert!(is_deterministic(&ok, &unlimited()).unwrap());
         let bad = Deterministic {
             out_var: db.vars_mut().intern("xout"),
             in_vars: vec![db.vars_mut().intern("w")],
             formula: parse_formula_with("xout * xout = w", db.vars_mut()).unwrap(),
         };
-        assert!(!is_deterministic(&bad).unwrap());
+        assert!(!is_deterministic(&bad, &unlimited()).unwrap());
     }
 
     #[test]
     fn sum_rejects_nondeterministic_gamma() {
-        let mut db = Database::new();
-        db.define("S", &["y"], "y = 1 | y = 4").unwrap();
-        let y = db.vars_mut().intern("y");
-        let w = db.vars_mut().intern("w");
-        let x = db.vars_mut().intern("xout");
-        let term = SumTerm {
-            range: RangeRestricted {
-                filter: Formula::True,
-                tuple_vars: vec![w],
-                end_var: y,
-                end_formula: parse_formula_with("S(y)", db.vars_mut()).unwrap(),
-            },
-            gamma: Deterministic {
-                out_var: x,
-                in_vars: vec![w],
-                formula: parse_formula_with("xout * xout = w", db.vars_mut()).unwrap(),
-            },
-        };
-        assert_eq!(term.eval(&db), Err(AggError::NotDeterministic));
+        let (db, term) = sum_over_s("y = 1 | y = 4", "true", &["w"], "xout * xout = w");
+        assert_eq!(
+            term.eval_with_budget(&db, &unlimited()),
+            Err(AggError::NotDeterministic)
+        );
     }
 
     #[test]
@@ -469,102 +455,48 @@ mod tests {
         // conjunct `xout = 2*w` certifies it syntactically, so the sum
         // evaluates instead of erroring. This also witnesses that certified
         // programs bypass the semantic check.
-        let mut db = Database::new();
-        db.define("S", &["y"], "y = 1 | y = 4").unwrap();
-        let y = db.vars_mut().intern("y");
-        let w = db.vars_mut().intern("w");
-        let x = db.vars_mut().intern("xout");
-        let gamma = Deterministic {
-            out_var: x,
-            in_vars: vec![w],
-            formula: parse_formula_with("xout = 2*w & S(w)", db.vars_mut()).unwrap(),
-        };
-        assert!(!is_deterministic(&gamma).unwrap());
-        let term = SumTerm {
-            range: RangeRestricted {
-                filter: Formula::True,
-                tuple_vars: vec![w],
-                end_var: y,
-                end_formula: parse_formula_with("S(y)", db.vars_mut()).unwrap(),
-            },
-            gamma,
-        };
+        let (db, term) = sum_over_s("y = 1 | y = 4", "true", &["w"], "xout = 2*w & S(w)");
+        assert!(!is_deterministic(&term.gamma, &unlimited()).unwrap());
         // Endpoints {1, 4}; both satisfy S; γ doubles them: 2 + 8 = 10.
-        assert_eq!(term.eval(&db).unwrap(), rat(10, 1));
+        assert_eq!(
+            term.eval_with_budget(&db, &unlimited()).unwrap(),
+            rat(10, 1)
+        );
     }
 
     #[test]
     fn filtered_ranges() {
-        let mut db = Database::new();
-        db.define("S", &["y"], "(1 <= y & y <= 2) | y = 5").unwrap();
-        let y = db.vars_mut().intern("y");
-        let w = db.vars_mut().intern("w");
-        let x = db.vars_mut().intern("xout");
         // Only endpoints above 1.5: {2, 5}; γ doubles them: 4 + 10 = 14.
-        let term = SumTerm {
-            range: RangeRestricted {
-                filter: parse_formula_with("w > 1.5", db.vars_mut()).unwrap(),
-                tuple_vars: vec![w],
-                end_var: y,
-                end_formula: parse_formula_with("S(y)", db.vars_mut()).unwrap(),
-            },
-            gamma: Deterministic {
-                out_var: x,
-                in_vars: vec![w],
-                formula: parse_formula_with("xout = 2 * w", db.vars_mut()).unwrap(),
-            },
-        };
-        assert_eq!(term.eval(&db).unwrap(), rat(14, 1));
+        let (db, term) = sum_over_s(
+            "(1 <= y & y <= 2) | y = 5",
+            "w > 1.5",
+            &["w"],
+            "xout = 2 * w",
+        );
+        assert_eq!(
+            term.eval_with_budget(&db, &unlimited()).unwrap(),
+            rat(14, 1)
+        );
     }
 
     #[test]
     fn pairs_of_endpoints() {
-        let mut db = Database::new();
-        db.define("S", &["y"], "0 <= y & y <= 1").unwrap();
-        let y = db.vars_mut().intern("y");
-        let w1 = db.vars_mut().intern("w1");
-        let w2 = db.vars_mut().intern("w2");
-        let x = db.vars_mut().intern("xout");
         // All ordered pairs (w1, w2) with w1 < w2 of endpoints {0,1}: only
         // (0,1); γ = w2 - w1 = 1.
-        let term = SumTerm {
-            range: RangeRestricted {
-                filter: parse_formula_with("w1 < w2", db.vars_mut()).unwrap(),
-                tuple_vars: vec![w1, w2],
-                end_var: y,
-                end_formula: parse_formula_with("S(y)", db.vars_mut()).unwrap(),
-            },
-            gamma: Deterministic {
-                out_var: x,
-                in_vars: vec![w1, w2],
-                formula: parse_formula_with("xout = w2 - w1", db.vars_mut()).unwrap(),
-            },
-        };
-        assert_eq!(term.eval(&db).unwrap(), rat(1, 1));
+        let (db, term) = sum_over_s(
+            "0 <= y & y <= 1",
+            "w1 < w2",
+            &["w1", "w2"],
+            "xout = w2 - w1",
+        );
+        assert_eq!(term.eval_with_budget(&db, &unlimited()).unwrap(), rat(1, 1));
     }
 
     #[test]
     fn gamma_partiality() {
-        let mut db = Database::new();
-        db.define("S", &["y"], "y = 1 | y = 2").unwrap();
-        let y = db.vars_mut().intern("y");
-        let w = db.vars_mut().intern("w");
-        let x = db.vars_mut().intern("xout");
         // γ defined only for w > 1.5: sums only the endpoint 2 → 2.
-        let term = SumTerm {
-            range: RangeRestricted {
-                filter: Formula::True,
-                tuple_vars: vec![w],
-                end_var: y,
-                end_formula: parse_formula_with("S(y)", db.vars_mut()).unwrap(),
-            },
-            gamma: Deterministic {
-                out_var: x,
-                in_vars: vec![w],
-                formula: parse_formula_with("xout = w & w > 1.5", db.vars_mut()).unwrap(),
-            },
-        };
-        assert_eq!(term.eval(&db).unwrap(), rat(2, 1));
+        let (db, term) = sum_over_s("y = 1 | y = 2", "true", &["w"], "xout = w & w > 1.5");
+        assert_eq!(term.eval_with_budget(&db, &unlimited()).unwrap(), rat(2, 1));
     }
 
     #[test]
@@ -582,7 +514,10 @@ mod tests {
         // Endpoints {0, 1}; only w = 0 leaves room below 1. The filter goes
         // through QE per tuple, and any residue it left would now surface
         // as a typed `AggError::Residual` — never a silent miss.
-        assert_eq!(rr.enumerate(&db).unwrap(), vec![vec![rat(0, 1)]]);
+        assert_eq!(
+            rr.enumerate(&db, &unlimited()).unwrap(),
+            vec![vec![rat(0, 1)]]
+        );
     }
 
     #[test]
@@ -608,13 +543,32 @@ mod tests {
             in_vars: vec![w],
             formula: parse_formula_with("v*v = w", db.vars_mut()).unwrap(),
         };
-        assert_eq!(gamma.apply(&db, &[rat(-1, 1)]).unwrap(), None);
+        assert_eq!(gamma.apply(&db, &[rat(-1, 1)], &unlimited()).unwrap(), None);
         // Callers that require totality (the polygon-area pipeline) surface
         // the miss as the typed `AggError::GammaPartial`, never a panic.
         let e = gamma
-            .apply(&db, &[rat(-1, 1)])
+            .apply(&db, &[rat(-1, 1)], &unlimited())
             .unwrap()
             .ok_or(AggError::GammaPartial);
         assert!(matches!(e, Err(AggError::GammaPartial)));
+    }
+
+    #[test]
+    fn gamma_application_checks_its_arity() {
+        // Too many arguments used to drop the extra value silently, too few
+        // used to surface as `NotOneDimensional`.
+        let mut db = Database::new();
+        let [x, w, v] = ["x", "w", "v"].map(|n| db.vars_mut().intern(n));
+        let gamma = Deterministic {
+            out_var: x,
+            in_vars: vec![w, v],
+            formula: parse_formula_with("x = w + v", db.vars_mut()).unwrap(),
+        };
+        let args = [rat(1, 1), rat(2, 1), rat(3, 1)];
+        let apply = |n: usize| gamma.apply(&db, &args[..n], &unlimited());
+        assert_eq!(apply(2), Ok(Some(rat(3, 1))));
+        for got in [1, 3] {
+            assert_eq!(apply(got), Err(AggError::Arity { expected: 2, got }));
+        }
     }
 }

@@ -22,6 +22,13 @@
 //! semi-linear databases — two independent ways: the Lasserre engine of
 //! `cqa-geom` and the sweep/integration construction from the paper's own
 //! proof ([`semilinear_volume`]).
+//!
+//! Every operation that runs quantifier elimination has one entry point,
+//! and it takes a cooperative `&EvalBudget` last: [`end_points`],
+//! [`RangeRestricted::enumerate`], [`Deterministic::apply`],
+//! [`is_deterministic`], [`aggregate`] and [`group_aggregate`]. A caller
+//! with no budget passes `&EvalBudget::unlimited()`. Σ keeps its old name,
+//! [`SumTerm::eval_with_budget`], because the `cqa-e2e` benchmark calls it.
 
 #![forbid(unsafe_code)]
 
@@ -32,15 +39,14 @@ mod lang;
 mod polygon;
 mod volume;
 
-pub use aggregate::{aggregate, aggregate_with_budget, Aggregate};
-pub use grouping::{group_aggregate, group_aggregate_with_budget};
+pub use aggregate::{aggregate, Aggregate};
+pub use grouping::group_aggregate;
 pub use integral::{average_over_2d, integral_over_2d};
 pub use lang::{
-    end_points, end_points_rational, end_points_with_budget, is_deterministic,
-    is_deterministic_with_budget, AggError, Deterministic, RangeRestricted, SumTerm,
+    end_points, end_points_rational, is_deterministic, AggError, Deterministic, RangeRestricted,
+    SumTerm,
 };
 pub use polygon::{polygon_area_sum_term, polygon_area_via_language};
 pub use volume::{
-    semilinear_volume, semilinear_volume_formula, volume_by_sweep_2d, volume_with_fallback,
-    VolumeOutcome, FALLBACK_DELTA,
+    semilinear_volume, volume_by_sweep_2d, volume_with_fallback, VolumeOutcome, FALLBACK_DELTA,
 };

@@ -22,6 +22,7 @@ use cqa_core::Database;
 #[cfg(test)]
 use cqa_geom::polygon_area;
 use cqa_geom::{convex_hull, triangulate_fan, Point2};
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::parse_formula_with;
 
 /// Area of the convex hull of the given points, computed by the fan
@@ -66,7 +67,8 @@ pub fn polygon_area_via_language(points: &[Point2]) -> Result<Rat, AggError> {
         in_vars: in_vars.clone(),
         formula: parse_formula_with(gamma_src, db.vars_mut()).unwrap(),
     };
-    debug_assert!(crate::lang::is_deterministic(&gamma).unwrap_or(false));
+    let unlimited = EvalBudget::unlimited();
+    debug_assert!(crate::lang::is_deterministic(&gamma, &unlimited).unwrap_or(false));
 
     let mut total = Rat::zero();
     for [a, b, c] in &tris {
@@ -78,7 +80,9 @@ pub fn polygon_area_via_language(points: &[Point2]) -> Result<Rat, AggError> {
             c.0.clone(),
             c.1.clone(),
         ];
-        let area = gamma.apply(&db, &args)?.ok_or(AggError::GammaPartial)?;
+        let area = gamma
+            .apply(&db, &args, &unlimited)?
+            .ok_or(AggError::GammaPartial)?;
         total += area.abs();
     }
     Ok(total)

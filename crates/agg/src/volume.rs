@@ -17,6 +17,7 @@
 //! The two methods cross-validate each other in the tests and in `report`'s
 //! E2.
 
+use crate::integral::{rational_of, section_integral};
 use crate::lang::AggError;
 use cqa_approx::mc::Sweep;
 use cqa_approx::sample::{hoeffding_sample_size, Witness};
@@ -25,7 +26,7 @@ use cqa_core::{decompose_1d, Database};
 use cqa_geom::{volume, VolumeError};
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::{CompiledMatrix, Formula, SlotMap};
-use cqa_poly::{RealAlg, Var};
+use cqa_poly::{MPoly, Var};
 
 impl From<VolumeError> for AggError {
     fn from(e: VolumeError) -> AggError {
@@ -46,8 +47,8 @@ impl From<cqa_approx::ApproxError> for AggError {
     }
 }
 
-/// The expanded, quantifier-free formula of a named relation.
-pub fn semilinear_volume_formula(db: &Database, relation: &str) -> Result<Formula, AggError> {
+/// Exact volume of a semi-linear relation (Theorem 3).
+pub fn semilinear_volume(db: &Database, relation: &str) -> Result<Rat, AggError> {
     let rel = db
         .relation(relation)
         .ok_or_else(|| AggError::Db(format!("unknown relation {relation}")))?;
@@ -60,29 +61,11 @@ pub fn semilinear_volume_formula(db: &Database, relation: &str) -> Result<Formul
         .collect();
     let q = Formula::Rel {
         name: relation.to_string(),
-        args: args.iter().map(|&v| cqa_poly::MPoly::var(v)).collect(),
+        args: args.iter().map(|&v| MPoly::var(v)).collect(),
     };
-    let expanded = db.expand(&q)?;
-    Ok(cqa_qe::eliminate(&expanded, &EvalBudget::unlimited())?)
-}
-
-/// Exact volume of a semi-linear relation (Theorem 3).
-pub fn semilinear_volume(db: &Database, relation: &str) -> Result<Rat, AggError> {
-    let rel = db
-        .relation(relation)
-        .ok_or_else(|| AggError::Db(format!("unknown relation {relation}")))?;
-    let arity = rel.arity();
-    let base = db.vars().len() as u32;
-    let args: Vec<Var> = (0..arity as u32)
-        .map(|i| Var(base + i + 1_000_000))
-        .collect();
-    let q = Formula::Rel {
-        name: relation.to_string(),
-        args: args.iter().map(|&v| cqa_poly::MPoly::var(v)).collect(),
-    };
-    let expanded = db.expand(&q)?;
-    let qf = cqa_qe::eliminate(&expanded, &EvalBudget::unlimited())?;
-    Ok(volume(&qf, &args)?)
+    let unlimited = EvalBudget::unlimited();
+    let qf = cqa_qe::eliminate(&db.expand(&q)?, &unlimited)?;
+    Ok(volume(&qf, &args, &unlimited)?)
 }
 
 /// Exact area of a two-dimensional semi-linear set by the paper's sweep
@@ -92,17 +75,38 @@ pub fn volume_by_sweep_2d(f: &Formula, x: Var, y: Var) -> Result<Rat, AggError> 
     if !f.is_relation_free() || !f.is_quantifier_free() {
         return Err(AggError::Db("sweep needs a quantifier-free formula".into()));
     }
-    // Support of g: the projection onto x.
+    let breaks = sweep_breakpoints(f, x, y)?;
+
+    // Integrate piecewise: on each open piece between consecutive
+    // breakpoints (clipped to the support), g is linear, so
+    // ∫ g = width · g(midpoint).
+    let mut total = Rat::zero();
+    for w in breaks.windows(2) {
+        let (l, u) = (&w[0], &w[1]);
+        if l == u {
+            continue;
+        }
+        let len = section_integral(f, x, y, &MPoly::one(), &l.midpoint(u))?;
+        if !len.is_zero() {
+            total += (u - l) * len;
+        }
+    }
+    Ok(total)
+}
+
+/// The sweep's breakpoint candidates, sorted: the x-coordinates where the
+/// section structure of `{(x, y) : f}` can change. These are the endpoints
+/// of the support, the x-coordinates of intersections of constraint
+/// boundary lines (the arrangement's vertices), and the x-values of
+/// vertical boundary lines. Empty when the support is.
+pub(crate) fn sweep_breakpoints(f: &Formula, x: Var, y: Var) -> Result<Vec<Rat>, AggError> {
+    // Support: the projection onto x.
     let shadow = Formula::exists(vec![y], f.clone());
     let proj = cqa_qe::fourier_motzkin(&shadow, &EvalBudget::unlimited())?;
     let support = decompose_1d(&proj, x).ok_or(AggError::NotOneDimensional)?;
     if support.is_empty() {
-        return Ok(Rat::zero());
+        return Ok(Vec::new());
     }
-    // Breakpoint candidates: x-coordinates where the section structure can
-    // change — endpoints of the support plus x-coordinates of intersections
-    // of constraint boundary lines (the arrangement's vertices), plus
-    // x-values of vertical boundary lines.
     let mut breaks: Vec<Rat> = Vec::new();
     let mut push = |r: Rat| {
         if !breaks.contains(&r) {
@@ -111,10 +115,7 @@ pub fn volume_by_sweep_2d(f: &Formula, x: Var, y: Var) -> Result<Rat, AggError> 
     };
     for iv in &support {
         for e in iv.finite_endpoints() {
-            match e {
-                RealAlg::Rational(r) => push(r),
-                _ => return Err(AggError::IrrationalEndpoint),
-            }
+            push(rational_of(&e)?);
         }
     }
     // Boundary lines a·x + b·y + c = 0 from the atoms.
@@ -122,10 +123,6 @@ pub fn volume_by_sweep_2d(f: &Formula, x: Var, y: Var) -> Result<Rat, AggError> 
     let mut bad = false;
     f.visit(&mut |g| {
         if let Formula::Atom(at) = g {
-            if !at.poly.is_affine() {
-                bad = true;
-                return;
-            }
             let mut a = Rat::zero();
             let mut b = Rat::zero();
             let mut c = Rat::zero();
@@ -156,31 +153,13 @@ pub fn volume_by_sweep_2d(f: &Formula, x: Var, y: Var) -> Result<Rat, AggError> 
             }
             // Intersect a1 x + b1 y + c1 = 0 with a2 x + b2 y + c2 = 0.
             let denom = a1 * b2 - a2 * b1;
-            if denom.is_zero() {
-                continue;
+            if !denom.is_zero() {
+                push((b1 * c2 - b2 * c1) / &denom);
             }
-            let xi = (b1 * c2 - b2 * c1) / &denom;
-            push(xi);
         }
     }
     breaks.sort();
-
-    // Integrate piecewise: on each open piece between consecutive
-    // breakpoints (clipped to the support), g is linear, so
-    // ∫ g = width · g(midpoint).
-    let mut total = Rat::zero();
-    for w in breaks.windows(2) {
-        let (l, u) = (&w[0], &w[1]);
-        if l == u {
-            continue;
-        }
-        let mid = l.midpoint(u);
-        let len = section_length(f, x, y, &mid)?;
-        if !len.is_zero() {
-            total += (u - l) * len;
-        }
-    }
-    Ok(total)
+    Ok(breaks)
 }
 
 /// Failure probability of the Monte Carlo fallback in
@@ -260,7 +239,7 @@ pub fn volume_with_fallback(
     let delta = FALLBACK_DELTA;
     let samples = hoeffding_sample_size(eps, delta)?;
     let qf = cqa_qe::eliminate(&db.expand(f)?, budget)?;
-    match cqa_geom::volume_with_budget(&qf, vars, budget) {
+    match volume(&qf, vars, budget) {
         Ok(v) => Ok(VolumeOutcome::Exact(v)),
         Err(VolumeError::Budget(_)) => {
             let kernel = CompiledMatrix::compile(&qf, &SlotMap::from_vars(vars))
@@ -287,23 +266,6 @@ pub fn volume_with_fallback(
         }
         Err(e) => Err(e.into()),
     }
-}
-
-/// The total length of the section `{y : f(x₀, y)}`.
-fn section_length(f: &Formula, x: Var, y: Var, x0: &Rat) -> Result<Rat, AggError> {
-    let sec = f.subst_rat(x, x0);
-    let ivs = decompose_1d(&sec, y).ok_or(AggError::NotOneDimensional)?;
-    let mut total = Rat::zero();
-    for iv in ivs {
-        if iv.is_point() {
-            continue;
-        }
-        match iv.length(&Rat::new(1i64.into(), 1_000_000i64.into())) {
-            Some(len) => total += len,
-            None => return Err(AggError::Db("unbounded section".into())),
-        }
-    }
-    Ok(total)
 }
 
 #[cfg(test)]
@@ -386,7 +348,7 @@ mod tests {
         let y = vars.intern("y");
         let f = parse_formula_with(src, &mut vars).unwrap();
         let s = volume_by_sweep_2d(&f, x, y).unwrap();
-        let l = volume(&f, &[x, y]).unwrap();
+        let l = volume(&f, &[x, y], &EvalBudget::unlimited()).unwrap();
         assert_eq!(s, l);
         assert_eq!(s, rat(14, 1)); // 16 - 2
     }

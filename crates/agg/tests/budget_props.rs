@@ -13,6 +13,10 @@ use cqa_logic::{Atom, Formula, Rel};
 use cqa_poly::{MPoly, Var};
 use proptest::prelude::*;
 
+fn unlimited() -> EvalBudget {
+    EvalBudget::unlimited()
+}
+
 const W: Var = Var(0);
 const XOUT: Var = Var(1);
 const Y: Var = Var(2);
@@ -91,11 +95,11 @@ proptest! {
     }
 
     /// An unhit budget is invisible: same Ok value or same typed error as
-    /// the unbudgeted evaluation, bit for bit.
+    /// the evaluation under `unlimited()`, bit for bit.
     #[test]
     fn unhit_budget_is_invisible(term in sum_term_strategy()) {
         let db = Database::new();
-        let unbudgeted = term.eval(&db);
+        let unbudgeted = term.eval_with_budget(&db, &unlimited());
         let budget = EvalBudget::unlimited().with_max_steps(u64::MAX / 2);
         let budgeted = term.eval_with_budget(&db, &budget);
         prop_assert_eq!(unbudgeted, budgeted);
@@ -144,10 +148,11 @@ fn group_aggregate_budgeted_matches_unbudgeted() {
         &[r],
         &MPoly::var(a),
         cqa_agg::Aggregate::Sum,
+        &unlimited(),
     )
     .unwrap();
     let budget = EvalBudget::unlimited().with_max_steps(u64::MAX / 2);
-    let budgeted = cqa_agg::group_aggregate_with_budget(
+    let budgeted = cqa_agg::group_aggregate(
         &db,
         &q,
         &[r, a],
@@ -180,6 +185,7 @@ fn group_by_outside_output_is_typed_error() {
         &[z],
         &MPoly::var(x),
         cqa_agg::Aggregate::Count,
+        &unlimited(),
     );
     assert!(matches!(r, Err(AggError::GroupByNotInOutput(_))));
 }

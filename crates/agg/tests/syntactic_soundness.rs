@@ -9,9 +9,14 @@
 use cqa_agg::{is_deterministic, Deterministic};
 use cqa_arith::Rat;
 use cqa_core::{is_finite_set, is_syntactically_deterministic, is_syntactically_finite};
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::{Atom, Formula, Rel};
 use cqa_poly::{MPoly, Var};
 use proptest::prelude::*;
+
+fn unlimited() -> EvalBudget {
+    EvalBudget::unlimited()
+}
 
 const X: Var = Var(0);
 const W: Var = Var(1);
@@ -112,7 +117,7 @@ proptest! {
     fn syntactic_determinism_implies_semantic(g in gamma()) {
         if is_syntactically_deterministic(&g, X, &[W]) {
             let det = Deterministic { out_var: X, in_vars: vec![W], formula: g.clone() };
-            let semantic = is_deterministic(&det).unwrap();
+            let semantic = is_deterministic(&det, &unlimited()).unwrap();
             prop_assert!(
                 semantic,
                 "syntactically accepted but semantically non-deterministic: {g:?}"
@@ -126,7 +131,7 @@ proptest! {
     fn syntactic_finiteness_implies_semantic(f in finite_candidate()) {
         let vars = [X, Y];
         if is_syntactically_finite(&f, &vars) {
-            let semantic = is_finite_set(&f, &vars).unwrap();
+            let semantic = is_finite_set(&f, &vars, &unlimited()).unwrap();
             prop_assert!(
                 semantic,
                 "syntactically accepted but semantically infinite: {f:?}"

@@ -373,7 +373,7 @@ mod tests {
             &["x", "y"],
         );
         let vi = variable_independent_volume(&f, &vs).unwrap();
-        let exact = cqa_geom::volume(&f, &vs).unwrap();
+        let exact = cqa_geom::volume(&f, &vs, &EvalBudget::unlimited()).unwrap();
         assert_eq!(vi, exact);
         assert_eq!(vi, rat(3, 1));
     }

@@ -20,6 +20,7 @@
 
 use cqa_arith::Rat;
 use cqa_geom::volume;
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::Formula;
 use cqa_poly::Var;
 
@@ -88,8 +89,10 @@ pub fn good_instance_volumes(inst: &GoodInstance) -> (Rat, Rat) {
             y_set = y_set.or(block);
         }
     }
-    let vx = volume(&x_set, &[v]).expect("bounded union of intervals");
-    let vy = volume(&y_set, &[v]).expect("bounded union of intervals");
+    // Two bounded unions of intervals: no QE blow-up to guard against.
+    let unlimited = EvalBudget::unlimited();
+    let vx = volume(&x_set, &[v], &unlimited).expect("bounded union of intervals");
+    let vy = volume(&y_set, &[v], &unlimited).expect("bounded union of intervals");
     (vx, vy)
 }
 

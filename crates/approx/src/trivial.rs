@@ -67,7 +67,7 @@ fn open_unit_box(vars: &[Var]) -> Formula {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqa_geom::volume_in_unit_box;
+    use cqa_geom::volume_in_unit_box_with_budget;
     use cqa_logic::{parse_formula_with, VarMap};
 
     fn approx(src: &str, names: &[&str]) -> Rat {
@@ -106,7 +106,7 @@ mod tests {
         ] {
             let f = parse_formula_with(src, &mut vars).unwrap();
             let est = trivial_volume_approximation(&f, &vs).unwrap();
-            let truth = volume_in_unit_box(&f, &vs).unwrap();
+            let truth = volume_in_unit_box_with_budget(&f, &vs, &EvalBudget::unlimited()).unwrap();
             let err = (est.clone() - truth).abs();
             assert!(err <= rat(1, 2), "{src}: est {est}, err {err}");
         }

@@ -20,7 +20,7 @@ use cqa_approx::trivial::trivial_volume_approximation;
 use cqa_approx::vc::{bit_test_database, bit_test_shatters, goldberg_jerrum_c, prop6_bound};
 use cqa_arith::{rat, Rat};
 use cqa_core::Database;
-use cqa_geom::{polygon_area, volume, volume_in_unit_box, HPolyhedron};
+use cqa_geom::{polygon_area, volume, volume_in_unit_box_with_budget, HPolyhedron};
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::{parse_formula_with, VarMap};
 use cqa_poly::Var;
@@ -139,7 +139,7 @@ pub fn e2(out: &mut String) {
         let mut vars = VarMap::new();
         let vs: Vec<Var> = names.iter().map(|n| vars.intern(n)).collect();
         let f = parse_formula_with(src, &mut vars).unwrap();
-        let v = volume(&f, &vs).unwrap();
+        let v = volume(&f, &vs, &EvalBudget::unlimited()).unwrap();
         writeln!(
             out,
             "  {:<34} {:>10} {:>10}",
@@ -165,7 +165,7 @@ pub fn e2(out: &mut String) {
         let mut vars = VarMap::new();
         let (f, vs) = workloads::random_box_union(3, seed, &mut vars);
         let s = volume_by_sweep_2d(&f, vs[0], vs[1]).unwrap();
-        let l = volume(&f, &vs).unwrap();
+        let l = volume(&f, &vs, &EvalBudget::unlimited()).unwrap();
         writeln!(
             out,
             "  {:>6} {:>12} {:>12} {:>8}",
@@ -306,7 +306,7 @@ pub fn e5(out: &mut String) {
     let db = Database::new();
     // At x = 1: {(y,z) : 0 ≤ y ≤ 1 ∧ 0 ≤ z·(1+y²) ≤ 1} ∩ I².
     let f = parse_formula_with("0 <= y & y <= 1 & 0 <= z & z + z*y*y <= 1", &mut vars).unwrap();
-    let exact = volume(&f, &[y, z]);
+    let exact = volume(&f, &[y, z], &EvalBudget::unlimited());
     writeln!(
         out,
         "  exact semi-linear engine: {:?} (refuses: polynomial atoms)",
@@ -398,7 +398,7 @@ pub fn e7(out: &mut String) {
     for src in ["x + y <= 1", "x >= 0.9", "x = 0.5", "true", "false"] {
         let f = parse_formula_with(src, &mut vars).unwrap();
         let est = trivial_volume_approximation(&f, &vs).unwrap();
-        let truth = volume_in_unit_box(&f, &vs).unwrap();
+        let truth = volume_in_unit_box_with_budget(&f, &vs, &EvalBudget::unlimited()).unwrap();
         let err = (est.clone() - truth.clone()).abs();
         writeln!(
             out,
@@ -464,7 +464,7 @@ pub fn e8(out: &mut String) {
         if is_variable_independent(&f) {
             applicable += 1;
             let vi = variable_independent_volume(&f, &vs).unwrap();
-            let general = volume(&f, &vs).unwrap();
+            let general = volume(&f, &vs, &EvalBudget::unlimited()).unwrap();
             if vi == general {
                 agree += 1;
             }
@@ -629,7 +629,7 @@ pub fn e11(out: &mut String) {
         let mut vars = VarMap::new();
         let vs: Vec<Var> = names.iter().map(|n| vars.intern(n)).collect();
         let f = parse_formula_with(src, &mut vars).unwrap();
-        let exact = volume(&f, &vs).unwrap().to_f64();
+        let exact = volume(&f, &vs, &EvalBudget::unlimited()).unwrap().to_f64();
         let atoms = collect_atoms(&f);
         let p = HPolyhedron::from_atoms(&atoms, &vs).unwrap();
         let d = vs.len();
@@ -679,38 +679,19 @@ pub fn e12(out: &mut String) {
     let q = parse_formula_with("U(x) & S(x) & x >= 0.5", db.vars_mut()).unwrap();
     let idty = cqa_poly::MPoly::var(x);
     let rows = [
-        (
-            "COUNT",
-            aggregate(&db, &q, &[x], &idty, Aggregate::Count).unwrap(),
-            rat(3, 1),
-        ),
-        (
-            "SUM",
-            aggregate(&db, &q, &[x], &idty, Aggregate::Sum).unwrap(),
-            rat(43, 20),
-        ),
-        (
-            "AVG",
-            aggregate(&db, &q, &[x], &idty, Aggregate::Avg).unwrap(),
-            rat(43, 60),
-        ),
-        (
-            "MIN",
-            aggregate(&db, &q, &[x], &idty, Aggregate::Min).unwrap(),
-            rat(1, 2),
-        ),
-        (
-            "MAX",
-            aggregate(&db, &q, &[x], &idty, Aggregate::Max).unwrap(),
-            rat(9, 10),
-        ),
+        ("COUNT", Aggregate::Count, rat(3, 1)),
+        ("SUM", Aggregate::Sum, rat(43, 20)),
+        ("AVG", Aggregate::Avg, rat(43, 60)),
+        ("MIN", Aggregate::Min, rat(1, 2)),
+        ("MAX", Aggregate::Max, rat(9, 10)),
     ];
     writeln!(
         out,
         "  query: U(x) ∧ S(x) ∧ x ≥ 1/2 over U = {{1/4, 1/2, 3/4, 9/10}}"
     )
     .unwrap();
-    for (name, got, expect) in rows {
+    for (name, agg, expect) in rows {
+        let got = aggregate(&db, &q, &[x], &idty, agg, &EvalBudget::unlimited()).unwrap();
         writeln!(
             out,
             "    {:<6} = {:<8} (expected {})",

@@ -14,6 +14,10 @@ use cqa_geom::volume;
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::VarMap;
 
+fn unlimited() -> EvalBudget {
+    EvalBudget::unlimited()
+}
+
 fn permissive() -> AnalyzerConfig {
     let mut cfg = AnalyzerConfig::default();
     // The blow-up lint is a warning, but keep budgets out of the way so
@@ -37,7 +41,7 @@ fn simplex_workloads_lint_clean() {
                 "dim {dim} seed {seed}: {:?}",
                 a.diagnostics
             );
-            assert!(volume(&f, &vs).unwrap().is_positive());
+            assert!(volume(&f, &vs, &unlimited()).unwrap().is_positive());
         }
     }
 }
@@ -56,7 +60,7 @@ fn box_union_workloads_lint_clean() {
             );
             // Exact volume three ways: Lasserre, the Theorem-3 sweep and the
             // variable-independence baseline.
-            let exact = volume(&f, &vs).unwrap();
+            let exact = volume(&f, &vs, &unlimited()).unwrap();
             assert_eq!(volume_by_sweep_2d(&f, vs[0], vs[1]).unwrap(), exact);
             assert_eq!(variable_independent_volume(&f, &vs), Some(exact));
         }

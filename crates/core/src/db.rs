@@ -1,6 +1,7 @@
 //! Constraint databases: schemas, instances and closed query evaluation.
 
 use cqa_arith::Rat;
+use cqa_logic::budget::EvalBudget;
 use cqa_logic::{parse_formula_with, Formula, VarMap};
 use cqa_poly::{MPoly, Var};
 use cqa_qe::QeError;
@@ -349,19 +350,14 @@ impl Database {
     /// Evaluates a query: substitutes relation definitions, eliminates all
     /// quantifiers, and returns the output as a new finitely representable
     /// relation over `free` (the output column order) — the closure
-    /// property of constraint query languages, executed.
-    pub fn eval(&self, q: &Formula, free: &[Var]) -> Result<Relation, DbError> {
-        self.eval_with_budget(q, free, &cqa_logic::budget::EvalBudget::unlimited())
-    }
-
-    /// [`Database::eval`] under a cooperative [`cqa_logic::budget::EvalBudget`]:
-    /// the QE phase aborts with `DbError::Qe(QeError::Budget(..))` when the
-    /// budget is exhausted instead of running unboundedly.
-    pub fn eval_with_budget(
+    /// property of constraint query languages, executed. The QE phase runs
+    /// under the cooperative `budget` and aborts with
+    /// `DbError::Qe(QeError::Budget(..))` when it is exhausted.
+    pub fn eval(
         &self,
         q: &Formula,
         free: &[Var],
-        budget: &cqa_logic::budget::EvalBudget,
+        budget: &EvalBudget,
     ) -> Result<Relation, DbError> {
         let expanded = self.expand(q)?;
         let qf = cqa_qe::eliminate(&expanded, budget)?;
@@ -371,13 +367,13 @@ impl Database {
         })
     }
 
-    /// Parses and evaluates a query in one step; the free variables are the
-    /// named parameters in order.
+    /// Parses and evaluates a query in one step, with no budget; the free
+    /// variables are the named parameters in order.
     pub fn query(&mut self, params: &[&str], src: &str) -> Result<Relation, DbError> {
         let vs: Vec<Var> = params.iter().map(|p| self.vars.intern(p)).collect();
         let q =
             parse_formula_with(src, &mut self.vars).map_err(|e| DbError::Parse(e.to_string()))?;
-        self.eval(&q, &vs)
+        self.eval(&q, &vs, &EvalBudget::unlimited())
     }
 }
 

@@ -21,6 +21,10 @@
 //!   the `END` operator of FO+POLY+SUM returns (see `cqa-agg`).
 //! * [`enumerate_finite`] — SAF (semi-algebraic-to-finite) safety:
 //!   decides whether a query output is finite and enumerates it.
+//!
+//! [`Database::eval`], [`is_finite_set`] and [`enumerate_finite`] each take
+//! a cooperative [`budget::EvalBudget`] last; a caller with no budget
+//! passes `&EvalBudget::unlimited()`.
 
 #![forbid(unsafe_code)]
 
@@ -37,8 +41,5 @@ pub mod budget {
 
 pub use db::{Database, DbError, Relation};
 pub use onedim::{decompose_1d, Endpoint, Interval1D};
-pub use safety::{
-    enumerate_finite, enumerate_finite_with_budget, is_finite_set, is_finite_set_with_budget,
-    SafetyError,
-};
+pub use safety::{enumerate_finite, is_finite_set, SafetyError};
 pub use syntactic::{is_syntactically_deterministic, is_syntactically_finite};

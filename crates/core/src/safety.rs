@@ -75,19 +75,10 @@ impl From<BudgetExceeded> for SafetyError {
 }
 
 /// Is `{x⃗ : φ(x⃗)}` finite? `φ` must be quantifier-free and
-/// relation-free over the variables `vars`.
-pub fn is_finite_set(f: &Formula, vars: &[Var]) -> Result<bool, SafetyError> {
-    is_finite_set_with_budget(f, vars, &EvalBudget::unlimited())
-}
-
-/// [`is_finite_set`] under a cooperative [`EvalBudget`]: the per-coordinate
-/// QE projections run budgeted and the check aborts with
-/// [`SafetyError::Budget`] when exhausted.
-pub fn is_finite_set_with_budget(
-    f: &Formula,
-    vars: &[Var],
-    budget: &EvalBudget,
-) -> Result<bool, SafetyError> {
+/// relation-free over the variables `vars`. The per-coordinate QE
+/// projections run under the cooperative `budget`; the check aborts with
+/// [`SafetyError::Budget`] when it is exhausted.
+pub fn is_finite_set(f: &Formula, vars: &[Var], budget: &EvalBudget) -> Result<bool, SafetyError> {
     if vars.is_empty() {
         return Ok(true);
     }
@@ -96,7 +87,7 @@ pub fn is_finite_set_with_budget(
     // eliminating an empty quantifier block through full QE.
     if let [v] = vars {
         if f.is_quantifier_free() && f.is_relation_free() {
-            let ivs = decompose_1d(f, *v).ok_or(SafetyError::Qe(QeError::HasRelations))?;
+            let ivs = decompose(f, *v)?;
             return Ok(ivs.iter().all(Interval1D::is_point));
         }
     }
@@ -112,8 +103,7 @@ pub fn is_finite_set_with_budget(
             .map(|(_, &w)| w)
             .collect();
         let proj = cqa_qe::eliminate(&Formula::exists(others, f.clone()), budget)?;
-        let ivs = decompose_1d(&proj, v).ok_or(SafetyError::Qe(QeError::HasRelations))?;
-        if ivs.iter().any(|iv| !iv.is_point()) {
+        if decompose(&proj, v)?.iter().any(|iv| !iv.is_point()) {
             return Ok(false);
         }
     }
@@ -121,15 +111,10 @@ pub fn is_finite_set_with_budget(
 }
 
 /// Enumerates a finite definable set as rational tuples (sorted). Errors if
-/// the set is infinite or contains irrational points.
-pub fn enumerate_finite(f: &Formula, vars: &[Var]) -> Result<Vec<Vec<Rat>>, SafetyError> {
-    enumerate_finite_with_budget(f, vars, &EvalBudget::unlimited())
-}
-
-/// [`enumerate_finite`] under a cooperative [`EvalBudget`]: the budget is
+/// the set is infinite or contains irrational points. The `budget` is
 /// checked once per enumerated point and inside every QE projection, so an
 /// enumeration that would explode aborts with [`SafetyError::Budget`].
-pub fn enumerate_finite_with_budget(
+pub fn enumerate_finite(
     f: &Formula,
     vars: &[Var],
     budget: &EvalBudget,
@@ -149,13 +134,12 @@ pub fn enumerate_finite_with_budget(
     let v = vars[0];
     let rest = &vars[1..];
     let proj = cqa_qe::eliminate(&Formula::exists(rest.to_vec(), f.clone()), budget)?;
-    let ivs = decompose_1d(&proj, v).ok_or(SafetyError::Qe(QeError::HasRelations))?;
     let mut out = Vec::new();
-    for iv in ivs {
+    for iv in decompose(&proj, v)? {
         budget.check()?;
         let point = point_of(&iv)?;
         let fixed = f.subst_rat(v, &point);
-        for mut tuple in enumerate_finite_with_budget(&fixed, rest, budget)? {
+        for mut tuple in enumerate_finite(&fixed, rest, budget)? {
             tuple.insert(0, point.clone());
             out.push(tuple);
         }
@@ -163,6 +147,16 @@ pub fn enumerate_finite_with_budget(
     out.sort();
     out.dedup();
     Ok(out)
+}
+
+/// [`decompose_1d`] of `f` in `v`. On a quantifier-free relation-free `f`
+/// it fails only when some other variable `w` is free, and then the error
+/// names `w`, which the caller left out of the enumeration variables.
+fn decompose(f: &Formula, v: Var) -> Result<Vec<Interval1D>, SafetyError> {
+    decompose_1d(f, v).ok_or_else(|| match f.free_vars().into_iter().find(|&w| w != v) {
+        Some(w) => SafetyError::UnboundVariable(w),
+        None => SafetyError::Qe(QeError::HasRelations),
+    })
 }
 
 fn point_of(iv: &Interval1D) -> Result<Rat, SafetyError> {
@@ -189,30 +183,34 @@ mod tests {
         (f, vs)
     }
 
+    fn unlimited() -> EvalBudget {
+        EvalBudget::unlimited()
+    }
+
     #[test]
     fn finite_detection_1d() {
         let (f, vs) = setup("x = 1 | x = 2", &["x"]);
-        assert!(is_finite_set(&f, &vs).unwrap());
+        assert!(is_finite_set(&f, &vs, &unlimited()).unwrap());
         let (g, vs) = setup("0 <= x & x <= 1", &["x"]);
-        assert!(!is_finite_set(&g, &vs).unwrap());
+        assert!(!is_finite_set(&g, &vs, &unlimited()).unwrap());
         let (h, vs) = setup("false", &["x"]);
-        assert!(is_finite_set(&h, &vs).unwrap());
+        assert!(is_finite_set(&h, &vs, &unlimited()).unwrap());
     }
 
     #[test]
     fn finite_detection_2d() {
         let (f, vs) = setup("(x = 0 | x = 1) & y = x + 1", &["x", "y"]);
-        assert!(is_finite_set(&f, &vs).unwrap());
+        assert!(is_finite_set(&f, &vs, &unlimited()).unwrap());
         // A segment is infinite even though its projections onto y are... no,
         // its x-projection is an interval.
         let (g, vs) = setup("y = x & 0 <= x & x <= 1", &["x", "y"]);
-        assert!(!is_finite_set(&g, &vs).unwrap());
+        assert!(!is_finite_set(&g, &vs, &unlimited()).unwrap());
     }
 
     #[test]
     fn enumerate_1d() {
         let (f, vs) = setup("x = 1 | x = 2 | x = 0.5", &["x"]);
-        let tuples = enumerate_finite(&f, &vs).unwrap();
+        let tuples = enumerate_finite(&f, &vs, &unlimited()).unwrap();
         assert_eq!(
             tuples,
             vec![vec![rat(1, 2)], vec![rat(1, 1)], vec![rat(2, 1)]]
@@ -222,7 +220,7 @@ mod tests {
     #[test]
     fn enumerate_2d_product() {
         let (f, vs) = setup("(x = 0 | x = 1) & (y = 0 | y = 2)", &["x", "y"]);
-        let tuples = enumerate_finite(&f, &vs).unwrap();
+        let tuples = enumerate_finite(&f, &vs, &unlimited()).unwrap();
         assert_eq!(tuples.len(), 4);
         assert!(tuples.contains(&vec![rat(1, 1), rat(2, 1)]));
     }
@@ -230,7 +228,7 @@ mod tests {
     #[test]
     fn enumerate_dependent() {
         let (f, vs) = setup("(x = 1 | x = 3) & y = 2*x", &["x", "y"]);
-        let tuples = enumerate_finite(&f, &vs).unwrap();
+        let tuples = enumerate_finite(&f, &vs, &unlimited()).unwrap();
         assert_eq!(
             tuples,
             vec![vec![rat(1, 1), rat(2, 1)], vec![rat(3, 1), rat(6, 1)]]
@@ -240,26 +238,57 @@ mod tests {
     #[test]
     fn infinite_errors() {
         let (f, vs) = setup("0 <= x & x <= 1", &["x"]);
-        assert_eq!(enumerate_finite(&f, &vs), Err(SafetyError::Infinite));
+        assert_eq!(
+            enumerate_finite(&f, &vs, &unlimited()),
+            Err(SafetyError::Infinite)
+        );
     }
 
     #[test]
     fn irrational_point_reported() {
         let (f, vs) = setup("x*x = 2 & x > 0", &["x"]);
-        assert!(is_finite_set(&f, &vs).unwrap());
-        assert_eq!(enumerate_finite(&f, &vs), Err(SafetyError::IrrationalPoint));
+        assert!(is_finite_set(&f, &vs, &unlimited()).unwrap());
+        assert_eq!(
+            enumerate_finite(&f, &vs, &unlimited()),
+            Err(SafetyError::IrrationalPoint)
+        );
     }
 
     #[test]
     fn polynomial_finite_sets() {
         let (f, vs) = setup("x*x = 4", &["x"]);
-        let tuples = enumerate_finite(&f, &vs).unwrap();
+        let tuples = enumerate_finite(&f, &vs, &unlimited()).unwrap();
         assert_eq!(tuples, vec![vec![rat(-2, 1)], vec![rat(2, 1)]]);
     }
 
     #[test]
     fn empty_sets() {
         let (f, vs) = setup("x = 1 & x = 2", &["x"]);
-        assert!(enumerate_finite(&f, &vs).unwrap().is_empty());
+        assert!(enumerate_finite(&f, &vs, &unlimited()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn free_variable_outside_vars_is_named() {
+        // `y` is free but not enumerated: the set depends on an assignment
+        // nobody supplied. The formula has no relations, so the cause is
+        // the unbound variable, not `HasRelations`.
+        let (f, vs) = setup("x = y & y = 1", &["x", "y"]);
+        let unbound = Err(SafetyError::UnboundVariable(vs[1]));
+        assert_eq!(is_finite_set(&f, &vs[..1], &unlimited()).map(drop), unbound);
+        assert_eq!(
+            enumerate_finite(&f, &vs[..1], &unlimited()).map(drop),
+            unbound
+        );
+        // The same through the projection path: `z` is enumerated, `y` not.
+        let (g, ws) = setup("x = y & z = 1 & y = 1", &["x", "z", "y"]);
+        let unbound = Err(SafetyError::UnboundVariable(ws[2]));
+        assert_eq!(is_finite_set(&g, &ws[..2], &unlimited()).map(drop), unbound);
+        assert_eq!(
+            enumerate_finite(&g, &ws[..2], &unlimited()).map(drop),
+            unbound
+        );
+        // Enumerating every free variable still answers.
+        let all = enumerate_finite(&f, &vs, &unlimited());
+        assert_eq!(all, Ok(vec![vec![rat(1, 1), rat(1, 1)]]));
     }
 }

@@ -19,8 +19,8 @@
 //! Both are *under*-approximations: rejection means "not certifiable
 //! syntactically", not "unsafe" — callers fall back to the semantic check.
 //! Programs that pass skip the per-query QE entirely (the fast path wired
-//! into `cqa-agg`'s `SumTerm::eval`), and `cqa-analyze` uses the same
-//! functions to lint programs before any evaluation starts.
+//! into `cqa-agg`'s `SumTerm::eval_with_budget`), and `cqa-analyze` uses the
+//! same functions to lint programs before any evaluation starts.
 
 use cqa_logic::Formula;
 use cqa_poly::{MPoly, Var};

@@ -1,10 +1,15 @@
 //! Property tests for the 1-D decomposition and finiteness machinery.
 
 use cqa_arith::{rat, Rat};
+use cqa_core::budget::EvalBudget;
 use cqa_core::{decompose_1d, enumerate_finite, is_finite_set, Endpoint};
 use cqa_logic::{Atom, Formula, Rel};
 use cqa_poly::{MPoly, Var};
 use proptest::prelude::*;
+
+fn unlimited() -> EvalBudget {
+    EvalBudget::unlimited()
+}
 
 /// Random boolean combinations of interval constraints on one variable.
 fn onedim_formula() -> impl Strategy<Value = Formula> {
@@ -81,9 +86,9 @@ proptest! {
         let v = Var(0);
         let ivs = decompose_1d(&f, v).unwrap();
         let all_points = ivs.iter().all(|iv| iv.is_point());
-        prop_assert_eq!(is_finite_set(&f, &[v]).unwrap(), all_points);
+        prop_assert_eq!(is_finite_set(&f, &[v], &unlimited()).unwrap(), all_points);
         if all_points {
-            let tuples = enumerate_finite(&f, &[v]).unwrap();
+            let tuples = enumerate_finite(&f, &[v], &unlimited()).unwrap();
             prop_assert_eq!(tuples.len(), ivs.len());
         }
     }

@@ -1694,7 +1694,8 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
         let expanded = db.expand(&f).unwrap();
         let qf = cqa_qe::eliminate(&expanded, &EvalBudget::unlimited()).unwrap();
         if qf.class() != ConstraintClass::Polynomial {
-            let v = cqa_geom::volume_in_unit_box(&qf, &vars).unwrap();
+            let v = cqa_geom::volume_in_unit_box_with_budget(&qf, &vars, &EvalBudget::unlimited())
+                .unwrap();
             return format!("status=exact value={v}");
         }
         let kernel = CompiledMatrix::compile(&qf, &SlotMap::from_vars(&vars)).unwrap();

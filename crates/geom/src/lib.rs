@@ -9,11 +9,13 @@
 //! * [`Mat`]/[`solve`]/[`det`] — exact rational linear algebra.
 //! * [`HPolyhedron`] — conjunctions of closed half-spaces: emptiness,
 //!   membership, per-coordinate bounds, vertex enumeration.
-//! * [`volume`]/[`volume_in_unit_box`] — **exact volume of arbitrary
-//!   semi-linear sets** given as quantifier-free linear formulas, via
-//!   inclusion–exclusion over DNF cells and Lasserre's facet recursion for
-//!   each convex cell. This is the engine behind the FO+POLY+SUM volume
-//!   terms of `cqa-agg`.
+//! * [`volume`]/[`volume_in_unit_box_with_budget`] — **exact volume of
+//!   arbitrary semi-linear sets** given as quantifier-free linear formulas,
+//!   via inclusion–exclusion over DNF cells and Lasserre's facet recursion
+//!   for each convex cell. This is the engine behind the FO+POLY+SUM volume
+//!   terms of `cqa-agg`. Each takes a cooperative `&EvalBudget` last (pass
+//!   `&EvalBudget::unlimited()` for none); the unit-box one keeps its
+//!   `_with_budget` name because the `cqa-e2e` benchmark calls it.
 //! * [`convex_hull`]/[`polygon_area`]/[`triangulate_fan`] — 2-D convex
 //!   hulls, shoelace areas, fan triangulations (the paper's Section-5
 //!   worked example).
@@ -30,6 +32,5 @@ pub use hull2d::{convex_hull, point_in_convex_polygon, polygon_area, triangulate
 pub use linalg::{det, solve, Mat};
 pub use polyhedron::HPolyhedron;
 pub use volume::{
-    simplex_volume, volume, volume_in_unit_box, volume_in_unit_box_with_budget, volume_with_budget,
-    VolumeError, MAX_DNF_CELLS,
+    simplex_volume, volume, volume_in_unit_box_with_budget, VolumeError, MAX_DNF_CELLS,
 };

@@ -97,30 +97,17 @@ pub fn simplex_volume(vertices: &[Vec<Rat>]) -> Rat {
 
 /// Exact volume of the semi-linear set defined by a quantifier-free linear
 /// formula over the variable ordering `vars` (the ambient space is
-/// `ℝ^vars.len()`).
-pub fn volume(f: &Formula, vars: &[Var]) -> Result<Rat, VolumeError> {
-    volume_with_budget(f, vars, &EvalBudget::unlimited())
-}
-
-/// [`volume`] under a cooperative [`EvalBudget`]: the inclusion–exclusion
-/// loop and the per-cell satisfiability probes check the budget and abort
-/// with [`VolumeError::Budget`] when it is exhausted. When the budget is
-/// not hit, the result is bit-identical to [`volume`].
-pub fn volume_with_budget(
-    f: &Formula,
-    vars: &[Var],
-    budget: &EvalBudget,
-) -> Result<Rat, VolumeError> {
+/// `ℝ^vars.len()`). The inclusion–exclusion loop and the per-cell
+/// satisfiability probes check the cooperative `budget` and abort with
+/// [`VolumeError::Budget`] when it is exhausted; when it is not hit, the
+/// result does not depend on it.
+pub fn volume(f: &Formula, vars: &[Var], budget: &EvalBudget) -> Result<Rat, VolumeError> {
     volume_impl(f, vars, None, budget)
 }
 
 /// Exact volume of the set intersected with the unit box `[0,1]ⁿ` — the
-/// `VOL_I` operator of the paper (Section 2). Never unbounded.
-pub fn volume_in_unit_box(f: &Formula, vars: &[Var]) -> Result<Rat, VolumeError> {
-    volume_in_unit_box_with_budget(f, vars, &EvalBudget::unlimited())
-}
-
-/// [`volume_in_unit_box`] under a cooperative [`EvalBudget`].
+/// `VOL_I` operator of the paper (Section 2). Never unbounded. Budgeted as
+/// [`volume`] is.
 pub fn volume_in_unit_box_with_budget(
     f: &Formula,
     vars: &[Var],
@@ -323,19 +310,23 @@ mod tests {
     use cqa_arith::rat;
     use cqa_logic::{parse_formula_with, VarMap};
 
+    fn unlimited() -> EvalBudget {
+        EvalBudget::unlimited()
+    }
+
     fn vol(src: &str, var_names: &[&str]) -> Result<Rat, VolumeError> {
         let mut vars = VarMap::new();
         // Intern in caller order so the ambient dimension is explicit.
         let vs: Vec<Var> = var_names.iter().map(|n| vars.intern(n)).collect();
         let f = parse_formula_with(src, &mut vars).unwrap();
-        volume(&f, &vs)
+        volume(&f, &vs, &unlimited())
     }
 
     fn vol_box(src: &str, var_names: &[&str]) -> Result<Rat, VolumeError> {
         let mut vars = VarMap::new();
         let vs: Vec<Var> = var_names.iter().map(|n| vars.intern(n)).collect();
         let f = parse_formula_with(src, &mut vars).unwrap();
-        volume_in_unit_box(&f, &vs)
+        volume_in_unit_box_with_budget(&f, &vs, &unlimited())
     }
 
     #[test]
@@ -505,7 +496,7 @@ mod tests {
         let f = parse_formula_with(&src, &mut vars).unwrap();
         let budget = EvalBudget::unlimited().with_deadline(std::time::Duration::ZERO);
         assert!(matches!(
-            volume_with_budget(&f, &[x, y], &budget),
+            volume(&f, &[x, y], &budget),
             Err(VolumeError::Budget(_))
         ));
         // An unhit budget is invisible: same value as the unbudgeted run on
@@ -517,8 +508,8 @@ mod tests {
         .unwrap();
         let roomy = EvalBudget::unlimited().with_max_steps(u64::MAX / 2);
         assert_eq!(
-            volume_with_budget(&small, &[x, y], &roomy),
-            volume(&small, &[x, y])
+            volume(&small, &[x, y], &roomy),
+            volume(&small, &[x, y], &unlimited())
         );
     }
 
@@ -533,7 +524,10 @@ mod tests {
         let mut vars = VarMap::new();
         let x = vars.intern("x");
         let f = parse_formula_with("exists y. x < y & y < 1", &mut vars).unwrap();
-        assert_eq!(volume(&f, &[x]), Err(VolumeError::NotSemiLinear));
+        assert_eq!(
+            volume(&f, &[x], &unlimited()),
+            Err(VolumeError::NotSemiLinear)
+        );
     }
 
     #[test]

@@ -2,8 +2,13 @@
 
 use cqa_arith::{rat, Rat};
 use cqa_geom::{convex_hull, polygon_area, simplex_volume, volume, HPolyhedron};
+use cqa_logic::budget::EvalBudget;
 use cqa_poly::Var;
 use proptest::prelude::*;
+
+fn unlimited() -> EvalBudget {
+    EvalBudget::unlimited()
+}
 
 /// Random small-integer points in the plane.
 fn points_strategy() -> impl Strategy<Value = Vec<(Rat, Rat)>> {
@@ -41,7 +46,7 @@ proptest! {
         let hp = hull_to_hpoly(&hull);
         let vars = [Var(0), Var(1)];
         let f = hp.to_formula(&vars);
-        let vol = volume(&f, &vars).unwrap();
+        let vol = volume(&f, &vars, &unlimited()).unwrap();
         let area = polygon_area(&hull);
         prop_assert_eq!(vol, area);
     }
@@ -92,9 +97,9 @@ proptest! {
         let vars = [Var(0), Var(1)];
         let fa = a.to_formula(&vars);
         let fb = b.to_formula(&vars);
-        let va = volume(&fa, &vars).unwrap();
-        let vb = volume(&fb, &vars).unwrap();
-        let vu = volume(&fa.clone().or(fb.clone()), &vars).unwrap();
+        let va = volume(&fa, &vars, &unlimited()).unwrap();
+        let vb = volume(&fb, &vars, &unlimited()).unwrap();
+        let vu = volume(&fa.clone().or(fb.clone()), &vars, &unlimited()).unwrap();
         prop_assert!(vu <= &va + &vb);
         prop_assert!(vu >= va.clone().max(vb.clone()));
         if dx == 0 && dy == 0 {

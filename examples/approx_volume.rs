@@ -19,7 +19,6 @@ use constraint_agg::approx::par::default_threads;
 use constraint_agg::approx::sample::{sample_size, Witness};
 use constraint_agg::approx::trivial::trivial_volume_approximation;
 use constraint_agg::core::Database;
-use constraint_agg::geom::volume_in_unit_box;
 use constraint_agg::logic::budget::EvalBudget;
 use constraint_agg::logic::parse_formula_with;
 use constraint_agg::prelude::*;
@@ -39,7 +38,9 @@ fn main() {
     let phi = parse_formula_with("Disk(r, x, y)", db.vars_mut()).unwrap();
 
     // 1. Exact engine refuses: the volume πr² is not rational.
-    let refusal = volume_in_unit_box(&db.expand(&phi).unwrap(), &[r, x, y]);
+    let unlimited = EvalBudget::unlimited();
+    let expanded = db.expand(&phi).unwrap();
+    let refusal = volume_in_unit_box_with_budget(&expanded, &[r, x, y], &unlimited);
     println!("exact semi-linear engine on the disk family: {refusal:?}");
 
     // 2. Theorem 4: one sample, uniform accuracy across all radii.
@@ -47,7 +48,6 @@ fn main() {
     let m = sample_size(eps, delta, d);
     println!("\nTheorem 4 estimator: M(ε={eps}, δ={delta}, d={d}) = {m} witness points");
     let mut w = Witness::new(2718);
-    let unlimited = EvalBudget::unlimited();
     let est =
         UniformVolumeEstimator::new(&db, &phi, &[r], &[x, y], eps, delta, d, &mut w, &unlimited)
             .expect("Cohen–Hörmander handles the polynomial atoms");

@@ -14,6 +14,8 @@ use constraint_agg::prelude::*;
 
 fn main() {
     let mut db = Database::new();
+    // No operation here can blow up: run each without a budget cap.
+    let unlimited = EvalBudget::unlimited();
 
     // A town plan on the [0,10]² map, as linear-constraint zones.
     db.define(
@@ -62,7 +64,7 @@ fn main() {
     let constraint_agg::core::Relation::FinitelyRepresentable { params, formula } = &risk else {
         unreachable!()
     };
-    let risk_area = constraint_agg::geom::volume(formula, params).unwrap();
+    let risk_area = volume(formula, params, &unlimited).unwrap();
     println!(
         "area(Residential ∩ FloodPlain) = {risk_area} ≈ {:.2}",
         risk_area.to_f64()
@@ -86,10 +88,11 @@ fn main() {
         db.vars_mut(),
     )
     .unwrap();
-    let n = aggregate(&db, &q, &[x, y], &MPoly::var(x), Aggregate::Count).unwrap();
+    let xcoord = MPoly::var(x);
+    let n = aggregate(&db, &q, &[x, y], &xcoord, Aggregate::Count, &unlimited).unwrap();
     println!("safe residential wells: {n}");
     if !n.is_zero() {
-        let ax = aggregate(&db, &q, &[x, y], &MPoly::var(x), Aggregate::Avg).unwrap();
+        let ax = aggregate(&db, &q, &[x, y], &xcoord, Aggregate::Avg, &unlimited).unwrap();
         println!("  average x-coordinate: {ax}");
     }
 
@@ -102,7 +105,7 @@ fn main() {
     else {
         unreachable!()
     };
-    let a = constraint_agg::geom::volume(formula, params).unwrap();
+    let a = volume(formula, params, &unlimited).unwrap();
     let res_area = semilinear_volume(&db, "Residential").unwrap();
     println!(
         "share of residential land that is park: {} (exact)",

@@ -51,8 +51,10 @@ fn main() {
     let x = db.vars_mut().intern("x");
     let y = db.vars_mut().intern("y");
     let q = parse_formula_with("Sensor(x, y) & Triangle(x, y)", db.vars_mut()).unwrap();
-    let count = aggregate(&db, &q, &[x, y], &MPoly::var(x), Aggregate::Count).unwrap();
-    let avg_x = aggregate(&db, &q, &[x, y], &MPoly::var(x), Aggregate::Avg).unwrap();
+    let unlimited = EvalBudget::unlimited();
+    let xcoord = MPoly::var(x);
+    let count = aggregate(&db, &q, &[x, y], &xcoord, Aggregate::Count, &unlimited).unwrap();
+    let avg_x = aggregate(&db, &q, &[x, y], &xcoord, Aggregate::Avg, &unlimited).unwrap();
     println!("sensors inside the triangle: {count}, average x-coordinate {avg_x}");
 
     // 5. Exact rational arithmetic underneath it all.

@@ -35,13 +35,16 @@ fn main() {
     let s = db.vars_mut().intern("s");
     let v = db.vars_mut().get("v").unwrap();
     let q = parse_formula_with("Readings(s, v) & Valid(v)", db.vars_mut()).unwrap();
+    let unlimited = EvalBudget::unlimited();
+    let value = MPoly::var(v);
 
     println!("average valid reading per station (GROUP BY s):");
-    let rows = group_aggregate(&db, &q, &[s, v], &[s], &MPoly::var(v), Aggregate::Avg).unwrap();
+    let rows = group_aggregate(&db, &q, &[s, v], &[s], &value, Aggregate::Avg, &unlimited).unwrap();
     for (key, avg) in &rows {
         println!("  station {} → AVG = {}", key[0], avg);
     }
-    let counts = group_aggregate(&db, &q, &[s, v], &[s], &MPoly::var(v), Aggregate::Count).unwrap();
+    let counts =
+        group_aggregate(&db, &q, &[s, v], &[s], &value, Aggregate::Count, &unlimited).unwrap();
     println!(
         "  (station 3's out-of-range reading is filtered: groups = {:?})",
         counts

@@ -15,6 +15,18 @@ run_capped() { timeout --signal=KILL "$TEST_TIMEOUT" "$@"; }
 echo "== format =="
 cargo fmt --all --check
 
+echo "== one budgeted entry point per operation (no unbudgeted twin regrows) =="
+# Each operation that can run QE is one public function taking &EvalBudget
+# last. Only two keep a `_with_budget` name, because bench/ calls them.
+twins="$(git grep -o 'pub fn [a-z_]*_with_budget' -- 'crates/*/src/*' | sort || true)"
+expected="crates/agg/src/lang.rs:pub fn eval_with_budget
+crates/geom/src/volume.rs:pub fn volume_in_unit_box_with_budget"
+if [ "$twins" != "$expected" ]; then
+  printf 'expected only SumTerm::eval_with_budget and volume_in_unit_box_with_budget, found:\n%s\n' \
+    "$twins" >&2
+  exit 1
+fi
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -43,6 +43,11 @@
 //! // Exact volume (area) via the Theorem-3 algorithm: 1/2.
 //! let vol = semilinear_volume(&db, "T").unwrap();
 //! assert_eq!(vol, rat(1, 2));
+//!
+//! // Each operation takes an `EvalBudget` last; `unlimited()` sets no cap.
+//! let (x, y) = (db.vars_mut().intern("x"), db.vars_mut().intern("y"));
+//! let f = parse_formula_with("x >= 0 & y >= 0 & x + y <= 1", db.vars_mut()).unwrap();
+//! assert_eq!(volume(&f, &[x, y], &EvalBudget::unlimited()), Ok(rat(1, 2)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,7 +68,8 @@ pub mod prelude {
     pub use cqa_analyze::{analyze_source, AnalyzerConfig};
     pub use cqa_arith::{rat, rint, Int, Rat};
     pub use cqa_core::{Database, Relation};
-    pub use cqa_geom::{volume, volume_in_unit_box};
+    pub use cqa_geom::{volume, volume_in_unit_box_with_budget};
+    pub use cqa_logic::budget::EvalBudget;
     pub use cqa_logic::{parse_formula, parse_formula_with, Formula, VarMap};
     pub use cqa_qe::{decide_sentence, eliminate};
 }

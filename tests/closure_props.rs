@@ -7,6 +7,10 @@ use constraint_agg::poly::{MPoly, Var};
 use constraint_agg::prelude::*;
 use proptest::prelude::*;
 
+fn unlimited() -> EvalBudget {
+    EvalBudget::unlimited()
+}
+
 /// Random conjunctions of half-planes through integer points.
 fn halfplane_conj() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
     prop::collection::vec((-3i64..=3, -3i64..=3, -6i64..=6), 1..6)
@@ -45,7 +49,7 @@ proptest! {
             vec![y],
             Formula::Rel { name: "R".into(), args: vec![MPoly::var(x), MPoly::var(y)] },
         );
-        let out = db.eval(&q, &[x]).unwrap();
+        let out = db.eval(&q, &[x], &unlimited()).unwrap();
         let Relation::FinitelyRepresentable { formula, .. } = out else { panic!() };
         prop_assert!(formula.is_quantifier_free());
         prop_assert!(formula.is_relation_free());
@@ -66,7 +70,7 @@ proptest! {
             vec![y],
             Formula::Rel { name: "R".into(), args: vec![MPoly::var(x), MPoly::var(y)] },
         );
-        let out = db.eval(&q, &[x]).unwrap();
+        let out = db.eval(&q, &[x], &unlimited()).unwrap();
         for xv in -4..=4i64 {
             for yv in -4..=4i64 {
                 let asg = |v: Var| if v == x { rat(xv, 1) } else { rat(yv, 1) };
@@ -88,8 +92,8 @@ proptest! {
         let tightened = base.clone().and(formula_of(&[extra], x, y));
         // Clip to a box so volumes are finite.
         let boxf = formula_of(&[(1, 0, -5), (-1, 0, -5), (0, 1, -5), (0, -1, -5)], x, y);
-        let v_base = volume(&base.clone().and(boxf.clone()), &[x, y]).unwrap();
-        let v_tight = volume(&tightened.and(boxf), &[x, y]).unwrap();
+        let v_base = volume(&base.clone().and(boxf.clone()), &[x, y], &unlimited()).unwrap();
+        let v_tight = volume(&tightened.and(boxf), &[x, y], &unlimited()).unwrap();
         prop_assert!(v_tight <= v_base);
     }
 
@@ -102,7 +106,7 @@ proptest! {
         let y = vars.intern("y");
         let boxf = formula_of(&[(1, 0, -3), (-1, 0, -3), (0, 1, -3), (0, -1, -3)], x, y);
         let f = formula_of(&rows, x, y).and(boxf);
-        let v = volume(&f, &[x, y]).unwrap().to_f64();
+        let v = volume(&f, &[x, y], &unlimited()).unwrap().to_f64();
         // 60×60 grid over [-3,3]².
         let n = 60;
         let mut hits = 0usize;

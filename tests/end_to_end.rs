@@ -4,11 +4,15 @@
 use constraint_agg::agg::{aggregate, semilinear_volume, Aggregate, SumTerm};
 use constraint_agg::agg::{Deterministic, RangeRestricted};
 use constraint_agg::core::{enumerate_finite, Database, Relation};
-use constraint_agg::geom::{volume, volume_in_unit_box};
+use constraint_agg::geom::{volume, volume_in_unit_box_with_budget};
 use constraint_agg::logic::budget::EvalBudget;
 use constraint_agg::logic::{parse_formula_with, Formula};
 use constraint_agg::poly::MPoly;
 use constraint_agg::prelude::*;
+
+fn unlimited() -> EvalBudget {
+    EvalBudget::unlimited()
+}
 
 #[test]
 fn query_then_volume_pipeline() {
@@ -23,7 +27,7 @@ fn query_then_volume_pipeline() {
     let Relation::FinitelyRepresentable { params, formula } = &out else {
         panic!("expected constraint output");
     };
-    let v = volume(formula, params).unwrap();
+    let v = volume(formula, params, &unlimited()).unwrap();
     // Area between y = 1/4 and y = 3/4 inside the unit right triangle:
     // ∫_{1/4}^{3/4} (1 − y) dy = [y − y²/2] = (3/4 − 9/32) − (1/4 − 1/32) = 1/4.
     assert_eq!(v, rat(1, 4));
@@ -63,11 +67,11 @@ fn safety_gate_rejects_infinite_aggregation() {
     db.define("S", &["x"], "0 <= x & x <= 1").unwrap();
     let x = db.vars_mut().get("x").unwrap();
     let q = parse_formula_with("S(x)", db.vars_mut()).unwrap();
-    assert!(aggregate(&db, &q, &[x], &MPoly::var(x), Aggregate::Sum).is_err());
+    assert!(aggregate(&db, &q, &[x], &MPoly::var(x), Aggregate::Sum, &unlimited()).is_err());
     // But a finite subset aggregates fine.
     let q2 = parse_formula_with("S(x) & (x = 0.25 | x = 0.75)", db.vars_mut()).unwrap();
     assert_eq!(
-        aggregate(&db, &q2, &[x], &MPoly::var(x), Aggregate::Sum).unwrap(),
+        aggregate(&db, &q2, &[x], &MPoly::var(x), Aggregate::Sum, &unlimited()).unwrap(),
         rat(1, 1)
     );
 }
@@ -97,7 +101,7 @@ fn sum_term_full_language_flow() {
         },
     };
     // Endpoints of π_y(T) = [0,1]: {0, 1}; single pair (0,1): (1−0)² = 1.
-    assert_eq!(term.eval(&db).unwrap(), rat(1, 1));
+    assert_eq!(term.eval_with_budget(&db, &unlimited()).unwrap(), rat(1, 1));
 }
 
 #[test]
@@ -108,7 +112,7 @@ fn finite_enumeration_through_database() {
     let q = parse_formula_with("Q(x)", db.vars_mut()).unwrap();
     let expanded = db.expand(&q).unwrap();
     let qf = constraint_agg::qe::eliminate(&expanded, &EvalBudget::unlimited()).unwrap();
-    let tuples = enumerate_finite(&qf, &[x]).unwrap();
+    let tuples = enumerate_finite(&qf, &[x], &unlimited()).unwrap();
     assert_eq!(tuples, vec![vec![rat(1, 1)], vec![rat(2, 1)]]);
 }
 
@@ -122,8 +126,11 @@ fn volume_operators_match_paper_notation() {
     let yv = db.vars_mut().get("y").unwrap();
     let q = parse_formula_with("H(x, y)", db.vars_mut()).unwrap();
     let f = db.expand(&q).unwrap();
-    assert!(volume(&f, &[x, yv]).is_err());
-    assert_eq!(volume_in_unit_box(&f, &[x, yv]).unwrap(), rat(1, 2));
+    assert!(volume(&f, &[x, yv], &unlimited()).is_err());
+    assert_eq!(
+        volume_in_unit_box_with_budget(&f, &[x, yv], &unlimited()).unwrap(),
+        rat(1, 2)
+    );
 }
 
 #[test]

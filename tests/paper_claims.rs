@@ -14,10 +14,14 @@ use constraint_agg::approx::separating::{
 use constraint_agg::approx::trivial::trivial_volume_approximation;
 use constraint_agg::approx::vc::{bit_test_database, bit_test_shatters};
 use constraint_agg::core::Database;
-use constraint_agg::geom::{polygon_area, volume, volume_in_unit_box};
+use constraint_agg::geom::{polygon_area, volume, volume_in_unit_box_with_budget};
 use constraint_agg::logic::{parse_formula_with, VarMap};
 use constraint_agg::poly::Var;
 use constraint_agg::prelude::*;
+
+fn unlimited() -> EvalBudget {
+    EvalBudget::unlimited()
+}
 
 /// §3 worked example: `VOL_I(φ(a, b, U)) = (b² − a²)/2`.
 #[test]
@@ -28,7 +32,7 @@ fn section3_example_volume_formula() {
         let y2 = vars.intern("y2");
         let src = format!("{a}/4 < y1 & y1 < {b}/4 & 0 <= y2 & y2 <= y1");
         let f = parse_formula_with(&src, &mut vars).unwrap();
-        let v = volume_in_unit_box(&f, &[y1, y2]).unwrap();
+        let v = volume_in_unit_box_with_budget(&f, &[y1, y2], &unlimited()).unwrap();
         let expect = (rat(b, 4).pow(2) - rat(a, 4).pow(2)) / rat(2, 1);
         assert_eq!(v, expect, "a={a}/4 b={b}/4");
     }
@@ -53,7 +57,7 @@ fn non_closure_arctan() {
     let y = vars.intern("y");
     let z = vars.intern("z");
     let f = parse_formula_with("0 <= y & y <= 1 & 0 <= z & z + z*y*y <= 1", &mut vars).unwrap();
-    assert!(volume(&f, &[y, z]).is_err());
+    assert!(volume(&f, &[y, z], &unlimited()).is_err());
 }
 
 /// Proposition 4: the trivial approximator achieves error ≤ 1/2 on every
@@ -71,7 +75,7 @@ fn proposition4_trivial_approximation() {
     ] {
         let f = parse_formula_with(src, &mut vars).unwrap();
         let est = trivial_volume_approximation(&f, &vs).unwrap();
-        let truth = volume_in_unit_box(&f, &vs).unwrap();
+        let truth = volume_in_unit_box_with_budget(&f, &vs, &unlimited()).unwrap();
         assert!((est - truth).abs() <= rat(1, 2), "{src}");
     }
 }

@@ -10,6 +10,10 @@ use constraint_agg::analyze::{
 use constraint_agg::approx::km::KmBudget;
 use constraint_agg::prelude::*;
 
+fn unlimited() -> EvalBudget {
+    EvalBudget::unlimited()
+}
+
 fn example(name: &str) -> String {
     let path = format!("{}/examples/lint/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"))
@@ -46,7 +50,10 @@ fn endpoints_demo_lints_clean_and_evaluates() {
     let Some(Statement::Sum(s)) = prog.statements.iter().find(|s| s.name() == "EndpointSum") else {
         panic!("EndpointSum missing")
     };
-    assert_eq!(s.to_sum_term().eval(&db).unwrap(), rat(13, 4));
+    assert_eq!(
+        s.to_sum_term().eval_with_budget(&db, &unlimited()).unwrap(),
+        rat(13, 4)
+    );
 }
 
 #[test]
@@ -159,6 +166,9 @@ sum T(w) := true | END[y. S(y)] ; xout . xout = 2*w & S(w)
         panic!()
     };
     let term = s.to_sum_term();
-    assert!(!constraint_agg::agg::is_deterministic(&term.gamma).unwrap());
-    assert_eq!(term.eval(&db).unwrap(), rat(10, 1));
+    assert!(!constraint_agg::agg::is_deterministic(&term.gamma, &unlimited()).unwrap());
+    assert_eq!(
+        term.eval_with_budget(&db, &unlimited()).unwrap(),
+        rat(10, 1)
+    );
 }
