@@ -1004,9 +1004,10 @@ impl Engine {
                     }
                 };
                 match eliminated {
+                    // Every elimination method returns simplified output,
+                    // and a static ⊥/⊤ is already simplified.
                     Ok(qf) => {
                         let qf_id = arena.intern(&qf);
-                        let qf_id = cqa_qe::simplify_id(arena, qf_id, simp);
                         let kernel = match CompiledMatrix::compile_arena(
                             arena,
                             qf_id,
@@ -1020,7 +1021,6 @@ impl Engine {
                                 )
                             }
                         };
-                        let qf = arena.extern_formula(qf_id);
                         // A static ⊥/⊤ substitution keeps the original
                         // query's class so the exact-vs-MC decision below
                         // is the one eliminating the query would reach.

@@ -1053,6 +1053,26 @@ mod tests {
             format!("{:032x}", h.finish128()),
             "c29f4afc8cd7569152a01bad0f67032a"
         );
+        // Polynomial atoms: the term hash streams every `(monomial,
+        // coefficient)` pair in ascending monomial order, so a change to how
+        // `MPoly` stores its terms must leave these bytes alone.
+        for (src, golden) in [
+            ("x*x + y*y <= 1", "57de12d79aaa2535fac2940718449470"),
+            (
+                "3*x*y*z - 2/7*y*y*y + x > 5",
+                "1bd6daae84ddfcb412730599f956df92",
+            ),
+            (
+                "z*z*x - x*y + 4294967296*y - 1/3 = 0",
+                "7b8648e24ce22a24dcd16e2f40d6e76d",
+            ),
+        ] {
+            let f = parse_formula_with(src, &mut VarMap::new()).unwrap();
+            let mut arena = Arena::new();
+            let id = arena.intern(&f);
+            let digest = arena.structural_hash(id);
+            assert_eq!(format!("{digest:032x}"), golden, "{src}");
+        }
     }
 
     #[test]

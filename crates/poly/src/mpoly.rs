@@ -1,7 +1,8 @@
 //! Sparse multivariate polynomials over ℚ.
 
 use cqa_arith::Rat;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -28,15 +29,15 @@ fn mono_mul(a: &Monomial, b: &Monomial) -> Monomial {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => {
+            Ordering::Less => {
                 out.push(a[i]);
                 i += 1;
             }
-            std::cmp::Ordering::Greater => {
+            Ordering::Greater => {
                 out.push(b[j]);
                 j += 1;
             }
-            std::cmp::Ordering::Equal => {
+            Ordering::Equal => {
                 out.push((a[i].0, a[i].1 + b[j].1));
                 i += 1;
                 j += 1;
@@ -50,19 +51,54 @@ fn mono_mul(a: &Monomial, b: &Monomial) -> Monomial {
 
 /// A sparse multivariate polynomial with rational coefficients.
 ///
-/// Invariant: no stored coefficient is zero, so the representation is
-/// canonical and derived equality is mathematical equality.
+/// Invariant: the terms are strictly ascending by monomial and no stored
+/// coefficient is zero, so the representation is canonical and derived
+/// equality is mathematical equality. The derived `Hash` writes the length
+/// and then each `(monomial, coefficient)` in ascending order: the stream an
+/// ordered map of the same terms writes, which cache keys are built on.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub struct MPoly {
-    terms: BTreeMap<Monomial, Rat>,
+    terms: Vec<(Monomial, Rat)>,
+}
+
+/// Merges two term lists, negating `b`'s coefficients when `negate_b`.
+fn merge(a: &[(Monomial, Rat)], b: &[(Monomial, Rat)], negate_b: bool) -> MPoly {
+    let mut out: Vec<(Monomial, Rat)> = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    let b_coeff = |c: &Rat| if negate_b { -c } else { c.clone() };
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            Ordering::Less => {
+                out.push(a[i].clone());
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push((b[j].0.clone(), b_coeff(&b[j].1)));
+                j += 1;
+            }
+            Ordering::Equal => {
+                let s = if negate_b {
+                    &a[i].1 - &b[j].1
+                } else {
+                    &a[i].1 + &b[j].1
+                };
+                if !s.is_zero() {
+                    out.push((a[i].0.clone(), s));
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend(b[j..].iter().map(|(m, c)| (m.clone(), b_coeff(c))));
+    MPoly { terms: out }
 }
 
 impl MPoly {
     /// The zero polynomial.
     pub fn zero() -> MPoly {
-        MPoly {
-            terms: BTreeMap::new(),
-        }
+        MPoly { terms: Vec::new() }
     }
 
     /// The constant one.
@@ -72,18 +108,19 @@ impl MPoly {
 
     /// A constant polynomial.
     pub fn constant(c: Rat) -> MPoly {
-        let mut terms = BTreeMap::new();
-        if !c.is_zero() {
-            terms.insert(Vec::new(), c);
+        if c.is_zero() {
+            return MPoly::zero();
         }
-        MPoly { terms }
+        MPoly {
+            terms: vec![(Vec::new(), c)],
+        }
     }
 
     /// The polynomial `v`.
     pub fn var(v: Var) -> MPoly {
-        let mut terms = BTreeMap::new();
-        terms.insert(vec![(v, 1)], Rat::one());
-        MPoly { terms }
+        MPoly {
+            terms: vec![(vec![(v, 1)], Rat::one())],
+        }
     }
 
     /// An integer constant.
@@ -98,16 +135,9 @@ impl MPoly {
 
     /// Returns the constant value if the polynomial is constant.
     pub fn as_constant(&self) -> Option<Rat> {
-        match self.terms.len() {
-            0 => Some(Rat::zero()),
-            1 => {
-                let (m, c) = self.terms.iter().next().unwrap();
-                if m.is_empty() {
-                    Some(c.clone())
-                } else {
-                    None
-                }
-            }
+        match self.terms.as_slice() {
+            [] => Some(Rat::zero()),
+            [(m, c)] if m.is_empty() => Some(c.clone()),
             _ => None,
         }
     }
@@ -120,8 +150,8 @@ impl MPoly {
     /// The set of variables occurring with non-zero exponent.
     pub fn vars(&self) -> BTreeSet<Var> {
         self.terms
-            .keys()
-            .flat_map(|m| m.iter().map(|&(v, _)| v))
+            .iter()
+            .flat_map(|(m, _)| m.iter().map(|&(v, _)| v))
             .collect()
     }
 
@@ -129,8 +159,8 @@ impl MPoly {
     /// including the zero polynomial).
     pub fn degree_in(&self, v: Var) -> u32 {
         self.terms
-            .keys()
-            .map(|m| m.iter().find(|&&(w, _)| w == v).map_or(0, |&(_, e)| e))
+            .iter()
+            .map(|(m, _)| m.iter().find(|&&(w, _)| w == v).map_or(0, |&(_, e)| e))
             .max()
             .unwrap_or(0)
     }
@@ -138,8 +168,8 @@ impl MPoly {
     /// Total degree (`None` for zero).
     pub fn total_degree(&self) -> Option<u32> {
         self.terms
-            .keys()
-            .map(|m| m.iter().map(|&(_, e)| e).sum())
+            .iter()
+            .map(|(m, _)| m.iter().map(|&(_, e)| e).sum())
             .max()
     }
 
@@ -147,16 +177,12 @@ impl MPoly {
         if c.is_zero() {
             return;
         }
-        match self.terms.entry(m) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(c);
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let s = e.get() + &c;
-                if s.is_zero() {
-                    e.remove();
-                } else {
-                    *e.get_mut() = s;
+        match self.terms.binary_search_by(|(k, _)| k.cmp(&m)) {
+            Err(i) => self.terms.insert(i, (m, c)),
+            Ok(i) => {
+                self.terms[i].1 += c;
+                if self.terms[i].1.is_zero() {
+                    self.terms.remove(i);
                 }
             }
         }
@@ -318,8 +344,11 @@ impl MPoly {
         out
     }
 
-    /// Iterates over `(monomial, coefficient)` pairs.
-    pub fn terms(&self) -> impl Iterator<Item = (&[(Var, u32)], &Rat)> {
+    /// Iterates over `(monomial, coefficient)` pairs in ascending monomial
+    /// order; `next_back` is the leading term.
+    pub fn terms(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (&[(Var, u32)], &Rat)> + ExactSizeIterator {
         self.terms.iter().map(|(m, c)| (m.as_slice(), c))
     }
 
@@ -327,8 +356,8 @@ impl MPoly {
     /// (i.e. is an affine/linear expression).
     pub fn is_affine(&self) -> bool {
         self.terms
-            .keys()
-            .all(|m| m.iter().map(|&(_, e)| e).sum::<u32>() <= 1)
+            .iter()
+            .all(|(m, _)| m.iter().map(|&(_, e)| e).sum::<u32>() <= 1)
     }
 }
 
@@ -350,31 +379,38 @@ impl Neg for MPoly {
 impl Add for &MPoly {
     type Output = MPoly;
     fn add(self, other: &MPoly) -> MPoly {
-        let mut out = self.clone();
-        for (m, c) in &other.terms {
-            out.add_term(m.clone(), c.clone());
-        }
-        out
+        merge(&self.terms, &other.terms, false)
     }
 }
 
 impl Sub for &MPoly {
     type Output = MPoly;
     fn sub(self, other: &MPoly) -> MPoly {
-        self + &(-other)
+        merge(&self.terms, &other.terms, true)
     }
 }
 
 impl Mul for &MPoly {
     type Output = MPoly;
     fn mul(self, other: &MPoly) -> MPoly {
-        let mut out = MPoly::zero();
+        let mut terms = Vec::with_capacity(self.terms.len() * other.terms.len());
         for (ma, ca) in &self.terms {
             for (mb, cb) in &other.terms {
-                out.add_term(mono_mul(ma, mb), ca * cb);
+                terms.push((mono_mul(ma, mb), ca * cb));
             }
         }
-        out
+        // Sorted, equal monomials are adjacent: sum them and drop what
+        // cancels. Exact arithmetic makes the sums independent of order.
+        terms.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        terms.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += &next.1;
+            }
+            same
+        });
+        terms.retain(|(_, c)| !c.is_zero());
+        MPoly { terms }
     }
 }
 

@@ -55,6 +55,15 @@
 //! budget counts one step per `casesplit` entry — in memo builds as in
 //! direct derivations — plus one per replayed tree node.
 //!
+//! **Nothing on the split path is copied.** A sign context records each
+//! decided head once, made monic, in an `Rc` that the three contexts a
+//! split creates share. A lookup tests `p = c·q` term by term against each
+//! entry `q`, with `c` the head coefficient of `p`, so it allocates
+//! nothing. Each elimination resolves its body's atoms to sign-matrix
+//! columns once, before the first row, and returns simplified output; since
+//! `simplify` is a projection, [`hoermander`] simplifies again only after
+//! negating a ∀-block's result.
+//!
 //! Complexity is non-elementary in the worst case; the paper (Section 3)
 //! leans on exactly this cost when arguing that QE-based approximate volume
 //! operators are impractical, and `qe.hoermander.us_per_op` in `cqa-e2e`
@@ -62,6 +71,7 @@
 
 use crate::simplify::simplify;
 use crate::QeError;
+use cqa_arith::Rat;
 use cqa_logic::budget::{BudgetExceeded, EvalBudget};
 use cqa_logic::{nnf, prenex, Atom, Formula, Rel};
 use cqa_poly::{MPoly, Var};
@@ -105,22 +115,27 @@ impl Sign {
     }
 }
 
-/// A context of sign assumptions on parameter polynomials, normalized to
-/// monic form so that positive scalings share one entry.
+/// A context of sign assumptions on non-constant parameter polynomials,
+/// each normalized to monic form (leading coefficient 1) so that positive
+/// scalings share one entry. The polynomials are shared between a context
+/// and the contexts extended from it.
 #[derive(Clone, Default)]
 struct Ctx {
-    entries: Vec<(MPoly, Sign)>,
+    entries: Vec<(Rc<MPoly>, Sign)>,
 }
 
-/// Normalizes `p = c·q` with `q` monic in the term order; returns
-/// `(q, c_is_negative)`, or `None` for the zero polynomial (which has no
-/// leading coefficient — callers treat it as the constant 0).
-fn normalize(p: &MPoly) -> Option<(MPoly, bool)> {
-    let c = p.terms().last().map(|(_, c)| c.clone())?;
-    Some((p.scale(&c.recip()), c.is_negative()))
+/// `true` iff `p = c·q` term by term, for monic `q` and `c` the leading
+/// coefficient of `p`.
+fn is_multiple(p: &MPoly, c: &Rat, q: &MPoly) -> bool {
+    p.num_terms() == q.num_terms()
+        && p.terms().zip(q.terms()).all(|((mp, _), (mq, _))| mp == mq)
+        && p.terms()
+            .zip(q.terms())
+            .all(|((_, cp), (_, cq))| *cp == c * cq)
 }
 
 impl Ctx {
+    /// The sign of `p` if it is a constant or a scaling of an entry.
     fn findsign(&self, p: &MPoly) -> Option<Sign> {
         if let Some(c) = p.as_constant() {
             return Some(match c.signum() {
@@ -129,24 +144,20 @@ impl Ctx {
                 _ => Sign::Neg,
             });
         }
-        let Some((q, neg)) = normalize(p) else {
-            return Some(Sign::Zero); // structurally zero polynomial
-        };
+        let (_, c) = p.terms().next_back()?;
         self.entries
             .iter()
-            .find(|(r, _)| *r == q)
-            .map(|&(_, s)| s.flip_if(neg))
+            .find(|(q, _)| is_multiple(p, c, q))
+            .map(|&(_, s)| s.flip_if(c.is_negative()))
     }
 
-    fn assert_sign(&self, p: &MPoly, s: Sign) -> Ctx {
-        // The zero polynomial already has sign Zero; nothing to record.
-        let Some((q, neg)) = normalize(p) else {
-            return self.clone();
-        };
-        let mut next = self.clone();
-        next.entries.retain(|(r, _)| *r != q);
-        next.entries.push((q, s.flip_if(neg)));
-        next
+    /// This context and `p`'s sign `s`, for a non-constant `p` whose sign
+    /// the context does not know; `q` is `p` made monic.
+    fn with(&self, q: &Rc<MPoly>, s: Sign) -> Ctx {
+        let mut entries = Vec::with_capacity(self.entries.len() + 1);
+        entries.extend(self.entries.iter().cloned());
+        entries.push((Rc::clone(q), s));
+        Ctx { entries }
     }
 }
 
@@ -246,7 +257,7 @@ fn xderiv(p: &[MPoly]) -> XPoly {
     p.iter()
         .enumerate()
         .skip(1)
-        .map(|(i, c)| c.scale(&cqa_arith::Rat::from(i as i64)))
+        .map(|(i, c)| c.scale(&Rat::from(i as i64)))
         .collect()
 }
 
@@ -307,9 +318,13 @@ impl Elim<'_> {
             return k(self, ctx, s);
         }
         self.charge(1)?;
-        let zero = k(self, &ctx.assert_sign(head, Sign::Zero), Sign::Zero)?;
-        let pos = k(self, &ctx.assert_sign(head, Sign::Pos), Sign::Pos)?;
-        let neg = k(self, &ctx.assert_sign(head, Sign::Neg), Sign::Neg)?;
+        // `findsign` knows every constant, so `head` is non-constant here.
+        let c = head.terms().next_back().expect("a non-zero head").1;
+        let q = Rc::new(head.scale(&c.recip()));
+        let flip = c.is_negative();
+        let zero = k(self, &ctx.with(&q, Sign::Zero), Sign::Zero)?;
+        let pos = k(self, &ctx.with(&q, Sign::Pos.flip_if(flip)), Sign::Pos)?;
+        let neg = k(self, &ctx.with(&q, Sign::Neg.flip_if(flip)), Sign::Neg)?;
         Ok(O::split(poly, [zero, pos, neg]))
     }
 
@@ -516,7 +531,6 @@ impl Elim<'_> {
 fn dedmatrix(rows: &[Vec<i8>], l: usize) -> Result<Vec<Vec<i8>>, Inconsistent> {
     debug_assert!(rows.len() % 2 == 1);
     // Step 1: p's sign at q-root points; drop the remainder columns.
-    // (kind: false = interval, true = point)
     struct Row {
         psign: Option<i8>,
         qsigns: Vec<i8>,
@@ -538,7 +552,6 @@ fn dedmatrix(rows: &[Vec<i8>], l: usize) -> Result<Vec<Vec<i8>>, Inconsistent> {
                 }
             }
         }
-        let _ = point;
         rs1.push(Row { psign, qsigns });
     }
     // Step 2: condense — remove point rows that are roots of no q (they were
@@ -625,26 +638,52 @@ fn dedmatrix(rows: &[Vec<i8>], l: usize) -> Result<Vec<Vec<i8>>, Inconsistent> {
     Ok(out)
 }
 
-/// Evaluates the (NNF, relation-free, quantifier-free) body under a sign
-/// assignment for its atom polynomials.
-fn eval_with_signs(f: &Formula, polys: &[MPoly], row: &[i8]) -> bool {
-    match f {
-        Formula::True => true,
-        Formula::False => false,
-        Formula::Atom(a) => {
-            let idx = polys
-                .iter()
-                .position(|p| *p == a.poly)
-                .expect("atom polynomial not catalogued");
-            a.rel.sign_satisfies(i32::from(row[idx]))
+/// The (NNF, relation-free, quantifier-free) body of an elimination with
+/// each atom resolved to its polynomial's sign-matrix column.
+enum Body {
+    Const(bool),
+    Atom(usize, Rel),
+    And(Vec<Body>),
+    Or(Vec<Body>),
+}
+
+impl Body {
+    /// Resolves `f`'s atoms, cataloguing each distinct polynomial in
+    /// `polys` in first-occurrence order.
+    fn resolve(f: &Formula, polys: &mut Vec<MPoly>) -> Result<Body, QeError> {
+        let all = |fs: &[Formula], polys: &mut Vec<MPoly>| -> Result<Vec<Body>, QeError> {
+            fs.iter().map(|g| Body::resolve(g, polys)).collect()
+        };
+        Ok(match f {
+            Formula::True => Body::Const(true),
+            Formula::False => Body::Const(false),
+            Formula::Atom(a) => {
+                let col = polys.iter().position(|p| *p == a.poly).unwrap_or_else(|| {
+                    polys.push(a.poly.clone());
+                    polys.len() - 1
+                });
+                Body::Atom(col, a.rel)
+            }
+            Formula::And(fs) => Body::And(all(fs, polys)?),
+            Formula::Or(fs) => Body::Or(all(fs, polys)?),
+            Formula::Rel { .. } | Formula::Not(_) => return Err(QeError::HasRelations),
+            other => unreachable!("unexpected connective in CH body: {other:?}"),
+        })
+    }
+
+    /// The body's truth under one sign-matrix row.
+    fn eval(&self, row: &[i8]) -> bool {
+        match self {
+            Body::Const(b) => *b,
+            Body::Atom(col, rel) => rel.sign_satisfies(i32::from(row[*col])),
+            Body::And(bs) => bs.iter().all(|b| b.eval(row)),
+            Body::Or(bs) => bs.iter().any(|b| b.eval(row)),
         }
-        Formula::And(fs) => fs.iter().all(|g| eval_with_signs(g, polys, row)),
-        Formula::Or(fs) => fs.iter().any(|g| eval_with_signs(g, polys, row)),
-        other => unreachable!("unexpected connective in CH body: {other:?}"),
     }
 }
 
-/// Eliminates `∃v` from a quantifier-free, relation-free formula.
+/// Eliminates `∃v` from a quantifier-free, relation-free formula; the
+/// result is simplified.
 pub(crate) fn eliminate_exists_ch(
     v: Var,
     f: &Formula,
@@ -652,19 +691,9 @@ pub(crate) fn eliminate_exists_ch(
 ) -> Result<Formula, QeError> {
     let f = nnf(f);
     let mut polys: Vec<MPoly> = Vec::new();
-    let mut bad = false;
-    f.visit(&mut |g| match g {
-        Formula::Atom(a) if !polys.contains(&a.poly) => {
-            polys.push(a.poly.clone());
-        }
-        Formula::Rel { .. } | Formula::Not(_) => bad = true,
-        _ => {}
-    });
-    if bad {
-        return Err(QeError::HasRelations);
-    }
+    let body = Body::resolve(&f, &mut polys)?;
     if polys.is_empty() {
-        return Ok(f);
+        return Ok(simplify(&f));
     }
     let xpolys: Vec<Rc<XPoly>> = polys
         .iter()
@@ -676,7 +705,7 @@ pub(crate) fn eliminate_exists_ch(
         builds: Vec::new(),
     };
     let mut cont = |_: &mut Elim<'_>, rows: &[Vec<i8>]| {
-        Ok(if rows.iter().any(|row| eval_with_signs(&f, &polys, row)) {
+        Ok(if rows.iter().any(|row| body.eval(row)) {
             Formula::True
         } else {
             Formula::False
@@ -699,24 +728,28 @@ pub(crate) fn eliminate_exists_ch(
 pub fn hoermander(f: &Formula, budget: &EvalBudget) -> Result<Formula, QeError> {
     crate::check_input(f)?;
     let (blocks, mut matrix) = prenex(f);
+    if blocks.iter().all(|b| b.vars.is_empty()) {
+        return Ok(simplify(&matrix));
+    }
+    // Each elimination's output is already simplified, and `simplify` is a
+    // projection; only a negated one needs another pass.
     for block in blocks.into_iter().rev() {
         for &v in block.vars.iter().rev() {
             budget.check_atoms(matrix.atom_count() as u64)?;
-            if block.exists {
-                matrix = eliminate_exists_ch(v, &matrix, budget)?;
+            matrix = if block.exists {
+                eliminate_exists_ch(v, &matrix, budget)?
             } else {
-                matrix = eliminate_exists_ch(v, &matrix.negate(), budget)?.negate();
-            }
-            matrix = simplify(&matrix);
+                simplify(&eliminate_exists_ch(v, &matrix.negate(), budget)?.negate())
+            };
         }
     }
-    Ok(simplify(&matrix))
+    Ok(matrix)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqa_arith::Rat;
+    use cqa_arith::rat;
     use cqa_logic::parse_formula;
 
     fn f(src: &str) -> Formula {
@@ -823,6 +856,29 @@ mod tests {
         let unlimited = &EvalBudget::unlimited();
         assert_eq!(hoermander(&t, unlimited).unwrap(), Formula::True);
         assert_eq!(hoermander(&f_, unlimited).unwrap(), Formula::False);
+    }
+
+    #[test]
+    fn a_scaled_lookup_finds_the_monic_entry() {
+        let (a, b) = (MPoly::var(Var(1)), MPoly::var(Var(2)));
+        // Leading term −2·b: the head is the last term in monomial order.
+        let p = &(&a * &a) - &b.scale(&Rat::from(2i64));
+        let q = Rc::new(p.scale(&Rat::from(-2i64).recip()));
+        let ratio = &(&a * &a) + &b.scale(&Rat::from(2i64));
+        for s in [Sign::Zero, Sign::Pos, Sign::Neg] {
+            let ctx = Ctx::default().with(&q, s);
+            for c in [rat(3, 1), rat(-1, 1), rat(1, 7), rat(-5, 2)] {
+                assert_eq!(
+                    ctx.findsign(&q.scale(&c)),
+                    Some(s.flip_if(c.is_negative())),
+                    "{c}"
+                );
+            }
+            assert_eq!(ctx.findsign(&p), Some(s.flip_if(true)));
+            // The same monomials in another ratio, and another polynomial.
+            assert_eq!(ctx.findsign(&ratio), None);
+            assert_eq!(ctx.findsign(&(&p + &MPoly::one())), None);
+        }
     }
 
     #[test]

@@ -115,8 +115,14 @@ const REFERENCE_TRIPS: &[usize] = &[574, 1058, 1139, 1227, 1286];
 /// reference implementation finished, lens formulas last.
 const GOLDEN_DIGEST: u128 = 0xa4ba_92a5_beff_e20f_6401_d575_6682_caf9;
 
+/// FNV-128 over (index, budget steps) of every formula that finishes,
+/// lens formulas last: the memo implementation's step counts, which the
+/// engine reports as `steps=` and `engine.budget.steps_per_op`.
+const STEPS_DIGEST: u128 = 0xf489_5417_638a_0846_033f_35b3_d3f1_4420;
+
 /// Differential pin: every corpus formula the reference implementation
-/// eliminated under the step cap must come out structurally identical.
+/// eliminated under the step cap must come out structurally identical, and
+/// every formula that finishes must take the same number of budget steps.
 #[test]
 fn pinned_corpus_reproduces_every_output() {
     let mut rng = SplitMix(CORPUS_SEED);
@@ -124,6 +130,7 @@ fn pinned_corpus_reproduces_every_output() {
     sources.extend(lens_formulas());
     let mut arena = Arena::new();
     let mut digest = Fnv128::new();
+    let mut steps = Fnv128::new();
     let mut trips = Vec::new();
     for (i, src) in sources.iter().enumerate() {
         let f = parse_formula(src)
@@ -132,6 +139,8 @@ fn pinned_corpus_reproduces_every_output() {
         let budget = EvalBudget::unlimited().with_max_steps(CORPUS_MAX_STEPS);
         match hoermander(&f, &budget) {
             Ok(g) => {
+                steps.write_u64(i as u64);
+                steps.write_u64(budget.steps());
                 if REFERENCE_TRIPS.contains(&i) {
                     continue;
                 }
@@ -156,6 +165,12 @@ fn pinned_corpus_reproduces_every_output() {
         GOLDEN_DIGEST,
         "corpus outputs changed (digest {:#x}; trips {trips:?})",
         digest.finish128()
+    );
+    assert_eq!(
+        steps.finish128(),
+        STEPS_DIGEST,
+        "corpus step counts changed (digest {:#x})",
+        steps.finish128()
     );
 }
 

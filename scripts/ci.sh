@@ -73,10 +73,12 @@ echo "== planner parity (planned vs fixed QE, subplan-hit determinism) =="
 run_capped cargo test -q --offline -p cqa-qe --test plan_parity
 
 echo "== Hörmander (pinned corpus, bounded replay and memory) =="
-# The corpus digest pins every output bit for bit; the bounds test trips a
+# The corpus digests pin every output bit for bit and every step count;
+# the MPoly model proptest checks the sorted term list; the bounds test trips a
 # step cap and a 50 ms deadline on three non-terminating probes (the
 # deadline margin is only asserted in release builds) and caps peak RSS.
 run_capped cargo test -q --release --offline -p cqa-qe --test hoermander_props pinned_corpus
+run_capped cargo test -q --release --offline -p cqa-poly --test props
 run_capped cargo test -q --release --offline -p cqa-qe --test hoermander_bounds
 
 echo "== storage durability (kill-and-replay, torn tail, crash-point sweep) =="
