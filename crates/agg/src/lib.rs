@@ -19,9 +19,9 @@
 //! aggregates over safe query outputs ([`aggregate`]), implements the
 //! paper's Section-5 worked example (polygon area by triangulation,
 //! [`polygon_area_sum_term`]), and realizes Theorem 3 — exact volumes of
-//! semi-linear databases — two independent ways: the Lasserre engine of
-//! `cqa-geom` and the sweep/integration construction from the paper's own
-//! proof ([`semilinear_volume`]).
+//! semi-linear databases — two independent ways: the n-D sweep of
+//! `cqa-geom` ([`semilinear_volume`]) and the 2-D sweep/integration
+//! construction from the paper's own proof ([`volume_by_sweep_2d`]).
 //!
 //! Every operation that runs quantifier elimination has one entry point,
 //! and it takes a cooperative `&EvalBudget` last: [`end_points`],

@@ -4,7 +4,7 @@
 //!
 //! * [`semilinear_volume`] — expand the relation / query to a
 //!   quantifier-free linear formula and hand it to the exact engine of
-//!   `cqa-geom` (inclusion–exclusion + Lasserre).
+//!   `cqa-geom` (the same sweep in n-D, on the DNF cells' rows).
 //! * [`volume_by_sweep_2d`] — the construction from the paper's own proof
 //!   of Theorem 3 (§6.1): the section length `g(x) = Σ` lengths of maximal
 //!   intervals of `{y : S(x, y)}` is piecewise linear in `x`; find its
@@ -341,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_agrees_with_lasserre_on_sections_with_holes() {
+    fn sweep_agrees_with_the_nd_sweep_on_sections_with_holes() {
         let src = "(0 <= x & x <= 4 & 0 <= y & y <= 4) & !(1 <= x & x <= 2 & 1 <= y & y <= 3)";
         let mut vars = VarMap::new();
         let x = vars.intern("x");

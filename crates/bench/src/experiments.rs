@@ -117,7 +117,7 @@ pub fn e1(out: &mut String) {
 }
 
 /// E2 — Theorem 3: exact volumes of semi-linear sets (closed forms + the
-/// sweep construction vs the Lasserre engine).
+/// 2-D sweep construction of `cqa-agg` vs the n-D sweep of `cqa-geom`).
 pub fn e2(out: &mut String) {
     writeln!(out, "E2: Theorem 3 — exact semi-linear volumes").unwrap();
     writeln!(out, "  {:<34} {:>10} {:>10}", "set", "computed", "expected").unwrap();
@@ -152,13 +152,13 @@ pub fn e2(out: &mut String) {
     }
     writeln!(
         out,
-        "\n  sweep (paper's proof) vs Lasserre on random 2-D unions:"
+        "\n  2-D sweep (paper's proof) vs the n-D sweep on random 2-D unions:"
     )
     .unwrap();
     writeln!(
         out,
         "  {:>6} {:>12} {:>12} {:>8}",
-        "seed", "sweep", "lasserre", "equal"
+        "seed", "sweep", "n-D sweep", "equal"
     )
     .unwrap();
     for seed in 0..6u64 {

@@ -58,7 +58,7 @@ fn box_union_workloads_lint_clean() {
                 "{cells} cells, seed {seed}: {:?}",
                 a.diagnostics
             );
-            // Exact volume three ways: Lasserre, the Theorem-3 sweep and the
+            // Exact volume three ways: the n-D sweep, the 2-D sweep and the
             // variable-independence baseline.
             let exact = volume(&f, &vs, &unlimited()).unwrap();
             assert_eq!(volume_by_sweep_2d(&f, vs[0], vs[1]).unwrap(), exact);

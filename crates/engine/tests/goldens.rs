@@ -186,3 +186,48 @@ fn the_library_estimator_answers_what_the_wire_does() {
         }
     }
 }
+
+/// The exact `value=` of one `EXEC` per shape of `cqa-e2e`'s `cold_lin`
+/// workload, recorded from the inclusion–exclusion volume the sweep
+/// replaced: a 1-D band under a chained-∃ core, a 1-D union of two
+/// overlapping intervals, the 1-D and 2-D simplex projections, and a 2-D
+/// union of two overlapping boxes.
+#[test]
+fn exact_volumes_of_the_cold_lin_shapes_are_pinned() {
+    let program = "rel B00(x) := 9/67 <= x & x <= 37/67\n\
+                   rel P00(x, y) := 9/67 <= x & x <= 40/67 & 20/67 <= y & y <= 50/67\n\
+                   rel P01(x, y) := 12/67 <= x & x <= 45/67 & 17/67 <= y & y <= 60/67\n";
+    let queries = [
+        (
+            "band",
+            "(exists a b. x - 2 < a & a < x + 2 & a - b < 2 & b - a < 2 \
+             & x - 2 < b & b < x + 2 & a > 0 & b < 1) & B00(x)",
+            "28/67",
+        ),
+        (
+            "intervals",
+            "(10/67 <= x & x <= 41/67) | (35/67 <= x & x <= 55/67)",
+            "45/67",
+        ),
+        (
+            "simplex1",
+            "exists u v. u >= 5*x & v >= 0 & x >= 0 & u + 6*v <= 1",
+            "1/5",
+        ),
+        (
+            "simplex2",
+            "exists u v. u >= 0 & v >= 0 & x >= 0 & y >= 0 & 5*x + 6*y + u + v <= 1",
+            "1/60",
+        ),
+        ("boxes", "P00(x, y) | P01(x, y)", "1509/4489"),
+    ];
+    let e = Engine::new(EngineConfig::default());
+    let mut s = e.open_session();
+    assert!(e.load(&mut s, program).is_ok());
+    for (name, src, value) in queries {
+        assert!(e.prepare(&mut s, name, src).is_ok(), "{name}");
+        let header = e.exec(&mut s, name, None, None).header;
+        let want = format!("status=exact value={value} ");
+        assert!(header.contains(&want), "{name}: {header}");
+    }
+}

@@ -2,7 +2,6 @@
 
 use crate::linalg::{solve, Mat};
 use cqa_arith::Rat;
-use cqa_logic::budget::EvalBudget;
 use cqa_logic::{Atom, Formula, Rel};
 use cqa_poly::Var;
 
@@ -107,17 +106,6 @@ impl HPolyhedron {
         f
     }
 
-    /// Intersection (same dimension).
-    pub fn intersect(&self, other: &HPolyhedron) -> HPolyhedron {
-        assert_eq!(self.dim, other.dim);
-        let mut rows = self.rows.clone();
-        rows.extend(other.rows.iter().cloned());
-        HPolyhedron {
-            dim: self.dim,
-            rows,
-        }
-    }
-
     /// Membership test.
     pub fn contains(&self, point: &[Rat]) -> bool {
         assert_eq!(point.len(), self.dim);
@@ -169,109 +157,6 @@ impl HPolyhedron {
             }
         }
     }
-
-    /// Exact per-coordinate bounds `(min, max)` of the polyhedron, or `None`
-    /// for a coordinate unbounded in that direction. Returns `None`
-    /// overall if the polyhedron is empty.
-    ///
-    /// Computed by Fourier–Motzkin projection onto each axis, under no
-    /// budget — also when a budgeted exact volume calls it (DESIGN.md §7).
-    pub fn coordinate_bounds(&self, vars: &[Var]) -> Option<Vec<(Option<Rat>, Option<Rat>)>> {
-        assert_eq!(vars.len(), self.dim);
-        let f = self.to_formula(vars);
-        let unlimited = EvalBudget::unlimited();
-        if !cqa_qe::is_satisfiable(&f, &unlimited).ok()? {
-            return None;
-        }
-        let mut out = Vec::with_capacity(self.dim);
-        for (i, &v) in vars.iter().enumerate() {
-            let others: Vec<Var> = vars
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, &w)| w)
-                .collect();
-            let proj =
-                cqa_qe::fourier_motzkin(&Formula::exists(others, f.clone()), &unlimited).ok()?;
-            out.push(interval_of_1d(&proj, v));
-        }
-        Some(out)
-    }
-
-    /// `true` iff the polyhedron is bounded (requires non-emptiness; an
-    /// empty polyhedron reports bounded).
-    pub fn is_bounded(&self, vars: &[Var]) -> bool {
-        match self.coordinate_bounds(vars) {
-            None => true, // empty
-            Some(bounds) => bounds.iter().all(|(lo, hi)| lo.is_some() && hi.is_some()),
-        }
-    }
-}
-
-/// Extracts `(min, max)` of a satisfiable one-variable conjunction-of-bounds
-/// formula produced by projection. `None` marks an unbounded direction.
-fn interval_of_1d(f: &Formula, v: Var) -> (Option<Rat>, Option<Rat>) {
-    let mut lo: Option<Rat> = None;
-    let mut hi: Option<Rat> = None;
-    let clauses = cqa_logic::dnf(f);
-    let mut first = true;
-    for clause in clauses {
-        let mut clo: Option<Rat> = None;
-        let mut chi: Option<Rat> = None;
-        let mut feasible = true;
-        for lit in &clause {
-            let Formula::Atom(a) = lit else { continue };
-            let coeffs = a.poly.as_univariate_in(v);
-            if coeffs.len() != 2 {
-                continue;
-            }
-            let (Some(c), Some(r)) = (coeffs[1].as_constant(), coeffs[0].as_constant()) else {
-                continue;
-            };
-            let t = -(r / &c);
-            let rel = if c.is_negative() { a.rel.flip() } else { a.rel };
-            match rel {
-                Rel::Lt | Rel::Le => {
-                    if chi.as_ref().is_none_or(|h| t < *h) {
-                        chi = Some(t);
-                    }
-                }
-                Rel::Gt | Rel::Ge => {
-                    if clo.as_ref().is_none_or(|l| t > *l) {
-                        clo = Some(t);
-                    }
-                }
-                Rel::Eq => {
-                    clo = Some(t.clone());
-                    chi = Some(t);
-                }
-                Rel::Neq => {}
-            }
-        }
-        if let (Some(l), Some(h)) = (&clo, &chi) {
-            if l > h {
-                feasible = false;
-            }
-        }
-        if !feasible {
-            continue;
-        }
-        if first {
-            lo = clo;
-            hi = chi;
-            first = false;
-        } else {
-            lo = match (lo, clo) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                _ => None,
-            };
-            hi = match (hi, chi) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            };
-        }
-    }
-    (lo, hi)
 }
 
 #[cfg(test)]
@@ -330,29 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn bounds_and_boundedness() {
-        let (p, vs) = triangle();
-        let bounds = p.coordinate_bounds(&vs).unwrap();
-        assert_eq!(bounds[0], (Some(rat(0, 1)), Some(rat(1, 1))));
-        assert_eq!(bounds[1], (Some(rat(0, 1)), Some(rat(1, 1))));
-        assert!(p.is_bounded(&vs));
-
-        // Half-plane: unbounded.
-        let mut h = HPolyhedron::whole(2);
-        h.add_halfspace(vec![rat(1, 1), rat(0, 1)], rat(0, 1)); // x ≤ 0
-        assert!(!h.is_bounded(&vs));
-    }
-
-    #[test]
-    fn intersection() {
-        let (p, vs) = triangle();
-        let box2 = HPolyhedron::unit_box(2);
-        let q = p.intersect(&box2);
-        assert!(q.contains(&[rat(1, 4), rat(1, 4)]));
-        assert!(q.is_bounded(&vs));
-    }
-
-    #[test]
     fn equality_atoms_become_two_halfspaces() {
         let mut vars = VarMap::new();
         let f = parse_formula_with("x = 1", &mut vars).unwrap();
@@ -374,12 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_polyhedron_bounds() {
+    fn empty_polyhedron_has_no_vertices() {
         let mut p = HPolyhedron::whole(1);
         p.add_halfspace(vec![rat(1, 1)], rat(0, 1)); // x ≤ 0
         p.add_halfspace(vec![rat(-1, 1)], rat(-1, 1)); // x ≥ 1
-        let vars = vec![Var(0)];
-        assert!(p.coordinate_bounds(&vars).is_none());
-        assert!(p.vertices().is_empty() || !p.contains(&p.vertices()[0]));
+        assert!(p.vertices().is_empty());
     }
 }

@@ -1,35 +1,30 @@
-//! Exact volumes of semi-linear sets.
+//! Exact volumes of semi-linear sets by the sweep in the proof of the
+//! paper's Theorem 3 (§6.1), in every dimension, on the DNF cells' rows
+//! `a·x ≤ b`:
 //!
-//! The paper's Theorem 3 shows FO+POLY+SUM expresses the volume of any
-//! semi-linear database. The computational content is implemented here:
+//! 1. **breakpoints** on `x₁` are the `x₁`-values of the flats of the
+//!    cells' hyperplane arrangement on which `x₁` is constant — every point
+//!    where `n` hyperplanes meet, every hyperplane `x₁ = c` and, from 3-D
+//!    on, every meet of fewer hyperplanes inside some `x₁ = c`;
+//! 2. on an open slab between breakpoints the section `{x₁ = t}` has an
+//!    `(n−1)`-measure polynomial of degree < `n` in `t`, so the `n`-node
+//!    *open* Newton–Cotes rule integrates it exactly, and a null piece on a
+//!    breakpoint never counts;
+//! 3. a section is the rows with `x₁ := t` substituted; in 1-D the measure
+//!    is a sort-and-merge of intervals.
 //!
-//! 1. the quantifier-free linear formula is put in DNF — a finite union of
-//!    convex cells;
-//! 2. the union volume is computed by inclusion–exclusion over the cells
-//!    (intersections of convex cells are convex);
-//! 3. each convex cell's volume is computed exactly by **Lasserre's facet
-//!    recursion**: for `P = {x : aᵢ·x ≤ bᵢ}` bounded and `n ≥ 1`,
-//!    `vol(P) = (1/n) Σᵢ bᵢ · vol(Qᵢ)/|a_{i,jᵢ}|` where `Qᵢ` is the facet
-//!    `P ∩ {aᵢ·x = bᵢ}` written in the coordinates obtained by eliminating
-//!    a pivot `jᵢ`. All arithmetic is rational; Euclidean facet norms
-//!    cancel.
-//!
-//! Strict vs. non-strict inequalities and disequalities differ on measure
-//! zero and are normalized away. Lower-dimensional cells (detected by
-//! open-interior unsatisfiability) contribute zero. A genuinely unbounded
-//! full-dimensional cell yields [`VolumeError::Unbounded`].
+//! Strictness and disequalities only matter on null sets and are dropped;
+//! a constant row is decided at once (`0 ≤ 0` holds, `0 ≤ −1` empties its
+//! cell). Unclipped, the set is [`VolumeError::Unbounded`] exactly when an
+//! outer slab has a section of positive measure or a 1-D section holds an
+//! infinite interval of positive length. No quantifier elimination runs.
 
-use crate::linalg::{det, Mat};
+use crate::linalg::{det, solve, Mat};
 use crate::polyhedron::HPolyhedron;
-use cqa_arith::Rat;
+use cqa_arith::{rat, Rat};
 use cqa_logic::budget::{BudgetExceeded, EvalBudget};
-use cqa_logic::{dnf, Atom, Formula, Rel};
+use cqa_logic::{dnf, Formula};
 use cqa_poly::Var;
-
-/// Inclusion–exclusion enumerates `2^m − 1` cell intersections; beyond this
-/// many DNF cells the exact engine refuses (typed, not a panic) — use the
-/// Monte Carlo approximator in `cqa-approx` instead.
-pub const MAX_DNF_CELLS: usize = 20;
 
 /// Errors from exact volume computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,9 +39,6 @@ pub enum VolumeError {
     NotSemiLinear,
     /// The formula mentions schema relations; substitute definitions first.
     HasRelations,
-    /// The DNF has more than [`MAX_DNF_CELLS`] cells: the `2^m`
-    /// inclusion–exclusion would be astronomically large.
-    TooManyCells(usize),
     /// The evaluation budget was exhausted mid-computation; the work was
     /// cancelled cooperatively (see [`cqa_logic::budget`]).
     Budget(BudgetExceeded),
@@ -58,9 +50,6 @@ impl std::fmt::Display for VolumeError {
             VolumeError::Unbounded => write!(f, "set has unbounded volume"),
             VolumeError::NotSemiLinear => write!(f, "formula is not quantifier-free linear"),
             VolumeError::HasRelations => write!(f, "formula mentions schema relations"),
-            VolumeError::TooManyCells(m) => {
-                write!(f, "too many DNF cells for inclusion–exclusion ({m})")
-            }
             VolumeError::Budget(b) => write!(f, "{b}"),
         }
     }
@@ -97,12 +86,13 @@ pub fn simplex_volume(vertices: &[Vec<Rat>]) -> Rat {
 
 /// Exact volume of the semi-linear set defined by a quantifier-free linear
 /// formula over the variable ordering `vars` (the ambient space is
-/// `ℝ^vars.len()`). The inclusion–exclusion loop and the per-cell
-/// satisfiability probes check the cooperative `budget` and abort with
+/// `ℝ^vars.len()`). The sweep checks the cooperative `budget` once per DNF
+/// cell, once per set of normals its breakpoint search tries and once per
+/// section of dimension ≥ 2 it integrates, and aborts with
 /// [`VolumeError::Budget`] when it is exhausted; when it is not hit, the
 /// result does not depend on it.
 pub fn volume(f: &Formula, vars: &[Var], budget: &EvalBudget) -> Result<Rat, VolumeError> {
-    volume_impl(f, vars, None, budget)
+    volume_impl(f, vars, false, budget)
 }
 
 /// Exact volume of the set intersected with the unit box `[0,1]ⁿ` — the
@@ -113,13 +103,16 @@ pub fn volume_in_unit_box_with_budget(
     vars: &[Var],
     budget: &EvalBudget,
 ) -> Result<Rat, VolumeError> {
-    volume_impl(f, vars, Some(HPolyhedron::unit_box(vars.len())), budget)
+    volume_impl(f, vars, true, budget)
 }
+
+/// A row `a·x ≤ b`.
+type Row = (Vec<Rat>, Rat);
 
 fn volume_impl(
     f: &Formula,
     vars: &[Var],
-    clip: Option<HPolyhedron>,
+    clip: bool,
     budget: &EvalBudget,
 ) -> Result<Rat, VolumeError> {
     if !f.is_relation_free() {
@@ -137,178 +130,276 @@ fn volume_impl(
             None => Err(VolumeError::NotSemiLinear),
         };
     }
+    let cells = dnf_cells(f, vars, clip, budget)?;
+    let n = vars.len();
+    let mut flats = vec![Vec::new(); n + 1];
+    for (k, sets) in flats.iter_mut().enumerate().skip(2) {
+        // The rows of a section over the last k coordinates have the
+        // cells' normals cut to those coordinates, scaled.
+        let mut normals: Vec<Vec<Rat>> = Vec::new();
+        for (a, _) in cells.iter().flatten() {
+            match pencil(&a[n - k..]) {
+                Some((normal, _)) if !normals.contains(&normal) => normals.push(normal),
+                _ => {}
+            }
+        }
+        flat_sets(&normals, &[], budget, sets)?;
+    }
+    let sweep = Sweep {
+        weights: (0..=n).map(open_newton_cotes).collect(),
+        flats,
+        clipped: clip,
+        budget,
+    };
+    sweep.measure(&cells, n)
+}
 
-    // DNF cells as closed polyhedra.
-    let mut cells: Vec<HPolyhedron> = Vec::new();
+/// The DNF cells of `f` over `vars` (see [`cell_of`]), each with the unit
+/// box's rows when `clip`; empty and repeated cells are dropped.
+fn dnf_cells(
+    f: &Formula,
+    vars: &[Var],
+    clip: bool,
+    budget: &EvalBudget,
+) -> Result<Vec<Vec<Row>>, VolumeError> {
+    let unit_box = HPolyhedron::unit_box(if clip { vars.len() } else { 0 });
+    let mut cells: Vec<Vec<Row>> = Vec::new();
     for clause in dnf(f) {
         budget.check()?;
-        let mut atoms: Vec<Atom> = Vec::with_capacity(clause.len());
+        let mut atoms = Vec::with_capacity(clause.len());
         for lit in clause {
-            match lit {
-                Formula::Atom(a) => atoms.push(a),
-                Formula::True => {}
-                Formula::False => {
-                    atoms.clear();
-                    atoms.push(Atom::new(cqa_poly::MPoly::one(), Rel::Lt));
-                    break;
-                }
-                _ => return Err(VolumeError::HasRelations),
+            let Formula::Atom(a) = lit else {
+                return Err(VolumeError::HasRelations);
+            };
+            atoms.push(a);
+        }
+        let p = HPolyhedron::from_atoms(&atoms, vars).ok_or(VolumeError::NotSemiLinear)?;
+        if let Some(cell) = cell_of(p.rows().iter().chain(unit_box.rows()).cloned()) {
+            if !cells.contains(&cell) {
+                cells.push(cell);
             }
         }
-        let mut p = HPolyhedron::from_atoms(&atoms, vars).ok_or(VolumeError::NotSemiLinear)?;
-        if let Some(c) = &clip {
-            p = p.intersect(c);
-        }
-        if !cells.contains(&p) {
-            cells.push(p);
+    }
+    Ok(cells)
+}
+
+/// A cell from its rows: each scaled so that its first non-zero
+/// coefficient is ±1, then sorted and deduplicated. A constant row `0 ≤ b`
+/// is decided: dropped when `b ≥ 0`, and `None` (an empty cell) otherwise.
+fn cell_of(rows: impl IntoIterator<Item = Row>) -> Option<Vec<Row>> {
+    let mut cell: Vec<Row> = Vec::new();
+    for (a, b) in rows {
+        match a.iter().find(|c| !c.is_zero()).map(Rat::abs) {
+            None if b.is_negative() => return None,
+            None => {}
+            Some(s) => cell.push((a.iter().map(|c| c / &s).collect(), b / s)),
         }
     }
-    if cells.is_empty() {
-        return Ok(Rat::zero());
+    cell.sort();
+    cell.dedup();
+    Some(cell)
+}
+
+/// What stays fixed through one sweep.
+struct Sweep<'a> {
+    /// `weights[k]`: the [`open_newton_cotes`] weights with `k` nodes.
+    weights: Vec<Vec<Rat>>,
+    /// `flats[k]`: the [`flat_sets`] of the normals of `k`-dimensional
+    /// sections.
+    flats: Vec<Vec<FlatSet>>,
+    /// Every cell carries the unit box's rows, so every coordinate lies in
+    /// `[0, 1]` and every cell is bounded.
+    clipped: bool,
+    budget: &'a EvalBudget,
+}
+
+impl Sweep<'_> {
+    /// The `n`-measure of the union of `cells`, whose rows have `n ≥ 1`
+    /// coefficients.
+    fn measure(&self, cells: &[Vec<Row>], n: usize) -> Result<Rat, VolumeError> {
+        if cells.is_empty() {
+            return Ok(Rat::zero());
+        }
+        if n == 1 {
+            // A sort and a merge: charged to the slab that asked for it.
+            return union_length(cells);
+        }
+        self.budget.check()?;
+        let breaks = self.breakpoints(cells, n);
+        if !self.clipped {
+            // Whether a cell's section has positive measure does not change
+            // across a slab, so one node decides each outer slab.
+            let outer = match (breaks.first(), breaks.last()) {
+                (Some(lo), Some(hi)) => vec![lo - Rat::one(), hi + Rat::one()],
+                _ => vec![Rat::zero()],
+            };
+            for t in &outer {
+                if !self.section(cells, t, n)?.is_zero() {
+                    return Err(VolumeError::Unbounded);
+                }
+            }
+        }
+        let mut total = Rat::zero();
+        for slab in breaks.windows(2) {
+            let width = &slab[1] - &slab[0];
+            let step = &width / &Rat::from((n + 1) as i64);
+            let mut t = slab[0].clone();
+            let mut sum = Rat::zero();
+            for w in &self.weights[n] {
+                t += &step;
+                sum += w * &self.section(cells, &t, n)?;
+            }
+            total += width * sum;
+        }
+        Ok(total)
     }
 
-    // Inclusion–exclusion over non-empty subsets of cells.
-    let m = cells.len();
-    if m >= MAX_DNF_CELLS {
-        return Err(VolumeError::TooManyCells(m));
+    /// The `(n−1)`-measure of the union's section at `x₁ = t`: the cells'
+    /// rows with `x₁ := t` substituted.
+    fn section(&self, cells: &[Vec<Row>], t: &Rat, n: usize) -> Result<Rat, VolumeError> {
+        let sections: Vec<Vec<Row>> = cells
+            .iter()
+            .filter_map(|cell| cell_of(cell.iter().map(|(a, b)| (a[1..].to_vec(), b - &a[0] * t))))
+            .collect();
+        self.measure(&sections, n - 1)
     }
-    let mut total = Rat::zero();
-    for mask in 1u32..(1 << m) {
-        budget.check()?;
-        let mut inter: Option<HPolyhedron> = None;
-        for (i, cell) in cells.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                inter = Some(match inter {
-                    None => cell.clone(),
-                    Some(p) => p.intersect(cell),
-                });
+
+    /// The sorted, distinct breakpoints on `x₁` (those in `[0, 1]` when
+    /// clipped): a hyperplane `x₁ = c` gives `c`, and each of
+    /// `flats[n]`'s sets gives `Σ λₛ·bₛ` for every choice of one
+    /// hyperplane `aₛ·x = bₛ` per normal, when the cells have them all.
+    fn breakpoints(&self, cells: &[Vec<Row>], n: usize) -> Vec<Rat> {
+        let mut breaks: Vec<Rat> = Vec::new();
+        // Parallel hyperplanes: a normal and its distinct offsets.
+        let mut pencils: Vec<(Vec<Rat>, Vec<Rat>)> = Vec::new();
+        for (a, b) in cells.iter().flatten() {
+            let Some((normal, lead)) = pencil(a) else {
+                breaks.push(b / &a[0]);
+                continue;
+            };
+            let offset = b / lead;
+            match pencils.iter_mut().find(|(m, _)| *m == normal) {
+                Some((_, offsets)) if !offsets.contains(&offset) => offsets.push(offset),
+                Some(_) => {}
+                None => pencils.push((normal, vec![offset])),
             }
         }
-        let p = inter.unwrap();
-        let v = convex_volume(&p, vars, budget)?;
-        if mask.count_ones() % 2 == 1 {
-            total += v;
-        } else {
-            total = total - v;
+        for (normals, lambda) in &self.flats[n] {
+            let mut values = vec![Rat::zero()];
+            for (m, l) in normals.iter().zip(lambda) {
+                let Some((_, offsets)) = pencils.iter().find(|(p, _)| p == m) else {
+                    values.clear();
+                    break;
+                };
+                values = values
+                    .iter()
+                    .flat_map(|v| offsets.iter().map(move |b| v + &(l * b)))
+                    .collect();
+            }
+            breaks.extend(values);
         }
+        breaks.sort();
+        breaks.dedup();
+        if self.clipped {
+            breaks.retain(|t| !t.is_negative() && *t <= Rat::one());
+        }
+        breaks
+    }
+}
+
+/// A set of linearly independent normals whose span holds `e₁`, with the
+/// `λ` of `e₁ = Σ λₛ·aₛ`: on the flat `{aₛ·x = bₛ}`, `x₁ = Σ λₛ·bₛ`.
+type FlatSet = (Vec<Vec<Rat>>, Vec<Rat>);
+
+/// The normal of the hyperplane `a·x = b` scaled to lead with +1, and the
+/// scale; `None` when the hyperplane is `x₁ = c` (or `a` is zero).
+fn pencil(a: &[Rat]) -> Option<(Vec<Rat>, &Rat)> {
+    if a[1..].iter().all(Rat::is_zero) {
+        return None;
+    }
+    let lead = a.iter().find(|c| !c.is_zero())?;
+    Some((a.iter().map(|c| c / lead).collect(), lead))
+}
+
+/// Depth first over the sets of `normals`, added to `set`, that are
+/// linearly independent; a set whose span holds `e₁` goes to `out`, and the
+/// search stops there (a larger set fixes `x₁` at the same values). One
+/// budget step per set tried.
+fn flat_sets(
+    normals: &[Vec<Rat>],
+    set: &[&Vec<Rat>],
+    budget: &EvalBudget,
+    out: &mut Vec<FlatSet>,
+) -> Result<(), VolumeError> {
+    let dot = |a: &[Rat], c: &[Rat]| a.iter().zip(c).fold(Rat::zero(), |s, (x, y)| s + x * y);
+    for (i, normal) in normals.iter().enumerate() {
+        budget.check()?;
+        let set = [set, &[normal]].concat();
+        // Normal equations for the λ whose Σ λₛ·aₛ is the projection of e₁
+        // on the span; singular when the normals are dependent.
+        let gram = set.iter().map(|a| set.iter().map(|c| dot(a, c)).collect());
+        let lead: Vec<Rat> = set.iter().map(|a| a[0].clone()).collect();
+        let Some(lambda) = solve(&Mat::from_rows(gram.collect()), &lead) else {
+            continue;
+        };
+        let coord = |j: usize| {
+            let column: Vec<Rat> = set.iter().map(|a| a[j].clone()).collect();
+            dot(&lambda, &column)
+        };
+        if coord(0).is_one() && (1..normal.len()).all(|j| coord(j).is_zero()) {
+            out.push((set.into_iter().cloned().collect(), lambda));
+        } else {
+            flat_sets(&normals[i + 1..], &set, budget, out)?;
+        }
+    }
+    Ok(())
+}
+
+/// The length of the union of 1-D cells (rows `±x ≤ b`): each cell is an
+/// interval, and the intervals are sorted by left end and merged.
+fn union_length(cells: &[Vec<Row>]) -> Result<Rat, VolumeError> {
+    let mut spans: Vec<(Rat, Rat)> = Vec::with_capacity(cells.len());
+    for cell in cells {
+        let ends = |sign: bool| cell.iter().filter(move |(a, _)| a[0].is_positive() == sign);
+        let hi = ends(true).map(|(_, b)| b.clone()).min();
+        let lo = ends(false).map(|(_, b)| -b).max();
+        match (lo, hi) {
+            (Some(l), Some(h)) if l < h => spans.push((l, h)),
+            (Some(_), Some(_)) => {}
+            // An interval with an infinite end has positive length.
+            _ => return Err(VolumeError::Unbounded),
+        }
+    }
+    spans.sort();
+    let (mut total, mut reach) = (Rat::zero(), None::<Rat>);
+    for (l, h) in spans {
+        let from = reach.map_or(l.clone(), |r| r.max(l));
+        total += (&h - &from).max(Rat::zero());
+        reach = Some(from.max(h));
     }
     Ok(total)
 }
 
-/// Volume of one convex cell.
-fn convex_volume(p: &HPolyhedron, vars: &[Var], budget: &EvalBudget) -> Result<Rat, VolumeError> {
-    // Lower-dimensional (or empty) cells have volume zero: test whether the
-    // open interior is satisfiable.
-    let mut open = Formula::True;
-    for (a, b) in p.rows() {
-        let mut poly = cqa_poly::MPoly::constant(-b.clone());
-        for (i, coeff) in a.iter().enumerate() {
-            poly = poly + cqa_poly::MPoly::var(vars[i]).scale(coeff);
-        }
-        open = open.and(Formula::Atom(Atom::new(poly, Rel::Lt)));
+/// The `k`-node open Newton–Cotes weights on `[0, 1]`, nodes at `i/(k+1)`
+/// for `i = 1..=k`: exact for every polynomial of degree < `k`, from the
+/// moment equations `Σᵢ wᵢ·nodeᵢʲ = 1/(j+1)`, `j < k`. Empty for `k < 2`,
+/// which the sweep never integrates with.
+fn open_newton_cotes(k: usize) -> Vec<Rat> {
+    if k < 2 {
+        return Vec::new();
     }
-    match cqa_qe::is_satisfiable(&open, budget) {
-        Ok(false) => return Ok(Rat::zero()),
-        Ok(true) => {}
-        Err(cqa_qe::QeError::Budget(b)) => return Err(VolumeError::Budget(b)),
-        Err(_) => return Err(VolumeError::NotSemiLinear),
-    }
-    if !p.is_bounded(vars) {
-        return Err(VolumeError::Unbounded);
-    }
-    Ok(lasserre(p.rows(), p.dim()))
-}
-
-/// Lasserre's recursion on a *bounded* system `a·x ≤ b` in `n ≥ 1`
-/// variables. (Boundedness of the top-level cell implies boundedness of
-/// every facet subproblem.)
-///
-/// Rows are scale-normalized and deduplicated first: Lasserre's formula is
-/// `(1/n) Σᵢ bᵢ · ∂V/∂bᵢ`-shaped, and a duplicated constraint would have
-/// its facet counted twice (the true partial derivative of a redundant
-/// duplicate is zero).
-fn lasserre(rows_in: &[(Vec<Rat>, Rat)], n: usize) -> Rat {
-    let mut rows: Vec<(Vec<Rat>, Rat)> = Vec::with_capacity(rows_in.len());
-    for (a, b) in rows_in {
-        match a.iter().find(|c| !c.is_zero()) {
-            None => {
-                if b.is_negative() {
-                    return Rat::zero(); // 0 ≤ b < 0: empty system
-                }
-            }
-            Some(c) => {
-                let s = c.abs().recip();
-                let na: Vec<Rat> = a.iter().map(|x| x * &s).collect();
-                let nb = b * &s;
-                let row = (na, nb);
-                if !rows.contains(&row) {
-                    rows.push(row);
-                }
-            }
-        }
-    }
-    let rows = &rows[..];
-    if n == 1 {
-        let mut lo: Option<Rat> = None;
-        let mut hi: Option<Rat> = None;
-        for (a, b) in rows {
-            let c = &a[0];
-            debug_assert!(!c.is_zero(), "zero rows removed by normalization");
-            let t = b / c;
-            if c.is_positive() {
-                if hi.as_ref().is_none_or(|h| t < *h) {
-                    hi = Some(t);
-                }
-            } else if lo.as_ref().is_none_or(|l| t > *l) {
-                lo = Some(t);
-            }
-        }
-        return match (lo, hi) {
-            (Some(l), Some(h)) if l < h => h - l,
-            (Some(_), Some(_)) => Rat::zero(),
-            // Unbounded directions cannot occur for facets of a bounded
-            // top-level cell; returning 0 keeps the function total.
-            _ => Rat::zero(),
-        };
-    }
-    let mut total = Rat::zero();
-    for (i, (a, b)) in rows.iter().enumerate() {
-        // Pivot coordinate (rows are normalized: some coefficient is non-zero).
-        let j = a.iter().position(|c| !c.is_zero()).unwrap();
-        // Substitute x_j = (b - Σ_{k≠j} a_k x_k)/a_j into the other rows.
-        let aj = &a[j];
-        let mut sub_rows: Vec<(Vec<Rat>, Rat)> = Vec::with_capacity(rows.len() - 1);
-        for (k, (c, d)) in rows.iter().enumerate() {
-            if k == i {
-                continue;
-            }
-            // c·x ≤ d with x_j replaced:
-            // Σ_{l≠j} (c_l - c_j·a_l/a_j) x_l ≤ d - c_j·b/a_j.
-            let cj = &c[j];
-            let factor = cj / aj;
-            let mut new_c: Vec<Rat> = Vec::with_capacity(a.len() - 1);
-            for l in 0..a.len() {
-                if l == j {
-                    continue;
-                }
-                new_c.push(&c[l] - &(&factor * &a[l]));
-            }
-            let new_d = d - &(&factor * b);
-            sub_rows.push((new_c, new_d));
-        }
-        let facet_vol = lasserre(&sub_rows, n - 1);
-        if !facet_vol.is_zero() {
-            total += b * &facet_vol / aj.abs();
-        }
-    }
-    total / Rat::from(n as i64)
+    let nodes: Vec<Rat> = (1..=k).map(|i| rat(i as i64, (k + 1) as i64)).collect();
+    let rows = (0..k).map(|j| nodes.iter().map(|x| x.pow(j as i32)).collect());
+    let moments: Vec<Rat> = (0..k).map(|j| rat(1, (j + 1) as i64)).collect();
+    solve(&Mat::from_rows(rows.collect()), &moments).expect("distinct nodes")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqa_arith::rat;
-    use cqa_logic::{parse_formula_with, VarMap};
+    use cqa_logic::{parse_formula_with, Atom, Rel, VarMap};
+    use cqa_poly::MPoly;
+    use proptest::prelude::*;
 
     fn unlimited() -> EvalBudget {
         EvalBudget::unlimited()
@@ -329,6 +420,206 @@ mod tests {
         volume_in_unit_box_with_budget(&f, &vs, &unlimited())
     }
 
+    /// Inclusion–exclusion over the DNF cells with Lasserre's facet
+    /// recursion for each intersection: the algorithm the sweep replaced,
+    /// kept as its reference. An intersection counts when a QE probe finds
+    /// its open interior non-empty, and such an intersection with a
+    /// non-zero recession direction makes the union unbounded.
+    fn oracle(f: &Formula, vars: &[Var], clip: bool) -> Result<Rat, VolumeError> {
+        let cells = dnf_cells(f, vars, clip, &unlimited())?;
+        let n = vars.len();
+        let mut total = Rat::zero();
+        for mask in 1u32..(1 << cells.len()) {
+            let rows: Vec<Row> = cells
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| mask & (1 << i) != 0)
+                .flat_map(|(_, c)| c.iter().cloned())
+                .collect();
+            if !satisfiable(rows.iter().map(|(a, b)| atom(a, b, Rel::Lt))) {
+                continue;
+            }
+            let recedes = |i: usize, rel: Rel| {
+                let mut axis = vec![Rat::zero(); n];
+                axis[i] = Rat::one();
+                let cone = rows.iter().map(|(a, _)| atom(a, &Rat::zero(), Rel::Le));
+                satisfiable(cone.chain([atom(&axis, &Rat::zero(), rel)]))
+            };
+            if (0..n).any(|i| recedes(i, Rel::Lt) || recedes(i, Rel::Gt)) {
+                return Err(VolumeError::Unbounded);
+            }
+            let v = lasserre(&rows, n);
+            if mask.count_ones() % 2 == 1 {
+                total += v;
+            } else {
+                total = total - v;
+            }
+        }
+        Ok(total)
+    }
+
+    /// `a·x − b REL 0` over `Var(0), Var(1), …`.
+    fn atom(a: &[Rat], b: &Rat, rel: Rel) -> Formula {
+        let mut poly = MPoly::constant(-b.clone());
+        for (i, c) in a.iter().enumerate() {
+            poly = poly + MPoly::var(Var(i as u32)).scale(c);
+        }
+        Formula::Atom(Atom::new(poly, rel))
+    }
+
+    fn satisfiable(atoms: impl Iterator<Item = Formula>) -> bool {
+        let f = atoms.fold(Formula::True, Formula::and);
+        cqa_qe::is_satisfiable(&f, &unlimited()).unwrap()
+    }
+
+    /// Lasserre's recursion on a *bounded* system `a·x ≤ b` in `n ≥ 1`
+    /// variables: `vol(P) = (1/n) Σᵢ bᵢ · vol(Qᵢ)/|a_{i,jᵢ}|`, where `Qᵢ`
+    /// is the facet `P ∩ {aᵢ·x = bᵢ}` written in the coordinates left after
+    /// eliminating a pivot `jᵢ`. Rows are scale-normalized and deduplicated
+    /// first: a duplicated constraint would have its facet counted twice.
+    fn lasserre(rows_in: &[Row], n: usize) -> Rat {
+        let mut rows: Vec<Row> = Vec::with_capacity(rows_in.len());
+        for (a, b) in rows_in {
+            match a.iter().find(|c| !c.is_zero()) {
+                None => {
+                    if b.is_negative() {
+                        return Rat::zero(); // 0 ≤ b < 0: empty system
+                    }
+                }
+                Some(c) => {
+                    let s = c.abs().recip();
+                    let row = (a.iter().map(|x| x * &s).collect(), b * &s);
+                    if !rows.contains(&row) {
+                        rows.push(row);
+                    }
+                }
+            }
+        }
+        if n == 1 {
+            let mut lo: Option<Rat> = None;
+            let mut hi: Option<Rat> = None;
+            for (a, b) in &rows {
+                let t = b / &a[0];
+                if a[0].is_positive() {
+                    if hi.as_ref().is_none_or(|h| t < *h) {
+                        hi = Some(t);
+                    }
+                } else if lo.as_ref().is_none_or(|l| t > *l) {
+                    lo = Some(t);
+                }
+            }
+            return match (lo, hi) {
+                (Some(l), Some(h)) if l < h => h - l,
+                _ => Rat::zero(),
+            };
+        }
+        let mut total = Rat::zero();
+        for (i, (a, b)) in rows.iter().enumerate() {
+            let j = a.iter().position(|c| !c.is_zero()).unwrap();
+            let aj = &a[j];
+            // c·x ≤ d with x_j = (b − Σ_{l≠j} a_l x_l)/a_j substituted.
+            let sub_rows: Vec<Row> = rows
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| k != i)
+                .map(|(_, (c, d))| {
+                    let factor = &c[j] / aj;
+                    let new_c = (0..a.len())
+                        .filter(|&l| l != j)
+                        .map(|l| &c[l] - &(&factor * &a[l]))
+                        .collect();
+                    (new_c, d - &(&factor * b))
+                })
+                .collect();
+            let facet_vol = lasserre(&sub_rows, n - 1);
+            if !facet_vol.is_zero() {
+                total += b * &facet_vol / aj.abs();
+            }
+        }
+        total / Rat::from(n as i64)
+    }
+
+    /// A cell: per axis `(lo, width, drop)` — width 0 makes the cell
+    /// lower-dimensional, `drop` 1 leaves out the lower bound and 2 the
+    /// upper one — and extra rows `(coefficients, b, rel)`, where `rel` 7
+    /// is `=` (lower-dimensional again).
+    type CellSpec = (Vec<(i64, i64, u8)>, Vec<(Vec<i64>, i64, u8)>);
+
+    fn unions(lo: std::ops::RangeInclusive<i64>) -> impl Strategy<Value = (usize, Vec<CellSpec>)> {
+        let axis = (lo.clone(), 0i64..=4, 0u8..12);
+        let extra = (prop::collection::vec(-2i64..=2, 3), lo, 0u8..8);
+        let cell = (
+            prop::collection::vec(axis, 3),
+            prop::collection::vec(extra, 0..=2),
+        );
+        (1usize..=3, prop::collection::vec(cell, 1..=4))
+    }
+
+    /// The union of the cells over `n` variables, bounds and right-hand
+    /// sides divided by `den`; dropped bounds only when `unbounded`.
+    fn union_formula(
+        n: usize,
+        cells: &[CellSpec],
+        den: i64,
+        unbounded: bool,
+    ) -> (Formula, Vec<Var>) {
+        let vars: Vec<Var> = (0..n as u32).map(Var).collect();
+        let le = |p: MPoly| Formula::Atom(Atom::new(p, Rel::Le));
+        let mut f = Formula::False;
+        for (axes, extras) in cells {
+            let mut cell = Formula::True;
+            for (&v, &(lo, width, drop)) in vars.iter().zip(axes) {
+                let hi = lo + width;
+                if !(unbounded && drop == 1) {
+                    cell = cell.and(le(MPoly::constant(rat(lo, den)) - MPoly::var(v)));
+                }
+                if !(unbounded && drop == 2) {
+                    cell = cell.and(le(MPoly::var(v) - MPoly::constant(rat(hi, den))));
+                }
+            }
+            for (coeffs, b, rel) in extras {
+                let mut p = MPoly::constant(rat(-b, den));
+                for (&v, &c) in vars.iter().zip(coeffs) {
+                    p = p + MPoly::var(v).scale(&Rat::from(c));
+                }
+                let rel = [
+                    Rel::Le,
+                    Rel::Lt,
+                    Rel::Ge,
+                    Rel::Gt,
+                    Rel::Le,
+                    Rel::Ge,
+                    Rel::Neq,
+                    Rel::Eq,
+                ][*rel as usize];
+                cell = cell.and(Formula::Atom(Atom::new(p, rel)));
+            }
+            f = f.or(cell);
+        }
+        (f, vars)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sweep_matches_inclusion_exclusion(case in unions(-2..=3)) {
+            let (n, cells) = case;
+            let (f, vars) = union_formula(n, &cells, 1, true);
+            prop_assert_eq!(volume(&f, &vars, &unlimited()), oracle(&f, &vars, false));
+        }
+
+        #[test]
+        fn sweep_matches_inclusion_exclusion_in_the_unit_box(case in unions(-1..=3)) {
+            let (n, cells) = case;
+            let (f, vars) = union_formula(n, &cells, 4, false);
+            prop_assert_eq!(
+                volume_in_unit_box_with_budget(&f, &vars, &unlimited()),
+                oracle(&f, &vars, true)
+            );
+        }
+    }
+
     #[test]
     fn intervals() {
         assert_eq!(vol("0 <= x & x <= 1", &["x"]).unwrap(), rat(1, 1));
@@ -336,6 +627,24 @@ mod tests {
         assert_eq!(vol("1 <= x & x <= 0", &["x"]).unwrap(), rat(0, 1));
         assert_eq!(vol("x = 5", &["x"]).unwrap(), rat(0, 1));
         assert!(matches!(vol("x >= 0", &["x"]), Err(VolumeError::Unbounded)));
+    }
+
+    #[test]
+    fn constant_true_atoms_keep_their_cell() {
+        assert_eq!(
+            vol("0 <= x & x <= 1/2 & 0 <= 0", &["x"]).unwrap(),
+            rat(1, 2)
+        );
+        assert_eq!(
+            vol("0 <= x & x <= 1/2 & x - x <= 0", &["x"]).unwrap(),
+            rat(1, 2)
+        );
+        assert_eq!(vol_box("0 <= x & 0 <= 0", &["x", "y"]).unwrap(), rat(1, 1));
+        // A constant-false atom still empties its cell, and only that one.
+        assert_eq!(
+            vol("(0 <= x & x <= 1/2 & 1 <= 0) | (2 <= x & x <= 3)", &["x"]).unwrap(),
+            rat(1, 1)
+        );
     }
 
     #[test]
@@ -470,22 +779,41 @@ mod tests {
     }
 
     #[test]
-    fn too_many_cells_is_typed_error() {
+    fn twenty_one_intervals_have_volume_twenty_one() {
         // 21 pairwise-distinct disjoint intervals: more DNF cells than
-        // inclusion–exclusion will enumerate. Used to be an assert! panic;
-        // now a typed error.
+        // inclusion–exclusion ever enumerated (it stopped at 20); the sweep
+        // merges them.
         let src = (0..21)
             .map(|i| format!("({} <= x & x <= {})", 2 * i, 2 * i + 1))
             .collect::<Vec<_>>()
             .join(" | ");
-        assert_eq!(vol(&src, &["x"]), Err(VolumeError::TooManyCells(21)));
+        assert_eq!(vol(&src, &["x"]).unwrap(), rat(21, 1));
     }
 
     #[test]
-    fn budget_trips_during_inclusion_exclusion() {
-        // 16 overlapping squares: 2^16 − 1 intersections, each with a QE
-        // satisfiability probe. An already-expired deadline trips on the
-        // first cooperative check instead of grinding through them.
+    fn unbounded_cells_without_vertices() {
+        // A strip along the diagonal: every section has length 1, on
+        // every slab out to infinity.
+        assert_eq!(
+            vol("0 <= y - x & y - x <= 1", &["x", "y"]),
+            Err(VolumeError::Unbounded)
+        );
+        // A wedge times a line: no three facet planes meet, and x is
+        // constant (0) only on the wedge's edge, which is the one
+        // breakpoint; every section beyond it is unbounded in z.
+        assert_eq!(
+            vol("x + y >= 0 & x - y >= 0", &["x", "y", "z"]),
+            Err(VolumeError::Unbounded)
+        );
+        // Lower-dimensional and unbounded is still null.
+        assert_eq!(vol("y = x", &["x", "y"]).unwrap(), rat(0, 1));
+        assert_eq!(vol("x = 0", &["x", "y"]).unwrap(), rat(0, 1));
+    }
+
+    #[test]
+    fn budget_trips_during_the_sweep() {
+        // 16 overlapping squares. An already-expired deadline trips on the
+        // first cooperative check.
         let src = (0..16)
             .map(|i| format!("({i} <= x & x <= {hi} & {i} <= y & y <= {hi})", hi = i + 8))
             .collect::<Vec<_>>()

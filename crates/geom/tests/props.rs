@@ -1,4 +1,4 @@
-//! Property tests: the Lasserre volume engine against independent methods.
+//! Property tests: the exact volume sweep against independent methods.
 
 use cqa_arith::{rat, Rat};
 use cqa_geom::{convex_hull, polygon_area, simplex_volume, volume, HPolyhedron};
@@ -40,7 +40,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn lasserre_matches_shoelace_on_random_hulls(pts in points_strategy()) {
+    fn volume_matches_shoelace_on_random_hulls(pts in points_strategy()) {
         let hull = convex_hull(&pts);
         prop_assume!(hull.len() >= 3);
         let hp = hull_to_hpoly(&hull);

@@ -81,6 +81,15 @@ run_capped cargo test -q --release --offline -p cqa-qe --test hoermander_props p
 run_capped cargo test -q --release --offline -p cqa-poly --test props
 run_capped cargo test -q --release --offline -p cqa-qe --test hoermander_bounds
 
+echo "== exact volume (sweep vs inclusion–exclusion oracle, degradation) =="
+# The Theorem-3 sweep against inclusion–exclusion with Lasserre's recursion
+# (equal Rat or equal error on random unions of 1–4 cells in 1-D to 3-D,
+# touching, nested, empty, lower-dimensional and unbounded ones included),
+# then the exact→approximate contract, whose volume trips come from a step
+# cap that the same formula's elimination fits under.
+run_capped cargo test -q --release --offline -p cqa-geom
+run_capped cargo test -q --release --offline --test budget_degradation
+
 echo "== storage durability (kill-and-replay, torn tail, crash-point sweep) =="
 run_capped cargo test -q --offline -p cqa-engine --test storage
 

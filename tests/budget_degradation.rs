@@ -4,13 +4,13 @@
 //! Monte Carlo estimate tagged with its (ε, δ) guarantee instead of
 //! failing.
 //!
-//! Two distinct blow-ups are exercised, matching where degradation can and
+//! Two distinct trips are exercised, matching where degradation can and
 //! cannot help. A *QE* blow-up (the `explosive` query) trips the budget
 //! typed and fast, but no estimator can rescue it — Monte Carlo membership
-//! tests need the same elimination the budget just cancelled. An *exact
-//! volume* blow-up (`overlapping_squares`: quantifier-free, but 2¹⁶ − 1
-//! inclusion–exclusion intersections) is exactly where the fallback earns
-//! its keep: sampling the quantifier-free matrix is cheap.
+//! tests need the same elimination the budget just cancelled. A trip in
+//! the *exact volume* (`overlapping_squares` under a step cap that its
+//! elimination fits under) is exactly where the fallback earns its keep:
+//! sampling the quantifier-free matrix is cheap.
 
 use constraint_agg::agg::{volume_with_fallback, AggError, VolumeOutcome, FALLBACK_DELTA};
 use constraint_agg::arith::{rat, Rat};
@@ -73,11 +73,10 @@ fn explosive_max_steps_trips_as_steps_resource() {
 }
 
 /// A quantifier-free union of 16 pairwise-overlapping squares inside the
-/// unit box. QE is a no-op, so the *exact volume engine* is where the work
-/// is: inclusion–exclusion enumerates 2¹⁶ − 1 = 65535 cell intersections,
-/// each with a satisfiability probe — far beyond a 30 ms deadline. The
-/// Monte Carlo fallback only evaluates the quantifier-free matrix at
-/// sample points, which is cheap.
+/// unit box. QE has nothing to eliminate and takes no budget step, so the
+/// *exact volume* is where the steps go: one per DNF cell, then the
+/// sweep's. The Monte Carlo fallback only evaluates the quantifier-free
+/// matrix at sample points, which is cheap.
 fn overlapping_squares(db: &mut Database) -> (Formula, Vec<Var>) {
     let x = db.vars_mut().intern("x");
     let y = db.vars_mut().intern("y");
@@ -95,11 +94,30 @@ fn overlapping_squares(db: &mut Database) -> (Formula, Vec<Var>) {
     (f, vec![x, y])
 }
 
+/// A step cap that [`overlapping_squares`]' exact volume exceeds
+/// (asserted below).
+const VOLUME_TRIP_STEPS: u64 = 8;
+
+/// A budget capped at [`VOLUME_TRIP_STEPS`], after checking that
+/// eliminating `f` fits under that cap: a trip under it comes from the
+/// volume phase.
+fn volume_trip_budget(f: &Formula) -> EvalBudget {
+    let capped = || EvalBudget::unlimited().with_max_steps(VOLUME_TRIP_STEPS);
+    let qe = eliminate(f, &capped());
+    assert!(qe.is_ok(), "elimination must fit under the cap: {qe:?}");
+    capped()
+}
+
 #[test]
 fn volume_with_fallback_degrades_to_tagged_mc_estimate() {
     let mut db = Database::new();
     let (f, vars) = overlapping_squares(&mut db);
-    let budget = EvalBudget::unlimited().with_deadline(Duration::from_millis(30));
+    // Without the cap the exact volume finishes, past the cap.
+    let roomy = EvalBudget::unlimited();
+    let exact = volume_with_fallback(&db, &f, &vars, &roomy, 0.1).unwrap();
+    assert_eq!(exact, VolumeOutcome::Exact(rat(721, 1024)));
+    assert!(roomy.steps() > VOLUME_TRIP_STEPS, "{} steps", roomy.steps());
+    let budget = volume_trip_budget(&f);
     let eps = 0.1;
     let outcome = volume_with_fallback(&db, &f, &vars, &budget, eps).unwrap();
     match outcome {
@@ -160,7 +178,7 @@ fn volume_with_fallback_returns_a_qe_trip_and_degrades_a_volume_trip() {
     // The exact volume trips: the matrix QE left behind is sampled.
     let mut db = Database::new();
     let (f, vars) = overlapping_squares(&mut db);
-    let budget = EvalBudget::unlimited().with_deadline(Duration::from_millis(30));
+    let budget = volume_trip_budget(&f);
     let outcome = volume_with_fallback(&db, &f, &vars, &budget, 0.1).unwrap();
     assert!(!outcome.is_exact(), "{outcome:?}");
 }
@@ -171,7 +189,7 @@ fn volume_with_fallback_refuses_a_sample_count_past_the_cap() {
     // wrap to 0 samples and panic on a zero denominator.
     let mut db = Database::new();
     let (f, vars) = overlapping_squares(&mut db);
-    let budget = EvalBudget::unlimited().with_deadline(Duration::from_millis(30));
+    let budget = volume_trip_budget(&f);
     let r = volume_with_fallback(&db, &f, &vars, &budget, 1e-200);
     match r {
         Err(AggError::Db(msg)) => assert!(msg.contains("over the cap"), "{msg}"),
