@@ -2074,6 +2074,32 @@ sum EndpointSum(w) := true | END[y. S(y)] ; xout . xout = w
         assert!(r.header.contains("over the cap"), "{r:?}");
     }
 
+    /// A Hörmander derivation that nests deeper than a worker's stack holds
+    /// (≈ 7 MiB for this sentence) trips the depth cap: `ERR budget`, and
+    /// the same engine answers the next request.
+    #[test]
+    fn a_derivation_too_deep_for_the_stack_answers_err_budget() {
+        let deep = "exists y. exists z. ((-3*y*y - 3*z + 2*y = 1) & (-z*z < -3) | (2*y*y - z = 0))";
+        std::thread::Builder::new()
+            .stack_size(cqa_logic::REQUEST_STACK_BYTES)
+            .spawn(move || {
+                let e = engine();
+                let mut s = e.open_session();
+                let mut volume = |query: &str| {
+                    let query = query.to_string();
+                    e.dispatch(&mut s, Command::Volume { query })
+                };
+                let r = volume(deep);
+                assert!(r.header.starts_with("ERR budget"), "{r:?}");
+                assert!(r.header.contains("nesting limit"), "{r:?}");
+                let next = volume("x > 1/2");
+                assert_eq!(answer_of(&next.header), "status=exact value=1/2");
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
     #[test]
     fn deep_nesting_answers_err_parse_and_the_server_lives_on() {
         let n = cqa_logic::MAX_NESTING;

@@ -231,3 +231,58 @@ fn exact_volumes_of_the_cold_lin_shapes_are_pinned() {
         assert!(header.contains(&want), "{name}: {header}");
     }
 }
+
+/// The full `EXEC` reply of three of `cqa-e2e`'s `cold_poly` lens queries
+/// (E15: ∃v ∃w. x² + v² + w² ≤ R ∧ v ≥ x² − C ∧ w ≤ v), prepared after a
+/// program of the benchmark's relation shapes and variable names, so the
+/// variables are numbered as they are there. Hörmander eliminates each
+/// one; `value=` is the Monte Carlo estimate over its output and `steps=`
+/// the elimination's budget steps, so a change to either the output
+/// formula or the step count fails here.
+#[test]
+fn lens_replies_of_the_cold_poly_workload_are_pinned() {
+    let program = "rel B00(x0) := 8/67 <= x0 & x0 <= 33/67\n\
+                   rel H001(x0) := x0 <= 40/67\n\
+                   rel H002(x0) := x0 <= 51/67\n\
+                   rel H003(x0) := x0 <= 37/67\n\
+                   rel U00(z0) := (9/67 <= z0 & z0 <= 20/67) | (33/67 <= z0 & z0 <= 50/67)\n\
+                   rel H005(x0) := x0 <= 44/67\n\
+                   rel P00(x0, y0) := 9/67 <= x0 & x0 <= 40/67 & 20/67 <= y0 & y0 <= 50/67\n\
+                   sum T0(w) := true | END[y. U00(y)] ; xout . xout = w\n";
+    let lens = |j: u64| {
+        let (r, c) = (5 + j % 4, 2 + j / 4);
+        let (v, w) = (format!("p{}0", 18 + j), format!("q{}0", 18 + j));
+        format!(
+            "exists {v}. exists {w}. (x0*x0 + {v}*{v} + {w}*{w} <= {r}/8 \
+             & {v} >= x0*x0 - {c}/8 & {w} <= {v})"
+        )
+    };
+    let want = [
+        (
+            0,
+            "OK EXEC lens0 status=approx value=553/739 eps=0.05 delta=0.05 samples=739 \
+             reason=nonlinear cache=miss steps=611",
+        ),
+        (
+            7,
+            "OK EXEC lens7 status=approx value=672/739 eps=0.05 delta=0.05 samples=739 \
+             reason=nonlinear cache=miss steps=611",
+        ),
+        (
+            14,
+            "OK EXEC lens14 status=approx value=682/739 eps=0.05 delta=0.05 samples=739 \
+             reason=nonlinear cache=miss steps=611",
+        ),
+    ];
+    let e = Engine::new(EngineConfig::default());
+    let mut s = e.open_session();
+    assert!(e.load(&mut s, program).is_ok());
+    let mut got = Vec::new();
+    for (j, _) in want {
+        let name = format!("lens{j}");
+        assert!(e.prepare(&mut s, &name, &lens(j)).is_ok(), "{name}");
+        got.push(e.exec(&mut s, &name, None, None).header);
+    }
+    let want: Vec<&str> = want.iter().map(|(_, line)| *line).collect();
+    assert_eq!(got, want);
+}

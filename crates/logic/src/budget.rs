@@ -35,6 +35,10 @@ pub enum BudgetResource {
     Steps,
     /// An intermediate formula grew past `max_atoms` atoms.
     Atoms,
+    /// A recursion nested deeper than its fixed cap, which keeps it inside
+    /// a request thread's stack (`REQUEST_STACK_BYTES`). Not a setting: the
+    /// cap is a constant of the recursion that charges it.
+    Depth,
 }
 
 /// Typed cancellation: the evaluation exceeded its [`EvalBudget`].
@@ -57,6 +61,7 @@ impl std::fmt::Display for BudgetExceeded {
             BudgetResource::Deadline => "deadline passed",
             BudgetResource::Steps => "step limit reached",
             BudgetResource::Atoms => "intermediate formula exceeded the atom limit",
+            BudgetResource::Depth => "recursion exceeded the nesting limit",
         };
         write!(
             f,

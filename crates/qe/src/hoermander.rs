@@ -27,24 +27,23 @@
 //!
 //! **Each family's matrices are derived once.** Under every undecided
 //! parameter sign the recursion asks for the sign matrix of the same
-//! polynomial families again (a lens query asks for 10 families 553 times).
-//! So within one `∃`-elimination the first request for a family derives its
-//! matrices under *no* sign assumptions and stores them in a memo as a
-//! decision tree over the parameter signs the derivation had to decide
-//! (`Split(poly, [zero, pos, neg])` on the head of `poly`, `Rows`,
-//! `Inconsistent`). A derivation first decides the head of every divisor
-//! (`p'` and the rest of the family), so that remainders can be
-//! sign-corrected; a build, knowing nothing, splits on them with an
+//! polynomial families again. So within one `∃`-elimination the first
+//! request for a family derives its matrices under *no* sign assumptions and
+//! stores them in a memo as a decision tree over the parameter signs the
+//! derivation had to decide (`Split(poly, [zero, pos, neg])` on the head of
+//! `poly`, `Rows`, `Inconsistent`). A derivation first decides the head of
+//! every divisor (`p'` and the rest of the family), so that remainders can
+//! be sign-corrected; a build, knowing nothing, splits on them with an
 //! `Inconsistent` zero branch. A real caller always knows those heads are
 //! non-zero, so replay never emits a guard for them, and no beheaded
 //! zero-branch derivation enters the tree. Every request, the first
 //! included, then *replays* the tree under the caller's context: a known
 //! sign follows one child, an unknown one emits the same three guarded
 //! branches a direct derivation would, leaves feed the caller's
-//! continuation. So the output is the formula the direct derivation
-//! builds, streamed the same way. `casesplit`, `delconst` and the matrix
-//! derivation are generic over what they build ([`Output`]): the output
-//! formula or a memo tree, by one code path.
+//! continuation. So the output is the formula the direct derivation builds,
+//! streamed the same way. `casesplit`, `delconst` and the matrix derivation
+//! are generic over what they build ([`Output`]): the output formula or a
+//! memo tree, by one code path.
 //!
 //! A cap and a lifetime keep the memo from costing more than it saves. A
 //! build is abandoned once its rows plus split nodes pass [`BUILD_CAP`]
@@ -53,27 +52,45 @@
 //! to one elimination and is dropped with it; the polynomials its keys,
 //! trees and work lists hold are shared (`Rc`), not cloned. The cooperative
 //! budget counts one step per `casesplit` entry — in memo builds as in
-//! direct derivations — plus one per replayed tree node.
+//! direct derivations — plus one per replayed tree node. The recursion's
+//! nesting is capped too: past [`MAX_DEPTH`] open levels an elimination
+//! trips `BudgetResource::Depth`, so a derivation too deep for a request
+//! thread's stack ends in a budget error instead of a stack overflow.
 //!
 //! **Nothing on the split path is copied.** A sign context records each
 //! decided head once, made monic, in an `Rc` that the three contexts a
 //! split creates share. A lookup tests `p = c·q` term by term against each
 //! entry `q`, with `c` the head coefficient of `p`, so it allocates
-//! nothing. Each elimination resolves its body's atoms to sign-matrix
-//! columns once, before the first row, and returns simplified output; since
-//! `simplify` is a projection, [`hoermander`] simplifies again only after
-//! negating a ∀-block's result.
+//! nothing. A sign matrix ([`Matrix`]) is one row-major `Vec<i8>` with a
+//! width, not a `Vec` per row: `delconst` writes the widened matrix in one
+//! pass, and `dedmatrix` indexes its input's rows in place and writes its
+//! output straight in the caller's column order.
+//!
+//! **One arena per call.** [`hoermander`] interns the prenex matrix into an
+//! [`Arena`] that lives for the whole call, and every elimination works on
+//! its nodes. It resolves its body's atoms to sign-matrix columns by
+//! [`TermId`], reading the negation normal form off the previous
+//! elimination's nodes, and writes its own output next to them: each split
+//! polynomial's three guards are interned once, and each split's node is
+//! built already simplified, by `simplify`'s own rules, from its branches'
+//! nodes, which are simplified already. So no elimination runs a separate
+//! simplify pass; only a ∀-block's negated result is simplified again, and
+//! the result is externed once, at the end.
 //!
 //! Complexity is non-elementary in the worst case; the paper (Section 3)
 //! leans on exactly this cost when arguing that QE-based approximate volume
 //! operators are impractical, and `qe.hoermander.us_per_op` in `cqa-e2e`
 //! measures it.
 
-use crate::simplify::simplify;
+use crate::simplify::{
+    has_complementary_pair, negate_id, push_unique, simplify, simplify_atom_id, simplify_id,
+    SimplifyMemo,
+};
 use crate::QeError;
 use cqa_arith::Rat;
-use cqa_logic::budget::{BudgetExceeded, EvalBudget};
-use cqa_logic::{nnf, prenex, Atom, Formula, Rel};
+use cqa_logic::budget::{BudgetExceeded, BudgetResource, EvalBudget};
+use cqa_logic::ir::{Arena, FormulaId, Node, TermId};
+use cqa_logic::{prenex, Formula, Rel};
 use cqa_poly::{MPoly, Var};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -85,6 +102,19 @@ type XPoly = Vec<MPoly>;
 /// Nodes (matrix rows plus split nodes) a memo build may create before it is
 /// abandoned and its family derived under each caller's context instead.
 const BUILD_CAP: usize = 1024;
+
+/// Stack one nesting level of the derivation costs, with a 2× margin:
+/// ≈ 400 B in a release build and ≈ 2.8 KiB in an unoptimised one, measured
+/// as the smallest thread stack on which formulas 1 000 to 25 000 levels
+/// deep still finish.
+const STACK_PER_LEVEL: usize = if cfg!(debug_assertions) { 5_600 } else { 800 };
+
+/// Nesting levels one elimination may stack: entries of `casesplit`,
+/// `decide_heads` and `replay` that have not returned. The recursion then
+/// fits in [`cqa_logic::REQUEST_STACK_BYTES`] with 1 MiB left to the layers
+/// above it: 2 918 levels in a release build, 416 in an unoptimised one.
+/// The pinned corpus's deepest finished elimination takes 110.
+const MAX_DEPTH: usize = (cqa_logic::REQUEST_STACK_BYTES - (1 << 20)) / STACK_PER_LEVEL;
 
 /// Declaration order is the order of a split's branches (`as usize` indexes
 /// a [`Tree::Split`]'s children).
@@ -161,8 +191,47 @@ impl Ctx {
     }
 }
 
+/// A sign matrix: `rows` rows of `width` signs (`-1`, `0`, `1`), one column
+/// per polynomial of the family, stored row-major in one buffer. Rows
+/// alternate interval, point, interval, … from −∞ to +∞.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Matrix {
+    width: usize,
+    rows: usize,
+    signs: Vec<i8>,
+}
+
+impl Matrix {
+    /// An empty matrix with room for `rows` rows.
+    fn with_capacity(width: usize, rows: usize) -> Matrix {
+        Matrix {
+            width,
+            rows: 0,
+            signs: Vec::with_capacity(width * rows),
+        }
+    }
+
+    fn row(&self, i: usize) -> &[i8] {
+        &self.signs[i * self.width..(i + 1) * self.width]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[i8]> {
+        (0..self.rows).map(|i| self.row(i))
+    }
+
+    /// Appends the row `others` with `s` inserted at column `at`.
+    fn push_with(&mut self, others: &[i8], at: usize, s: i8) {
+        debug_assert_eq!(others.len() + 1, self.width);
+        self.signs.extend_from_slice(&others[..at]);
+        self.signs.push(s);
+        self.signs.extend_from_slice(&others[at..]);
+        self.rows += 1;
+    }
+}
+
 /// Inconsistency marker: a branch whose sign assumptions are contradictory
 /// produces garbage inferences; such branches contribute `⊥`.
+#[derive(Debug, PartialEq, Eq)]
 struct Inconsistent;
 
 /// Why a derivation stopped before its end.
@@ -179,31 +248,58 @@ impl From<BudgetExceeded> for Halt {
     }
 }
 
-/// What a derivation produces: the output formula itself, streamed, or a
-/// family's memo [`Tree`]. The continuation makes the leaves; this makes
-/// the rest.
+/// What a derivation produces: the output formula's node in the call's
+/// arena, streamed, or a family's memo [`Tree`]. The continuation makes the
+/// leaves; this makes the rest.
 trait Output: Sized {
     /// A branch whose sign assumptions are contradictory.
-    fn inconsistent() -> Self;
+    fn inconsistent(el: &mut Elim<'_>) -> Self;
     /// The zero, positive and negative branches on the undecided head
     /// coefficient of `poly`.
-    fn split(poly: &Rc<XPoly>, branches: [Self; 3]) -> Self;
+    fn split(el: &mut Elim<'_>, poly: &Rc<XPoly>, branches: [Self; 3]) -> Self;
 }
 
-impl Output for Formula {
-    fn inconsistent() -> Formula {
-        Formula::False
+impl Output for FormulaId {
+    fn inconsistent(el: &mut Elim<'_>) -> FormulaId {
+        el.arena.intern_node(Node::False)
     }
 
-    /// Guards each branch with the sign condition it assumed.
-    fn split(poly: &Rc<XPoly>, branches: [Formula; 3]) -> Formula {
-        let head = head(poly);
-        let mut out = Formula::False;
-        for (rel, branch) in [Rel::Eq, Rel::Gt, Rel::Lt].into_iter().zip(branches) {
-            let guard = Formula::Atom(Atom::new(head.clone(), rel));
-            out = out.or(guard.and(branch));
+    /// Guards each branch with the sign condition it assumed and joins the
+    /// guarded branches, as `simplify` would rewrite `Formula::or` of
+    /// `guard.and(branch)`: every branch node is already simplified, so the
+    /// split's node is built simplified, from them alone. A conjunction
+    /// takes the guard as its first conjunct, flattened into the branch's
+    /// conjuncts, and is `⊥` on a complementary pair; the disjunction drops
+    /// `⊥`s and repeats, is `⊤` on a complementary pair, and one surviving
+    /// branch is not wrapped.
+    fn split(el: &mut Elim<'_>, poly: &Rc<XPoly>, branches: [FormulaId; 3]) -> FormulaId {
+        let guards = el.guards(poly);
+        let arena = &mut *el.arena;
+        let mut parts = Vec::with_capacity(3);
+        for (guard, branch) in guards.into_iter().zip(branches) {
+            let mut conj = vec![guard];
+            match arena.node(branch) {
+                Node::False => continue,
+                Node::True => {}
+                Node::And(fs) => conj.extend(fs.iter().filter(|&&f| f != guard)),
+                _ if branch == guard => {}
+                _ => conj.push(branch),
+            }
+            let guarded = match conj.len() {
+                1 => guard,
+                _ if has_complementary_pair(arena, &conj) => continue,
+                _ => arena.intern_node(Node::And(conj)),
+            };
+            push_unique(&mut parts, guarded);
         }
-        out
+        if has_complementary_pair(arena, &parts) {
+            return arena.intern_node(Node::True);
+        }
+        match parts.len() {
+            0 => arena.intern_node(Node::False),
+            1 => parts[0],
+            _ => arena.intern_node(Node::Or(parts)),
+        }
     }
 }
 
@@ -212,31 +308,39 @@ impl Output for Formula {
 enum Tree {
     /// Children for the head of the polynomial zero, positive, negative.
     Split(Rc<XPoly>, Box<[Tree; 3]>),
-    Rows(Vec<Vec<i8>>),
+    Rows(Matrix),
     Inconsistent,
 }
 
 impl Output for Tree {
-    fn inconsistent() -> Tree {
+    fn inconsistent(_: &mut Elim<'_>) -> Tree {
         Tree::Inconsistent
     }
 
-    fn split(poly: &Rc<XPoly>, branches: [Tree; 3]) -> Tree {
+    fn split(_: &mut Elim<'_>, poly: &Rc<XPoly>, branches: [Tree; 3]) -> Tree {
         Tree::Split(Rc::clone(poly), Box::new(branches))
     }
 }
 
-/// Receives each sign matrix (rows alternating interval, point, interval,
-/// …) a derivation reaches and makes that leaf of the output.
-type Cont<'c, O> = dyn FnMut(&mut Elim<'_>, &[Vec<i8>]) -> Result<O, Halt> + 'c;
+/// Receives each sign matrix a derivation reaches and makes that leaf of
+/// the output.
+type Cont<'c, O> = dyn FnMut(&mut Elim<'_>, &Matrix) -> Result<O, Halt> + 'c;
 
-/// The state of one `∃`-elimination: its budget and its family memo.
-struct Elim<'b> {
-    budget: &'b EvalBudget,
+/// The state of one `∃`-elimination: its budget, the arena its output is
+/// built in, its family memo and its nesting depth.
+struct Elim<'a> {
+    budget: &'a EvalBudget,
+    arena: &'a mut Arena,
     /// Each family's tree; `None` once its build passed [`BUILD_CAP`].
     memo: HashMap<Vec<Rc<XPoly>>, Option<Rc<Tree>>>,
     /// Nodes created so far by each memo build in progress, innermost last.
     builds: Vec<usize>,
+    /// Recursive entries that have not returned (see [`MAX_DEPTH`]).
+    depth: usize,
+    /// The simplified guards `head = 0`, `head > 0`, `head < 0` of each
+    /// polynomial the output has split on, by address; the entry holds the
+    /// polynomial, so the address is not reused while it stands.
+    guards: HashMap<*const XPoly, (Rc<XPoly>, [FormulaId; 3])>,
 }
 
 /// The head (leading) coefficient of a trimmed, non-empty polynomial.
@@ -293,6 +397,21 @@ fn pdivide(p: &[MPoly], q: &[MPoly]) -> (u32, XPoly) {
 }
 
 impl Elim<'_> {
+    /// The guards on the head coefficient of `poly`, in branch order and
+    /// simplified (leading coefficient positive). A memo tree's split nodes
+    /// and a family's polynomials are shared, so each head is interned once
+    /// however many contexts split on it.
+    fn guards(&mut self, poly: &Rc<XPoly>) -> [FormulaId; 3] {
+        if let Some((_, guards)) = self.guards.get(&Rc::as_ptr(poly)) {
+            return *guards;
+        }
+        let head = self.arena.intern_term(head(poly));
+        let guards = [Rel::Eq, Rel::Gt, Rel::Lt].map(|rel| simplify_atom_id(self.arena, head, rel));
+        self.guards
+            .insert(Rc::as_ptr(poly), (Rc::clone(poly), guards));
+        guards
+    }
+
     /// Counts `n` new nodes against the innermost build in progress, if any.
     fn charge(&mut self, n: usize) -> Result<(), Halt> {
         if let Some(nodes) = self.builds.last_mut() {
@@ -301,6 +420,21 @@ impl Elim<'_> {
                 return Err(Halt::Abandon);
             }
         }
+        Ok(())
+    }
+
+    /// Opens one level of the recursion, unless [`MAX_DEPTH`] levels are
+    /// already open: a derivation nested that deep would overflow the
+    /// request thread's stack, so it trips the budget instead. The caller
+    /// closes the level once the call returns, whatever it returns.
+    fn enter(&mut self) -> Result<(), Halt> {
+        if self.depth >= MAX_DEPTH {
+            return Err(Halt::Budget(QeError::Budget(BudgetExceeded {
+                resource: BudgetResource::Depth,
+                steps: self.budget.steps(),
+            })));
+        }
+        self.depth += 1;
         Ok(())
     }
 
@@ -325,7 +459,7 @@ impl Elim<'_> {
         let zero = k(self, &ctx.with(&q, Sign::Zero), Sign::Zero)?;
         let pos = k(self, &ctx.with(&q, Sign::Pos.flip_if(flip)), Sign::Pos)?;
         let neg = k(self, &ctx.with(&q, Sign::Neg.flip_if(flip)), Sign::Neg)?;
-        Ok(O::split(poly, [zero, pos, neg]))
+        Ok(O::split(self, poly, [zero, pos, neg]))
     }
 
     /// Ensures every polynomial's head coefficient has a known sign in the
@@ -342,6 +476,20 @@ impl Elim<'_> {
         cont: &mut Cont<'_, O>,
     ) -> Result<O, Halt> {
         self.budget.check()?;
+        self.enter()?;
+        let out = self.casesplit_open(ctx, dun, todo, cont);
+        self.depth -= 1;
+        out
+    }
+
+    /// [`Elim::casesplit`] inside its level.
+    fn casesplit_open<O: Output>(
+        &mut self,
+        ctx: &Ctx,
+        dun: &[Rc<XPoly>],
+        todo: &[Rc<XPoly>],
+        cont: &mut Cont<'_, O>,
+    ) -> Result<O, Halt> {
         let Some((p0, rest)) = todo.split_first() else {
             return self.matrix(ctx, dun, cont);
         };
@@ -365,8 +513,7 @@ impl Elim<'_> {
     }
 
     /// Records a (sign-known) constant polynomial: its sign column is
-    /// inserted into every matrix row at the position the polynomial
-    /// occupies.
+    /// inserted into every matrix at the position the polynomial occupies.
     fn delconst<O: Output>(
         &mut self,
         ctx: &Ctx,
@@ -376,16 +523,12 @@ impl Elim<'_> {
         cont: &mut Cont<'_, O>,
     ) -> Result<O, Halt> {
         let idx = dun.len();
-        let mut cont2 = |el: &mut Elim<'_>, rows: &[Vec<i8>]| {
-            let rows2: Vec<Vec<i8>> = rows
-                .iter()
-                .map(|r| {
-                    let mut r2 = r.clone();
-                    r2.insert(idx, sign);
-                    r2
-                })
-                .collect();
-            cont(el, &rows2)
+        let mut cont2 = |el: &mut Elim<'_>, m: &Matrix| {
+            let mut wide = Matrix::with_capacity(m.width + 1, m.rows);
+            for row in m.iter() {
+                wide.push_with(row, idx, sign);
+            }
+            cont(el, &wide)
         };
         self.casesplit(ctx, dun, rest, &mut cont2)
     }
@@ -401,16 +544,21 @@ impl Elim<'_> {
         cont: &mut Cont<'_, O>,
     ) -> Result<O, Halt> {
         if pols.is_empty() {
-            return cont(self, &[vec![]]);
+            let one_row = Matrix {
+                width: 0,
+                rows: 1,
+                signs: Vec::new(),
+            };
+            return cont(self, &one_row);
         }
         let tree = match self.memo.get(pols) {
             Some(Some(tree)) => Rc::clone(tree),
             Some(None) => return self.derive(ctx, pols, cont),
             None => {
                 self.builds.push(0);
-                let built = self.derive(&Ctx::default(), pols, &mut |el, rows| {
-                    el.charge(rows.len())?;
-                    Ok(Tree::Rows(rows.to_vec()))
+                let built = self.derive(&Ctx::default(), pols, &mut |el, m| {
+                    el.charge(m.rows)?;
+                    Ok(Tree::Rows(m.clone()))
                 });
                 self.builds.pop();
                 match built {
@@ -440,13 +588,16 @@ impl Elim<'_> {
         cont: &mut Cont<'_, O>,
     ) -> Result<O, Halt> {
         self.budget.check()?;
-        match tree {
-            Tree::Inconsistent => Ok(O::inconsistent()),
-            Tree::Rows(rows) => cont(self, rows),
+        self.enter()?;
+        let out = match tree {
+            Tree::Inconsistent => Ok(O::inconsistent(self)),
+            Tree::Rows(m) => cont(self, m),
             Tree::Split(poly, children) => self.split3(ctx, poly, &mut |el, ctx2, s| {
                 el.replay(ctx2, &children[s as usize], cont)
             }),
-        }
+        };
+        self.depth -= 1;
+        out
     }
 
     /// Derives the sign matrix of `pols` under `ctx`: with `p` of maximal
@@ -479,20 +630,9 @@ impl Elim<'_> {
             })
             .collect();
         let l = qs.len();
-        let mut cont2 = |el: &mut Elim<'_>, rows: &[Vec<i8>]| match dedmatrix(rows, l) {
-            Err(Inconsistent) => Ok(O::inconsistent()),
-            Ok(ded) => {
-                // ded rows: [p, p', pols-minus-p…]; drop p', reinsert p at i.
-                let rows2: Vec<Vec<i8>> = ded
-                    .iter()
-                    .map(|r| {
-                        let mut rest: Vec<i8> = r[2..].to_vec();
-                        rest.insert(i, r[0]);
-                        rest
-                    })
-                    .collect();
-                cont(el, &rows2)
-            }
+        let mut cont2 = |el: &mut Elim<'_>, m: &Matrix| match dedmatrix(m, l, i) {
+            Err(Inconsistent) => Ok(O::inconsistent(el)),
+            Ok(ded) => cont(el, &ded),
         };
         self.decide_heads(ctx, &qs, &mut |el, ctx2| {
             let mut all = qs.clone();
@@ -517,125 +657,101 @@ impl Elim<'_> {
         let Some((q, rest)) = qs.split_first() else {
             return k(self, ctx);
         };
-        self.split3(ctx, q, &mut |el, ctx2, s| match s {
-            Sign::Zero => Ok(O::inconsistent()),
+        self.enter()?;
+        let out = self.split3(ctx, q, &mut |el, ctx2, s| match s {
+            Sign::Zero => Ok(O::inconsistent(el)),
             _ => el.decide_heads(ctx2, rest, k),
-        })
+        });
+        self.depth -= 1;
+        out
     }
 }
 
-/// Given the sign matrix of `qs ++ rs` (2·l columns, rows alternating
-/// interval/point), deduces the matrix of `[p] ++ qs`: the sign of `p` at
-/// each root point comes from the matching remainder; its signs on
-/// intervals and its own roots are interpolated via `p' = qs[0]`.
-fn dedmatrix(rows: &[Vec<i8>], l: usize) -> Result<Vec<Vec<i8>>, Inconsistent> {
-    debug_assert!(rows.len() % 2 == 1);
-    // Step 1: p's sign at q-root points; drop the remainder columns.
-    struct Row {
-        psign: Option<i8>,
-        qsigns: Vec<i8>,
-    }
-    let mut rs1: Vec<Row> = Vec::with_capacity(rows.len());
-    for (idx, r) in rows.iter().enumerate() {
-        let qsigns = r[..l].to_vec();
-        let rsigns = &r[l..2 * l];
-        let point = idx % 2 == 1;
-        let mut psign = None;
-        if point {
-            for j in 0..l {
-                if qsigns[j] == 0 {
-                    match psign {
-                        None => psign = Some(rsigns[j]),
-                        Some(s) if s != rsigns[j] => return Err(Inconsistent),
-                        _ => {}
-                    }
-                }
+/// p's sign at a point row of the matrix of `qs ++ rs`: the sign of the
+/// remainder by any `q` vanishing there (they must agree), `None` when no
+/// `q` vanishes there.
+fn point_sign(row: &[i8], l: usize) -> Result<Option<i8>, Inconsistent> {
+    let (qsigns, rsigns) = row.split_at(l);
+    let mut psign = None;
+    for (&q, &r) in qsigns.iter().zip(rsigns) {
+        if q == 0 {
+            match psign {
+                None => psign = Some(r),
+                Some(s) if s != r => return Err(Inconsistent),
+                _ => {}
             }
         }
-        rs1.push(Row { psign, qsigns });
     }
-    // Step 2: condense — remove point rows that are roots of no q (they were
-    // roots only of remainders) and merge the surrounding intervals.
-    let mut rs2: Vec<Row> = Vec::with_capacity(rs1.len());
-    let mut it = rs1.into_iter();
-    rs2.push(it.next().unwrap()); // leading interval
-    while let Some(pt) = it.next() {
-        let iv = it
-            .next()
-            .expect("point row must be followed by an interval");
-        if pt.psign.is_some() {
-            rs2.push(pt);
-            rs2.push(iv);
-        } else {
-            // Merging intervals across a non-root point: signs must agree.
-            if rs2.last().unwrap().qsigns != iv.qsigns {
+    Ok(psign)
+}
+
+/// Given the sign matrix of `qs ++ rs` (2·l columns, rows alternating
+/// interval/point), deduces the matrix of `p` and `qs[1..]`, with `p` at
+/// column `at`: the sign of `p` at each root point comes from the matching
+/// remainder; its signs on intervals and its own roots are interpolated via
+/// `p' = qs[0]`, whose column is dropped. Point rows that are roots of no
+/// `q` (only of remainders) are condensed away, and the intervals around
+/// them merged; rows are indexed in place, never copied.
+fn dedmatrix(m: &Matrix, l: usize, at: usize) -> Result<Matrix, Inconsistent> {
+    debug_assert!(m.rows % 2 == 1 && m.width == 2 * l);
+    let mut out = Matrix::with_capacity(l, m.rows + 2);
+    // The condensed interval in hand (the first row of its merged run) and
+    // p's sign at the kept point to its left (`None` at −∞).
+    let (mut k, mut left) = (0, None);
+    loop {
+        let qsigns = &m.row(k)[..l];
+        // The next point that is a root of some q; merging intervals across
+        // the others requires equal signs.
+        let mut j = k + 1;
+        let right = loop {
+            if j == m.rows {
+                break None;
+            }
+            if let Some(s) = point_sign(m.row(j), l)? {
+                break Some(s);
+            }
+            if m.row(j + 1)[..l] != *qsigns {
                 return Err(Inconsistent);
             }
-        }
-    }
-    // Step 3: interpolate p's signs on intervals, inserting p's own roots.
-    // Sign of p at ±∞ from p' (= column 0): sign p(-∞) = -sign p'(-∞),
-    // sign p(+∞) = +sign p'(+∞).
-    let n = rs2.len();
-    let mut out: Vec<Vec<i8>> = Vec::with_capacity(n + 2);
-    for k in (0..n).step_by(2) {
-        let d = rs2[k].qsigns[0]; // p' sign on this interval
+            j += 2;
+        };
+        // Sign of p at ±∞ from p' (= column 0): sign p(-∞) = -sign p'(-∞),
+        // sign p(+∞) = +sign p'(+∞).
+        let d = qsigns[0];
         if d == 0 {
             return Err(Inconsistent);
         }
-        let sl = if k == 0 {
-            -d
-        } else {
-            rs2[k - 1].psign.unwrap()
-        };
-        let sr = if k == n - 1 {
-            d
-        } else {
-            rs2[k + 1].psign.unwrap()
-        };
-        let qsigns = &rs2[k].qsigns;
-        let push_iv = |out: &mut Vec<Vec<i8>>, s: i8| {
-            let mut row = Vec::with_capacity(1 + qsigns.len());
-            row.push(s);
-            row.extend_from_slice(qsigns);
-            out.push(row);
-        };
-        match (sl, sr) {
+        let others = &qsigns[1..];
+        match (left.unwrap_or(-d), right.unwrap_or(d)) {
             (0, 0) => return Err(Inconsistent),
             (0, sr) => {
                 // Leaving a root moving right: p takes the sign of p'.
                 if sr != d {
                     return Err(Inconsistent);
                 }
-                push_iv(&mut out, d);
+                out.push_with(others, at, d);
             }
             (sl, 0) => {
                 // Approaching a root from the left: p has sign -p'.
                 if sl != -d {
                     return Err(Inconsistent);
                 }
-                push_iv(&mut out, -d);
+                out.push_with(others, at, -d);
             }
-            (sl, sr) if sl == sr => push_iv(&mut out, sl),
+            (sl, sr) if sl == sr => out.push_with(others, at, sl),
             (sl, sr) => {
                 // Sign change: exactly one root of p inside (p monotone).
-                push_iv(&mut out, sl);
-                let mut root = Vec::with_capacity(1 + qsigns.len());
-                root.push(0);
-                root.extend_from_slice(qsigns);
-                out.push(root);
-                push_iv(&mut out, sr);
+                out.push_with(others, at, sl);
+                out.push_with(others, at, 0);
+                out.push_with(others, at, sr);
             }
         }
-        if k + 1 < n {
-            let pt = &rs2[k + 1];
-            let mut row = Vec::with_capacity(1 + pt.qsigns.len());
-            row.push(pt.psign.unwrap());
-            row.extend_from_slice(&pt.qsigns);
-            out.push(row);
-        }
+        let Some(s) = right else {
+            return Ok(out);
+        };
+        out.push_with(&m.row(j)[1..l], at, s);
+        (k, left) = (j + 1, Some(s));
     }
-    Ok(out)
 }
 
 /// The (NNF, relation-free, quantifier-free) body of an elimination with
@@ -648,25 +764,51 @@ enum Body {
 }
 
 impl Body {
-    /// Resolves `f`'s atoms, cataloguing each distinct polynomial in
-    /// `polys` in first-occurrence order.
-    fn resolve(f: &Formula, polys: &mut Vec<MPoly>) -> Result<Body, QeError> {
-        let all = |fs: &[Formula], polys: &mut Vec<MPoly>| -> Result<Vec<Body>, QeError> {
-            fs.iter().map(|g| Body::resolve(g, polys)).collect()
-        };
-        Ok(match f {
-            Formula::True => Body::Const(true),
-            Formula::False => Body::Const(false),
-            Formula::Atom(a) => {
-                let col = polys.iter().position(|p| *p == a.poly).unwrap_or_else(|| {
-                    polys.push(a.poly.clone());
-                    polys.len() - 1
+    /// Resolves the atoms of `nnf(id)` (of `nnf(¬id)` when `neg`), reading
+    /// the NNF off the arena without building it, and catalogues each
+    /// distinct polynomial in `cols` in first-occurrence order. `nnf`
+    /// folds a conjunction with a `⊥` conjunct (a disjunction with a `⊤`
+    /// disjunct) to that constant and drops `⊤` conjuncts (`⊥` disjuncts);
+    /// so does this, and the atoms of a folded subformula take no column.
+    fn resolve(
+        arena: &Arena,
+        id: FormulaId,
+        neg: bool,
+        cols: &mut Vec<TermId>,
+    ) -> Result<Body, QeError> {
+        Ok(match arena.node(id) {
+            Node::True => Body::Const(!neg),
+            Node::False => Body::Const(neg),
+            Node::Atom { poly, rel } => {
+                let col = cols.iter().position(|t| t == poly).unwrap_or_else(|| {
+                    cols.push(*poly);
+                    cols.len() - 1
                 });
-                Body::Atom(col, a.rel)
+                Body::Atom(col, if neg { rel.negate() } else { *rel })
             }
-            Formula::And(fs) => Body::And(all(fs, polys)?),
-            Formula::Or(fs) => Body::Or(all(fs, polys)?),
-            Formula::Rel { .. } | Formula::Not(_) => return Err(QeError::HasRelations),
+            Node::Not(g) => Body::resolve(arena, *g, !neg, cols)?,
+            node @ (Node::And(fs) | Node::Or(fs)) => {
+                // De Morgan: under negation a conjunction is a disjunction.
+                let conj = matches!(node, Node::And(_)) != neg;
+                let mark = cols.len();
+                let mut parts = Vec::with_capacity(fs.len());
+                for &g in fs {
+                    match Body::resolve(arena, g, neg, cols)? {
+                        Body::Const(b) if b == conj => {}
+                        Body::Const(b) => {
+                            cols.truncate(mark);
+                            return Ok(Body::Const(b));
+                        }
+                        b => parts.push(b),
+                    }
+                }
+                match (parts.is_empty(), conj) {
+                    (true, _) => Body::Const(conj),
+                    (false, true) => Body::And(parts),
+                    (false, false) => Body::Or(parts),
+                }
+            }
+            Node::Rel { .. } => return Err(QeError::HasRelations),
             other => unreachable!("unexpected connective in CH body: {other:?}"),
         })
     }
@@ -682,68 +824,81 @@ impl Body {
     }
 }
 
-/// Eliminates `∃v` from a quantifier-free, relation-free formula; the
-/// result is simplified.
-pub(crate) fn eliminate_exists_ch(
+/// Eliminates `∃v` from the quantifier-free, relation-free formula `id`
+/// (from its negation when `neg`), building the output in `arena`. The
+/// result is what `simplify` makes of the formula the derivation denotes,
+/// built simplified split by split.
+fn eliminate_exists(
+    arena: &mut Arena,
     v: Var,
-    f: &Formula,
+    id: FormulaId,
+    neg: bool,
     budget: &EvalBudget,
-) -> Result<Formula, QeError> {
-    let f = nnf(f);
-    let mut polys: Vec<MPoly> = Vec::new();
-    let body = Body::resolve(&f, &mut polys)?;
-    if polys.is_empty() {
-        return Ok(simplify(&f));
+) -> Result<FormulaId, QeError> {
+    let mut cols: Vec<TermId> = Vec::new();
+    let body = Body::resolve(arena, id, neg, &mut cols)?;
+    if let Body::Const(b) = body {
+        return Ok(arena.intern_node(if b { Node::True } else { Node::False }));
     }
-    let xpolys: Vec<Rc<XPoly>> = polys
+    let xpolys: Vec<Rc<XPoly>> = cols
         .iter()
-        .map(|p| Rc::new(p.as_univariate_in(v)))
+        .map(|&t| Rc::new(arena.term(t).as_univariate_in(v)))
         .collect();
     let mut elim = Elim {
         budget,
+        arena: &mut *arena,
         memo: HashMap::new(),
         builds: Vec::new(),
+        depth: 0,
+        guards: HashMap::new(),
     };
-    let mut cont = |_: &mut Elim<'_>, rows: &[Vec<i8>]| {
-        Ok(if rows.iter().any(|row| body.eval(row)) {
-            Formula::True
-        } else {
-            Formula::False
-        })
+    let mut cont = |el: &mut Elim<'_>, m: &Matrix| {
+        let holds = m.iter().any(|row| body.eval(row));
+        Ok(el
+            .arena
+            .intern_node(if holds { Node::True } else { Node::False }))
     };
-    let qf = match elim.casesplit(&Ctx::default(), &[], &xpolys, &mut cont) {
-        Ok(qf) => qf,
-        Err(Halt::Budget(e)) => return Err(e),
+    match elim.casesplit(&Ctx::default(), &[], &xpolys, &mut cont) {
+        Ok(qf) => Ok(qf),
+        Err(Halt::Budget(e)) => Err(e),
         Err(Halt::Abandon) => unreachable!("abandoned outside any memo build"),
-    };
-    Ok(simplify(&qf))
+    }
 }
 
 /// Eliminates all quantifiers from an FO+POLY formula via Cohen–Hörmander,
 /// returning an equivalent quantifier-free formula over the free variables.
 /// The cooperative [`EvalBudget`] is checked at every `casesplit` node (the
-/// doubly-exponential blow-up point) and each elimination round is gated on
-/// the intermediate formula's atom count; aborts with [`QeError::Budget`]
-/// when it is exhausted.
+/// doubly-exponential blow-up point), each elimination round is gated on
+/// the intermediate formula's atom count, and a derivation nested deeper
+/// than a request thread's stack allows trips
+/// [`BudgetResource::Depth`]; aborts with [`QeError::Budget`] when any of
+/// them is exhausted.
 pub fn hoermander(f: &Formula, budget: &EvalBudget) -> Result<Formula, QeError> {
     crate::check_input(f)?;
-    let (blocks, mut matrix) = prenex(f);
+    let (blocks, matrix) = prenex(f);
     if blocks.iter().all(|b| b.vars.is_empty()) {
         return Ok(simplify(&matrix));
     }
+    // One arena for the whole call: each elimination reads its body from
+    // the previous one's output nodes and writes its own next to them.
+    let mut arena = Arena::new();
+    let mut simplified = SimplifyMemo::new();
+    let mut matrix = arena.intern(&matrix);
     // Each elimination's output is already simplified, and `simplify` is a
     // projection; only a negated one needs another pass.
     for block in blocks.into_iter().rev() {
         for &v in block.vars.iter().rev() {
-            budget.check_atoms(matrix.atom_count() as u64)?;
+            budget.check_atoms(arena.meta(matrix).atom_count())?;
+            let out = eliminate_exists(&mut arena, v, matrix, !block.exists, budget)?;
             matrix = if block.exists {
-                eliminate_exists_ch(v, &matrix, budget)?
+                out
             } else {
-                simplify(&eliminate_exists_ch(v, &matrix.negate(), budget)?.negate())
+                let negated = negate_id(&mut arena, out);
+                simplify_id(&mut arena, negated, &mut simplified)
             };
         }
     }
-    Ok(matrix)
+    Ok(arena.extern_formula(matrix))
 }
 
 #[cfg(test)]
@@ -751,6 +906,7 @@ mod tests {
     use super::*;
     use cqa_arith::rat;
     use cqa_logic::parse_formula;
+    use proptest::prelude::*;
 
     fn f(src: &str) -> Formula {
         parse_formula(src).unwrap().0
@@ -886,5 +1042,223 @@ mod tests {
         assert!(decide("exists x. x*x < 0.0001"));
         assert!(!decide("exists x. x*x < 0 | x*x + 1 <= 0"));
         assert!(decide("exists x. x*x <= 0"));
+    }
+
+    /// The row-per-`Vec` deduction `dedmatrix` replaced, kept as its
+    /// oracle: it returns the rows of `[p, p', qs[1..]]`.
+    fn dedmatrix_oracle(rows: &[Vec<i8>], l: usize) -> Result<Vec<Vec<i8>>, Inconsistent> {
+        struct Row {
+            psign: Option<i8>,
+            qsigns: Vec<i8>,
+        }
+        let mut rs1: Vec<Row> = Vec::with_capacity(rows.len());
+        for (idx, r) in rows.iter().enumerate() {
+            let qsigns = r[..l].to_vec();
+            let rsigns = &r[l..2 * l];
+            let mut psign = None;
+            if idx % 2 == 1 {
+                for j in 0..l {
+                    if qsigns[j] == 0 {
+                        match psign {
+                            None => psign = Some(rsigns[j]),
+                            Some(s) if s != rsigns[j] => return Err(Inconsistent),
+                            _ => {}
+                        }
+                    }
+                }
+            }
+            rs1.push(Row { psign, qsigns });
+        }
+        let mut rs2: Vec<Row> = Vec::with_capacity(rs1.len());
+        let mut it = rs1.into_iter();
+        rs2.push(it.next().unwrap());
+        while let Some(pt) = it.next() {
+            let iv = it.next().unwrap();
+            if pt.psign.is_some() {
+                rs2.push(pt);
+                rs2.push(iv);
+            } else if rs2.last().unwrap().qsigns != iv.qsigns {
+                return Err(Inconsistent);
+            }
+        }
+        let n = rs2.len();
+        let mut out: Vec<Vec<i8>> = Vec::with_capacity(n + 2);
+        let row = |s: i8, qsigns: &[i8]| {
+            let mut row = vec![s];
+            row.extend_from_slice(qsigns);
+            row
+        };
+        for k in (0..n).step_by(2) {
+            let d = rs2[k].qsigns[0];
+            if d == 0 {
+                return Err(Inconsistent);
+            }
+            let sl = if k == 0 {
+                -d
+            } else {
+                rs2[k - 1].psign.unwrap()
+            };
+            let sr = if k == n - 1 {
+                d
+            } else {
+                rs2[k + 1].psign.unwrap()
+            };
+            let qsigns = &rs2[k].qsigns;
+            match (sl, sr) {
+                (0, 0) => return Err(Inconsistent),
+                (0, sr) if sr != d => return Err(Inconsistent),
+                (0, _) => out.push(row(d, qsigns)),
+                (sl, 0) if sl != -d => return Err(Inconsistent),
+                (_, 0) => out.push(row(-d, qsigns)),
+                (sl, sr) if sl == sr => out.push(row(sl, qsigns)),
+                (sl, sr) => {
+                    out.push(row(sl, qsigns));
+                    out.push(row(0, qsigns));
+                    out.push(row(sr, qsigns));
+                }
+            }
+            if k + 1 < n {
+                out.push(row(rs2[k + 1].psign.unwrap(), &rs2[k + 1].qsigns));
+            }
+        }
+        Ok(out)
+    }
+
+    /// A sign matrix of `qs ++ rs` (`l` columns each) with `points` point
+    /// rows. Mode 0 draws every sign at random, so it is nearly always
+    /// inconsistent. The other modes draw what a derivation can meet: a `q`
+    /// is non-zero on intervals and changes sign only at its roots, and
+    /// where some `q` vanishes every such remainder carries `p`'s sign,
+    /// mostly one that `p' = qs[0]` allows. Mode 2 then overwrites one sign
+    /// and mode 3 two, at random.
+    fn sign_matrix(l: usize, points: usize, seed: u64, mode: u8) -> Vec<Vec<i8>> {
+        let mut state = seed;
+        let mut below = |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let sign = |below: &mut dyn FnMut(u64) -> u64| below(3) as i8 - 1;
+        let rows = 2 * points + 1;
+        if mode == 0 {
+            return (0..rows)
+                .map(|_| (0..2 * l).map(|_| sign(&mut below)).collect())
+                .collect();
+        }
+        let mut q: Vec<i8> = (0..l).map(|_| [1, -1][below(2) as usize]).collect();
+        // p's sign at the last kept point (−∞: the sign p' forces there).
+        let mut left = -q[0];
+        let mut out = Vec::with_capacity(rows);
+        let interval = |q: &[i8], below: &mut dyn FnMut(u64) -> u64| -> Vec<i8> {
+            let mut row = q.to_vec();
+            row.extend((0..q.len()).map(|_| below(3) as i8 - 1));
+            row
+        };
+        out.push(interval(&q, &mut below));
+        for _ in 0..points {
+            let roots: Vec<bool> = (0..l).map(|_| below(3) == 0).collect();
+            let d = q[0];
+            let allowed: &[i8] = match left {
+                0 => &[d],
+                s if s == -d => &[-d, 0, d],
+                _ => &[d, -d],
+            };
+            let s = if below(4) == 0 {
+                sign(&mut below)
+            } else {
+                allowed[below(allowed.len() as u64) as usize]
+            };
+            let mut row: Vec<i8> = (0..l).map(|j| if roots[j] { 0 } else { q[j] }).collect();
+            for &root in &roots {
+                row.push(if root { s } else { sign(&mut below) });
+            }
+            out.push(row);
+            if roots.contains(&true) {
+                left = s;
+            }
+            for j in 0..l {
+                if roots[j] && below(2) == 0 {
+                    q[j] = -q[j];
+                }
+            }
+            out.push(interval(&q, &mut below));
+        }
+        for _ in 1..mode {
+            let (r, c) = (below(rows as u64) as usize, below(2 * l as u64) as usize);
+            out[r][c] = sign(&mut below);
+        }
+        out
+    }
+
+    fn flat(rows: &[Vec<i8>], width: usize) -> Matrix {
+        Matrix {
+            width,
+            rows: rows.len(),
+            signs: rows.concat(),
+        }
+    }
+
+    /// The oracle's rows in `dedmatrix`'s column order: `p'` dropped and
+    /// `p` moved to column `at`.
+    fn reordered(rows: &[Vec<i8>], at: usize) -> Vec<Vec<i8>> {
+        rows.iter()
+            .map(|r| {
+                let mut rest = r[2..].to_vec();
+                rest.insert(at, r[0]);
+                rest
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn dedmatrix_matches_its_oracle(
+            case in (1usize..4, 0usize..5, any::<u64>(), 0u8..4)
+        ) {
+            let (l, points, seed, mode) = case;
+            let rows = sign_matrix(l, points, seed, mode);
+            let want = dedmatrix_oracle(&rows, l);
+            for at in 0..l {
+                let got = dedmatrix(&flat(&rows, 2 * l), l, at);
+                match &want {
+                    Err(Inconsistent) => prop_assert_eq!(&got, &Err(Inconsistent)),
+                    Ok(want) => {
+                        let got = got.map(|m| m.iter().map(<[i8]>::to_vec).collect::<Vec<_>>());
+                        prop_assert_eq!(got, Ok(reordered(want, at)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The proptest's generator reaches both outcomes, and deductions that
+    /// condense points away and insert roots of `p`.
+    #[test]
+    fn dedmatrix_generator_covers_both_outcomes() {
+        let (mut ok, mut condensed, mut rooted, mut inconsistent) = (0, 0, 0, 0);
+        for seed in 0..256u64 {
+            let (l, points, mode) = (1 + seed as usize % 3, seed as usize % 5, (seed % 4) as u8);
+            let rows = sign_matrix(l, points, seed, mode);
+            match dedmatrix_oracle(&rows, l) {
+                Ok(out) => {
+                    ok += 1;
+                    condensed += usize::from(out.len() < rows.len());
+                    rooted += usize::from(out.len() > rows.len());
+                }
+                Err(Inconsistent) => inconsistent += 1,
+            }
+        }
+        assert!(
+            ok >= 64 && inconsistent >= 64,
+            "{ok} consistent, {inconsistent} not"
+        );
+        assert!(
+            condensed >= 16 && rooted >= 16,
+            "{condensed} condensed, {rooted} rooted"
+        );
     }
 }

@@ -208,7 +208,7 @@ fn mk_forall(arena: &mut Arena, vars: Vec<Var>, body: FormulaId) -> FormulaId {
 
 /// Id-world mirror of [`Formula::negate`]: constants invert, double
 /// negation cancels, atoms flip their relation.
-fn negate_id(arena: &mut Arena, id: FormulaId) -> FormulaId {
+pub(crate) fn negate_id(arena: &mut Arena, id: FormulaId) -> FormulaId {
     match *arena.node(id) {
         Node::True => arena.intern_node(Node::False),
         Node::False => arena.intern_node(Node::True),
@@ -221,7 +221,7 @@ fn negate_id(arena: &mut Arena, id: FormulaId) -> FormulaId {
     }
 }
 
-fn simplify_atom_id(arena: &mut Arena, poly: TermId, rel: Rel) -> FormulaId {
+pub(crate) fn simplify_atom_id(arena: &mut Arena, poly: TermId, rel: Rel) -> FormulaId {
     let (folded, lead_neg) = {
         let p = arena.term(poly);
         (
@@ -245,13 +245,13 @@ fn simplify_atom_id(arena: &mut Arena, poly: TermId, rel: Rel) -> FormulaId {
     }
 }
 
-fn push_unique(parts: &mut Vec<FormulaId>, f: FormulaId) {
+pub(crate) fn push_unique(parts: &mut Vec<FormulaId>, f: FormulaId) {
     if !parts.contains(&f) {
         parts.push(f);
     }
 }
 
-fn has_complementary_pair(arena: &Arena, parts: &[FormulaId]) -> bool {
+pub(crate) fn has_complementary_pair(arena: &Arena, parts: &[FormulaId]) -> bool {
     let atoms: Vec<(TermId, Rel)> = parts
         .iter()
         .filter_map(|&p| match arena.node(p) {

@@ -2,12 +2,16 @@
 //! elimination does not finish in reasonable time: a step cap must trip,
 //! a deadline must stop the work promptly, and neither run may grow the
 //! peak resident set by much (the per-elimination sign-matrix memo is
-//! capped and dies with its elimination).
+//! capped and dies with its elimination). And on formulas whose derivation
+//! nests deeper than a request thread's stack holds: the depth cap must
+//! trip before the stack runs out.
 //!
-//! One `#[test]` only, so the binary's VmHWM is this test's own.
+//! One memory-hungry `#[test]` only, so the binary's VmHWM is that test's
+//! own; the depth probes stop within a few thousand steps and allocate
+//! little.
 
 use cqa_logic::budget::{BudgetResource, EvalBudget};
-use cqa_logic::parse_formula;
+use cqa_logic::{parse_formula, REQUEST_STACK_BYTES};
 use cqa_qe::{hoermander, QeError};
 use std::sync::mpsc;
 use std::thread;
@@ -97,4 +101,42 @@ fn probes_respect_step_cap_deadline_and_memory() {
             after - before
         );
     }
+}
+
+/// Formulas whose derivation nests 17 000 to 300 000 levels deep: the first
+/// finishes in 13 666 steps, but on a stack of ≈ 7 MiB, more than twice what
+/// a request thread has; it used to abort the server. The last never
+/// finishes, and nests deeper with every step.
+const DEEP: [&str; 3] = [
+    "exists y. exists z. ((-3*y*y - 3*z + 2*y = 1) & (-z*z < -3) | (2*y*y - z = 0))",
+    "exists y. exists z. ((y*y - 3*z + 2*y = 1) & (z*z > 3) | (2*y*y - z = 1))",
+    "exists y. exists z. ((-3*y*y - 3*z + 2*y = 1) & (-z*z*z < -3) | (2*y*y - z = 0))",
+];
+
+/// On a thread of exactly a request's stack, each deep derivation trips the
+/// depth cap instead of overflowing, long before the step cap; the thread
+/// then decides a small sentence as usual.
+#[test]
+fn derivations_too_deep_for_a_request_stack_trip_the_depth_cap() {
+    thread::Builder::new()
+        .stack_size(REQUEST_STACK_BYTES)
+        .spawn(|| {
+            for src in DEEP {
+                let f = parse_formula(src).unwrap().0;
+                let budget = EvalBudget::unlimited().with_max_steps(200_000);
+                match hoermander(&f, &budget) {
+                    Err(QeError::Budget(b)) => {
+                        assert_eq!(b.resource, BudgetResource::Depth, "{src}");
+                        assert!(b.steps < 20_000, "{src}: tripped after {} steps", b.steps);
+                    }
+                    other => panic!("{src}: {other:?}"),
+                }
+            }
+            let f = parse_formula("exists x. x*x = 2").unwrap().0;
+            let out = hoermander(&f, &EvalBudget::unlimited());
+            assert_eq!(out, Ok(cqa_logic::Formula::True));
+        })
+        .unwrap()
+        .join()
+        .unwrap();
 }

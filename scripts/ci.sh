@@ -72,14 +72,21 @@ run_capped cargo test -q --offline -p cqa-analyze --test incremental_parity
 echo "== planner parity (planned vs fixed QE, subplan-hit determinism) =="
 run_capped cargo test -q --offline -p cqa-qe --test plan_parity
 
-echo "== Hörmander (pinned corpus, bounded replay and memory) =="
+echo "== Hörmander (pinned corpus, flat sign matrices, bounded replay, memory and depth) =="
 # The corpus digests pin every output bit for bit and every step count;
-# the MPoly model proptest checks the sorted term list; the bounds test trips a
-# step cap and a 50 ms deadline on three non-terminating probes (the
-# deadline margin is only asserted in release builds) and caps peak RSS.
+# the MPoly model proptest checks the sorted term list; the dedmatrix
+# proptest checks the flat-matrix deduction against the row-per-Vec oracle;
+# the bounds tests trip a step cap and a 50 ms deadline on three
+# non-terminating probes (the deadline margin is only asserted in release
+# builds), cap peak RSS, and trip the depth cap on derivations too deep for
+# a request thread's stack, in the library and through Engine::dispatch;
+# three cold_poly lens queries' full EXEC replies are pinned.
 run_capped cargo test -q --release --offline -p cqa-qe --test hoermander_props pinned_corpus
 run_capped cargo test -q --release --offline -p cqa-poly --test props
+run_capped cargo test -q --release --offline -p cqa-qe --lib dedmatrix
 run_capped cargo test -q --release --offline -p cqa-qe --test hoermander_bounds
+run_capped cargo test -q --release --offline -p cqa-engine --lib a_derivation_too_deep
+run_capped cargo test -q --release --offline -p cqa-engine --test goldens lens_replies
 
 echo "== exact volume (sweep vs inclusion–exclusion oracle, degradation) =="
 # The Theorem-3 sweep against inclusion–exclusion with Lasserre's recursion
