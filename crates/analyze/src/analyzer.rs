@@ -9,7 +9,7 @@ use crate::fragment::{self, FragmentReport, Schema};
 use crate::program::{parse_statements, Program, Statement, SumStmt};
 use crate::scope;
 use crate::sigma::{self, GammaStatus};
-use cqa_core::Database;
+use cqa_core::{Database, Relation};
 use cqa_logic::ir::Arena;
 use cqa_logic::{Formula, Span, SpannedFormula, SpannedNode, VarMap};
 use cqa_poly::Var;
@@ -208,9 +208,13 @@ impl AnalyzerState {
         // to expand through when a definition is refused (duplicate name,
         // quantified body); neither has the chunk then, so that the two
         // keep agreeing — such a chunk cannot be committed anyway.
-        let mut schema_undo: Vec<(String, Option<usize>)> = Vec::new();
+        //
+        // A body is lowered to a `Formula` here, once: the database checks
+        // that it is quantifier-free and relation-free and keeps it, and
+        // the statement's own pass reads it back from there.
+        let mut schema_undo: Vec<(usize, Option<usize>)> = Vec::new();
         let mut load_error = None;
-        for stmt in &statements {
+        for (i, stmt) in statements.iter().enumerate() {
             let Statement::Rel(r) = stmt else { continue };
             if load_error.is_none() {
                 let params = r.params.iter().map(|b| b.var).collect();
@@ -219,21 +223,21 @@ impl AnalyzerState {
                     .add_fr_relation(&r.name, params, r.body.to_formula())
                 {
                     load_error = Some(format!("relation `{}`: {e}", r.name));
-                    for (added, _) in &schema_undo {
-                        self.db.remove_relation(added);
+                    for &(added, _) in &schema_undo {
+                        self.db.remove_relation(statements[added].name());
                     }
                 }
             }
             let before = self.schema.insert(r.name.clone(), r.params.len());
-            schema_undo.push((r.name.clone(), before));
+            schema_undo.push((i, before));
         }
         let mut analysis = Analysis {
             diagnostics,
             reports: Vec::new(),
         };
-        let expand = self.cfg.absint && load_error.is_none();
+        let in_db = load_error.is_none();
         for stmt in &statements {
-            self.analyze_statement(stmt, expand, &mut analysis);
+            self.analyze_statement(stmt, in_db, &mut analysis);
         }
         PendingChunk {
             state: self,
@@ -246,15 +250,24 @@ impl AnalyzerState {
         }
     }
 
-    /// Passes 1–5 over one parsed statement.
-    fn analyze_statement(&mut self, stmt: &Statement, expand: bool, analysis: &mut Analysis) {
+    /// Passes 1–5 over one parsed statement. `in_db`: the chunk's
+    /// relations all joined the database, which then holds each `rel`
+    /// body, lowered and checked to be quantifier-free and relation-free.
+    fn analyze_statement(&mut self, stmt: &Statement, in_db: bool, analysis: &mut Analysis) {
         let cfg = self.cfg;
         match stmt {
             Statement::Rel(r) => {
                 let params: Vec<Var> = r.params.iter().map(|b| b.var).collect();
                 scope::check_scopes(&r.body, &params, &self.vars, &mut analysis.diagnostics);
-                let body = r.body.to_formula();
-                if !body.is_quantifier_free() || !body.is_relation_free() {
+                let lowered;
+                let body = match self.db.relation(&r.name) {
+                    Some(Relation::FinitelyRepresentable { formula, .. }) if in_db => formula,
+                    _ => {
+                        lowered = r.body.to_formula();
+                        &lowered
+                    }
+                };
+                if !in_db && (!body.is_quantifier_free() || !body.is_relation_free()) {
                     analysis.diagnostics.push(
                         Diagnostic::new(
                             crate::diag::Code::BadRelationDef,
@@ -271,7 +284,7 @@ impl AnalyzerState {
                         ),
                     );
                 }
-                let body_id = self.arena.intern(&body);
+                let body_id = self.arena.intern(body);
                 analysis.reports.push(StatementReport {
                     name: r.name.clone(),
                     kind: "rel",
@@ -297,7 +310,7 @@ impl AnalyzerState {
                     // verdict runs on the database-expanded body; the
                     // CQA012 walk stays on the spanned original so its
                     // findings anchor to source bytes.
-                    let expanded = expand
+                    let expanded = in_db
                         .then(|| self.db.expand(&body).ok())
                         .flatten()
                         .unwrap_or_else(|| body.clone());
@@ -364,10 +377,11 @@ pub struct PendingChunk<'a> {
     load_error: Option<String>,
     /// What dropping undoes: the program's variable count before the
     /// chunk, and each schema entry the chunk's relations overwrote
-    /// (`None` = was absent). The same names are in the database unless
-    /// there is a `load_error`.
+    /// (`None` = was absent), by the index of the `rel` statement that
+    /// overwrote it. The same names are in the database unless there is a
+    /// `load_error`.
     vars_len: usize,
-    schema_undo: Vec<(String, Option<usize>)>,
+    schema_undo: Vec<(usize, Option<usize>)>,
     committed: bool,
 }
 
@@ -458,13 +472,14 @@ impl Drop for PendingChunk<'_> {
             return;
         }
         self.state.vars.truncate(self.vars_len);
-        for (name, before) in self.schema_undo.drain(..).rev() {
+        for (i, before) in self.schema_undo.drain(..).rev() {
+            let name = self.statements[i].name();
             if self.load_error.is_none() {
-                self.state.db.remove_relation(&name);
+                self.state.db.remove_relation(name);
             }
             match before {
-                Some(arity) => self.state.schema.insert(name, arity),
-                None => self.state.schema.remove(&name),
+                Some(arity) => self.state.schema.insert(name.to_string(), arity),
+                None => self.state.schema.remove(name),
             };
         }
     }

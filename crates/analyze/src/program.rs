@@ -223,7 +223,7 @@ impl<'a> Cursor<'a> {
         )
     }
 
-    fn ident(&mut self) -> Result<(String, Span), Diagnostic> {
+    fn ident(&mut self) -> Result<(&'a str, Span), Diagnostic> {
         let start = self.pos;
         let rest = &self.s[start..];
         let len = rest
@@ -242,7 +242,7 @@ impl<'a> Cursor<'a> {
         }
         self.pos += len;
         Ok((
-            rest[..len].to_string(),
+            &rest[..len],
             Span::new(self.base + start, self.base + start + len),
         ))
     }
@@ -319,6 +319,7 @@ fn parse_statement(stmt: &str, base: usize, vars: &mut VarMap) -> Result<Stateme
     }
     c.skip_ws();
     let (name, name_span) = c.ident()?;
+    let name = name.to_string();
     c.skip_ws();
     c.expect("(")?;
     let mut params: Vec<BoundVar> = Vec::new();
@@ -330,7 +331,7 @@ fn parse_statement(stmt: &str, base: usize, vars: &mut VarMap) -> Result<Stateme
         }
         let (p, pspan) = c.ident()?;
         params.push(BoundVar {
-            var: vars.intern(&p),
+            var: vars.intern(p),
             span: pspan,
         });
         c.skip_ws();

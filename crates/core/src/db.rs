@@ -220,17 +220,30 @@ impl Database {
         if self.relations.contains_key(name) {
             return Err(DbError::DuplicateRelation(name.to_string()));
         }
-        if !formula.is_quantifier_free() || !formula.is_relation_free() {
+        // One walk: no quantifier, no relation atom, and every variable a
+        // parameter (quantifier-free, so the free variables are all of
+        // them). `top` is one past the largest variable index.
+        let (mut well_formed, mut top) = (true, 0);
+        formula.visit(&mut |g| match g {
+            Formula::Atom(a) => {
+                for (m, _) in a.poly.terms() {
+                    for &(v, _) in m {
+                        well_formed &= params.contains(&v);
+                        top = top.max(v.0 + 1);
+                    }
+                }
+            }
+            Formula::Rel { .. }
+            | Formula::Exists(..)
+            | Formula::Forall(..)
+            | Formula::ExistsAdom(..)
+            | Formula::ForallAdom(..) => well_formed = false,
+            _ => {}
+        });
+        if !well_formed {
             return Err(DbError::BadDefinition(name.to_string()));
         }
-        // Quantifier-free, so the free variables are all of them.
-        let vars = formula.free_vars();
-        if vars.iter().any(|v| !params.contains(v)) {
-            return Err(DbError::BadDefinition(name.to_string()));
-        }
-        if let Some(max) = vars.iter().map(|v| v.0 + 1).max() {
-            self.fresh_floor = self.fresh_floor.max(max);
-        }
+        self.fresh_floor = self.fresh_floor.max(top);
         self.relations.insert(
             name.to_string(),
             Relation::FinitelyRepresentable { params, formula },

@@ -1278,6 +1278,11 @@ impl Engine {
             EngineStats::get(&s.write_errors),
             EngineStats::get(&s.worker_panics),
         ));
+        resp.body.push(format!(
+            "net replies={} writes={}",
+            EngineStats::get(&s.net_replies),
+            EngineStats::get(&s.net_writes),
+        ));
         let (nodes, terms, calls) = (
             EngineStats::get(&s.ir_nodes),
             EngineStats::get(&s.ir_terms),

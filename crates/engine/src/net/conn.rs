@@ -21,6 +21,7 @@
 
 use crate::engine::Session;
 use crate::protocol::Command;
+use crate::stats::EngineStats;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -50,8 +51,12 @@ pub(crate) enum Frame {
     },
 }
 
-/// Buffered response bytes for one connection, flushed non-blockingly by
-/// whichever side (worker or reactor) touches the connection next.
+/// Buffered response bytes for one connection, flushed non-blockingly.
+/// The owning worker appends a reply per frame but writes only when its
+/// queue runs dry, when [`FLUSH_BYTES`] are waiting or when the frame
+/// closes the connection; the reactor writes whatever waits on each of its
+/// passes. So a pipelined burst's replies leave in a few large writes,
+/// none later than one reactor pass after it was ready.
 pub(crate) struct ConnIo {
     /// Serialized responses not yet fully written to the socket.
     pub out: Vec<u8>,
@@ -90,6 +95,10 @@ pub(crate) struct Conn {
     /// timeout, handler panic); the reactor reaps it on its next tick.
     pub dead: AtomicBool,
 }
+
+/// Buffered bytes at which a worker writes without waiting for its queue
+/// to run dry, so a long burst of large replies never holds them all.
+pub(crate) const FLUSH_BYTES: usize = 64 << 10;
 
 /// Serializes a response (tag prefixed onto the header line when present)
 /// straight onto the end of the connection's output buffer. Actual socket
@@ -143,11 +152,18 @@ impl Conn {
         self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Bytes appended to the output buffer and not yet written.
+    pub(crate) fn buffered(&self) -> usize {
+        let io = self.lock_io();
+        io.out.len() - io.pos
+    }
+
     /// Attempts to flush buffered output without blocking. Returns
     /// `Ok(true)` when the buffer fully drained, `Ok(false)` when bytes
     /// remain (the socket is backed up), `Err` on a dead socket. Progress
-    /// resets the stall clock; a no-progress attempt starts it.
-    pub(crate) fn flush_io(&self) -> io::Result<bool> {
+    /// resets the stall clock; a no-progress attempt starts it. Every
+    /// `write` that moves bytes counts in `stats.net_writes`.
+    pub(crate) fn flush_io(&self, stats: &EngineStats) -> io::Result<bool> {
         let mut io = self.lock_io();
         if io.pos >= io.out.len() {
             io.out.clear();
@@ -165,6 +181,7 @@ impl Conn {
                     ))
                 }
                 Ok(n) => {
+                    stats.net_writes.fetch_add(1, Ordering::Relaxed);
                     io.pos += n;
                     io.stalled_since = None;
                     if io.pos >= io.out.len() {

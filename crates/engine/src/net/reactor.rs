@@ -272,7 +272,7 @@ pub(crate) fn run(engine: Arc<Engine>, listener: TcpListener) -> io::Result<()> 
                     engine.stats.open_conns.fetch_add(1, Ordering::Relaxed);
                     let conn = Arc::new(Conn::new(stream, engine.open_session()));
                     push_response(&conn, None, &Response::ok("cqa-engine ready"));
-                    let _ = conn.flush_io();
+                    let _ = conn.flush_io(&engine.stats);
                     conns.push((conn, ReadState::new()));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -314,7 +314,7 @@ pub(crate) fn run(engine: Arc<Engine>, listener: TcpListener) -> io::Result<()> 
                 }
             }
             // Flush, and turn a long write stall into a counted drop.
-            match conn.flush_io() {
+            match conn.flush_io(&engine.stats) {
                 Ok(true) => {
                     if conn.lock_io().close_after_flush {
                         conn.kill();
@@ -387,7 +387,7 @@ pub(crate) fn run(engine: Arc<Engine>, listener: TcpListener) -> io::Result<()> 
                 let p = conn.lock_pending();
                 !p.queue.is_empty() || p.in_flight
             };
-            let flushed = matches!(conn.flush_io(), Ok(true));
+            let flushed = matches!(conn.flush_io(&engine.stats), Ok(true));
             if busy || !flushed {
                 all_idle = false;
             }

@@ -5,14 +5,20 @@
 //! under the queue lock when it runs dry — the handshake that keeps one
 //! connection's commands strictly ordered while different connections
 //! execute in parallel (see `conn.rs`). Responses are appended to the
-//! connection's output buffer and flushed opportunistically right here,
-//! so warm-path latency is a socket write, not a reactor tick.
+//! connection's output buffer; the worker writes them itself only when
+//! the queue has run dry (the last reply of a burst, or the only reply of
+//! a round trip, so warm-path latency is a socket write, not a reactor
+//! tick), when [`FLUSH_BYTES`] are waiting, or when the frame closes the
+//! connection. Between those, the reactor writes whatever waits on each
+//! pass, so a pipelined burst of n replies costs about one `write` per
+//! reactor pass it spans instead of n, and no reply waits longer than one
+//! pass behind a slow frame.
 //!
 //! A panicking command handler is contained per frame: the worker counts
 //! it, kills only that connection, and survives to serve the next one —
 //! the pool never shrinks.
 
-use super::conn::{push_response, Conn, Frame};
+use super::conn::{push_response, Conn, Frame, FLUSH_BYTES};
 use crate::engine::Engine;
 use crate::protocol::{Command, Response};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,21 +72,36 @@ fn drain(engine: &Engine, conn: &Arc<Conn>, shutdown: &AtomicBool) {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             process(engine, conn, frame, shutdown)
         }));
-        if result.is_err() {
-            // One bad request costs exactly one connection; the worker
-            // lives on.
-            engine.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+        let stop = match result {
+            Ok(stop) => stop,
+            Err(_) => {
+                // One bad request costs exactly one connection; the worker
+                // lives on. The replies to the frames before it still go
+                // out, as far as the socket takes them now.
+                engine.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+                let _ = conn.flush_io(&engine.stats);
+                conn.kill();
+                let mut p = conn.lock_pending();
+                p.queue.clear();
+                p.in_flight = false;
+                return;
+            }
+        };
+        // Write now only when no queued frame will add to the buffer soon;
+        // otherwise a later write here, or the reactor's next pass, carries
+        // these bytes (and the close_after_flush close itself).
+        let last = conn.lock_pending().queue.is_empty();
+        if (stop || last || conn.buffered() >= FLUSH_BYTES) && conn.flush_io(&engine.stats).is_err()
+        {
+            engine.stats.write_errors.fetch_add(1, Ordering::Relaxed);
             conn.kill();
-            let mut p = conn.lock_pending();
-            p.queue.clear();
-            p.in_flight = false;
-            return;
         }
     }
 }
 
-/// Executes one frame and appends its response in-slot.
-fn process(engine: &Engine, conn: &Arc<Conn>, frame: Frame, shutdown: &AtomicBool) {
+/// Executes one frame and appends its response in-slot. Returns whether
+/// the frame closes the connection.
+fn process(engine: &Engine, conn: &Arc<Conn>, frame: Frame, shutdown: &AtomicBool) -> bool {
     let (tag, resp, stop, is_shutdown) = match frame {
         Frame::ProtoErr { tag, msg } => (tag, Response::err("proto", msg), false, false),
         Frame::Cmd { tag, cmd } => {
@@ -98,6 +119,7 @@ fn process(engine: &Engine, conn: &Arc<Conn>, frame: Frame, shutdown: &AtomicBoo
         shutdown.store(true, Ordering::Release);
     }
     push_response(conn, tag.as_deref(), &resp);
+    engine.stats.net_replies.fetch_add(1, Ordering::Relaxed);
     if stop {
         // Later pipelined frames on a closed session get no responses —
         // the connection is going away, exactly like a mid-pipeline
@@ -105,10 +127,5 @@ fn process(engine: &Engine, conn: &Arc<Conn>, frame: Frame, shutdown: &AtomicBoo
         conn.lock_pending().queue.clear();
         conn.lock_io().close_after_flush = true;
     }
-    // Opportunistic flush; whatever stays buffered (or the
-    // close_after_flush close itself) is the reactor's next pass.
-    if conn.flush_io().is_err() {
-        engine.stats.write_errors.fetch_add(1, Ordering::Relaxed);
-        conn.kill();
-    }
+    stop
 }

@@ -99,6 +99,16 @@ pub struct EngineStats {
     /// (broken pipe / reset). Each one is a session closed cleanly where
     /// an unwrap would have panicked the worker.
     pub write_errors: AtomicU64,
+    /// Replies the reactor front end's workers queued on their
+    /// connections' output buffers: one per request frame answered.
+    pub net_replies: AtomicU64,
+    /// `write` calls on reactor connections that moved bytes, the greeting
+    /// included. A worker writes when its connection's queue runs dry,
+    /// when 64 KiB are buffered or when the frame closes the connection;
+    /// the reactor writes whatever waits on each pass, so a pipelined
+    /// burst costs about one write per reactor pass it spans, not one per
+    /// reply.
+    pub net_writes: AtomicU64,
     /// Worker iterations that caught a connection-handler panic and kept
     /// the worker alive (the pool never shrinks on a poisoned request).
     pub worker_panics: AtomicU64,

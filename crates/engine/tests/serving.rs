@@ -2,12 +2,14 @@
 //! order/parity, shard-count bit-identity, idle-session scalability, the
 //! non-blocking busy path, pipelined-burst latency on both front ends,
 //! body caps over the wire, the parse caps on oversized terms,
-//! warm-file shard-independence, and a shared-stream `BATCH` that answers
-//! what lone `EXEC`s do.
+//! warm-file shard-independence, a shared-stream `BATCH` that answers
+//! what lone `EXEC`s do, and reply coalescing: a pipelined `LOAD` burst
+//! answered in a few socket writes, and a ready reply that does not wait
+//! behind a slow frame.
 
-use cqa_engine::{parse_command, read_response, Engine, EngineConfig, Response};
+use cqa_engine::{parse_command, read_response, Command, Engine, EngineConfig, Response};
 use proptest::prelude::*;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -394,6 +396,182 @@ fn unread_busy_rejections_do_not_stall_the_server() {
         break;
     }
     next.expect("slot never freed after CLOSE").shutdown();
+    handle.join().unwrap();
+}
+
+/// The program `cqa-e2e` loads at set-up, in its shape: 137 `rel`s
+/// (thresholds, intervals, boxes, two-interval unions over a 7-bit prime
+/// denominator) and three Σ-terms over the unions, one statement per
+/// `LOAD` frame.
+fn setup_program() -> Vec<String> {
+    let d = 71;
+    let mut stmts = Vec::new();
+    let (mut bands, mut boxes, mut unions) = (0, 0, 0);
+    for i in 0..137u64 {
+        let k = i % 13;
+        stmts.push(if i % 16 == 0 {
+            bands += 1;
+            format!(
+                "rel B{bands:02}(x3) := {}/{d} <= x3 & x3 <= {}/{d}",
+                8 + bands % 8,
+                32 + k
+            )
+        } else if i % 16 == 8 {
+            boxes += 1;
+            format!(
+                "rel P{boxes:02}(x3, x5) := {}/{d} <= x3 & x3 <= {}/{d} & {}/{d} <= x5 \
+                 & x5 <= {}/{d}",
+                8 + k % 8,
+                32 + k,
+                16 + k,
+                48 + k
+            )
+        } else if i % 24 == 4 {
+            unions += 1;
+            format!(
+                "rel U{unions:02}(x7) := ({}/{d} <= x7 & x7 <= {}/{d}) \
+                 | ({}/{d} <= x7 & x7 <= {}/{d})",
+                8 + k % 8,
+                16 + k,
+                32 + k,
+                48 + k
+            )
+        } else {
+            format!("rel H{i:03}(x3) := x3 <= {}/{d}", 32 + 2 * k)
+        });
+    }
+    stmts.push("sum T0(w) := true | END[y. U01(y)] ; xout . xout = w".into());
+    stmts.push(format!(
+        "sum T1(w) := w >= 20/{d} | END[y. U02(y)] ; xout . xout = 2*w"
+    ));
+    stmts.push("sum T2(w) := true | END[y. U03(y)] ; xout . xout = w + 1".into());
+    stmts
+}
+
+/// `replies=` and `writes=` of the `net` line.
+fn net_counters(c: &mut Client) -> [u64; 2] {
+    let line = stats_line(c, "net ");
+    ["replies=", "writes="].map(|k| {
+        line.split_whitespace()
+            .find_map(|t| t.strip_prefix(k))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {k} in `{line}`"))
+    })
+}
+
+/// `cqa-e2e`'s set-up pass: 140 one-statement `LOAD` frames in one client
+/// write. The replies are, byte for byte and in order, what serial
+/// `Engine::dispatch` renders; and they leave in a few socket writes — the
+/// worker writes when its queue runs dry and the reactor once per pass —
+/// not in one write per reply. An optimised build answers the burst within
+/// two or three reactor passes, so at most 8 writes; an unoptimised one,
+/// or one on a loaded host, spans more passes, and the bound is then one
+/// write per millisecond-long pass the burst spanned, plus the pass that
+/// read it and the worker's last write.
+#[test]
+fn a_pipelined_load_burst_is_answered_in_a_few_writes() {
+    let stmts = setup_program();
+    let oracle = Engine::new(EngineConfig::default());
+    let mut session = oracle.open_session();
+    let mut expected = Vec::new();
+    for stmt in &stmts {
+        let resp = oracle.dispatch(
+            &mut session,
+            Command::Load {
+                program: Some(format!("{stmt}\n")),
+            },
+        );
+        assert!(resp.is_ok(), "{stmt}: {resp:?}");
+        resp.write_to(&mut expected).unwrap();
+    }
+    let engine = Arc::new(Engine::new(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    }));
+    let handle = cqa_engine::spawn_server(engine).unwrap();
+    let mut c = Client::connect(handle.addr());
+    c.r.get_ref()
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let before = net_counters(&mut c);
+    let burst: String = stmts.iter().map(|s| format!("LOAD\n{s}\n.\n")).collect();
+    let start = Instant::now();
+    c.w.get_mut().write_all(burst.as_bytes()).unwrap();
+    let mut got = vec![0; expected.len()];
+    c.r.read_exact(&mut got).unwrap();
+    let spanned = start.elapsed();
+    assert_eq!(
+        String::from_utf8_lossy(&got),
+        String::from_utf8_lossy(&expected)
+    );
+    let after = net_counters(&mut c);
+    // The first STATS reply is counted in between, and written alone.
+    let replies = after[0] - before[0] - 1;
+    let writes = after[1] - before[1] - 1;
+    assert_eq!(replies, stmts.len() as u64);
+    let passes = spanned.as_millis() as u64 + 4;
+    assert!(
+        writes <= passes.max(8),
+        "{} replies took {writes} writes in {spanned:?}",
+        stmts.len()
+    );
+    c.shutdown();
+    handle.join().unwrap();
+}
+
+/// A reply that is ready waits at most one reactor pass for the frames
+/// queued behind it: a cheap `VOLUME` pipelined ahead of a slow `BATCH` is
+/// answered long before the `BATCH` is, although the worker only writes
+/// once its queue runs dry.
+#[test]
+fn a_ready_reply_does_not_wait_for_the_slow_frame_behind_it() {
+    let engine = Arc::new(Engine::new(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    }));
+    let handle = cqa_engine::spawn_server(engine).unwrap();
+    let mut c = Client::connect(handle.addr());
+    let resp = c.send("PREPARE disk x*x + y*y <= 1/2");
+    assert!(resp.is_ok(), "{resp:?}");
+    // The slow frame: a `BATCH` of `k` specs whose ε differ, so each draws
+    // a sample stream of its own (≈ 294 000 lanes), with `k` doubled until
+    // a lone one takes 300 ms in this build. One spec's ε alone cannot get
+    // there in an optimised build without passing the sample cap.
+    let mut k = 1;
+    let slow = loop {
+        let specs: String = (0..k)
+            .map(|i| format!("disk {} 0.01\n", 0.003 + f64::from(i) * 1e-6))
+            .collect();
+        let batch = format!("BATCH\n{specs}.\n");
+        let start = Instant::now();
+        c.w.write_all(batch.as_bytes()).unwrap();
+        c.w.flush().unwrap();
+        let resp = c.read();
+        assert!(resp.header.starts_with("OK BATCH"), "{resp:?}");
+        assert!(resp.header.contains("errors=0"), "{resp:?}");
+        if start.elapsed() >= Duration::from_millis(300) {
+            break batch;
+        }
+        k *= 2;
+    };
+    let start = Instant::now();
+    write!(c.w, "VOLUME 0 <= x & x <= 1/2\n{slow}").unwrap();
+    c.w.flush().unwrap();
+    let cheap = c.read();
+    let cheap_at = start.elapsed();
+    assert!(cheap.header.contains("value=1/2"), "{cheap:?}");
+    let resp = c.read();
+    let slow_at = start.elapsed();
+    assert!(resp.header.starts_with("OK BATCH"), "{resp:?}");
+    assert!(
+        slow_at >= Duration::from_millis(200),
+        "the slow frame took {slow_at:?}"
+    );
+    assert!(
+        cheap_at < Duration::from_millis(100),
+        "the cheap reply arrived after {cheap_at:?}, the slow one after {slow_at:?}"
+    );
+    c.shutdown();
     handle.join().unwrap();
 }
 

@@ -243,7 +243,15 @@ impl Arena {
         p.hash(&mut h);
         let meta = TermMeta {
             hash: h.finish128(),
-            vars: p.vars().into_iter().collect(),
+            vars: {
+                let mut vars: Vec<Var> = p
+                    .terms()
+                    .flat_map(|(m, _)| m.iter().map(|&(v, _)| v))
+                    .collect();
+                vars.sort_unstable();
+                vars.dedup();
+                vars
+            },
             total_degree: p.total_degree().unwrap_or(0),
             class_if_atom: if !p.is_affine() {
                 ConstraintClass::Polynomial
@@ -369,12 +377,11 @@ impl Arena {
                 h.write_usize(s.len());
                 h.write(s.as_bytes());
                 h.write_usize(args.len());
-                let mut free: Vec<Var> = Vec::new();
+                let metas = || args.iter().map(|t| &self.term_meta[t.0 as usize]);
+                let free = union(metas().map(|tm| tm.vars.as_slice()));
                 let mut max_degree = 0;
-                for &t in args {
-                    let tm = &self.term_meta[t.0 as usize];
+                for tm in metas() {
                     h.write_u128(tm.hash);
-                    free = merge_vars(&free, &tm.vars);
                     max_degree = max_degree.max(tm.total_degree);
                 }
                 NodeMeta {
@@ -392,10 +399,7 @@ impl Arena {
                 h.write_u128(cm.hash);
                 NodeMeta {
                     hash: h.finish128(),
-                    free_vars: cm.free_vars.clone(),
-                    depth: cm.depth + 1,
-                    relations: cm.relations.clone(),
-                    ..up(cm)
+                    ..up(cm, cm.free_vars.clone())
                 }
             }
             Node::And(fs) | Node::Or(fs) => {
@@ -405,11 +409,14 @@ impl Arena {
                     TAG_OR
                 });
                 h.write_usize(fs.len());
-                let mut out = leaf_meta();
-                for &g in fs {
-                    let cm = self.meta(g);
+                let metas = || fs.iter().map(|&g| self.meta(g));
+                let mut out = NodeMeta {
+                    free_vars: union(metas().map(|cm| cm.free_vars.as_slice())),
+                    relations: union(metas().map(|cm| cm.relations.as_slice())),
+                    ..leaf_meta()
+                };
+                for cm in metas() {
                     h.write_u128(cm.hash);
-                    out.free_vars = merge_vars(&out.free_vars, &cm.free_vars);
                     out.depth = out.depth.max(cm.depth);
                     out.sign_atoms = out.sign_atoms.saturating_add(cm.sign_atoms);
                     out.rel_atoms = out.rel_atoms.saturating_add(cm.rel_atoms);
@@ -418,7 +425,6 @@ impl Arena {
                     out.max_degree = out.max_degree.max(cm.max_degree);
                     out.class = out.class.max(cm.class);
                     out.quantifier_free &= cm.quantifier_free;
-                    out.relations = merge_names(&out.relations, &cm.relations);
                 }
                 out.depth += 1;
                 out.hash = h.finish128();
@@ -444,12 +450,9 @@ impl Arena {
                     .collect();
                 NodeMeta {
                     hash: h.finish128(),
-                    free_vars: free,
-                    depth: cm.depth + 1,
                     quantifiers: cm.quantifiers.saturating_add(vs.len() as u64),
                     quantifier_free: false,
-                    relations: cm.relations.clone(),
-                    ..up(cm)
+                    ..up(cm, free)
                 }
             }
             Node::ExistsAdom(v, g) | Node::ForallAdom(v, g) => {
@@ -464,13 +467,10 @@ impl Arena {
                 let free = cm.free_vars.iter().filter(|w| *w != v).copied().collect();
                 NodeMeta {
                     hash: h.finish128(),
-                    free_vars: free,
-                    depth: cm.depth + 1,
                     quantifiers: cm.quantifiers.saturating_add(1),
                     adom_quantifiers: cm.adom_quantifiers.saturating_add(1),
                     quantifier_free: false,
-                    relations: cm.relations.clone(),
-                    ..up(cm)
+                    ..up(cm, free)
                 }
             }
         }
@@ -710,66 +710,35 @@ fn leaf_meta() -> NodeMeta {
     }
 }
 
-/// Inherited (non-structural) fields of a single-child node — everything the
-/// caller doesn't override flows through from the child.
-fn up(cm: &NodeMeta) -> NodeMeta {
+/// The metadata of a single-child node one level above `cm`, with the
+/// given free variables: every other field flows through from the child,
+/// and the caller overrides what the node changes. Nothing is cloned that
+/// the caller then overwrites.
+fn up(cm: &NodeMeta, free_vars: Vec<Var>) -> NodeMeta {
     NodeMeta {
         hash: 0,
-        free_vars: Vec::new(),
-        depth: 0,
-        relations: Vec::new(),
-        ..cm.clone()
+        free_vars,
+        depth: cm.depth + 1,
+        sign_atoms: cm.sign_atoms,
+        rel_atoms: cm.rel_atoms,
+        quantifiers: cm.quantifiers,
+        adom_quantifiers: cm.adom_quantifiers,
+        max_degree: cm.max_degree,
+        class: cm.class,
+        quantifier_free: cm.quantifier_free,
+        relations: cm.relations.clone(),
     }
 }
 
-/// Sorted-vec union.
-fn merge_vars(a: &[Var], b: &[Var]) -> Vec<Var> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+/// The sorted, deduplicated union of sorted lists, built in one buffer of
+/// their summed length (no allocation when they are all empty).
+fn union<'a, T: Copy + Ord + 'a>(lists: impl Iterator<Item = &'a [T]> + Clone) -> Vec<T> {
+    let mut out = Vec::with_capacity(lists.clone().map(<[T]>::len).sum());
+    for list in lists {
+        out.extend_from_slice(list);
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-fn merge_names(a: &[NameId], b: &[NameId]) -> Vec<NameId> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    out.sort_unstable();
+    out.dedup();
     out
 }
 

@@ -30,6 +30,8 @@ mod compile;
 pub mod ir;
 mod norm;
 mod parser;
+#[cfg(test)]
+mod parser_oracle;
 mod print;
 mod span;
 mod varmap;

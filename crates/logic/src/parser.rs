@@ -67,11 +67,11 @@ impl std::error::Error for ParseError {}
 // for minutes; no query this system is built for comes near them.
 
 /// Total degree of a product.
-const MAX_DEGREE: u64 = 64;
+pub(crate) const MAX_DEGREE: u64 = 64;
 /// Bit length of the numerator and of the denominator of any coefficient.
-const MAX_COEFF_BITS: u64 = 4096;
+pub(crate) const MAX_COEFF_BITS: u64 = 4096;
 /// Terms of a product: `(a+b+…+j)^64` passes the other two with ~10¹⁴.
-const MAX_TERMS: usize = 4096;
+pub(crate) const MAX_TERMS: usize = 4096;
 
 /// Nesting depth: parentheses (formula or term), `!`, quantifiers, `->`
 /// links and unary minus, each one level. Every recursive production
@@ -92,7 +92,7 @@ const STACK_PER_LEVEL: usize = 9_120;
 /// `RUST_MIN_STACK` cannot shrink a thread below what the cap promises.
 pub const REQUEST_STACK_BYTES: usize = 2 * MAX_NESTING * STACK_PER_LEVEL + (1 << 20);
 
-fn cap_error(at: usize, what: &str, cap: impl fmt::Display) -> ParseError {
+pub(crate) fn cap_error(at: usize, what: &str, cap: impl fmt::Display) -> ParseError {
     ParseError {
         at,
         msg: format!("term too large: {what} would exceed {cap}"),
@@ -126,118 +126,151 @@ fn capped_mul(a: &MPoly, b: &MPoly, at: usize) -> Result<MPoly, ParseError> {
     if coeff_bits(a) + coeff_bits(b) + sum_bits > MAX_COEFF_BITS {
         return Err(bits_error());
     }
-    let p = a * b;
+    // A constant factor scales: the same terms, without a product's sort.
+    let p = match (a.as_constant(), b.as_constant()) {
+        (_, Some(c)) => a.scale(&c),
+        (Some(c), None) => b.scale(&c),
+        (None, None) => a * b,
+    };
     if coeff_bits(&p) > MAX_COEFF_BITS {
         return Err(bits_error());
     }
     Ok(p)
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Num(Rat),
+/// A token. Identifiers borrow their text from the source; a number's
+/// value sits in the lexer's side table, so a token is `Copy` and reading
+/// one never allocates, backtracking included.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'s> {
+    Ident(&'s str),
+    /// Index into [`Lexed::nums`].
+    Num(usize),
     Sym(&'static str),
 }
 
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
-    toks: Vec<(Span, Tok)>,
+/// A lexed source: its tokens with their spans, and the number values.
+struct Lexed<'s> {
+    toks: Vec<(Span, Tok<'s>)>,
+    nums: Vec<Rat>,
 }
 
-impl<'a> Lexer<'a> {
-    fn run(src: &'a str) -> Result<Vec<(Span, Tok)>, ParseError> {
-        let mut lx = Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-            toks: Vec::new(),
+/// The largest digit count whose value always fits an `i64`.
+const I64_DIGITS: usize = 18;
+
+fn lex(src: &str) -> Result<Lexed<'_>, ParseError> {
+    let bytes = src.as_bytes();
+    // A token takes a byte at least and, in formulas as written, more than
+    // two with the spaces: this seldom grows.
+    let mut out = Lexed {
+        toks: Vec::with_capacity(src.len() / 2 + 1),
+        nums: Vec::new(),
+    };
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let start = pos;
+        let tok = match bytes[pos] {
+            b' ' | b'\t' | b'\n' | b'\r' => {
+                pos += 1;
+                continue;
+            }
+            b'0'..=b'9' => {
+                let (value, end) = number(src, pos)?;
+                pos = end;
+                out.nums.push(value);
+                Tok::Num(out.nums.len() - 1)
+            }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                while pos < bytes.len()
+                    && (bytes[pos].is_ascii_alphanumeric() || bytes[pos] == b'_')
+                {
+                    pos += 1;
+                }
+                Tok::Ident(&src[start..pos])
+            }
+            _ => {
+                let sym = symbol(&bytes[pos..]).ok_or_else(|| ParseError {
+                    at: pos,
+                    msg: format!("unexpected character `{}`", bytes[pos] as char),
+                })?;
+                pos += sym.len();
+                Tok::Sym(sym)
+            }
         };
-        lx.lex()?;
-        Ok(lx.toks)
+        out.toks.push((Span::new(start, pos), tok));
     }
-
-    fn lex(&mut self) -> Result<(), ParseError> {
-        while self.pos < self.src.len() {
-            let c = self.src[self.pos];
-            match c {
-                b' ' | b'\t' | b'\n' | b'\r' => self.pos += 1,
-                b'0'..=b'9' => self.number()?,
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident(),
-                _ => self.symbol()?,
-            }
-        }
-        Ok(())
-    }
-
-    fn number(&mut self) -> Result<(), ParseError> {
-        let start = self.pos;
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        if self.pos < self.src.len()
-            && self.src[self.pos] == b'.'
-            && self.pos + 1 < self.src.len()
-            && self.src[self.pos + 1].is_ascii_digit()
-        {
-            self.pos += 1;
-            while self.pos < self.src.len() && self.src[self.pos].is_ascii_digit() {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-        let value: Rat = text.parse().map_err(|_| ParseError {
-            at: start,
-            msg: format!("bad number `{text}`"),
-        })?;
-        self.toks
-            .push((Span::new(start, self.pos), Tok::Num(value)));
-        Ok(())
-    }
-
-    fn ident(&mut self) {
-        let start = self.pos;
-        while self.pos < self.src.len()
-            && (self.src[self.pos].is_ascii_alphanumeric() || self.src[self.pos] == b'_')
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-        self.toks
-            .push((Span::new(start, self.pos), Tok::Ident(text.to_string())));
-    }
-
-    fn symbol(&mut self) -> Result<(), ParseError> {
-        const TWO: [&str; 5] = ["<->", "->", "<=", ">=", "!="];
-        const ONE: [&str; 13] = [
-            "(", ")", ",", ".", "&", "|", "!", "<", ">", "=", "+", "-", "/",
-        ];
-        let rest = &self.src[self.pos..];
-        for s in TWO {
-            if rest.starts_with(s.as_bytes()) {
-                self.toks
-                    .push((Span::new(self.pos, self.pos + s.len()), Tok::Sym(s)));
-                self.pos += s.len();
-                return Ok(());
-            }
-        }
-        for s in ONE.iter().chain(["*", "^"].iter()) {
-            if rest.starts_with(s.as_bytes()) {
-                self.toks
-                    .push((Span::new(self.pos, self.pos + s.len()), Tok::Sym(s)));
-                self.pos += s.len();
-                return Ok(());
-            }
-        }
-        Err(ParseError {
-            at: self.pos,
-            msg: format!("unexpected character `{}`", self.src[self.pos] as char),
-        })
-    }
+    Ok(out)
 }
 
-struct Parser<'a> {
-    toks: Vec<(Span, Tok)>,
+/// The number literal at `start` (digits, optionally `.` and more digits)
+/// and the offset past it. Up to [`I64_DIGITS`] digits are read straight
+/// into a machine integer; longer literals go through [`Rat`]'s parser.
+fn number(src: &str, start: usize) -> Result<(Rat, usize), ParseError> {
+    let bytes = src.as_bytes();
+    let digits_from = |mut pos: usize| {
+        while pos < bytes.len() && bytes[pos].is_ascii_digit() {
+            pos += 1;
+        }
+        pos
+    };
+    let int_end = digits_from(start);
+    let mut end = int_end;
+    if end + 1 < bytes.len() && bytes[end] == b'.' && bytes[end + 1].is_ascii_digit() {
+        end = digits_from(end + 1);
+    }
+    let text = &src[start..end];
+    // Digits only, the point (if any) left out: the literal is that
+    // integer over 10^(digits after the point).
+    let point = usize::from(end > int_end);
+    let frac_len = end - int_end - point;
+    if end - start - point <= I64_DIGITS {
+        let mantissa = text
+            .bytes()
+            .filter(u8::is_ascii_digit)
+            .fold(0i64, |acc, b| acc * 10 + i64::from(b - b'0'));
+        let value = match frac_len {
+            0 => Rat::from_int(mantissa.into()),
+            _ => Rat::new(mantissa.into(), 10i64.pow(frac_len as u32).into()),
+        };
+        return Ok((value, end));
+    }
+    let value = text.parse().map_err(|_| ParseError {
+        at: start,
+        msg: format!("bad number `{text}`"),
+    })?;
+    Ok((value, end))
+}
+
+/// The operator or punctuation symbol `rest` starts with, longest first.
+fn symbol(rest: &[u8]) -> Option<&'static str> {
+    Some(match rest {
+        [b'<', b'-', b'>', ..] => "<->",
+        [b'-', b'>', ..] => "->",
+        [b'<', b'=', ..] => "<=",
+        [b'>', b'=', ..] => ">=",
+        [b'!', b'=', ..] => "!=",
+        [b'(', ..] => "(",
+        [b')', ..] => ")",
+        [b',', ..] => ",",
+        [b'.', ..] => ".",
+        [b'&', ..] => "&",
+        [b'|', ..] => "|",
+        [b'!', ..] => "!",
+        [b'<', ..] => "<",
+        [b'>', ..] => ">",
+        [b'=', ..] => "=",
+        [b'+', ..] => "+",
+        [b'-', ..] => "-",
+        [b'/', ..] => "/",
+        [b'*', ..] => "*",
+        [b'^', ..] => "^",
+        _ => return None,
+    })
+}
+
+struct Parser<'a, 's> {
+    toks: Vec<(Span, Tok<'s>)>,
+    nums: Vec<Rat>,
     pos: usize,
     vars: &'a mut VarMap,
     src_len: usize,
@@ -245,9 +278,21 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(_, t)| t)
+impl<'s> Parser<'_, 's> {
+    fn new<'a>(src: &'s str, vars: &'a mut VarMap) -> Result<Parser<'a, 's>, ParseError> {
+        let Lexed { toks, nums } = lex(src)?;
+        Ok(Parser {
+            toks,
+            nums,
+            pos: 0,
+            vars,
+            src_len: src.len(),
+            depth: 0,
+        })
+    }
+
+    fn peek(&self) -> Option<Tok<'s>> {
+        self.toks.get(self.pos).map(|&(_, t)| t)
     }
 
     fn at(&self) -> usize {
@@ -279,14 +324,8 @@ impl<'a> Parser<'a> {
             .map_or(Span::new(self.src_len, self.src_len), |(s, _)| *s)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(_, t)| t.clone());
-        self.pos += 1;
-        t
-    }
-
     fn eat_sym(&mut self, s: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Sym(t)) if *t == s) {
+        if matches!(self.peek(), Some(Tok::Sym(t)) if t == s) {
             self.pos += 1;
             true
         } else {
@@ -399,35 +438,22 @@ impl<'a> Parser<'a> {
         // `E(` / `A(` are relation atoms, not quantifiers.
         let next_is_paren = matches!(self.toks.get(self.pos + 1), Some((_, Tok::Sym("("))));
         match self.peek() {
-            Some(Tok::Ident(kw)) if kw == "exists" || (kw == "E" && !next_is_paren) => {
+            Some(Tok::Ident(kw @ ("exists" | "forall" | "E" | "A" | "Eadom" | "Aadom")))
+                if !(matches!(kw, "E" | "A") && next_is_paren) =>
+            {
                 self.pos += 1;
-                self.quantifier(start, true, false)
+                let exists = matches!(kw, "exists" | "E" | "Eadom");
+                self.quantifier(start, exists, kw.ends_with("adom"))
             }
-            Some(Tok::Ident(kw)) if kw == "forall" || (kw == "A" && !next_is_paren) => {
-                self.pos += 1;
-                self.quantifier(start, false, false)
-            }
-            Some(Tok::Ident(kw)) if kw == "Eadom" => {
-                self.pos += 1;
-                self.quantifier(start, true, true)
-            }
-            Some(Tok::Ident(kw)) if kw == "Aadom" => {
-                self.pos += 1;
-                self.quantifier(start, false, true)
-            }
-            Some(Tok::Ident(kw)) if kw == "true" => {
+            Some(Tok::Ident(kw @ ("true" | "false"))) => {
                 let span = self.cur_span();
                 self.pos += 1;
                 Ok(SpannedFormula {
-                    node: SpannedNode::True,
-                    span,
-                })
-            }
-            Some(Tok::Ident(kw)) if kw == "false" => {
-                let span = self.cur_span();
-                self.pos += 1;
-                Ok(SpannedFormula {
-                    node: SpannedNode::False,
+                    node: if kw == "true" {
+                        SpannedNode::True
+                    } else {
+                        SpannedNode::False
+                    },
                     span,
                 })
             }
@@ -443,11 +469,10 @@ impl<'a> Parser<'a> {
     ) -> Result<SpannedFormula, ParseError> {
         let mut vars = Vec::new();
         while let Some(Tok::Ident(name)) = self.peek() {
-            let name = name.clone();
             let span = self.cur_span();
             self.pos += 1;
             vars.push(BoundVar {
-                var: self.vars.intern(&name),
+                var: self.vars.intern(name),
                 span,
             });
             // Separating commas between bound variables are optional.
@@ -495,10 +520,10 @@ impl<'a> Parser<'a> {
         // convention: relation names start with an uppercase letter.
         if let Some(Tok::Ident(name)) = self.peek() {
             if name.chars().next().is_some_and(char::is_uppercase)
-                && !matches!(name.as_str(), "Eadom" | "Aadom")
+                && !matches!(name, "Eadom" | "Aadom")
                 && matches!(self.toks.get(self.pos + 1), Some((_, Tok::Sym("("))))
             {
-                let name = name.clone();
+                let name = name.to_string();
                 let name_span = self.cur_span();
                 self.pos += 2;
                 let mut args = vec![self.term()?];
@@ -544,49 +569,54 @@ impl<'a> Parser<'a> {
         )
     }
 
+    /// Consumes a comparison operator, if one is next.
+    fn comparison_op(&mut self) -> Option<Rel> {
+        let rel = match self.peek()? {
+            Tok::Sym("=") => Rel::Eq,
+            Tok::Sym("!=") => Rel::Neq,
+            Tok::Sym("<") => Rel::Lt,
+            Tok::Sym("<=") => Rel::Le,
+            Tok::Sym(">") => Rel::Gt,
+            Tok::Sym(">=") => Rel::Ge,
+            _ => return None,
+        };
+        self.pos += 1;
+        Some(rel)
+    }
+
     fn comparison(&mut self) -> Result<SpannedFormula, ParseError> {
         let start = self.at();
-        let mut term_spans = Vec::new();
-        let first = self.term()?;
-        term_spans.push(self.span_from(start));
-        let mut terms = vec![first];
-        let mut rels = Vec::new();
-        loop {
-            let rel = match self.peek() {
-                Some(Tok::Sym("=")) => Rel::Eq,
-                Some(Tok::Sym("!=")) => Rel::Neq,
-                Some(Tok::Sym("<")) => Rel::Lt,
-                Some(Tok::Sym("<=")) => Rel::Le,
-                Some(Tok::Sym(">")) => Rel::Gt,
-                Some(Tok::Sym(">=")) => Rel::Ge,
-                _ => break,
-            };
-            self.pos += 1;
-            rels.push(rel);
-            let tstart = self.at();
-            terms.push(self.term()?);
-            term_spans.push(self.span_from(tstart));
-        }
-        if rels.is_empty() {
+        let mut lhs = self.term()?;
+        let mut lhs_span = self.span_from(start);
+        let Some(mut rel) = self.comparison_op() else {
             return self.err("expected a comparison operator");
-        }
+        };
         // Chained comparisons: a < b <= c means a < b & b <= c.
-        let mut atoms = Vec::with_capacity(rels.len());
-        for (i, rel) in rels.iter().enumerate() {
-            let lhs = terms[i].clone();
-            let rhs = terms[i + 1].clone();
-            atoms.push(SpannedFormula {
-                node: SpannedNode::Atom(crate::ast::Atom::new(lhs - rhs, *rel)),
-                span: term_spans[i].join(term_spans[i + 1]),
-            });
-        }
-        if atoms.len() == 1 {
-            Ok(atoms.pop().unwrap())
-        } else {
-            Ok(SpannedFormula {
-                node: SpannedNode::And(atoms),
-                span: self.span_from(start),
-            })
+        let mut atoms = Vec::new();
+        loop {
+            let tstart = self.at();
+            let rhs = self.term()?;
+            let rhs_span = self.span_from(tstart);
+            let atom = |poly| SpannedFormula {
+                node: SpannedNode::Atom(crate::ast::Atom::new(poly, rel)),
+                span: lhs_span.join(rhs_span),
+            };
+            match self.comparison_op() {
+                // The last link takes its terms; a single comparison is
+                // the common case.
+                None if atoms.is_empty() => return Ok(atom(lhs - rhs)),
+                None => {
+                    atoms.push(atom(lhs - rhs));
+                    return Ok(SpannedFormula {
+                        node: SpannedNode::And(atoms),
+                        span: self.span_from(start),
+                    });
+                }
+                Some(next) => {
+                    atoms.push(atom(&lhs - &rhs));
+                    (lhs, lhs_span, rel) = (rhs, rhs_span, next);
+                }
+            }
         }
     }
 
@@ -638,8 +668,13 @@ impl<'a> Parser<'a> {
             return Ok(base);
         }
         let at = self.at();
-        match self.bump() {
-            Some(Tok::Num(n)) if n.is_integer() && !n.is_negative() => {
+        let exponent = match self.peek() {
+            Some(Tok::Num(i)) => Some(&self.nums[i]),
+            _ => None,
+        };
+        self.pos += 1;
+        match exponent {
+            Some(n) if n.is_integer() && !n.is_negative() => {
                 // Every base but 0 and ±1 breaks a cap before its exponent
                 // reaches MAX_COEFF_BITS, so this bound refuses nothing the
                 // caps would let through except powers of those three.
@@ -668,9 +703,11 @@ impl<'a> Parser<'a> {
         if self.eat_sym("-") {
             return Ok(-self.nested(Self::primary)?);
         }
-        match self.bump() {
-            Some(Tok::Num(n)) => Ok(MPoly::constant(n)),
-            Some(Tok::Ident(name)) => Ok(MPoly::var(self.vars.intern(&name))),
+        let tok = self.peek();
+        self.pos += 1;
+        match tok {
+            Some(Tok::Num(i)) => Ok(MPoly::constant(self.nums[i].clone())),
+            Some(Tok::Ident(name)) => Ok(MPoly::var(self.vars.intern(name))),
             Some(Tok::Sym("(")) => {
                 let t = self.nested(Self::term)?;
                 self.expect_sym(")")?;
@@ -700,14 +737,7 @@ pub fn parse_formula_with(src: &str, vars: &mut VarMap) -> Result<Formula, Parse
 /// Parses a formula into the span-carrying parse tree (the input of
 /// `cqa-analyze`), using and extending an existing variable map.
 pub fn parse_formula_spanned(src: &str, vars: &mut VarMap) -> Result<SpannedFormula, ParseError> {
-    let toks = Lexer::run(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        vars,
-        src_len: src.len(),
-        depth: 0,
-    };
+    let mut p = Parser::new(src, vars)?;
     let f = p.formula()?;
     if p.pos != p.toks.len() {
         return p.err("trailing input");
@@ -717,14 +747,7 @@ pub fn parse_formula_spanned(src: &str, vars: &mut VarMap) -> Result<SpannedForm
 
 /// Parses a polynomial term using an existing variable map.
 pub fn parse_term_with(src: &str, vars: &mut VarMap) -> Result<MPoly, ParseError> {
-    let toks = Lexer::run(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        vars,
-        src_len: src.len(),
-        depth: 0,
-    };
+    let mut p = Parser::new(src, vars)?;
     let t = p.term()?;
     if p.pos != p.toks.len() {
         return p.err("trailing input");
@@ -1031,6 +1054,189 @@ mod tests {
             let plain = parse_formula_with(src, &mut v1).unwrap();
             let spanned = parse_formula_spanned(src, &mut v2).unwrap();
             assert_eq!(spanned.to_formula(), plain, "source: {src}");
+        }
+    }
+
+    /// A source generator for the oracle comparison: formulas from the
+    /// grammar, then (by `mode`) kept, truncated, mutated byte-wise, or
+    /// replaced by token soup.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            // xorshift64*: any seed but 0 cycles through 2^64 - 1 states.
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, xs: &[&'a str]) -> &'a str {
+            xs[self.below(xs.len())]
+        }
+
+        fn space(&mut self, out: &mut String) {
+            out.push_str(self.pick(&[" ", " ", " ", "", "\n", "\t ", "  "]));
+        }
+
+        fn number(&mut self, out: &mut String) {
+            match self.below(6) {
+                0 => out.push_str(&"9081726354".repeat(1 + self.below(4))),
+                1 => {
+                    let frac = "0123456789".repeat(self.below(3));
+                    out.push_str(&format!("{}.{frac}{}", self.below(100), self.below(1000)));
+                }
+                _ => out.push_str(&self.below(100).to_string()),
+            }
+        }
+
+        fn term(&mut self, depth: usize, out: &mut String) {
+            if depth == 0 || self.below(3) == 0 {
+                if self.below(2) == 0 {
+                    self.number(out);
+                } else {
+                    out.push_str(self.pick(&["x", "y", "z", "x3", "u_1", "E", "A", "true"]));
+                }
+                return;
+            }
+            match self.below(7) {
+                0 => {
+                    out.push('-');
+                    self.space(out);
+                    self.term(depth - 1, out);
+                }
+                1 => {
+                    out.push('(');
+                    self.term(depth - 1, out);
+                    out.push(')');
+                }
+                2 => {
+                    self.term(depth - 1, out);
+                    out.push('^');
+                    out.push_str(self.pick(&["0", "1", "2", "3", "65", "x", "1.5"]));
+                }
+                3 => {
+                    self.term(depth - 1, out);
+                    out.push_str(self.pick(&[" / ", "/", " /"]));
+                    self.number(out);
+                }
+                op => {
+                    self.term(depth - 1, out);
+                    self.space(out);
+                    out.push_str(["+", "-", "*"][op - 4]);
+                    self.space(out);
+                    self.term(depth - 1, out);
+                }
+            }
+        }
+
+        fn formula(&mut self, depth: usize, out: &mut String) {
+            if depth == 0 || self.below(4) == 0 {
+                match self.below(6) {
+                    0 => out.push_str(self.pick(&["true", "false"])),
+                    1 => {
+                        out.push_str(self.pick(&["S", "R2", "U", "E", "A"]));
+                        out.push('(');
+                        self.term(1, out);
+                        if self.below(2) == 0 {
+                            out.push_str(", ");
+                            self.term(1, out);
+                        }
+                        out.push(')');
+                    }
+                    _ => {
+                        self.term(2, out);
+                        for _ in 0..1 + self.below(3) / 2 {
+                            self.space(out);
+                            out.push_str(self.pick(&["=", "!=", "<", "<=", ">", ">="]));
+                            self.space(out);
+                            self.term(2, out);
+                        }
+                    }
+                }
+                return;
+            }
+            match self.below(8) {
+                0 => {
+                    out.push('!');
+                    self.formula(depth - 1, out);
+                }
+                1 => {
+                    out.push('(');
+                    self.formula(depth - 1, out);
+                    out.push(')');
+                }
+                2 => {
+                    out.push_str(self.pick(&["exists", "forall", "E", "A", "Eadom", "Aadom"]));
+                    out.push(' ');
+                    out.push_str(self.pick(&["y", "z", "y, z", "y z", "x3"]));
+                    out.push_str(". ");
+                    self.formula(depth - 1, out);
+                }
+                op => {
+                    self.formula(depth - 1, out);
+                    self.space(out);
+                    out.push_str(["&", "|", "->", "<->", "&", "|"][op - 3]);
+                    self.space(out);
+                    self.formula(depth - 1, out);
+                }
+            }
+        }
+
+        fn source(&mut self) -> String {
+            let mut src = String::new();
+            self.formula(3, &mut src);
+            match self.below(8) {
+                // Truncated, at any byte (the generated text is ASCII).
+                0 | 1 => src.truncate(self.below(src.len() + 1)),
+                // One character inserted, replaced or deleted.
+                2 | 3 => {
+                    let at = self.below(src.len() + 1);
+                    let c =
+                        self.pick(&["(", ")", ".", "<", "-", ">", "=", "#", "é", "0", "x", " "]);
+                    let end = (at + self.below(2)).min(src.len());
+                    src.replace_range(at..end, if self.below(4) == 0 { "" } else { c });
+                }
+                // Token soup.
+                4 => {
+                    src.clear();
+                    for _ in 0..self.below(24) {
+                        src.push_str(self.pick(&[
+                            "x", "S", "E", "exists", "Aadom", "(", ")", ",", ".", "&", "|", "!",
+                            "<", ">", "=", "-", "+", "*", "/", "^", "<->", "->", "<=", "!=", "1",
+                            "0.5", "7.", "@", "é", "true",
+                        ]));
+                        self.space(&mut src);
+                    }
+                }
+                _ => {}
+            }
+            src
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The parser answers every source as the pre-borrowing parser
+        /// does: the same tree with the same spans and polynomials, the
+        /// same variables interned in the same order — or the same error.
+        #[test]
+        fn parser_matches_the_owned_token_oracle(seed in proptest::prelude::any::<u64>()) {
+            let src = Gen(seed | 1).source();
+            let (mut v1, mut v2) = (VarMap::new(), VarMap::new());
+            for v in [&mut v1, &mut v2] {
+                v.intern("z");
+            }
+            let got = parse_formula_spanned(&src, &mut v1);
+            let want = crate::parser_oracle::parse_formula_spanned(&src, &mut v2);
+            proptest::prop_assert_eq!(&got, &want, "source: {:?}", src);
+            let names = |v: &VarMap| (0..v.len()).map(|i| v.name(Var(i as u32))).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(names(&v1), names(&v2), "source: {:?}", src);
         }
     }
 

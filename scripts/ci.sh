@@ -39,9 +39,10 @@ run_capped cargo test -q --offline
 echo "== workspace tests =="
 run_capped cargo test -q --workspace --offline
 
-echo "== exact arithmetic (inline vs limb differential, pinned hash stream) =="
+echo "== exact arithmetic (inline vs limb differential, pinned hash stream; the borrowing parser against the owned-token oracle, release) =="
 run_capped cargo test -q --offline -p cqa-arith
 run_capped cargo test -q --offline -p cqa-logic --lib hash_stream_is_pinned
+run_capped cargo test -q --release --offline -p cqa-logic --lib parser
 
 echo "== kernel parity (eval_rats and the SoA batch sweep vs the tree-walking interpreter; non-dyadic, 3^-700 and 3^700 coefficients at 2^±1000 points, inexact columns, sign-boundary lanes; pinned underflow and infinite-error cases; pinned certified-lane-set digest, debug and release) =="
 # Release too: the optimiser vectorises the sweep's lane loops, which an
@@ -100,7 +101,7 @@ run_capped cargo test -q --release --offline --test budget_degradation
 echo "== storage durability (kill-and-replay, torn tail, crash-point sweep) =="
 run_capped cargo test -q --offline -p cqa-engine --test storage
 
-echo "== serving layer (pipelining order/parity, pipelined bursts on both front ends, shard bit-identity, idle sessions, busy path, body caps, parse caps: degree 64 / 4096 terms / 4096-bit coefficients, a shared-stream BATCH equal to lone EXECs, sweeping each distinct kernel once: lane counters of one EXEC per distinct spec, exactly one stream per (dim, samples) group, shared= counting the repeats) =="
+echo "== serving layer (pipelining order/parity, pipelined bursts on both front ends, shard bit-identity, idle sessions, busy path, body caps, parse caps: degree 64 / 4096 terms / 4096-bit coefficients, a shared-stream BATCH equal to lone EXECs, sweeping each distinct kernel once: lane counters of one EXEC per distinct spec, exactly one stream per (dim, samples) group, shared= counting the repeats; a pipelined 140-LOAD burst byte-identical to serial dispatch in a few coalesced writes; a ready reply not waiting behind a slow frame) =="
 run_capped cargo test -q --offline -p cqa-engine --test serving
 
 echo "== cqa-e2e smoke (bench/ builds against the crates' API; every reply checked, failed 0) =="
