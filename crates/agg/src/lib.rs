@@ -18,10 +18,11 @@
 //! On top of the term-former this crate derives the classical SQL
 //! aggregates over safe query outputs ([`aggregate`]), implements the
 //! paper's Section-5 worked example (polygon area by triangulation,
-//! [`polygon_area_sum_term`]), and realizes Theorem 3 — exact volumes of
-//! semi-linear databases — two independent ways: the n-D sweep of
-//! `cqa-geom` ([`semilinear_volume`]) and the 2-D sweep/integration
-//! construction from the paper's own proof ([`volume_by_sweep_2d`]).
+//! [`polygon_area_sum_term`]), realizes Theorem 3 — exact volumes of
+//! semi-linear databases — on the one sweep of `cqa-geom`
+//! ([`semilinear_volume`], [`volume_with_fallback`]), and gives §1's AVG of a
+//! polynomial over a semi-linear set ([`average`]: `cqa_geom::integral`
+//! over `cqa_geom::volume`, an error on a null set).
 //!
 //! Every operation that runs quantifier elimination has one entry point,
 //! and it takes a cooperative `&EvalBudget` last: [`end_points`],
@@ -37,16 +38,16 @@ mod grouping;
 mod integral;
 mod lang;
 mod polygon;
+#[cfg(test)]
+mod sweep2d;
 mod volume;
 
 pub use aggregate::{aggregate, Aggregate};
 pub use grouping::group_aggregate;
-pub use integral::{average_over_2d, integral_over_2d};
+pub use integral::average;
 pub use lang::{
     end_points, end_points_rational, is_deterministic, AggError, Deterministic, RangeRestricted,
     SumTerm,
 };
 pub use polygon::{polygon_area_sum_term, polygon_area_via_language};
-pub use volume::{
-    semilinear_volume, volume_by_sweep_2d, volume_with_fallback, VolumeOutcome, FALLBACK_DELTA,
-};
+pub use volume::{semilinear_volume, volume_with_fallback, VolumeOutcome, FALLBACK_DELTA};

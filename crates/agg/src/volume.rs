@@ -1,28 +1,16 @@
 //! Theorem 3: FO+POLY+SUM computes volumes of semi-linear databases.
 //!
-//! Two independent realizations:
-//!
-//! * [`semilinear_volume`] — expand the relation / query to a
-//!   quantifier-free linear formula and hand it to the exact engine of
-//!   `cqa-geom` (the same sweep in n-D, on the DNF cells' rows).
-//! * [`volume_by_sweep_2d`] — the construction from the paper's own proof
-//!   of Theorem 3 (§6.1): the section length `g(x) = Σ` lengths of maximal
-//!   intervals of `{y : S(x, y)}` is piecewise linear in `x`; find its
-//!   breakpoints, and integrate each linear piece exactly (the
-//!   `(m·u²−m·l²)/2 + b(u−l)` summands of the proof are recovered by
-//!   evaluating `g` at piece midpoints). Everything in sight — END points,
-//!   the finitely many breakpoints, the summation — is expressible in
-//!   FO+POLY+SUM; this function is its computational content.
-//!
-//! The two methods cross-validate each other in the tests and in `report`'s
-//! E2.
+//! [`semilinear_volume`] expands a relation to a quantifier-free linear
+//! formula and hands it to the one exact sweep, `cqa-geom`'s: the
+//! construction from the paper's own proof of Theorem 3 (§6.1), in n-D on
+//! the DNF cells' rows. [`volume_with_fallback`] runs the same sweep under
+//! a budget and degrades a trip to the Monte Carlo estimate of Theorem 4.
 
-use crate::integral::{rational_of, section_integral};
 use crate::lang::AggError;
 use cqa_approx::mc::Sweep;
 use cqa_approx::sample::{hoeffding_sample_size, Witness};
 use cqa_arith::Rat;
-use cqa_core::{decompose_1d, Database};
+use cqa_core::Database;
 use cqa_geom::{volume, VolumeError};
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::{CompiledMatrix, Formula, SlotMap};
@@ -66,100 +54,6 @@ pub fn semilinear_volume(db: &Database, relation: &str) -> Result<Rat, AggError>
     let unlimited = EvalBudget::unlimited();
     let qf = cqa_qe::eliminate(&db.expand(&q)?, &unlimited)?;
     Ok(volume(&qf, &args, &unlimited)?)
-}
-
-/// Exact area of a two-dimensional semi-linear set by the paper's sweep
-/// construction. `f` must be quantifier-free linear with free variables
-/// `x` and `y`.
-pub fn volume_by_sweep_2d(f: &Formula, x: Var, y: Var) -> Result<Rat, AggError> {
-    if !f.is_relation_free() || !f.is_quantifier_free() {
-        return Err(AggError::Db("sweep needs a quantifier-free formula".into()));
-    }
-    let breaks = sweep_breakpoints(f, x, y)?;
-
-    // Integrate piecewise: on each open piece between consecutive
-    // breakpoints (clipped to the support), g is linear, so
-    // ∫ g = width · g(midpoint).
-    let mut total = Rat::zero();
-    for w in breaks.windows(2) {
-        let (l, u) = (&w[0], &w[1]);
-        if l == u {
-            continue;
-        }
-        let len = section_integral(f, x, y, &MPoly::one(), &l.midpoint(u))?;
-        if !len.is_zero() {
-            total += (u - l) * len;
-        }
-    }
-    Ok(total)
-}
-
-/// The sweep's breakpoint candidates, sorted: the x-coordinates where the
-/// section structure of `{(x, y) : f}` can change. These are the endpoints
-/// of the support, the x-coordinates of intersections of constraint
-/// boundary lines (the arrangement's vertices), and the x-values of
-/// vertical boundary lines. Empty when the support is.
-pub(crate) fn sweep_breakpoints(f: &Formula, x: Var, y: Var) -> Result<Vec<Rat>, AggError> {
-    // Support: the projection onto x.
-    let shadow = Formula::exists(vec![y], f.clone());
-    let proj = cqa_qe::fourier_motzkin(&shadow, &EvalBudget::unlimited())?;
-    let support = decompose_1d(&proj, x).ok_or(AggError::NotOneDimensional)?;
-    if support.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut breaks: Vec<Rat> = Vec::new();
-    let mut push = |r: Rat| {
-        if !breaks.contains(&r) {
-            breaks.push(r);
-        }
-    };
-    for iv in &support {
-        for e in iv.finite_endpoints() {
-            push(rational_of(&e)?);
-        }
-    }
-    // Boundary lines a·x + b·y + c = 0 from the atoms.
-    let mut lines: Vec<(Rat, Rat, Rat)> = Vec::new();
-    let mut bad = false;
-    f.visit(&mut |g| {
-        if let Formula::Atom(at) = g {
-            let mut a = Rat::zero();
-            let mut b = Rat::zero();
-            let mut c = Rat::zero();
-            for (m, coeff) in at.poly.terms() {
-                match m {
-                    [] => c = coeff.clone(),
-                    [(v, 1)] if *v == x => a = coeff.clone(),
-                    [(v, 1)] if *v == y => b = coeff.clone(),
-                    _ => bad = true,
-                }
-            }
-            lines.push((a, b, c));
-        }
-    });
-    if bad {
-        return Err(AggError::Db("sweep needs linear atoms over (x, y)".into()));
-    }
-    for (i, (a1, b1, c1)) in lines.iter().enumerate() {
-        if b1.is_zero() {
-            if !a1.is_zero() {
-                push(-(c1 / a1)); // vertical line
-            }
-            continue;
-        }
-        for (a2, b2, c2) in &lines[i + 1..] {
-            if b2.is_zero() {
-                continue;
-            }
-            // Intersect a1 x + b1 y + c1 = 0 with a2 x + b2 y + c2 = 0.
-            let denom = a1 * b2 - a2 * b1;
-            if !denom.is_zero() {
-                push((b1 * c2 - b2 * c1) / &denom);
-            }
-        }
-    }
-    breaks.sort();
-    Ok(breaks)
 }
 
 /// Failure probability of the Monte Carlo fallback in
@@ -313,12 +207,19 @@ mod tests {
         assert!(semilinear_volume(&db, "H").is_err());
     }
 
+    /// The area of `src` over `(x, y)` by the 2-D oracle, which must agree
+    /// with the n-D sweep.
     fn sweep(src: &str) -> Rat {
         let mut vars = VarMap::new();
         let x = vars.intern("x");
         let y = vars.intern("y");
         let f = parse_formula_with(src, &mut vars).unwrap();
-        volume_by_sweep_2d(&f, x, y).unwrap()
+        let area = crate::sweep2d::integral(&f, x, y, &MPoly::one()).unwrap();
+        assert_eq!(
+            volume(&f, &[x, y], &EvalBudget::unlimited()),
+            Ok(area.clone())
+        );
+        area
     }
 
     #[test]
@@ -338,19 +239,11 @@ mod tests {
             ),
             rat(2, 1)
         );
-    }
-
-    #[test]
-    fn sweep_agrees_with_the_nd_sweep_on_sections_with_holes() {
-        let src = "(0 <= x & x <= 4 & 0 <= y & y <= 4) & !(1 <= x & x <= 2 & 1 <= y & y <= 3)";
-        let mut vars = VarMap::new();
-        let x = vars.intern("x");
-        let y = vars.intern("y");
-        let f = parse_formula_with(src, &mut vars).unwrap();
-        let s = volume_by_sweep_2d(&f, x, y).unwrap();
-        let l = volume(&f, &[x, y], &EvalBudget::unlimited()).unwrap();
-        assert_eq!(s, l);
-        assert_eq!(s, rat(14, 1)); // 16 - 2
+        // A section with a hole: 16 − 2.
+        assert_eq!(
+            sweep("(0 <= x & x <= 4 & 0 <= y & y <= 4) & !(1 <= x & x <= 2 & 1 <= y & y <= 3)"),
+            rat(14, 1)
+        );
     }
 
     #[test]

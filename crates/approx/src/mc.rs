@@ -437,7 +437,7 @@ mod tests {
     #[test]
     fn mc_average_matches_exact_integral() {
         // Average of x over the unit right triangle is 1/3 (exact engine:
-        // cqa_agg::average_over_2d); MC should land nearby.
+        // cqa_agg::average); MC should land nearby.
         let mut db = Database::new();
         let x = db.vars_mut().intern("x");
         let y = db.vars_mut().intern("y");

@@ -4,7 +4,7 @@
 //! so the integration tests can assert on the numbers.
 
 use crate::workloads;
-use cqa_agg::{polygon_area_sum_term, semilinear_volume, volume_by_sweep_2d};
+use cqa_agg::{polygon_area_sum_term, semilinear_volume};
 use cqa_approx::baselines::{
     hit_and_run_volume, is_variable_independent, rejection_volume, variable_independent_volume,
 };
@@ -117,7 +117,7 @@ pub fn e1(out: &mut String) {
 }
 
 /// E2 — Theorem 3: exact volumes of semi-linear sets (closed forms + the
-/// 2-D sweep construction of `cqa-agg` vs the n-D sweep of `cqa-geom`).
+/// variable-independence baseline vs the n-D sweep of `cqa-geom`).
 pub fn e2(out: &mut String) {
     writeln!(out, "E2: Theorem 3 — exact semi-linear volumes").unwrap();
     writeln!(out, "  {:<34} {:>10} {:>10}", "set", "computed", "expected").unwrap();
@@ -152,19 +152,19 @@ pub fn e2(out: &mut String) {
     }
     writeln!(
         out,
-        "\n  2-D sweep (paper's proof) vs the n-D sweep on random 2-D unions:"
+        "\n  variable-independence baseline vs the n-D sweep on random 2-D unions:"
     )
     .unwrap();
     writeln!(
         out,
         "  {:>6} {:>12} {:>12} {:>8}",
-        "seed", "sweep", "n-D sweep", "equal"
+        "seed", "var-indep", "n-D sweep", "equal"
     )
     .unwrap();
     for seed in 0..6u64 {
         let mut vars = VarMap::new();
         let (f, vs) = workloads::random_box_union(3, seed, &mut vars);
-        let s = volume_by_sweep_2d(&f, vs[0], vs[1]).unwrap();
+        let s = variable_independent_volume(&f, &vs).unwrap();
         let l = volume(&f, &vs, &EvalBudget::unlimited()).unwrap();
         writeln!(
             out,

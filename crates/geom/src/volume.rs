@@ -1,30 +1,38 @@
-//! Exact volumes of semi-linear sets by the sweep in the proof of the
-//! paper's Theorem 3 (§6.1), in every dimension, on the DNF cells' rows
-//! `a·x ≤ b`:
+//! Exact volumes and integrals over semi-linear sets by the sweep in the
+//! proof of the paper's Theorem 3 (§6.1), in every dimension, on the DNF
+//! cells' rows `a·x ≤ b`:
 //!
 //! 1. **breakpoints** on `x₁` are the `x₁`-values of the flats of the
 //!    cells' hyperplane arrangement on which `x₁` is constant — every point
 //!    where `n` hyperplanes meet, every hyperplane `x₁ = c` and, from 3-D
 //!    on, every meet of fewer hyperplanes inside some `x₁ = c`;
-//! 2. on an open slab between breakpoints the section `{x₁ = t}` has an
-//!    `(n−1)`-measure polynomial of degree < `n` in `t`, so the `n`-node
-//!    *open* Newton–Cotes rule integrates it exactly, and a null piece on a
-//!    breakpoint never counts;
-//! 3. a section is the rows with `x₁ := t` substituted; in 1-D the measure
-//!    is a sort-and-merge of intervals.
+//! 2. on an open slab between breakpoints the integral of a polynomial `p`
+//!    over the section `{x₁ = t}` is a polynomial of degree
+//!    `< n + deg p` in `t`, so the `(n + deg p)`-node *open* Newton–Cotes
+//!    rule integrates it exactly, and a null piece on a breakpoint never
+//!    counts;
+//! 3. a section is the rows and `p` with `x₁ := t` substituted; in 1-D the
+//!    intervals are sorted and merged, and each merged piece adds the
+//!    difference of `p`'s antiderivative at its ends.
+//!
+//! A volume is the integral of `p = 1`; `cqa-agg`'s `average` divides the
+//! one by the other (§1's "average value of a polynomial over a spatial
+//! object").
 //!
 //! Strictness and disequalities only matter on null sets and are dropped;
 //! a constant row is decided at once (`0 ≤ 0` holds, `0 ≤ −1` empties its
 //! cell). Unclipped, the set is [`VolumeError::Unbounded`] exactly when an
 //! outer slab has a section of positive measure or a 1-D section holds an
-//! infinite interval of positive length. No quantifier elimination runs.
+//! infinite interval of positive length; the set decides this, never `p`.
+//! No quantifier elimination runs.
 
 use crate::linalg::{det, solve, Mat};
 use crate::polyhedron::HPolyhedron;
 use cqa_arith::{rat, Rat};
 use cqa_logic::budget::{BudgetExceeded, EvalBudget};
 use cqa_logic::{dnf, Formula};
-use cqa_poly::Var;
+use cqa_poly::{MPoly, Var};
+use std::borrow::Cow;
 
 /// Errors from exact volume computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,6 +47,9 @@ pub enum VolumeError {
     NotSemiLinear,
     /// The formula mentions schema relations; substitute definitions first.
     HasRelations,
+    /// The integrand mentions a variable that is not a coordinate of the
+    /// space integrated over.
+    StrayVariable(Var),
     /// The evaluation budget was exhausted mid-computation; the work was
     /// cancelled cooperatively (see [`cqa_logic::budget`]).
     Budget(BudgetExceeded),
@@ -50,6 +61,9 @@ impl std::fmt::Display for VolumeError {
             VolumeError::Unbounded => write!(f, "set has unbounded volume"),
             VolumeError::NotSemiLinear => write!(f, "formula is not quantifier-free linear"),
             VolumeError::HasRelations => write!(f, "formula mentions schema relations"),
+            VolumeError::StrayVariable(v) => {
+                write!(f, "integrand mentions {v}, which is not integrated over")
+            }
             VolumeError::Budget(b) => write!(f, "{b}"),
         }
     }
@@ -86,13 +100,27 @@ pub fn simplex_volume(vertices: &[Vec<Rat>]) -> Rat {
 
 /// Exact volume of the semi-linear set defined by a quantifier-free linear
 /// formula over the variable ordering `vars` (the ambient space is
-/// `ℝ^vars.len()`). The sweep checks the cooperative `budget` once per DNF
-/// cell, once per set of normals its breakpoint search tries and once per
-/// section of dimension ≥ 2 it integrates, and aborts with
-/// [`VolumeError::Budget`] when it is exhausted; when it is not hit, the
-/// result does not depend on it.
+/// `ℝ^vars.len()`): its [`integral`] of `p = 1`, budgeted as that is.
 pub fn volume(f: &Formula, vars: &[Var], budget: &EvalBudget) -> Result<Rat, VolumeError> {
-    volume_impl(f, vars, false, budget)
+    sweep(f, vars, &MPoly::one(), false, budget)
+}
+
+/// Exact `∫ p` over the semi-linear set defined by a quantifier-free linear
+/// formula over the variable ordering `vars`, for a polynomial `p` in
+/// `vars` (another variable is [`VolumeError::StrayVariable`]). The set
+/// decides [`VolumeError::Unbounded`], whatever `p` is. With no variables
+/// the answer is `p` where `f` holds and 0 where it does not. The sweep
+/// checks the cooperative `budget` once per DNF cell, once per set of
+/// normals its breakpoint search tries and once per section of dimension
+/// ≥ 2 it integrates, and aborts with [`VolumeError::Budget`] when it is
+/// exhausted; when it is not hit, the result does not depend on it.
+pub fn integral(
+    f: &Formula,
+    vars: &[Var],
+    p: &MPoly,
+    budget: &EvalBudget,
+) -> Result<Rat, VolumeError> {
+    sweep(f, vars, p, false, budget)
 }
 
 /// Exact volume of the set intersected with the unit box `[0,1]ⁿ` — the
@@ -103,15 +131,16 @@ pub fn volume_in_unit_box_with_budget(
     vars: &[Var],
     budget: &EvalBudget,
 ) -> Result<Rat, VolumeError> {
-    volume_impl(f, vars, true, budget)
+    sweep(f, vars, &MPoly::one(), true, budget)
 }
 
 /// A row `a·x ≤ b`.
 type Row = (Vec<Rat>, Rat);
 
-fn volume_impl(
+fn sweep(
     f: &Formula,
     vars: &[Var],
+    p: &MPoly,
     clip: bool,
     budget: &EvalBudget,
 ) -> Result<Rat, VolumeError> {
@@ -121,11 +150,14 @@ fn volume_impl(
     if !f.is_quantifier_free() {
         return Err(VolumeError::NotSemiLinear);
     }
+    if let Some(v) = p.vars().into_iter().find(|v| !vars.contains(v)) {
+        return Err(VolumeError::StrayVariable(v));
+    }
     if vars.is_empty() {
-        // 0-dimensional space: volume of a point set under counting measure
-        // conventions — treat ⊤ as 1, ⊥ as 0.
+        // 0-dimensional space: a point, where the constant p is ⊤'s
+        // integral and ⊥'s is 0.
         return match f.eval(&|_| Rat::zero(), &[]) {
-            Some(true) => Ok(Rat::one()),
+            Some(true) => Ok(p.as_constant().expect("no variables")),
             Some(false) => Ok(Rat::zero()),
             None => Err(VolumeError::NotSemiLinear),
         };
@@ -146,12 +178,19 @@ fn volume_impl(
         flat_sets(&normals, &[], budget, sets)?;
     }
     let sweep = Sweep {
-        weights: (0..=n).map(open_newton_cotes).collect(),
+        weights: (0..=n + degree(p)).map(open_newton_cotes).collect(),
         flats,
+        vars,
+        one: MPoly::one(),
         clipped: clip,
         budget,
     };
-    sweep.measure(&cells, n)
+    sweep.integrate(&cells, n, p)
+}
+
+/// The total degree of `p`, 0 for the zero polynomial.
+fn degree(p: &MPoly) -> usize {
+    p.total_degree().unwrap_or(0) as usize
 }
 
 /// The DNF cells of `f` over `vars` (see [`cell_of`]), each with the unit
@@ -167,13 +206,22 @@ fn dnf_cells(
     for clause in dnf(f) {
         budget.check()?;
         let mut atoms = Vec::with_capacity(clause.len());
+        let mut holds = true;
         for lit in clause {
             let Formula::Atom(a) = lit else {
                 return Err(VolumeError::HasRelations);
             };
-            atoms.push(a);
+            // A constant atom is decided exactly: `0 < 0` and `0 ≠ 0` are
+            // empty, not null.
+            match a.as_const() {
+                Some(h) => holds &= h,
+                None => atoms.push(a),
+            }
         }
         let p = HPolyhedron::from_atoms(&atoms, vars).ok_or(VolumeError::NotSemiLinear)?;
+        if !holds {
+            continue;
+        }
         if let Some(cell) = cell_of(p.rows().iter().chain(unit_box.rows()).cloned()) {
             if !cells.contains(&cell) {
                 cells.push(cell);
@@ -207,6 +255,10 @@ struct Sweep<'a> {
     /// `flats[k]`: the [`flat_sets`] of the normals of `k`-dimensional
     /// sections.
     flats: Vec<Vec<FlatSet>>,
+    /// The coordinates: a `k`-dimensional section is over the last `k`.
+    vars: &'a [Var],
+    /// The integrand 1, with which the outer slabs measure the set.
+    one: MPoly,
     /// Every cell carries the unit box's rows, so every coordinate lies in
     /// `[0, 1]` and every cell is bounded.
     clipped: bool,
@@ -214,54 +266,67 @@ struct Sweep<'a> {
 }
 
 impl Sweep<'_> {
-    /// The `n`-measure of the union of `cells`, whose rows have `n ≥ 1`
-    /// coefficients.
-    fn measure(&self, cells: &[Vec<Row>], n: usize) -> Result<Rat, VolumeError> {
+    /// `∫ p` over the union of `cells`, whose rows have `n ≥ 1`
+    /// coefficients, for a polynomial `p` in the last `n` coordinates.
+    fn integrate(&self, cells: &[Vec<Row>], n: usize, p: &MPoly) -> Result<Rat, VolumeError> {
         if cells.is_empty() {
             return Ok(Rat::zero());
         }
         if n == 1 {
             // A sort and a merge: charged to the slab that asked for it.
-            return union_length(cells);
+            return union_integral(cells, self.vars[self.vars.len() - 1], p);
         }
         self.budget.check()?;
         let breaks = self.breakpoints(cells, n);
         if !self.clipped {
             // Whether a cell's section has positive measure does not change
-            // across a slab, so one node decides each outer slab.
+            // across a slab, so one node decides each outer slab. It
+            // measures the set: a p that vanishes there hides nothing.
             let outer = match (breaks.first(), breaks.last()) {
                 (Some(lo), Some(hi)) => vec![lo - Rat::one(), hi + Rat::one()],
                 _ => vec![Rat::zero()],
             };
             for t in &outer {
-                if !self.section(cells, t, n)?.is_zero() {
+                if !self.section(cells, t, n, &self.one)?.is_zero() {
                     return Err(VolumeError::Unbounded);
                 }
             }
         }
+        let weights = &self.weights[n + degree(p)];
         let mut total = Rat::zero();
         for slab in breaks.windows(2) {
             let width = &slab[1] - &slab[0];
-            let step = &width / &Rat::from((n + 1) as i64);
+            let step = &width / &Rat::from((weights.len() + 1) as i64);
             let mut t = slab[0].clone();
             let mut sum = Rat::zero();
-            for w in &self.weights[n] {
+            for w in weights {
                 t += &step;
-                sum += w * &self.section(cells, &t, n)?;
+                sum += w * &self.section(cells, &t, n, p)?;
             }
             total += width * sum;
         }
         Ok(total)
     }
 
-    /// The `(n−1)`-measure of the union's section at `x₁ = t`: the cells'
-    /// rows with `x₁ := t` substituted.
-    fn section(&self, cells: &[Vec<Row>], t: &Rat, n: usize) -> Result<Rat, VolumeError> {
+    /// `∫ p` over the union's section at `x₁ = t`: the cells' rows and `p`
+    /// with `x₁ := t` substituted.
+    fn section(
+        &self,
+        cells: &[Vec<Row>],
+        t: &Rat,
+        n: usize,
+        p: &MPoly,
+    ) -> Result<Rat, VolumeError> {
         let sections: Vec<Vec<Row>> = cells
             .iter()
             .filter_map(|cell| cell_of(cell.iter().map(|(a, b)| (a[1..].to_vec(), b - &a[0] * t))))
             .collect();
-        self.measure(&sections, n - 1)
+        let x1 = self.vars[self.vars.len() - n];
+        let p = match p.degree_in(x1) {
+            0 => Cow::Borrowed(p),
+            _ => Cow::Owned(p.subst_rat(x1, t)),
+        };
+        self.integrate(&sections, n - 1, &p)
     }
 
     /// The sorted, distinct breakpoints on `x₁` (those in `[0, 1]` when
@@ -355,9 +420,11 @@ fn flat_sets(
     Ok(())
 }
 
-/// The length of the union of 1-D cells (rows `±x ≤ b`): each cell is an
-/// interval, and the intervals are sorted by left end and merged.
-fn union_length(cells: &[Vec<Row>]) -> Result<Rat, VolumeError> {
+/// `∫ p` over the union of 1-D cells (rows `±x ≤ b`) for a polynomial `p`
+/// in `x`: each cell is an interval, the intervals are sorted by left end
+/// and merged, and each merged piece `[l, h]` adds `P(h) − P(l)` for `p`'s
+/// antiderivative `P` (a constant `p` scales the length).
+fn union_integral(cells: &[Vec<Row>], x: Var, p: &MPoly) -> Result<Rat, VolumeError> {
     let mut spans: Vec<(Rat, Rat)> = Vec::with_capacity(cells.len());
     for cell in cells {
         let ends = |sign: bool| cell.iter().filter(move |(a, _)| a[0].is_positive() == sign);
@@ -371,13 +438,27 @@ fn union_length(cells: &[Vec<Row>]) -> Result<Rat, VolumeError> {
         }
     }
     spans.sort();
+    let (scale, density) = match p.as_constant() {
+        Some(c) => (c, None),
+        None => {
+            let q = p
+                .to_upoly(x)
+                .expect("a section substitutes the other coordinates");
+            (Rat::one(), Some(q))
+        }
+    };
     let (mut total, mut reach) = (Rat::zero(), None::<Rat>);
     for (l, h) in spans {
         let from = reach.map_or(l.clone(), |r| r.max(l));
-        total += (&h - &from).max(Rat::zero());
+        if from < h {
+            total += match &density {
+                Some(q) => q.integrate_between(&from, &h),
+                None => &h - &from,
+            };
+        }
         reach = Some(from.max(h));
     }
-    Ok(total)
+    Ok(scale * total)
 }
 
 /// The `k`-node open Newton–Cotes weights on `[0, 1]`, nodes at `i/(k+1)`
@@ -643,6 +724,23 @@ mod tests {
         // A constant-false atom still empties its cell, and only that one.
         assert_eq!(
             vol("(0 <= x & x <= 1/2 & 1 <= 0) | (2 <= x & x <= 3)", &["x"]).unwrap(),
+            rat(1, 1)
+        );
+        // Strict and ≠ constant atoms too: `0 < 0` is empty, not null.
+        assert_eq!(
+            vol(
+                "(0 <= x & x <= 1/2 & x - x < 0) | (2 <= x & x <= 3)",
+                &["x"]
+            )
+            .unwrap(),
+            rat(1, 1)
+        );
+        assert_eq!(
+            vol(
+                "(0 <= x & x <= 1/2 & x - x != 0) | (2 <= x & x <= 3)",
+                &["x"]
+            )
+            .unwrap(),
             rat(1, 1)
         );
     }

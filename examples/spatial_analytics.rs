@@ -7,8 +7,9 @@
 //! cargo run --release --example spatial_analytics
 //! ```
 
-use constraint_agg::agg::{average_over_2d, group_aggregate, integral_over_2d, Aggregate};
+use constraint_agg::agg::{average, group_aggregate, Aggregate};
 use constraint_agg::core::Database;
+use constraint_agg::geom::integral;
 use constraint_agg::logic::{parse_formula_with, VarMap};
 use constraint_agg::poly::MPoly;
 use constraint_agg::prelude::*;
@@ -59,30 +60,47 @@ fn main() {
     let mut vars = VarMap::new();
     let x = vars.intern("x");
     let y = vars.intern("y");
+    let xy = [x, y];
     let district = parse_formula_with("x >= 0 & y >= 0 & x + y <= 2", &mut vars).unwrap();
     let p = MPoly::var(x) + MPoly::var(y).scale(&rat(2, 1));
 
-    let total = integral_over_2d(&district, x, y, &p).unwrap();
-    let mean = average_over_2d(&district, x, y, &p).unwrap();
+    let total = integral(&district, &xy, &p, &unlimited).unwrap();
+    let mean = average(&district, &xy, &p, &unlimited).unwrap();
     println!("\ndistrict: triangle with legs 2 (area 2)");
     println!("∫∫ (x + 2y) dA = {total} (exact rational)");
     println!("average pollution = {mean} (= total / area)");
+    assert_eq!((total, mean), (rat(4, 1), rat(2, 1)));
 
     // Centroid: averages of the coordinate functions.
-    let cx = average_over_2d(&district, x, y, &MPoly::var(x)).unwrap();
-    let cy = average_over_2d(&district, x, y, &MPoly::var(y)).unwrap();
+    let cx = average(&district, &xy, &MPoly::var(x), &unlimited).unwrap();
+    let cy = average(&district, &xy, &MPoly::var(y), &unlimited).unwrap();
     println!("centroid = ({cx}, {cy})  — the classic (b/3, h/3)");
+    assert_eq!((cx, cy), (rat(2, 3), rat(2, 3)));
 
-    // Second moment about the origin, over a region with a hole.
+    // The same sweep in any dimension: the standard 3-simplex.
+    let z = vars.intern("z");
+    let xyz = [x, y, z];
+    let simplex =
+        parse_formula_with("x >= 0 & y >= 0 & z >= 0 & x + y + z <= 1", &mut vars).unwrap();
+    let c: Vec<Rat> = xyz
+        .iter()
+        .map(|&v| average(&simplex, &xyz, &MPoly::var(v), &unlimited).unwrap())
+        .collect();
+    println!(
+        "centroid of the standard 3-simplex = ({}, {}, {})",
+        c[0], c[1], c[2]
+    );
+    assert_eq!(c, vec![rat(1, 4); 3]);
+
+    // Second moment about the origin, over a region with a hole:
+    // ∫∫_{[0,2]²} (x² + y²) = 32/3 minus ∫∫_{[1/2,3/2]²} (x² + y²) = 13/6.
     let holed = parse_formula_with(
         "0 <= x & x <= 2 & 0 <= y & y <= 2 & !(0.5 <= x & x <= 1.5 & 0.5 <= y & y <= 1.5)",
         &mut vars,
     )
     .unwrap();
     let r2 = MPoly::var(x).pow(2) + MPoly::var(y).pow(2);
-    let moment = integral_over_2d(&holed, x, y, &r2).unwrap();
+    let moment = integral(&holed, &xy, &r2, &unlimited).unwrap();
     println!("\nsquare [0,2]² minus centered hole: ∫∫ (x²+y²) dA = {moment}");
-    // Sanity: big square moment 2·(8/3)·2 = 32/3·... verified in tests; here
-    // we just show exactness.
-    assert!(moment.is_positive());
+    assert_eq!(moment, rat(17, 2));
 }

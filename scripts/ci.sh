@@ -89,14 +89,20 @@ run_capped cargo test -q --release --offline -p cqa-qe --test hoermander_bounds
 run_capped cargo test -q --release --offline -p cqa-engine --lib a_derivation_too_deep
 run_capped cargo test -q --release --offline -p cqa-engine --test goldens lens_replies
 
-echo "== exact volume (sweep vs inclusion–exclusion oracle, degradation) =="
+echo "== exact volume and integrals (sweep vs inclusion–exclusion and integral oracles, degradation, spatial_analytics) =="
 # The Theorem-3 sweep against inclusion–exclusion with Lasserre's recursion
 # (equal Rat or equal error on random unions of 1–4 cells in 1-D to 3-D,
 # touching, nested, empty, lower-dimensional and unbounded ones included),
 # then the exact→approximate contract, whose volume trips come from a step
-# cap that the same formula's elimination fits under.
+# cap that the same formula's elimination fits under. Then the same sweep's
+# integrals of polynomials of degree ≤ 3 against the 2-D sweep of the
+# paper's proof, a box-corner grid, the Dirichlet integral on the simplex
+# and additivity in 3-D, and the example that asserts exact integrals,
+# averages and a 3-D centroid.
 run_capped cargo test -q --release --offline -p cqa-geom
 run_capped cargo test -q --release --offline --test budget_degradation
+run_capped cargo test -q --release --offline -p cqa-agg
+run_capped cargo run -q --release --offline --example spatial_analytics
 
 echo "== storage durability (kill-and-replay, torn tail, crash-point sweep) =="
 run_capped cargo test -q --offline -p cqa-engine --test storage
