@@ -7,7 +7,7 @@
 
 use crate::diag::{Code, Diagnostic};
 use cqa_logic::{BoundVar, SpannedFormula, SpannedNode, VarMap};
-use cqa_poly::Var;
+use cqa_poly::{MPoly, Var};
 
 /// Checks `f` with the ambient parameters `params` in scope, appending
 /// findings to `diags`. `vars` supplies human names for messages.
@@ -24,16 +24,10 @@ pub fn check_scopes(
 fn walk(f: &SpannedFormula, env: &mut Vec<Var>, vars: &VarMap, diags: &mut Vec<Diagnostic>) {
     match &f.node {
         SpannedNode::True | SpannedNode::False => {}
-        SpannedNode::Atom(a) => {
-            for v in a.poly.vars() {
-                report_unbound(v, f, env, vars, diags);
-            }
-        }
+        SpannedNode::Atom(a) => report_unbound(&a.poly, f, env, vars, diags),
         SpannedNode::Rel { args, .. } => {
             for t in args {
-                for v in t.vars() {
-                    report_unbound(v, f, env, vars, diags);
-                }
+                report_unbound(t, f, env, vars, diags);
             }
         }
         SpannedNode::Not(g) => walk(g, env, vars, diags),
@@ -86,25 +80,28 @@ fn bind_block(
     env.truncate(env.len() - vs.len());
 }
 
+/// One report per unbound variable of `p`, in variable order. The list
+/// stays empty, and allocates nothing, when every variable is in scope.
 fn report_unbound(
-    v: Var,
+    p: &MPoly,
     f: &SpannedFormula,
     env: &[Var],
     vars: &VarMap,
     diags: &mut Vec<Diagnostic>,
 ) {
-    if env.contains(&v) {
-        return;
+    let mut unbound: Vec<Var> = p.var_occurrences().filter(|v| !env.contains(v)).collect();
+    unbound.sort_unstable();
+    unbound.dedup();
+    for v in unbound {
+        diags.push(
+            Diagnostic::new(
+                Code::UnboundVariable,
+                f.span,
+                format!("unbound variable `{}`", vars.name(v)),
+            )
+            .with_note("declare it as a parameter or bind it with a quantifier"),
+        );
     }
-    let d = Diagnostic::new(
-        Code::UnboundVariable,
-        f.span,
-        format!("unbound variable `{}`", vars.name(v)),
-    )
-    .with_note("declare it as a parameter or bind it with a quantifier");
-    // One report per variable per atom is plenty; atoms list each variable
-    // once (vars() is a set), so no dedup is needed here.
-    diags.push(d);
 }
 
 #[cfg(test)]
@@ -138,6 +135,11 @@ mod tests {
         assert!(d[0].message.contains("`z`"));
         // The span covers the offending atom.
         assert_eq!(&src[d[0].span.start..d[0].span.end], "x = z + 1");
+        // One report per unbound variable of an atom, in variable order,
+        // however many of its monomials mention it.
+        let (d, _) = analyze("z*w + z + w*w > x", &["x"]);
+        let messages: Vec<&str> = d.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(messages, ["unbound variable `z`", "unbound variable `w`"]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The absint soundness contract, checked against the FM/LW quantifier
-//! elimination oracle over the same random-formula family `ir_parity.rs`
-//! uses:
+//! elimination oracle over the random-formula family `ir_parity.rs` uses
+//! (affine atoms over `x0`, `x1`, an occasional `x0²`):
 //!
 //! * `Verdict::Unsat` ⇒ the formula is unsatisfiable (QE agrees);
 //! * `Verdict::Valid` ⇒ the formula is valid (QE agrees);
@@ -15,49 +15,15 @@ use cqa_analyze::absint::{self, env_interval, AbsintMemo, Interval, Verdict};
 use cqa_arith::{rat, Rat};
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::ir::Arena;
-use cqa_logic::{parse_formula_with, Atom, Formula, Rel, VarMap};
-use cqa_poly::{MPoly, Var};
+use cqa_logic::{parse_formula_with, Formula, VarMap};
+use cqa_poly::Var;
+use cqa_testkit::formula::Wrap::{self, *};
+use cqa_testkit::formula::{agree_on_grid, qf_affine, wrapped};
 use proptest::prelude::*;
-
-/// Quantifier-free formulas over `x0`, `x1` with small affine and
-/// quadratic atoms — the same distribution as `ir_parity.rs`.
-fn qf_formula() -> impl Strategy<Value = Formula> {
-    let atom = (
-        prop::collection::vec(-3i64..=3, 2),
-        -4i64..=4,
-        0usize..6,
-        0u8..2,
-    )
-        .prop_map(|(coeffs, c, r, square)| {
-            let square = square == 1;
-            let rel = [Rel::Lt, Rel::Le, Rel::Gt, Rel::Ge, Rel::Eq, Rel::Neq][r];
-            let mut p = MPoly::constant(Rat::from(c));
-            for (i, &a) in coeffs.iter().enumerate() {
-                p = p + MPoly::var(Var(i as u32)).scale(&Rat::from(a));
-            }
-            if square {
-                p = p + MPoly::var(Var(0)) * MPoly::var(Var(0));
-            }
-            Formula::Atom(Atom::new(p, rel))
-        });
-    atom.prop_recursive(2, 8, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
-            inner.prop_map(Formula::negate),
-        ]
-    })
-}
 
 /// The QF family with real quantifiers layered on top — the verdict must
 /// stay sound through projection.
-fn quantified_formula() -> impl Strategy<Value = Formula> {
-    (qf_formula(), 0usize..3).prop_map(|(f, wrap)| match wrap {
-        0 => Formula::exists(vec![Var(1)], f),
-        1 => Formula::forall(vec![Var(0)], f),
-        _ => f,
-    })
-}
+const QUANTIFIED: &[Wrap] = &[Exists(&[1]), Forall(&[0]), Bare];
 
 fn facts_of(f: &Formula) -> cqa_analyze::Facts {
     let mut arena = Arena::new();
@@ -79,7 +45,7 @@ proptest! {
     /// statically-valid verdict on a falsifiable one — the QE decision
     /// procedure is the ground truth.
     #[test]
-    fn verdicts_agree_with_the_qe_oracle(f in quantified_formula()) {
+    fn verdicts_agree_with_the_qe_oracle(f in wrapped(qf_affine(2, true), QUANTIFIED)) {
         match facts_of(&f).verdict {
             Verdict::Unsat => {
                 prop_assert!(
@@ -100,7 +66,7 @@ proptest! {
     /// The derived box contains every satisfying point of the half-integer
     /// grid: bounds are certificates, never heuristics.
     #[test]
-    fn derived_boxes_contain_every_satisfying_grid_point(f in qf_formula()) {
+    fn derived_boxes_contain_every_satisfying_grid_point(f in qf_affine(2, true)) {
         let facts = facts_of(&f);
         for x in -6..=6i64 {
             for y in -6..=6i64 {
@@ -125,7 +91,7 @@ proptest! {
     /// Conjunction is monotone: adding a conjunct can only narrow the
     /// per-variable intervals, never widen them.
     #[test]
-    fn conjunction_only_narrows_environments(f in qf_formula(), g in qf_formula()) {
+    fn conjunction_only_narrows_environments(f in qf_affine(2, true), g in qf_affine(2, true)) {
         let fg = facts_of(&f.clone().and(g));
         let f_only = facts_of(&f);
         if fg.verdict == Verdict::Unsat {
@@ -144,25 +110,13 @@ proptest! {
     /// Pruning preserves satisfiability/validity verdicts of the oracle:
     /// replacing decided subformulas by ⊥/⊤ is equivalence-preserving.
     #[test]
-    fn pruning_preserves_the_grid_semantics(f in qf_formula()) {
+    fn pruning_preserves_the_grid_semantics(f in qf_affine(2, true)) {
         let mut arena = Arena::new();
         let id = arena.intern(&f);
         let mut memo = AbsintMemo::new();
         let mut simp = cqa_qe::SimplifyMemo::new();
         let pruned = absint::prune_id(&mut arena, id, &mut memo, &mut simp);
-        let g = arena.extern_formula(pruned);
-        for x in -6..=6i64 {
-            for y in -6..=6i64 {
-                let asg = |v: Var| if v == Var(0) { rat(x, 2) } else { rat(y, 2) };
-                prop_assert_eq!(
-                    f.eval(&asg, &[]),
-                    g.eval(&asg, &[]),
-                    "at ({}/2, {}/2)",
-                    x,
-                    y
-                );
-            }
-        }
+        agree_on_grid(&f, &arena.extern_formula(pruned), 2, 6)?;
     }
 }
 

@@ -114,13 +114,19 @@ impl Rat {
         }
     }
 
-    /// Multiplicative inverse.
+    /// Multiplicative inverse. `num/den` is already in lowest terms, so only
+    /// the sign moves to the new numerator: no gcd.
     ///
     /// # Panics
     /// Panics if the value is zero.
     pub fn recip(&self) -> Rat {
         assert!(!self.is_zero(), "reciprocal of zero");
-        Rat::new(self.den.clone(), self.num.clone())
+        let (num, den) = if self.num.is_negative() {
+            (-&self.den, -&self.num)
+        } else {
+            (self.den.clone(), self.num.clone())
+        };
+        Rat { num, den }
     }
 
     /// Integer power (negative exponents invert; panics on `0^-n`).

@@ -93,6 +93,9 @@ proptest! {
     fn rat_div_inverts_mul(a in rat_strategy(), b in rat_strategy()) {
         prop_assume!(!b.is_zero());
         prop_assert_eq!((&a * &b) / &b, a);
+        // `recip` moves only the sign: it is the reduced inverse.
+        prop_assert_eq!(b.recip(), Rat::new(b.denom().clone(), b.numer().clone()));
+        prop_assert_eq!(b.recip().recip(), b);
     }
 
     #[test]

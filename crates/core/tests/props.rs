@@ -5,6 +5,7 @@ use cqa_core::budget::EvalBudget;
 use cqa_core::{decompose_1d, enumerate_finite, is_finite_set, Endpoint};
 use cqa_logic::{Atom, Formula, Rel};
 use cqa_poly::{MPoly, Var};
+use cqa_testkit::formula::bool_tree;
 use proptest::prelude::*;
 
 fn unlimited() -> EvalBudget {
@@ -20,13 +21,7 @@ fn onedim_formula() -> impl Strategy<Value = Formula> {
             rel,
         ))
     });
-    atom.prop_recursive(2, 8, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
-            inner.prop_map(Formula::negate),
-        ]
-    })
+    bool_tree(atom.boxed(), (2, 8, 3))
 }
 
 proptest! {

@@ -2,9 +2,8 @@
 //! as `LISTENING`. And the stack its request threads get: not the one the
 //! environment asks for.
 
-use cqa_engine::read_response;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use cqa_testkit::wire::Client;
+use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 
 /// Runs `cqa-serve <args>` from the repository root up to its first stdout
@@ -96,30 +95,16 @@ fn a_query_inside_the_nesting_cap_answers_whatever_rust_min_stack_says() {
         .read_line(&mut first)
         .unwrap();
     let addr = first.trim().strip_prefix("LISTENING ").expect(&first);
-    let mut conn = TcpStream::connect(addr).unwrap();
-    let mut replies = BufReader::new(conn.try_clone().unwrap());
-    let mut ask = |line: Option<&str>| {
-        if let Some(line) = line {
-            writeln!(conn, "{line}").unwrap();
-        }
-        read_response(&mut replies)
-            .unwrap()
-            .expect("a reply")
-            .header
-    };
-    assert_eq!(ask(None), "OK cqa-engine ready");
+    let mut c = Client::connect(addr);
     let depth = cqa_logic::MAX_NESTING - 1;
     let probe = format!("VOLUME {}x > 1/2{}", "(".repeat(depth), ")".repeat(depth));
-    let reply = ask(Some(&probe));
-    assert!(
-        reply.starts_with("OK VOLUME - status=exact value=1/2 "),
-        "{reply:?}"
-    );
-    let reply = ask(Some("VOLUME x > 1/2"));
-    assert!(
-        reply.starts_with("OK VOLUME - status=exact value=1/2 "),
-        "{reply:?}"
-    );
-    ask(Some("SHUTDOWN"));
+    for line in [probe.as_str(), "VOLUME x > 1/2"] {
+        let reply = c.send(line).header;
+        assert!(
+            reply.starts_with("OK VOLUME - status=exact value=1/2 "),
+            "{reply:?}"
+        );
+    }
+    c.shutdown();
     assert!(server.0.wait().unwrap().success());
 }

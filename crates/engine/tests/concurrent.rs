@@ -7,36 +7,10 @@
 //! happens, never *what* comes out.
 
 use cqa_engine::{Engine, EngineConfig};
+use cqa_testkit::wire::{answer_part, QUERIES};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
-
-/// Query pool: names, sources, and a mix of exact and (ε, δ)-degraded
-/// answers (the quartic strip is semi-algebraic, so it must go through the
-/// deterministic MC path).
-const QUERIES: &[(&str, &str)] = &[
-    ("half", "0 <= x & x <= 1/2"),
-    ("quarter", "0 <= x & x <= 1/4"),
-    ("wedge", "exists y. (0 <= x & x <= y & y <= 1/3)"),
-    ("band", "0 <= x & 0 <= y & x + y <= 1"),
-    ("disk", "x*x + y*y <= 1"),
-    ("bump", "y <= x*x & 0 <= y & 0 <= x & x <= 1"),
-];
-
-/// `status=…` and `value=…` (and ε/δ/samples when present) from a header;
-/// everything that defines the *answer*, excluding `cache=` which is
-/// legitimately timing-dependent.
-fn answer_part(header: &str) -> String {
-    header
-        .split_whitespace()
-        .filter(|tok| {
-            ["status=", "value=", "eps=", "delta=", "samples=", "reason="]
-                .iter()
-                .any(|p| tok.starts_with(p))
-        })
-        .collect::<Vec<_>>()
-        .join(" ")
-}
 
 fn run_queries(engine: &Engine, order: &[usize]) -> Vec<(String, String)> {
     let mut session = engine.open_session();

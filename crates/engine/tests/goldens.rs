@@ -12,17 +12,8 @@ use cqa_core::Database;
 use cqa_engine::{Engine, EngineConfig, EngineStats, MC_SEED};
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::{parse_formula_with, Batch, BATCH_LANES};
-
-/// FNV-1a over the little-endian bytes of each value's bits.
-fn fnv(values: impl IntoIterator<Item = f64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
-}
+use cqa_testkit::corpus::lens_formula;
+use cqa_testkit::wire::fnv64;
 
 /// The first 4 096 coordinates `Witness::new(MC_SEED)` puts into a batch
 /// of `dim` point columns after one parameter slot, read back twice: column
@@ -61,7 +52,8 @@ fn the_sample_stream_is_pinned() {
         0x3cda_80ad_34d1_7088,
         0xfbe7_9f28_8033_8b66,
     ];
-    let got: Vec<u64> = (1..=5).map(|dim| fnv(draws(dim).0)).collect();
+    let digest = |dim| fnv64(draws(dim).0.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+    let got: Vec<u64> = (1..=5).map(digest).collect();
     assert_eq!(got, want, "{got:#018x?}");
     // Draws are lane-major: every dimension reads the same stream.
     let stream = draws(1).1;
@@ -70,10 +62,11 @@ fn the_sample_stream_is_pinned() {
     }
 }
 
-#[test]
-fn warm_answers_with_non_dyadic_constants_are_pinned() {
+/// The warm region shapes, named: a disk, an annulus, a boxed disk, a half
+/// ball and a wider disk, whose bounds are not dyadic.
+fn warm_regions() -> [(&'static str, String); 5] {
     let dist2 = "(x - 7/16)*(x - 7/16) + (y - 9/16)*(y - 9/16)";
-    let regions = [
+    [
         ("disk", format!("{dist2} <= 1/36")),
         ("annulus", format!("{dist2} <= 1/49 & {dist2} >= 1/196")),
         (
@@ -85,7 +78,12 @@ fn warm_answers_with_non_dyadic_constants_are_pinned() {
             format!("{dist2} + (z - 8/16)*(z - 8/16) <= 1/36 & z <= 8/16"),
         ),
         ("fifth", format!("{dist2} <= 1/25")),
-    ];
+    ]
+}
+
+#[test]
+fn warm_answers_with_non_dyadic_constants_are_pinned() {
+    let regions = warm_regions();
     // (header, [fast, exact, box-skipped] lanes of that EXEC)
     let want: [(&str, [u64; 3]); 5] = [
         (
@@ -147,20 +145,7 @@ fn warm_answers_with_non_dyadic_constants_are_pinned() {
 /// thread and on two.
 #[test]
 fn the_library_estimator_answers_what_the_wire_does() {
-    let dist2 = "(x - 7/16)*(x - 7/16) + (y - 9/16)*(y - 9/16)";
-    let regions = [
-        ("disk", format!("{dist2} <= 1/36")),
-        ("annulus", format!("{dist2} <= 1/49 & {dist2} >= 1/196")),
-        (
-            "boxed",
-            format!("{dist2} <= 1/100 & 5/16 <= x & x <= 9/16 & 7/16 <= y & y <= 11/16"),
-        ),
-        (
-            "half",
-            format!("{dist2} + (z - 8/16)*(z - 8/16) <= 1/36 & z <= 8/16"),
-        ),
-        ("fifth", format!("{dist2} <= 1/25")),
-    ];
+    let regions = warm_regions();
     let (eps, delta) = (0.01, 0.01);
     let samples = Engine::sample_count(eps, delta).unwrap();
     let e = Engine::new(EngineConfig::default());
@@ -250,12 +235,8 @@ fn lens_replies_of_the_cold_poly_workload_are_pinned() {
                    rel P00(x0, y0) := 9/67 <= x0 & x0 <= 40/67 & 20/67 <= y0 & y0 <= 50/67\n\
                    sum T0(w) := true | END[y. U00(y)] ; xout . xout = w\n";
     let lens = |j: u64| {
-        let (r, c) = (5 + j % 4, 2 + j / 4);
         let (v, w) = (format!("p{}0", 18 + j), format!("q{}0", 18 + j));
-        format!(
-            "exists {v}. exists {w}. (x0*x0 + {v}*{v} + {w}*{w} <= {r}/8 \
-             & {v} >= x0*x0 - {c}/8 & {w} <= {v})"
-        )
+        lens_formula(j, ["x0", &v, &w])
     };
     let want = [
         (

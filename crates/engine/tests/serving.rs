@@ -7,68 +7,13 @@
 //! answered in a few socket writes, and a ready reply that does not wait
 //! behind a slow frame.
 
-use cqa_engine::{parse_command, read_response, Command, Engine, EngineConfig, Response};
+use cqa_engine::{parse_command, read_response, Command, Engine, EngineConfig};
+use cqa_testkit::wire::{dispatch, strip, tmpdir, Client, QUERIES};
 use proptest::prelude::*;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Query pool shared by the pipelining and sharding tests: exact answers
-/// and (ε, δ)-degraded Monte Carlo ones (the MC path is seeded, so even
-/// degraded answers are bit-identical across runs).
-const QUERIES: &[(&str, &str)] = &[
-    ("half", "0 <= x & x <= 1/2"),
-    ("quarter", "0 <= x & x <= 1/4"),
-    ("wedge", "exists y. (0 <= x & x <= y & y <= 1/3)"),
-    ("band", "0 <= x & 0 <= y & x + y <= 1"),
-    ("disk", "x*x + y*y <= 1"),
-    ("bump", "y <= x*x & 0 <= y & 0 <= x & x <= 1"),
-];
-
-/// Answer tokens with the timing-dependent parts (step counter, cache
-/// hit/miss tag) stripped, for bit-identity comparison.
-fn strip(header: &str) -> String {
-    header
-        .split_whitespace()
-        .filter(|t| !t.starts_with("steps=") && !t.starts_with("cache="))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-struct Client {
-    r: BufReader<TcpStream>,
-    w: BufWriter<TcpStream>,
-}
-
-impl Client {
-    /// Connects and consumes the greeting, which must be `OK`.
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut c = Client {
-            r: BufReader::new(stream.try_clone().unwrap()),
-            w: BufWriter::new(stream),
-        };
-        let greeting = c.read();
-        assert!(greeting.is_ok(), "{greeting:?}");
-        c
-    }
-
-    fn read(&mut self) -> Response {
-        read_response(&mut self.r).unwrap().expect("response")
-    }
-
-    fn send(&mut self, line: &str) -> Response {
-        writeln!(self.w, "{line}").unwrap();
-        self.w.flush().unwrap();
-        self.read()
-    }
-
-    fn shutdown(mut self) {
-        let resp = self.send("SHUTDOWN");
-        assert!(resp.is_ok(), "{resp:?}");
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -215,15 +160,20 @@ fn stats_line(c: &mut Client, prefix: &str) -> String {
         .unwrap_or_else(|| panic!("STATS has no `{prefix}` line"))
 }
 
-/// `streams=`, `sampled_lanes=` and `shared=` of the `mc` line.
-fn mc_counters(c: &mut Client) -> [u64; 3] {
-    let line = stats_line(c, "mc ");
-    ["streams=", "sampled_lanes=", "shared="].map(|k| {
+/// The counters `keys` of the `STATS` line that starts with `prefix`.
+fn counters<const N: usize>(c: &mut Client, prefix: &str, keys: [&str; N]) -> [u64; N] {
+    let line = stats_line(c, prefix);
+    keys.map(|k| {
         line.split_whitespace()
             .find_map(|t| t.strip_prefix(k))
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| panic!("no {k} in `{line}`"))
     })
+}
+
+/// `streams=`, `sampled_lanes=` and `shared=` of the `mc` line.
+fn mc_counters(c: &mut Client) -> [u64; 3] {
+    counters(c, "mc ", ["streams=", "sampled_lanes=", "shared="])
 }
 
 /// A `BATCH` shares one sample stream among the kernels of each dimension
@@ -450,13 +400,7 @@ fn setup_program() -> Vec<String> {
 
 /// `replies=` and `writes=` of the `net` line.
 fn net_counters(c: &mut Client) -> [u64; 2] {
-    let line = stats_line(c, "net ");
-    ["replies=", "writes="].map(|k| {
-        line.split_whitespace()
-            .find_map(|t| t.strip_prefix(k))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("no {k} in `{line}`"))
-    })
+    counters(c, "net ", ["replies=", "writes="])
 }
 
 /// `cqa-e2e`'s set-up pass: 140 one-statement `LOAD` frames in one client
@@ -689,7 +633,7 @@ fn oversized_terms_answer_err_parse_promptly() {
             "VOLUME 2^60000 * x > 1",
         ] {
             let t = Instant::now();
-            let r = e.dispatch(&mut s, parse_command(line).expect(line));
+            let r = dispatch(&e, &mut s, line);
             tx.send((line, r, t.elapsed())).unwrap();
         }
     });
@@ -707,8 +651,7 @@ fn oversized_terms_answer_err_parse_promptly() {
 /// with bit-identical answers served as hits.
 #[test]
 fn warm_file_written_by_eight_shards_boots_one_shard_bit_identically() {
-    let dir = std::env::temp_dir().join(format!("cqa-serving-warm-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = tmpdir("serving-warm");
     let mk = |shards: usize| {
         Engine::with_storage(EngineConfig {
             cache_shards: shards,
@@ -716,9 +659,6 @@ fn warm_file_written_by_eight_shards_boots_one_shard_bit_identically() {
             ..EngineConfig::default()
         })
         .expect("storage opens")
-    };
-    let dispatch = |e: &Engine, s: &mut cqa_engine::Session, line: &str| {
-        e.dispatch(s, parse_command(line).expect(line))
     };
     let cold = {
         let e = mk(8);

@@ -1,15 +1,9 @@
 //! End-to-end durability: kill-and-replay recovery, warm-start answers,
 //! the `PERSIST` wire surface, and random-crash-point WAL recovery.
 
-use cqa_engine::{Engine, EngineConfig, Response, Storage, StorageError};
+use cqa_engine::{Engine, EngineConfig, Storage, StorageError};
+use cqa_testkit::wire::{dispatch, strip, tmpdir};
 use proptest::prelude::*;
-use std::path::PathBuf;
-
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cqa-storage-it-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn durable_engine(dir: &std::path::Path) -> Engine {
     Engine::with_storage(EngineConfig {
@@ -19,22 +13,7 @@ fn durable_engine(dir: &std::path::Path) -> Engine {
     .expect("storage opens")
 }
 
-fn dispatch(e: &Engine, s: &mut cqa_engine::Session, line: &str) -> Response {
-    let cmd = cqa_engine::parse_command(line).expect(line);
-    e.dispatch(s, cmd)
-}
-
 const PROGRAM: &str = "rel S(y) := (0 <= y & y <= 1/2) | (3/4 <= y & y <= 2)";
-
-/// Answer tokens with the non-reproducible parts (steps counter, cache
-/// tag) stripped, for bit-identity comparison across processes.
-fn strip(header: &str) -> String {
-    header
-        .split_whitespace()
-        .filter(|t| !t.starts_with("steps=") && !t.starts_with("cache="))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
 
 #[test]
 fn kill_and_replay_returns_bit_identical_answers_from_a_warm_cache() {

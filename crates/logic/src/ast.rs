@@ -262,20 +262,10 @@ impl Formula {
     fn collect_free(&self, bound: &mut Vec<Var>, out: &mut BTreeSet<Var>) {
         match self {
             Formula::True | Formula::False => {}
-            Formula::Atom(a) => {
-                for v in a.poly.vars() {
-                    if !bound.contains(&v) {
-                        out.insert(v);
-                    }
-                }
-            }
+            Formula::Atom(a) => out.extend(a.poly.var_occurrences().filter(|v| !bound.contains(v))),
             Formula::Rel { args, .. } => {
                 for t in args {
-                    for v in t.vars() {
-                        if !bound.contains(&v) {
-                            out.insert(v);
-                        }
-                    }
+                    out.extend(t.var_occurrences().filter(|v| !bound.contains(v)));
                 }
             }
             Formula::Not(f) => f.collect_free(bound, out),
@@ -302,10 +292,10 @@ impl Formula {
     pub fn all_vars(&self) -> BTreeSet<Var> {
         let mut out = BTreeSet::new();
         self.visit(&mut |f| match f {
-            Formula::Atom(a) => out.extend(a.poly.vars()),
+            Formula::Atom(a) => out.extend(a.poly.var_occurrences()),
             Formula::Rel { args, .. } => {
                 for t in args {
-                    out.extend(t.vars());
+                    out.extend(t.var_occurrences());
                 }
             }
             Formula::Exists(vs, _) | Formula::Forall(vs, _) => out.extend(vs.iter().copied()),

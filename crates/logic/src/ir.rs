@@ -244,10 +244,7 @@ impl Arena {
         let meta = TermMeta {
             hash: h.finish128(),
             vars: {
-                let mut vars: Vec<Var> = p
-                    .terms()
-                    .flat_map(|(m, _)| m.iter().map(|&(v, _)| v))
-                    .collect();
+                let mut vars: Vec<Var> = p.var_occurrences().collect();
                 vars.sort_unstable();
                 vars.dedup();
                 vars

@@ -14,117 +14,21 @@
 
 use cqa_arith::{rat, Rat};
 use cqa_logic::{Atom, Batch, BatchScratch, CompiledMatrix, Formula, Rel, SlotMap};
-use cqa_poly::{MPoly, Var};
+use cqa_poly::MPoly;
+use cqa_testkit::kernel::{
+    dyadic, dyadic_point, extreme_coeff, extreme_point, int_coeff, linear_poly, poly, VARS,
+};
+use cqa_testkit::wire::fnv64;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::TestRng;
 
-const VARS: [Var; 3] = [Var(0), Var(1), Var(2)];
-
-fn rel_of(i: u8) -> Rel {
-    match i % 6 {
-        0 => Rel::Eq,
-        1 => Rel::Neq,
-        2 => Rel::Lt,
-        3 => Rel::Le,
-        4 => Rel::Gt,
-        _ => Rel::Ge,
-    }
-}
-
-/// A polynomial from `(coefficient, exponents-per-variable)` terms.
-fn poly_from(terms: &[(Rat, [u8; 3])]) -> MPoly {
-    let mut p = MPoly::zero();
-    for (c, es) in terms {
-        let mut t = MPoly::constant(c.clone());
-        for (v, &e) in VARS.iter().zip(es) {
-            if e > 0 {
-                t = &t * &MPoly::var(*v).pow(e as u32);
-            }
-        }
-        p = &p + &t;
-    }
-    p
-}
-
-/// A coefficient of one of four kinds, equally likely: `m/d` with
-/// `d ∈ {3, 5, 7, 25, 49}` (inexact in `f64`), `m·3⁻⁷⁰⁰` (its `f64` image
-/// is `0.0`), `m·3⁷⁰⁰` (past `f64::MAX`, so its error bound is `∞`), or an
-/// integer `m`.
-fn extreme_coeff() -> impl Strategy<Value = Rat> {
-    (-255i64..=255, 0usize..5, 0u8..4).prop_map(|(m, d, kind)| match kind {
-        0 => rat(m, [3, 5, 7, 25, 49][d]),
-        1 => &rat(m, 1) * &rat(3, 1).pow(-700),
-        2 => &rat(m, 1) * &rat(3, 1).pow(700),
-        _ => rat(m, 1),
-    })
-}
-
-/// An integer coefficient `m`, `|m| ≤ 255`.
-fn int_coeff() -> impl Strategy<Value = Rat> {
-    (-255i64..=255).prop_map(|m| rat(m, 1))
-}
-
-/// The affine polynomial `c₀ + c₁x + c₂y + c₃z` of four coefficients.
-fn affine(cs: Vec<Rat>) -> MPoly {
-    let units = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]];
-    poly_from(&cs.into_iter().zip(units).collect::<Vec<_>>())
-}
-
-/// A random polynomial with `coeff` coefficients: up to 4 terms,
-/// per-variable degree ≤ 2 (total degree ≤ 6).
-fn poly_with(coeff: impl Strategy<Value = Rat>) -> impl Strategy<Value = MPoly> {
-    vec((coeff, (0u8..=2, 0u8..=2, 0u8..=2)), 1..=4).prop_map(|ts| {
-        poly_from(
-            &ts.into_iter()
-                .map(|(c, (a, b, d))| (c, [a, b, d]))
-                .collect::<Vec<_>>(),
-        )
-    })
-}
-
-/// A random affine polynomial with [`extreme_coeff`] coefficients.
-fn extreme_linear_poly() -> impl Strategy<Value = MPoly> {
-    vec(extreme_coeff(), 4..=4).prop_map(affine)
-}
-
-/// A random polynomial with [`extreme_coeff`] coefficients.
-fn extreme_poly() -> impl Strategy<Value = MPoly> {
-    poly_with(extreme_coeff())
-}
-
-/// A random point whose coordinates are, equally likely, `±2¹⁰⁰⁰`,
-/// `±2⁻¹⁰⁰⁰`, zero, or a small dyadic as in [`dyadic_point`]. Every one
-/// converts to `f64` exactly, so the columns stay exact and the uniform
-/// bound is the regime under test.
-fn extreme_point() -> impl Strategy<Value = Vec<Rat>> {
-    let coord = (-255i64..=255, 0u32..=4, 0u8..4).prop_map(|(m, s, kind)| {
-        let sign = rat(if m < 0 { -1 } else { 1 }, 1);
-        match kind {
-            0 => &sign * &rat(2, 1).pow(1000),
-            1 => &sign * &rat(2, 1).pow(-1000),
-            2 => rat(0, 1),
-            _ => rat(m, 1i64 << s),
-        }
-    });
-    vec(coord, 3..=3)
-}
-
-/// A random affine polynomial with integer coefficients — exercises the
-/// degree-1 atoms of the batch sweep.
-fn linear_poly() -> impl Strategy<Value = MPoly> {
-    vec(int_coeff(), 4..=4).prop_map(affine)
-}
-
-/// A random polynomial with integer coefficients.
-fn poly() -> impl Strategy<Value = MPoly> {
-    poly_with(int_coeff())
-}
+const RELS: [Rel; 6] = [Rel::Eq, Rel::Neq, Rel::Lt, Rel::Le, Rel::Gt, Rel::Ge];
 
 /// A random quantifier-free, relation-free formula over `VARS`.
 fn formula(atom_poly: BoxedStrategy<MPoly>) -> BoxedStrategy<Formula> {
     let atom = (atom_poly, 0u8..6)
-        .prop_map(|(p, r)| Formula::Atom(Atom::new(p, rel_of(r))))
+        .prop_map(|(p, r)| Formula::Atom(Atom::new(p, RELS[usize::from(r)])))
         .boxed();
     let leaf = prop_oneof![atom, Just(Formula::True), Just(Formula::False)];
     leaf.prop_recursive(3, 16, 3, |inner| {
@@ -134,14 +38,6 @@ fn formula(atom_poly: BoxedStrategy<MPoly>) -> BoxedStrategy<Formula> {
             vec(inner, 1..=3).prop_map(Formula::Or),
         ]
     })
-}
-
-/// A random dyadic point: each coordinate `m / 2ˢ`, `|m| ≤ 255`, `s ≤ 4`.
-/// Dyadics of this size convert to `f64` exactly, so the batch columns
-/// carry zero conversion error and any disagreement is a kernel bug.
-fn dyadic_point() -> impl Strategy<Value = Vec<Rat>> {
-    vec((-255i64..=255, 0u32..=4), 3..=3)
-        .prop_map(|cs| cs.into_iter().map(|(m, s)| rat(m, 1i64 << s)).collect())
 }
 
 /// Loads `points` (one per lane) into a fresh 3-slot batch.
@@ -219,7 +115,7 @@ proptest! {
 
     #[test]
     fn linear_formulas_agree_with_interpreter(
-        f in formula(linear_poly().boxed()),
+        f in formula(linear_poly(int_coeff())),
         points in vec(dyadic_point(), 1..=12),
         chunk in 1usize..=5,
     ) {
@@ -228,7 +124,7 @@ proptest! {
 
     #[test]
     fn polynomial_formulas_agree_with_interpreter(
-        f in formula(poly().boxed()),
+        f in formula(poly(int_coeff())),
         points in vec(dyadic_point(), 1..=12),
         chunk in 1usize..=5,
     ) {
@@ -242,7 +138,7 @@ proptest! {
     /// lane must still agree with the interpreter, for every relation.
     #[test]
     fn boundary_points_agree_via_exact_fallback(
-        p in poly(),
+        p in poly(int_coeff()),
         points in vec(dyadic_point(), 1..=8),
         pick in 0usize..64,
         r in 0u8..6,
@@ -250,12 +146,12 @@ proptest! {
     ) {
         let slots = SlotMap::from_vars(&VARS);
         let pt = &points[pick % points.len()];
-        let atom = Atom::new(zero_at(&p, pt), rel_of(r));
+        let atom = Atom::new(zero_at(&p, pt), RELS[usize::from(r)]);
         let folded = atom.as_const().is_some();
         let f = Formula::Atom(atom);
         // The shifted polynomial is zero at `pt`, so only the relations
         // satisfied by sign 0 hold there.
-        let expect = rel_of(r).sign_satisfies(0);
+        let expect = RELS[usize::from(r)].sign_satisfies(0);
         prop_assert_eq!(f.eval(&slots.assignment(pt), &[]), Some(expect));
         let exact_lanes = check_parity(&f, &points, chunk)?;
         // The zero-valued lane is uncertifiable unless the whole shifted
@@ -274,7 +170,7 @@ proptest! {
     /// still match the interpreter lane for lane.
     #[test]
     fn inexact_columns_take_guarded_sweep_and_agree(
-        f in formula(linear_poly().boxed()),
+        f in formula(linear_poly(int_coeff())),
         points in vec(dyadic_point(), 1..=8),
         num in -20i64..=20,
     ) {
@@ -305,7 +201,7 @@ proptest! {
     /// coefficients under the uniform bound.
     #[test]
     fn extreme_linear_coefficients_agree_with_interpreter(
-        f in formula(extreme_linear_poly().boxed()),
+        f in formula(linear_poly(extreme_coeff())),
         points in vec(extreme_point(), 1..=12),
         chunk in 1usize..=5,
     ) {
@@ -314,7 +210,7 @@ proptest! {
 
     #[test]
     fn extreme_polynomial_coefficients_agree_with_interpreter(
-        f in formula(extreme_poly().boxed()),
+        f in formula(poly(extreme_coeff())),
         points in vec(extreme_point(), 1..=12),
         chunk in 1usize..=5,
     ) {
@@ -332,13 +228,13 @@ proptest! {
     /// constant as often as not), and every lane must still agree.
     #[test]
     fn extreme_boundary_points_agree_via_exact_fallback(
-        p in extreme_poly(),
+        p in poly(extreme_coeff()),
         points in vec(extreme_point(), 1..=8),
         pick in 0usize..64,
         r in 0u8..6,
         chunk in 1usize..=5,
     ) {
-        let atom = Atom::new(zero_at(&p, &points[pick % points.len()]), rel_of(r));
+        let atom = Atom::new(zero_at(&p, &points[pick % points.len()]), RELS[usize::from(r)]);
         check_parity(&Formula::Atom(atom), &points, chunk)?;
     }
 
@@ -348,7 +244,7 @@ proptest! {
     /// bounds must survive products that underflow.
     #[test]
     fn extreme_inexact_columns_take_guarded_sweep_and_agree(
-        f in formula(extreme_poly().boxed()),
+        f in formula(poly(extreme_coeff())),
         points in vec(extreme_point(), 1..=8),
         num in -20i64..=20,
         scale in -1i32..=1,
@@ -362,21 +258,6 @@ proptest! {
             })
             .collect();
         check_parity(&f, &points, points.len())?;
-    }
-}
-
-/// A dyadic coordinate from `rng`, a SplitMix64 stream: a unit draw
-/// `m / 2⁵³` (the Monte Carlo case) or, in a `wild` batch, as often as
-/// not zero, a negative draw or `±2^±600` (whose squares overflow to `∞`
-/// or underflow to `0`).
-fn dyadic(rng: &mut TestRng, wild: bool) -> Rat {
-    let unit = &rat((rng.next_u64() >> 11) as i64, 1) * &rat(2, 1).pow(-53);
-    let sign = rat(1 - 2 * (rng.below(2) as i64), 1);
-    match if wild { rng.below(8) } else { 7 } {
-        0 => rat(0, 1),
-        k @ 1..=2 => &sign * &rat(2, 1).pow(if k == 1 { 600 } else { -600 }),
-        3 => -unit,
-        _ => unit,
     }
 }
 
@@ -413,14 +294,9 @@ fn certified_lane_sets_are_pinned() {
         .map(|src| cqa_logic::parse_formula_with(&src, &mut names).expect("shape parses"))
         .collect();
     assert_eq!(["x", "y", "z"].map(|n| names.get(n)), VARS.map(Some));
-    let polys = formula(poly().boxed());
+    let polys = formula(poly(int_coeff()));
     corpus.extend((0..24).map(|_| polys.generate(&mut rng)));
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut fnv = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    };
+    let mut bytes = Vec::new();
     let mut scratch = BatchScratch::new();
     for (i, f) in corpus.iter().enumerate() {
         let kernel = CompiledMatrix::compile(f, &SlotMap::from_vars(&VARS)).expect("compiles");
@@ -436,12 +312,13 @@ fn certified_lane_sets_are_pinned() {
             };
             let r = kernel.eval_batch(&load_batch(&points), &exact_at, &mut scratch);
             for (lane, was_called) in called.iter().enumerate() {
-                fnv(&[u8::from(r.mask.get(lane)) | u8::from(was_called.get()) << 1]);
+                bytes.push(u8::from(r.mask.get(lane)) | u8::from(was_called.get()) << 1);
             }
             for n in [r.fast_lanes, r.exact_lanes] {
-                fnv(&(n as u64).to_le_bytes());
+                bytes.extend((n as u64).to_le_bytes());
             }
         }
     }
+    let h = fnv64(bytes);
     assert_eq!(h, 0x23e9_e6a4_5620_2a27, "{h:#018x}");
 }

@@ -1,62 +1,31 @@
 //! Property tests: normal forms preserve semantics; the printer round-trips.
 
-use cqa_arith::{rat, Rat};
-use cqa_logic::{
-    display_formula, dnf, from_dnf, nnf, parse_formula_with, prenex, Atom, Formula, Rel, VarMap,
-};
-use cqa_poly::{MPoly, Var};
+use cqa_logic::{display_formula, dnf, from_dnf, nnf, parse_formula_with, prenex, Formula, VarMap};
+use cqa_poly::Var;
+use cqa_testkit::formula::{agree_on_grid, qf_affine};
 use proptest::prelude::*;
-
-fn qf_formula() -> impl Strategy<Value = Formula> {
-    let atom =
-        (prop::collection::vec(-3i64..=3, 2), -4i64..=4, 0usize..6).prop_map(|(coeffs, c, r)| {
-            let rel = [Rel::Lt, Rel::Le, Rel::Gt, Rel::Ge, Rel::Eq, Rel::Neq][r];
-            let mut p = MPoly::constant(Rat::from(c));
-            for (i, &a) in coeffs.iter().enumerate() {
-                p = p + MPoly::var(Var(i as u32)).scale(&Rat::from(a));
-            }
-            Formula::Atom(Atom::new(p, rel))
-        });
-    atom.prop_recursive(2, 8, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
-            inner.prop_map(Formula::negate),
-        ]
-    })
-}
-
-fn agree(a: &Formula, b: &Formula) -> Result<(), TestCaseError> {
-    for x in -3..=3i64 {
-        for y in -3..=3i64 {
-            let asg = |v: Var| if v == Var(0) { rat(x, 2) } else { rat(y, 2) };
-            prop_assert_eq!(a.eval(&asg, &[]), b.eval(&asg, &[]), "at ({}, {})", x, y);
-        }
-    }
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn nnf_preserves_semantics(f in qf_formula()) {
-        agree(&f, &nnf(&f))?;
+    fn nnf_preserves_semantics(f in qf_affine(2, false)) {
+        agree_on_grid(&f, &nnf(&f), 2, 3)?;
     }
 
     #[test]
-    fn dnf_preserves_semantics(f in qf_formula()) {
+    fn dnf_preserves_semantics(f in qf_affine(2, false)) {
         let clauses = dnf(&f);
-        agree(&f, &from_dnf(&clauses))?;
+        agree_on_grid(&f, &from_dnf(&clauses), 2, 3)?;
     }
 
     #[test]
-    fn double_negation_is_identity_semantically(f in qf_formula()) {
-        agree(&f, &f.clone().negate().negate())?;
+    fn double_negation_is_identity_semantically(f in qf_affine(2, false)) {
+        agree_on_grid(&f, &f.clone().negate().negate(), 2, 3)?;
     }
 
     #[test]
-    fn printer_round_trips(f in qf_formula()) {
+    fn printer_round_trips(f in qf_affine(2, false)) {
         let vars = VarMap::new();
         let printed = display_formula(&f, &vars);
         let mut vars2 = VarMap::new();
@@ -64,11 +33,11 @@ proptest! {
         vars2.intern("x0");
         vars2.intern("x1");
         let reparsed = parse_formula_with(&printed, &mut vars2).unwrap();
-        agree(&f, &reparsed)?;
+        agree_on_grid(&f, &reparsed, 2, 3)?;
     }
 
     #[test]
-    fn prenex_matrix_is_quantifier_free(f in qf_formula()) {
+    fn prenex_matrix_is_quantifier_free(f in qf_affine(2, false)) {
         let q = Formula::exists(vec![Var(1)], f.clone());
         let (blocks, matrix) = prenex(&q);
         prop_assert!(matrix.is_quantifier_free());

@@ -147,12 +147,17 @@ impl MPoly {
         self.terms.len()
     }
 
-    /// The set of variables occurring with non-zero exponent.
-    pub fn vars(&self) -> BTreeSet<Var> {
+    /// Every variable occurrence, monomial by monomial: a variable repeats
+    /// once per monomial that mentions it. Allocates nothing.
+    pub fn var_occurrences(&self) -> impl Iterator<Item = Var> + '_ {
         self.terms
             .iter()
             .flat_map(|(m, _)| m.iter().map(|&(v, _)| v))
-            .collect()
+    }
+
+    /// The set of variables occurring with non-zero exponent.
+    pub fn vars(&self) -> BTreeSet<Var> {
+        self.var_occurrences().collect()
     }
 
     /// Degree in variable `v` (0 for polynomials not mentioning `v`,

@@ -353,11 +353,8 @@ pub fn sample_between(v: Var, atoms: &[Atom], assign: &dyn Fn(Var) -> Rat) -> Op
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{agree, f};
     use cqa_logic::parse_formula;
-
-    fn f(src: &str) -> Formula {
-        parse_formula(src).unwrap().0
-    }
 
     /// Runs FM on `query` and checks semantic equivalence with `expected`,
     /// parsing both with a shared variable map.
@@ -366,41 +363,7 @@ mod tests {
         let q = cqa_logic::parse_formula_with(query, &mut vars).unwrap();
         let e = cqa_logic::parse_formula_with(expected, &mut vars).unwrap();
         let g = fourier_motzkin(&q, &EvalBudget::unlimited()).unwrap();
-        agree(&g, &e);
-    }
-
-    /// Semantic equivalence on a sample grid (both formulas quantifier-free,
-    /// same variables).
-    fn agree(a: &Formula, b: &Formula) {
-        let vars: Vec<Var> = a.free_vars().union(&b.free_vars()).copied().collect();
-        let samples: Vec<Rat> = (-6..=6).map(|n| Rat::new(n.into(), 2i64.into())).collect();
-        let mut idx = vec![0usize; vars.len()];
-        loop {
-            let vals: Vec<Rat> = idx.iter().map(|&i| samples[i].clone()).collect();
-            let asg = |v: Var| {
-                vars.iter()
-                    .position(|&w| w == v)
-                    .map(|i| vals[i].clone())
-                    .unwrap_or_else(Rat::zero)
-            };
-            assert_eq!(
-                a.eval(&asg, &[]),
-                b.eval(&asg, &[]),
-                "disagree at {vals:?}\n a={a:?}\n b={b:?}"
-            );
-            let mut k = 0;
-            loop {
-                if k == idx.len() {
-                    return;
-                }
-                idx[k] += 1;
-                if idx[k] < samples.len() {
-                    break;
-                }
-                idx[k] = 0;
-                k += 1;
-            }
-        }
+        agree(&g, &e, 6);
     }
 
     #[test]

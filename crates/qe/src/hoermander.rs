@@ -904,13 +904,9 @@ pub fn hoermander(f: &Formula, budget: &EvalBudget) -> Result<Formula, QeError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::f;
     use cqa_arith::rat;
-    use cqa_logic::parse_formula;
     use proptest::prelude::*;
-
-    fn f(src: &str) -> Formula {
-        parse_formula(src).unwrap().0
-    }
 
     fn decide(src: &str) -> bool {
         match hoermander(&f(src), &EvalBudget::unlimited()).unwrap() {

@@ -173,14 +173,46 @@ pub fn equivalent(f: &Formula, g: &Formula, budget: &EvalBudget) -> Result<bool,
     is_valid(&iff, budget)
 }
 
+/// What the in-crate tests share. They cannot use `cqa-testkit`: it links
+/// a second copy of this crate.
+#[cfg(test)]
+mod testutil {
+    use cqa_arith::{rat, Rat};
+    use cqa_logic::Formula;
+    use cqa_poly::Var;
+
+    /// `src` parsed with a fresh variable map.
+    pub(crate) fn f(src: &str) -> Formula {
+        cqa_logic::parse_formula(src).unwrap().0
+    }
+
+    /// `a` and `b` evaluate alike at every point of the grid `{-h/2, …,
+    /// h/2}` over their free variables.
+    pub(crate) fn agree(a: &Formula, b: &Formula, h: i64) {
+        let vars: Vec<Var> = a.free_vars().union(&b.free_vars()).copied().collect();
+        let samples: Vec<Rat> = (-h..=h).map(|n| rat(n, 2)).collect();
+        let mut idx = vec![0usize; vars.len()];
+        loop {
+            let vals: Vec<Rat> = idx.iter().map(|&i| samples[i].clone()).collect();
+            let asg = |v: Var| {
+                let i = vars.iter().position(|&w| w == v);
+                i.map_or_else(Rat::zero, |i| vals[i].clone())
+            };
+            let (x, y) = (a.eval(&asg, &[]), b.eval(&asg, &[]));
+            assert_eq!(x, y, "disagree at {vals:?}\n a={a:?}\n b={b:?}");
+            let Some(k) = idx.iter().position(|&i| i + 1 < samples.len()) else {
+                return;
+            };
+            idx[k] += 1;
+            idx[..k].fill(0);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqa_logic::parse_formula;
-
-    fn f(src: &str) -> Formula {
-        parse_formula(src).unwrap().0
-    }
+    use crate::testutil::f;
 
     fn decide(src: &str) -> bool {
         decide_sentence(&f(src), &EvalBudget::unlimited()).unwrap()

@@ -216,12 +216,7 @@ fn transform_atoms(
 mod tests {
     use super::*;
     use crate::fourier_motzkin;
-    use cqa_arith::Rat;
-    use cqa_logic::parse_formula;
-
-    fn f(src: &str) -> Formula {
-        parse_formula(src).unwrap().0
-    }
+    use crate::testutil::{agree, f};
 
     /// Runs LW on `query` and checks semantic equivalence with `expected`,
     /// parsing both with a shared variable map.
@@ -230,35 +225,7 @@ mod tests {
         let q = cqa_logic::parse_formula_with(query, &mut vars).unwrap();
         let e = cqa_logic::parse_formula_with(expected, &mut vars).unwrap();
         let g = loos_weispfenning(&q, &EvalBudget::unlimited()).unwrap();
-        agree(&g, &e);
-    }
-
-    fn agree(a: &Formula, b: &Formula) {
-        let vars: Vec<Var> = a.free_vars().union(&b.free_vars()).copied().collect();
-        let samples: Vec<Rat> = (-6..=6).map(|n| Rat::new(n.into(), 2i64.into())).collect();
-        let mut idx = vec![0usize; vars.len()];
-        loop {
-            let vals: Vec<Rat> = idx.iter().map(|&i| samples[i].clone()).collect();
-            let asg = |v: Var| {
-                vars.iter()
-                    .position(|&w| w == v)
-                    .map(|i| vals[i].clone())
-                    .unwrap_or_else(Rat::zero)
-            };
-            assert_eq!(a.eval(&asg, &[]), b.eval(&asg, &[]), "disagree at {vals:?}");
-            let mut k = 0;
-            loop {
-                if k == idx.len() {
-                    return;
-                }
-                idx[k] += 1;
-                if idx[k] < samples.len() {
-                    break;
-                }
-                idx[k] = 0;
-                k += 1;
-            }
-        }
+        agree(&g, &e, 6);
     }
 
     #[test]
@@ -311,7 +278,7 @@ mod tests {
             let q = f(src);
             let lw = loos_weispfenning(&q, &EvalBudget::unlimited()).unwrap();
             let fm = fourier_motzkin(&q, &EvalBudget::unlimited()).unwrap();
-            agree(&lw, &fm);
+            agree(&lw, &fm, 6);
         }
     }
 

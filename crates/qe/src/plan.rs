@@ -460,7 +460,7 @@ fn eliminate_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqa_arith::Rat;
+    use crate::testutil::agree;
     use cqa_logic::parse_formula_with;
     use std::collections::HashMap;
     use std::sync::Mutex;
@@ -495,39 +495,6 @@ mod tests {
         let f = parse_formula_with(src, vars).unwrap();
         let p = plan(&f, &PlanInputs::measure(&f));
         eliminate_with_plan(&f, &p, &EvalBudget::unlimited(), &mut Arena::new(), store).unwrap()
-    }
-
-    /// Grid agreement of two quantifier-free formulas.
-    fn agree(a: &Formula, b: &Formula) {
-        let vars: Vec<Var> = a.free_vars().union(&b.free_vars()).copied().collect();
-        let samples: Vec<Rat> = (-4..=4).map(|n| Rat::new(n.into(), 2i64.into())).collect();
-        let mut idx = vec![0usize; vars.len()];
-        loop {
-            let vals: Vec<Rat> = idx.iter().map(|&i| samples[i].clone()).collect();
-            let asg = |v: Var| {
-                vars.iter()
-                    .position(|&w| w == v)
-                    .map(|i| vals[i].clone())
-                    .unwrap_or_else(Rat::zero)
-            };
-            assert_eq!(
-                a.eval(&asg, &[]),
-                b.eval(&asg, &[]),
-                "disagree at {vals:?}\n a={a:?}\n b={b:?}"
-            );
-            let mut k = 0;
-            loop {
-                if k == idx.len() {
-                    return;
-                }
-                idx[k] += 1;
-                if idx[k] < samples.len() {
-                    break;
-                }
-                idx[k] = 0;
-                k += 1;
-            }
-        }
     }
 
     #[test]
@@ -610,7 +577,7 @@ mod tests {
             let f = parse_formula_with(src, &mut vm).unwrap();
             let fixed = crate::eliminate(&f, &EvalBudget::unlimited()).unwrap();
             let got = planned(src, &mut cqa_logic::VarMap::new(), &NoSharing);
-            agree(&got, &fixed);
+            agree(&got, &fixed, 4);
         }
     }
 
@@ -633,8 +600,8 @@ mod tests {
         let f1 = parse_formula_with(&q1, &mut vm).unwrap();
         let f2 = parse_formula_with(&q2, &mut vm).unwrap();
         let unlimited = &EvalBudget::unlimited();
-        agree(&r1, &crate::eliminate(&f1, unlimited).unwrap());
-        agree(&r2, &crate::eliminate(&f2, unlimited).unwrap());
+        agree(&r1, &crate::eliminate(&f1, unlimited).unwrap(), 4);
+        agree(&r2, &crate::eliminate(&f2, unlimited).unwrap(), 4);
     }
 
     #[test]
@@ -665,7 +632,7 @@ mod tests {
         let y = vm.get("y").unwrap();
         let swapped = rename_positional(&f, &[x, y], &[y, x]);
         let expect = parse_formula_with("y < x", &mut vm).unwrap();
-        agree(&swapped, &expect);
+        agree(&swapped, &expect, 4);
     }
 
     #[test]

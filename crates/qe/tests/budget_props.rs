@@ -10,50 +10,19 @@
 //!   *alters* it: when the budget is not hit, the result is bit-identical
 //!   to the unbudgeted run.
 
-use cqa_arith::Rat;
 use cqa_logic::budget::EvalBudget;
-use cqa_logic::{Atom, Formula, Rel};
-use cqa_poly::{MPoly, Var};
+use cqa_logic::Rel;
 use cqa_qe::{eliminate, QeError};
+use cqa_testkit::formula::{bool_tree, exists_chain, term_atom};
 use proptest::prelude::*;
 
-/// A random atom `Σ cᵢ·mᵢ REL 0` over the variables `x0, x1, x2`, with the
-/// degree capped at 2 so the polynomial path (Cohen–Hörmander) is
-/// exercised alongside the linear one.
-fn atom_strategy() -> impl Strategy<Value = Formula> {
-    (
-        prop::collection::vec((-3i64..=3, 0u32..=2, 0usize..3), 1..4),
-        -2i64..=2,
-        0usize..4,
-    )
-        .prop_map(|(terms, konst, rel_idx)| {
-            let rel = [Rel::Lt, Rel::Le, Rel::Eq, Rel::Ge][rel_idx];
-            let mut p = MPoly::constant(Rat::from(konst));
-            for (c, pow, v) in terms {
-                p = p + MPoly::var(Var(v as u32)).pow(pow).scale(&Rat::from(c));
-            }
-            Formula::Atom(Atom::new(p, rel))
-        })
-}
-
-/// A random quantified formula: a small and/or/not tree of atoms with a
-/// prefix of existential quantifiers over a subset of `x0, x1, x2`.
-fn formula_strategy() -> impl Strategy<Value = Formula> {
-    let leaf = atom_strategy();
-    let tree = leaf.prop_recursive(3, 8, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
-            inner.prop_map(|a| a.negate()),
-        ]
-    });
-    (tree, prop::collection::vec(0u32..3, 0..3)).prop_map(|(body, qvars)| {
-        let mut f = body;
-        for v in qvars {
-            f = Formula::exists(vec![Var(v)], f);
-        }
-        f
-    })
+/// Random quantified formulas: a small and/or/not tree of atoms of one to
+/// three monomials over `x0, x1, x2`, degree ≤ 2 (so the polynomial path,
+/// Cohen–Hörmander, is exercised alongside the linear one), under a prefix
+/// of existential quantifiers.
+fn formulas() -> BoxedStrategy<cqa_logic::Formula> {
+    let atom = term_atom(1..4, 3, 2, &[Rel::Lt, Rel::Le, Rel::Eq, Rel::Ge]);
+    exists_chain(bool_tree(atom, (3, 8, 2)), 3)
 }
 
 proptest! {
@@ -63,7 +32,7 @@ proptest! {
     /// panic, whatever the formula and however small the allowance.
     #[test]
     fn eliminate_never_panics_under_tiny_budget(
-        f in formula_strategy(),
+        f in formulas(),
         max_steps in 0u64..50,
     ) {
         let budget = EvalBudget::unlimited().with_max_steps(max_steps);
@@ -80,7 +49,7 @@ proptest! {
     /// bit-identical to the unbudgeted run, and the step counter really
     /// advanced (the checks are wired in, not dead code).
     #[test]
-    fn unhit_budget_is_invisible(f in formula_strategy()) {
+    fn unhit_budget_is_invisible(f in formulas()) {
         let unbudgeted = eliminate(&f, &EvalBudget::unlimited());
         let budget = EvalBudget::unlimited().with_max_steps(u64::MAX / 2);
         let budgeted = eliminate(&f, &budget);
@@ -90,7 +59,7 @@ proptest! {
     /// Atom-count budgets trip as typed errors on formulas whose
     /// elimination would grow past the cap — and still never panic.
     #[test]
-    fn atom_budget_trips_cleanly(f in formula_strategy()) {
+    fn atom_budget_trips_cleanly(f in formulas()) {
         let budget = EvalBudget::unlimited().with_max_atoms(1);
         match eliminate(&f, &budget) {
             Ok(_) | Err(QeError::Budget(_)) => {}

@@ -8,70 +8,19 @@
 //! half needs [`cqa_qe::simplify_id`], and `cqa-qe` already depends on
 //! `cqa-logic` (the reverse dependency would be circular).
 
-use cqa_arith::{rat, Rat};
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::ir::Arena;
-use cqa_logic::{dnf, parse_formula_with, Atom, Formula, Rel, VarMap};
-use cqa_poly::{MPoly, Var};
+use cqa_logic::{dnf, parse_formula_with, VarMap};
+use cqa_poly::Var;
 use cqa_qe::{fm_eliminate_exists, simplify, simplify_id, SimplifyMemo};
+use cqa_testkit::formula::Wrap::{self, *};
+use cqa_testkit::formula::{agree_on_grid, qf_affine, wrapped};
 use proptest::prelude::*;
-
-/// Quantifier-free formulas over `x0`, `x1` with small affine and
-/// quadratic atoms — the same shape the cqa-logic normal-form props use,
-/// plus an occasional `x0²` term so both constraint classes appear.
-fn qf_formula() -> impl Strategy<Value = Formula> {
-    let atom = (
-        prop::collection::vec(-3i64..=3, 2),
-        -4i64..=4,
-        0usize..6,
-        0u8..2,
-    )
-        .prop_map(|(coeffs, c, r, square)| {
-            let square = square == 1;
-            let rel = [Rel::Lt, Rel::Le, Rel::Gt, Rel::Ge, Rel::Eq, Rel::Neq][r];
-            let mut p = MPoly::constant(Rat::from(c));
-            for (i, &a) in coeffs.iter().enumerate() {
-                p = p + MPoly::var(Var(i as u32)).scale(&Rat::from(a));
-            }
-            if square {
-                p = p + MPoly::var(Var(0)) * MPoly::var(Var(0));
-            }
-            Formula::Atom(Atom::new(p, rel))
-        });
-    atom.prop_recursive(2, 8, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
-            inner.prop_map(Formula::negate),
-        ]
-    })
-}
 
 /// Formulas with quantifiers and relation atoms layered on top — extern ∘
 /// intern must be lossless for every constructor, not just the ones QE
 /// accepts.
-fn any_formula() -> impl Strategy<Value = Formula> {
-    (qf_formula(), 0usize..5).prop_map(|(f, wrap)| match wrap {
-        0 => Formula::exists(vec![Var(1)], f),
-        1 => Formula::forall(vec![Var(0)], f),
-        2 => Formula::ExistsAdom(Var(1), Box::new(f)),
-        3 => f.and(Formula::Rel {
-            name: "R".into(),
-            args: vec![MPoly::var(Var(0)), MPoly::var(Var(1)).scale(&rat(2, 1))],
-        }),
-        _ => f,
-    })
-}
-
-fn grids_agree(a: &Formula, b: &Formula) -> Result<(), TestCaseError> {
-    for x in -3..=3i64 {
-        for y in -3..=3i64 {
-            let asg = |v: Var| if v == Var(0) { rat(x, 2) } else { rat(y, 2) };
-            prop_assert_eq!(a.eval(&asg, &[]), b.eval(&asg, &[]), "at ({}, {})", x, y);
-        }
-    }
-    Ok(())
-}
+const ANY: &[Wrap] = &[Exists(&[1]), Forall(&[0]), ExistsAdom(1), AndRel, Bare];
 
 /// The FM blow-up workload through a shared arena: the DNF expansion of
 /// `⋀ᵢ (y < xᵢ ∨ xᵢ < y)` has `2^m` clauses built from only `2m` distinct
@@ -120,7 +69,7 @@ proptest! {
     /// `extern(intern(f))` reconstructs `f` exactly — every constructor,
     /// including quantifiers and relation atoms.
     #[test]
-    fn extern_intern_is_lossless(f in any_formula()) {
+    fn extern_intern_is_lossless(f in wrapped(qf_affine(2, true), ANY)) {
         let mut arena = Arena::new();
         let id = arena.intern(&f);
         prop_assert_eq!(arena.extern_formula(id), f);
@@ -129,7 +78,7 @@ proptest! {
     /// Interning is idempotent: re-interning an externed formula yields
     /// the same id, and no new nodes are allocated.
     #[test]
-    fn intern_is_idempotent(f in any_formula()) {
+    fn intern_is_idempotent(f in wrapped(qf_affine(2, true), ANY)) {
         let mut arena = Arena::new();
         let id = arena.intern(&f);
         let nodes_before = arena.stats().nodes;
@@ -141,17 +90,17 @@ proptest! {
     /// The round-trip evaluates identically to the boxed original on a
     /// rational grid.
     #[test]
-    fn roundtrip_eval_parity(f in qf_formula()) {
+    fn roundtrip_eval_parity(f in qf_affine(2, true)) {
         let mut arena = Arena::new();
         let id = arena.intern(&f);
         let g = arena.extern_formula(id);
-        grids_agree(&f, &g)?;
+        agree_on_grid(&f, &g, 2, 3)?;
     }
 
     /// The memoized id-world simplifier produces exactly the formula the
     /// boxed-tree entry point does, and both preserve semantics.
     #[test]
-    fn simplify_id_matches_tree_simplify(f in qf_formula()) {
+    fn simplify_id_matches_tree_simplify(f in qf_affine(2, true)) {
         let tree = simplify(&f);
         let mut arena = Arena::new();
         let mut memo = SimplifyMemo::new();
@@ -159,12 +108,12 @@ proptest! {
         let sid = simplify_id(&mut arena, id, &mut memo);
         let via_arena = arena.extern_formula(sid);
         prop_assert_eq!(&via_arena, &tree);
-        grids_agree(&f, &via_arena)?;
+        agree_on_grid(&f, &via_arena, 2, 3)?;
     }
 
     /// Simplifying twice through the memo is a fixpoint in id space.
     #[test]
-    fn simplify_id_is_idempotent(f in qf_formula()) {
+    fn simplify_id_is_idempotent(f in qf_affine(2, true)) {
         let mut arena = Arena::new();
         let mut memo = SimplifyMemo::new();
         let id = arena.intern(&f);
@@ -177,7 +126,7 @@ proptest! {
     /// an arena grown in another order (g first) and a fresh arena fed the
     /// round-tripped tree agree on it, though their ids differ.
     #[test]
-    fn canonical_hash_is_arena_independent(f in qf_formula(), g in qf_formula()) {
+    fn canonical_hash_is_arena_independent(f in qf_affine(2, true), g in qf_affine(2, true)) {
         let params = [Var(0), Var(1)];
         let mut arena = Arena::new();
         let fid = arena.intern(&f);

@@ -4,12 +4,13 @@
 //! reproduce cold results bit-identically, and α-renamed quantifier blocks
 //! must share one elimination through the positional canonical hash.
 
-use cqa_arith::{rat, Rat};
 use cqa_logic::budget::EvalBudget;
 use cqa_logic::ir::Arena;
-use cqa_logic::{Atom, Formula, Rel};
+use cqa_logic::Formula;
 use cqa_poly::{MPoly, Var};
 use cqa_qe::plan::{eliminate_with_plan, plan, NoSharing, PlanInputs, SubplanStore};
+use cqa_testkit::formula::Wrap::{self, *};
+use cqa_testkit::formula::{affine_atom, agree_on_grid, bool_tree, wrapped};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,75 +42,11 @@ impl SubplanStore for MapStore {
     }
 }
 
-/// Small affine atoms over `x0`, `x1`, `x2` — every relation, coefficients
-/// in `[-3, 3]` — so both FM (conjunctive) and LW (wide DNF) plans occur.
-fn linear_atom() -> impl Strategy<Value = Formula> {
-    (prop::collection::vec(-3i64..=3, 3), -4i64..=4, 0usize..6).prop_map(|(coeffs, c, r)| {
-        let rel = [Rel::Lt, Rel::Le, Rel::Gt, Rel::Ge, Rel::Eq, Rel::Neq][r];
-        let mut p = MPoly::constant(Rat::from(c));
-        for (i, &a) in coeffs.iter().enumerate() {
-            p = p + MPoly::var(Var(i as u32)).scale(&Rat::from(a));
-        }
-        Formula::Atom(Atom::new(p, rel))
-    })
-}
-
-fn matrix() -> impl Strategy<Value = Formula> {
-    linear_atom().prop_recursive(2, 6, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
-            inner.prop_map(Formula::negate),
-        ]
-    })
-}
-
-/// Quantified shapes: single and two-variable blocks, both quantifiers,
-/// and a block conjoined with a quantifier-free band (the subplan-sharing
-/// shape).
-fn quantified() -> impl Strategy<Value = Formula> {
-    (matrix(), 0usize..4).prop_map(|(m, wrap)| match wrap {
-        0 => Formula::exists(vec![Var(2)], m),
-        1 => Formula::forall(vec![Var(2)], m),
-        2 => Formula::exists(vec![Var(1), Var(2)], m),
-        _ => Formula::exists(vec![Var(2)], m.clone()).and(m),
-    })
-}
-
-/// Grid agreement of two quantifier-free formulas over their free
-/// variables, at half-integer rational points in `[-2, 2]`.
-fn grids_agree(a: &Formula, b: &Formula) -> Result<(), TestCaseError> {
-    let vars: Vec<Var> = a.free_vars().union(&b.free_vars()).copied().collect();
-    let samples: Vec<Rat> = (-4..=4).map(|n| rat(n, 2)).collect();
-    let mut idx = vec![0usize; vars.len()];
-    loop {
-        let vals: Vec<Rat> = idx.iter().map(|&i| samples[i].clone()).collect();
-        let asg = |v: Var| {
-            vars.iter()
-                .position(|&w| w == v)
-                .map(|i| vals[i].clone())
-                .unwrap_or_else(Rat::zero)
-        };
-        prop_assert_eq!(
-            a.eval(&asg, &[]),
-            b.eval(&asg, &[]),
-            "disagree at {:?}",
-            vals
-        );
-        let mut k = 0;
-        loop {
-            if k == idx.len() {
-                return Ok(());
-            }
-            idx[k] += 1;
-            if idx[k] < samples.len() {
-                break;
-            }
-            idx[k] = 0;
-            k += 1;
-        }
-    }
-}
+/// Quantified shapes over small affine atoms in `x0`, `x1`, `x2` (so both
+/// FM, conjunctive, and LW, wide DNF, plans occur): single and
+/// two-variable blocks, both quantifiers, and a block conjoined with a
+/// quantifier-free band (the subplan-sharing shape).
+const QUANTIFIED: &[Wrap] = &[Exists(&[2]), Forall(&[2]), Exists(&[1, 2]), ExistsAnd(2)];
 
 fn run_planned(f: &Formula, store: &dyn SubplanStore) -> Formula {
     let p = plan(f, &PlanInputs::measure(f));
@@ -123,18 +60,22 @@ proptest! {
     /// planner picked — produces a quantifier-free formula that agrees
     /// with the fixed pipeline everywhere on the grid.
     #[test]
-    fn planned_agrees_with_fixed_pipeline(f in quantified()) {
+    fn planned_agrees_with_fixed_pipeline(
+        f in wrapped(bool_tree(affine_atom(3, false), (2, 6, 3)), QUANTIFIED),
+    ) {
         let fixed = cqa_qe::eliminate(&f, &EvalBudget::unlimited()).unwrap();
         let got = run_planned(&f, &NoSharing);
         prop_assert!(got.is_quantifier_free());
-        grids_agree(&got, &fixed)?;
+        agree_on_grid(&got, &fixed, 3, 4)?;
     }
 
     /// Re-eliminating the same formula against a warm store serves the
     /// quantifier block from the memo and reproduces the cold result
     /// bit-identically — a hit can never change the answer.
     #[test]
-    fn warm_store_hits_reproduce_cold_results(f in quantified()) {
+    fn warm_store_hits_reproduce_cold_results(
+        f in wrapped(bool_tree(affine_atom(3, false), (2, 6, 3)), QUANTIFIED),
+    ) {
         let store = MapStore::default();
         let cold = run_planned(&f, &store);
         let stored = store.map.lock().unwrap().len();
@@ -152,7 +93,9 @@ proptest! {
     /// canonical hash: `∃x2.m` and `∃x3.m[x2↦x3]` share one stored
     /// elimination, and the shared result is exactly the first one's.
     #[test]
-    fn alpha_renamed_blocks_share_one_elimination(m in matrix()) {
+    fn alpha_renamed_blocks_share_one_elimination(
+        m in bool_tree(affine_atom(3, false), (2, 6, 3)),
+    ) {
         let store = MapStore::default();
         // Normalize first: `subst_poly` constant-folds while rebuilding, so
         // an unsimplified matrix would give the renamed side a head start

@@ -110,6 +110,21 @@ run_capped cargo test -q --offline -p cqa-engine --test storage
 echo "== serving layer (pipelining order/parity, pipelined bursts on both front ends, shard bit-identity, idle sessions, busy path, body caps, parse caps: degree 64 / 4096 terms / 4096-bit coefficients, a shared-stream BATCH equal to lone EXECs, sweeping each distinct kernel once: lane counters of one EXEC per distinct spec, exactly one stream per (dim, samples) group, shared= counting the repeats; a pipelined 140-LOAD burst byte-identical to serial dispatch in a few coalesced writes; a ready reply not waiting behind a slow frame) =="
 run_capped cargo test -q --offline -p cqa-engine --test serving
 
+echo "== transcript differential (pinned digest, debug and release; a release re-run and the debug build print the same transcript) =="
+# cqa-transcript runs seeded LOAD/PREPARE/EXEC/VOLUME/SUM/BATCH/PERSIST
+# scripts through Engine::dispatch and prints every request and reply. Its
+# output depends on the seeds alone: a second run, or an unoptimised build,
+# that prints anything else is a finding.
+run_capped cargo test -q --offline -p cqa-testkit
+run_capped cargo test -q --release --offline -p cqa-testkit
+cargo build -q --offline -p cqa-testkit
+for build in release release-again debug; do
+  run_capped "./target/${build%-again}/cqa-transcript" --seed 1 --count 200 \
+    > "target/transcript-$build.txt"
+done
+cmp target/transcript-release.txt target/transcript-release-again.txt
+cmp target/transcript-release.txt target/transcript-debug.txt
+
 echo "== cqa-e2e smoke (bench/ builds against the crates' API; every reply checked, failed 0) =="
 # The one performance instrument, capped: its own unit tests, then two
 # seconds of each workload. A non-zero exit means a reply did not match the
