@@ -1063,7 +1063,9 @@ impl Engine {
             Some(entry) => self.eval_entry(entry, vars.len(), acc, &budget, verb, name, cache_tag),
             // QE itself blew the budget: no quantifier-free form exists to
             // integrate or sample, so decide membership point by point
-            // (each ground instance is vastly cheaper than parametric QE).
+            // (each ground instance is vastly cheaper than parametric QE),
+            // under the same budget: see `mc_pointwise` for which trips
+            // this answers.
             None => {
                 let simplified = arena.extern_formula(sid);
                 let answer = self.mc_pointwise(&simplified, vars, acc, &budget);
@@ -1205,6 +1207,14 @@ impl Engine {
     /// and deciding the resulting ground sentence, all under the same
     /// request budget. If even the ground decisions blow the budget the
     /// request fails with `ERR budget` (counted in `over_budget`).
+    ///
+    /// That is what a step-cap or deadline trip during QE answers: the
+    /// budget those trips exhausted is this one, so its first check fails
+    /// on the step cap, and its first clock probe, at most `CLOCK_PERIOD`
+    /// steps in, on the deadline. Only a `Depth` trip, which Hörmander
+    /// raises without exhausting the budget, can reach `reason=qe-budget`,
+    /// when the ground instances fit under the depth cap. ROADMAP item 8
+    /// replaces this path.
     fn mc_pointwise(
         &self,
         f: &Formula,

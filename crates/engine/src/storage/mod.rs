@@ -291,6 +291,33 @@ impl Storage {
     }
 }
 
+/// A directory of a unit test's own under the temp dir, removed when the
+/// guard drops, so a test leaves nothing behind whether it passes or not.
+#[cfg(test)]
+pub(crate) struct TmpDir(PathBuf);
+
+#[cfg(test)]
+impl TmpDir {
+    /// `<prefix>-<pid>-<name>`, emptied of whatever an earlier run left.
+    pub(crate) fn new(prefix: &str, name: &str) -> TmpDir {
+        let dir = std::env::temp_dir().join(format!("{prefix}-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TmpDir(dir)
+    }
+
+    pub(crate) fn join(&self, file: &str) -> PathBuf {
+        self.0.join(file)
+    }
+}
+
+#[cfg(test)]
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

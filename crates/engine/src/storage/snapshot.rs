@@ -115,18 +115,19 @@ pub fn read_snapshot(path: &Path) -> Result<Option<BTreeMap<String, String>>, St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::TmpDir;
     use std::path::PathBuf;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cqa-snap-unit-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// `name` in a directory of its own, removed with the returned guard.
+    fn tmp(name: &str) -> (TmpDir, PathBuf) {
+        let dir = TmpDir::new("cqa-snap-unit", name);
+        let path = dir.join(name);
+        (dir, path)
     }
 
     #[test]
     fn roundtrip() {
-        let path = tmp("roundtrip.snap");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("roundtrip.snap");
         let mut dbs = BTreeMap::new();
         dbs.insert("main".to_string(), "rel S(y) := y >= 0\n".to_string());
         dbs.insert("other".to_string(), String::new());
@@ -136,14 +137,13 @@ mod tests {
 
     #[test]
     fn absent_snapshot_is_none() {
-        let path = tmp("never-written.snap");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("never-written.snap");
         assert_eq!(read_snapshot(&path).unwrap(), None);
     }
 
     #[test]
     fn corrupt_snapshot_is_a_typed_error() {
-        let path = tmp("corrupt.snap");
+        let (_dir, path) = tmp("corrupt.snap");
         let mut dbs = BTreeMap::new();
         dbs.insert("main".to_string(), "rel S(y) := y >= 0\n".to_string());
         write_snapshot(&path, &dbs).unwrap();

@@ -217,11 +217,13 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::TmpDir;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cqa-wal-unit-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// `name` in a directory of its own, removed with the returned guard.
+    fn tmp(name: &str) -> (TmpDir, PathBuf) {
+        let dir = TmpDir::new("cqa-wal-unit", name);
+        let path = dir.join(name);
+        (dir, path)
     }
 
     fn rec(i: usize) -> WalRecord {
@@ -233,8 +235,7 @@ mod tests {
 
     #[test]
     fn roundtrip_and_reopen() {
-        let path = tmp("roundtrip.wal");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("roundtrip.wal");
         let (mut wal, recs, replay) = Wal::open(&path).unwrap();
         assert!(recs.is_empty());
         assert_eq!(replay, WalReplay::default());
@@ -250,8 +251,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_and_appends_continue() {
-        let path = tmp("torn.wal");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("torn.wal");
         let (mut wal, _, _) = Wal::open(&path).unwrap();
         wal.append(&rec(0)).unwrap();
         wal.append(&rec(1)).unwrap();
@@ -273,8 +273,7 @@ mod tests {
 
     #[test]
     fn corrupted_checksum_drops_the_tail() {
-        let path = tmp("corrupt.wal");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("corrupt.wal");
         let (mut wal, _, _) = Wal::open(&path).unwrap();
         let first = wal.append(&rec(0)).unwrap();
         wal.append(&rec(1)).unwrap();
@@ -291,8 +290,7 @@ mod tests {
 
     #[test]
     fn truncate_empties_the_log() {
-        let path = tmp("trunc.wal");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = tmp("trunc.wal");
         let (mut wal, _, _) = Wal::open(&path).unwrap();
         wal.append(&rec(0)).unwrap();
         wal.truncate().unwrap();

@@ -232,14 +232,16 @@ fn dnf_cells(
 }
 
 /// A cell from its rows: each scaled so that its first non-zero
-/// coefficient is ±1, then sorted and deduplicated. A constant row `0 ≤ b`
-/// is decided: dropped when `b ≥ 0`, and `None` (an empty cell) otherwise.
+/// coefficient is ±1 (a row that leads with ±1 already is kept as it is),
+/// then sorted and deduplicated. A constant row `0 ≤ b` is decided: dropped
+/// when `b ≥ 0`, and `None` (an empty cell) otherwise.
 fn cell_of(rows: impl IntoIterator<Item = Row>) -> Option<Vec<Row>> {
     let mut cell: Vec<Row> = Vec::new();
     for (a, b) in rows {
         match a.iter().find(|c| !c.is_zero()).map(Rat::abs) {
             None if b.is_negative() => return None,
             None => {}
+            Some(s) if s.is_one() => cell.push((a, b)),
             Some(s) => cell.push((a.iter().map(|c| c / &s).collect(), b / s)),
         }
     }
@@ -319,7 +321,17 @@ impl Sweep<'_> {
     ) -> Result<Rat, VolumeError> {
         let sections: Vec<Vec<Row>> = cells
             .iter()
-            .filter_map(|cell| cell_of(cell.iter().map(|(a, b)| (a[1..].to_vec(), b - &a[0] * t))))
+            .filter_map(|cell| {
+                cell_of(cell.iter().map(|(a, b)| {
+                    // Only a row that leads with x₁ moves, and rescales.
+                    let b = if a[0].is_zero() {
+                        b.clone()
+                    } else {
+                        b - &a[0] * t
+                    };
+                    (a[1..].to_vec(), b)
+                }))
+            })
             .collect();
         let x1 = self.vars[self.vars.len() - n];
         let p = match p.degree_in(x1) {

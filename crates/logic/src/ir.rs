@@ -31,8 +31,9 @@
 use crate::ast::{is_order_atom, Atom, ConstraintClass, Formula, Rel};
 use cqa_arith::Rat;
 use cqa_poly::{MPoly, Var};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// Id of an interned polynomial term in an [`Arena`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -72,6 +73,71 @@ pub enum Node {
     ExistsAdom(Var, FormulaId),
     /// Active-domain universal.
     ForallAdom(Var, FormulaId),
+}
+
+/// The id side of an intern table whose keys live in the arena's own
+/// vectors, each stored once: a key is hashed once, with this table's
+/// random state, and the hash leads to the ids stored under it, whose keys
+/// the caller compares. Ids whose keys share a hash are chained, newest
+/// first.
+#[derive(Debug, Default)]
+struct Ids {
+    state: RandomState,
+    /// The newest id stored under each hash.
+    newest: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
+    /// Per id, the next older id under the same hash.
+    older: Vec<Option<u32>>,
+    /// Every key hashes to 0, so that lookups must tell colliding keys
+    /// apart by content.
+    #[cfg(test)]
+    collide: bool,
+}
+
+impl Ids {
+    fn hash<K: Hash + ?Sized>(&self, key: &K) -> u64 {
+        #[cfg(test)]
+        if self.collide {
+            return 0;
+        }
+        self.state.hash_one(key)
+    }
+
+    /// The id stored under `hash` whose key `is_key` accepts.
+    fn find(&self, hash: u64, is_key: impl Fn(u32) -> bool) -> Option<u32> {
+        let mut at = self.newest.get(&hash).copied();
+        while let Some(id) = at {
+            if is_key(id) {
+                return Some(id);
+            }
+            at = self.older[id as usize];
+        }
+        None
+    }
+
+    /// Stores the next id, `id`, under `hash`.
+    fn insert(&mut self, hash: u64, id: u32) {
+        debug_assert_eq!(id as usize, self.older.len());
+        let older = self.newest.insert(hash, id);
+        self.older.push(older);
+    }
+}
+
+/// The hasher of [`Ids`]' map, whose keys are hashes already.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("an `Ids` map is keyed by `u64` hashes")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Metadata cached per interned node, computed once at intern time.
@@ -156,10 +222,10 @@ impl ArenaStats {
 pub struct Arena {
     terms: Vec<MPoly>,
     term_meta: Vec<TermMeta>,
-    term_ids: HashMap<MPoly, TermId>,
+    term_ids: Ids,
     nodes: Vec<Node>,
     meta: Vec<NodeMeta>,
-    node_ids: HashMap<Node, FormulaId>,
+    node_ids: Ids,
     rel_names: Vec<String>,
     name_ids: HashMap<String, NameId>,
     intern_calls: u64,
@@ -222,22 +288,27 @@ impl Arena {
     /// Interns one node whose children are already interned.
     pub fn intern_node(&mut self, node: Node) -> FormulaId {
         self.intern_calls += 1;
-        if let Some(&id) = self.node_ids.get(&node) {
-            return id;
+        let hash = self.node_ids.hash(&node);
+        if let Some(id) = self
+            .node_ids
+            .find(hash, |id| self.nodes[id as usize] == node)
+        {
+            return FormulaId(id);
         }
         let meta = self.compute_meta(&node);
-        let id = FormulaId(u32::try_from(self.nodes.len()).expect("arena overflow"));
-        self.node_ids.insert(node.clone(), id);
+        let id = u32::try_from(self.nodes.len()).expect("arena overflow");
+        self.node_ids.insert(hash, id);
         self.nodes.push(node);
         self.meta.push(meta);
-        id
+        FormulaId(id)
     }
 
     /// Interns one polynomial term.
     pub fn intern_term(&mut self, p: &MPoly) -> TermId {
         self.term_intern_calls += 1;
-        if let Some(&id) = self.term_ids.get(p) {
-            return id;
+        let hash = self.term_ids.hash(p);
+        if let Some(id) = self.term_ids.find(hash, |id| self.terms[id as usize] == *p) {
+            return TermId(id);
         }
         let mut h = Fnv128::new();
         p.hash(&mut h);
@@ -258,11 +329,11 @@ impl Arena {
                 ConstraintClass::Linear
             },
         };
-        let id = TermId(u32::try_from(self.terms.len()).expect("arena overflow"));
-        self.term_ids.insert(p.clone(), id);
+        let id = u32::try_from(self.terms.len()).expect("arena overflow");
+        self.term_ids.insert(hash, id);
         self.terms.push(p.clone());
         self.term_meta.push(meta);
-        id
+        TermId(id)
     }
 
     /// Interns a relation name.
@@ -872,6 +943,34 @@ mod tests {
         let stats = arena.stats();
         assert!(stats.intern_calls > stats.nodes);
         assert!(stats.dedup_ratio() > 1.0);
+    }
+
+    /// With every key hashing alike, interning still tells terms and nodes
+    /// apart by content, and finds each again under its own id.
+    #[test]
+    fn colliding_hashes_still_intern_by_content() {
+        let mut arena = Arena::new();
+        arena.term_ids.collide = true;
+        arena.node_ids.collide = true;
+        let srcs = [
+            "x < 1 & y > 0",
+            "x < 1 & y > 1",
+            "exists y. x*x + y > 0 | x = y",
+            "x < 1",
+            "!(x < 1) & true",
+        ];
+        let ids: Vec<FormulaId> = srcs.iter().map(|s| intern_src(&mut arena, s)).collect();
+        let (nodes, terms) = (arena.stats().nodes, arena.stats().terms);
+        let mut fresh = Arena::new();
+        for (src, &id) in srcs.iter().zip(&ids) {
+            assert_eq!(intern_src(&mut arena, src), id, "{src}");
+            let (f, _) = parse_formula(src).unwrap();
+            assert_eq!(arena.extern_formula(id), f, "{src}");
+            intern_src(&mut fresh, src);
+        }
+        // No key was stored twice, and none was merged with another.
+        assert_eq!((arena.stats().nodes, arena.stats().terms), (nodes, terms));
+        assert_eq!((fresh.stats().nodes, fresh.stats().terms), (nodes, terms));
     }
 
     #[test]

@@ -49,22 +49,32 @@
 //! build is abandoned once its rows plus split nodes pass [`BUILD_CAP`]
 //! (checked at every split, not only at leaves); from then on that family
 //! is derived directly under each caller's context. And the memo belongs
-//! to one elimination and is dropped with it; the polynomials its keys,
-//! trees and work lists hold are shared (`Rc`), not cloned. The cooperative
+//! to one elimination and is dropped with it; its keys, trees and work
+//! lists hold polynomial ids, not polynomials. The cooperative
 //! budget counts one step per `casesplit` entry — in memo builds as in
 //! direct derivations — plus one per replayed tree node. The recursion's
 //! nesting is capped too: past [`MAX_DEPTH`] open levels an elimination
 //! trips `BudgetResource::Depth`, so a derivation too deep for a request
 //! thread's stack ends in a budget error instead of a stack overflow.
 //!
-//! **Nothing on the split path is copied.** A sign context records each
-//! decided head once, made monic, in an `Rc` that the three contexts a
-//! split creates share. A lookup tests `p = c·q` term by term against each
-//! entry `q`, with `c` the head coefficient of `p`, so it allocates
-//! nothing. A sign matrix ([`Matrix`]) is one row-major `Vec<i8>` with a
-//! width, not a `Vec` per row: `delconst` writes the widened matrix in one
-//! pass, and `dedmatrix` indexes its input's rows in place and writes its
-//! output straight in the caller's column order.
+//! **Nothing on the split path is copied.** Each elimination hashes every
+//! polynomial it meets once, when it is made, into a table ([`Polys`]) that
+//! stores it once under a dense id together with its head made monic (an
+//! id of its own) and the sign of the head's leading coefficient. The
+//! family memo and the guards key on polynomial ids, and a split does not
+//! rescale its head. A sign context ([`Ctx`]) is a list linked through the
+//! recursion's stack frames: a split pushes each branch's assumption on its
+//! own frame, and a lookup compares monic-head ids down the list, so neither
+//! copies or allocates anything. A `casesplit` level's decided polynomials
+//! are a range of one stack that its branches push to and pop, and the one
+//! polynomial a zero branch beheads travels beside the untouched work list.
+//! A sign matrix ([`Matrix`]) is one row-major `Vec<i8>` with a width, not a
+//! `Vec` per row: `delconst` writes the widened matrix in one pass, and
+//! `dedmatrix` indexes its input's rows in place and writes its output
+//! straight in the caller's column order, both into buffers recycled
+//! through the elimination; the memo trees' nodes share one vector and
+//! their matrices one buffer. The leaves decide each distinct sign row once
+//! per elimination ([`LeafRows`]).
 //!
 //! **One arena per call.** [`hoermander`] interns the prenex matrix into an
 //! [`Arena`] that lives for the whole call, and every elimination works on
@@ -83,8 +93,7 @@
 //! measures it.
 
 use crate::simplify::{
-    has_complementary_pair, negate_id, push_unique, simplify, simplify_atom_id, simplify_id,
-    SimplifyMemo,
+    has_complementary_pair, negate_id, simplify, simplify_atom_id, simplify_id, SimplifyMemo,
 };
 use crate::QeError;
 use cqa_arith::Rat;
@@ -92,12 +101,15 @@ use cqa_logic::budget::{BudgetExceeded, BudgetResource, EvalBudget};
 use cqa_logic::ir::{Arena, FormulaId, Node, TermId};
 use cqa_logic::{prenex, Formula, Rel};
 use cqa_poly::{MPoly, Var};
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
 use std::rc::Rc;
 
 /// A polynomial in the eliminated variable: coefficients (ascending degree)
 /// are polynomials in the parameters.
 type XPoly = Vec<MPoly>;
+
+/// A polynomial's index in its elimination's [`Polys`] table.
+type PolyId = u32;
 
 /// Nodes (matrix rows plus split nodes) a memo build may create before it is
 /// abandoned and its family derived under each caller's context instead.
@@ -106,7 +118,9 @@ const BUILD_CAP: usize = 1024;
 /// Stack one nesting level of the derivation costs, with a 2× margin:
 /// ≈ 400 B in a release build and ≈ 2.8 KiB in an unoptimised one, measured
 /// as the smallest thread stack on which formulas 1 000 to 25 000 levels
-/// deep still finish.
+/// deep still finish. Since the sign context is linked through the frames
+/// the same probe reads ≈ 390 B and ≈ 1.9 KiB, so the margin is wider in
+/// an unoptimised build.
 const STACK_PER_LEVEL: usize = if cfg!(debug_assertions) { 5_600 } else { 800 };
 
 /// Nesting levels one elimination may stack: entries of `casesplit`,
@@ -143,51 +157,137 @@ impl Sign {
             Sign::Neg => Sign::Pos,
         }
     }
-}
-
-/// A context of sign assumptions on non-constant parameter polynomials,
-/// each normalized to monic form (leading coefficient 1) so that positive
-/// scalings share one entry. The polynomials are shared between a context
-/// and the contexts extended from it.
-#[derive(Clone, Default)]
-struct Ctx {
-    entries: Vec<(Rc<MPoly>, Sign)>,
-}
-
-/// `true` iff `p = c·q` term by term, for monic `q` and `c` the leading
-/// coefficient of `p`.
-fn is_multiple(p: &MPoly, c: &Rat, q: &MPoly) -> bool {
-    p.num_terms() == q.num_terms()
-        && p.terms().zip(q.terms()).all(|((mp, _), (mq, _))| mp == mq)
-        && p.terms()
-            .zip(q.terms())
-            .all(|((_, cp), (_, cq))| *cp == c * cq)
-}
-
-impl Ctx {
-    /// The sign of `p` if it is a constant or a scaling of an entry.
-    fn findsign(&self, p: &MPoly) -> Option<Sign> {
-        if let Some(c) = p.as_constant() {
-            return Some(match c.signum() {
-                0 => Sign::Zero,
-                s if s > 0 => Sign::Pos,
-                _ => Sign::Neg,
-            });
+    fn of(c: &Rat) -> Sign {
+        match c.signum() {
+            0 => Sign::Zero,
+            s if s > 0 => Sign::Pos,
+            _ => Sign::Neg,
         }
-        let (_, c) = p.terms().next_back()?;
-        self.entries
-            .iter()
-            .find(|(q, _)| is_multiple(p, c, q))
-            .map(|&(_, s)| s.flip_if(c.is_negative()))
+    }
+}
+
+/// What a polynomial alone says about the sign of its head coefficient: a
+/// constant head's sign, or the id of the head made monic (leading
+/// coefficient 1, so that positive scalings share one id) and whether the
+/// head's leading coefficient is negative.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Head {
+    Known(Sign),
+    Monic { id: u32, negative: bool },
+}
+
+/// A context of sign assumptions on monic heads: a list linked through the
+/// recursion's stack frames, newest first. A split pushes each branch's
+/// [`Link`] on its own frame, so extending a context copies nothing.
+#[derive(Clone, Copy, Default)]
+struct Ctx<'c>(Option<&'c Link<'c>>);
+
+/// One assumption of a [`Ctx`]: the monic head `head` has sign `sign`.
+struct Link<'c> {
+    head: u32,
+    sign: Sign,
+    up: Ctx<'c>,
+}
+
+impl Ctx<'_> {
+    /// The sign of a head that is constant or a scaling of an assumption.
+    fn findsign(self, head: Head) -> Option<Sign> {
+        let (id, negative) = match head {
+            Head::Known(s) => return Some(s),
+            Head::Monic { id, negative } => (id, negative),
+        };
+        let mut at = self.0;
+        while let Some(link) = at {
+            if link.head == id {
+                return Some(link.sign.flip_if(negative));
+            }
+            at = link.up.0;
+        }
+        None
+    }
+}
+
+/// One polynomial of a [`Polys`] table.
+struct Poly {
+    /// Trimmed: empty for the zero polynomial, else a non-zero head.
+    x: Rc<XPoly>,
+    head: Head,
+    /// The polynomial without its head term, once asked for.
+    behead: Option<PolyId>,
+    /// The guards `head = 0`, `head > 0`, `head < 0`, once the output split
+    /// on this polynomial.
+    guards: Option<[FormulaId; 3]>,
+}
+
+/// An elimination's polynomials, each hashed once, when it is made, and
+/// stored once under a dense id with its head made monic. The family memo
+/// and the guards key on ids, and a sign lookup compares head ids.
+#[derive(Default)]
+struct Polys {
+    list: Vec<Poly>,
+    ids: HashMap<Rc<XPoly>, PolyId>,
+    /// The id of each distinct monic head.
+    monic: HashMap<MPoly, u32>,
+}
+
+impl Polys {
+    /// The id of `x`, trimmed.
+    fn intern(&mut self, mut x: XPoly) -> PolyId {
+        while x.last().is_some_and(MPoly::is_zero) {
+            x.pop();
+        }
+        let id = PolyId::try_from(self.list.len()).expect("polynomial table overflow");
+        let x = Rc::new(x);
+        match self.ids.entry(Rc::clone(&x)) {
+            hash_map::Entry::Occupied(e) => return *e.get(),
+            hash_map::Entry::Vacant(e) => e.insert(id),
+        };
+        let head = x
+            .last()
+            .map_or(Head::Known(Sign::Zero), |h| self.head_of(h));
+        self.list.push(Poly {
+            x,
+            head,
+            behead: None,
+            guards: None,
+        });
+        id
     }
 
-    /// This context and `p`'s sign `s`, for a non-constant `p` whose sign
-    /// the context does not know; `q` is `p` made monic.
-    fn with(&self, q: &Rc<MPoly>, s: Sign) -> Ctx {
-        let mut entries = Vec::with_capacity(self.entries.len() + 1);
-        entries.extend(self.entries.iter().cloned());
-        entries.push((Rc::clone(q), s));
-        Ctx { entries }
+    /// `h`'s sign if it is constant, else the id of `h` made monic.
+    fn head_of(&mut self, h: &MPoly) -> Head {
+        if let Some(c) = h.as_constant() {
+            return Head::Known(Sign::of(&c));
+        }
+        let c = h.terms().next_back().expect("a non-constant head").1;
+        let negative = c.is_negative();
+        let monic = if c.is_one() {
+            h.clone()
+        } else {
+            h.scale(&c.recip())
+        };
+        let next = self.monic.len() as u32;
+        let id = *self.monic.entry(monic).or_insert(next);
+        Head::Monic { id, negative }
+    }
+
+    fn x(&self, p: PolyId) -> &Rc<XPoly> {
+        &self.list[p as usize].x
+    }
+
+    fn head(&self, p: PolyId) -> Head {
+        self.list[p as usize].head
+    }
+
+    /// `p` without its head term.
+    fn behead(&mut self, p: PolyId) -> PolyId {
+        if let Some(q) = self.list[p as usize].behead {
+            return q;
+        }
+        let x = self.x(p);
+        let q = self.intern(x[..x.len() - 1].to_vec());
+        self.list[p as usize].behead = Some(q);
+        q
     }
 }
 
@@ -202,15 +302,6 @@ struct Matrix {
 }
 
 impl Matrix {
-    /// An empty matrix with room for `rows` rows.
-    fn with_capacity(width: usize, rows: usize) -> Matrix {
-        Matrix {
-            width,
-            rows: 0,
-            signs: Vec::with_capacity(width * rows),
-        }
-    }
-
     fn row(&self, i: usize) -> &[i8] {
         &self.signs[i * self.width..(i + 1) * self.width]
     }
@@ -256,7 +347,7 @@ trait Output: Sized {
     fn inconsistent(el: &mut Elim<'_>) -> Self;
     /// The zero, positive and negative branches on the undecided head
     /// coefficient of `poly`.
-    fn split(el: &mut Elim<'_>, poly: &Rc<XPoly>, branches: [Self; 3]) -> Self;
+    fn split(el: &mut Elim<'_>, poly: PolyId, branches: [Self; 3]) -> Self;
 }
 
 impl Output for FormulaId {
@@ -272,53 +363,72 @@ impl Output for FormulaId {
     /// conjuncts, and is `⊥` on a complementary pair; the disjunction drops
     /// `⊥`s and repeats, is `⊤` on a complementary pair, and one surviving
     /// branch is not wrapped.
-    fn split(el: &mut Elim<'_>, poly: &Rc<XPoly>, branches: [FormulaId; 3]) -> FormulaId {
+    fn split(el: &mut Elim<'_>, poly: PolyId, branches: [FormulaId; 3]) -> FormulaId {
         let guards = el.guards(poly);
         let arena = &mut *el.arena;
-        let mut parts = Vec::with_capacity(3);
+        let (mut parts, mut n) = ([FormulaId(0); 3], 0);
         for (guard, branch) in guards.into_iter().zip(branches) {
-            let mut conj = vec![guard];
-            match arena.node(branch) {
+            let rest = match arena.node(branch) {
                 Node::False => continue,
-                Node::True => {}
-                Node::And(fs) => conj.extend(fs.iter().filter(|&&f| f != guard)),
-                _ if branch == guard => {}
-                _ => conj.push(branch),
-            }
-            let guarded = match conj.len() {
-                1 => guard,
-                _ if has_complementary_pair(arena, &conj) => continue,
-                _ => arena.intern_node(Node::And(conj)),
+                Node::True => &[],
+                Node::And(fs) => &fs[..],
+                _ => std::slice::from_ref(&branch),
             };
-            push_unique(&mut parts, guarded);
+            let guarded = if rest.iter().all(|&f| f == guard) {
+                guard
+            } else {
+                let mut conj = Vec::with_capacity(rest.len() + 1);
+                conj.push(guard);
+                conj.extend(rest.iter().filter(|&&f| f != guard));
+                if has_complementary_pair(arena, &conj) {
+                    continue;
+                }
+                arena.intern_node(Node::And(conj))
+            };
+            if !parts[..n].contains(&guarded) {
+                parts[n] = guarded;
+                n += 1;
+            }
         }
-        if has_complementary_pair(arena, &parts) {
+        if has_complementary_pair(arena, &parts[..n]) {
             return arena.intern_node(Node::True);
         }
-        match parts.len() {
+        match n {
             0 => arena.intern_node(Node::False),
             1 => parts[0],
-            _ => arena.intern_node(Node::Or(parts)),
+            _ => arena.intern_node(Node::Or(parts[..n].to_vec())),
         }
     }
 }
 
-/// A family's sign matrices as a decision tree over the parameter signs
-/// their derivation had to decide, built once under no assumptions.
+/// A node of a family's memo tree: the family's sign matrices as a
+/// decision tree over the parameter signs their derivation had to decide,
+/// built once under no assumptions. The nodes of all an elimination's
+/// trees share one vector, and their matrices one sign buffer.
+#[derive(Clone, Copy)]
 enum Tree {
     /// Children for the head of the polynomial zero, positive, negative.
-    Split(Rc<XPoly>, Box<[Tree; 3]>),
-    Rows(Matrix),
+    Split(PolyId, [TreeId; 3]),
+    /// `rows` rows of `width` signs, from `at` in the sign buffer.
+    Rows {
+        width: usize,
+        rows: usize,
+        at: usize,
+    },
     Inconsistent,
 }
 
-impl Output for Tree {
-    fn inconsistent(_: &mut Elim<'_>) -> Tree {
-        Tree::Inconsistent
+/// A [`Tree`] node's index in its elimination's node vector.
+#[derive(Clone, Copy)]
+struct TreeId(u32);
+
+impl Output for TreeId {
+    fn inconsistent(el: &mut Elim<'_>) -> TreeId {
+        el.tree(Tree::Inconsistent)
     }
 
-    fn split(_: &mut Elim<'_>, poly: &Rc<XPoly>, branches: [Tree; 3]) -> Tree {
-        Tree::Split(Rc::clone(poly), Box::new(branches))
+    fn split(el: &mut Elim<'_>, poly: PolyId, branches: [TreeId; 3]) -> TreeId {
+        el.tree(Tree::Split(poly, branches))
     }
 }
 
@@ -327,34 +437,33 @@ impl Output for Tree {
 type Cont<'c, O> = dyn FnMut(&mut Elim<'_>, &Matrix) -> Result<O, Halt> + 'c;
 
 /// The state of one `∃`-elimination: its budget, the arena its output is
-/// built in, its family memo and its nesting depth.
+/// built in, its polynomials, its family memo and its nesting depth.
 struct Elim<'a> {
     budget: &'a EvalBudget,
     arena: &'a mut Arena,
+    polys: Polys,
     /// Each family's tree; `None` once its build passed [`BUILD_CAP`].
-    memo: HashMap<Vec<Rc<XPoly>>, Option<Rc<Tree>>>,
+    memo: HashMap<Vec<PolyId>, Option<TreeId>>,
+    /// The nodes of the memo trees.
+    trees: Vec<Tree>,
+    /// The signs of the memo trees' matrices.
+    tree_signs: Vec<i8>,
     /// Nodes created so far by each memo build in progress, innermost last.
     builds: Vec<usize>,
     /// Recursive entries that have not returned (see [`MAX_DEPTH`]).
     depth: usize,
-    /// The simplified guards `head = 0`, `head > 0`, `head < 0` of each
-    /// polynomial the output has split on, by address; the entry holds the
-    /// polynomial, so the address is not reused while it stands.
-    guards: HashMap<*const XPoly, (Rc<XPoly>, [FormulaId; 3])>,
+    /// The decided polynomials of every open `casesplit`, as one stack: a
+    /// level's list is `dun[base..]`, and each branch pushes what it adds
+    /// and pops it on return.
+    dun: Vec<PolyId>,
+    /// Buffers of matrices no longer read, for the next widened or deduced
+    /// matrix.
+    spare: Vec<Vec<i8>>,
 }
 
 /// The head (leading) coefficient of a trimmed, non-empty polynomial.
 fn head(p: &[MPoly]) -> &MPoly {
     p.last().expect("a trimmed polynomial with a head")
-}
-
-fn xtrim(p: &Rc<XPoly>) -> Rc<XPoly> {
-    let n = p.len() - p.iter().rev().take_while(|c| c.is_zero()).count();
-    if n == p.len() {
-        Rc::clone(p)
-    } else {
-        Rc::new(p[..n].to_vec())
-    }
 }
 
 fn xderiv(p: &[MPoly]) -> XPoly {
@@ -374,42 +483,68 @@ fn xneg(p: &[MPoly]) -> XPoly {
 fn pdivide(p: &[MPoly], q: &[MPoly]) -> (u32, XPoly) {
     let dq = q.len() - 1;
     let lq = head(q);
-    let mut r = p.to_vec();
-    let mut k = 0u32;
-    while r.len() > dq {
-        let dr = r.len() - 1;
-        let lr = r.last().unwrap().clone();
-        // r := lq·r - lr·q·x^(dr-dq)
-        let mut next: Vec<MPoly> = r.iter().map(|c| c * lq).collect();
-        for (j, c) in q.iter().enumerate() {
+    if p.len() <= dq {
+        return (0, p.to_vec());
+    }
+    let (mut k, mut r) = (0u32, XPoly::new());
+    loop {
+        // r := lq·r - lr·q·x^(dr-dq), whose top term cancels; the first
+        // step reads p in place.
+        let (lr, rest) = if k == 0 { p } else { &r[..] }
+            .split_last()
+            .expect("a non-empty remainder");
+        let dr = rest.len();
+        let mut next: XPoly = rest.iter().map(|c| c * lq).collect();
+        for (j, c) in q[..dq].iter().enumerate() {
             let idx = dr - dq + j;
-            next[idx] = &next[idx] - &(c * &lr);
+            next[idx] = &next[idx] - &(c * lr);
         }
-        debug_assert!(next.last().unwrap().is_zero());
-        next.pop();
         while next.last().is_some_and(MPoly::is_zero) {
             next.pop();
         }
-        r = next;
-        k += 1;
+        (k, r) = (k + 1, next);
+        if r.len() <= dq {
+            return (k, r);
+        }
     }
-    (k, r)
 }
 
 impl Elim<'_> {
     /// The guards on the head coefficient of `poly`, in branch order and
-    /// simplified (leading coefficient positive). A memo tree's split nodes
-    /// and a family's polynomials are shared, so each head is interned once
-    /// however many contexts split on it.
-    fn guards(&mut self, poly: &Rc<XPoly>) -> [FormulaId; 3] {
-        if let Some((_, guards)) = self.guards.get(&Rc::as_ptr(poly)) {
-            return *guards;
+    /// simplified (leading coefficient positive), interned once per
+    /// polynomial however many contexts split on it.
+    fn guards(&mut self, poly: PolyId) -> [FormulaId; 3] {
+        let entry = &self.polys.list[poly as usize];
+        if let Some(guards) = entry.guards {
+            return guards;
         }
-        let head = self.arena.intern_term(head(poly));
+        let head = self.arena.intern_term(head(&entry.x));
         let guards = [Rel::Eq, Rel::Gt, Rel::Lt].map(|rel| simplify_atom_id(self.arena, head, rel));
-        self.guards
-            .insert(Rc::as_ptr(poly), (Rc::clone(poly), guards));
+        self.polys.list[poly as usize].guards = Some(guards);
         guards
+    }
+
+    /// Stores a memo tree node.
+    fn tree(&mut self, node: Tree) -> TreeId {
+        self.trees.push(node);
+        TreeId(u32::try_from(self.trees.len() - 1).expect("memo tree overflow"))
+    }
+
+    /// An empty matrix of `width` columns on a recycled buffer with room
+    /// for `rows` rows; [`Elim::recycle`] takes it back.
+    fn matrix_buf(&mut self, width: usize, rows: usize) -> Matrix {
+        let mut signs = self.spare.pop().unwrap_or_default();
+        signs.clear();
+        signs.reserve(width * rows);
+        Matrix {
+            width,
+            rows: 0,
+            signs,
+        }
+    }
+
+    fn recycle(&mut self, m: Matrix) {
+        self.spare.push(m.signs);
     }
 
     /// Counts `n` new nodes against the innermost build in progress, if any.
@@ -440,44 +575,52 @@ impl Elim<'_> {
 
     /// Case-splits on the sign of `poly`'s head coefficient: one call of
     /// `k` when the context knows it, otherwise one per sign under the
-    /// extended context, joined by [`Output::split`].
+    /// context extended by a link on this frame, joined by
+    /// [`Output::split`].
     fn split3<O: Output>(
         &mut self,
-        ctx: &Ctx,
-        poly: &Rc<XPoly>,
-        k: &mut dyn FnMut(&mut Self, &Ctx, Sign) -> Result<O, Halt>,
+        ctx: Ctx<'_>,
+        poly: PolyId,
+        k: &mut dyn FnMut(&mut Self, Ctx<'_>, Sign) -> Result<O, Halt>,
     ) -> Result<O, Halt> {
-        let head = head(poly);
+        let head = self.polys.head(poly);
         if let Some(s) = ctx.findsign(head) {
             return k(self, ctx, s);
         }
         self.charge(1)?;
-        // `findsign` knows every constant, so `head` is non-constant here.
-        let c = head.terms().next_back().expect("a non-zero head").1;
-        let q = Rc::new(head.scale(&c.recip()));
-        let flip = c.is_negative();
-        let zero = k(self, &ctx.with(&q, Sign::Zero), Sign::Zero)?;
-        let pos = k(self, &ctx.with(&q, Sign::Pos.flip_if(flip)), Sign::Pos)?;
-        let neg = k(self, &ctx.with(&q, Sign::Neg.flip_if(flip)), Sign::Neg)?;
+        let Head::Monic { id, negative } = head else {
+            unreachable!("`findsign` knows every constant head")
+        };
+        let link = |s: Sign| Link {
+            head: id,
+            sign: s.flip_if(negative),
+            up: ctx,
+        };
+        let zero = k(self, Ctx(Some(&link(Sign::Zero))), Sign::Zero)?;
+        let pos = k(self, Ctx(Some(&link(Sign::Pos))), Sign::Pos)?;
+        let neg = k(self, Ctx(Some(&link(Sign::Neg))), Sign::Neg)?;
         Ok(O::split(self, poly, [zero, pos, neg]))
     }
 
     /// Ensures every polynomial's head coefficient has a known sign in the
     /// context: zero heads are beheaded, constants recorded via `delconst`,
-    /// and non-constants accumulated in `dun` for the matrix computation.
+    /// and non-constants accumulated in `dun[base..]` for the matrix
+    /// computation. The polynomials left are `next` (a beheaded one), if
+    /// any, then `todo`.
     ///
     /// This is the doubly-exponential blow-up point of the whole procedure,
     /// so the cooperative budget is checked at every entry.
     fn casesplit<O: Output>(
         &mut self,
-        ctx: &Ctx,
-        dun: &[Rc<XPoly>],
-        todo: &[Rc<XPoly>],
+        ctx: Ctx<'_>,
+        base: usize,
+        next: Option<PolyId>,
+        todo: &[PolyId],
         cont: &mut Cont<'_, O>,
     ) -> Result<O, Halt> {
         self.budget.check()?;
         self.enter()?;
-        let out = self.casesplit_open(ctx, dun, todo, cont);
+        let out = self.casesplit_open(ctx, base, next, todo, cont);
         self.depth -= 1;
         out
     }
@@ -485,29 +628,32 @@ impl Elim<'_> {
     /// [`Elim::casesplit`] inside its level.
     fn casesplit_open<O: Output>(
         &mut self,
-        ctx: &Ctx,
-        dun: &[Rc<XPoly>],
-        todo: &[Rc<XPoly>],
+        ctx: Ctx<'_>,
+        base: usize,
+        next: Option<PolyId>,
+        todo: &[PolyId],
         cont: &mut Cont<'_, O>,
     ) -> Result<O, Halt> {
-        let Some((p0, rest)) = todo.split_first() else {
-            return self.matrix(ctx, dun, cont);
+        let (p, rest) = match (next, todo.split_first()) {
+            (Some(p), _) => (p, todo),
+            (None, Some((&p, rest))) => (p, rest),
+            (None, None) => return self.matrix(ctx, base, cont),
         };
-        let p = xtrim(p0);
-        if p.is_empty() {
-            return self.delconst(ctx, dun, 0, rest, cont);
+        let degree = self.polys.x(p).len();
+        if degree == 0 {
+            return self.delconst(ctx, base, 0, rest, cont);
         }
-        self.split3(ctx, &p, &mut |el, ctx2, s| match s {
+        self.split3(ctx, p, &mut |el, ctx2, s| match s {
             Sign::Zero => {
-                let mut todo2 = vec![Rc::new(p[..p.len() - 1].to_vec())];
-                todo2.extend_from_slice(rest);
-                el.casesplit(ctx2, dun, &todo2, cont)
+                let q = el.polys.behead(p);
+                el.casesplit(ctx2, base, Some(q), rest, cont)
             }
-            s if p.len() == 1 => el.delconst(ctx2, dun, s.as_i8(), rest, cont),
+            s if degree == 1 => el.delconst(ctx2, base, s.as_i8(), rest, cont),
             _ => {
-                let mut dun2 = dun.to_vec();
-                dun2.push(Rc::clone(&p));
-                el.casesplit(ctx2, &dun2, rest, cont)
+                el.dun.push(p);
+                let out = el.casesplit(ctx2, base, None, rest, cont);
+                el.dun.pop();
+                out
             }
         })
     }
@@ -516,34 +662,36 @@ impl Elim<'_> {
     /// inserted into every matrix at the position the polynomial occupies.
     fn delconst<O: Output>(
         &mut self,
-        ctx: &Ctx,
-        dun: &[Rc<XPoly>],
+        ctx: Ctx<'_>,
+        base: usize,
         sign: i8,
-        rest: &[Rc<XPoly>],
+        rest: &[PolyId],
         cont: &mut Cont<'_, O>,
     ) -> Result<O, Halt> {
-        let idx = dun.len();
+        let at = self.dun.len() - base;
         let mut cont2 = |el: &mut Elim<'_>, m: &Matrix| {
-            let mut wide = Matrix::with_capacity(m.width + 1, m.rows);
+            let mut wide = el.matrix_buf(m.width + 1, m.rows);
             for row in m.iter() {
-                wide.push_with(row, idx, sign);
+                wide.push_with(row, at, sign);
             }
-            cont(el, &wide)
+            let out = cont(el, &wide);
+            el.recycle(wide);
+            out
         };
-        self.casesplit(ctx, dun, rest, &mut cont2)
+        self.casesplit(ctx, base, None, rest, &mut cont2)
     }
 
-    /// Feeds the sign matrix of `pols` (non-constant, heads known and
-    /// non-zero in `ctx`) to the continuation. The family's memo tree is
-    /// built on first use and replayed under `ctx`; a family whose build
-    /// was abandoned is derived under `ctx` directly.
+    /// Feeds the sign matrix of the family `dun[base..]` (non-constant,
+    /// heads known and non-zero in `ctx`) to the continuation. The family's
+    /// memo tree is built on first use and replayed under `ctx`; a family
+    /// whose build was abandoned is derived under `ctx` directly.
     fn matrix<O: Output>(
         &mut self,
-        ctx: &Ctx,
-        pols: &[Rc<XPoly>],
+        ctx: Ctx<'_>,
+        base: usize,
         cont: &mut Cont<'_, O>,
     ) -> Result<O, Halt> {
-        if pols.is_empty() {
+        if self.dun.len() == base {
             let one_row = Matrix {
                 width: 0,
                 rows: 1,
@@ -551,31 +699,37 @@ impl Elim<'_> {
             };
             return cont(self, &one_row);
         }
-        let tree = match self.memo.get(pols) {
-            Some(Some(tree)) => Rc::clone(tree),
-            Some(None) => return self.derive(ctx, pols, cont),
+        let tree = match self.memo.get(&self.dun[base..]) {
+            Some(&Some(tree)) => tree,
+            Some(None) => {
+                let pols = self.dun[base..].to_vec();
+                return self.derive(ctx, &pols, cont);
+            }
             None => {
+                let pols = self.dun[base..].to_vec();
                 self.builds.push(0);
-                let built = self.derive(&Ctx::default(), pols, &mut |el, m| {
+                let built = self.derive(Ctx::default(), &pols, &mut |el, m| {
                     el.charge(m.rows)?;
-                    Ok(Tree::Rows(m.clone()))
+                    let at = el.tree_signs.len();
+                    el.tree_signs.extend_from_slice(&m.signs);
+                    let (width, rows) = (m.width, m.rows);
+                    Ok(el.tree(Tree::Rows { width, rows, at }))
                 });
                 self.builds.pop();
                 match built {
                     Ok(tree) => {
-                        let tree = Rc::new(tree);
-                        self.memo.insert(pols.to_vec(), Some(Rc::clone(&tree)));
+                        self.memo.insert(pols, Some(tree));
                         tree
                     }
                     Err(Halt::Abandon) => {
-                        self.memo.insert(pols.to_vec(), None);
-                        return self.derive(ctx, pols, cont);
+                        self.memo.insert(pols.clone(), None);
+                        return self.derive(ctx, &pols, cont);
                     }
                     Err(e) => return Err(e),
                 }
             }
         };
-        self.replay(ctx, &tree, cont)
+        self.replay(ctx, tree, cont)
     }
 
     /// Walks a memo tree under `ctx`: a sign the context knows follows one
@@ -583,17 +737,25 @@ impl Elim<'_> {
     /// feed the continuation. Every node visited is one budget step.
     fn replay<O: Output>(
         &mut self,
-        ctx: &Ctx,
-        tree: &Tree,
+        ctx: Ctx<'_>,
+        tree: TreeId,
         cont: &mut Cont<'_, O>,
     ) -> Result<O, Halt> {
         self.budget.check()?;
         self.enter()?;
-        let out = match tree {
+        let out = match self.trees[tree.0 as usize] {
             Tree::Inconsistent => Ok(O::inconsistent(self)),
-            Tree::Rows(m) => cont(self, m),
+            Tree::Rows { width, rows, at } => {
+                let mut m = self.matrix_buf(width, rows);
+                m.signs
+                    .extend_from_slice(&self.tree_signs[at..at + width * rows]);
+                m.rows = rows;
+                let out = cont(self, &m);
+                self.recycle(m);
+                out
+            }
             Tree::Split(poly, children) => self.split3(ctx, poly, &mut |el, ctx2, s| {
-                el.replay(ctx2, &children[s as usize], cont)
+                el.replay(ctx2, children[s as usize], cont)
             }),
         };
         self.depth -= 1;
@@ -608,41 +770,57 @@ impl Elim<'_> {
     /// sign-corrected to agree with `p` at the divisor's roots.
     fn derive<O: Output>(
         &mut self,
-        ctx: &Ctx,
-        pols: &[Rc<XPoly>],
+        ctx: Ctx<'_>,
+        pols: &[PolyId],
         cont: &mut Cont<'_, O>,
     ) -> Result<O, Halt> {
         // Pick a polynomial of maximal degree.
-        let i = (0..pols.len()).max_by_key(|&j| pols[j].len()).unwrap();
-        let p = &pols[i];
-        let mut qs: Vec<Rc<XPoly>> = vec![Rc::new(xderiv(p))];
+        let i = (0..pols.len())
+            .max_by_key(|&j| self.polys.x(pols[j]).len())
+            .unwrap();
+        let p = Rc::clone(self.polys.x(pols[i]));
+        let mut qs = Vec::with_capacity(pols.len());
+        qs.push(self.polys.intern(xderiv(&p)));
         qs.extend(
             pols.iter()
                 .enumerate()
                 .filter(|&(j, _)| j != i)
-                .map(|(_, q)| Rc::clone(q)),
+                .map(|(_, &q)| q),
         );
-        let divisions: Vec<(u32, Rc<XPoly>)> = qs
+        let divisions: Vec<(u32, PolyId)> = qs
             .iter()
-            .map(|q| {
-                let (k, r) = pdivide(p, q);
-                (k, Rc::new(r))
+            .map(|&q| {
+                let (k, r) = pdivide(&p, self.polys.x(q));
+                (k, self.polys.intern(r))
             })
             .collect();
+        // Each remainder negated, once a context needs it.
+        let mut negated: Vec<Option<PolyId>> = vec![None; qs.len()];
         let l = qs.len();
-        let mut cont2 = |el: &mut Elim<'_>, m: &Matrix| match dedmatrix(m, l, i) {
-            Err(Inconsistent) => Ok(O::inconsistent(el)),
-            Ok(ded) => cont(el, &ded),
+        let mut cont2 = |el: &mut Elim<'_>, m: &Matrix| {
+            let mut ded = el.matrix_buf(l, m.rows + 2);
+            let out = match dedmatrix(m, l, i, &mut ded) {
+                Err(Inconsistent) => Ok(O::inconsistent(el)),
+                Ok(()) => cont(el, &ded),
+            };
+            el.recycle(ded);
+            out
         };
         self.decide_heads(ctx, &qs, &mut |el, ctx2| {
-            let mut all = qs.clone();
-            for (q, (k, r)) in qs.iter().zip(&divisions) {
+            let mut all = Vec::with_capacity(2 * l);
+            all.extend_from_slice(&qs);
+            for ((&q, &(k, r)), neg) in qs.iter().zip(&divisions).zip(&mut negated) {
                 // lc(q)^k · p ≡ r at q's roots: flip r when that factor is
                 // negative.
-                let flip = k % 2 == 1 && ctx2.findsign(head(q)) == Some(Sign::Neg);
-                all.push(if flip { Rc::new(xneg(r)) } else { Rc::clone(r) });
+                let flip = k % 2 == 1 && ctx2.findsign(el.polys.head(q)) == Some(Sign::Neg);
+                all.push(if flip {
+                    *neg.get_or_insert_with(|| el.polys.intern(xneg(el.polys.x(r))))
+                } else {
+                    r
+                });
             }
-            el.casesplit(ctx2, &[], &all, &mut cont2)
+            let base = el.dun.len();
+            el.casesplit(ctx2, base, None, &all, &mut cont2)
         })
     }
 
@@ -650,11 +828,11 @@ impl Elim<'_> {
     /// zero head contradicts `derive`'s precondition and is inconsistent.
     fn decide_heads<O: Output>(
         &mut self,
-        ctx: &Ctx,
-        qs: &[Rc<XPoly>],
-        k: &mut dyn FnMut(&mut Self, &Ctx) -> Result<O, Halt>,
+        ctx: Ctx<'_>,
+        qs: &[PolyId],
+        k: &mut dyn FnMut(&mut Self, Ctx<'_>) -> Result<O, Halt>,
     ) -> Result<O, Halt> {
-        let Some((q, rest)) = qs.split_first() else {
+        let Some((&q, rest)) = qs.split_first() else {
             return k(self, ctx);
         };
         self.enter()?;
@@ -686,15 +864,16 @@ fn point_sign(row: &[i8], l: usize) -> Result<Option<i8>, Inconsistent> {
 }
 
 /// Given the sign matrix of `qs ++ rs` (2·l columns, rows alternating
-/// interval/point), deduces the matrix of `p` and `qs[1..]`, with `p` at
-/// column `at`: the sign of `p` at each root point comes from the matching
-/// remainder; its signs on intervals and its own roots are interpolated via
-/// `p' = qs[0]`, whose column is dropped. Point rows that are roots of no
-/// `q` (only of remainders) are condensed away, and the intervals around
-/// them merged; rows are indexed in place, never copied.
-fn dedmatrix(m: &Matrix, l: usize, at: usize) -> Result<Matrix, Inconsistent> {
+/// interval/point), deduces into `out` (empty, `l` wide) the matrix of `p`
+/// and `qs[1..]`, with `p` at column `at`: the sign of `p` at each root
+/// point comes from the matching remainder; its signs on intervals and its
+/// own roots are interpolated via `p' = qs[0]`, whose column is dropped.
+/// Point rows that are roots of no `q` (only of remainders) are condensed
+/// away, and the intervals around them merged; rows are indexed in place,
+/// never copied.
+fn dedmatrix(m: &Matrix, l: usize, at: usize, out: &mut Matrix) -> Result<(), Inconsistent> {
     debug_assert!(m.rows % 2 == 1 && m.width == 2 * l);
-    let mut out = Matrix::with_capacity(l, m.rows + 2);
+    debug_assert!(out.rows == 0 && out.width == l);
     // The condensed interval in hand (the first row of its merged run) and
     // p's sign at the kept point to its left (`None` at −∞).
     let (mut k, mut left) = (0, None);
@@ -747,7 +926,7 @@ fn dedmatrix(m: &Matrix, l: usize, at: usize) -> Result<Matrix, Inconsistent> {
             }
         }
         let Some(s) = right else {
-            return Ok(out);
+            return Ok(());
         };
         out.push_with(&m.row(j)[1..l], at, s);
         (k, left) = (j + 1, Some(s));
@@ -824,6 +1003,43 @@ impl Body {
     }
 }
 
+/// A body's truth on each sign row it has met, decided once per
+/// elimination: leaves under different parameter signs share most of their
+/// rows (a lens query's 70 leaves read 574 rows, 80 of them distinct). A
+/// row of `w ≤` [`LeafRows::MAX_WIDTH`] signs indexes `3^w` slots in base
+/// 3; a wider row is evaluated each time.
+struct LeafRows {
+    /// `0` while undecided, else `1 +` the body's truth.
+    slots: Vec<u8>,
+}
+
+impl LeafRows {
+    const MAX_WIDTH: usize = 8;
+
+    fn new(width: usize) -> LeafRows {
+        let slots = match width {
+            0..=LeafRows::MAX_WIDTH => vec![0; 3usize.pow(width as u32)],
+            _ => Vec::new(),
+        };
+        LeafRows { slots }
+    }
+
+    fn holds(&mut self, body: &Body, row: &[i8]) -> bool {
+        if row.len() > LeafRows::MAX_WIDTH {
+            return body.eval(row);
+        }
+        let at = row.iter().fold(0, |at, &s| 3 * at + (s + 1) as usize);
+        match self.slots[at] {
+            0 => {
+                let b = body.eval(row);
+                self.slots[at] = 1 + u8::from(b);
+                b
+            }
+            slot => slot == 2,
+        }
+    }
+}
+
 /// Eliminates `∃v` from the quantifier-free, relation-free formula `id`
 /// (from its negation when `neg`), building the output in `arena`. The
 /// result is what `simplify` makes of the formula the derivation denotes,
@@ -840,25 +1056,31 @@ fn eliminate_exists(
     if let Body::Const(b) = body {
         return Ok(arena.intern_node(if b { Node::True } else { Node::False }));
     }
-    let xpolys: Vec<Rc<XPoly>> = cols
+    let mut polys = Polys::default();
+    let todo: Vec<PolyId> = cols
         .iter()
-        .map(|&t| Rc::new(arena.term(t).as_univariate_in(v)))
+        .map(|&t| polys.intern(arena.term(t).as_univariate_in(v)))
         .collect();
     let mut elim = Elim {
         budget,
         arena: &mut *arena,
+        polys,
         memo: HashMap::new(),
+        trees: Vec::new(),
+        tree_signs: Vec::new(),
         builds: Vec::new(),
         depth: 0,
-        guards: HashMap::new(),
+        dun: Vec::new(),
+        spare: Vec::new(),
     };
+    let mut rows = LeafRows::new(cols.len());
     let mut cont = |el: &mut Elim<'_>, m: &Matrix| {
-        let holds = m.iter().any(|row| body.eval(row));
+        let holds = m.iter().any(|row| rows.holds(&body, row));
         Ok(el
             .arena
             .intern_node(if holds { Node::True } else { Node::False }))
     };
-    match elim.casesplit(&Ctx::default(), &[], &xpolys, &mut cont) {
+    match elim.casesplit(Ctx::default(), 0, None, &todo, &mut cont) {
         Ok(qf) => Ok(qf),
         Err(Halt::Budget(e)) => Err(e),
         Err(Halt::Abandon) => unreachable!("abandoned outside any memo build"),
@@ -1010,26 +1232,136 @@ mod tests {
         assert_eq!(hoermander(&f_, unlimited).unwrap(), Formula::False);
     }
 
+    /// The sign context the linked [`Ctx`] replaced, kept as its oracle: a
+    /// `Vec` of monic heads, copied for each branch, and a lookup that tests
+    /// `p = c·q` term by term against every entry `q`, with `c` the leading
+    /// coefficient of `p`.
+    #[derive(Clone, Default)]
+    struct VecCtx {
+        entries: Vec<(Rc<MPoly>, Sign)>,
+    }
+
+    impl VecCtx {
+        fn findsign(&self, p: &MPoly) -> Option<Sign> {
+            if let Some(c) = p.as_constant() {
+                return Some(Sign::of(&c));
+            }
+            let (_, c) = p.terms().next_back()?;
+            let is_multiple = |q: &MPoly| {
+                p.num_terms() == q.num_terms()
+                    && p.terms().zip(q.terms()).all(|((mp, _), (mq, _))| mp == mq)
+                    && p.terms()
+                        .zip(q.terms())
+                        .all(|((_, cp), (_, cq))| *cp == c * cq)
+            };
+            self.entries
+                .iter()
+                .find(|(q, _)| is_multiple(q))
+                .map(|&(_, s)| s.flip_if(c.is_negative()))
+        }
+
+        /// This context and the sign `s` of the head `h`, made monic, as
+        /// the old `split3` extended it.
+        fn with(&self, h: &MPoly, s: Sign) -> VecCtx {
+            let c = h.terms().next_back().expect("a non-constant head").1;
+            let q = Rc::new(h.scale(&c.recip()));
+            let mut entries = self.entries.clone();
+            entries.push((q, s.flip_if(c.is_negative())));
+            VecCtx { entries }
+        }
+    }
+
+    /// Calls `k` under the linked context that assumes each head of
+    /// `entries` has its sign, linked on this recursion's frames as
+    /// `split3` links them.
+    fn linked<R>(
+        polys: &mut Polys,
+        entries: &[(MPoly, Sign)],
+        ctx: Ctx<'_>,
+        k: &mut dyn FnMut(&mut Polys, Ctx<'_>) -> R,
+    ) -> R {
+        let Some(((h, s), rest)) = entries.split_first() else {
+            return k(polys, ctx);
+        };
+        let Head::Monic { id, negative } = polys.head_of(h) else {
+            panic!("a constant head: {h}")
+        };
+        let link = Link {
+            head: id,
+            sign: s.flip_if(negative),
+            up: ctx,
+        };
+        linked(polys, rest, Ctx(Some(&link)), k)
+    }
+
+    /// A polynomial in `a` and `b` from `(exponent of a, of b,
+    /// coefficient)` terms.
+    fn poly(terms: &[(u32, u32, i64)]) -> MPoly {
+        let (a, b) = (MPoly::var(Var(1)), MPoly::var(Var(2)));
+        terms.iter().fold(MPoly::zero(), |p, &(i, j, c)| {
+            &p + &(&a.pow(i) * &b.pow(j)).scale(&Rat::from(c))
+        })
+    }
+
     #[test]
     fn a_scaled_lookup_finds_the_monic_entry() {
         let (a, b) = (MPoly::var(Var(1)), MPoly::var(Var(2)));
         // Leading term −2·b: the head is the last term in monomial order.
         let p = &(&a * &a) - &b.scale(&Rat::from(2i64));
-        let q = Rc::new(p.scale(&Rat::from(-2i64).recip()));
+        let q = p.scale(&Rat::from(-2i64).recip());
         let ratio = &(&a * &a) + &b.scale(&Rat::from(2i64));
         for s in [Sign::Zero, Sign::Pos, Sign::Neg] {
-            let ctx = Ctx::default().with(&q, s);
-            for c in [rat(3, 1), rat(-1, 1), rat(1, 7), rat(-5, 2)] {
-                assert_eq!(
-                    ctx.findsign(&q.scale(&c)),
-                    Some(s.flip_if(c.is_negative())),
-                    "{c}"
-                );
+            let mut polys = Polys::default();
+            linked(
+                &mut polys,
+                &[(q.clone(), s)],
+                Ctx::default(),
+                &mut |polys, ctx| {
+                    for c in [rat(3, 1), rat(-1, 1), rat(1, 7), rat(-5, 2)] {
+                        let scaled = polys.head_of(&q.scale(&c));
+                        assert_eq!(
+                            ctx.findsign(scaled),
+                            Some(s.flip_if(c.is_negative())),
+                            "{c}"
+                        );
+                    }
+                    assert_eq!(ctx.findsign(polys.head_of(&p)), Some(s.flip_if(true)));
+                    // The same monomials in another ratio, and another polynomial.
+                    assert_eq!(ctx.findsign(polys.head_of(&ratio)), None);
+                    assert_eq!(ctx.findsign(polys.head_of(&(&p + &MPoly::one()))), None);
+                },
+            );
+        }
+    }
+
+    /// A body over `width` columns, at most `depth` connectives deep.
+    fn body(draw: &mut impl FnMut(u64) -> u64, width: usize, depth: u32) -> Body {
+        const RELS: [Rel; 6] = [Rel::Eq, Rel::Neq, Rel::Lt, Rel::Le, Rel::Gt, Rel::Ge];
+        match draw(if depth == 0 { 8 } else { 12 }) {
+            0 => Body::Const(draw(2) == 0),
+            1..=7 => Body::Atom(draw(width as u64) as usize, RELS[draw(6) as usize]),
+            k => {
+                let parts = (0..1 + draw(3))
+                    .map(|_| body(draw, width, depth - 1))
+                    .collect();
+                if k % 2 == 0 {
+                    Body::And(parts)
+                } else {
+                    Body::Or(parts)
+                }
             }
-            assert_eq!(ctx.findsign(&p), Some(s.flip_if(true)));
-            // The same monomials in another ratio, and another polynomial.
-            assert_eq!(ctx.findsign(&ratio), None);
-            assert_eq!(ctx.findsign(&(&p + &MPoly::one())), None);
+        }
+    }
+
+    /// A splitmix64 stream from `seed`, drawing below its argument.
+    fn draws(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed;
+        move |n| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
         }
     }
 
@@ -1219,7 +1551,8 @@ mod tests {
             let rows = sign_matrix(l, points, seed, mode);
             let want = dedmatrix_oracle(&rows, l);
             for at in 0..l {
-                let got = dedmatrix(&flat(&rows, 2 * l), l, at);
+                let mut out = Matrix { width: l, rows: 0, signs: Vec::new() };
+                let got = dedmatrix(&flat(&rows, 2 * l), l, at, &mut out).map(|()| out);
                 match &want {
                     Err(Inconsistent) => prop_assert_eq!(&got, &Err(Inconsistent)),
                     Ok(want) => {
@@ -1227,6 +1560,73 @@ mod tests {
                         prop_assert_eq!(got, Ok(reordered(want, at)));
                     }
                 }
+            }
+        }
+    }
+
+    /// A head drawn from up to three terms in `a` and `b`.
+    fn head_terms() -> impl Strategy<Value = Vec<(u32, u32, i64)>> {
+        prop::collection::vec((0u32..3, 0u32..2, -3i64..=3), 1..4)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The linked context answers every lookup as the `Vec` context
+        /// does: its own heads, scaled or not, constants, and heads it
+        /// never assumed.
+        #[test]
+        fn linked_findsign_matches_its_oracle(
+            heads in prop::collection::vec((head_terms(), 0usize..3), 0..6),
+            lookups in prop::collection::vec(
+                (0u8..4, any::<usize>(), (-4i64..=4, 1i64..=5), head_terms()),
+                1..12,
+            ),
+        ) {
+            const SIGNS: [Sign; 3] = [Sign::Zero, Sign::Pos, Sign::Neg];
+            // Assume only heads the context does not know yet, as `split3`.
+            let (mut oracle, mut entries) = (VecCtx::default(), Vec::new());
+            for (terms, s) in &heads {
+                let h = poly(terms);
+                if oracle.findsign(&h).is_none() {
+                    oracle = oracle.with(&h, SIGNS[*s]);
+                    entries.push((h, SIGNS[*s]));
+                }
+            }
+            let queries: Vec<MPoly> = lookups
+                .iter()
+                .map(|(kind, at, (n, d), terms)| match (kind, entries.len()) {
+                    (0, 1..) => entries[at % entries.len()].0.clone(),
+                    (1, 1..) if *n != 0 => entries[at % entries.len()].0.scale(&rat(*n, *d)),
+                    (2, _) => MPoly::constant(rat(*n, *d)),
+                    _ => poly(terms),
+                })
+                .collect();
+            let mut polys = Polys::default();
+            let got = linked(&mut polys, &entries, Ctx::default(), &mut |polys, ctx| {
+                queries.iter().map(|q| ctx.findsign(polys.head_of(q))).collect::<Vec<_>>()
+            });
+            let want: Vec<Option<Sign>> = queries.iter().map(|q| oracle.findsign(q)).collect();
+            prop_assert_eq!(got, want);
+        }
+
+        /// The leaf-row memo answers every row, repeated or not, narrow or
+        /// wider than its table, as the body's direct evaluation does.
+        #[test]
+        fn leaf_rows_match_a_direct_eval(
+            case in (1usize..=LeafRows::MAX_WIDTH + 2, any::<u64>(), 1usize..64)
+        ) {
+            let (width, seed, n) = case;
+            let mut draw = draws(seed);
+            let body = body(&mut draw, width, 3);
+            // Few distinct rows, so that most are met again.
+            let distinct: Vec<Vec<i8>> = (0..1 + draw(6))
+                .map(|_| (0..width).map(|_| draw(3) as i8 - 1).collect())
+                .collect();
+            let mut memo = LeafRows::new(width);
+            for _ in 0..n {
+                let row = &distinct[draw(distinct.len() as u64) as usize];
+                prop_assert_eq!(memo.holds(&body, row), body.eval(row), "{:?}", row);
             }
         }
     }

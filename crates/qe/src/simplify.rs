@@ -252,21 +252,17 @@ pub(crate) fn push_unique(parts: &mut Vec<FormulaId>, f: FormulaId) {
 }
 
 pub(crate) fn has_complementary_pair(arena: &Arena, parts: &[FormulaId]) -> bool {
-    let atoms: Vec<(TermId, Rel)> = parts
-        .iter()
-        .filter_map(|&p| match arena.node(p) {
-            Node::Atom { poly, rel } => Some((*poly, *rel)),
-            _ => None,
+    let atom = |p: FormulaId| match arena.node(p) {
+        Node::Atom { poly, rel } => Some((*poly, *rel)),
+        _ => None,
+    };
+    parts.iter().enumerate().any(|(i, &p)| {
+        atom(p).is_some_and(|(poly, rel)| {
+            parts[i + 1..]
+                .iter()
+                .any(|&q| atom(q) == Some((poly, rel.negate())))
         })
-        .collect();
-    for (i, &(p1, r1)) in atoms.iter().enumerate() {
-        for &(p2, r2) in &atoms[i + 1..] {
-            if p1 == p2 && r2 == r1.negate() {
-                return true;
-            }
-        }
-    }
-    false
+    })
 }
 
 /// `true` iff the two relations on the same polynomial are jointly

@@ -75,8 +75,10 @@ run_capped cargo test -q --offline -p cqa-qe --test plan_parity
 
 echo "== Hörmander (pinned corpus, flat sign matrices, bounded replay, memory and depth) =="
 # The corpus digests pin every output bit for bit and every step count;
-# the MPoly model proptest checks the sorted term list; the dedmatrix
-# proptest checks the flat-matrix deduction against the row-per-Vec oracle;
+# the MPoly model proptest checks the sorted term list; the lib proptests
+# check the flat-matrix deduction against the row-per-Vec oracle, the
+# stack-linked sign context's lookups against the Vec context it replaced,
+# and the leaf-row memo against the body's direct evaluation;
 # the bounds tests trip a step cap and a 50 ms deadline on three
 # non-terminating probes (the deadline margin is only asserted in release
 # builds), cap peak RSS, and trip the depth cap on derivations too deep for
@@ -84,7 +86,7 @@ echo "== Hörmander (pinned corpus, flat sign matrices, bounded replay, memory a
 # three cold_poly lens queries' full EXEC replies are pinned.
 run_capped cargo test -q --release --offline -p cqa-qe --test hoermander_props pinned_corpus
 run_capped cargo test -q --release --offline -p cqa-poly --test props
-run_capped cargo test -q --release --offline -p cqa-qe --lib dedmatrix
+run_capped cargo test -q --release --offline -p cqa-qe --lib -- dedmatrix linked_findsign leaf_rows
 run_capped cargo test -q --release --offline -p cqa-qe --test hoermander_bounds
 run_capped cargo test -q --release --offline -p cqa-engine --lib a_derivation_too_deep
 run_capped cargo test -q --release --offline -p cqa-engine --test goldens lens_replies
