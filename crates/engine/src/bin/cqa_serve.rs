@@ -5,19 +5,17 @@
 //!           [--cache-bytes B] [--shards N] [--timeout-ms MS]
 //!           [--max-steps N] [--eps E] [--delta D] [--idle-secs S]
 //!           [--write-timeout-ms MS] [--max-body-bytes B]
-//!           [--preload FILE.cqa] [--threaded]
-//!           [--data-dir DIR] [--snapshot-every N]
+//!           [--preload FILE.cqa] [--data-dir DIR] [--snapshot-every N]
 //! ```
 //!
 //! Binds a TCP listener (default `127.0.0.1:0`, i.e. an ephemeral port),
 //! prints `LISTENING <addr>` on stdout once ready, and serves the
-//! `cqa-engine` wire protocol until a client sends `SHUTDOWN`. The
-//! default front end is the event-driven reactor (idle sessions cost no
-//! worker threads, pipelining and `BATCH` supported); `--threaded`
-//! selects the legacy thread-per-connection loop, kept as the parity
-//! oracle and benchmark baseline. A `--preload` program is run through
-//! the same static-analysis gate as `cqa-lint` before the listener
-//! opens; errors abort startup with the usual diagnostics.
+//! `cqa-engine` wire protocol until a client sends `SHUTDOWN`. There is
+//! one front end, the event-driven reactor: idle sessions cost no worker
+//! threads, and pipelining and `BATCH` are supported. A `--preload`
+//! program is run through the same static-analysis gate as `cqa-lint`
+//! before the listener opens; errors abort startup with the usual
+//! diagnostics.
 //!
 //! `--data-dir DIR` turns on durable storage: crash recovery
 //! (snapshot + write-ahead-log replay) and the cache warm-start load run
@@ -27,7 +25,7 @@
 //! compaction cadence (default 64 WAL records).
 
 use cqa_analyze::{lint_file, AnalyzerConfig};
-use cqa_engine::{serve, serve_threaded, Engine, EngineConfig};
+use cqa_engine::{serve, Engine, EngineConfig};
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -39,8 +37,8 @@ fn usage() -> ! {
         "usage: cqa-serve [--addr HOST:PORT] [--workers N] [--max-sessions N] \
          [--cache-bytes B] [--shards N] [--timeout-ms MS] [--max-steps N] \
          [--eps E] [--delta D] [--idle-secs S] [--write-timeout-ms MS] \
-         [--max-body-bytes B] [--preload FILE.cqa] [--threaded] \
-         [--data-dir DIR] [--snapshot-every N]"
+         [--max-body-bytes B] [--preload FILE.cqa] [--data-dir DIR] \
+         [--snapshot-every N]"
     );
     std::process::exit(2);
 }
@@ -72,7 +70,6 @@ fn main() -> ExitCode {
     let mut addr = "127.0.0.1:0".to_string();
     let mut cfg = EngineConfig::default();
     let mut preload_path: Option<String> = None;
-    let mut threaded = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = || {
@@ -97,8 +94,6 @@ fn main() -> ExitCode {
             "--preload" => preload_path = Some(value()),
             "--data-dir" => cfg.data_dir = Some(value().into()),
             "--snapshot-every" => cfg.snapshot_every = int(&arg, value()),
-            // Parity oracle: the thread-per-connection front end.
-            "--threaded" => threaded = true,
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -151,12 +146,7 @@ fn main() -> ExitCode {
         .local_addr()
         .expect("bound listener has an address");
     println!("LISTENING {local}");
-    let result = if threaded {
-        serve_threaded(engine, listener)
-    } else {
-        serve(engine, listener)
-    };
-    match result {
+    match serve(engine, listener) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("cqa-serve: {e}");

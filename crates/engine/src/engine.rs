@@ -38,9 +38,9 @@ pub use cqa_approx::sample::MAX_SAMPLES;
 /// Engine configuration (server-wide).
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Worker threads executing commands. With the reactor front end this
-    /// no longer bounds concurrent connections — idle sessions cost no
-    /// worker — only how many commands execute at once.
+    /// Worker threads executing commands: how many commands execute at
+    /// once. Open connections are bounded by `max_sessions`, not by this;
+    /// an idle session costs no worker.
     pub workers: usize,
     /// Maximum concurrently open sessions; the accept path answers
     /// `ERR busy` beyond this.
@@ -59,12 +59,13 @@ pub struct EngineConfig {
     pub default_eps: f64,
     /// Default δ for degraded (ε, δ) answers.
     pub default_delta: f64,
-    /// Socket read timeout: an idle/stalled client is disconnected after
-    /// this long so it cannot hold a pool slot forever.
+    /// Idle reaping: a connection with nothing queued, running or
+    /// buffered (no request, no reply, no body under assembly) that has
+    /// sent nothing for this long is closed, so it cannot hold a session
+    /// slot forever.
     pub idle_timeout: Duration,
-    /// Socket write timeout: a client that stops draining its responses
-    /// is disconnected after this long (counted in `write_errors`)
-    /// instead of hanging a worker inside a blocking write.
+    /// Write-stall limit: a connection whose buffered output has not
+    /// drained for this long is dropped and counted in `write_errors`.
     pub write_timeout: Duration,
     /// Maximum bytes accepted for one dot-terminated request body
     /// (`LOAD`/`BATCH`); larger bodies answer `ERR proto body too large`.
@@ -1213,8 +1214,8 @@ impl Engine {
     /// on the step cap, and its first clock probe, at most `CLOCK_PERIOD`
     /// steps in, on the deadline. Only a `Depth` trip, which Hörmander
     /// raises without exhausting the budget, can reach `reason=qe-budget`,
-    /// when the ground instances fit under the depth cap. ROADMAP item 8
-    /// replaces this path.
+    /// when the ground instances fit under the depth cap. The ROADMAP item
+    /// "certified answers where QE runs out" replaces this path.
     fn mc_pointwise(
         &self,
         f: &Formula,

@@ -38,8 +38,7 @@
 //!   tagged and written in request order, `BATCH` amortizing one round
 //!   trip over many `EXEC`s), and every request runs under a per-request
 //!   [`cqa_logic::budget::EvalBudget`] so a slow query cannot wedge a
-//!   worker forever. The pre-refactor thread-per-connection loop survives
-//!   as [`serve_threaded`] — the parity oracle and benchmark baseline.
+//!   worker forever.
 //!
 //! Answers are tagged `status=exact` or `status=approx eps=… delta=…`:
 //! when the exact path is infeasible (budget trip, or a semi-algebraic
@@ -59,7 +58,7 @@ pub mod storage;
 
 pub use cache::{CacheEntry, CacheKey, CacheSnapshot, QueryCache, WarmSlot, DEFAULT_CACHE_SHARDS};
 pub use engine::{Engine, EngineConfig, Session, MAX_SAMPLES, MC_SEED};
-pub use net::{serve, serve_threaded, spawn_server, spawn_server_threaded, ServerHandle};
+pub use net::{serve, spawn_server, ServerHandle};
 pub use protocol::{parse_command, read_response, split_tag, Command, CommandKind, Response};
 pub use stats::{EngineStats, Histogram, LATENCY_BUCKETS_US};
 pub use storage::{Storage, StorageError, StorageStats};

@@ -1,33 +1,28 @@
-//! The TCP serving layer, in two shapes sharing one protocol:
+//! The TCP serving layer: one event-driven front end, [`serve`].
 //!
-//! * [`serve`] — the event-driven front end: a reactor thread
-//!   ([`reactor`]) parks every open connection on a non-blocking socket,
-//!   assembles complete request frames (command line plus any
-//!   dot-terminated body), and schedules connections with queued frames
-//!   onto a fixed worker pool ([`worker`]). A connection costs a worker
-//!   thread only while a frame of its is executing, so hundreds of idle
-//!   sessions cost zero workers; admission is a `max_sessions` limit
-//!   (`ERR busy` beyond it, counted in `rejected_conns`). The protocol
-//!   pipelines: clients may send many commands without waiting, and
-//!   responses come back in request order, `@tag`-prefixed when the
-//!   request was.
-//! * [`serve_threaded`] — the pre-reactor thread-per-connection loop
-//!   ([`threaded`]), kept as the parity oracle and the E21 benchmark
-//!   baseline.
+//! A reactor thread ([`reactor`]) parks every open connection on a
+//! non-blocking socket, assembles complete request frames (command line
+//! plus any dot-terminated body), and schedules connections with queued
+//! frames onto a fixed worker pool ([`worker`]). A connection costs a
+//! worker thread only while a frame of its is executing, so hundreds of
+//! idle sessions cost zero workers; admission is a `max_sessions` limit
+//! (`ERR busy` beyond it, counted in `rejected_conns`). The protocol
+//! pipelines: clients may send many commands without waiting, and
+//! responses come back in request order, `@tag`-prefixed when the request
+//! was.
 //!
-//! Both are std-only (no async runtime, no epoll binding): the reactor is
-//! a poll loop over non-blocking sockets that sleeps only when a full
-//! pass made no progress. `SHUTDOWN` raises a flag; the reactor drains
-//! buffered responses (bounded), closes every socket, drops the worker
-//! channel, and joins every thread — a clean shutdown leaks nothing.
+//! It is std-only (no async runtime, no epoll binding): the reactor is a
+//! poll loop over non-blocking sockets that sleeps only when a full pass
+//! made no progress. `SHUTDOWN` raises a flag; the reactor drains buffered
+//! responses (bounded), closes every socket, drops the worker channel, and
+//! joins every thread — a clean shutdown leaks nothing.
 //!
-//! Both front ends pass every accepted socket through [`set_socket_options`]
-//! before it serves a byte: `TCP_NODELAY` is what lets a pipelined burst
-//! come back as fast as it is executed (DESIGN.md §15, "Socket options").
+//! Every accepted socket passes through [`set_socket_options`] before it
+//! serves a byte: `TCP_NODELAY` is what lets a pipelined burst come back
+//! as fast as it is executed (DESIGN.md §15, "Socket options").
 
 mod conn;
 mod reactor;
-mod threaded;
 mod worker;
 
 use crate::engine::Engine;
@@ -36,20 +31,17 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
-pub use threaded::serve_threaded;
-
-/// The options every connection the engine accepts gets, whichever front
-/// end accepted it. `TCP_NODELAY`: with Nagle's algorithm on, a reply
-/// written while an earlier reply is still unacknowledged is held until
-/// the client's delayed ACK fires — at least 40 ms on Linux — so without
-/// it every pipelined burst of two or more frames pays that timer once.
+/// The options every connection the engine accepts gets. `TCP_NODELAY`:
+/// with Nagle's algorithm on, a reply written while an earlier reply is
+/// still unacknowledged is held until the client's delayed ACK fires — at
+/// least 40 ms on Linux — so without it every pipelined burst of two or
+/// more frames pays that timer once.
 fn set_socket_options(stream: &TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)
 }
 
-/// A handle to a server spawned with [`spawn_server`] or
-/// [`spawn_server_threaded`]: its bound address and the serving thread to
-/// join after `SHUTDOWN`.
+/// A handle to a server spawned with [`spawn_server`]: its bound address
+/// and the serving thread to join after `SHUTDOWN`.
 pub struct ServerHandle {
     addr: SocketAddr,
     join: Option<JoinHandle<io::Result<()>>>,
@@ -92,18 +84,6 @@ pub fn spawn_server(engine: Arc<Engine>) -> io::Result<ServerHandle> {
     })
 }
 
-/// Binds an ephemeral localhost port and runs [`serve_threaded`] on a
-/// background thread — the baseline twin of [`spawn_server`].
-pub fn spawn_server_threaded(engine: Arc<Engine>) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
-    let join = thread::spawn(move || serve_threaded(engine, listener));
-    Ok(ServerHandle {
-        addr,
-        join: Some(join),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,8 +98,13 @@ mod tests {
         read_response(r).unwrap().expect("response")
     }
 
-    /// Runs the full-protocol round trip against either front end.
-    fn roundtrip(handle: ServerHandle) {
+    #[test]
+    fn tcp_roundtrip_and_clean_shutdown() {
+        let engine = Arc::new(Engine::new(EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        }));
+        let handle = spawn_server(engine).unwrap();
         let stream = TcpStream::connect(handle.addr()).unwrap();
         let mut r = BufReader::new(stream.try_clone().unwrap());
         let mut w = BufWriter::new(stream);
@@ -163,24 +148,6 @@ mod tests {
         let resp = send(&mut r, &mut w, "SHUTDOWN");
         assert!(resp.is_ok(), "{resp:?}");
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn tcp_roundtrip_and_clean_shutdown() {
-        let engine = Arc::new(Engine::new(EngineConfig {
-            workers: 2,
-            ..EngineConfig::default()
-        }));
-        roundtrip(spawn_server(engine).unwrap());
-    }
-
-    #[test]
-    fn threaded_tcp_roundtrip_and_clean_shutdown() {
-        let engine = Arc::new(Engine::new(EngineConfig {
-            workers: 2,
-            ..EngineConfig::default()
-        }));
-        roundtrip(spawn_server_threaded(engine).unwrap());
     }
 
     #[test]
@@ -260,6 +227,27 @@ mod tests {
     }
 
     #[test]
+    fn half_close_mid_body_closes_the_connection() {
+        let engine = Arc::new(Engine::new(EngineConfig::default()));
+        let handle = spawn_server(engine).unwrap();
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut r = BufReader::new(stream.try_clone().unwrap());
+        assert!(read_response(&mut r).unwrap().unwrap().is_ok());
+        // A body whose terminating `.` can no longer arrive.
+        (&stream).write_all(b"LOAD\nrel S(y) := y > 0\n").unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        assert!(read_response(&mut r).unwrap().is_none(), "still open");
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut r = BufReader::new(stream.try_clone().unwrap());
+        assert!(read_response(&mut r).unwrap().unwrap().is_ok());
+        send(&mut r, &mut BufWriter::new(stream), "SHUTDOWN");
+        handle.join().unwrap();
+    }
+
+    #[test]
     fn session_limit_rejects_with_busy() {
         let engine = Arc::new(Engine::new(EngineConfig {
             workers: 2,
@@ -281,34 +269,6 @@ mod tests {
             1
         );
         // Release the slot, then stop the server.
-        let mut w1 = BufWriter::new(s1);
-        writeln!(w1, "SHUTDOWN").unwrap();
-        w1.flush().unwrap();
-        assert!(read_response(&mut r1).unwrap().unwrap().is_ok());
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn saturated_threaded_pool_rejects_with_busy() {
-        let engine = Arc::new(Engine::new(EngineConfig {
-            workers: 1,
-            ..EngineConfig::default()
-        }));
-        let handle = spawn_server_threaded(Arc::clone(&engine)).unwrap();
-        // First connection occupies the only worker.
-        let s1 = TcpStream::connect(handle.addr()).unwrap();
-        let mut r1 = BufReader::new(s1.try_clone().unwrap());
-        assert!(read_response(&mut r1).unwrap().unwrap().is_ok());
-        // Second connection must be turned away.
-        let s2 = TcpStream::connect(handle.addr()).unwrap();
-        let mut r2 = BufReader::new(s2.try_clone().unwrap());
-        let resp = read_response(&mut r2).unwrap().unwrap();
-        assert!(resp.header.starts_with("ERR busy"), "{resp:?}");
-        assert_eq!(
-            crate::stats::EngineStats::get(&engine.stats.rejected_conns),
-            1
-        );
-        // Release the worker, then stop the server.
         let mut w1 = BufWriter::new(s1);
         writeln!(w1, "SHUTDOWN").unwrap();
         w1.flush().unwrap();

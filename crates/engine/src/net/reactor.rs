@@ -472,6 +472,43 @@ mod tests {
         }
     }
 
+    /// The first `.` of a body line is stripped (RFC 5321 §4.5.2), so `.x`
+    /// is `x` and `..x` is `.x`; only a lone `.` ends the body, and a CRLF
+    /// line arrives without its `\r`.
+    #[test]
+    fn body_lines_lose_one_leading_dot_and_their_cr() {
+        let (frames, r, rs) = cut(b"LOAD\r\n.x\r\n..x\nx.\r\n.\r\nSTATS\n", 1024);
+        r.unwrap();
+        assert!(rs.body.is_none(), "the lone dot ended the body");
+        match &frames[..] {
+            [Frame::Cmd {
+                cmd: Command::Load { program: Some(p) },
+                ..
+            }, Frame::Cmd {
+                cmd: Command::Stats,
+                ..
+            }] => assert_eq!(p, "x\n.x\nx.\n"),
+            other => panic!("expected LOAD then STATS, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn body_cap_admits_a_body_of_exactly_max_body_bytes() {
+        // "abc\n" is exactly 4 bytes: a cap of 4 accepts it, 3 rejects it.
+        let (frames, r, _) = cut(b"LOAD\nabc\n.\n", 4);
+        r.unwrap();
+        assert!(
+            matches!(&frames[..], [Frame::Cmd { cmd: Command::Load { program: Some(p) }, .. }] if p == "abc\n"),
+            "{frames:?}"
+        );
+        let (frames, r, _) = cut(b"LOAD\nabc\n.\n", 3);
+        r.unwrap();
+        assert!(
+            matches!(&frames[..], [Frame::ProtoErr { msg, .. }] if msg == "body too large (limit=3 bytes)"),
+            "{frames:?}"
+        );
+    }
+
     #[test]
     fn split_body_arrives_across_reads() {
         let mut rs = ReadState::new();

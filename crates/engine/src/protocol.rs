@@ -398,79 +398,6 @@ pub fn read_response(r: &mut impl BufRead) -> io::Result<Option<Response>> {
     Ok(Some(Response { header, body }))
 }
 
-/// Why a request body could not be read.
-#[derive(Debug)]
-pub enum BodyError {
-    /// The body exceeded the configured byte limit. The reader drained the
-    /// rest of the body up to the `.` terminator, so the connection stays
-    /// framed and can serve the next pipelined request.
-    TooLarge {
-        /// The configured limit that was exceeded.
-        limit: usize,
-    },
-    /// The underlying stream failed (EOF mid-body, timeout, reset).
-    Io(io::Error),
-}
-
-impl From<io::Error> for BodyError {
-    fn from(e: io::Error) -> BodyError {
-        BodyError::Io(e)
-    }
-}
-
-impl std::fmt::Display for BodyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BodyError::TooLarge { limit } => {
-                write!(f, "body too large (limit={limit} bytes)")
-            }
-            BodyError::Io(e) => write!(f, "body read failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for BodyError {}
-
-/// Reads a dot-terminated request body (server side, after a bare `LOAD`
-/// or a `BATCH`), un-stuffing leading dots. Bodies larger than `limit`
-/// bytes return [`BodyError::TooLarge`] — after draining to the dot — so
-/// one client cannot buffer the server out of memory.
-pub(crate) fn read_body(r: &mut impl BufRead, limit: usize) -> Result<String, BodyError> {
-    let mut out = String::new();
-    let mut over = false;
-    loop {
-        let mut line = String::new();
-        if r.read_line(&mut line)? == 0 {
-            return Err(BodyError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-body",
-            )));
-        }
-        let line = line.trim_end_matches(['\n', '\r']);
-        if line == "." {
-            break;
-        }
-        let line = if line.starts_with("..") {
-            &line[1..]
-        } else {
-            line
-        };
-        if !over && out.len() + line.len() + 1 > limit {
-            over = true;
-            out.clear();
-        }
-        if !over {
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
-    if over {
-        Err(BodyError::TooLarge { limit })
-    } else {
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,41 +500,6 @@ mod tests {
         let back = read_response(&mut r).unwrap().unwrap();
         assert_eq!(back, resp);
         assert!(back.is_ok());
-    }
-
-    #[test]
-    fn body_roundtrip() {
-        let wire = b"rel S(y) := y > 0\n..dotline\n.\n";
-        let mut r = BufReader::new(&wire[..]);
-        let body = read_body(&mut r, 1 << 20).unwrap();
-        assert_eq!(body, "rel S(y) := y > 0\n.dotline\n");
-    }
-
-    #[test]
-    fn body_limit_boundary() {
-        // "abc\n" is exactly 4 bytes: a limit of 4 accepts it, 3 rejects.
-        let mut r = BufReader::new(&b"abc\n.\n"[..]);
-        assert_eq!(read_body(&mut r, 4).unwrap(), "abc\n");
-        let mut r = BufReader::new(&b"abc\n.\n"[..]);
-        match read_body(&mut r, 3) {
-            Err(BodyError::TooLarge { limit: 3 }) => {}
-            other => panic!("expected TooLarge, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn oversized_body_drains_to_the_dot() {
-        // After a TooLarge error the reader must have consumed the whole
-        // body including the terminator, leaving the next request intact.
-        let wire = b"0123456789\nmore\n.\nSTATS\n";
-        let mut r = BufReader::new(&wire[..]);
-        assert!(matches!(
-            read_body(&mut r, 5),
-            Err(BodyError::TooLarge { .. })
-        ));
-        let mut next = String::new();
-        r.read_line(&mut next).unwrap();
-        assert_eq!(next, "STATS\n");
     }
 
     #[test]

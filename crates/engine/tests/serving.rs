@@ -1,11 +1,10 @@
 //! End-to-end tests for the event-driven serving layer: pipelining
 //! order/parity, shard-count bit-identity, idle-session scalability, the
-//! non-blocking busy path, pipelined-burst latency on both front ends,
-//! body caps over the wire, the parse caps on oversized terms,
-//! warm-file shard-independence, a shared-stream `BATCH` that answers
-//! what lone `EXEC`s do, and reply coalescing: a pipelined `LOAD` burst
-//! answered in a few socket writes, and a ready reply that does not wait
-//! behind a slow frame.
+//! non-blocking busy path, pipelined-burst latency, body caps over the
+//! wire, the parse caps on oversized terms, warm-file shard-independence,
+//! a shared-stream `BATCH` that answers what lone `EXEC`s do, and reply
+//! coalescing: a pipelined `LOAD` burst answered in a few socket writes,
+//! and a ready reply that does not wait behind a slow frame.
 
 use cqa_engine::{parse_command, read_response, Command, Engine, EngineConfig};
 use cqa_testkit::wire::{dispatch, strip, tmpdir, Client, QUERIES};
@@ -522,52 +521,44 @@ fn a_ready_reply_does_not_wait_for_the_slow_frame_behind_it() {
 /// Regression for Nagle's algorithm meeting the client's delayed ACK:
 /// without `TCP_NODELAY` a burst of frames written at once gets its first
 /// reply at once and every later one only after the client ACKs the first
-/// (≥ 40 ms on Linux), on both front ends, whatever the burst size. With it
-/// a burst takes what its frames cost: at most `size` single-frame round
-/// trips on the same connection, plus 20 ms — half the shortest delayed
-/// ACK — of slack, so the bound holds in a debug build too.
+/// (≥ 40 ms on Linux), whatever the burst size. With it a burst takes what
+/// its frames cost: at most `size` single-frame round trips on the same
+/// connection, plus 20 ms — half the shortest delayed ACK — of slack, so
+/// the bound holds in a debug build too.
 #[test]
 fn pipelined_bursts_do_not_wait_for_a_delayed_ack() {
-    type Spawn = fn(Arc<Engine>) -> std::io::Result<cqa_engine::ServerHandle>;
-    let front_ends: [(&str, Spawn); 2] = [
-        ("reactor", cqa_engine::spawn_server),
-        ("threaded", cqa_engine::spawn_server_threaded),
-    ];
-    for (front_end, spawn) in front_ends {
-        let engine = Arc::new(Engine::new(EngineConfig {
-            workers: 2,
-            ..EngineConfig::default()
-        }));
-        let handle = spawn(engine).unwrap();
-        let mut c = Client::connect(handle.addr());
-        let mut single = Duration::MAX;
+    let engine = Arc::new(Engine::new(EngineConfig {
+        workers: 2,
+        ..EngineConfig::default()
+    }));
+    let handle = cqa_engine::spawn_server(engine).unwrap();
+    let mut c = Client::connect(handle.addr());
+    let mut single = Duration::MAX;
+    for _ in 0..5 {
+        let start = Instant::now();
+        let resp = c.send("VOLUME 0 <= x & x <= 1/2");
+        assert!(resp.header.contains("value=1/2"), "{resp:?}");
+        single = single.min(start.elapsed());
+    }
+    for size in [2, 16] {
+        let burst = "VOLUME 0 <= x & x <= 1/2\n".repeat(size);
+        let mut fastest = Duration::MAX;
         for _ in 0..5 {
             let start = Instant::now();
-            let resp = c.send("VOLUME 0 <= x & x <= 1/2");
-            assert!(resp.header.contains("value=1/2"), "{front_end}: {resp:?}");
-            single = single.min(start.elapsed());
-        }
-        for size in [2, 16] {
-            let burst = "VOLUME 0 <= x & x <= 1/2\n".repeat(size);
-            let mut fastest = Duration::MAX;
-            for _ in 0..5 {
-                let start = Instant::now();
-                c.w.get_mut().write_all(burst.as_bytes()).unwrap();
-                for _ in 0..size {
-                    let resp = c.read();
-                    assert!(resp.header.contains("value=1/2"), "{front_end}: {resp:?}");
-                }
-                fastest = fastest.min(start.elapsed());
+            c.w.get_mut().write_all(burst.as_bytes()).unwrap();
+            for _ in 0..size {
+                let resp = c.read();
+                assert!(resp.header.contains("value=1/2"), "{resp:?}");
             }
-            assert!(
-                fastest < single * size as u32 + Duration::from_millis(20),
-                "{front_end}: the fastest of five bursts of {size} frames took {fastest:?}, \
-                 one frame {single:?}"
-            );
+            fastest = fastest.min(start.elapsed());
         }
-        c.shutdown();
-        handle.join().unwrap();
+        assert!(
+            fastest < single * size as u32 + Duration::from_millis(20),
+            "the fastest of five bursts of {size} frames took {fastest:?}, one frame {single:?}"
+        );
     }
+    c.shutdown();
+    handle.join().unwrap();
 }
 
 /// The body cap over the wire: a body one byte over the limit answers a

@@ -27,6 +27,18 @@ if [ "$twins" != "$expected" ]; then
   exit 1
 fi
 
+echo "== one front end (no second server regrows beside the reactor) =="
+front="$(git ls-files crates/engine/src/net)"
+expected="crates/engine/src/net/conn.rs
+crates/engine/src/net/mod.rs
+crates/engine/src/net/reactor.rs
+crates/engine/src/net/worker.rs"
+if [ "$front" != "$expected" ]; then
+  printf 'crates/engine/src/net must hold conn.rs mod.rs reactor.rs worker.rs only, found:\n%s\n' \
+    "$front" >&2
+  exit 1
+fi
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -109,7 +121,7 @@ run_capped cargo run -q --release --offline --example spatial_analytics
 echo "== storage durability (kill-and-replay, torn tail, crash-point sweep) =="
 run_capped cargo test -q --offline -p cqa-engine --test storage
 
-echo "== serving layer (pipelining order/parity, pipelined bursts on both front ends, shard bit-identity, idle sessions, busy path, body caps, parse caps: degree 64 / 4096 terms / 4096-bit coefficients, a shared-stream BATCH equal to lone EXECs, sweeping each distinct kernel once: lane counters of one EXEC per distinct spec, exactly one stream per (dim, samples) group, shared= counting the repeats; a pipelined 140-LOAD burst byte-identical to serial dispatch in a few coalesced writes; a ready reply not waiting behind a slow frame) =="
+echo "== serving layer (pipelining order/parity, pipelined bursts, shard bit-identity, idle sessions, busy path, body caps, parse caps: degree 64 / 4096 terms / 4096-bit coefficients, a shared-stream BATCH equal to lone EXECs, sweeping each distinct kernel once: lane counters of one EXEC per distinct spec, exactly one stream per (dim, samples) group, shared= counting the repeats; a pipelined 140-LOAD burst byte-identical to serial dispatch in a few coalesced writes; a ready reply not waiting behind a slow frame) =="
 run_capped cargo test -q --offline -p cqa-engine --test serving
 
 echo "== transcript differential (pinned digest, debug and release; a release re-run and the debug build print the same transcript) =="
@@ -259,37 +271,6 @@ sed -n '/^OK BATCH n=16 errors=0$/,+16p' "$SHELL_LOG" | tail -n +2 > "$SHELL_LOG
 diff "$SHELL_LOG.lone" "$SHELL_LOG.batch"
 rm -f "$SHELL_LOG.lone" "$SHELL_LOG.batch"
 # Clean shutdown: the server process exits 0 (workers joined, no leak).
-run_capped tail --pid="$SERVE_PID" -f /dev/null
-wait "$SERVE_PID"
-
-echo "== threaded-baseline smoke (cqa-serve --threaded parity oracle) =="
-: > "$SERVE_LOG"
-./target/release/cqa-serve --threaded --workers 2 --timeout-ms 2000 \
-  --preload examples/lint/endpoints.cqa > "$SERVE_LOG" &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 50); do
-  ADDR="$(sed -n 's/^LISTENING //p' "$SERVE_LOG")"
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-if [ -z "$ADDR" ]; then
-  echo "cqa-serve --threaded did not print LISTENING" >&2
-  kill "$SERVE_PID" 2>/dev/null || true
-  exit 1
-fi
-run_capped ./target/release/cqa-shell "$ADDR" > "$SHELL_LOG" <<'EOF'
-PREPARE above S(x) & x >= 0.5
-@t1 EXEC above
-BATCH
-above
-.
-SHUTDOWN
-EOF
-cat "$SHELL_LOG"
-# Same protocol surface as the reactor front end.
-grep -q "^@t1 OK EXEC above status=exact value=1/4" "$SHELL_LOG"
-grep -q "^OK BATCH n=1 errors=0" "$SHELL_LOG"
 run_capped tail --pid="$SERVE_PID" -f /dev/null
 wait "$SERVE_PID"
 
